@@ -1,30 +1,37 @@
-// Command remyshardd is the distributed-training worker daemon: it
-// listens on a TCP port, serves shard jobs to any number of
-// coordinator connections (many jobs per connection), and hosts a
-// content-addressed result cache so repeated candidate evaluations —
-// common across a training run's hill-climb, and across reruns of the
-// same seed — are answered from memory. Run one per machine:
+// Command remyshardd is the training worker: it evaluates shard jobs
+// for a remytrain coordinator behind a content-addressed result cache,
+// so repeated candidate evaluations — common across a training run's
+// hill-climb, and across reruns of the same seed — are answered from
+// memory. It serves one of two transports:
 //
-//	remyshardd -listen :7117            # on each worker machine
-//	remytrain -remotes w1:7117,w2:7117  # on the coordinator
+//	remyshardd -listen :7117            # a daemon, one per worker machine
+//	remytrain -remotes w1:7117,w2:7117  # ... and its coordinator
+//
+//	remytrain -shards 4 -shard-cmd "remyshardd -stdio"   # local worker processes
+//
+// As a daemon it listens on a TCP port and serves any number of
+// coordinator connections (many jobs per connection). With -stdio it
+// serves the same jobs on stdin/stdout until the coordinator closes
+// the pipe, and opens no listener; remytrain spawns one such process
+// per shard.
 //
 // Jobs are self-contained and evaluation is a pure function of the
-// job, so a daemon holds no training state: it can be restarted at any
-// time (the coordinator reconnects and requeues), serve several
-// trainings at once, and return cached results verbatim without any
-// effect on the trained bits. With -cache-dir the cache also spills
-// every entry to disk (hash-verified on load, corrupt files evicted),
-// so even a restarted daemon answers repeated work from its warm
-// store. -pprof/-cpuprofile/-memprofile expose the standard profiling
-// taps. Setting REMY_SHARD_DIE_AFTER=N makes
-// every connection drop after N jobs — the same chaos knob cmd/
-// remyshard exposes, for exercising the coordinator's requeue path
-// against a real network.
+// job, so a worker holds no training state: it can be restarted at any
+// time (the coordinator reconnects or respawns, and requeues), serve
+// several trainings at once, and return cached results verbatim
+// without any effect on the trained bits. With -cache-dir the cache
+// also spills every entry to disk (hash-verified on load, corrupt
+// files evicted), so even a restarted worker answers repeated work
+// from its warm store. -pprof/-cpuprofile/-memprofile expose the
+// standard profiling taps. Setting REMY_SHARD_DIE_AFTER=N makes every
+// connection (or the -stdio process) drop after N jobs — a chaos knob
+// for exercising the coordinator's requeue path against real workers.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -33,55 +40,72 @@ import (
 
 	"learnability/internal/prof"
 	"learnability/internal/remy"
+	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
 	"learnability/internal/telemetry"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its process-wide inputs as parameters: the argument
+// list, the -stdio job stream and result stream, and the diagnostic
+// stream. It returns the exit status (2 for a bad invocation).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("remyshardd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen   = flag.String("listen", ":7117", "TCP address to serve shard jobs on")
-		workers  = flag.Int("workers", 0, "parallel simulations per job (0 = NumCPU)")
-		cacheN   = flag.Int("cache", shardnet.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative disables)")
-		cacheDir = flag.String("cache-dir", "", "spill cache entries to this directory (created if missing) and reload them on restart, hash-verified; entries survive daemon lifetimes so warm restarts stay warm")
-		hb       = flag.Duration("hb", shardnet.DefaultHeartbeat, "heartbeat interval while a job evaluates")
-		metricsF = flag.String("metrics", "", "serve live metrics on this address (e.g. :9090): connections, jobs, job latency, cache counters. GET /metrics for Prometheus text, ?format=json for JSON")
-		ppAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on SIGINT/SIGTERM)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on SIGINT/SIGTERM")
-		verbose  = flag.Bool("v", true, "log connections and cache stats")
+		listen   = fs.String("listen", ":7117", "TCP address to serve shard jobs on")
+		stdio    = fs.Bool("stdio", false, "serve shard jobs on stdin/stdout instead of a TCP listener (the `remytrain -shard-cmd` worker)")
+		workers  = fs.Int("workers", 0, "parallel simulations per job (0 = NumCPU; with -stdio, 0 keeps the parallelism the coordinator sized for its co-located workers)")
+		cacheN   = fs.Int("cache", shardnet.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative disables)")
+		cacheDir = fs.String("cache-dir", "", "spill cache entries to this directory (created if missing) and reload them on restart, hash-verified; entries survive worker lifetimes so warm restarts stay warm")
+		hb       = fs.Duration("hb", shardnet.DefaultHeartbeat, "heartbeat interval while a job evaluates")
+		metricsF = fs.String("metrics", "", "serve live metrics on this address (e.g. :9090): connections, jobs, job latency, cache counters. GET /metrics for Prometheus text, ?format=json for JSON")
+		ppAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (flushed on SIGINT/SIGTERM, and when -stdio reaches end of input)")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on SIGINT/SIGTERM, and when -stdio reaches end of input")
+		verbose  = fs.Bool("v", true, "log connections and cache stats")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(status int, err any) int {
+		fmt.Fprintln(stderr, "remyshardd:", err)
+		return status
+	}
+
+	dieAfter := 0
+	if s := os.Getenv("REMY_SHARD_DIE_AFTER"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			return fail(2, fmt.Sprintf("bad REMY_SHARD_DIE_AFTER %q", s))
+		}
+		dieAfter = n
+	}
+	var cache *shardnet.Cache
+	switch {
+	case *cacheN < 0 && *cacheDir != "":
+		return fail(2, "-cache-dir needs the cache enabled (-cache >= 0)")
+	case *cacheN < 0:
+	case *cacheDir != "":
+		var err error
+		if cache, err = shardnet.NewDiskCache(*cacheDir, *cacheN); err != nil {
+			return fail(2, err)
+		}
+	default:
+		cache = shardnet.NewCache(*cacheN)
+	}
+	eval := remy.CachedShardEval(cache)
 
 	stopProf, err := prof.Start(*ppAddr, *cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "remyshardd:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	prof.StopOnSignal(stopProf)
-
-	var cache *shardnet.Cache
-	if *cacheN >= 0 {
-		if *cacheDir != "" {
-			var err error
-			if cache, err = shardnet.NewDiskCache(*cacheDir, *cacheN); err != nil {
-				fmt.Fprintln(os.Stderr, "remyshardd:", err)
-				os.Exit(2)
-			}
-		} else {
-			cache = shardnet.NewCache(*cacheN)
-		}
-	} else if *cacheDir != "" {
-		fmt.Fprintln(os.Stderr, "remyshardd: -cache-dir needs the cache enabled (-cache >= 0)")
-		os.Exit(2)
-	}
-	srv := &shardnet.Server{
-		Eval:      remy.CachedShardEval(cache),
-		Heartbeat: *hb,
-		Workers:   *workers,
-	}
+	var reg *telemetry.Registry
 	if *metricsF != "" {
-		reg := telemetry.NewRegistry()
-		srv.Metrics = reg
+		reg = telemetry.NewRegistry()
 		// The slot cache keeps its own counters; polled Func metrics
 		// surface them on the same endpoint without double bookkeeping.
 		if cache != nil {
@@ -93,43 +117,61 @@ func main() {
 		}
 		addr, closeMetrics, err := telemetry.Serve(*metricsF, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "remyshardd:", err)
-			os.Exit(2)
+			stopProf()
+			return fail(2, err)
 		}
 		defer closeMetrics()
-		fmt.Fprintf(os.Stderr, "remyshardd: serving metrics on http://%s/metrics\n", addr)
+		fmt.Fprintf(stderr, "remyshardd: serving metrics on http://%s/metrics\n", addr)
+	}
+
+	if *stdio {
+		defer stopProf()
+		if *workers > 0 {
+			// Only an explicit -workers overrides the job's own figure:
+			// the coordinator sized it as NumCPU/shards for workers that
+			// share its machine, and NumCPU each would oversubscribe it.
+			n, inner := *workers, eval
+			eval = func(job *shard.Job) (*shard.Result, error) {
+				job.Workers = n
+				return inner(job)
+			}
+		}
+		if err := shard.Serve(stdin, stdout, eval, shard.ServeOpts{DieAfter: dieAfter}); err != nil {
+			return fail(1, err)
+		}
+		return 0
+	}
+
+	srv := &shardnet.Server{
+		Eval:      eval,
+		Heartbeat: *hb,
+		Workers:   *workers,
+		DieAfter:  dieAfter,
+		Metrics:   reg,
 	}
 	if srv.Workers <= 0 {
 		srv.Workers = runtime.NumCPU()
 	}
-	if s := os.Getenv("REMY_SHARD_DIE_AFTER"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			fmt.Fprintf(os.Stderr, "remyshardd: bad REMY_SHARD_DIE_AFTER %q\n", s)
-			os.Exit(2)
-		}
-		srv.DieAfter = n
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		stopProf()
+		return fail(1, err)
 	}
+	prof.StopOnSignal(stopProf)
 	if *verbose {
-		srv.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
+		srv.Log = func(f string, a ...any) { fmt.Fprintf(stderr, f+"\n", a...) }
 		go func() {
 			for range time.Tick(time.Minute) {
 				st := srv.Stats()
 				if cache != nil {
 					cs := cache.Stats()
-					fmt.Fprintf(os.Stderr, "remyshardd: %d jobs served, slot cache %d hits (%d from disk) / %d misses / %d entries\n",
+					fmt.Fprintf(stderr, "remyshardd: %d jobs served, slot cache %d hits (%d from disk) / %d misses / %d entries\n",
 						st.Jobs, cs.Hits, cs.DiskHits, cs.Misses, cs.Entries)
 				} else {
-					fmt.Fprintf(os.Stderr, "remyshardd: %d jobs served (cache disabled)\n", st.Jobs)
+					fmt.Fprintf(stderr, "remyshardd: %d jobs served (cache disabled)\n", st.Jobs)
 				}
 			}
 		}()
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "remyshardd:", err)
-		os.Exit(1)
 	}
 	cacheDesc := "off"
 	if cache != nil {
@@ -138,10 +180,10 @@ func main() {
 			cacheDesc = "disk:" + d
 		}
 	}
-	fmt.Fprintf(os.Stderr, "remyshardd: serving shard jobs on %s (%d workers/job, cache %s)\n",
+	fmt.Fprintf(stderr, "remyshardd: serving shard jobs on %s (%d workers/job, cache %s)\n",
 		ln.Addr(), srv.Workers, cacheDesc)
 	if err := srv.Serve(ln); err != nil {
-		fmt.Fprintln(os.Stderr, "remyshardd:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	return 0
 }

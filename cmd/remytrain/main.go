@@ -8,8 +8,8 @@
 //	          -buffer-bdp 5 -generations 4 -o tao10x.json
 //
 // Training distributes across processes (-shards N -shard-cmd
-// remyshard) and machines (-remotes host:port,... pointing at
-// remyshardd daemons); output is byte-identical to the in-process
+// "remyshardd -stdio") and machines (-remotes host:port,... pointing
+// at remyshardd daemons); output is byte-identical to the in-process
 // search either way (docs/EXPERIMENTS.md, "Multi-machine training").
 package main
 
@@ -69,7 +69,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "training seed")
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = NumCPU)")
 		shards     = flag.Int("shards", 1, "shard each generation across N workers (1 = in-process); output is bit-identical for any N")
-		shardCmd   = flag.String("shard-cmd", "", "worker command for -shards (e.g. 'remyshard'); empty runs shard jobs in-process")
+		shardCmd   = flag.String("shard-cmd", "", "worker command for -shards (e.g. 'remyshardd -stdio'); empty runs shard jobs in-process")
 		shardWkrs  = flag.Int("shard-workers", 0, "parallel simulations per shard (0 = NumCPU/shards)")
 		shardTmo   = flag.Duration("shard-timeout", 0, "kill and requeue a shard job after this long (e.g. 10m); 0 waits forever — set it to survive hung (not just crashed) workers. On -remotes lanes this bounds silence between frames (heartbeats reset it), not job length")
 		remotes    = flag.String("remotes", "", "comma-separated remyshardd worker addresses (host:port,...); each is one TCP shard lane. Remote-only unless -shards 2+ adds local lanes. Output stays byte-identical to in-process training")
@@ -223,7 +223,6 @@ func main() {
 		Remotes:          remoteAddrs,
 		ShardJSON:        *shardJSON,
 		DisableEvalCache: *evalCache < 0,
-		EvalCacheEntries: *evalCache,
 	}
 	if *evalDir != "" {
 		if *evalCache < 0 {
@@ -236,6 +235,8 @@ func main() {
 			os.Exit(2)
 		}
 		tr.EvalCache = c
+	} else if *evalCache > 0 {
+		tr.EvalCache = shardnet.NewCache(*evalCache)
 	}
 	if *verbose {
 		tr.Log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

@@ -43,9 +43,9 @@ func ablationBudget() Budget {
 func trainAndScore(b *testing.B, cfg Config) float64 {
 	tr := &Trainer{Cfg: cfg, Seed: 99}
 	tree := tr.Train(ablationBudget())
-	scoreCfg := ablationConfig()
-	scorer := &Trainer{Cfg: scoreCfg, Seed: 99}
-	score, _ := scorer.evaluate(scoreCfg.normalize(), tree, 1000)
+	scorer := &Trainer{Cfg: ablationConfig(), Seed: 99}
+	scoreCfg := scorer.Cfg.normalize()
+	score, _ := scorer.evaluate(&scoreCfg, tree, 1000)
 	return score
 }
 
@@ -85,6 +85,6 @@ func BenchmarkEvaluate(b *testing.B) {
 	tree := remycc.NewTree()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.evaluate(cfg, tree, i)
+		tr.evaluate(&cfg, tree, i)
 	}
 }

@@ -1,27 +1,15 @@
 package remy
 
-// In-process memoization for the trainer's evaluation plane. The shard
-// workers have cached (config, draw, tree) slots since protocol v3
-// (slotcache.go); this file makes the same content address pay on the
-// coordinator itself: evaluateLocal consults a shardnet.Cache before
-// simulating a slot, so the redundancy inherent in hill-climbing — a
-// move's neighbor set overlaps the previous move's, and Train
-// re-evaluates the current tree after every optimization pass just to
-// refresh whisker usage — is served from memory instead of the
-// simulator. Entries are byte-identical to fresh evaluation by purity
-// (the differential tests in memodiff_test.go hold cached and uncached
-// training byte-equal), so the cache changes where scores come from,
-// never their bits.
-//
-// It also hosts the derive-once draw memo: generationDraws is pure in
-// (config, seed, gen), and with pipelined windows every job of a
-// generation used to re-sample every replica's scenario draw. The memo
-// is keyed by the config's content hash so the coordinator's local
-// path, its in-process fallback lanes, and a daemon serving several
-// trainings all share one derivation per generation. Draws are
-// immutable after creation (scenario runs split the seed stream
-// without advancing it), so sharing one slice across concurrent
-// evaluations is safe.
+// In-process memoization for the evaluation plane: the trainer's slot
+// cache (the same content address the shard workers use, so the
+// redundancy inherent in hill-climbing — a move's neighbor set overlaps
+// the previous move's, and Train re-evaluates the current tree after
+// every optimization pass just to refresh whisker usage — is served
+// from memory instead of the simulator), and the two small derive-once
+// memos evaluation leans on. Entries are byte-identical to fresh
+// evaluation by purity (the differential tests in memodiff_test.go hold
+// cached and uncached training byte-equal), so a cache changes where
+// scores come from, never their bits.
 
 import (
 	"encoding/json"
@@ -33,10 +21,44 @@ import (
 	"learnability/internal/remy/shardnet"
 )
 
-// drawMemoEntries bounds the derive-once draw memo. One training run
-// touches one config and revisits a handful of recent generations, so
-// the bound only matters for a daemon serving many coordinators.
-const drawMemoEntries = 32
+// fifoMemo is a bounded derive-once map with FIFO eviction, safe for
+// concurrent use. Values must be immutable once stored: every caller
+// of a key shares one value.
+type fifoMemo[K comparable, V any] struct {
+	max int
+
+	mu    sync.Mutex
+	m     map[K]V
+	order []K
+}
+
+// get returns the value stored under k.
+func (c *fifoMemo[K, V]) get(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[k]
+	return v, ok
+}
+
+// add stores v under k, evicting the oldest entry when full, and
+// returns the value now stored — an earlier racing add's, if any.
+func (c *fifoMemo[K, V]) add(k K, v V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if stored, ok := c.m[k]; ok {
+		return stored
+	}
+	if c.m == nil {
+		c.m = make(map[K]V)
+	}
+	for len(c.order) >= c.max {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.m[k] = v
+	c.order = append(c.order, k)
+	return v
+}
 
 // drawMemoKey addresses one generation's scenario draws.
 type drawMemoKey struct {
@@ -45,13 +67,14 @@ type drawMemoKey struct {
 	gen     int
 }
 
-// drawMemo is the process-wide [(cfgHash, seed, gen)] → draws cache,
-// FIFO-bounded like the decoded-config memo.
-var drawMemo struct {
-	mu    sync.Mutex
-	m     map[drawMemoKey][]draw
-	order []drawMemoKey
-}
+// drawMemo is the process-wide derive-once cache of generation draws:
+// generationDraws is pure in (config, seed, gen), and a pipelined
+// generation evaluates many jobs. It is keyed by the config's content
+// hash, so the in-process trainer, its fallback lanes, and a daemon
+// serving several trainings all share one derivation per generation.
+// One run touches one config and a handful of recent generations, so
+// the bound only matters for a daemon serving many coordinators.
+var drawMemo = fifoMemo[drawMemoKey, []draw]{max: 32}
 
 // drawMemoHits/drawMemoMisses count memo consultations process-wide;
 // atomics because pipelined lanes race drawsFor, and the telemetry
@@ -67,64 +90,47 @@ func DrawMemoStats() (hits, misses int64) {
 
 // drawsFor returns one generation's scenario draws, derived once per
 // (config, seed, generation) and shared thereafter. The caller must
-// treat the slice and its draws as immutable.
+// treat the slice and its draws as immutable (scenario runs split the
+// seed stream without advancing it, so concurrent evaluations may
+// share them).
 func drawsFor(cfgHash shard.Hash, seed uint64, gen int, cfg *Config) []draw {
 	key := drawMemoKey{cfgHash: cfgHash, seed: seed, gen: gen}
-	m := &drawMemo
-	m.mu.Lock()
-	if draws, ok := m.m[key]; ok {
-		m.mu.Unlock()
+	if draws, ok := drawMemo.get(key); ok {
 		drawMemoHits.Add(1)
 		return draws
 	}
-	m.mu.Unlock()
 	drawMemoMisses.Add(1)
-	draws := cfg.generationDraws(seed, gen)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cached, ok := m.m[key]; ok {
-		return cached
-	}
-	if m.m == nil {
-		m.m = make(map[drawMemoKey][]draw)
-	}
-	for len(m.order) >= drawMemoEntries {
-		delete(m.m, m.order[0])
-		m.order = m.order[1:]
-	}
-	m.m[key] = draws
-	m.order = append(m.order, key)
-	return draws
+	return drawMemo.add(key, cfg.generationDraws(seed, gen))
 }
 
-// evalCfgHash returns the content hash of the batch's training config
-// — the same address startShards ships to workers, so the local cache
-// and the worker caches key identical slots identically. Train
-// memoizes it for the duration of one search; a bare evaluate call
-// outside Train (tests) recomputes it, which is microseconds against
-// a slot's milliseconds of simulation.
-func (t *Trainer) evalCfgHash(cfg *Config) shard.Hash {
-	if t.evalCfgValid {
-		return t.evalCfg
+// cfgID returns the normalized training config's shard encoding and
+// its content hash — the address every slot key and draw-memo key
+// starts from, identical on coordinator and workers. Train pins both
+// for the duration of one search; a bare evaluate call outside Train
+// (tests) recomputes them, which is microseconds against a slot's
+// milliseconds of simulation.
+func (t *Trainer) cfgID(cfg *Config) ([]byte, shard.Hash) {
+	if t.cfgJSON != nil {
+		return t.cfgJSON, t.cfgHash
 	}
 	b, err := json.Marshal(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("remy: training config not serializable: %v", err))
 	}
-	return shard.HashBytes(b)
+	return b, shard.HashBytes(b)
 }
 
 // localCache resolves the in-process slot cache for an evaluation
 // batch: nil when disabled, the caller-supplied EvalCache when set,
-// and otherwise a cache built on first use that lives for the
-// Trainer's lifetime — so repeated Train calls on one Trainer (warm
-// reruns, sweeps over budgets) keep their entries.
+// and otherwise a default-sized cache built on first use that lives
+// for the Trainer's lifetime — so repeated Train calls on one Trainer
+// (warm reruns, sweeps over budgets) keep their entries.
 func (t *Trainer) localCache() *shardnet.Cache {
 	if t.DisableEvalCache {
 		return nil
 	}
 	if t.EvalCache == nil {
-		t.EvalCache = shardnet.NewCache(t.EvalCacheEntries)
+		t.EvalCache = shardnet.NewCache(0)
 	}
 	return t.EvalCache
 }

@@ -198,18 +198,18 @@ func TestEvalCacheServesUsageRefresh(t *testing.T) {
 	trees := []*remycc.Tree{tree}
 
 	ref := &Trainer{Cfg: tinyConfig(), Seed: 3, DisableEvalCache: true}
-	wantScores, wantUsage := ref.evaluateBatch(cfg, trees, 0, 0)
+	wantScores, wantUsage := ref.evaluateBatch(&cfg, trees, 0, 0)
 
 	tr := &Trainer{Cfg: tinyConfig(), Seed: 3}
 	// Score-only pass: fills the cache with usage-less entries.
-	scoreOnly, _ := tr.evaluateBatch(cfg, trees, 0, -1)
+	scoreOnly, _ := tr.evaluateBatch(&cfg, trees, 0, -1)
 	if !reflect.DeepEqual(scoreOnly, wantScores) {
 		t.Fatalf("score-only pass scores %v, want %v", scoreOnly, wantScores)
 	}
 
 	// Usage query against score-only entries: must re-simulate and
 	// return full usage, not nil and not zeros.
-	gotScores, gotUsage := tr.evaluateBatch(cfg, trees, 0, 0)
+	gotScores, gotUsage := tr.evaluateBatch(&cfg, trees, 0, 0)
 	if gotUsage == nil {
 		t.Fatal("usage query served nil usage from score-only entries")
 	}
@@ -221,7 +221,7 @@ func TestEvalCacheServesUsageRefresh(t *testing.T) {
 	// The re-evaluation upgraded the entries (Replace): a second usage
 	// query must be a pure cache read.
 	before := tr.LocalCacheStats()
-	againScores, againUsage := tr.evaluateBatch(cfg, trees, 0, 0)
+	againScores, againUsage := tr.evaluateBatch(&cfg, trees, 0, 0)
 	after := tr.LocalCacheStats()
 	if after.Misses != before.Misses {
 		t.Fatalf("second usage query missed %d times; upgraded entries should serve it", after.Misses-before.Misses)

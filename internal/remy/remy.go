@@ -6,7 +6,7 @@
 // distribution, hill-climbs the most-used whiskers' actions, and splits
 // the most-used whisker so the mapping can discriminate finer memory
 // regions — Remy's evaluate/optimize/split loop, with candidate
-// evaluations fanned out across a worker pool.
+// evaluations fanned out across goroutines, processes or machines.
 //
 // The paper spends a CPU-year per protocol; this trainer exposes the
 // same loop under an explicit budget (see DESIGN.md substitution #2).
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -260,8 +259,8 @@ func (c *Config) Validate() error {
 
 // generationDraws derives one generation's common scenario draws from
 // the training seed. It is the single source of the draw-derivation
-// sequence: the local path and the shard worker (EvalShardJob) both
-// call it, so the two can never diverge — a pillar of the guarantee
+// sequence: coordinator and shard workers both reach it through
+// drawsFor, so the two can never diverge — a pillar of the guarantee
 // that sharded training is bit-identical to in-process training.
 func (c *Config) generationDraws(seed uint64, gen int) []draw {
 	root := rng.New(seed).SplitN("generation", gen)
@@ -335,13 +334,11 @@ func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats) fl
 	return score / float64(n)
 }
 
-// Trainer runs the Remy search. Candidate evaluations are fanned out
-// across a persistent worker pool that lives for the duration of one
-// Train call, instead of spawning goroutines per evaluation; per-replica
-// UsageStats buffers are recycled across the whole search. With Shards
-// set, whole generations are instead sliced into self-contained jobs
-// and distributed across shard workers (see sharding.go); the result is
-// bit-identical either way.
+// Trainer runs the Remy search. Every candidate evaluation goes
+// through the one slot evaluator (evalslots.go): in process over the
+// whole batch, or — with Shards, ShardCmd or Remotes set — sliced into
+// self-contained jobs that shard workers decode back into slot ranges
+// (see sharding.go). The result is bit-identical either way.
 type Trainer struct {
 	// Cfg is the training-scenario distribution and objective.
 	Cfg Config
@@ -353,14 +350,14 @@ type Trainer struct {
 	Log func(format string, args ...any)
 
 	// Shards, when > 1 (or when ShardCmd is set), distributes every
-	// evaluation batch across that many shard jobs instead of the
-	// in-process worker pool. Training output is bit-identical to the
+	// evaluation batch across that many shard lanes instead of
+	// evaluating it in process. Training output is bit-identical to the
 	// in-process trainer for the same Seed and Budget.
 	Shards int
-	// ShardCmd is the worker argv (e.g. {"remyshard"}) spawned once
-	// per shard for the duration of Train. Empty runs shard jobs
-	// in-process on goroutine lanes — the same slicing and merge path
-	// without the processes.
+	// ShardCmd is the worker argv (e.g. {"remyshardd", "-stdio"})
+	// spawned once per shard for the duration of Train. Empty runs
+	// shard jobs in-process on goroutine lanes — the same slicing and
+	// merge path without the processes.
 	ShardCmd []string
 	// ShardWorkers bounds each shard's internal parallelism. 0 divides
 	// NumCPU evenly across shards.
@@ -392,15 +389,13 @@ type Trainer struct {
 	// differential testing and memory-constrained runs, not
 	// correctness.
 	DisableEvalCache bool
-	// EvalCache, when set, is the in-process slot cache evaluateLocal
-	// (and the shard pool's in-process fallback lanes) consult before
-	// simulating. Leave nil to have Train build one lazily that lives
-	// for the Trainer's lifetime; supply a shardnet.NewDiskCache to
+	// EvalCache, when set, is the in-process slot cache the evaluator
+	// (and the shard pool's in-process fallback lanes) consults before
+	// simulating. Leave nil to have Train build a default-sized one
+	// lazily that lives for the Trainer's lifetime; supply a
+	// shardnet.NewCache(n) to bound it or a shardnet.NewDiskCache to
 	// keep entries warm across process restarts.
 	EvalCache *shardnet.Cache
-	// EvalCacheEntries bounds the lazily built EvalCache
-	// (0 = shardnet.DefaultCacheEntries).
-	EvalCacheEntries int
 
 	// Metrics, when non-nil, receives the trainer's live series (slot
 	// and cache totals, per-generation score gauges) and is handed to
@@ -413,32 +408,16 @@ type Trainer struct {
 	// caller owns Close. Journaling never changes training results.
 	Journal *telemetry.Journal
 
-	// evalCfg and evalCfgValid memoize the content hash of the
-	// normalized training config for the duration of one Train call
-	// (see evalCfgHash); the hash addresses the in-process cache and
-	// draw memo with the same key the shard protocol ships.
-	evalCfg      shard.Hash
-	evalCfgValid bool
-
-	// jobs feeds the worker pool while Train is running. When nil
-	// (evaluate called outside Train, as some tests do), work runs
-	// inline on the calling goroutine.
-	jobs chan func()
-
-	// statsFree recycles per-replica usage accumulators. Only the Train
-	// goroutine touches it (buffers are checked out before jobs are
-	// submitted and returned after the batch completes), so it is
-	// unsynchronized.
-	statsFree []*remycc.UsageStats
+	// cfgJSON and cfgHash pin the normalized config's shard encoding
+	// and its content hash for the duration of one Train call (see
+	// cfgID): the hash addresses the slot cache and draw memo with the
+	// same key the shard protocol ships.
+	cfgJSON []byte
+	cfgHash shard.Hash
 
 	// shards is the live shard pool while a sharded Train is running
 	// (see startShards); nil otherwise.
 	shards *shard.Pool
-	// shardCfg caches the generation-invariant config encoding shipped
-	// in every shard job, and shardCfgHash its content address: each
-	// connection ships the blob once and goes hash-only after.
-	shardCfg     []byte
-	shardCfgHash shard.Hash
 	// shardJobID numbers jobs so results can be matched to requests
 	// across the wire.
 	shardJobID uint64
@@ -512,79 +491,77 @@ func (t *Trainer) workers() int {
 	return runtime.NumCPU()
 }
 
-// startPool launches the persistent worker pool. The returned stop
-// function drains and joins the workers.
-func (t *Trainer) startPool() (stop func()) {
-	n := t.workers()
-	t.jobs = make(chan func(), 4*n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			for fn := range t.jobs {
-				fn()
-			}
-		}()
-	}
-	return func() {
-		close(t.jobs)
-		wg.Wait()
-		t.jobs = nil
-	}
-}
-
-// submit hands fn to the worker pool, or runs it inline when no pool is
-// active.
-func (t *Trainer) submit(wg *sync.WaitGroup, fn func()) {
-	if t.jobs == nil {
-		fn()
-		return
-	}
-	wg.Add(1)
-	t.jobs <- func() {
-		defer wg.Done()
-		fn()
-	}
-}
-
-// getUsage checks a usage buffer out of the free list (Train goroutine
-// only).
-func (t *Trainer) getUsage() *remycc.UsageStats {
-	if n := len(t.statsFree); n > 0 {
-		u := t.statsFree[n-1]
-		t.statsFree = t.statsFree[:n-1]
-		return u
-	}
-	return &remycc.UsageStats{}
-}
-
-func (t *Trainer) putUsage(u *remycc.UsageStats) {
-	t.statsFree = append(t.statsFree, u)
-}
-
 // evaluateBatch scores several candidate trees on the generation's
 // common scenario draws (common random numbers: every candidate sees
-// the same draws). The tree x replica slot space is filled either by
-// the in-process worker pool or by the shard pool; both paths land in
-// the same flat scores array and per-replica usage list, and the
-// reduction below is shared, so the sharded and in-process trainers
-// perform the identical sequence of float operations — the root of the
-// bit-equality guarantee. It returns the mean objective per tree and,
-// when usageFor is a valid index, the merged whisker usage of that
-// tree.
-func (t *Trainer) evaluateBatch(cfg Config, trees []*remycc.Tree, gen, usageFor int) ([]float64, *remycc.UsageStats) {
+// the same draws). The tree x replica slot space is cut into slot
+// ranges — one in process, several with a shard pool — and every range
+// is scored by evalSlots, here or on a worker; the merge and reduction
+// below are shared, so every mode performs the identical sequence of
+// float operations — the root of the bit-equality guarantee. It
+// returns the mean objective per tree and, when usageFor is a valid
+// index, the merged whisker usage of that tree.
+func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor int) ([]float64, *remycc.UsageStats) {
 	if usageFor < 0 || usageFor >= len(trees) {
 		usageFor = -1
 	}
 	scores := make([]float64, len(trees)*cfg.Replicas)
 	t.slotsEvaluated.Add(int64(len(scores)))
-	var usageK []*remycc.UsageStats // per-replica usage of trees[usageFor]
-	var recycle []*remycc.UsageStats
+	cfgJSON, cfgHash := t.cfgID(cfg)
+	cache := t.localCache()
+	var enc [][]byte // slot-key and wire form of the trees
+	if t.shards != nil || cache != nil {
+		enc = make([][]byte, len(trees))
+		for i, tree := range trees {
+			b, err := tree.MarshalBinary()
+			if err != nil {
+				panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
+			}
+			enc[i] = b
+		}
+	}
+
+	batch := slotWork{
+		cfg: cfg, cfgHash: cfgHash, trees: trees, enc: enc, lo: 0, hi: len(scores),
+		usageFor: usageFor, workers: t.workers(),
+	}
+	per := len(scores) // slots per evaluation unit: the whole batch, or one shard job
+	var results []*shard.Result
 	if t.shards != nil {
-		usageK = t.evaluateSharded(cfg, trees, gen, usageFor, scores)
+		per = t.slotsPerJob(len(scores))
+		var err error
+		if results, err = t.shards.Do(t.shardJobs(&batch, cfgJSON, gen, per)); err != nil {
+			panic(fmt.Sprintf("remy: shard batch failed: %v", err))
+		}
+		t.shardResults += uint64(len(results))
+		for _, res := range results {
+			if res.Cached {
+				t.shardCacheHits++
+			}
+		}
 	} else {
-		usageK, recycle = t.evaluateLocal(cfg, trees, gen, usageFor, scores)
+		// Slot tier only: the replay tier exists to skip decoding a
+		// job's bytes, and nothing was encoded.
+		batch.draws = drawsFor(cfgHash, t.Seed, gen, cfg)
+		results = []*shard.Result{evalSlots(batch, cache)}
+	}
+
+	var usageK []*remycc.UsageStats // per-replica usage of trees[usageFor]
+	if usageFor >= 0 {
+		usageK = make([]*remycc.UsageStats, cfg.Replicas)
+	}
+	for i, res := range results {
+		lo, hi := i*per, min((i+1)*per, len(scores))
+		if len(res.Scores) != hi-lo {
+			panic(fmt.Sprintf("remy: slots [%d,%d) returned %d scores", lo, hi, len(res.Scores)))
+		}
+		copy(scores[lo:hi], res.Scores)
+		for fi := range res.Usage {
+			uf := &res.Usage[fi]
+			if usageK == nil || uf.K < 0 || uf.K >= len(usageK) {
+				panic(fmt.Sprintf("remy: slots [%d,%d) returned usage for replica %d", lo, hi, uf.K))
+			}
+			usageK[uf.K] = uf.Stats()
+		}
 	}
 
 	means := make([]float64, len(trees))
@@ -598,105 +575,19 @@ func (t *Trainer) evaluateBatch(cfg Config, trees []*remycc.Tree, gen, usageFor 
 	var usage *remycc.UsageStats
 	if usageFor >= 0 {
 		usage = remycc.NewUsageStats(trees[usageFor].Len())
-		for k := 0; k < cfg.Replicas; k++ {
-			usage.Merge(usageK[k])
-		}
-	}
-	for _, u := range recycle {
-		if u != nil { // cache-hit slots without usage have no buffer
-			t.putUsage(u)
+		for k, u := range usageK {
+			if u == nil {
+				panic(fmt.Sprintf("remy: no usage returned for replica %d", k))
+			}
+			usage.Merge(u)
 		}
 	}
 	return means, usage
 }
 
-// evaluateLocal fills scores with every tree x replica objective using
-// the in-process worker pool, consulting the in-process slot cache
-// first (unless DisableEvalCache): a slot whose (config, draw, tree)
-// was scored before — a neighbor revisited across hill-climb moves, a
-// post-pass usage refresh of an unchanged tree — is served from the
-// stored bits instead of simulating. It returns the per-replica usage
-// slice for trees[usageFor] (nil when usageFor is -1) and the full
-// buffer list for recycling after the caller has merged (cache-hit
-// slots without usage contribute nil entries, which the caller skips).
-func (t *Trainer) evaluateLocal(cfg Config, trees []*remycc.Tree, gen, usageFor int, scores []float64) (usageK, recycle []*remycc.UsageStats) {
-	cache := t.localCache()
-	var cfgHash shard.Hash
-	var draws []draw
-	var keys []shardnet.Key
-	var hit []bool
-	if cache != nil {
-		cfgHash = t.evalCfgHash(&cfg)
-		draws = drawsFor(cfgHash, t.Seed, gen, &cfg)
-		keys = make([]shardnet.Key, len(trees)*cfg.Replicas)
-		hit = make([]bool, len(keys))
-	} else {
-		draws = cfg.generationDraws(t.Seed, gen)
-	}
-	usages := make([]*remycc.UsageStats, len(trees)*cfg.Replicas)
-	var wg sync.WaitGroup
-	for ti, tree := range trees {
-		var enc []byte
-		if cache != nil {
-			b, err := tree.MarshalBinary()
-			if err != nil {
-				panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
-			}
-			enc = b
-		}
-		for k := 0; k < cfg.Replicas; k++ {
-			slot := ti*cfg.Replicas + k
-			if cache != nil {
-				keys[slot] = slotKey(cfgHash, draws[k], enc)
-				if entry, ok := cache.Get(keys[slot]); ok {
-					score, u, err := decodeSlotEntry(entry)
-					// A usage query can only be served by an entry that
-					// stored usage; anything else re-evaluates (the
-					// worker cache makes the same call).
-					if err == nil && (ti != usageFor || u != nil) {
-						scores[slot] = score
-						if ti == usageFor {
-							usages[slot] = u
-						}
-						hit[slot] = true
-						continue
-					}
-				}
-			}
-			u := t.getUsage()
-			usages[slot] = u
-			tree, k := tree, k
-			t.submit(&wg, func() {
-				scores[slot] = cfg.evalOne(tree, draws[k], u)
-			})
-		}
-	}
-	wg.Wait()
-
-	if cache != nil {
-		for slot, served := range hit {
-			if served {
-				continue
-			}
-			if slot/cfg.Replicas == usageFor {
-				// Replace upgrades a score-only entry to a usage-bearing
-				// one (identical score bits by purity), so the next
-				// usage refresh of this tree is a full hit.
-				cache.Replace(keys[slot], encodeSlotEntry(scores[slot], usages[slot]))
-			} else {
-				cache.Put(keys[slot], encodeSlotEntry(scores[slot], nil))
-			}
-		}
-	}
-	if usageFor >= 0 {
-		usageK = usages[usageFor*cfg.Replicas : (usageFor+1)*cfg.Replicas]
-	}
-	return usageK, usages
-}
-
 // evaluate scores a tree on the generation's common scenario draws and
 // returns the mean objective and merged whisker usage.
-func (t *Trainer) evaluate(cfg Config, tree *remycc.Tree, gen int) (float64, *remycc.UsageStats) {
+func (t *Trainer) evaluate(cfg *Config, tree *remycc.Tree, gen int) (float64, *remycc.UsageStats) {
 	means, usage := t.evaluateBatch(cfg, []*remycc.Tree{tree}, gen, 0)
 	return means[0], usage
 }
@@ -738,18 +629,15 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 	if err := t.Cfg.Validate(); err != nil {
 		panic("remy: invalid training config: " + err.Error())
 	}
-	cfg := t.Cfg.normalize()
+	norm := t.Cfg.normalize()
+	cfg := &norm
 	b = b.normalize()
-	// Pin the config's content hash for the whole search so the slot
-	// cache and draw memo don't re-marshal the config per batch.
-	t.evalCfgValid = false
-	t.evalCfg = t.evalCfgHash(&cfg)
-	t.evalCfgValid = true
-	defer func() { t.evalCfgValid = false }()
-	stop := t.startPool()
-	defer stop()
+	// Pin the config's encoding and content hash for the whole search
+	// so no batch re-marshals it.
+	t.cfgJSON, t.cfgHash = t.cfgID(cfg)
+	defer func() { t.cfgJSON = nil }()
 	if t.Shards > 1 || len(t.ShardCmd) > 0 || len(t.Remotes) > 0 {
-		stopShards := t.startShards(cfg)
+		stopShards := t.startShards()
 		defer stopShards()
 	}
 	tree := remycc.NewTree()
@@ -853,9 +741,8 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 }
 
 // optimizeWhisker hill-climbs one whisker's action; all candidate
-// neighbor evaluations (candidate x replica) run on the worker pool in
-// one batch.
-func (t *Trainer) optimizeWhisker(cfg Config, tree *remycc.Tree, wi int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
+// neighbor evaluations (candidate x replica) run as one batch.
+func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
 	for move := 0; move < maxMoves; move++ {
 		cands := neighbors(tree.Action(wi), cfg.DisablePacing)
 		trees := make([]*remycc.Tree, len(cands))

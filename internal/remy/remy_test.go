@@ -38,9 +38,9 @@ func TestTrainingImprovesObjective(t *testing.T) {
 	}
 	tr := &Trainer{Cfg: tinyConfig(), Seed: 1}
 	cfg := tr.Cfg.normalize()
-	baseline, _ := tr.evaluate(cfg, remycc.NewTree(), 0)
+	baseline, _ := tr.evaluate(&cfg, remycc.NewTree(), 0)
 	trained := tr.Train(Budget{Generations: 1, OptPasses: 1, MovesPerWhisker: 4})
-	final, _ := tr.evaluate(cfg, trained, 0)
+	final, _ := tr.evaluate(&cfg, trained, 0)
 	if final < baseline {
 		t.Fatalf("training regressed the objective: %.4f -> %.4f", baseline, final)
 	}

@@ -75,7 +75,7 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // for frame I/O on its stdin/stdout — the `remytrain -shard-cmd`
 // transport.
 type ProcTransport struct {
-	// Argv is the worker command (e.g. {"remyshard"}).
+	// Argv is the worker command (e.g. {"remyshardd", "-stdio"}).
 	Argv []string
 	// ForceJSON pins connections to the JSON reference codec instead
 	// of the binary one; the codec differential tests drive both.
@@ -156,8 +156,8 @@ type Pool struct {
 	// set, in-process fallback lanes otherwise. With Transports present
 	// it may be 0 (remote-only pools); otherwise it defaults to 1.
 	Lanes int
-	// Cmd is the local worker argv (e.g. {"remyshard"}). Empty means
-	// every local lane evaluates in-process via Fallback.
+	// Cmd is the local worker argv (e.g. {"remyshardd", "-stdio"}).
+	// Empty means every local lane evaluates in-process via Fallback.
 	Cmd []string
 	// Transports adds one extra lane per entry, each dialing its own
 	// worker (shardnet TCP dialers). Dial failures at Start are fatal;

@@ -1,10 +1,12 @@
 // Package shard distributes one training generation's candidate
-// evaluations across worker processes. The coordinator (internal/remy)
-// slices a generation's evaluation batch — every (candidate tree,
-// replica) slot — into self-contained Jobs, fans them out over a Pool
-// of workers speaking a length-prefixed JSON protocol on stdin/stdout
-// (cmd/remyshard), and merges the Results deterministically regardless
-// of shard completion order.
+// evaluations across workers. The coordinator (internal/remy) slices a
+// generation's evaluation batch — every (candidate tree, replica)
+// slot — into self-contained Jobs, fans them out over a Pool of lanes
+// speaking length-prefixed frames (the binary v3 codec of codec.go,
+// with a JSON reference codec beside it) to worker processes on
+// stdin/stdout (`remyshardd -stdio`), to TCP daemons
+// (internal/remy/shardnet) or to in-process fallback lanes, and merges
+// the Results deterministically regardless of completion order.
 //
 // Determinism contract: a Job carries everything a worker needs to
 // recompute its slice bit-for-bit — the root seed and generation number
@@ -12,12 +14,13 @@
 // rng.New(Seed).SplitN("generation", Gen)), the stable-binary candidate
 // trees (remycc's codec), and the training config, whose declarative
 // topology description (links, paths, per-link speed ranges) rides
-// along so workers rebuild the exact multi-hop network of every draw. Evaluation is a pure
-// function of the Job, so a crashed or timed-out worker's Job can be
-// requeued on any other worker (or evaluated in-process as a last
-// resort) without changing the outcome. Scores and usage statistics
-// cross the wire as JSON numbers, which Go marshals in shortest
-// round-trip form, so every float64 survives bit-exactly.
+// along so workers rebuild the exact multi-hop network of every draw.
+// Evaluation is a pure function of the Job, so a crashed or timed-out
+// worker's Job can be requeued on any other worker (or evaluated
+// in-process as a last resort) without changing the outcome. Scores and
+// usage statistics cross the wire as raw IEEE-754 bits in the binary
+// codec and in shortest round-trip form in the JSON one, so every
+// float64 survives bit-exactly either way.
 package shard
 
 import (

@@ -11,12 +11,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy/shard"
+	"learnability/internal/remy/shardnet"
 	"learnability/internal/scenario"
 	"learnability/internal/topo"
 	"learnability/internal/units"
@@ -40,7 +42,9 @@ func TestShardWorkerProcess(t *testing.T) {
 		}
 		opts.DieAfter = n
 	}
-	if err := ServeShard(os.Stdin, os.Stdout, opts); err != nil {
+	// The worker binary's evaluator (remyshardd -stdio): cached, so the
+	// subprocess rows of the matrix exercise memoization too.
+	if err := shard.Serve(os.Stdin, os.Stdout, CachedShardEval(shardnet.NewCache(0)), opts); err != nil {
 		os.Exit(3)
 	}
 	os.Exit(0)
@@ -266,55 +270,65 @@ func TestShardedTrainDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestEvalShardJobMatchesLocalSlots cross-checks one job directly:
-// worker-side evaluation of a slot range must reproduce the local
-// path's scores bit-for-bit (fast enough to run in -short).
+// TestEvalShardJobMatchesLocalSlots cross-checks the worker's half of
+// the one evaluation path directly: a job over any sub-range of a
+// batch — decoded from bytes on the worker — must reproduce, bit for
+// bit, the matching positions of the whole-batch evaluation the
+// in-process trainer runs, including the usage frames of a range that
+// splits the usageFor tree (fast enough to run in -short).
 func TestEvalShardJobMatchesLocalSlots(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Replicas = 2
-	cfg.Duration = 2 * 1000 * 1000 * 1000 // 2 simulated seconds
-	tr := &Trainer{Cfg: cfg, Seed: 3}
-	ncfg := tr.Cfg.normalize()
-	trees := []*remycc.Tree{remycc.NewTree(), remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 1.05, WindowIncr: 2, Intersend: 0.001})}
-
-	scores := make([]float64, len(trees)*ncfg.Replicas)
-	usageK, _ := tr.evaluateLocal(ncfg, trees, 0, 0, scores)
+	cfg.Duration = 2 * units.Second
+	ncfg := cfg.normalize()
+	const seed, usageFor = 3, 1
+	trees := []*remycc.Tree{
+		remycc.NewTree(),
+		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 1.05, WindowIncr: 2, Intersend: 0.001}),
+		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 0.9, WindowIncr: 1, Intersend: 0.002}),
+	}
+	nSlots := len(trees) * ncfg.Replicas
 
 	cfgJSON, err := json.Marshal(&ncfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := evalSlots(slotWork{
+		cfg: &ncfg, cfgHash: shard.HashBytes(cfgJSON), draws: ncfg.generationDraws(seed, 0),
+		trees: trees, lo: 0, hi: nSlots, usageFor: usageFor, workers: 2,
+	}, nil)
+	if len(whole.Usage) != ncfg.Replicas {
+		t.Fatalf("whole batch returned %d usage frames, want %d", len(whole.Usage), ncfg.Replicas)
+	}
+
 	enc := make([][]byte, len(trees))
 	for i := range trees {
 		enc[i], _ = trees[i].MarshalBinary()
 	}
-	res, err := EvalShardJob(&shard.Job{
-		ID: 1, Version: shard.ProtocolVersion, Seed: 3, Gen: 0,
-		Replicas: ncfg.Replicas, UsageFor: 0,
-		SlotLo: 0, SlotHi: len(scores), Workers: 2,
-		Trees: enc, Cfg: cfgJSON,
-	})
-	if err != nil {
-		t.Fatalf("EvalShardJob: %v", err)
-	}
-	for i := range scores {
-		if res.Scores[i] != scores[i] {
-			t.Fatalf("slot %d: shard score %v, local score %v", i, res.Scores[i], scores[i])
+	// [1,3) and [3,5) split the usageFor tree (slots 2 and 3) between
+	// them; [2,4) is exactly that tree; [0,2) and [4,6) never touch it.
+	for _, r := range []struct{ lo, hi int }{{0, nSlots}, {0, 2}, {1, 3}, {3, 5}, {2, 4}, {4, 6}, {5, 6}} {
+		tiLo, tiHi := r.lo/ncfg.Replicas, (r.hi-1)/ncfg.Replicas
+		res, err := EvalShardJob(&shard.Job{
+			ID: 1, Version: shard.ProtocolVersion, Seed: seed, Gen: 0,
+			Replicas: ncfg.Replicas, UsageFor: usageFor,
+			SlotLo: r.lo, SlotHi: r.hi, Workers: 2,
+			TreeLo: tiLo, Trees: enc[tiLo : tiHi+1], Cfg: cfgJSON,
+		})
+		if err != nil {
+			t.Fatalf("slots [%d,%d): %v", r.lo, r.hi, err)
 		}
-	}
-	if len(res.Usage) != ncfg.Replicas {
-		t.Fatalf("%d usage frames, want %d", len(res.Usage), ncfg.Replicas)
-	}
-	for k, uf := range res.Usage {
-		if uf.K != k {
-			t.Fatalf("usage frame %d has replica %d", k, uf.K)
+		if !reflect.DeepEqual(res.Scores, whole.Scores[r.lo:r.hi]) {
+			t.Fatalf("slots [%d,%d): job scores %v, whole-batch scores %v", r.lo, r.hi, res.Scores, whole.Scores[r.lo:r.hi])
 		}
-		local := usageK[k]
-		for i := range local.Count {
-			if uf.Count[i] != local.Count[i] || uf.Sum[i] != local.Sum[i] {
-				t.Fatalf("replica %d whisker %d usage differs: %v/%v vs %v/%v",
-					k, i, uf.Count[i], uf.Sum[i], local.Count[i], local.Sum[i])
+		var want []shard.UsageFrame
+		for slot := r.lo; slot < r.hi; slot++ {
+			if slot/ncfg.Replicas == usageFor {
+				want = append(want, whole.Usage[slot%ncfg.Replicas])
 			}
+		}
+		if !reflect.DeepEqual(res.Usage, want) {
+			t.Fatalf("slots [%d,%d): job usage frames %+v, whole-batch frames %+v", r.lo, r.hi, res.Usage, want)
 		}
 	}
 }

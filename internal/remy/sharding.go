@@ -1,38 +1,28 @@
 package remy
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"learnability/internal/cc/remycc"
 	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
 )
 
-// Sharded training. The coordinator side (startShards, evaluateSharded)
-// slices every evaluation batch's (tree x replica) slot space into
-// contiguous shard jobs and fans them out over a shard.Pool; the worker
-// side (EvalShardJob, ServeShard) recomputes the generation's scenario
-// draws from the job's Seed and Gen and evaluates its slots. Both ends
-// are pure functions of the job, and the coordinator merges scores and
-// usage back into the exact positions the in-process path would have
-// written, so sharded training is bit-identical to in-process training
-// for the same Seed and Budget (remy's differential tests enforce
-// this byte-for-byte on the trained tree).
+// Sharded training, coordinator side. With a shard pool live,
+// evaluateBatch cuts every batch's (tree x replica) slot space into
+// contiguous ranges (slotsPerJob), ships each as a self-contained
+// shard.Job (shardJobs) and merges the results by position. A worker
+// decodes the job back into the slot range it describes and runs the
+// same evalSlots the in-process trainer runs (slotcache.go), so
+// sharded training is bit-identical to in-process training for the
+// same Seed and Budget (remy's differential tests enforce this
+// byte-for-byte on the trained tree).
 
 // startShards brings up the shard pool for one Train call and returns
-// its teardown. Misconfiguration (an unspawnable ShardCmd, an
-// unserializable config) panics: training has no error path, and
-// silent degradation would hide a broken deployment.
-func (t *Trainer) startShards(cfg Config) (stop func()) {
-	cfgJSON, err := json.Marshal(&cfg)
-	if err != nil {
-		panic(fmt.Sprintf("remy: training config not serializable: %v", err))
-	}
+// its teardown. Misconfiguration (an unspawnable ShardCmd, a dead
+// remote) panics: training has no error path, and silent degradation
+// would hide a broken deployment.
+func (t *Trainer) startShards() (stop func()) {
 	lanes := t.Shards
 	if len(t.Remotes) > 0 {
 		// Remote-only unless local lanes were explicitly requested
@@ -54,7 +44,7 @@ func (t *Trainer) startShards(cfg Config) (stop func()) {
 		Transports: transports,
 		// In-process fallback lanes share the trainer's slot cache (a
 		// nil cache degrades to the plain evaluator), so local-lane and
-		// mixed-mode training memoize exactly like evaluateLocal.
+		// mixed-mode training memoize exactly like in-process training.
 		Fallback:  CachedShardEval(t.localCache()),
 		Timeout:   t.ShardTimeout,
 		ForceJSON: t.ShardJSON,
@@ -64,14 +54,10 @@ func (t *Trainer) startShards(cfg Config) (stop func()) {
 		panic(fmt.Sprintf("remy: shard pool: %v", err))
 	}
 	t.shards = pool
-	t.shardCfg = cfgJSON
-	t.shardCfgHash = shard.HashBytes(cfgJSON)
 	t.shardResults, t.shardCacheHits = 0, 0
 	return func() {
 		pool.Close()
 		t.shards = nil
-		t.shardCfg = nil
-		t.shardCfgHash = shard.Hash{}
 	}
 }
 
@@ -93,184 +79,47 @@ func (t *Trainer) shardWorkers() int {
 	return w
 }
 
-// evaluateSharded fills scores (one slot per tree x replica) by
-// fanning shard jobs over the pool, and returns the per-replica usage
-// of trees[usageFor] (nil when usageFor is -1). Slot ranges are
-// contiguous, so results drop into the same positions the in-process
-// path fills; the caller's reduction is oblivious to which path ran.
-func (t *Trainer) evaluateSharded(cfg Config, trees []*remycc.Tree, gen, usageFor int, scores []float64) []*remycc.UsageStats {
-	enc := make([][]byte, len(trees))
-	for i, tree := range trees {
-		b, err := tree.MarshalBinary()
-		if err != nil {
-			panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
-		}
-		enc[i] = b
-	}
+// slotsPerJob is the size of the contiguous slot ranges a batch of
+// nSlots is cut into for the shard pool: the pool's pipeline depth per
+// lane — Depth jobs per lane keep every worker's in-flight window full
+// (one job evaluating while the next is already queued behind it), so
+// workers never idle on coordinator round-trips. Pure in-process pools
+// report depth 1: splitting finer there only adds merge overhead.
+func (t *Trainer) slotsPerJob(nSlots int) int {
+	jobs := max(t.shards.NumLanes(), 1) * t.shards.Depth()
+	jobs = min(jobs, nSlots)
+	return (nSlots + jobs - 1) / jobs
+}
 
-	nSlots := len(scores)
-	lanes := t.shards.NumLanes()
-	if lanes < 1 {
-		lanes = 1
-	}
-	if lanes > nSlots {
-		lanes = nSlots
-	}
-	// Slice the batch to the pool's pipeline depth: Depth jobs per lane
-	// keep every worker's in-flight window full (one job evaluating
-	// while the next is already queued behind it), so workers never
-	// idle on coordinator round-trips. Pure in-process pools report
-	// depth 1 — splitting finer there only adds merge overhead.
-	slices := lanes * t.shards.Depth()
-	if slices > nSlots {
-		slices = nSlots
-	}
-	per := (nSlots + slices - 1) / slices
-	jobs := make([]*shard.Job, 0, slices)
-	for lo := 0; lo < nSlots; lo += per {
-		hi := lo + per
-		if hi > nSlots {
-			hi = nSlots
-		}
-		// Ship only the trees this slot range touches; the worker
-		// addresses tree ti at Trees[ti-TreeLo].
-		tiLo, tiHi := lo/cfg.Replicas, (hi-1)/cfg.Replicas
+// shardJobs renders the batch as one job per range of per slots. Each
+// ships only the trees its range touches; the worker addresses tree ti
+// at Trees[ti-TreeLo] and re-derives the draws from Seed and Gen.
+func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*shard.Job {
+	replicas := batch.cfg.Replicas
+	jobs := make([]*shard.Job, 0, (batch.hi+per-1)/per)
+	for lo := 0; lo < batch.hi; lo += per {
+		hi := min(lo+per, batch.hi)
+		tiLo, tiHi := lo/replicas, (hi-1)/replicas
 		t.shardJobID++
 		jobs = append(jobs, &shard.Job{
 			ID:       t.shardJobID,
 			Version:  shard.ProtocolVersion,
 			Seed:     t.Seed,
 			Gen:      gen,
-			Replicas: cfg.Replicas,
-			UsageFor: usageFor,
+			Replicas: replicas,
+			UsageFor: batch.usageFor,
 			SlotLo:   lo,
 			SlotHi:   hi,
 			Workers:  t.shardWorkers(),
 			TreeLo:   tiLo,
-			Trees:    enc[tiLo : tiHi+1],
+			Trees:    batch.enc[tiLo : tiHi+1],
 			// Every in-memory job keeps the config inline — the
 			// fallback path needs it, and requeues may land on a fresh
 			// connection. Each connection strips it to hash-only after
 			// its first send (see shard.cfgSent).
-			Cfg:     t.shardCfg,
-			CfgHash: t.shardCfgHash,
+			Cfg:     cfgJSON,
+			CfgHash: batch.cfgHash,
 		})
 	}
-
-	results, err := t.shards.Do(jobs)
-	if err != nil {
-		panic(fmt.Sprintf("remy: shard batch failed: %v", err))
-	}
-
-	var usageK []*remycc.UsageStats
-	if usageFor >= 0 {
-		usageK = make([]*remycc.UsageStats, cfg.Replicas)
-	}
-	for i, res := range results {
-		job := jobs[i]
-		t.shardResults++
-		if res.Cached {
-			t.shardCacheHits++
-		}
-		if len(res.Scores) != job.SlotHi-job.SlotLo {
-			panic(fmt.Sprintf("remy: shard job %d returned %d scores for %d slots",
-				job.ID, len(res.Scores), job.SlotHi-job.SlotLo))
-		}
-		copy(scores[job.SlotLo:job.SlotHi], res.Scores)
-		for fi := range res.Usage {
-			uf := &res.Usage[fi]
-			if usageK == nil || uf.K < 0 || uf.K >= len(usageK) {
-				panic(fmt.Sprintf("remy: shard job %d returned usage for replica %d", job.ID, uf.K))
-			}
-			usageK[uf.K] = uf.Stats()
-		}
-	}
-	for k := range usageK {
-		if usageK[k] == nil {
-			panic(fmt.Sprintf("remy: no shard returned usage for replica %d", k))
-		}
-	}
-	return usageK
-}
-
-// EvalShardJob evaluates one shard job: it decodes the training config
-// and candidate trees, re-derives the generation's scenario draws from
-// the job's Seed and Gen (splittable RNG: same splits, same draws —
-// derived once per (config, seed, generation) and memoized, since a
-// pipelined generation sends many jobs), and scores the job's slot
-// range. It is the worker binary's evaluator via ServeShard; the
-// pool's in-process fallback wraps it with the trainer's slot cache
-// (see startShards).
-func EvalShardJob(job *shard.Job) (*shard.Result, error) {
-	cfg, cfgHash, trees, err := decodeShardJob(job)
-	if err != nil {
-		return nil, err
-	}
-
-	draws := drawsFor(cfgHash, job.Seed, job.Gen, cfg)
-	n := job.SlotHi - job.SlotLo
-	res := &shard.Result{Scores: make([]float64, n)}
-	usages := make([]*remycc.UsageStats, n)
-	parallelFor(n, job.Workers, func(i int) {
-		slot := job.SlotLo + i
-		ti, k := slot/cfg.Replicas, slot%cfg.Replicas
-		u := &remycc.UsageStats{}
-		res.Scores[i] = cfg.evalOne(trees[ti-job.TreeLo], draws[k], u)
-		if ti == job.UsageFor {
-			usages[i] = u
-		}
-	})
-	// Slots are contiguous, so walking them in order emits usage
-	// frames in ascending replica order.
-	for i, u := range usages {
-		if u == nil {
-			continue
-		}
-		res.Usage = append(res.Usage, shard.UsageFrame{
-			K:     (job.SlotLo + i) % cfg.Replicas,
-			Count: u.Count,
-			Sum:   u.Sum,
-		})
-	}
-	return res, nil
-}
-
-// ServeShard runs the shard-worker loop on r and w until EOF;
-// cmd/remyshard wires it to stdin/stdout.
-func ServeShard(r io.Reader, w io.Writer, opts shard.ServeOpts) error {
-	return shard.Serve(r, w, EvalShardJob, opts)
-}
-
-// parallelFor runs fn(0..n-1) across at most workers goroutines
-// (0 = NumCPU), returning when all calls complete. Iterations must be
-// independent; the shard worker uses it to spread its slot range.
-func parallelFor(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return jobs
 }

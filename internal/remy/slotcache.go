@@ -1,14 +1,15 @@
 package remy
 
-// Result caching for shard workers, two tiers deep. The replay tier
-// answers an exactly repeated job from its stored result bytes without
-// even decoding it. Underneath, since protocol v3 the cacheable unit
-// is one evaluation *slot* — (config, scenario draw, candidate tree) —
-// rather than a whole job, so a hit no longer requires an identical
-// slot range: any re-evaluation of the same tree under the same draw
-// and config is served from the stored bits, wherever the
-// coordinator's job boundaries fall (ROADMAP item 5). A slot's score
-// is a pure function of the keyed inputs, so cached results preserve
+// The slot memo's key and entry formats, and the worker side of
+// sharded training: decoding a job back into the slot range it
+// describes (decodeShardJob) and the evaluators built on that —
+// EvalShardJob, and CachedShardEval with its whole-job replay tier.
+// The cacheable unit is one evaluation *slot* — (config, scenario
+// draw, candidate tree) — rather than a whole job, so a hit does not
+// require an identical slot range: any re-evaluation of the same tree
+// under the same draw and config is served from the stored bits,
+// wherever the coordinator's job boundaries fall. A slot's score is a
+// pure function of the keyed inputs, so cached results preserve
 // byte-identical training output by construction; the differential
 // tests hold warm-cache reruns byte-equal.
 
@@ -18,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy/shard"
@@ -124,20 +124,12 @@ func decodeSlotEntry(b []byte) (float64, *remycc.UsageStats, error) {
 	return score, u, nil
 }
 
-// decodedConfigEntries bounds the worker-side cache of decoded,
-// normalized training configs. One trainer ships one config, so the
-// bound matters only for a daemon serving many coordinators.
-const decodedConfigEntries = 16
-
-// cfgDecodeCache memoizes config decoding by content hash: every job
-// of a training run carries the same blob (or just its hash), and
+// cfgDecodeMemo memoizes config decoding by content hash: every job of
+// a training run carries the same blob (or just its hash), and
 // json.Unmarshal of a topology-bearing config is far from free on the
-// per-job path.
-var cfgDecodeCache struct {
-	mu    sync.Mutex
-	cfgs  map[shard.Hash]*Config
-	order []shard.Hash
-}
+// per-job path. One trainer ships one config, so the bound matters
+// only for a daemon serving many coordinators.
+var cfgDecodeMemo = fifoMemo[shard.Hash, *Config]{max: 16}
 
 // decodeShardConfig returns the job's normalized training config and
 // its content hash, memoized by that hash so only the first job of a
@@ -147,11 +139,7 @@ func decodeShardConfig(job *shard.Job) (*Config, shard.Hash, error) {
 	if h.IsZero() {
 		h = shard.HashBytes(job.Cfg)
 	}
-	c := &cfgDecodeCache
-	c.mu.Lock()
-	cfg, ok := c.cfgs[h]
-	c.mu.Unlock()
-	if ok {
+	if cfg, ok := cfgDecodeMemo.get(h); ok {
 		return cfg, h, nil
 	}
 	var decoded Config
@@ -159,51 +147,55 @@ func decodeShardConfig(job *shard.Job) (*Config, shard.Hash, error) {
 		return nil, h, fmt.Errorf("remy: decode shard config: %w", err)
 	}
 	decoded = decoded.normalize()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cached, ok := c.cfgs[h]; ok {
-		return cached, h, nil
-	}
-	if c.cfgs == nil {
-		c.cfgs = make(map[shard.Hash]*Config)
-	}
-	for len(c.order) >= decodedConfigEntries {
-		delete(c.cfgs, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.cfgs[h] = &decoded
-	c.order = append(c.order, h)
-	return &decoded, h, nil
+	return cfgDecodeMemo.add(h, &decoded), h, nil
 }
 
-// decodeShardJob validates a job and decodes its config (memoized,
-// returned with its content hash) and candidate trees — the shared
-// front half of EvalShardJob and the caching evaluator.
-func decodeShardJob(job *shard.Job) (*Config, shard.Hash, []*remycc.Tree, error) {
+// decodeShardJob validates a job and decodes it into the slot range it
+// describes: the config (memoized, with its content hash), the
+// candidate trees, and the generation's scenario draws, re-derived
+// from the job's Seed and Gen (splittable RNG: same splits, same
+// draws) once per (config, seed, generation).
+func decodeShardJob(job *shard.Job) (slotWork, error) {
 	cfg, cfgHash, err := decodeShardConfig(job)
 	if err != nil {
-		return nil, cfgHash, nil, err
+		return slotWork{}, err
 	}
 	if job.Replicas != cfg.Replicas {
-		return nil, cfgHash, nil, fmt.Errorf("remy: job says %d replicas, config %d", job.Replicas, cfg.Replicas)
+		return slotWork{}, fmt.Errorf("remy: job says %d replicas, config %d", job.Replicas, cfg.Replicas)
 	}
 	if job.SlotLo < 0 || job.SlotLo >= job.SlotHi {
-		return nil, cfgHash, nil, fmt.Errorf("remy: bad slot range [%d,%d)", job.SlotLo, job.SlotHi)
+		return slotWork{}, fmt.Errorf("remy: bad slot range [%d,%d)", job.SlotLo, job.SlotHi)
 	}
 	if job.TreeLo < 0 || job.SlotLo/cfg.Replicas < job.TreeLo ||
 		(job.SlotHi-1)/cfg.Replicas >= job.TreeLo+len(job.Trees) {
-		return nil, cfgHash, nil, fmt.Errorf("remy: slot range [%d,%d) outside trees [%d,%d)",
+		return slotWork{}, fmt.Errorf("remy: slot range [%d,%d) outside trees [%d,%d)",
 			job.SlotLo, job.SlotHi, job.TreeLo, job.TreeLo+len(job.Trees))
 	}
 	trees := make([]*remycc.Tree, len(job.Trees))
 	for i, data := range job.Trees {
 		tree, err := remycc.DecodeTree(data)
 		if err != nil {
-			return nil, cfgHash, nil, fmt.Errorf("remy: decode candidate tree %d: %w", job.TreeLo+i, err)
+			return slotWork{}, fmt.Errorf("remy: decode candidate tree %d: %w", job.TreeLo+i, err)
 		}
 		trees[i] = tree
 	}
-	return cfg, cfgHash, trees, nil
+	return slotWork{
+		cfg: cfg, cfgHash: cfgHash, draws: drawsFor(cfgHash, job.Seed, job.Gen, cfg),
+		treeLo: job.TreeLo, trees: trees, enc: job.Trees, lo: job.SlotLo, hi: job.SlotHi,
+		usageFor: job.UsageFor, workers: job.Workers,
+	}, nil
+}
+
+// EvalShardJob evaluates one shard job without any cache: decode it,
+// score its slot range. It is the reference the cached evaluator is
+// tested against, and what CachedShardEval degrades to without a
+// cache.
+func EvalShardJob(job *shard.Job) (*shard.Result, error) {
+	w, err := decodeShardJob(job)
+	if err != nil {
+		return nil, err
+	}
+	return evalSlots(w, nil), nil
 }
 
 // jobKey is the whole-job replay address: the job re-encoded in the
@@ -211,12 +203,14 @@ func decodeShardJob(job *shard.Job) (*Config, shard.Hash, []*remycc.Tree, error)
 // between identical evaluations and provably cannot affect scores) and
 // the config normalized to its hash, so an inline-config job and its
 // hash-only repeat share an address.
-func jobKey(cfgHash shard.Hash, job *shard.Job) (shardnet.Key, bool) {
+func jobKey(job *shard.Job) (shardnet.Key, bool) {
 	j := *job
 	j.ID = 0
 	j.Workers = 0
 	j.Cfg = nil
-	j.CfgHash = cfgHash
+	if j.CfgHash.IsZero() {
+		j.CfgHash = shard.HashBytes(job.Cfg)
+	}
 	b, err := shard.EncodeJob(&j, true)
 	if err != nil {
 		return shardnet.Key{}, false
@@ -224,14 +218,14 @@ func jobKey(cfgHash shard.Hash, job *shard.Job) (shardnet.Key, bool) {
 	return sha256.Sum256(b), true
 }
 
-// CachedShardEval wraps EvalShardJob's evaluation in a two-tier
-// content-addressed cache. The fast tier replays whole jobs: an exact
-// repeat (same slot range, trees, config, seed — a warm rerun of the
-// same training) returns the stored result bytes without decoding the
-// job at all. The slot tier underneath looks each slot of a job up
-// independently, so a repeat sliced differently — another lane count,
-// a requeued window — still skips every simulation it has seen; only
-// the misses are simulated, and fresh results feed both tiers.
+// CachedShardEval is the worker-side evaluator: EvalShardJob's decode
+// and slot evaluation behind a two-tier content-addressed cache. The
+// replay tier answers an exact repeat (same slot range, trees, config,
+// seed — a warm rerun of the same training) from the stored result
+// bytes without decoding the job at all. The slot tier (evalSlots)
+// looks each slot up independently, so a repeat sliced differently —
+// another lane count, a requeued window — still skips every
+// simulation it has seen; fresh results feed both tiers.
 // Result.Cached is set only when the whole job was served from cache,
 // which is what Server.Stats().CacheHits counts. A nil cache returns
 // the plain evaluator.
@@ -240,11 +234,7 @@ func CachedShardEval(c *shardnet.Cache) shard.Eval {
 		return EvalShardJob
 	}
 	return func(job *shard.Job) (*shard.Result, error) {
-		cfgHash := job.CfgHash
-		if cfgHash.IsZero() {
-			cfgHash = shard.HashBytes(job.Cfg)
-		}
-		jk, jkOK := jobKey(cfgHash, job)
+		jk, jkOK := jobKey(job)
 		if jkOK {
 			if b, ok := c.Get(jk); ok {
 				if res, err := shard.DecodeResult(b); err == nil {
@@ -256,74 +246,13 @@ func CachedShardEval(c *shardnet.Cache) shard.Eval {
 				// through to the slot tier.
 			}
 		}
-		cfg, _, trees, err := decodeShardJob(job)
+		w, err := decodeShardJob(job)
 		if err != nil {
 			return nil, err
 		}
-		draws := drawsFor(cfgHash, job.Seed, job.Gen, cfg)
-		n := job.SlotHi - job.SlotLo
-		res := &shard.Result{Scores: make([]float64, n), Cached: true}
-		usages := make([]*remycc.UsageStats, n)
-		keys := make([]shardnet.Key, n)
-		var miss []int
-		for i := 0; i < n; i++ {
-			slot := job.SlotLo + i
-			ti, k := slot/cfg.Replicas, slot%cfg.Replicas
-			keys[i] = slotKey(cfgHash, draws[k], job.Trees[ti-job.TreeLo])
-			if entry, ok := c.Get(keys[i]); ok {
-				score, u, err := decodeSlotEntry(entry)
-				// A usage query can only be served by an entry that
-				// stored usage; anything else re-evaluates.
-				if err == nil && (ti != job.UsageFor || u != nil) {
-					res.Scores[i] = score
-					if ti == job.UsageFor {
-						usages[i] = u
-					}
-					continue
-				}
-			}
-			miss = append(miss, i)
-		}
-		if len(miss) > 0 {
-			res.Cached = false
-			parallelFor(len(miss), job.Workers, func(j int) {
-				i := miss[j]
-				slot := job.SlotLo + i
-				ti, k := slot/cfg.Replicas, slot%cfg.Replicas
-				u := &remycc.UsageStats{}
-				res.Scores[i] = cfg.evalOne(trees[ti-job.TreeLo], draws[k], u)
-				if ti == job.UsageFor {
-					usages[i] = u
-				}
-			})
-			for _, i := range miss {
-				if usages[i] != nil {
-					// Replace upgrades a score-only entry to a
-					// usage-bearing one — the score bits are identical
-					// by purity, so the swap only widens what the entry
-					// can serve, and the next usage query for this slot
-					// is a full hit.
-					c.Replace(keys[i], encodeSlotEntry(res.Scores[i], usages[i]))
-				} else {
-					c.Put(keys[i], encodeSlotEntry(res.Scores[i], nil))
-				}
-			}
-		}
-		// Slots are walked in order, so usage frames come out in
-		// ascending replica order exactly like EvalShardJob's.
-		for i, u := range usages {
-			if u == nil {
-				continue
-			}
-			res.Usage = append(res.Usage, shard.UsageFrame{
-				K:     (job.SlotLo + i) % cfg.Replicas,
-				Count: u.Count,
-				Sum:   u.Sum,
-			})
-		}
+		res := evalSlots(w, c)
 		if jkOK {
 			stored := *res
-			stored.ID = 0
 			stored.Cached = false
 			if b, err := shard.EncodeResult(&stored, true); err == nil {
 				c.Put(jk, b)

@@ -1,6 +1,7 @@
 package remy
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -124,4 +125,32 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 			t.Fatalf("entry truncated to %d/%d bytes decoded cleanly", n, len(full))
 		}
 	}
+}
+
+// FuzzSlotEntry covers the one decoder in this package that reads
+// bytes it may not have written — entries come back from the disk
+// cache. decodeSlotEntry must never panic, and on every input it
+// accepts the encoding is canonical: re-encoding the decoded entry
+// reproduces the input byte for byte.
+func FuzzSlotEntry(f *testing.F) {
+	usage := &remycc.UsageStats{
+		Count: []int64{3, 0},
+		Sum:   [][remycc.NumSignals]float64{{0.5, -1.25, 1e-9, 2, 0.25}, {}},
+	}
+	full := encodeSlotEntry(-12.75, usage)
+	badFlag := encodeSlotEntry(1, nil)
+	badFlag[8] = 2
+	f.Add(encodeSlotEntry(2.5, nil)) // score-only
+	f.Add(full)                      // usage-bearing
+	f.Add(full[:len(full)-3])        // truncated
+	f.Add(badFlag)                   // bad flag
+	f.Fuzz(func(t *testing.T, b []byte) {
+		score, u, err := decodeSlotEntry(b)
+		if err != nil {
+			return
+		}
+		if again := encodeSlotEntry(score, u); !bytes.Equal(again, b) {
+			t.Fatalf("accepted entry is not canonical:\n in  %x\n out %x", b, again)
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"learnability/cmd/internal/scenflags"
 	"learnability/internal/cc"
 	"learnability/internal/cc/cubic"
 	"learnability/internal/cc/newreno"
@@ -26,7 +27,6 @@ import (
 	"learnability/internal/scenario"
 	"learnability/internal/stats"
 	"learnability/internal/telemetry"
-	topolib "learnability/internal/topo"
 	"learnability/internal/units"
 )
 
@@ -63,73 +63,37 @@ type ccRecord struct {
 	Memory  remycc.Vector `json:"memory"`
 }
 
+// The command line: the scenario flags shared with remytrain, then
+// what only evaluation has — the sweep, its budget, and tracing.
+// Package-level so the flag test sees the very set main parses.
+var (
+	scen = scenflags.Register(flag.CommandLine)
+
+	treePath  = flag.String("tree", "", "whisker-tree JSON (required)")
+	speedMin  = flag.Float64("speed-min", 10, "sweep start (Mbps)")
+	speedMax  = flag.Float64("speed-max", 100, "sweep end (Mbps)")
+	points    = flag.Int("points", 5, "sweep points (log-spaced)")
+	senders   = flag.Int("senders", 2, "number of senders (dumbbell only; the other topologies fix the flow count)")
+	dur       = flag.Float64("duration", 30, "simulated seconds per run")
+	replicas  = flag.Int("replicas", 4, "runs per point")
+	seed      = flag.Uint64("seed", 1, "evaluation seed")
+	traceF    = flag.String("trace", "", "dump per-packet events (enqueue, dequeue, drops, CE marks, deliver) and per-ACK Tao whisker decisions as JSONL to this file; narrow the sweep (-points 1 -replicas 1 -duration 1) or expect a large file. Tracing never changes results")
+	traceFlws = flag.String("trace-flows", "", "comma-separated flow indices to trace (e.g. 0,1); empty traces every flow")
+)
+
 func main() {
-	var (
-		treePath  = flag.String("tree", "", "whisker-tree JSON (required)")
-		topology  = flag.String("topology", "dumbbell", "evaluation topology: dumbbell or fattree (use -k, -routing, -placement)")
-		arity     = flag.Int("k", 4, "fat-tree arity (even; k^3/4 hosts)")
-		routing   = flag.String("routing", "ecmp", "fat-tree multipath routing: ecmp, spray, or adaptive")
-		placement = flag.String("placement", "permutation", "fat-tree flow placement: permutation, alltoall, or incast")
-		incastN   = flag.Int("incast", 3, "converging flows for -placement incast")
-		speedMin  = flag.Float64("speed-min", 10, "sweep start (Mbps)")
-		speedMax  = flag.Float64("speed-max", 100, "sweep end (Mbps)")
-		points    = flag.Int("points", 5, "sweep points (log-spaced)")
-		rtt       = flag.Float64("rtt", 150, "minimum RTT (ms)")
-		senders   = flag.Int("senders", 2, "number of senders (dumbbell only; fat-tree placements fix the flow count)")
-		meanOn    = flag.Float64("on", 1, "mean on time (s)")
-		meanOff   = flag.Float64("off", 1, "mean off time (s)")
-		bufBDP    = flag.Float64("buffer-bdp", 5, "buffer in BDPs; 0 = no-drop")
-		queueKind = flag.String("queue", "droptail", "gateway queue: droptail, codel, or sfqcodel")
-		ecn       = flag.Bool("ecn", false, "enable ECN: senders mark packets ECT, gateways CE-mark instead of dropping, ACKs echo the mark")
-		ecnThresh = flag.Int("ecn-threshold", 0, "droptail ECN marking threshold in bytes (0 = half the buffer); codel/sfqcodel mark on sojourn time instead")
-		vrKind    = flag.String("varrate", "off", "link-rate modulation: off, onoff, or markov")
-		vrLow     = flag.Float64("varrate-low", 0.5, "onoff degraded rate as a fraction of the link rate")
-		vrMeanHi  = flag.Float64("varrate-mean-high", 1, "onoff mean dwell at full rate (s)")
-		vrMeanLo  = flag.Float64("varrate-mean-low", 1, "onoff mean dwell at degraded rate (s)")
-		vrFactors = flag.String("varrate-factors", "1,0.5,0.25", "markov rate factors, comma-separated multiples of the link rate (first is initial)")
-		vrDwell   = flag.Float64("varrate-dwell", 0.5, "markov mean dwell per state (s)")
-		delta     = flag.Float64("delta", 1, "objective delay weight")
-		dur       = flag.Float64("duration", 30, "simulated seconds per run")
-		replicas  = flag.Int("replicas", 4, "runs per point")
-		seed      = flag.Uint64("seed", 1, "evaluation seed")
-		traceF    = flag.String("trace", "", "dump per-packet events (enqueue, dequeue, drops, CE marks, deliver) and per-ACK Tao whisker decisions as JSONL to this file; narrow the sweep (-points 1 -replicas 1 -duration 1) or expect a large file. Tracing never changes results")
-		traceFlws = flag.String("trace-flows", "", "comma-separated flow indices to trace (e.g. 0,1); empty traces every flow")
-	)
 	flag.Parse()
 
 	if *treePath == "" {
 		fmt.Fprintln(os.Stderr, "remyeval: -tree is required")
 		os.Exit(2)
 	}
-	evalTopo := scenario.Dumbbell
-	nFlows := *senders
-	switch *topology {
-	case "dumbbell":
-	case "fattree", "fat-tree":
-		pol, err := topolib.ParseRoutingPolicy(*routing)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "remyeval:", err)
-			os.Exit(2)
-		}
-		place, err := scenario.ParsePlacement(*placement)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "remyeval:", err)
-			os.Exit(2)
-		}
-		evalTopo = scenario.FatTreeTopology(*arity, pol)
-		evalTopo.Placement = place
-		if place == scenario.PlacementIncast {
-			evalTopo.IncastN = *incastN
-		}
-		if err := evalTopo.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "remyeval:", err)
-			os.Exit(2)
-		}
-		nFlows = evalTopo.FlowCount(0)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q (want dumbbell or fattree)\n", *topology)
+	tmpl, err := scen.Template()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "remyeval:", err)
 		os.Exit(2)
 	}
+	nFlows := tmpl.Topology.FlowCount(*senders)
 	data, err := os.ReadFile(*treePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "read:", err)
@@ -139,20 +103,6 @@ func main() {
 	if err := json.Unmarshal(data, &tree); err != nil {
 		fmt.Fprintln(os.Stderr, "parse:", err)
 		os.Exit(1)
-	}
-
-	buffering, err := scenario.ParseBuffering(*queueKind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "remyeval:", err)
-		os.Exit(2)
-	}
-	if *bufBDP == 0 {
-		buffering = scenario.NoDrop
-	}
-	varRate, err := parseVarRate(*vrKind, *vrLow, *vrMeanHi, *vrMeanLo, *vrFactors, *vrDwell)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "remyeval:", err)
-		os.Exit(2)
 	}
 
 	var journal *telemetry.Journal
@@ -206,20 +156,10 @@ func main() {
 			var tpts, delays, objs []float64
 			root := rng.New(*seed).Split(p.name).SplitN("pt", i)
 			for rep := 0; rep < *replicas; rep++ {
-				spec := scenario.Spec{
-					Topology:          evalTopo,
-					LinkSpeed:         units.Rate(mbps) * units.Mbps,
-					MinRTT:            units.DurationFromSeconds(*rtt / 1e3),
-					Buffering:         buffering,
-					BufferBDP:         *bufBDP,
-					ECN:               *ecn,
-					ECNThresholdBytes: *ecnThresh,
-					VarRate:           varRate,
-					MeanOn:            units.DurationFromSeconds(*meanOn),
-					MeanOff:           units.DurationFromSeconds(*meanOff),
-					Duration:          units.DurationFromSeconds(*dur),
-					Seed:              root.SplitN("rep", rep),
-				}
+				spec := tmpl
+				spec.LinkSpeed = units.Rate(mbps) * units.Mbps
+				spec.Duration = units.DurationFromSeconds(*dur)
+				spec.Seed = root.SplitN("rep", rep)
 				for s := 0; s < nFlows; s++ {
 					alg := p.mk()
 					// Traced Tao senders also journal which whisker fired
@@ -244,7 +184,7 @@ func main() {
 							})
 						}
 					}
-					spec.Senders = append(spec.Senders, scenario.Sender{Alg: alg, Delta: *delta})
+					spec.Senders = append(spec.Senders, scenario.Sender{Alg: alg, Delta: scen.Delta()})
 				}
 				if journal != nil {
 					proto, mbps, rep := p.name, mbps, rep
@@ -279,41 +219,11 @@ func main() {
 					}
 					tpts = append(tpts, float64(r.Throughput)/1e6)
 					delays = append(delays, r.Delay.Seconds()*1e3)
-					objs = append(objs, stats.Objective(r.Throughput, r.Delay, *delta))
+					objs = append(objs, stats.Objective(r.Throughput, r.Delay, scen.Delta()))
 				}
 			}
 			fmt.Printf("%-12.2f %-10s %12.3f %12.1f %10.3f\n",
 				mbps, p.name, stats.Mean(tpts), stats.Mean(delays), stats.Mean(objs))
 		}
 	}
-}
-
-// parseVarRate assembles a scenario.VarRate from the -varrate* flags;
-// parameters of the unselected family are ignored.
-func parseVarRate(kind string, low, meanHigh, meanLow float64, factors string, dwell float64) (scenario.VarRate, error) {
-	k, err := scenario.ParseVarRateKind(kind)
-	if err != nil {
-		return scenario.VarRate{}, err
-	}
-	vr := scenario.VarRate{Kind: k}
-	switch k {
-	case scenario.VarRateOnOff:
-		vr.LowFactor = low
-		vr.MeanHigh = units.DurationFromSeconds(meanHigh)
-		vr.MeanLow = units.DurationFromSeconds(meanLow)
-	case scenario.VarRateMarkov:
-		for _, f := range strings.Split(factors, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			x, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return scenario.VarRate{}, fmt.Errorf("bad -varrate-factors entry %q", f)
-			}
-			vr.Factors = append(vr.Factors, x)
-		}
-		vr.MeanDwell = units.DurationFromSeconds(dwell)
-	}
-	return vr, nil
 }

@@ -112,7 +112,7 @@ func TestStdioRoundTrip(t *testing.T) {
 
 	var stdin, stdout, stderr bytes.Buffer
 	for id := uint64(1); id <= 2; id++ {
-		if err := shard.WriteJob(&stdin, job(id), true); err != nil {
+		if err := shard.WriteJob(&stdin, job(id)); err != nil {
 			t.Fatal(err)
 		}
 	}

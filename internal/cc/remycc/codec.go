@@ -20,12 +20,12 @@ const treeMagic = uint32('R') | uint32('T')<<8 | uint32('R')<<16 | uint32('E')<<
 
 // treeCodecVersion is bumped whenever the binary layout changes.
 // Version 1 carried the paper's four-signal memory; version 2 widened
-// whiskers to five signals (ECNFraction). Version-1 payloads are still
-// decoded, with the missing dimension widened to the full ECN domain.
+// whiskers to five signals (ECNFraction). Only the current version is
+// decoded: binary trees live between a coordinator and its workers and
+// in hash-addressed cache entries, all written by the same build.
+// (Four-signal JSON tree files, which users keep, still load — see
+// whisker.go.)
 const treeCodecVersion = 2
-
-// legacySignals is the per-whisker dimension count of codec version 1.
-const legacySignals = 4
 
 // treeHeaderSize is the fixed prefix: magic, version, whisker count.
 const treeHeaderSize = 4 + 4 + 4
@@ -73,43 +73,33 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 	if m := binary.LittleEndian.Uint32(data); m != treeMagic {
 		return fmt.Errorf("remycc: bad tree magic %#x", m)
 	}
-	ns := NumSignals
-	switch v := binary.LittleEndian.Uint32(data[4:]); v {
-	case treeCodecVersion:
-	case 1:
-		ns = legacySignals
-	default:
+	if v := binary.LittleEndian.Uint32(data[4:]); v != treeCodecVersion {
 		return fmt.Errorf("remycc: unsupported tree codec version %d", v)
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
 	if n == 0 {
 		return fmt.Errorf("remycc: binary tree has no whiskers")
 	}
-	wireSize := (2*ns + 3) * 8
-	if want := treeHeaderSize + n*wireSize; len(data) != want {
+	if want := treeHeaderSize + n*whiskerWireSize; len(data) != want {
 		return fmt.Errorf("remycc: binary tree is %d bytes, want %d for %d whiskers", len(data), want, n)
 	}
 	body := data[treeHeaderSize:]
 	f := func(i int) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
 	}
-	full := FullDomain()
 	whiskers := make([]Whisker, n)
 	for i := range whiskers {
-		base := i * (2*ns + 3)
+		base := i * (2*NumSignals + 3)
 		w := &whiskers[i]
-		// Dimensions a legacy payload does not carry span the full
-		// domain, so old four-signal trees stay valid partitions.
-		w.Domain = full
-		for d := 0; d < ns; d++ {
+		for d := 0; d < NumSignals; d++ {
 			w.Domain.Lo[d] = f(base + d)
 		}
-		for d := 0; d < ns; d++ {
-			w.Domain.Hi[d] = f(base + ns + d)
+		for d := 0; d < NumSignals; d++ {
+			w.Domain.Hi[d] = f(base + NumSignals + d)
 		}
-		w.Action.WindowMult = f(base + 2*ns)
-		w.Action.WindowIncr = f(base + 2*ns + 1)
-		w.Action.Intersend = f(base + 2*ns + 2)
+		w.Action.WindowMult = f(base + 2*NumSignals)
+		w.Action.WindowIncr = f(base + 2*NumSignals + 1)
+		w.Action.Intersend = f(base + 2*NumSignals + 2)
 		if math.IsNaN(w.Action.WindowMult) || math.IsNaN(w.Action.WindowIncr) || math.IsNaN(w.Action.Intersend) {
 			return fmt.Errorf("remycc: whisker %d has NaN action", i)
 		}

@@ -1,103 +1,46 @@
 package remycc
 
 // Back-compat tests for trees written before the ECNFraction signal:
-// four-dimension payloads (binary codec version 1, JSON with 4-element
-// domain corners) must decode into valid five-signal partitions with
-// the missing dimension widened to the full ECN domain.
+// four-dimension JSON (4-element domain corners) must decode into a
+// valid five-signal partition with the missing dimension widened to
+// the full ECN domain; four-dimension binary payloads (codec version
+// 1) are refused, since nothing that writes them can reach this build.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
-// encodeV1 hand-builds a binary codec version-1 payload: the same
-// layout MarshalBinary writes, but with four-dimension domain corners.
-func encodeV1(whiskers []struct {
-	lo, hi [legacySignals]float64
-	action Action
-}) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, treeMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, 1)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(whiskers)))
-	f := func(b []byte, v float64) []byte {
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	for _, w := range whiskers {
-		for d := 0; d < legacySignals; d++ {
-			buf = f(buf, w.lo[d])
-		}
-		for d := 0; d < legacySignals; d++ {
-			buf = f(buf, w.hi[d])
-		}
-		buf = f(buf, w.action.WindowMult)
-		buf = f(buf, w.action.WindowIncr)
-		buf = f(buf, w.action.Intersend)
-	}
-	return buf
-}
-
-func TestBinaryCodecDecodesV1(t *testing.T) {
-	// A two-whisker tree split on rec_ewma at 0.05, as a pre-ECN
-	// trainer would have written it.
-	payload := encodeV1([]struct {
-		lo, hi [legacySignals]float64
-		action Action
-	}{
-		{
-			lo:     [legacySignals]float64{0, 0, 0, MinRatio},
-			hi:     [legacySignals]float64{0.05, MaxEWMA, MaxEWMA, MaxRatio},
-			action: Action{WindowMult: 1, WindowIncr: 2, Intersend: 0.001},
-		},
-		{
-			lo:     [legacySignals]float64{0.05, 0, 0, MinRatio},
-			hi:     [legacySignals]float64{MaxEWMA, MaxEWMA, MaxEWMA, MaxRatio},
-			action: Action{WindowMult: 0.5, WindowIncr: -1, Intersend: 0.01},
-		},
-	})
-	tree, err := DecodeTree(payload)
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if tree.Len() != 2 {
-		t.Fatalf("decoded %d whiskers, want 2", tree.Len())
-	}
-	for i, w := range tree.Whiskers {
-		if w.Domain.Lo[ECNFraction] != 0 || w.Domain.Hi[ECNFraction] != MaxECNFrac {
-			t.Fatalf("whisker %d: ECN dimension [%v, %v), want the full [0, %v) domain",
-				i, w.Domain.Lo[ECNFraction], w.Domain.Hi[ECNFraction], MaxECNFrac)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("widened v1 tree is not a valid partition: %v", err)
-	}
-	// The carried dimensions decode verbatim, and lookups across the
-	// old split keep working.
-	if got := tree.Whiskers[0].Domain.Hi[RecEWMA]; got != 0.05 {
-		t.Fatalf("split plane moved: %v", got)
-	}
-	lo := tree.Lookup(Vector{0.01, 0, 0, MinRatio, 0.5})
-	hi := tree.Lookup(Vector{0.10, 0, 0, MinRatio, 0.5})
-	if lo != 0 || hi != 1 {
-		t.Fatalf("lookups landed at %d/%d, want 0/1", lo, hi)
-	}
-}
-
+// TestBinaryCodecV1LengthValidation hand-builds codec version-1
+// payloads — the layout MarshalBinary writes, but with four-dimension
+// domain corners — and requires that no length of one validates: sized
+// for its own four-signal whiskers or padded to the five-signal size,
+// the version check refuses it rather than misreading the whiskers.
 func TestBinaryCodecV1LengthValidation(t *testing.T) {
-	// A v1 payload must be sized for 4-signal whiskers; the v2 size for
-	// the same whisker count is rejected.
-	payload := encodeV1([]struct {
-		lo, hi [legacySignals]float64
-		action Action
-	}{{
-		lo:     [legacySignals]float64{0, 0, 0, MinRatio},
-		hi:     [legacySignals]float64{MaxEWMA, MaxEWMA, MaxEWMA, MaxRatio},
-		action: DefaultAction(),
-	}})
+	const v1Signals = 4
+	payload := binary.LittleEndian.AppendUint32(nil, treeMagic)
+	payload = binary.LittleEndian.AppendUint32(payload, 1)
+	payload = binary.LittleEndian.AppendUint32(payload, 1) // one whisker
+	for _, v := range [2*v1Signals + 3]float64{
+		0, 0, 0, MinRatio, // lo
+		MaxEWMA, MaxEWMA, MaxEWMA, MaxRatio, // hi
+		1, 1, 0.001, // action
+	} {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+	}
+	// Padded to the size a one-whisker v2 payload would have.
 	padded := append(append([]byte{}, payload...), make([]byte, 16)...)
-	if _, err := DecodeTree(padded); err == nil {
-		t.Fatal("mis-sized v1 payload accepted")
+	if len(padded) != treeHeaderSize+whiskerWireSize {
+		t.Fatalf("padded v1 payload is %d bytes, want the v2 size %d", len(padded), treeHeaderSize+whiskerWireSize)
+	}
+	for name, p := range map[string][]byte{"v1-sized": payload, "v2-sized": padded} {
+		_, err := DecodeTree(p)
+		if err == nil || !strings.Contains(err.Error(), "unsupported tree codec version 1") {
+			t.Errorf("%s: DecodeTree = %v, want the unsupported-version error", name, err)
+		}
 	}
 }
 

@@ -9,9 +9,10 @@ package netsim
 // allocation-free. The default implementation here packs the three
 // facts into one flag byte per sequence held in a ring buffer indexed
 // by seq modulo capacity, giving O(1) mark/test with zero steady-state
-// allocation; the map implementation survives as a reference for
-// differential testing (scoreboard_test.go) and is reachable in real
-// runs through scenario.Spec.UseMapScoreboard.
+// allocation. It is the only scoreboard that ships; the seed's map
+// implementation lives in scoreboard_test.go as the oracle, swapped in
+// through Sender's unexported sb field by the in-package differential
+// tests.
 
 // Scoreboard flag bits, one per RFC 6675 per-packet fact.
 const (
@@ -34,9 +35,9 @@ func sbExcluded(fl uint8) bool {
 // scoreboard stores SACK flags for the sequences in [una, nextSeq),
 // where una is the cumulative ACK point established by advance/reset.
 // Sequences below una are settled: get reports zero for them and or
-// ignores them. Implementations must behave identically — the
-// differential tests drive ringScoreboard and mapScoreboard through
-// random traces and require bit-equal observations.
+// ignores them. The interface is the test seam: the differential
+// tests drive ringScoreboard and their map-based oracle through random
+// traces and require bit-equal observations.
 type scoreboard interface {
 	// get returns the flag byte for seq (zero if never marked or
 	// already settled).
@@ -147,57 +148,3 @@ func (r *ringScoreboard) marked() int {
 	}
 	return n
 }
-
-// mapScoreboard is the seed's hash-map scoreboard, collapsed to one
-// flag map. It allocates on the ACK path (map growth, bucket churn) and
-// exists as the behavioral reference: differential tests assert it and
-// ringScoreboard observe identical traces, and
-// scenario.Spec.UseMapScoreboard runs whole simulations on it for
-// end-to-end cross-checking.
-type mapScoreboard struct {
-	m    map[int64]uint8
-	base int64
-}
-
-func newMapScoreboard(una int64) *mapScoreboard {
-	return &mapScoreboard{m: make(map[int64]uint8), base: una}
-}
-
-func (s *mapScoreboard) get(seq int64) uint8 {
-	if seq < s.base {
-		return 0
-	}
-	return s.m[seq]
-}
-
-func (s *mapScoreboard) or(seq int64, bits uint8) {
-	if seq < s.base {
-		return
-	}
-	s.m[seq] |= bits
-}
-
-func (s *mapScoreboard) advance(newUna int64) int64 {
-	var reclaimed int64
-	for seq := s.base; seq < newUna; seq++ {
-		fl, ok := s.m[seq]
-		if !ok {
-			continue
-		}
-		if sbExcluded(fl) {
-			reclaimed++
-		}
-		delete(s.m, seq)
-	}
-	if newUna > s.base {
-		s.base = newUna
-	}
-	return reclaimed
-}
-
-func (s *mapScoreboard) reset(una int64) {
-	clear(s.m)
-	s.base = una
-}
-
-func (s *mapScoreboard) marked() int { return len(s.m) }

@@ -52,9 +52,9 @@ type Sender struct {
 	sndUna  int64 // lowest unacknowledged sequence number
 
 	// Scoreboard (RFC 6675-style). All entries lie in [sndUna,
-	// nextSeq); sb stores the per-sequence SACKED/LOST/RETX flags (ring
-	// buffer by default, reference map implementation behind
-	// scenario.Spec.UseMapScoreboard).
+	// nextSeq); sb stores the per-sequence SACKED/LOST/RETX flags in a
+	// ring buffer. The interface is the seam in-package tests use to
+	// swap in their map-based oracle.
 	sb scoreboard
 	// lostQueue[lostHead:] holds lost seqs pending retransmission,
 	// ascending. Consumption advances lostHead rather than re-slicing
@@ -128,10 +128,8 @@ func (s *Sender) SetECN(on bool) { s.ecn = on }
 // just-constructed state with a new congestion-control algorithm and
 // egress, keeping everything tied to the sender's identity: the
 // scheduler, flow ID, stats and pool bindings, and the pre-bound timer
-// callbacks (which close over s, not over any per-run state). The ring
-// scoreboard is rewound in place; if a previous run swapped in the
-// reference map scoreboard (UseMapScoreboard), the default ring is
-// restored — mode flags are re-applied per run by the caller.
+// callbacks (which close over s, not over any per-run state). The
+// scoreboard is rewound in place, keeping the capacity it grew to.
 func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	if alg == nil {
 		panic("netsim: sender with nil congestion-control algorithm")
@@ -145,11 +143,7 @@ func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	s.ecn = false
 	s.nextSeq = 0
 	s.sndUna = 0
-	if rb, ok := s.sb.(*ringScoreboard); ok {
-		rb.reset(0)
-	} else {
-		s.sb = newRingScoreboard()
-	}
+	s.sb.reset(0)
 	s.lostQueue = s.lostQueue[:0]
 	s.lostHead = 0
 	s.highestSacked = -1
@@ -166,14 +160,6 @@ func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	s.paceTimer = sim.Timer{}
 	s.nextSendTime = 0
 }
-
-// UseMapScoreboard swaps the default ring-buffer SACK scoreboard for
-// the reference hash-map implementation (the seed simulator's
-// behavior). Results are bit-identical either way — the differential
-// tests cross-check the two — but the map allocates on the ACK path.
-// It must be called before any traffic flows; scenario.Build does this
-// when Spec.UseMapScoreboard is set.
-func (s *Sender) UseMapScoreboard() { s.sb = newMapScoreboard(s.sndUna) }
 
 // Flow returns the sender's flow ID.
 func (s *Sender) Flow() int { return s.flow }

@@ -376,11 +376,6 @@ type Trainer struct {
 	// result caches change only where results come from, never their
 	// bytes.
 	Remotes []string
-	// ShardJSON pins shard traffic to the length-prefixed JSON
-	// reference codec instead of the binary v3 codec. The codec
-	// differential tests train once per codec and require byte-equal
-	// trees; production runs leave it false.
-	ShardJSON bool
 
 	// DisableEvalCache turns off the in-process slot cache, so every
 	// evaluation simulates even when an identical (config, draw, tree)

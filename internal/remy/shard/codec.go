@@ -1,15 +1,16 @@
 // Binary wire codec for protocol v3, plus the content-addressed
 // config store that backs config-by-hash job shipping.
 //
-// Frames stay 4-byte big-endian length + payload in both codecs; the
-// payload's first byte selects the codec ('{' is a JSON object, anything
-// else must open a binary magic). Floats cross the binary wire as
-// explicit little-endian IEEE-754 bits — the same discipline as
-// remycc's tree codec — so every float64 (including NaN payloads and
-// infinities) survives bit-exactly and the trainer's byte-equality
-// proofs keep holding. The JSON codec remains compiled in as the
-// reference implementation; the differential tests drive both and
-// require identical training output.
+// A frame is a 4-byte big-endian length + payload. Jobs and results
+// cross the wire in the binary codec only; a payload opening with '{'
+// is a JSON control frame (shardnet's handshake and heartbeats).
+// Floats cross as explicit little-endian IEEE-754 bits — the same
+// discipline as remycc's tree codec — so every float64 (including NaN
+// payloads and infinities) survives bit-exactly and the trainer's
+// byte-equality proofs keep holding. The JSON job/result encoding
+// behind Encode*(x, false) is the codec tests' oracle (codec_test.go
+// requires both encodings to decode to the same value); no transport
+// selects it.
 package shard
 
 import (
@@ -105,8 +106,8 @@ func ReadPayload(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// IsJSONPayload reports whether a frame payload is in the JSON
-// reference codec (it opens a JSON object) rather than the binary one.
+// IsJSONPayload reports whether a frame payload opens a JSON object —
+// a control frame on a live connection — rather than a binary magic.
 func IsJSONPayload(p []byte) bool { return len(p) > 0 && p[0] == '{' }
 
 // DecodeJSON decodes a JSON frame payload into v — the payload-level
@@ -396,25 +397,25 @@ func DecodeResult(payload []byte) (*Result, error) {
 	return res, nil
 }
 
-// WriteJob writes one job frame in the chosen codec.
-func WriteJob(w io.Writer, job *Job, binaryCodec bool) error {
-	payload, err := EncodeJob(job, binaryCodec)
+// WriteJob writes one job frame in the binary codec.
+func WriteJob(w io.Writer, job *Job) error {
+	payload, err := EncodeJob(job, true)
 	if err != nil {
 		return err
 	}
 	return WritePayload(w, payload)
 }
 
-// WriteResult writes one result frame in the chosen codec.
-func WriteResult(w io.Writer, res *Result, binaryCodec bool) error {
-	payload, err := EncodeResult(res, binaryCodec)
+// WriteResult writes one result frame in the binary codec.
+func WriteResult(w io.Writer, res *Result) error {
+	payload, err := EncodeResult(res, true)
 	if err != nil {
 		return err
 	}
 	return WritePayload(w, payload)
 }
 
-// ReadResult reads one result frame in either codec.
+// ReadResult reads one result frame.
 func ReadResult(r io.Reader) (*Result, error) {
 	payload, err := ReadPayload(r)
 	if err != nil {

@@ -77,9 +77,6 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 type ProcTransport struct {
 	// Argv is the worker command (e.g. {"remyshardd", "-stdio"}).
 	Argv []string
-	// ForceJSON pins connections to the JSON reference codec instead
-	// of the binary one; the codec differential tests drive both.
-	ForceJSON bool
 }
 
 // Dial spawns one worker process.
@@ -97,10 +94,7 @@ func (t *ProcTransport) Dial() (Conn, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	return &procConn{
-		cmd: cmd, in: in, out: bufio.NewReader(out),
-		binary: !t.ForceJSON, sent: cfgSent{},
-	}, nil
+	return &procConn{cmd: cmd, in: in, out: bufio.NewReader(out), sent: cfgSent{}}, nil
 }
 
 // Name identifies the transport by its command.
@@ -108,17 +102,16 @@ func (t *ProcTransport) Name() string { return t.Argv[0] }
 
 // procConn is one live worker process and its pipes.
 type procConn struct {
-	cmd    *exec.Cmd
-	in     io.WriteCloser
-	out    *bufio.Reader
-	binary bool
-	sent   cfgSent
+	cmd  *exec.Cmd
+	in   io.WriteCloser
+	out  *bufio.Reader
+	sent cfgSent
 }
 
 // Send ships one job frame to the worker process, hash-only once the
 // config has crossed this connection.
 func (c *procConn) Send(job *Job, forceCfg bool) error {
-	return WriteJob(c.in, c.sent.prep(job, forceCfg), c.binary)
+	return WriteJob(c.in, c.sent.prep(job, forceCfg))
 }
 
 // Recv reads the worker's next result, enforcing the timeout by
@@ -178,9 +171,6 @@ type Pool struct {
 	// (default 2): one evaluating, one queued behind it, so the worker
 	// never idles waiting for the next frame.
 	Window int
-	// ForceJSON pins local process lanes to the JSON reference codec;
-	// remote transports carry their own flag.
-	ForceJSON bool
 	// Metrics, when non-nil, receives per-lane fabric metrics
 	// (dispatched jobs, job latency, in-flight window occupancy,
 	// requeues, NeedCfg refetches, reconnects, in-process fallbacks)
@@ -266,7 +256,7 @@ func (p *Pool) Start() error {
 	}
 	var localT Transport
 	if len(p.Cmd) > 0 {
-		localT = &ProcTransport{Argv: p.Cmd, ForceJSON: p.ForceJSON}
+		localT = &ProcTransport{Argv: p.Cmd}
 	}
 	p.lanes = make([]*lane, 0, local+len(p.Transports))
 	for i := 0; i < local; i++ {

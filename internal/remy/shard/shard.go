@@ -2,9 +2,9 @@
 // evaluations across workers. The coordinator (internal/remy) slices a
 // generation's evaluation batch — every (candidate tree, replica)
 // slot — into self-contained Jobs, fans them out over a Pool of lanes
-// speaking length-prefixed frames (the binary v3 codec of codec.go,
-// with a JSON reference codec beside it) to worker processes on
-// stdin/stdout (`remyshardd -stdio`), to TCP daemons
+// speaking length-prefixed frames (the binary v3 codec of codec.go —
+// the one wire for a job) to worker processes on stdin/stdout
+// (`remyshardd -stdio`), to TCP daemons
 // (internal/remy/shardnet) or to in-process fallback lanes, and merges
 // the Results deterministically regardless of completion order.
 //
@@ -18,9 +18,8 @@
 // Evaluation is a pure function of the Job, so a crashed or timed-out
 // worker's Job can be requeued on any other worker (or evaluated
 // in-process as a last resort) without changing the outcome. Scores and
-// usage statistics cross the wire as raw IEEE-754 bits in the binary
-// codec and in shortest round-trip form in the JSON one, so every
-// float64 survives bit-exactly either way.
+// usage statistics cross the wire as raw IEEE-754 bits, so every
+// float64 survives bit-exactly.
 package shard
 
 import (
@@ -39,10 +38,8 @@ import (
 // training configs: Cfg's topology field became a declarative graph
 // description (kind/hops/cross or explicit edges and routes) instead of
 // a two-member enum, so jobs ship arbitrary multi-hop topologies.
-// Version 3 added the binary codec (codec.go) beside the JSON reference
-// codec, config-by-hash shipping (Job.CfgHash, Result.NeedCfg), and
-// pipelined dispatch; a frame's payload declares its codec, so both
-// interoperate on one connection.
+// Version 3 added the binary codec (codec.go), config-by-hash shipping
+// (Job.CfgHash, Result.NeedCfg), and pipelined dispatch.
 const ProtocolVersion = 3
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate
@@ -164,10 +161,9 @@ func unmarshalJSONFrame(payload []byte, v any) error {
 	return nil
 }
 
-// WriteFrame writes v as one length-prefixed JSON frame — the
-// reference codec, and the only one for control frames (handshakes,
-// heartbeats). Jobs and results normally cross in the binary codec via
-// WriteJob/WriteResult.
+// WriteFrame writes v as one length-prefixed JSON frame — the codec
+// of control frames (handshakes, heartbeats). Jobs and results cross
+// in the binary codec via WriteJob/WriteResult.
 func WriteFrame(w io.Writer, v any) error {
 	payload, err := marshalJSONFrame(v)
 	if err != nil {
@@ -205,8 +201,8 @@ type ServeOpts struct {
 }
 
 // Serve runs a worker loop on r/w: read a Job frame, evaluate it,
-// write the Result frame in the codec the job arrived in, until r
-// reaches EOF. Evaluation errors are reported to the coordinator as
+// write the binary Result frame, until r reaches EOF. Evaluation
+// errors are reported to the coordinator as
 // Result.Err; only transport errors (and ErrDied) are returned.
 // Inline configs of hash-bearing jobs are retained in a per-loop
 // ConfigStore so later hash-only jobs resolve locally.
@@ -222,7 +218,7 @@ func Serve(r io.Reader, w io.Writer, eval Eval, opts ServeOpts) error {
 			}
 			return err
 		}
-		job, jsonCodec, err := DecodeJob(payload)
+		job, _, err := DecodeJob(payload)
 		if err != nil {
 			return err
 		}
@@ -230,7 +226,7 @@ func Serve(r io.Reader, w io.Writer, eval Eval, opts ServeOpts) error {
 			return ErrDied
 		}
 		res := serveOne(job, eval, store)
-		if err := WriteResult(w, res, !jsonCodec); err != nil {
+		if err := WriteResult(w, res); err != nil {
 			return err
 		}
 		if !res.NeedCfg {

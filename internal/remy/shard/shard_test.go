@@ -69,7 +69,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 func TestServeEvaluatesJobs(t *testing.T) {
 	var in, out bytes.Buffer
 	for _, job := range testJobs(3, 2) {
-		if err := WriteFrame(&in, job); err != nil {
+		if err := WriteJob(&in, job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,8 +77,8 @@ func TestServeEvaluatesJobs(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		res := &Result{}
-		if err := ReadFrame(&out, res); err != nil {
+		res, err := ReadResult(&out)
+		if err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}
 		if res.ID != uint64(100+i) || res.Err != "" {
@@ -90,16 +90,39 @@ func TestServeEvaluatesJobs(t *testing.T) {
 	}
 }
 
+// TestServeAnswersBinary pins the one result wire: DecodeJob still
+// accepts a JSON-encoded job (the codec tests' oracle encoding), but a
+// worker never echoes that codec back — the answer is a binary frame.
+func TestServeAnswersBinary(t *testing.T) {
+	var in, out bytes.Buffer
+	if err := WriteFrame(&in, testJobs(1, 2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := Serve(&in, &out, echoEval, ServeOpts{}); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	payload, err := ReadPayload(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if IsJSONPayload(payload) {
+		t.Fatalf("worker answered a JSON job in JSON: %s", payload)
+	}
+	if res, err := DecodeResult(payload); err != nil || res.ID != 100 || len(res.Scores) != 2 {
+		t.Fatalf("binary answer = %+v, %v", res, err)
+	}
+}
+
 func TestServeRejectsVersionMismatch(t *testing.T) {
 	var in, out bytes.Buffer
 	job := testJobs(1, 1)[0]
 	job.Version = ProtocolVersion + 1
-	WriteFrame(&in, job)
+	WriteJob(&in, job)
 	if err := Serve(&in, &out, echoEval, ServeOpts{}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	res := &Result{}
-	if err := ReadFrame(&out, res); err != nil {
+	res, err := ReadResult(&out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Err == "" {
@@ -110,7 +133,7 @@ func TestServeRejectsVersionMismatch(t *testing.T) {
 func TestServeDieAfter(t *testing.T) {
 	var in, out bytes.Buffer
 	for _, job := range testJobs(3, 1) {
-		WriteFrame(&in, job)
+		WriteJob(&in, job)
 	}
 	err := Serve(&in, &out, echoEval, ServeOpts{DieAfter: 2})
 	if !errors.Is(err, ErrDied) {
@@ -118,7 +141,7 @@ func TestServeDieAfter(t *testing.T) {
 	}
 	n := 0
 	for {
-		if err := ReadFrame(&out, &Result{}); err != nil {
+		if _, err := ReadResult(&out); err != nil {
 			break
 		}
 		n++

@@ -192,9 +192,7 @@ func tinyFatTreeConfig(routing topo.RoutingPolicy) Config {
 // guarantee to topology-bearing generations: sharded training over
 // multi-hop topology draws (family, explicit-graph, and fat-tree
 // descriptions shipped inside the job config) must match in-process
-// training byte for byte, over in-process lanes, worker processes on
-// the v3 binary codec, and worker processes on the JSON reference
-// codec.
+// training byte for byte, over in-process lanes and worker processes.
 func TestShardedTrainBitEqualTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -218,18 +216,14 @@ func TestShardedTrainBitEqualTopologies(t *testing.T) {
 			}
 			procs := trainBytes(t, &Trainer{Cfg: tc.cfg, Seed: seed, Shards: 2, ShardCmd: workerCmd()})
 			if !bytes.Equal(procs, want) {
-				t.Fatal("worker processes (binary codec) changed the trained tree")
-			}
-			jsonProcs := trainBytes(t, &Trainer{Cfg: tc.cfg, Seed: seed, Shards: 2, ShardCmd: workerCmd(), ShardJSON: true})
-			if !bytes.Equal(jsonProcs, want) {
-				t.Fatal("worker processes (JSON reference codec) changed the trained tree")
+				t.Fatal("worker processes changed the trained tree")
 			}
 		})
 	}
 }
 
 // TestFatTreeConfigJSONRejectsUnknownPolicy covers the Cfg blob's trip
-// through both shard codecs: the training config serializes its
+// across the shard wire: the training config serializes its
 // routing policy by name, round-trips exactly, and a blob naming a
 // policy this build does not implement fails to decode (a worker must
 // not silently degrade an unknown policy to ECMP and return

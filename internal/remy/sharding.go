@@ -36,7 +36,7 @@ func (t *Trainer) startShards() (stop func()) {
 	}
 	transports := make([]shard.Transport, len(t.Remotes))
 	for i, addr := range t.Remotes {
-		transports[i] = &shardnet.Dialer{Addr: addr, ForceJSON: t.ShardJSON, Metrics: t.Metrics}
+		transports[i] = &shardnet.Dialer{Addr: addr, Metrics: t.Metrics}
 	}
 	pool := &shard.Pool{
 		Lanes:      lanes,
@@ -45,10 +45,9 @@ func (t *Trainer) startShards() (stop func()) {
 		// In-process fallback lanes share the trainer's slot cache (a
 		// nil cache degrades to the plain evaluator), so local-lane and
 		// mixed-mode training memoize exactly like in-process training.
-		Fallback:  CachedShardEval(t.localCache()),
-		Timeout:   t.ShardTimeout,
-		ForceJSON: t.ShardJSON,
-		Metrics:   t.Metrics,
+		Fallback: CachedShardEval(t.localCache()),
+		Timeout:  t.ShardTimeout,
+		Metrics:  t.Metrics,
 	}
 	if err := pool.Start(); err != nil {
 		panic(fmt.Sprintf("remy: shard pool: %v", err))

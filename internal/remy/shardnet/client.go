@@ -29,9 +29,6 @@ type Dialer struct {
 	// shard.ProtocolVersion); tests override it to exercise the
 	// handshake rejection path.
 	Version int
-	// ForceJSON pins connections to the JSON reference codec instead
-	// of the binary one; the codec differential tests drive both.
-	ForceJSON bool
 	// Metrics, when non-nil, records the worker's heartbeat cadence as
 	// observed by this client: the gap between consecutive heartbeat
 	// frames while a job is running, in a histogram labeled by worker
@@ -79,9 +76,8 @@ func (d *Dialer) Dial() (shard.Conn, error) {
 	nc.SetDeadline(time.Time{})
 	c := &tcpConn{
 		nc: nc, br: br,
-		hb:     time.Duration(w.HeartbeatMillis) * time.Millisecond,
-		binary: !d.ForceJSON,
-		sent:   map[shard.Hash]bool{},
+		hb:   time.Duration(w.HeartbeatMillis) * time.Millisecond,
+		sent: map[shard.Hash]bool{},
 	}
 	if d.Metrics != nil {
 		c.hbGap = d.Metrics.Histogram(fmt.Sprintf("shardnet_heartbeat_gap_ns{worker=%q}", d.Addr))
@@ -94,11 +90,10 @@ func (d *Dialer) Name() string { return d.Addr }
 
 // tcpConn is one handshaken worker connection.
 type tcpConn struct {
-	nc     net.Conn
-	br     *bufio.Reader
-	hb     time.Duration // the worker's advertised heartbeat interval
-	binary bool
-	sent   map[shard.Hash]bool
+	nc   net.Conn
+	br   *bufio.Reader
+	hb   time.Duration // the worker's advertised heartbeat interval
+	sent map[shard.Hash]bool
 
 	// hbGap, when non-nil, observes the wall-clock gap between
 	// consecutive heartbeat frames; lastHB is the previous heartbeat's
@@ -121,7 +116,7 @@ func (c *tcpConn) Send(job *shard.Job, forceCfg bool) error {
 		}
 	}
 	c.nc.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
-	return shard.WriteJob(c.nc, wire, c.binary)
+	return shard.WriteJob(c.nc, wire)
 }
 
 // Recv awaits the next result frame. timeout, when positive, bounds
@@ -147,34 +142,25 @@ func (c *tcpConn) Recv(timeout time.Duration) (*shard.Result, error) {
 			return nil, err
 		}
 		if shard.IsJSONPayload(payload) {
-			// Control frames (heartbeats) and reference-codec results
-			// arrive as JSON replies.
+			// The only JSON frame a worker sends after the handshake is
+			// a heartbeat: liveness only, so loop and re-arm the
+			// deadline. A stale heartbeat left over from a previous job
+			// is skipped the same way.
 			var rep reply
 			if err := shard.DecodeJSON(payload, &rep); err != nil {
 				return nil, err
 			}
-			switch rep.Kind {
-			case kindHeartbeat:
-				// Liveness only; loop and re-arm the deadline. A stale
-				// heartbeat left over from a previous job is skipped
-				// the same way.
-				if c.hbGap != nil {
-					now := time.Now()
-					if !c.lastHB.IsZero() {
-						c.hbGap.Observe(now.Sub(c.lastHB).Nanoseconds())
-					}
-					c.lastHB = now
-				}
-				continue
-			case kindResult:
-				if rep.Result == nil {
-					return nil, fmt.Errorf("shardnet: result frame without a result")
-				}
-				c.lastHB = time.Time{}
-				return rep.Result, nil
-			default:
+			if rep.Kind != kindHeartbeat {
 				return nil, fmt.Errorf("shardnet: unexpected frame kind %q", rep.Kind)
 			}
+			if c.hbGap != nil {
+				now := time.Now()
+				if !c.lastHB.IsZero() {
+					c.hbGap.Observe(now.Sub(c.lastHB).Nanoseconds())
+				}
+				c.lastHB = now
+			}
+			continue
 		}
 		c.lastHB = time.Time{}
 		return shard.DecodeResult(payload)

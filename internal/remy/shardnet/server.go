@@ -187,25 +187,22 @@ type session struct {
 	mu sync.Mutex
 }
 
-// write sends one reply frame under the session's write lock and
-// deadline.
-func (sn *session) write(r *reply) error {
+// writeHeartbeat sends one liveness frame under the session's write
+// lock and deadline.
+func (sn *session) writeHeartbeat() error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	sn.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return shard.WriteFrame(sn.nc, r)
+	return shard.WriteFrame(sn.nc, &reply{Kind: kindHeartbeat})
 }
 
-// writeResult sends one result in the codec the job arrived in, under
-// the same lock and deadline as heartbeat writes.
-func (sn *session) writeResult(res *shard.Result, binaryCodec bool) error {
-	if !binaryCodec {
-		return sn.write(&reply{Kind: kindResult, Result: res})
-	}
+// writeResult sends one binary result frame under the same lock and
+// deadline as heartbeat writes.
+func (sn *session) writeResult(res *shard.Result) error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	sn.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return shard.WriteResult(sn.nc, res, true)
+	return shard.WriteResult(sn.nc, res)
 }
 
 // ServeConn handshakes and serves one coordinator connection to
@@ -246,7 +243,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
 			return
 		}
-		job, jsonCodec, err := shard.DecodeJob(payload)
+		job, _, err := shard.DecodeJob(payload)
 		if err != nil {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
 			return
@@ -256,7 +253,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 			return
 		}
 		res := s.evalJob(sn, job)
-		if err := sn.writeResult(res, !jsonCodec); err != nil {
+		if err := sn.writeResult(res); err != nil {
 			s.logf("shardnet: %s: write result: %v", nc.RemoteAddr(), err)
 			return
 		}
@@ -327,7 +324,7 @@ func (s *Server) startHeartbeat(sn *session) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				if sn.write(&reply{Kind: kindHeartbeat}) != nil {
+				if sn.writeHeartbeat() != nil {
 					return // the job loop will see the same broken pipe
 				}
 				m.heartbeats.Inc()

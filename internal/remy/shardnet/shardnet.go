@@ -3,9 +3,9 @@
 // worker daemon's serving loop (Server, hosted by cmd/remyshardd).
 //
 // The wire format reuses the shard package's length-prefixed v3
-// frames — the binary job/result codec with the JSON reference codec
-// beside it, and config-by-hash shipping — verbatim: a job crossing
-// TCP is byte-identical to a job crossing a pipe. On top of it,
+// frames — the binary job/result codec and config-by-hash shipping —
+// verbatim: a job crossing TCP is byte-identical to a job crossing a
+// pipe; JSON carries only the control frames below. On top of it,
 // shardnet adds what a network needs and a pipe does not:
 //
 //   - a connection handshake (magic string + protocol version both
@@ -29,10 +29,6 @@
 // hold TCP-sharded training byte-equal to in-process training,
 // including workers killed mid-generation and warm-cache reruns.
 package shardnet
-
-import (
-	"learnability/internal/remy/shard"
-)
 
 // Magic identifies the shardnet protocol in the handshake; anything
 // else on the socket (a stray HTTP client, a port scan) is rejected
@@ -60,16 +56,12 @@ type welcome struct {
 	HeartbeatMillis int64  `json:"hb_ms,omitempty"`
 }
 
-// Reply kinds: every post-handshake server→client frame is a reply
-// tagged with one of these.
-const (
-	kindHeartbeat = "hb"
-	kindResult    = "result"
-)
+// kindHeartbeat tags the one control frame a server sends after the
+// handshake; results travel as binary frames, never as replies.
+const kindHeartbeat = "hb"
 
-// reply is one server→client frame after the handshake: a liveness
-// heartbeat while a job evaluates, or the job's result.
+// reply is a server→client control frame after the handshake: a
+// liveness heartbeat while a job evaluates.
 type reply struct {
-	Kind   string        `json:"kind"`
-	Result *shard.Result `json:"result,omitempty"`
+	Kind string `json:"kind"`
 }

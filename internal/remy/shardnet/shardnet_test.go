@@ -150,6 +150,40 @@ func TestTruncatedResultFrame(t *testing.T) {
 	}
 }
 
+// TestClientRejectsJSONResultFrame pins the one result wire on the
+// client side: after the handshake the only JSON frame a worker may
+// send is a heartbeat, so a result wrapped in a JSON reply (what a
+// pre-single-wire worker would answer) fails the connection instead of
+// being decoded.
+func TestClientRejectsJSONResultFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		var h hello
+		shard.ReadFrame(nc, &h)
+		shard.WriteFrame(nc, &welcome{Magic: Magic, Version: h.Version, OK: true})
+		shard.ReadPayload(nc) // consume the job frame
+		shard.WriteFrame(nc, map[string]any{"kind": "result", "result": &shard.Result{ID: 100, Scores: []float64{1}}})
+	}()
+
+	conn, err := (&Dialer{Addr: ln.Addr().String()}).Dial()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if res, err := shard.RoundTrip(conn, testJobs(1, 1)[0], time.Second); err == nil {
+		t.Fatalf("RoundTrip accepted a JSON-wrapped result: %+v", res)
+	}
+}
+
 // TestTruncatedJobFrame cuts a job frame mid-payload on the client
 // side: the server must drop that session and stay healthy for the
 // next connection.

@@ -121,31 +121,6 @@ func TestShardedTrainTCPWorkerKilledMidGeneration(t *testing.T) {
 	}
 }
 
-// TestShardedTrainBitEqualJSONCodec pins shard traffic to the
-// length-prefixed JSON reference codec (Trainer.ShardJSON) and
-// requires the same bytes the default binary codec trains: the two
-// codecs must be interchangeable end to end, over TCP workers and
-// worker processes alike.
-func TestShardedTrainBitEqualJSONCodec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	const seed = 7
-	want := inProcessBytes(t, seed)
-	addr, _ := startTCPWorker(t, nil)
-
-	tcp := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr}, ShardJSON: true}
-	if got := trainBytes(t, tcp); !bytes.Equal(got, want) {
-		t.Fatal("JSON-codec TCP training changed the trained tree")
-	}
-
-	t.Setenv("REMY_SHARD_WORKER", "1")
-	proc := &Trainer{Cfg: tinyConfig(), Seed: seed, Shards: 2, ShardCmd: workerCmd(), ShardJSON: true}
-	if got := trainBytes(t, proc); !bytes.Equal(got, want) {
-		t.Fatal("JSON-codec worker-process training changed the trained tree")
-	}
-}
-
 // TestShardedTrainConfigFlushedDuringTraining keeps flushing the
 // worker's config store while training runs, so hash-only jobs keep
 // missing and the pool's NeedCfg refetch path fires throughout the

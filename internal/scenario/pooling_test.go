@@ -65,7 +65,8 @@ func pooledVariants() map[string]func(seed uint64) Spec {
 // TestPooledMatchesUnpooled proves the packet free list is behaviorally
 // invisible: for identical seeds, a run with packet recycling produces
 // flow results bit-identical to a run that allocates every packet
-// afresh (the pre-pool simulator's behavior).
+// afresh (the pre-pool simulator's behavior) — a built network whose
+// pool is disabled before Finish.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	for name, mk := range pooledVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -74,8 +75,9 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 				res1 := MustRun(pooled)
 
 				unpooled := mk(seed)
-				unpooled.DisablePacketPool = true
-				res2 := MustRun(unpooled)
+				nw, _ := MustBuild(unpooled)
+				nw.Pool.Disable()
+				res2 := Finish(unpooled, nw)
 
 				if len(res1) != len(res2) {
 					t.Fatalf("seed %d: result counts differ: %d vs %d", seed, len(res1), len(res2))

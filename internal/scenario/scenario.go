@@ -376,25 +376,6 @@ type Spec struct {
 	// invariant — so traced runs produce bit-identical results to
 	// untraced ones; the differential tests cross-check the two modes.
 	Trace netsim.PacketTracer
-
-	// DisablePacketPool turns off packet recycling for the run,
-	// allocating every packet afresh as the pre-pool simulator did.
-	// Results are bit-identical either way; the determinism tests
-	// cross-check the two modes.
-	DisablePacketPool bool
-
-	// UseMapScoreboard runs every sender's SACK scoreboard on the
-	// reference hash-map implementation instead of the default ring
-	// buffer. Results are bit-identical either way; the differential
-	// tests cross-check the two modes.
-	UseMapScoreboard bool
-
-	// DisableWorldPool runs the scenario on a freshly built network
-	// instead of recycling one from the package's world pool. Results
-	// are bit-identical either way; the differential tests cross-check
-	// the two modes. DisablePacketPool implies it (packet-pool
-	// disabling is sticky, so such a world must not be recycled).
-	DisableWorldPool bool
 }
 
 // linkRate resolves link i's rate: the per-link override, then the
@@ -518,21 +499,14 @@ type Result struct {
 // order. It returns an error for an invalid spec (bad topology,
 // sender-count mismatch, missing seed, ...).
 //
-// Run recycles simulation worlds: the network it executes on is taken
-// from a pool of same-shape networks left by earlier runs (scheduler
-// arena, packet free lists, and per-flow rings already grown to a
-// working set) and re-derived for this spec by topo.BuildInto, then
-// returned to the pool afterwards. Recycling is observably identical
-// to building fresh — the determinism tests cross-check the two modes
-// via Spec.DisableWorldPool.
+// Run has one path: the network it executes on is taken from a pool
+// of same-shape networks left by earlier runs (scheduler arena, packet
+// free lists, and per-flow rings already grown to a working set) and
+// re-derived for this spec by topo.BuildInto — or built by topo.Build
+// when the pool has none — then returned to the pool afterwards. The
+// fresh-world oracle the differential tests compare against is Build
+// followed by Finish, which never touches the pool.
 func Run(spec Spec) ([]Result, error) {
-	if spec.DisableWorldPool || spec.DisablePacketPool {
-		nw, _, lay, err := build(spec)
-		if err != nil {
-			return nil, err
-		}
-		return finish(spec, lay, nw), nil
-	}
 	lay, queues, flows, err := spec.prep()
 	if err != nil {
 		return nil, err
@@ -546,7 +520,7 @@ func Run(spec Spec) ([]Result, error) {
 	} else if nw, err = topo.Build(lay, queues, flows); err != nil {
 		return nil, err
 	}
-	spec.applyModes(nw)
+	spec.attach(nw)
 	res := finish(spec, lay, nw)
 	putWorld(k, nw)
 	return res, nil
@@ -607,18 +581,26 @@ func MustRun(spec Spec) []Result {
 	return res
 }
 
-// Build assembles the network for a spec without running it, so
-// callers can attach probes (queue samplers, drop recorders). The
-// returned queues are the gateway disciplines in link order.
+// Build assembles a fresh network for a spec without running it, so
+// callers can attach probes (queue samplers, drop recorders) before
+// Finish. The returned queues are the gateway disciplines in link
+// order. A built network never enters the world pool.
 func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
-	nw, queues, _, err := build(spec)
-	return nw, queues, err
+	lay, queues, flows, err := spec.prep()
+	if err != nil {
+		return nil, nil, err
+	}
+	nw, err := topo.Build(lay, queues, flows)
+	if err != nil {
+		return nil, nil, err
+	}
+	spec.attach(nw)
+	return nw, queues, nil
 }
 
 // prep validates the spec and compiles everything a network build
 // needs: the layout graph, the gateway queue per link, and the
-// per-flow algorithm/workload pairs. Both the fresh-build path and the
-// recycled-world path start here.
+// per-flow algorithm/workload pairs. Run and Build both start here.
 func (s *Spec) prep() (*topo.Graph, []queue.Discipline, []topo.FlowSpec, error) {
 	if s.Seed == nil {
 		return nil, nil, nil, fmt.Errorf("scenario: spec needs a seed stream")
@@ -673,18 +655,10 @@ func (s *Spec) prep() (*topo.Graph, []queue.Discipline, []topo.FlowSpec, error) 
 	return lay, queues, flows, nil
 }
 
-// applyModes applies the spec's differential-testing mode switches to
-// a built (or just-recycled) network. Reinit restores every default,
-// so modes are re-applied per run.
-func (s *Spec) applyModes(nw *netsim.Network) {
-	if s.DisablePacketPool {
-		nw.Pool.Disable()
-	}
-	if s.UseMapScoreboard {
-		for _, f := range nw.Flows {
-			f.Sender.UseMapScoreboard()
-		}
-	}
+// attach wires the spec's per-run signal and trace planes into a built
+// (or just-recycled) network. Reinit clears both, so they are attached
+// per run.
+func (s *Spec) attach(nw *netsim.Network) {
 	if s.ECN {
 		for _, f := range nw.Flows {
 			f.Sender.SetECN(true)
@@ -698,21 +672,6 @@ func (s *Spec) applyModes(nw *netsim.Network) {
 			f.Receiver.SetTrace(s.Trace)
 		}
 	}
-}
-
-// build is Build plus the compiled layout, so Run can hand it to
-// finish instead of recompiling the graph after the simulation.
-func build(spec Spec) (*netsim.Network, []queue.Discipline, *topo.Graph, error) {
-	lay, queues, flows, err := spec.prep()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nw, err := topo.Build(lay, queues, flows)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	spec.applyModes(nw)
-	return nw, queues, lay, nil
 }
 
 // MustBuild is Build for specs known to be valid; it panics on a spec

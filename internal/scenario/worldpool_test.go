@@ -8,10 +8,11 @@ import "testing"
 // must produce results bit-identical to a fresh build. The variants
 // reuse pooledVariants, which covers every packet end-of-life path.
 
-// runFresh runs the spec on a freshly built world (pool bypassed).
+// runFresh runs the spec on a freshly built world: Build + Finish
+// never touch the pool.
 func runFresh(spec Spec) []Result {
-	spec.DisableWorldPool = true
-	return MustRun(spec)
+	nw, _ := MustBuild(spec)
+	return Finish(spec, nw)
 }
 
 // mustEqual compares two result slices flow by flow.
@@ -59,26 +60,4 @@ func TestWorldReuseAcrossSpecs(t *testing.T) {
 
 	got = MustRun(mks["remycc-dumbbell"](13))
 	mustEqual(t, "remycc after sfqcodel", got, runFresh(mks["remycc-dumbbell"](13)))
-}
-
-// TestRecycledWorldScoreboardModes crosses world recycling with the
-// scoreboard mode switch in both directions: a map-scoreboard run on a
-// world left by a ring-scoreboard run, then a ring run on the world
-// the map run returned. Sender.Reinit must restore the default ring
-// and applyModes must re-apply the map per run.
-func TestRecycledWorldScoreboardModes(t *testing.T) {
-	mk := pooledVariants()["tight-buffer-losses"]
-
-	MustRun(mk(5)) // stock the pool with a ring-scoreboard world
-
-	mapped := mk(5)
-	mapped.UseMapScoreboard = true
-	got := MustRun(mapped)
-	mappedFresh := mk(5)
-	mappedFresh.UseMapScoreboard = true
-	mustEqual(t, "map on recycled", got, runFresh(mappedFresh))
-
-	// The map-scoreboard world is back in the pool; run ring on it.
-	got = MustRun(mk(5))
-	mustEqual(t, "ring after map", got, runFresh(mk(5)))
 }

@@ -41,20 +41,23 @@ const (
 
 // NextHops is one flow's candidate next-hop set at one link, compiled
 // by the topology builder for (link, flow) pairs with fanout > 1.
-// Queues is parallel to Cands: the candidate's ingress queue when the
-// candidate is a link, nil for terminal hops (receivers), which the
-// adaptive selector treats as always-empty.
 type NextHops struct {
 	// Cands are the candidate next hops, in deterministic path order.
 	Cands []Deliverer
-	// Queues are the candidates' ingress queues (nil = no queue).
-	Queues []queue.Discipline
+
+	// links is parallel to Cands: the candidate itself when it is a
+	// link, nil for terminal hops (receivers), which the adaptive
+	// selector treats as always-empty. SetMultiRoute resolves it.
+	// Occupancy is read through the candidate link, not through a
+	// queue captured at compile time, so a table outlives the queues
+	// of the run it was compiled for.
+	links []*Link
 }
 
 // queueLen reports candidate i's ingress-queue occupancy in packets.
 func (h *NextHops) queueLen(i int) int {
-	if q := h.Queues[i]; q != nil {
-		return q.Len()
+	if l := h.links[i]; l != nil {
+		return l.q.Len()
 	}
 	return 0
 }
@@ -150,12 +153,13 @@ func NewLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue
 // Reinit retargets a link from a finished simulation at a new rate,
 // propagation delay, and queueing discipline, keeping the scheduler
 // binding and the pre-bound timer callbacks (both close over the link,
-// whose identity is preserved). Packets still being serialized or in
-// propagation are returned to the pool; the previous queue is dropped
-// wholesale, packets and all (worlds are recycled only between runs,
-// where the fresh-build path would have dropped the same packets with
-// the whole network). The route table must be re-installed with
-// SetRoute before traffic flows.
+// whose identity is preserved). Every packet the finished run left in
+// the link — being serialized, in propagation, or queued — is returned
+// to the pool, and the previous queue is Reset, so q may be that same
+// queue, reused as new. The next-hop tables stay as installed (they
+// name links and receivers, which a recycled world keeps), with the
+// spray cursors and packet counts rewound; a caller whose paths or
+// policy changed re-installs them with SetRoute or SetMultiRoute.
 func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	if rate <= 0 {
 		panic("netsim: link with non-positive rate")
@@ -171,16 +175,14 @@ func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) 
 		l.txPkt = nil
 	}
 	l.propQ.drainTo(l.pool)
+	l.q.Reset(l.pool)
 	l.busy = false
 	l.rate = rate
 	l.prop = prop
 	l.q = q
 	l.txMTU = rate.TransmissionTime(packet.MTU)
 	l.txACK = rate.TransmissionTime(packet.ACKSize)
-	l.next = nil
-	l.multi = nil
-	l.sel = SelectSpray
-	l.rr = nil
+	clear(l.rr)
 	l.in, l.out = 0, 0
 	l.tallyIn, l.tallyOut = nil, nil
 	l.trace = nil
@@ -199,7 +201,6 @@ func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) 
 func (l *Link) SetRoute(next []Deliverer) {
 	l.next = next
 	l.multi = nil
-	l.rr = nil
 	l.in, l.out = 0, 0
 }
 
@@ -209,10 +210,17 @@ func (l *Link) SetRoute(next []Deliverer) {
 // sel picks among candidates at packet time (spray round-robin or
 // adaptive least-queue); the spray cursors are (re)zeroed here so
 // replayed runs are deterministic. Both tables are flow-indexed and
-// must have equal length.
+// must have equal length; the link owns them from here on.
 func (l *Link) SetMultiRoute(next []Deliverer, multi []NextHops, sel PathSelector) {
 	if len(multi) != len(next) {
 		panic("netsim: SetMultiRoute with mismatched table lengths")
+	}
+	for f := range multi {
+		h := &multi[f]
+		h.links = make([]*Link, len(h.Cands))
+		for i, c := range h.Cands {
+			h.links[i], _ = c.(*Link)
+		}
 	}
 	l.next = next
 	l.multi = multi
@@ -221,9 +229,7 @@ func (l *Link) SetMultiRoute(next []Deliverer, multi []NextHops, sel PathSelecto
 		l.rr = make([]uint32, len(next))
 	} else {
 		l.rr = l.rr[:len(next)]
-		for i := range l.rr {
-			l.rr[i] = 0
-		}
+		clear(l.rr)
 	}
 	l.in, l.out = 0, 0
 }

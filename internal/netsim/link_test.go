@@ -197,3 +197,56 @@ func TestReceiverPanicsOnACK(t *testing.T) {
 	}()
 	rcv.Deliver(0, &packet.Packet{Flow: 0, IsACK: true})
 }
+
+// TestLinkReinitReturnsEveryPacket pins the run-boundary leak: whatever
+// a finished run left inside a link — queued at the gateway, on the
+// serializer, in propagation — goes back to the pool when the link is
+// reinitialized, whether it keeps its queue or is handed another, and
+// the kept next-hop table serves the next run.
+func TestLinkReinitReturnsEveryPacket(t *testing.T) {
+	for _, keep := range []bool{true, false} {
+		sched := sim.New()
+		pool := &packet.Pool{}
+		sink := &countSink{pool: pool}
+		// 12 Mbps: a packet serializes in 1 ms and propagates for 3,
+		// so 5.5 ms in, one has arrived, three are in propagation, one
+		// is on the wire's near end and the rest are queued.
+		q := queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU)
+		l := NewLink(sched, 12*units.Mbps, 3*units.Millisecond, q)
+		l.SetPool(pool)
+		l.SetRoute([]Deliverer{sink, sink})
+		const n = 20
+		for i := 0; i < n; i++ {
+			l.Deliver(0, pool.Data(i%2, int64(i), 0))
+		}
+		sched.Run(units.Time(0).Add(5500 * units.Microsecond))
+		if sink.n == 0 || l.Queue().Len() == 0 || l.InFlight() <= l.Queue().Len()+1 {
+			t.Fatalf("want packets delivered, queued and in propagation; got %d delivered, %d queued, %d in flight",
+				sink.n, l.Queue().Len(), l.InFlight())
+		}
+
+		sched.Reset()
+		next := queue.Discipline(q)
+		if !keep {
+			next = queue.NewDropTail(64 * packet.MTU)
+		}
+		l.Reinit(12*units.Mbps, 3*units.Millisecond, next)
+		if l.InFlight() != 0 || q.Len() != 0 {
+			t.Fatalf("keep=%v: %d packets still in the link, %d in its old queue", keep, l.InFlight(), q.Len())
+		}
+		reuses := pool.Reuses
+		for i := 0; i < n; i++ {
+			pool.Get()
+		}
+		if got := pool.Reuses - reuses; got != n {
+			t.Fatalf("keep=%v: the pool holds %d of the run's %d packets", keep, got, n)
+		}
+
+		sink.n = 0
+		l.Deliver(0, pool.Data(1, 0, 0))
+		sched.Run(units.MaxTime)
+		if in, out := l.Counts(); sink.n != 1 || in != 1 || out != 1 {
+			t.Fatalf("keep=%v: reinitialized link delivered %d (in %d, out %d), want 1", keep, sink.n, in, out)
+		}
+	}
+}

@@ -27,16 +27,19 @@ func (s *countSink) Deliver(_ units.Time, p *packet.Packet) {
 	s.pool.Put(p)
 }
 
+// dropTail64 is the diamond's default gateway queue.
+func dropTail64() queue.Discipline { return queue.NewDropTail(64 * packet.MTU) }
+
 // fanoutDiamond wires the smallest topology that exercises forward():
 // l0 fans flow 0 out to l1 and l2 under the given selector, and both
 // downstream links recirculate packets back into l0, so a handful of
 // pooled packets keeps the multipath hot path busy forever.
-func fanoutDiamond(sel PathSelector) (*sim.Scheduler, *packet.Pool, *Link) {
+func fanoutDiamond(sel PathSelector, mkq func() queue.Discipline) (*sim.Scheduler, *packet.Pool, *Link) {
 	sched := sim.New()
 	pool := &packet.Pool{}
-	l0 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
-	l1 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
-	l2 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	l0 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
+	l1 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
+	l2 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
 	for _, l := range []*Link{l0, l1, l2} {
 		l.SetPool(pool)
 	}
@@ -44,7 +47,7 @@ func fanoutDiamond(sel PathSelector) (*sim.Scheduler, *packet.Pool, *Link) {
 	l2.SetRoute([]Deliverer{refeed{l0}})
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
-		[]NextHops{{Cands: []Deliverer{l1, l2}, Queues: []queue.Discipline{l1.Queue(), l2.Queue()}}},
+		[]NextHops{{Cands: []Deliverer{l1, l2}}},
 		sel,
 	)
 	for i := 0; i < 16; i++ {
@@ -70,7 +73,7 @@ func TestSpraySplitsEvenly(t *testing.T) {
 	}
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
-		[]NextHops{{Cands: []Deliverer{l1, l2}, Queues: []queue.Discipline{l1.Queue(), l2.Queue()}}},
+		[]NextHops{{Cands: []Deliverer{l1, l2}}},
 		SelectSpray,
 	)
 	const n = 10
@@ -108,7 +111,7 @@ func TestAdaptiveAvoidsBacklog(t *testing.T) {
 	}
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
-		[]NextHops{{Cands: []Deliverer{l1, l2}, Queues: []queue.Discipline{l1.Queue(), l2.Queue()}}},
+		[]NextHops{{Cands: []Deliverer{l1, l2}}},
 		SelectAdaptive,
 	)
 	const preload, n = 6, 4
@@ -132,17 +135,23 @@ func TestAdaptiveAvoidsBacklog(t *testing.T) {
 
 // TestMultipathForwardZeroAlloc pins the multipath forwarding path at
 // exactly zero allocations per event for both per-packet selectors —
-// the invariant BenchmarkLinkFanout reports and the bench gate enforces.
+// the invariant BenchmarkLinkFanout reports and the bench gate enforces
+// — and for the adaptive selector reading sfqCoDel occupancy, the pair
+// whose per-candidate Len used to walk 1 024 bins.
 func TestMultipathForwardZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sel  PathSelector
+		mkq  func() queue.Discipline
 	}{
-		{"spray", SelectSpray},
-		{"adaptive", SelectAdaptive},
+		{"spray", SelectSpray, dropTail64},
+		{"adaptive", SelectAdaptive, dropTail64},
+		{"adaptive-sfqcodel", SelectAdaptive, func() queue.Discipline {
+			return queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sched, _, _ := fanoutDiamond(tc.sel)
+			sched, _, _ := fanoutDiamond(tc.sel, tc.mkq)
 			// Warm up past any lazy growth inside the scheduler.
 			for i := 0; i < 256; i++ {
 				if !sched.Step() {
@@ -176,7 +185,7 @@ func BenchmarkLinkFanout(b *testing.B) {
 		{"adaptive", SelectAdaptive},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			sched, _, _ := fanoutDiamond(tc.sel)
+			sched, _, _ := fanoutDiamond(tc.sel, dropTail64)
 			for i := 0; i < 256; i++ {
 				if !sched.Step() {
 					b.Fatal("diamond went idle")

@@ -58,8 +58,8 @@ func (n *Network) AddLink(l *Link) {
 // Reset rewinds the network's shared machinery — the scheduler (to
 // time zero, arena kept) and the packet pool's counters (free list
 // kept) — so the network can host another simulation. Links and flow
-// endpoints are reinitialized separately by topo.BuildInto, which owns
-// the per-run topology.
+// endpoints are reinitialized separately by topo.World.Rebuild, which
+// owns the per-run topology.
 func (n *Network) Reset() {
 	n.Sched.Reset()
 	n.Pool.Reset()

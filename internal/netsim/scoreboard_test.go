@@ -229,7 +229,7 @@ func sprayDiamond(alg cc.Algorithm, wl workload.Source) *Network {
 	l2.SetRoute([]Deliverer{rcv})
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
-		[]NextHops{{Cands: []Deliverer{l1, l2}, Queues: []queue.Discipline{l1.Queue(), l2.Queue()}}},
+		[]NextHops{{Cands: []Deliverer{l1, l2}}},
 		SelectSpray,
 	)
 	return nw

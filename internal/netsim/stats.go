@@ -51,7 +51,7 @@ type FlowStats struct {
 }
 
 // Reset restores the zero-measurement state for a recycled world,
-// re-stamping the identity and delay geometry that topo.BuildInto
+// re-stamping the identity and delay geometry that topo.World.Rebuild
 // derives from the new run's topology.
 func (s *FlowStats) Reset(flow int, prop, minRTT units.Duration) {
 	*s = FlowStats{Flow: flow, PropDelay: prop, MinRTT: minRTT}

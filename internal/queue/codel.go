@@ -81,6 +81,9 @@ func (c *CoDel) SetPool(pl *packet.Pool) { c.pool = pl }
 // Packets that are not ECT are still dropped.
 func (c *CoDel) SetECNMarking(on bool) { c.markECN = on }
 
+// Capacity reports the hard byte capacity backstop.
+func (c *CoDel) Capacity() int { return c.capBytes }
+
 // Enqueue implements Discipline.
 func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	if c.q.bytes+p.Size > c.capBytes {
@@ -212,3 +215,13 @@ func (c *CoDel) Bytes() int { return c.q.bytes }
 
 // Stats implements Discipline.
 func (c *CoDel) Stats() Stats { return c.stats }
+
+// Reset implements Discipline: the RFC 8289 state machine returns to
+// rest (not dropping, count zero), so a reset queue's first drop is
+// scheduled exactly as a new queue's would be.
+func (c *CoDel) Reset(pl *packet.Pool) {
+	c.q.reset(pl)
+	c.stats = Stats{}
+	c.onDrop, c.onMark = nil, nil
+	c.firstAboveTime, c.dropNext, c.count, c.dropping = 0, 0, 0, false
+}

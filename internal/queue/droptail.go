@@ -65,6 +65,13 @@ func (d *DropTail) Bytes() int { return d.q.bytes }
 // Stats implements Discipline.
 func (d *DropTail) Stats() Stats { return d.stats }
 
+// Reset implements Discipline.
+func (d *DropTail) Reset(pl *packet.Pool) {
+	d.q.reset(pl)
+	d.stats = Stats{}
+	d.onDrop = nil
+}
+
 // Infinite is a FIFO queue that never drops, modeling the paper's
 // extreme "the link doesn't drop any packet" testing scenarios.
 type Infinite struct {
@@ -100,3 +107,9 @@ func (d *Infinite) Bytes() int { return d.q.bytes }
 
 // Stats implements Discipline.
 func (d *Infinite) Stats() Stats { return d.stats }
+
+// Reset implements Discipline.
+func (d *Infinite) Reset(pl *packet.Pool) {
+	d.q.reset(pl)
+	d.stats = Stats{}
+}

@@ -151,7 +151,7 @@ func TestPropertyConservation(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	// Exercise the internal compaction path with many push/pop cycles.
+	// Wrap the ring many times over with push/pop cycles.
 	q := NewInfinite()
 	var seq int64
 	for round := 0; round < 50; round++ {

@@ -87,3 +87,10 @@ func (d *MarkingDropTail) Bytes() int { return d.q.bytes }
 
 // Stats implements Discipline.
 func (d *MarkingDropTail) Stats() Stats { return d.stats }
+
+// Reset implements Discipline.
+func (d *MarkingDropTail) Reset(pl *packet.Pool) {
+	d.q.reset(pl)
+	d.stats = Stats{}
+	d.onDrop, d.onMark = nil, nil
+}

@@ -16,6 +16,12 @@ import (
 // arrival). Dequeue is called by the link when it is ready to transmit;
 // it returns nil when no packet is available. Disciplines may also drop
 // at dequeue time (CoDel does); such drops are visible in Stats.
+//
+// Len and Bytes are O(1) by contract: every discipline keeps running
+// counters beside its storage. The adaptive router reads a candidate's
+// Len for every packet it forwards, so an occupancy query that walks
+// the queue would put the queue's size into the per-packet cost of
+// every upstream link.
 type Discipline interface {
 	// Enqueue offers an arriving packet; false means dropped on
 	// arrival.
@@ -23,12 +29,21 @@ type Discipline interface {
 	// Dequeue hands the next packet to the link, or nil when none is
 	// available.
 	Dequeue(now units.Time) *packet.Packet
-	// Len is the number of packets currently queued.
+	// Len is the number of packets currently queued, in O(1).
 	Len() int
-	// Bytes is the number of bytes currently queued.
+	// Bytes is the number of bytes currently queued, in O(1).
 	Bytes() int
 	// Stats reports the discipline's accept/drop counters.
 	Stats() Stats
+	// Reset returns the discipline to the state its constructor left
+	// it in — empty, zero Stats, control law at rest, no drop or mark
+	// recorder — keeping its configuration (capacity, thresholds,
+	// marking mode, attached pool) and the storage it has grown, so a
+	// reset discipline behaves exactly like a new one with the same
+	// configuration. Packets still queued are handed to pl (a nil pool
+	// discards them). A world recycled between runs resets its queues
+	// instead of rebuilding them.
+	Reset(pl *packet.Pool)
 }
 
 // Stats counts the traffic a discipline has handled.
@@ -69,42 +84,59 @@ type PoolAware interface {
 	SetPool(pl *packet.Pool)
 }
 
-// fifo is a slice-backed FIFO of packets with amortized O(1) operations.
+// fifo is a ring of packets with a running byte count: O(1) push and
+// pop, no allocation once the ring has grown to the queue's working
+// set, and storage that survives reset. len(buf) is zero or a power of
+// two, so positions wrap with a mask.
 type fifo struct {
 	buf   []*packet.Packet
-	head  int
+	head  int // index of the oldest packet
+	n     int // packets held
 	bytes int
 }
 
 func (f *fifo) push(p *packet.Packet) {
-	f.buf = append(f.buf, p)
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.n++
 	f.bytes += p.Size
 }
 
+// grow doubles the ring, unwrapping its contents to the front.
+func (f *fifo) grow() {
+	buf := make([]*packet.Packet, max(16, 2*len(f.buf)))
+	n := copy(buf, f.buf[f.head:])
+	copy(buf[n:], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
+
 func (f *fifo) pop() *packet.Packet {
-	if f.head >= len(f.buf) {
+	if f.n == 0 {
 		return nil
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head++
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	f.bytes -= p.Size
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		for i := n; i < len(f.buf); i++ {
-			f.buf[i] = nil
-		}
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
 	return p
 }
 
 func (f *fifo) peek() *packet.Packet {
-	if f.head >= len(f.buf) {
+	if f.n == 0 {
 		return nil
 	}
 	return f.buf[f.head]
 }
 
-func (f *fifo) len() int { return len(f.buf) - f.head }
+func (f *fifo) len() int { return f.n }
+
+// reset empties the ring into pl (nil discards), keeping the storage.
+func (f *fifo) reset(pl *packet.Pool) {
+	for f.n > 0 {
+		pl.Put(f.pop())
+	}
+	f.head = 0
+}

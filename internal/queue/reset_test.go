@@ -1,0 +1,140 @@
+package queue
+
+import (
+	"testing"
+
+	"learnability/internal/packet"
+	"learnability/internal/units"
+)
+
+// disciplines builds every discipline the package ships, configured
+// the way a scenario configures it.
+var disciplines = []struct {
+	name  string
+	build func() Discipline
+}{
+	{"DropTail", func() Discipline { return NewDropTail(30 * packet.MTU) }},
+	{"MarkingDropTail", func() Discipline { return NewMarkingDropTail(30*packet.MTU, 10*packet.MTU) }},
+	{"CoDel", func() Discipline { return NewCoDel(200 * packet.MTU) }},
+	{"CoDel/ECN", func() Discipline {
+		q := NewCoDel(200 * packet.MTU)
+		q.SetECNMarking(true)
+		return q
+	}},
+	{"SFQCoDel", func() Discipline { return NewSFQCoDel(8, 40*packet.MTU) }},
+	{"SFQCoDel/ECN", func() Discipline {
+		q := NewSFQCoDel(SFQCoDelBins, 200*packet.MTU)
+		q.SetECNMarking(true)
+		return q
+	}},
+	{"Infinite", func() Discipline { return NewInfinite() }},
+}
+
+// TestResetMatchesFresh dirties a discipline — packets queued, CoDel
+// mid-drop-schedule, sfqCoDel bins materialised and mid-round-robin,
+// counters advanced, recorders attached — resets it, and drives it
+// beside a new one: they must agree after every operation, the packets
+// the reset found queued must be in the pool it was handed, and the
+// recorders of the dirty run must never fire again.
+func TestResetMatchesFresh(t *testing.T) {
+	for _, tc := range disciplines {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := lockstepTrace{steps: 6000, flows: 9, sizes: []int{packet.MTU, packet.MTU, 600}, ectShare: 0.6, maxGap: 3 * units.Millisecond}
+
+			used, twin := &side{q: tc.build()}, &side{q: tc.build()}
+			used.record()
+			twin.record()
+			trace.seed = 1
+			trace.run(t, used, twin)
+			q := used.q.(Discipline)
+			queued := q.Len()
+			if queued == 0 || q.Stats().Enqueued == 0 {
+				t.Fatalf("dirty run left nothing behind (Len %d, %+v)", queued, q.Stats())
+			}
+
+			drain := &packet.Pool{}
+			q.Reset(drain)
+			if q.Len() != 0 || q.Bytes() != 0 || q.Stats() != (Stats{}) {
+				t.Fatalf("after Reset: Len %d Bytes %d Stats %+v", q.Len(), q.Bytes(), q.Stats())
+			}
+			for i := 0; i <= queued; i++ {
+				drain.Get()
+			}
+			if drain.Reuses != int64(queued) {
+				t.Fatalf("Reset handed the pool %d packets, %d were queued", drain.Reuses, queued)
+			}
+
+			// First with no recorder attached, so one left over from
+			// the dirty run would be the only one to fire; then with.
+			stale := len(used.log)
+			reset, fresh := &side{q: q}, &side{q: tc.build()}
+			trace.seed = 2
+			trace.run(t, reset, fresh)
+			if len(used.log) != stale {
+				t.Fatalf("a recorder of the run before Reset fired %d times after it", len(used.log)-stale)
+			}
+			reset.record()
+			fresh.record()
+			trace.seed = 3
+			trace.run(t, reset, fresh)
+		})
+	}
+}
+
+// TestSteadyStateZeroAlloc pins what BenchmarkCoDel and
+// BenchmarkSFQCoDel only printed: once a finite discipline's rings
+// have grown to its working set, an enqueue and a dequeue allocate
+// nothing — AQM drops, marks and overflow evictions included.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range disciplines {
+		if tc.name == "Infinite" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			q, pl := tc.build(), &packet.Pool{}
+			if pa, ok := q.(PoolAware); ok {
+				pa.SetPool(pl)
+			}
+			var now units.Time
+			var seq int64
+			// Arrivals outpace the drain two to one, so the queue
+			// stands at capacity (drop-tail rejects, sfqCoDel evicts)
+			// with sojourn times far above CoDel's target.
+			step := func() {
+				now = now.Add(units.Millisecond)
+				for i := 0; i < 2; i++ {
+					p := pl.Data(int(seq%5), seq, now)
+					p.ECT = seq%2 == 0
+					seq++
+					if !q.Enqueue(now, p) {
+						pl.Put(p)
+					}
+				}
+				if p := q.Dequeue(now); p != nil {
+					pl.Put(p)
+				}
+			}
+			for i := 0; i < 5000; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+				t.Fatalf("%v allocations per steady-state step, want 0", allocs)
+			}
+			if st := q.Stats(); st.Drops()+st.MarksECN == 0 {
+				t.Fatalf("the steady state never dropped or marked: %+v", st)
+			}
+		})
+	}
+}
+
+// TestNewSFQCoDelAllocations bounds construction: the struct and the
+// slot table, whatever the bin count. (The eager version made 1 024
+// CoDel queues per gateway — 98 k objects for a 96-link fabric.)
+func TestNewSFQCoDelAllocations(t *testing.T) {
+	var q *SFQCoDel
+	allocs := testing.AllocsPerRun(100, func() { q = NewSFQCoDel(SFQCoDelBins, 100*packet.MTU) })
+	if allocs > 2 {
+		t.Fatalf("NewSFQCoDel(%d, …) makes %v allocations, want at most 2", SFQCoDelBins, allocs)
+	}
+	_ = q
+}

@@ -15,19 +15,45 @@ const SFQCoDelBins = 1024
 // is an independent CoDel queue; bins are served by deficit round-robin
 // with an MTU quantum, which equalizes throughput across contending
 // flows while CoDel keeps each bin's standing delay near its target.
+//
+// Storage is sparse and flat. A gateway sees a handful of flows, so of
+// the nominal bins only those a flow has hashed into exist: slot maps a
+// hash bin to its entry in live, which holds the bins as values in
+// first-use order, and the round-robin service list is threaded through
+// those entries. Construction is two allocations whatever the bin
+// count; occupancy is a pair of counters; overflow-victim search and
+// Stats walk live only; and nothing allocates once live and the bins'
+// rings have grown to the working set.
 type SFQCoDel struct {
-	bins     []*CoDel
-	capBytes int // shared capacity across all bins
+	slot     []int32  // hash bin -> 1 + index into live; 0 = never used
+	live     []sfqBin // materialised bins, in first-use order
+	capBytes int      // shared capacity across all bins
 	bytes    int
+	pkts     int
 	stats    Stats
-	onDrop   DropRecorder
-	pool     *packet.Pool
+	quantum  int
 
-	// Deficit round-robin state.
-	active  []int // bin indices in service order
-	inList  []bool
-	deficit []int
-	quantum int
+	// head and tail index live: the deficit round-robin service list,
+	// -1 when empty. Every bin holding a packet is on it; a bin that
+	// overflow eviction or CoDel emptied leaves when it reaches the
+	// head.
+	head, tail int32
+
+	// Wiring and mode, copied into each bin as it is materialised.
+	onDrop  DropRecorder
+	onMark  MarkRecorder
+	pool    *packet.Pool
+	markECN bool
+}
+
+// sfqBin is one materialised hash bin: a CoDel queue plus its place in
+// the round-robin.
+type sfqBin struct {
+	CoDel
+	index   int32 // the hash bin this entry serves
+	next    int32 // following bin on the service list, -1 at the tail
+	inList  bool
+	deficit int // round-robin byte credit
 }
 
 // NewSFQCoDel returns an sfqCoDel discipline with nbins hash bins and a
@@ -39,34 +65,32 @@ func NewSFQCoDel(nbins, capBytes int) *SFQCoDel {
 	if capBytes <= 0 {
 		panic("queue: NewSFQCoDel with non-positive capacity")
 	}
-	s := &SFQCoDel{
-		bins:     make([]*CoDel, nbins),
+	return &SFQCoDel{
+		slot:     make([]int32, nbins),
 		capBytes: capBytes,
-		inList:   make([]bool, nbins),
-		deficit:  make([]int, nbins),
 		quantum:  packet.MTU,
+		head:     -1,
+		tail:     -1,
 	}
-	for i := range s.bins {
-		// Each bin's backstop is the shared capacity; the shared cap is
-		// enforced in Enqueue.
-		s.bins[i] = NewCoDel(capBytes)
-	}
-	return s
 }
+
+// Capacity reports the shared byte capacity.
+func (s *SFQCoDel) Capacity() int { return s.capBytes }
 
 // SetDropRecorder registers a callback invoked for each dropped packet.
 func (s *SFQCoDel) SetDropRecorder(r DropRecorder) {
 	s.onDrop = r
-	for _, b := range s.bins {
-		b.SetDropRecorder(r)
+	for i := range s.live {
+		s.live[i].onDrop = r
 	}
 }
 
 // SetMarkRecorder registers a callback invoked for each CE-marked
 // packet, propagated to every bin's CoDel instance.
 func (s *SFQCoDel) SetMarkRecorder(r MarkRecorder) {
-	for _, b := range s.bins {
-		b.SetMarkRecorder(r)
+	s.onMark = r
+	for i := range s.live {
+		s.live[i].onMark = r
 	}
 }
 
@@ -75,8 +99,8 @@ func (s *SFQCoDel) SetMarkRecorder(r MarkRecorder) {
 // recycled.
 func (s *SFQCoDel) SetPool(pl *packet.Pool) {
 	s.pool = pl
-	for _, b := range s.bins {
-		b.SetPool(pl)
+	for i := range s.live {
+		s.live[i].pool = pl
 	}
 }
 
@@ -85,8 +109,9 @@ func (s *SFQCoDel) SetPool(pl *packet.Pool) {
 // law schedules a drop. Overflow evictions still drop (they make room
 // for an arriving packet, which marking cannot).
 func (s *SFQCoDel) SetECNMarking(on bool) {
-	for _, b := range s.bins {
-		b.SetECNMarking(on)
+	s.markECN = on
+	for i := range s.live {
+		s.live[i].markECN = on
 	}
 }
 
@@ -94,7 +119,46 @@ func (s *SFQCoDel) bin(flow int) int {
 	// Fibonacci hash of the flow ID; flows in our simulations are small
 	// integers, so mixing matters more than collision resistance.
 	h := uint64(flow+1) * 0x9e3779b97f4a7c15
-	return int(h % uint64(len(s.bins)))
+	return int(h % uint64(len(s.slot)))
+}
+
+// binFor returns the index into live of flow's bin, materialising it on
+// first use. Appending may move live, so callers take pointers into it
+// only afterwards.
+func (s *SFQCoDel) binFor(flow int) int32 {
+	i := s.bin(flow)
+	if k := s.slot[i]; k != 0 {
+		return k - 1
+	}
+	// Each bin's backstop is the shared capacity; the shared cap is
+	// enforced in Enqueue.
+	s.live = append(s.live, sfqBin{
+		CoDel: CoDel{
+			capBytes: s.capBytes, target: CoDelTarget, interval: CoDelInterval,
+			onDrop: s.onDrop, onMark: s.onMark, pool: s.pool, markECN: s.markECN,
+		},
+		index: int32(i),
+		next:  -1,
+	})
+	s.slot[i] = int32(len(s.live))
+	return int32(len(s.live) - 1)
+}
+
+// longest returns the occupied bin holding the most packets — the
+// lowest hash bin among equals — or nil when every bin is empty.
+func (s *SFQCoDel) longest() *sfqBin {
+	var best *sfqBin
+	for i := range s.live {
+		b := &s.live[i]
+		n := b.q.len()
+		if n == 0 {
+			continue
+		}
+		if best == nil || n > best.q.len() || n == best.q.len() && b.index < best.index {
+			best = b
+		}
+	}
+	return best
 }
 
 // Enqueue implements Discipline. When the shared buffer is full the
@@ -103,13 +167,8 @@ func (s *SFQCoDel) bin(flow int) int {
 // from loss caused by heavy ones.
 func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	for s.bytes+p.Size > s.capBytes {
-		longest := -1
-		for i, b := range s.bins {
-			if b.Len() > 0 && (longest < 0 || b.Len() > s.bins[longest].Len()) {
-				longest = i
-			}
-		}
-		if longest < 0 {
+		b := s.longest()
+		if b == nil {
 			// Nothing queued anywhere yet the packet alone exceeds
 			// capacity: reject it.
 			s.stats.DropsTail++
@@ -119,8 +178,9 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 			}
 			return false
 		}
-		victim := s.bins[longest].q.pop()
+		victim := b.q.pop()
 		s.bytes -= victim.Size
+		s.pkts--
 		s.stats.DropsTail++
 		s.stats.BytesDropped += int64(victim.Size)
 		if s.onDrop != nil {
@@ -130,55 +190,77 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 			s.pool.Put(victim)
 		}
 	}
-	i := s.bin(p.Flow)
-	if !s.bins[i].Enqueue(now, p) {
-		// Cannot happen: shared cap <= bin backstop and we made room.
-		s.stats.DropsTail++
-		return false
+	k := s.binFor(p.Flow)
+	b := &s.live[k]
+	if !b.CoDel.Enqueue(now, p) {
+		// A bin holds no more than the shared buffer does, and room
+		// was just made there.
+		panic("queue: sfqCoDel bin rejected a packet the shared buffer had room for")
 	}
 	s.bytes += p.Size
+	s.pkts++
 	s.stats.Enqueued++
-	if !s.inList[i] {
-		s.inList[i] = true
-		s.deficit[i] = s.quantum
-		s.active = append(s.active, i)
+	if !b.inList {
+		b.deficit = s.quantum
+		s.pushTail(k)
 	}
 	return true
+}
+
+// pushTail appends bin k to the service list.
+func (s *SFQCoDel) pushTail(k int32) {
+	s.live[k].inList = true
+	if s.tail < 0 {
+		s.head = k
+	} else {
+		s.live[s.tail].next = k
+	}
+	s.tail = k
+}
+
+// popHead takes the head bin off the service list and returns its
+// index.
+func (s *SFQCoDel) popHead() int32 {
+	k := s.head
+	b := &s.live[k]
+	s.head = b.next
+	if s.head < 0 {
+		s.tail = -1
+	}
+	b.next = -1
+	b.inList = false
+	return k
 }
 
 // Dequeue implements Discipline using deficit round-robin over active
 // bins, with CoDel applied inside each bin.
 func (s *SFQCoDel) Dequeue(now units.Time) *packet.Packet {
-	for len(s.active) > 0 {
-		i := s.active[0]
-		b := s.bins[i]
-		if b.Len() == 0 {
+	for s.head >= 0 {
+		b := &s.live[s.head]
+		if b.q.len() == 0 {
 			// Bin emptied (possibly by overflow or CoDel drops).
-			s.active = s.active[1:]
-			s.inList[i] = false
+			s.popHead()
 			continue
 		}
-		head := b.q.peek()
-		if s.deficit[i] < head.Size {
+		if b.deficit < b.q.peek().Size {
 			// Move to the back of the service list with a fresh quantum.
-			s.active = append(s.active[1:], i)
-			s.deficit[i] += s.quantum
+			b.deficit += s.quantum
+			s.pushTail(s.popHead())
 			continue
 		}
-		before := b.Bytes()
-		p := b.Dequeue(now)
-		s.bytes -= before - b.Bytes()
+		bytes, n := b.q.bytes, b.q.len()
+		p := b.CoDel.Dequeue(now)
+		s.bytes -= bytes - b.q.bytes
+		s.pkts -= n - b.q.len()
 		if p == nil {
 			// CoDel dropped the rest of the bin.
-			s.active = s.active[1:]
-			s.inList[i] = false
+			s.popHead()
 			continue
 		}
-		s.deficit[i] -= p.Size
+		b.deficit -= p.Size
 		s.stats.Dequeued++
-		if b.Len() == 0 {
-			s.active = s.active[1:]
-			s.inList[i] = false
+		if b.q.len() == 0 {
+			s.popHead()
 		}
 		return p
 	}
@@ -186,13 +268,7 @@ func (s *SFQCoDel) Dequeue(now units.Time) *packet.Packet {
 }
 
 // Len implements Discipline.
-func (s *SFQCoDel) Len() int {
-	n := 0
-	for _, b := range s.bins {
-		n += b.Len()
-	}
-	return n
-}
+func (s *SFQCoDel) Len() int { return s.pkts }
 
 // Bytes implements Discipline.
 func (s *SFQCoDel) Bytes() int { return s.bytes }
@@ -201,11 +277,28 @@ func (s *SFQCoDel) Bytes() int { return s.bytes }
 // aggregated into the shared stats.
 func (s *SFQCoDel) Stats() Stats {
 	st := s.stats
-	for _, b := range s.bins {
-		bst := b.Stats()
+	for i := range s.live {
+		bst := &s.live[i].stats
 		st.DropsAQM += bst.DropsAQM
 		st.MarksECN += bst.MarksECN
 		st.BytesDropped += bst.BytesDropped
 	}
 	return st
+}
+
+// Reset implements Discipline. Materialised bins stay materialised,
+// each reset in place with its ring kept: which bins exist is not
+// observable (victim search skips empty bins, Stats adds their zeroed
+// counters, and service order is the list's, rebuilt as packets
+// arrive).
+func (s *SFQCoDel) Reset(pl *packet.Pool) {
+	for i := range s.live {
+		b := &s.live[i]
+		b.CoDel.Reset(pl)
+		b.next, b.inList, b.deficit = -1, false, 0
+	}
+	s.bytes, s.pkts = 0, 0
+	s.stats = Stats{}
+	s.head, s.tail = -1, -1
+	s.onDrop, s.onMark = nil, nil
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -219,4 +220,408 @@ func TestSFQCoDelSameFlowSameBin(t *testing.T) {
 	if q.bin(7) != q.bin(7) {
 		t.Fatal("hash not deterministic")
 	}
+}
+
+// --- differential oracle ----------------------------------------------
+
+// refSFQCoDel is the sfqCoDel this package shipped before the sparse
+// rewrite, kept verbatim as the differential oracle: 1 024 eager *CoDel
+// bins, a sliding service slice, an O(bins) Len and an O(bins) victim
+// search. TestSFQCoDelMatchesReference drives it beside SFQCoDel.
+type refSFQCoDel struct {
+	bins     []*CoDel
+	capBytes int // shared capacity across all bins
+	bytes    int
+	stats    Stats
+	onDrop   DropRecorder
+	pool     *packet.Pool
+
+	// Deficit round-robin state.
+	active  []int // bin indices in service order
+	inList  []bool
+	deficit []int
+	quantum int
+}
+
+func newRefSFQCoDel(nbins, capBytes int) *refSFQCoDel {
+	if nbins <= 0 {
+		panic("queue: NewSFQCoDel with non-positive bin count")
+	}
+	if capBytes <= 0 {
+		panic("queue: NewSFQCoDel with non-positive capacity")
+	}
+	s := &refSFQCoDel{
+		bins:     make([]*CoDel, nbins),
+		capBytes: capBytes,
+		inList:   make([]bool, nbins),
+		deficit:  make([]int, nbins),
+		quantum:  packet.MTU,
+	}
+	for i := range s.bins {
+		// Each bin's backstop is the shared capacity; the shared cap is
+		// enforced in Enqueue.
+		s.bins[i] = NewCoDel(capBytes)
+	}
+	return s
+}
+
+func (s *refSFQCoDel) SetDropRecorder(r DropRecorder) {
+	s.onDrop = r
+	for _, b := range s.bins {
+		b.SetDropRecorder(r)
+	}
+}
+
+func (s *refSFQCoDel) SetMarkRecorder(r MarkRecorder) {
+	for _, b := range s.bins {
+		b.SetMarkRecorder(r)
+	}
+}
+
+func (s *refSFQCoDel) SetPool(pl *packet.Pool) {
+	s.pool = pl
+	for _, b := range s.bins {
+		b.SetPool(pl)
+	}
+}
+
+func (s *refSFQCoDel) SetECNMarking(on bool) {
+	for _, b := range s.bins {
+		b.SetECNMarking(on)
+	}
+}
+
+func (s *refSFQCoDel) bin(flow int) int {
+	// Fibonacci hash of the flow ID; flows in our simulations are small
+	// integers, so mixing matters more than collision resistance.
+	h := uint64(flow+1) * 0x9e3779b97f4a7c15
+	return int(h % uint64(len(s.bins)))
+}
+
+func (s *refSFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
+	for s.bytes+p.Size > s.capBytes {
+		longest := -1
+		for i, b := range s.bins {
+			if b.Len() > 0 && (longest < 0 || b.Len() > s.bins[longest].Len()) {
+				longest = i
+			}
+		}
+		if longest < 0 {
+			// Nothing queued anywhere yet the packet alone exceeds
+			// capacity: reject it.
+			s.stats.DropsTail++
+			s.stats.BytesDropped += int64(p.Size)
+			if s.onDrop != nil {
+				s.onDrop(now, p)
+			}
+			return false
+		}
+		victim := s.bins[longest].q.pop()
+		s.bytes -= victim.Size
+		s.stats.DropsTail++
+		s.stats.BytesDropped += int64(victim.Size)
+		if s.onDrop != nil {
+			s.onDrop(now, victim)
+		}
+		if s.pool != nil {
+			s.pool.Put(victim)
+		}
+	}
+	i := s.bin(p.Flow)
+	if !s.bins[i].Enqueue(now, p) {
+		// Cannot happen: shared cap <= bin backstop and we made room.
+		s.stats.DropsTail++
+		return false
+	}
+	s.bytes += p.Size
+	s.stats.Enqueued++
+	if !s.inList[i] {
+		s.inList[i] = true
+		s.deficit[i] = s.quantum
+		s.active = append(s.active, i)
+	}
+	return true
+}
+
+func (s *refSFQCoDel) Dequeue(now units.Time) *packet.Packet {
+	for len(s.active) > 0 {
+		i := s.active[0]
+		b := s.bins[i]
+		if b.Len() == 0 {
+			// Bin emptied (possibly by overflow or CoDel drops).
+			s.active = s.active[1:]
+			s.inList[i] = false
+			continue
+		}
+		head := b.q.peek()
+		if s.deficit[i] < head.Size {
+			// Move to the back of the service list with a fresh quantum.
+			s.active = append(s.active[1:], i)
+			s.deficit[i] += s.quantum
+			continue
+		}
+		before := b.Bytes()
+		p := b.Dequeue(now)
+		s.bytes -= before - b.Bytes()
+		if p == nil {
+			// CoDel dropped the rest of the bin.
+			s.active = s.active[1:]
+			s.inList[i] = false
+			continue
+		}
+		s.deficit[i] -= p.Size
+		s.stats.Dequeued++
+		if b.Len() == 0 {
+			s.active = s.active[1:]
+			s.inList[i] = false
+		}
+		return p
+	}
+	return nil
+}
+
+func (s *refSFQCoDel) Len() int {
+	n := 0
+	for _, b := range s.bins {
+		n += b.Len()
+	}
+	return n
+}
+
+func (s *refSFQCoDel) Bytes() int { return s.bytes }
+
+func (s *refSFQCoDel) Stats() Stats {
+	st := s.stats
+	for _, b := range s.bins {
+		bst := b.Stats()
+		st.DropsAQM += bst.DropsAQM
+		st.MarksECN += bst.MarksECN
+		st.BytesDropped += bst.BytesDropped
+	}
+	return st
+}
+
+// lockstepQ is what a lockstep trace needs of each of its two queues.
+type lockstepQ interface {
+	Enqueue(now units.Time, p *packet.Packet) bool
+	Dequeue(now units.Time) *packet.Packet
+	Len() int
+	Bytes() int
+	Stats() Stats
+}
+
+// side is one of the two queues a lockstep trace drives, with the log
+// its drop and mark recorders write.
+type side struct {
+	q   lockstepQ
+	log []string
+}
+
+// record points the queue's recorders (those it has) at the side's log.
+func (s *side) record() {
+	if q, ok := s.q.(interface{ SetDropRecorder(DropRecorder) }); ok {
+		q.SetDropRecorder(func(now units.Time, p *packet.Packet) {
+			s.log = append(s.log, fmt.Sprintf("drop t=%d flow=%d seq=%d size=%d", now, p.Flow, p.Seq, p.Size))
+		})
+	}
+	if q, ok := s.q.(interface{ SetMarkRecorder(MarkRecorder) }); ok {
+		q.SetMarkRecorder(func(now units.Time, p *packet.Packet) {
+			s.log = append(s.log, fmt.Sprintf("mark t=%d flow=%d seq=%d", now, p.Flow, p.Seq))
+		})
+	}
+}
+
+// lockstepTrace describes a seeded random enqueue/dequeue trace.
+type lockstepTrace struct {
+	seed     uint64
+	steps    int
+	flows    int
+	sizes    []int          // packet sizes, drawn uniformly
+	ectShare float64        // share of packets that are ECN-capable
+	maxGap   units.Duration // largest time step between operations
+	// each, when non-nil, runs before every step (tests toggle modes
+	// mid-trace and count the situations they exist to provoke).
+	each func(step int)
+}
+
+// run drives both sides through the trace, giving each its own copy of
+// every packet, and fails at the first operation after which they
+// differ in the returned value, Len, Bytes, Stats or recorder log. The
+// arrival share swings between filling and draining phases so bins
+// both overflow and empty out; one step in 64 jumps time far enough
+// for CoDel to leave and re-enter its dropping state.
+func (tr lockstepTrace) run(t *testing.T, a, b *side) {
+	t.Helper()
+	r := rng.New(tr.seed).Split("lockstep")
+	now := units.Time(0)
+	arrive := 0.8
+	for step := 0; step < tr.steps; step++ {
+		if tr.each != nil {
+			tr.each(step)
+		}
+		if step%400 == 0 {
+			arrive = []float64{0.9, 0.6, 0.25}[r.Intn(3)]
+		}
+		now = now.Add(units.Duration(r.Intn(int(tr.maxGap) + 1)))
+		if r.Intn(64) == 0 {
+			now = now.Add(units.Duration(r.Intn(300)) * units.Millisecond)
+		}
+		what := "dequeue"
+		if r.Float64() < arrive {
+			what = "enqueue"
+			pa := &packet.Packet{
+				Flow: r.Intn(tr.flows), Seq: int64(step), Size: tr.sizes[r.Intn(len(tr.sizes))],
+				ECT: r.Float64() < tr.ectShare,
+			}
+			pb := new(packet.Packet)
+			*pb = *pa
+			if oa, ob := a.q.Enqueue(now, pa), b.q.Enqueue(now, pb); oa != ob {
+				t.Fatalf("step %d: enqueue of %+v accepted %v vs %v", step, *pa, oa, ob)
+			}
+		} else {
+			pa, pb := a.q.Dequeue(now), b.q.Dequeue(now)
+			if (pa == nil) != (pb == nil) || pa != nil && *pa != *pb {
+				t.Fatalf("step %d: dequeued %+v vs %+v", step, pa, pb)
+			}
+		}
+		if a.q.Len() != b.q.Len() || a.q.Bytes() != b.q.Bytes() {
+			t.Fatalf("step %d (%s): Len/Bytes %d/%d vs %d/%d", step, what, a.q.Len(), a.q.Bytes(), b.q.Len(), b.q.Bytes())
+		}
+		if sa, sb := a.q.Stats(), b.q.Stats(); sa != sb {
+			t.Fatalf("step %d (%s): stats %+v vs %+v", step, what, sa, sb)
+		}
+		if len(a.log) != len(b.log) || len(a.log) > 0 && a.log[len(a.log)-1] != b.log[len(b.log)-1] {
+			t.Fatalf("step %d (%s): recorder logs diverge:\n%v\n%v", step, what, tail(a.log), tail(b.log))
+		}
+	}
+	for i := range a.log {
+		if a.log[i] != b.log[i] {
+			t.Fatalf("recorder callback %d: %q vs %q", i, a.log[i], b.log[i])
+		}
+	}
+}
+
+func tail(log []string) []string {
+	if len(log) > 4 {
+		return log[len(log)-4:]
+	}
+	return log
+}
+
+// binSum is Len computed the old way, bin by bin.
+func (s *SFQCoDel) binSum() (pkts, bytes int) {
+	for i := range s.live {
+		pkts += s.live[i].q.len()
+		bytes += s.live[i].q.bytes
+	}
+	return pkts, bytes
+}
+
+// TestSFQCoDelMatchesReference drives the sparse sfqCoDel and the
+// implementation it replaced through the same seeded traces and
+// requires them to agree after every operation: returned packets, Len,
+// Bytes, Stats, and the order of drop and mark callbacks. Each case
+// names the situation it provokes and asserts the trace reached it.
+func TestSFQCoDelMatchesReference(t *testing.T) {
+	mtu := []int{packet.MTU}
+	cases := []struct {
+		name      string
+		nbins     int
+		capBytes  int
+		ecn, pool bool
+		tr        lockstepTrace
+		reached   func(st Stats) bool
+	}{
+		{"colliding-flows", 4, 60 * packet.MTU, false, true,
+			lockstepTrace{steps: 20000, flows: 13, sizes: mtu, maxGap: 2 * units.Millisecond},
+			func(st Stats) bool { return st.DropsAQM > 0 && st.DropsTail > 0 }},
+		{"overflow-ties", 16, 8 * packet.MTU, false, false,
+			lockstepTrace{steps: 20000, flows: 4, sizes: mtu, maxGap: units.Millisecond},
+			func(st Stats) bool { return st.DropsTail > 1000 }},
+		{"codel-bursts", SFQCoDelBins, 400 * packet.MTU, false, true,
+			lockstepTrace{steps: 30000, flows: 6, sizes: mtu, maxGap: 4 * units.Millisecond},
+			func(st Stats) bool { return st.DropsAQM > 100 }},
+		{"ecn-marking", 64, 200 * packet.MTU, true, true,
+			lockstepTrace{steps: 30000, flows: 8, sizes: mtu, ectShare: 0.7, maxGap: 3 * units.Millisecond},
+			func(st Stats) bool { return st.MarksECN > 0 && st.DropsAQM > 0 }},
+		{"sub-mtu", 8, 30 * packet.MTU, true, true,
+			lockstepTrace{steps: 30000, flows: 10, sizes: []int{packet.MTU, packet.ACKSize, 700, 100}, ectShare: 0.5, maxGap: 2 * units.Millisecond},
+			func(st Stats) bool { return st.DropsTail > 0 && st.DropsAQM+st.MarksECN > 0 }},
+		{"oversize-arrival", 8, 2 * packet.MTU, false, true,
+			lockstepTrace{steps: 5000, flows: 3, sizes: []int{packet.MTU, 3 * packet.MTU}, maxGap: units.Millisecond},
+			func(st Stats) bool { return st.DropsTail > 0 }},
+	}
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				got, ref := NewSFQCoDel(tc.nbins, tc.capBytes), newRefSFQCoDel(tc.nbins, tc.capBytes)
+				a, b := &side{q: got}, &side{q: ref}
+				if tc.pool {
+					got.SetPool(&packet.Pool{})
+					ref.SetPool(&packet.Pool{})
+				}
+				got.SetECNMarking(tc.ecn)
+				ref.SetECNMarking(tc.ecn)
+				a.record()
+				b.record()
+				ties := 0
+				tr := tc.tr
+				tr.seed = seed
+				tr.each = func(step int) {
+					if n, bytes := got.binSum(); n != got.Len() || bytes != got.Bytes() {
+						t.Fatalf("step %d: Len/Bytes %d/%d, bins hold %d/%d", step, got.Len(), got.Bytes(), n, bytes)
+					}
+					if ref.bytes+packet.MTU > ref.capBytes && tiedForLongest(ref) {
+						ties++
+					}
+					// Modes and recorders set while bins already exist
+					// must reach them, as they reached the eager bins.
+					if step == tr.steps/2 {
+						got.SetECNMarking(!tc.ecn)
+						ref.SetECNMarking(!tc.ecn)
+						a.record()
+						b.record()
+					}
+				}
+				tr.run(t, a, b)
+				if !tc.reached(got.Stats()) {
+					t.Fatalf("trace never reached the case it is named for: %+v", got.Stats())
+				}
+				if tc.name == "overflow-ties" && ties < 100 {
+					t.Fatalf("only %d overflows found equal-length longest bins", ties)
+				}
+			})
+		}
+	}
+}
+
+// tiedForLongest reports whether two or more of the reference's bins
+// share the greatest length, so that an overflow now exercises the
+// tie-break.
+func tiedForLongest(s *refSFQCoDel) bool {
+	best, n := 0, 0
+	for _, b := range s.bins {
+		switch l := b.Len(); {
+		case l > best:
+			best, n = l, 1
+		case l == best && l > 0:
+			n++
+		}
+	}
+	return n > 1
+}
+
+// TestSFQCoDelBinInvariantPanics pins the invariant the old code
+// counted as a drop: a bin cannot refuse a packet the shared buffer
+// has room for.
+func TestSFQCoDelBinInvariantPanics(t *testing.T) {
+	q := NewSFQCoDel(4, 10*packet.MTU)
+	q.Enqueue(0, mkpkt(1, 0))
+	q.live[0].capBytes = packet.MTU // corrupt the bin's backstop
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a bin rejecting a packet the buffer had room for must panic")
+		}
+	}()
+	q.Enqueue(0, mkpkt(1, 1))
 }

@@ -499,40 +499,52 @@ type Result struct {
 // order. It returns an error for an invalid spec (bad topology,
 // sender-count mismatch, missing seed, ...).
 //
-// Run has one path: the network it executes on is taken from a pool
-// of same-shape networks left by earlier runs (scheduler arena, packet
-// free lists, and per-flow rings already grown to a working set) and
-// re-derived for this spec by topo.BuildInto — or built by topo.Build
-// when the pool has none — then returned to the pool afterwards. The
-// fresh-world oracle the differential tests compare against is Build
-// followed by Finish, which never touches the pool.
+// Run has one path. It takes a world of the layout's shape from the
+// pool earlier runs left (scheduler arena, packet free list, per-flow
+// rings and queues already grown to a working set, next-hop tables
+// compiled) and builds only what that world cannot supply: a link's
+// queue is kept when this spec would build the same one, the route
+// tables when the routes and policy are unchanged (topo.World.Rebuild).
+// With no world to take it builds one (topo.NewWorld); either way the
+// world goes back to the pool afterwards. The fresh-world oracle the
+// differential tests compare against is Build followed by Finish,
+// which never touches the pool.
 func Run(spec Spec) ([]Result, error) {
-	lay, queues, flows, err := spec.prep()
+	lay, flows, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
 	k := worldKey{links: len(lay.Edges), flows: len(lay.Routes)}
-	nw := takeWorld(k)
-	if nw != nil {
-		if err := topo.BuildInto(nw, lay, queues, flows); err != nil {
-			return nil, err
-		}
-	} else if nw, err = topo.Build(lay, queues, flows); err != nil {
+	w := takeWorld(k)
+	var links []*netsim.Link
+	if w != nil {
+		links = w.Net.Links
+	}
+	queues, err := spec.queues(lay, links)
+	if err != nil {
 		return nil, err
 	}
-	spec.attach(nw)
-	res := finish(spec, lay, nw)
-	putWorld(k, nw)
+	if w != nil {
+		err = w.Rebuild(lay, queues, flows)
+	} else {
+		w, err = topo.NewWorld(lay, queues, flows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	spec.attach(w.Net)
+	res := finish(spec, lay, w.Net)
+	putWorld(k, w)
 	return res, nil
 }
 
-// worldKey identifies the pool bucket a network can be recycled from:
-// its shape (link and flow counts), the only thing topo.BuildInto
+// worldKey identifies the pool bucket a world can be recycled from:
+// its shape (link and flow counts), the only thing topo.World.Rebuild
 // cannot re-derive. Everything else — rates, delays, queues,
 // algorithms, workloads, paths — is per-run.
 type worldKey struct{ links, flows int }
 
-// worldPoolCap bounds how many idle networks each shape retains;
+// worldPoolCap bounds how many idle worlds each shape retains;
 // beyond it, finished worlds are dropped to the garbage collector.
 // Callers run at most a handful of scenarios concurrently per shape
 // (the trainer's evaluation workers), so a small per-shape stack
@@ -541,12 +553,12 @@ const worldPoolCap = 8
 
 var (
 	worldMu   sync.Mutex
-	worldPool = map[worldKey][]*netsim.Network{}
+	worldPool = map[worldKey][]*topo.World{}
 )
 
-// takeWorld pops an idle same-shape network, or returns nil when the
-// caller should build fresh.
-func takeWorld(k worldKey) *netsim.Network {
+// takeWorld pops an idle same-shape world, or returns nil when the
+// caller should build one.
+func takeWorld(k worldKey) *topo.World {
 	worldMu.Lock()
 	defer worldMu.Unlock()
 	ws := worldPool[k]
@@ -554,19 +566,19 @@ func takeWorld(k worldKey) *netsim.Network {
 	if n == 0 {
 		return nil
 	}
-	nw := ws[n-1]
+	w := ws[n-1]
 	ws[n-1] = nil
 	worldPool[k] = ws[:n-1]
-	return nw
+	return w
 }
 
-// putWorld returns a finished network to its shape's pool, unless the
+// putWorld returns a finished world to its shape's pool, unless the
 // pool is full.
-func putWorld(k worldKey, nw *netsim.Network) {
+func putWorld(k worldKey, w *topo.World) {
 	worldMu.Lock()
 	defer worldMu.Unlock()
 	if len(worldPool[k]) < worldPoolCap {
-		worldPool[k] = append(worldPool[k], nw)
+		worldPool[k] = append(worldPool[k], w)
 	}
 }
 
@@ -586,7 +598,11 @@ func MustRun(spec Spec) []Result {
 // Finish. The returned queues are the gateway disciplines in link
 // order. A built network never enters the world pool.
 func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
-	lay, queues, flows, err := spec.prep()
+	lay, flows, err := spec.plan()
+	if err != nil {
+		return nil, nil, err
+	}
+	queues, err := spec.queues(lay, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -598,46 +614,37 @@ func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
 	return nw, queues, nil
 }
 
-// prep validates the spec and compiles everything a network build
-// needs: the layout graph, the gateway queue per link, and the
-// per-flow algorithm/workload pairs. Run and Build both start here.
-func (s *Spec) prep() (*topo.Graph, []queue.Discipline, []topo.FlowSpec, error) {
+// plan validates the spec and compiles what a run needs whichever
+// network hosts it: the layout graph and the per-flow
+// algorithm/workload pairs. Run and Build both start here.
+func (s *Spec) plan() (*topo.Graph, []topo.FlowSpec, error) {
 	if s.Seed == nil {
-		return nil, nil, nil, fmt.Errorf("scenario: spec needs a seed stream")
+		return nil, nil, fmt.Errorf("scenario: spec needs a seed stream")
 	}
 	if s.Duration <= 0 {
-		return nil, nil, nil, fmt.Errorf("scenario: spec needs a positive duration")
+		return nil, nil, fmt.Errorf("scenario: spec needs a positive duration")
 	}
 	if s.ECN && s.Buffering == NoDrop {
-		return nil, nil, nil, fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
+		return nil, nil, fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
 	}
 	if s.ECNThresholdBytes < 0 {
-		return nil, nil, nil, fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
+		return nil, nil, fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
 	}
 	if err := s.VarRate.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	lay, err := s.Layout()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-
 	if len(s.LinkBufferBDP) > len(lay.Edges) {
-		return nil, nil, nil, fmt.Errorf("scenario: %d per-link buffer overrides for %d links",
+		return nil, nil, fmt.Errorf("scenario: %d per-link buffer overrides for %d links",
 			len(s.LinkBufferBDP), len(lay.Edges))
 	}
 	for i, bdp := range s.LinkBufferBDP {
 		if bdp < 0 {
-			return nil, nil, nil, fmt.Errorf("scenario: link %d has negative buffer override %v BDP", i, bdp)
+			return nil, nil, fmt.Errorf("scenario: link %d has negative buffer override %v BDP", i, bdp)
 		}
-	}
-	queues := make([]queue.Discipline, len(lay.Edges))
-	for i, e := range lay.Edges {
-		q, err := s.mkQueue(i, e)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		queues[i] = q
 	}
 
 	flows := make([]topo.FlowSpec, len(s.Senders))
@@ -645,14 +652,35 @@ func (s *Spec) prep() (*topo.Graph, []queue.Discipline, []topo.FlowSpec, error) 
 		wl := snd.Workload
 		if wl == nil {
 			if s.MeanOn <= 0 || s.MeanOff <= 0 {
-				return nil, nil, nil, fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
+				return nil, nil, fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
 					i, s.MeanOn, s.MeanOff)
 			}
 			wl = workload.NewOnOff(s.MeanOn, s.MeanOff, s.Seed.SplitN("workload", i))
 		}
 		flows[i] = topo.FlowSpec{Alg: snd.Alg, Workload: wl}
 	}
-	return lay, queues, flows, nil
+	return lay, flows, nil
+}
+
+// queues returns the gateway queue of every link of the layout, in
+// link order. links are the links of the pooled world the run is about
+// to take over, nil when it builds a new one: where a link already
+// holds the queue this spec would build, that queue is returned, for
+// Link.Reinit to reset and keep.
+func (s *Spec) queues(lay *topo.Graph, links []*netsim.Link) ([]queue.Discipline, error) {
+	queues := make([]queue.Discipline, len(lay.Edges))
+	for i, e := range lay.Edges {
+		var old queue.Discipline
+		if links != nil {
+			old = links[i].Queue()
+		}
+		q, err := s.mkQueue(i, e, old)
+		if err != nil {
+			return nil, err
+		}
+		queues[i] = q
+	}
+	return queues, nil
 }
 
 // attach wires the spec's per-run signal and trace planes into a built
@@ -684,13 +712,17 @@ func MustBuild(spec Spec) (*netsim.Network, []queue.Discipline) {
 	return nw, queues
 }
 
-// mkQueue builds the gateway queue for link i (edge e of the compiled
-// layout). Capacity resolves per link: the edge's explicit byte
-// override, then the per-link BDP override, then the spec-wide
-// BufferBDP.
-func (s *Spec) mkQueue(i int, e topo.Edge) (queue.Discipline, error) {
+// mkQueue returns the gateway queue for link i (edge e of the compiled
+// layout): old, when it is the discipline this spec would build at the
+// capacity it would build it with, a new one otherwise. Capacity
+// resolves per link: the edge's explicit byte override, then the
+// per-link BDP override, then the spec-wide BufferBDP.
+func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
 	switch s.Buffering {
 	case NoDrop:
+		if q, ok := old.(*queue.Infinite); ok {
+			return q, nil
+		}
 		return queue.NewInfinite(), nil
 	case FiniteDropTail, SfqCoDel, CoDelAQM:
 		// An explicit edge override is used verbatim — a tiny-buffer
@@ -718,11 +750,17 @@ func (s *Spec) mkQueue(i int, e topo.Edge) (queue.Discipline, error) {
 		}
 		switch s.Buffering {
 		case SfqCoDel:
-			q := queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
+			q, ok := old.(*queue.SFQCoDel)
+			if !ok || q.Capacity() != capBytes {
+				q = queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
+			}
 			q.SetECNMarking(s.ECN)
 			return q, nil
 		case CoDelAQM:
-			q := queue.NewCoDel(capBytes)
+			q, ok := old.(*queue.CoDel)
+			if !ok || q.Capacity() != capBytes {
+				q = queue.NewCoDel(capBytes)
+			}
 			q.SetECNMarking(s.ECN)
 			return q, nil
 		}
@@ -734,7 +772,13 @@ func (s *Spec) mkQueue(i int, e topo.Edge) (queue.Discipline, error) {
 			if thresh <= 0 {
 				thresh = capBytes
 			}
+			if q, ok := old.(*queue.MarkingDropTail); ok && q.Capacity() == capBytes && q.MarkThreshold() == thresh {
+				return q, nil
+			}
 			return queue.NewMarkingDropTail(capBytes, thresh), nil
+		}
+		if q, ok := old.(*queue.DropTail); ok && q.Capacity() == capBytes {
+			return q, nil
 		}
 		return queue.NewDropTail(capBytes), nil
 	default:
@@ -765,6 +809,7 @@ func finish(spec Spec, lay *topo.Graph, nw *netsim.Network) []Result {
 		nw.Sample(interval, spec.Probe)
 	}
 	sts := nw.Run(spec.Duration)
+	shares := lay.FairShares()
 	out := make([]Result, len(sts))
 	for i, st := range sts {
 		out[i] = Result{
@@ -773,7 +818,7 @@ func finish(spec Spec, lay *topo.Graph, nw *netsim.Network) []Result {
 			Delay:       st.AvgDelay(),
 			QueueDelay:  st.AvgQueueingDelay(),
 			MinRTT:      st.MinRTT,
-			FairShare:   lay.FairShare(i),
+			FairShare:   shares[i],
 			OnTime:      st.OnTime,
 			Retransmits: st.Retransmits,
 			Timeouts:    st.Timeouts,

@@ -1,6 +1,18 @@
 package scenario
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"learnability/internal/cc"
+	"learnability/internal/cc/cubic"
+	"learnability/internal/cc/newreno"
+	"learnability/internal/netsim"
+	"learnability/internal/queue"
+	"learnability/internal/rng"
+	"learnability/internal/topo"
+	"learnability/internal/units"
+)
 
 // Differential tests for world recycling: a Run executed on a network
 // recycled from the world pool (scheduler arena, packet free lists,
@@ -60,4 +72,216 @@ func TestWorldReuseAcrossSpecs(t *testing.T) {
 
 	got = MustRun(mks["remycc-dumbbell"](13))
 	mustEqual(t, "remycc after sfqcodel", got, runFresh(mks["remycc-dumbbell"](13)))
+}
+
+// fabricSpec is the benchmark's fat-tree op: a k=4 pod-crossing
+// permutation (96 links, 16 flows) at 32 Mbps and 20 ms under the
+// given routing policy and gateway queue.
+func fabricSpec(routing topo.RoutingPolicy, buf Buffering, ecn bool, alg func() cc.Algorithm, seed uint64) Spec {
+	t := FatTreeTopology(4, routing)
+	spec := Spec{
+		Topology:  t,
+		LinkSpeed: 32 * units.Mbps,
+		MinRTT:    20 * units.Millisecond,
+		Buffering: buf,
+		BufferBDP: 5,
+		ECN:       ecn,
+		MeanOn:    200 * units.Millisecond,
+		MeanOff:   200 * units.Millisecond,
+		Duration:  units.Second,
+		Seed:      rng.New(seed),
+	}
+	for i := 0; i < t.FlowCount(0); i++ {
+		spec.Senders = append(spec.Senders, Sender{Alg: alg(), Delta: 1})
+	}
+	return spec
+}
+
+// idleWorld is the world the next Run of this shape will take.
+func idleWorld(t *testing.T, links, flows int) *topo.World {
+	t.Helper()
+	worldMu.Lock()
+	defer worldMu.Unlock()
+	ws := worldPool[worldKey{links, flows}]
+	if len(ws) == 0 {
+		t.Fatalf("no idle %d-link %d-flow world", links, flows)
+	}
+	return ws[len(ws)-1]
+}
+
+// TestWorldPoolFlips drives one 96-link world through the benchmark's
+// own order — ECMP, Spray, Adaptive, each over drop-tail, sfqCoDel and
+// CoDel+ECN, two algorithms apiece — then through a change of marking
+// mode on a kept queue, and all the way back, and requires every run
+// to equal a new world's in every flow's statistics, every link's
+// packet counts and every queue's counters, not only in the Results.
+// What it catches: next-hop tables kept across a routes or policy
+// change, spray cursors that carry over, and a kept queue with the last
+// run's recorder, marking mode, bins or CoDel drop schedule.
+func TestWorldPoolFlips(t *testing.T) {
+	type step struct {
+		routing topo.RoutingPolicy
+		buf     Buffering
+		ecn     bool
+		alg     func() cc.Algorithm
+	}
+	var steps []step
+	for _, r := range []topo.RoutingPolicy{topo.ECMP, topo.Spray, topo.Adaptive} {
+		for _, q := range []struct {
+			buf Buffering
+			ecn bool
+		}{{FiniteDropTail, false}, {SfqCoDel, false}, {CoDelAQM, true}} {
+			steps = append(steps,
+				step{r, q.buf, q.ecn, func() cc.Algorithm { return cubic.New() }},
+				step{r, q.buf, q.ecn, func() cc.Algorithm { return newreno.New() }})
+		}
+	}
+	// The same queue kept across a change of marking mode, both ways.
+	alg := func() cc.Algorithm { return cubic.New() }
+	steps = append(steps,
+		step{topo.Adaptive, SfqCoDel, false, alg},
+		step{topo.Adaptive, SfqCoDel, true, alg},
+		step{topo.Adaptive, CoDelAQM, false, alg},
+		step{topo.Adaptive, CoDelAQM, true, alg})
+	for i := len(steps) - 2; i >= 0; i-- {
+		steps = append(steps, steps[i])
+	}
+
+	var world *topo.World
+	var kept, compiled int
+	for i, st := range steps {
+		mk := func() Spec { return fabricSpec(st.routing, st.buf, st.ecn, st.alg, uint64(100+i)) }
+		label := fmt.Sprintf("step %d (%v, buffering %d, ecn %v)", i, st.routing, st.buf, st.ecn)
+
+		var before []queue.Discipline
+		if world != nil {
+			for _, l := range world.Net.Links {
+				before = append(before, l.Queue())
+			}
+		}
+		got := MustRun(mk())
+		w := idleWorld(t, 96, 16)
+		if world == nil {
+			world = w
+		} else if w != world {
+			t.Fatalf("%s ran on another world", label)
+		}
+		if before != nil && before[0] == w.Net.Links[0].Queue() {
+			kept++
+		}
+		if i > 0 && steps[i-1].routing != st.routing {
+			compiled++
+		}
+
+		spec := mk()
+		fresh, queues := MustBuild(spec)
+		mustEqual(t, label, got, Finish(spec, fresh))
+		for f := range fresh.Flows {
+			if *w.Net.Flows[f].Stats != *fresh.Flows[f].Stats {
+				t.Fatalf("%s flow %d: recycled %+v != fresh %+v", label, f, *w.Net.Flows[f].Stats, *fresh.Flows[f].Stats)
+			}
+		}
+		var marks, drops int64
+		for li, l := range fresh.Links {
+			in, out := l.Counts()
+			if rin, rout := w.Net.Links[li].Counts(); rin != in || rout != out || w.Net.Links[li].InFlight() != l.InFlight() {
+				t.Fatalf("%s link %d: recycled in/out/in-flight %d/%d/%d != fresh %d/%d/%d",
+					label, li, rin, rout, w.Net.Links[li].InFlight(), in, out, l.InFlight())
+			}
+			if rst, st := w.Net.Links[li].Queue().Stats(), queues[li].Stats(); rst != st {
+				t.Fatalf("%s link %d queue: recycled %+v != fresh %+v", label, li, rst, st)
+			}
+			marks += queues[li].Stats().MarksECN
+			drops += queues[li].Stats().Drops()
+		}
+		if st.ecn && marks == 0 || !st.ecn && drops == 0 {
+			t.Fatalf("%s: %d marks, %d drops: the queues were never stressed", label, marks, drops)
+		}
+	}
+	if kept < len(steps)/2-1 || compiled != 4 {
+		t.Fatalf("%d of %d runs kept their queues, %d changed policy: the order no longer exercises both", kept, len(steps), compiled)
+	}
+}
+
+// TestWorldKeepsRouteTables pins the other half of the contract: the
+// same routes under the same policy are not compiled again, and a
+// different placement under the same policy is.
+func TestWorldKeepsRouteTables(t *testing.T) {
+	alg := func() cc.Algorithm { return cubic.New() }
+	MustRun(fabricSpec(topo.Spray, FiniteDropTail, false, alg, 1))
+	w := idleWorld(t, 96, 16)
+	uplink := w.Net.Links[0] // host 0's, where flow 0 picks its aggregation switch
+	if uplink.Fanout(0) != 2 {
+		t.Fatalf("flow 0 has %d candidates at its uplink, want the pod's 2 aggregation switches", uplink.Fanout(0))
+	}
+	allocs := testing.AllocsPerRun(1, func() { MustRun(fabricSpec(topo.Spray, FiniteDropTail, false, alg, 2)) })
+	if idleWorld(t, 96, 16) != w {
+		t.Fatal("rerun took another world")
+	}
+	// A recompile makes a table per link and a candidate set per
+	// fan-out point, some 500 allocations on top of the run's own.
+	if allocs > fabricRunAllocs {
+		t.Fatalf("a rerun with unchanged routes made %v allocations, budget %d", allocs, fabricRunAllocs)
+	}
+
+	// Same shape and policy, other routes: host 0 now sends to host 1,
+	// under its own edge switch, so its uplink hands to that switch's
+	// downlink instead of an aggregation uplink.
+	ft, err := topo.FatTree(4, 32*units.Mbps, topo.FatTreeDelays{Host: units.Millisecond, Pod: units.Millisecond, Core: units.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < ft.Hosts(); h++ {
+		if _, err := ft.AddFlow(h, h^1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft.G.Routing = topo.Spray
+	spec := fabricSpec(topo.Spray, FiniteDropTail, false, alg, 3)
+	spec.Topology = GraphTopology(&ft.G)
+	got := MustRun(spec)
+	if idleWorld(t, 96, 16) != w {
+		t.Fatal("graph run took another world")
+	}
+	if uplink.NextHop(0) != netsim.Deliverer(w.Net.Links[ft.HostDownlink(1)]) {
+		t.Fatal("flow 0's uplink still routes along the permutation's path")
+	}
+	mustEqual(t, "neighbour placement", got, runFresh(spec))
+}
+
+// fabricRunAllocs is the allocation budget of one pooled k=4 fat-tree
+// Run whose world already holds this spec's queues and routes: the
+// layout graph (≈ 230: the fabric's edges and index tables, then four
+// six-hop paths for each of 16 flows), 16 senders' controller and
+// workload state, and the result slices. The gateway queues, the
+// next-hop tables and the packet population contribute nothing. Before
+// the fabric hot path was flattened this was ≈ 110 000 with sfqCoDel.
+const fabricRunAllocs = 400
+
+// TestPooledFabricRunAllocationBudget holds a pooled fat-tree Run to
+// that budget under every gateway queue.
+func TestPooledFabricRunAllocationBudget(t *testing.T) {
+	for _, q := range []struct {
+		name string
+		buf  Buffering
+		ecn  bool
+	}{{"droptail", FiniteDropTail, false}, {"sfqcodel", SfqCoDel, false}, {"codel+ecn", CoDelAQM, true}} {
+		t.Run(q.name, func(t *testing.T) {
+			spec := func(seed uint64) Spec {
+				return fabricSpec(topo.Adaptive, q.buf, q.ecn, func() cc.Algorithm { return cubic.New() }, seed)
+			}
+			// Two runs grow the world's rings to the working set.
+			MustRun(spec(1))
+			MustRun(spec(2))
+			seed := uint64(3)
+			allocs := testing.AllocsPerRun(3, func() {
+				MustRun(spec(seed))
+				seed++
+			})
+			if allocs > fabricRunAllocs {
+				t.Fatalf("a pooled fat-tree run makes %v allocations, budget %d", allocs, fabricRunAllocs)
+			}
+			t.Logf("%v allocations per pooled run", allocs)
+		})
+	}
 }

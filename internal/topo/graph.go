@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"learnability/internal/netsim"
 	"learnability/internal/queue"
@@ -48,11 +49,16 @@ type Route struct {
 	Reverse units.Duration `json:"reverse,omitempty"`
 }
 
-// paths lists the route's paths: primary first, then alternates.
-func (rt *Route) paths() [][]int {
-	ps := make([][]int, 0, 1+len(rt.Alts))
-	ps = append(ps, rt.Links)
-	return append(ps, rt.Alts...)
+// numPaths is the number of paths in the route's set.
+func (rt *Route) numPaths() int { return 1 + len(rt.Alts) }
+
+// path returns the route's i-th path: the primary first, then the
+// alternates.
+func (rt *Route) path(i int) []int {
+	if i == 0 {
+		return rt.Links
+	}
+	return rt.Alts[i-1]
 }
 
 // Graph is a declarative multi-hop topology: links are edges, and every
@@ -100,23 +106,30 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("topo: edge %d has negative buffer override %d", i, e.Buffer)
 		}
 	}
-	for f, rt := range g.Routes {
+	// seen[li] holds the number of the last path that visited edge li,
+	// so one slice serves every path of every route.
+	seen := make([]int, len(g.Edges))
+	var cyc cycleCheck
+	npath := 0
+	for f := range g.Routes {
+		rt := &g.Routes[f]
 		if rt.Reverse < 0 {
 			return fmt.Errorf("topo: route %d has negative reverse delay %v", f, rt.Reverse)
 		}
-		for pi, path := range rt.paths() {
+		for pi := 0; pi < rt.numPaths(); pi++ {
+			path := rt.path(pi)
 			if len(path) == 0 {
 				return fmt.Errorf("topo: route %d path %d is empty", f, pi)
 			}
-			seen := make(map[int]bool, len(path))
+			npath++
 			for _, li := range path {
 				if li < 0 || li >= len(g.Edges) {
 					return fmt.Errorf("topo: route %d path %d references edge %d of %d", f, pi, li, len(g.Edges))
 				}
-				if seen[li] {
+				if seen[li] == npath {
 					return fmt.Errorf("topo: route %d path %d visits edge %d twice", f, pi, li)
 				}
-				seen[li] = true
+				seen[li] = npath
 			}
 			if path[0] != rt.Links[0] {
 				return fmt.Errorf("topo: route %d path %d starts at edge %d, not the flow's first hop %d (all paths share the sender's uplink)",
@@ -124,7 +137,7 @@ func (g *Graph) Validate() error {
 			}
 		}
 		if len(rt.Alts) > 0 {
-			if err := g.checkAcyclic(f); err != nil {
+			if err := cyc.check(g, f); err != nil {
 				return err
 			}
 		}
@@ -132,70 +145,82 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// checkAcyclic verifies flow f's union successor relation — the set of
-// next-edge choices a packet can face at each edge, over all of the
+// cycleCheck verifies that a flow's union successor relation — the set
+// of next-edge choices a packet can face at each edge, over all of the
 // flow's paths — contains no cycle. Each path is individually acyclic,
 // but per-packet selection can mix segments of different paths, so the
-// union must be a DAG for forwarding to terminate.
-func (g *Graph) checkAcyclic(f int) error {
-	const (
-		unvisited = 0
-		onStack   = 1
-		done      = 2
-	)
-	state := make(map[int]uint8)
-	var visit func(li int) error
-	visit = func(li int) error {
-		switch state[li] {
-		case onStack:
-			return fmt.Errorf("topo: route %d's alternative paths create a forwarding cycle through edge %d", f, li)
-		case done:
-			return nil
-		}
-		state[li] = onStack
-		for _, s := range g.succEdges(f, li) {
-			if s < 0 {
-				continue // receiver: terminal
-			}
-			if err := visit(s); err != nil {
+// union must be a DAG for forwarding to terminate. Its slices are
+// scratch, reused from flow to flow.
+type cycleCheck struct {
+	g     *Graph
+	f     int
+	state []uint8 // per edge: unvisited, on the DFS stack, or done
+	succ  []int   // successor lists of the edges on the DFS stack
+}
+
+const (
+	edgeUnvisited = iota
+	edgeOnStack
+	edgeDone
+)
+
+func (c *cycleCheck) check(g *Graph, f int) error {
+	c.g, c.f = g, f
+	if c.state == nil {
+		c.state = make([]uint8, len(g.Edges))
+	}
+	clear(c.state)
+	return c.visit(g.Routes[f].Links[0])
+}
+
+func (c *cycleCheck) visit(li int) error {
+	switch c.state[li] {
+	case edgeOnStack:
+		return fmt.Errorf("topo: route %d's alternative paths create a forwarding cycle through edge %d", c.f, li)
+	case edgeDone:
+		return nil
+	}
+	c.state[li] = edgeOnStack
+	lo := len(c.succ)
+	c.succ = c.g.appendSucc(c.succ, c.f, li)
+	for i, hi := lo, len(c.succ); i < hi; i++ {
+		if s := c.succ[i]; s >= 0 { // -1 is the receiver: terminal
+			if err := c.visit(s); err != nil {
 				return err
 			}
 		}
-		state[li] = done
-		return nil
 	}
-	return visit(g.Routes[f].Links[0])
+	c.succ = c.succ[:lo]
+	c.state[li] = edgeDone
+	return nil
 }
 
-// succEdges returns flow f's deduplicated successor choices at edge li,
-// in deterministic path order (primary path first, then alternates);
-// -1 denotes the flow's receiver. Empty when the flow never traverses
-// li. Route compilation and cycle checking share this relation, so the
-// compiled tables follow exactly the validated graph.
-func (g *Graph) succEdges(f, li int) []int {
-	var out []int
-	add := func(s int) {
-		for _, x := range out {
-			if x == s {
-				return
-			}
-		}
-		out = append(out, s)
-	}
-	for _, path := range g.Routes[f].paths() {
+// appendSucc appends to dst flow f's deduplicated successor choices at
+// edge li, in deterministic path order (primary path first, then
+// alternates); -1 denotes the flow's receiver. Nothing is appended
+// when the flow never traverses li. Route compilation and cycle
+// checking share this relation, so the compiled tables follow exactly
+// the validated graph.
+func (g *Graph) appendSucc(dst []int, f, li int) []int {
+	base := len(dst)
+	rt := &g.Routes[f]
+	for pi := 0; pi < rt.numPaths(); pi++ {
+		path := rt.path(pi)
 		for pos, l := range path {
 			if l != li {
 				continue
 			}
+			s := -1
 			if pos+1 < len(path) {
-				add(path[pos+1])
-			} else {
-				add(-1)
+				s = path[pos+1]
+			}
+			if !slices.Contains(dst[base:], s) {
+				dst = append(dst, s)
 			}
 			break
 		}
 	}
-	return out
+	return dst
 }
 
 // NumFlows reports the number of flows the graph routes.
@@ -208,9 +233,10 @@ func (g *Graph) NumFlows() int { return len(g.Routes) }
 // is the best case, which is what a minimum-RTT estimator converges to.
 func (g *Graph) PathProp(f int) units.Duration {
 	var best units.Duration
-	for pi, path := range g.Routes[f].paths() {
+	rt := &g.Routes[f]
+	for pi := 0; pi < rt.numPaths(); pi++ {
 		var sum units.Duration
-		for _, li := range path {
+		for _, li := range rt.path(pi) {
 			sum += g.Edges[li].Prop
 		}
 		if pi == 0 || sum < best {
@@ -235,40 +261,46 @@ func (g *Graph) MinRTT(f int) units.Duration {
 	return g.PathProp(f) + g.ReverseDelay(f)
 }
 
-// FlowsOn reports how many flows can traverse edge li — a flow counts
-// if any of its paths (primary or alternate) includes the edge.
-func (g *Graph) FlowsOn(li int) int {
-	n := 0
+// FairShares is every flow's equal split of its path bottleneck, in
+// flow order: the minimum over the primary path's edges of the edge
+// rate divided by the number of flows that can traverse that edge (a
+// flow counts if any of its paths, primary or alternate, includes it).
+// It is derived from path membership, so it is correct for any
+// single-path graph — including parking lots whose links carry other
+// than two flows each. For multipath routes it is an approximation
+// along the primary path: contending flows that merely *can* use an
+// edge still count against it, so symmetric fat-trees (where every
+// flow's paths are statistically alike) get the intended per-host share
+// while asymmetric placements read as the conservative single-path
+// bound. The per-edge flow counts are taken in one pass over the
+// routes, so the whole table costs one walk of the graph.
+func (g *Graph) FairShares() []units.Rate {
+	flowsOn := make([]int, len(g.Edges))
+	seen := make([]int, len(g.Edges)) // 1 + the last flow counted on the edge
 	for f := range g.Routes {
-		if len(g.succEdges(f, li)) > 0 {
-			n++
+		rt := &g.Routes[f]
+		for pi := 0; pi < rt.numPaths(); pi++ {
+			for _, li := range rt.path(pi) {
+				if seen[li] != f+1 {
+					seen[li] = f + 1
+					flowsOn[li]++
+				}
+			}
 		}
 	}
-	return n
-}
-
-// FairShare is flow f's equal split of its path bottleneck: the minimum
-// over the primary path's edges of the edge rate divided by the number
-// of flows routed over that edge. It is derived from path membership,
-// so it is correct for any single-path graph — including parking lots
-// whose links carry other than two flows each. For multipath routes it
-// is an approximation along the primary path: contending flows that
-// merely *can* use an edge still count against it, so symmetric
-// fat-trees (where every flow's paths are statistically alike) get the
-// intended per-host share while asymmetric placements read as the
-// conservative single-path bound.
-func (g *Graph) FairShare(f int) units.Rate {
-	var best units.Rate
-	for i, li := range g.Routes[f].Links {
-		share := g.Edges[li].Rate / units.Rate(g.FlowsOn(li))
-		if i == 0 || share < best {
-			best = share
+	shares := make([]units.Rate, len(g.Routes))
+	for f := range g.Routes {
+		for i, li := range g.Routes[f].Links {
+			share := g.Edges[li].Rate / units.Rate(flowsOn[li])
+			if i == 0 || share < shares[f] {
+				shares[f] = share
+			}
 		}
 	}
-	return best
+	return shares
 }
 
-// validateBuild checks the full Build/BuildInto input set: the graph
+// validateBuild checks the full NewWorld/Rebuild input set: the graph
 // itself, the queue-per-edge and flow-per-route correspondences, and
 // that every flow has an algorithm and a workload.
 func validateBuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
@@ -318,93 +350,131 @@ func ecmpIndex(flow, link, n int) int {
 // fast path too); Spray and Adaptive install the candidate set and a
 // packet-time selector. Links with no fanout>1 entry get the plain
 // route table, so classic topologies are untouched.
-func installRoutes(g *Graph, links []*netsim.Link, receivers []*netsim.Receiver) {
+func installRoutes(g *Graph, nw *netsim.Network) {
 	nf := len(g.Routes)
-	for li := range links {
+	var succ []int
+	for li, link := range nw.Links {
 		next := make([]netsim.Deliverer, nf)
 		var multi []netsim.NextHops
 		for f := range g.Routes {
-			succ := g.succEdges(f, li)
+			succ = g.appendSucc(succ[:0], f, li)
 			switch {
 			case len(succ) == 0:
 				// Flow never traverses this link.
 			case len(succ) == 1:
-				next[f] = hopDeliverer(succ[0], f, links, receivers)
+				next[f] = hopDeliverer(succ[0], f, nw)
 			case g.Routing == ECMP:
-				next[f] = hopDeliverer(succ[ecmpIndex(f, li, len(succ))], f, links, receivers)
+				next[f] = hopDeliverer(succ[ecmpIndex(f, li, len(succ))], f, nw)
 			default:
 				if multi == nil {
 					multi = make([]netsim.NextHops, nf)
 				}
 				cands := make([]netsim.Deliverer, len(succ))
-				qs := make([]queue.Discipline, len(succ))
 				for i, s := range succ {
-					cands[i] = hopDeliverer(s, f, links, receivers)
-					if s >= 0 {
-						qs[i] = links[s].Queue()
-					}
+					cands[i] = hopDeliverer(s, f, nw)
 				}
-				multi[f] = netsim.NextHops{Cands: cands, Queues: qs}
+				multi[f].Cands = cands
 			}
 		}
 		if multi != nil {
-			links[li].SetMultiRoute(next, multi, g.Routing.Selector())
+			link.SetMultiRoute(next, multi, g.Routing.Selector())
 		} else {
-			links[li].SetRoute(next)
+			link.SetRoute(next)
 		}
 	}
 }
 
 // hopDeliverer resolves a successor-edge index (-1 = receiver) to the
 // Deliverer packets of flow f are handed to.
-func hopDeliverer(succ, f int, links []*netsim.Link, receivers []*netsim.Receiver) netsim.Deliverer {
+func hopDeliverer(succ, f int, nw *netsim.Network) netsim.Deliverer {
 	if succ < 0 {
-		return receivers[f]
+		return nw.Flows[f].Receiver
 	}
-	return links[succ]
+	return nw.Links[succ]
 }
 
-// Build compiles the graph into a runnable network: one netsim.Link per
-// edge (queues[i] gating edge i), one sender/receiver pair per route,
-// and a flat flow-indexed next-hop table on every link so per-packet
-// forwarding stays allocation-free. Per-flow PropDelay, MinRTT, and
-// reverse-path delay are derived from path membership.
-func Build(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
+// World is a built network together with what lets the next run take
+// it over instead of building another. A world keeps, from run to run:
+// the scheduler's event arena, the packet free list, every sender's and
+// receiver's rings, each link's queue when the next run asks for the
+// same one, and the links' next-hop tables while the routes and routing
+// policy they were compiled from stay the same. Everything else —
+// rates, delays, algorithms, workloads, counters, control-law state —
+// is re-derived by Rebuild, so a rebuilt world is observably identical
+// to a new one built from the same inputs.
+type World struct {
+	// Net is the network, ready to run once NewWorld or Rebuild
+	// returns.
+	Net *netsim.Network
+
+	// routeKey spells out the routes and policy the links' tables were
+	// compiled from; scratch is where Rebuild spells out the next
+	// run's to compare.
+	routeKey, scratch []int
+}
+
+// appendRouteKey appends everything route compilation reads from the
+// graph: the policy, and every path of every flow, length-prefixed so
+// that equal keys mean equal path sets.
+func appendRouteKey(dst []int, g *Graph) []int {
+	dst = append(dst, int(g.Routing), len(g.Routes))
+	for f := range g.Routes {
+		rt := &g.Routes[f]
+		dst = append(dst, rt.numPaths())
+		for pi := 0; pi < rt.numPaths(); pi++ {
+			dst = append(dst, len(rt.path(pi)))
+			dst = append(dst, rt.path(pi)...)
+		}
+	}
+	return dst
+}
+
+// NewWorld compiles the graph into a runnable network: one netsim.Link
+// per edge (queues[i] gating edge i), one sender/receiver pair per
+// route, and a flat flow-indexed next-hop table on every link so
+// per-packet forwarding stays allocation-free. Per-flow PropDelay,
+// MinRTT, and reverse-path delay are derived from path membership.
+func NewWorld(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*World, error) {
 	if err := validateBuild(g, queues, flows); err != nil {
 		return nil, err
 	}
 	nw := netsim.New()
-	links := make([]*netsim.Link, len(g.Edges))
 	for i, e := range g.Edges {
-		links[i] = netsim.NewLink(nw.Sched, e.Rate, e.Prop, queues[i])
-		nw.AddLink(links[i])
+		nw.AddLink(netsim.NewLink(nw.Sched, e.Rate, e.Prop, queues[i]))
 	}
-	receivers := make([]*netsim.Receiver, len(flows))
 	for f, fs := range flows {
 		prop := g.PathProp(f)
 		st := &netsim.FlowStats{Flow: f, PropDelay: prop, MinRTT: prop + g.ReverseDelay(f)}
 		rcv := netsim.NewReceiver(nw.Sched, f, g.ReverseDelay(f), st)
-		snd := netsim.NewSender(nw.Sched, f, fs.Alg, links[g.Routes[f].Links[0]], st)
+		snd := netsim.NewSender(nw.Sched, f, fs.Alg, nw.Links[g.Routes[f].Links[0]], st)
 		rcv.SetSender(snd)
-		receivers[f] = rcv
 		nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: fs.Workload})
 	}
-	installRoutes(g, links, receivers)
-	return nw, nil
+	installRoutes(g, nw)
+	return &World{Net: nw, routeKey: appendRouteKey(nil, g)}, nil
 }
 
-// BuildInto recompiles the graph into an existing network from a
-// finished run, reusing its warmed component graph — scheduler arena,
-// packet free lists, sender/receiver rings — instead of building a new
-// one. The network must have been built (by Build) with the same shape:
-// the same number of edges and routes. Everything else — rates, delays,
-// queues, algorithms, workloads, paths — is re-derived from this call's
-// arguments, so a recycled world is observably identical to a fresh
-// Build with the same inputs.
-func BuildInto(nw *netsim.Network, g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
+// Build is NewWorld for callers that run the network once and keep
+// nothing.
+func Build(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
+	w, err := NewWorld(g, queues, flows)
+	if err != nil {
+		return nil, err
+	}
+	return w.Net, nil
+}
+
+// Rebuild recompiles the graph into the world's network after a
+// finished run. The world must have the graph's shape: the same number
+// of edges and routes. queues[i] may be the queue link i already has
+// (Link.Reinit resets it) or another; the next-hop tables are compiled
+// again only if the routes or the policy differ from those they were
+// last compiled from.
+func (w *World) Rebuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
 	if err := validateBuild(g, queues, flows); err != nil {
 		return err
 	}
+	nw := w.Net
 	if len(nw.Links) != len(g.Edges) || len(nw.Flows) != len(g.Routes) {
 		return fmt.Errorf("topo: network shape %d links/%d flows cannot host graph with %d edges/%d routes",
 			len(nw.Links), len(nw.Flows), len(g.Edges), len(g.Routes))
@@ -413,7 +483,6 @@ func BuildInto(nw *netsim.Network, g *Graph, queues []queue.Discipline, flows []
 	for i, e := range g.Edges {
 		nw.Links[i].Reinit(e.Rate, e.Prop, queues[i])
 	}
-	receivers := make([]*netsim.Receiver, len(flows))
 	for f, fs := range flows {
 		fl := nw.Flows[f]
 		prop := g.PathProp(f)
@@ -421,8 +490,11 @@ func BuildInto(nw *netsim.Network, g *Graph, queues []queue.Discipline, flows []
 		fl.Receiver.Reinit(g.ReverseDelay(f))
 		fl.Sender.Reinit(fs.Alg, nw.Links[g.Routes[f].Links[0]])
 		fl.Workload = fs.Workload
-		receivers[f] = fl.Receiver
 	}
-	installRoutes(g, nw.Links, receivers)
+	w.scratch = appendRouteKey(w.scratch[:0], g)
+	if !slices.Equal(w.routeKey, w.scratch) {
+		installRoutes(g, nw)
+		w.routeKey, w.scratch = w.scratch, w.routeKey
+	}
 	return nil
 }

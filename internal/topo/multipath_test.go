@@ -156,7 +156,8 @@ func TestECMPPathStable(t *testing.T) {
 		walks[f] = walkPath(t, g, nw, f)
 		// The walk must be one of the flow's declared paths.
 		match := false
-		for _, path := range g.Routes[f].paths() {
+		for pi := 0; pi < g.Routes[f].numPaths(); pi++ {
+			path := g.Routes[f].path(pi)
 			if len(path) != len(walks[f]) {
 				continue
 			}
@@ -237,15 +238,18 @@ func TestECMPPathStable(t *testing.T) {
 
 // TestRandomFatTreeMultipathConservation extends the random-graph
 // conservation property to multipath: on random fat-trees with random
-// incast patterns under SPRAY and ADAPTIVE, every link individually
-// conserves packets (in == out + dropped + in-flight), every flow
-// individually conserves packets (sent == arrived + stranded inside
-// links), and the whole run replays bit-identically.
+// incast patterns under ECMP, SPRAY and ADAPTIVE, over drop-tail and
+// sfqCoDel gateways, every link individually conserves packets (in ==
+// out + dropped + in-flight), every flow individually conserves
+// packets (sent == arrived + stranded inside links), the whole run
+// replays bit-identically, and every sfqCoDel's packet counter equals
+// what emptying its bins actually yields.
 func TestRandomFatTreeMultipathConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test with many simulations")
 	}
 	const trials = 12
+	var sfqDrops int64
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(trial) + 0xf1
 		r := rng.New(seed)
@@ -253,10 +257,8 @@ func TestRandomFatTreeMultipathConservation(t *testing.T) {
 		if r.Intn(3) == 0 {
 			k = 6
 		}
-		policy := Spray
-		if r.Intn(2) == 0 {
-			policy = Adaptive
-		}
+		policy := []RoutingPolicy{ECMP, Spray, Adaptive}[trial%3]
+		sfq := trial/3%2 == 1
 		ft := testFatTree(t, k)
 		hosts := ft.Hosts()
 		n := 2 + r.Intn(5)
@@ -275,7 +277,11 @@ func TestRandomFatTreeMultipathConservation(t *testing.T) {
 			rq := rng.New(seed).Split("queues")
 			queues := make([]queue.Discipline, len(g.Edges))
 			for i := range queues {
-				queues[i] = queue.NewDropTail((2 + rq.Intn(30)) * 1500)
+				if capBytes := (2 + rq.Intn(30)) * 1500; sfq {
+					queues[i] = queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
+				} else {
+					queues[i] = queue.NewDropTail(capBytes)
+				}
 			}
 			flows := make([]FlowSpec, len(g.Routes))
 			for f := range flows {
@@ -342,6 +348,23 @@ func TestRandomFatTreeMultipathConservation(t *testing.T) {
 			dropped += drops
 			inFlight += int64(l.InFlight())
 		}
+		for li, l := range nw.Links {
+			q, ok := l.Queue().(*queue.SFQCoDel)
+			if !ok {
+				continue
+			}
+			// Len is a counter kept beside the bins; emptying them
+			// counts what they hold (CoDel may drop some on the way).
+			n, drops, handed := int64(q.Len()), q.Stats().Drops(), int64(0)
+			for q.Dequeue(units.Time(0).Add(5*units.Second)) != nil {
+				handed++
+			}
+			if handed+q.Stats().Drops()-drops != n || q.Len() != 0 || q.Bytes() != 0 {
+				t.Fatalf("trial %d (%v) link %d: sfqCoDel reported %d packets, its bins held %d (now Len %d, Bytes %d)",
+					trial, policy, li, n, handed+q.Stats().Drops()-drops, q.Len(), q.Bytes())
+			}
+			sfqDrops += drops
+		}
 		if sent != arrived+dropped+inFlight {
 			t.Fatalf("trial %d (%v): global conservation violated: sent %d != arrived %d + dropped %d + in-flight %d",
 				trial, policy, sent, arrived, dropped, inFlight)
@@ -349,6 +372,9 @@ func TestRandomFatTreeMultipathConservation(t *testing.T) {
 		if sent == 0 {
 			t.Fatalf("trial %d: no traffic; property run is vacuous", trial)
 		}
+	}
+	if sfqDrops == 0 {
+		t.Fatal("no sfqCoDel gateway ever dropped; its eviction and AQM paths went unexercised")
 	}
 }
 
@@ -415,8 +441,8 @@ func TestFatTreeShape(t *testing.T) {
 		if got := 1 + len(rt.Alts); got != c.paths {
 			t.Fatalf("flow %d->%d: %d paths, want %d", c.src, c.dst, got, c.paths)
 		}
-		for pi, p := range rt.paths() {
-			if len(p) != c.hops {
+		for pi := 0; pi < rt.numPaths(); pi++ {
+			if p := rt.path(pi); len(p) != c.hops {
 				t.Fatalf("flow %d->%d path %d: %d hops, want %d", c.src, c.dst, pi, len(p), c.hops)
 			}
 		}

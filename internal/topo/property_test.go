@@ -156,22 +156,22 @@ func TestGraphValidateRejects(t *testing.T) {
 func TestGraphFairShare(t *testing.T) {
 	// Figure 5 parking lot: each link carries two flows.
 	pl := ParkingLotGraph([]units.Rate{10 * units.Mbps, 20 * units.Mbps}, 75*units.Millisecond, 1, true)
-	if got := pl.FairShare(0); got != 5*units.Mbps {
+	if got := pl.FairShares()[0]; got != 5*units.Mbps {
 		t.Fatalf("long flow share = %v, want 5Mbps", got)
 	}
-	if got := pl.FairShare(1); got != 5*units.Mbps {
+	if got := pl.FairShares()[1]; got != 5*units.Mbps {
 		t.Fatalf("cross flow 1 share = %v, want 5Mbps", got)
 	}
-	if got := pl.FairShare(2); got != 10*units.Mbps {
+	if got := pl.FairShares()[2]; got != 10*units.Mbps {
 		t.Fatalf("cross flow 2 share = %v, want 10Mbps", got)
 	}
 	// Two long flows + cross traffic: link 0 carries three flows, so
 	// shares follow membership, not a hardcoded two-per-link rule.
 	pl3 := ParkingLotGraph([]units.Rate{30 * units.Mbps, 30 * units.Mbps}, 75*units.Millisecond, 2, true)
-	if got := pl3.FairShare(0); got != 10*units.Mbps {
+	if got := pl3.FairShares()[0]; got != 10*units.Mbps {
 		t.Fatalf("long flow share with 3 flows/link = %v, want 10Mbps", got)
 	}
-	if got := pl3.FairShare(2); got != 10*units.Mbps {
+	if got := pl3.FairShares()[2]; got != 10*units.Mbps {
 		t.Fatalf("cross flow share with 3 flows/link = %v, want 10Mbps", got)
 	}
 }

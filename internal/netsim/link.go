@@ -21,6 +21,20 @@ type Deliverer interface {
 	Deliver(now units.Time, p *packet.Packet)
 }
 
+// delayLine is a constant-delay FIFO stage holding packets in flight: a
+// link's propagation delay, a receiver's reverse path. sim.Pipe — one
+// scheduler entry per stage — is the only one that ships; the interface
+// is the test seam through which the differential tests swap in their
+// one-event-per-packet reference (perPacketLine in delayline_test.go).
+type delayLine interface {
+	// Push sends p down the line to come out at time at.
+	Push(at units.Time, p *packet.Packet)
+	// Len reports the packets in flight.
+	Len() int
+	// Drain empties the line into the pool without delivering anything.
+	Drain(into sim.Sink[*packet.Packet])
+}
+
 // PathSelector picks among a flow's candidate next hops at packet time.
 // It applies only to (link, flow) pairs whose compiled fanout exceeds
 // one; ECMP never reaches packet time (the topology compiler resolves
@@ -68,12 +82,13 @@ func (h *NextHops) queueLen(i int) int {
 // flow-indexed route table (the next link on the flow's path, or the
 // flow's receiver at the last hop).
 //
-// The transmit path is allocation-free: the serialization-done and
-// propagation-arrival callbacks are bound once at construction,
-// transmission times for the two packet sizes that exist in this
-// repository are precomputed, and packets in propagation ride a reused
-// FIFO ring (they arrive in serialization order because the propagation
-// delay is constant).
+// The transmit path is allocation-free: the serialization-done callback
+// is bound once at construction, transmission times for the two packet
+// sizes that exist in this repository are precomputed, and packets in
+// propagation ride a sim.Pipe (they arrive in serialization order
+// because the propagation delay is constant), so a link holds at most
+// two scheduler entries — its serializer and its pipe — however many
+// packets are in flight on it.
 type Link struct {
 	sched *sim.Scheduler
 	rate  units.Rate
@@ -119,10 +134,9 @@ type Link struct {
 	txPkt *packet.Packet // packet currently being serialized
 
 	// propQ holds packets in propagation, in arrival order.
-	propQ pktRing
+	propQ delayLine
 
 	txDoneFn func()
-	arriveFn func()
 }
 
 // NewLink creates a link. The route must be set with SetRoute before
@@ -146,7 +160,7 @@ func NewLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue
 		txACK: rate.TransmissionTime(packet.ACKSize),
 	}
 	l.txDoneFn = l.txDone
-	l.arriveFn = l.arrive
+	l.propQ = sim.NewPipe(sched, l.arrive)
 	return l
 }
 
@@ -174,7 +188,7 @@ func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) 
 		l.pool.Put(l.txPkt)
 		l.txPkt = nil
 	}
-	l.propQ.drainTo(l.pool)
+	l.propQ.Drain(l.pool)
 	l.q.Reset(l.pool)
 	l.busy = false
 	l.rate = rate
@@ -317,7 +331,7 @@ func (l *Link) Prop() units.Duration { return l.prop }
 // conservation property tests use it to account for packets still in
 // the network when a run ends.
 func (l *Link) InFlight() int {
-	n := l.q.Len() + l.propQ.len()
+	n := l.q.Len() + l.propQ.Len()
 	if l.busy {
 		n++
 	}
@@ -378,19 +392,15 @@ func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
 	l.busy = false
-	l.propQ.push(p)
-	l.sched.After(l.prop, l.arriveFn)
+	l.propQ.Push(now.Add(l.prop), p)
 	l.kick(now)
 }
 
-// arrive fires when the head packet in propagation reaches the far end.
-// Arrival events are scheduled once per packet and packets propagate in
-// FIFO order, so the head is always the arriving packet. Single-path
-// entries (the common case, and every entry in classic topologies)
-// dispatch through one slice load; nil entries fall through to the
-// per-packet path selector.
-func (l *Link) arrive() {
-	p := l.propQ.pop()
+// arrive is the propagation pipe's handler: p has reached the far end.
+// Single-path entries (the common case, and every entry in classic
+// topologies) dispatch through one slice load; nil entries fall through
+// to the per-packet path selector.
+func (l *Link) arrive(p *packet.Packet) {
 	l.out++
 	if l.tallyOut != nil {
 		l.tallyOut[p.Flow]++

@@ -13,9 +13,9 @@ import (
 //
 // The ACK path is allocation-free when a pool is attached: the data
 // packet is recycled as soon as its ACK is built, pending ACKs ride a
-// reused FIFO ring (the reverse-path delay is constant, so they arrive
-// in order), the delivery callback is bound once, and the ACK itself is
-// recycled after the sender has processed it.
+// sim.Pipe (the reverse-path delay is constant, so they arrive in
+// order, behind one scheduler entry), and the ACK itself is recycled
+// after the sender has processed it.
 type Receiver struct {
 	sched    *sim.Scheduler
 	flow     int
@@ -32,8 +32,7 @@ type Receiver struct {
 	trace PacketTracer
 
 	// ackQ holds ACKs in flight on the reverse path, in arrival order.
-	ackQ      pktRing
-	deliverFn func()
+	ackQ delayLine
 }
 
 // NewReceiver creates a receiver for the given flow whose ACKs reach
@@ -47,7 +46,7 @@ func NewReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats 
 		cum:      -1,
 		ooo:      newRingOoo(),
 	}
-	r.deliverFn = r.deliverAck
+	r.ackQ = sim.NewPipe(sched, r.deliverAck)
 	return r
 }
 
@@ -60,7 +59,7 @@ func (r *Receiver) Reinit(ackDelay units.Duration) {
 	r.ackDelay = ackDelay
 	r.cum = -1
 	r.ooo.reset()
-	r.ackQ.drainTo(r.pool)
+	r.ackQ.Drain(r.pool)
 	r.trace = nil
 }
 
@@ -119,15 +118,11 @@ func (r *Receiver) Deliver(now units.Time, p *packet.Packet) {
 	}
 	ack := r.pool.ACK(p, r.cum, now)
 	r.pool.Put(p) // data packet consumed
-	r.ackQ.push(ack)
-	r.sched.After(r.ackDelay, r.deliverFn)
+	r.ackQ.Push(r.sched.Now().Add(r.ackDelay), ack)
 }
 
-// deliverAck fires when the head ACK on the reverse path reaches the
-// sender. One event is scheduled per ACK and the reverse-path delay is
-// constant, so the head is always the arriving ACK.
-func (r *Receiver) deliverAck() {
-	ack := r.ackQ.pop()
+// deliverAck is the reverse path's handler: ack has reached the sender.
+func (r *Receiver) deliverAck(ack *packet.Packet) {
 	r.sender.OnAck(r.sched.Now(), ack)
 	r.pool.Put(ack)
 }

@@ -235,38 +235,44 @@ func sprayDiamond(alg cc.Algorithm, wl workload.Source) *Network {
 	return nw
 }
 
-// TestRingScoreboardMatchesMap is the end-to-end cross-check: whole
-// networks run twice from the same seed, once on the shipping ring
-// scoreboard and once with every sender's sb swapped for the map
-// oracle, must finish with identical FlowStats in every field. The
-// cases cover each way the scoreboard is exercised — drop-tail
-// overflow recovered by SACK, AQM drops, a buffer tight enough that
-// RTOs rebuild the board, and sustained reordering under spray — and
-// each asserts the counter that makes it non-vacuous.
-func TestRingScoreboardMatchesMap(t *testing.T) {
-	onOff := func(seed uint64) func(int) workload.Source {
-		return func(i int) workload.Source {
-			return workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("workload", i))
-		}
+// diffNet is one network of the end-to-end differential set, with the
+// per-flow counter that shows a run exercised what the case is named
+// for.
+type diffNet struct {
+	name    string
+	build   func(seed uint64) *Network
+	nonzero func(*FlowStats) int64
+}
+
+// onOff gives flow i of a differential network its seeded workload.
+func onOff(seed uint64) func(int) workload.Source {
+	return func(i int) workload.Source {
+		return workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("workload", i))
 	}
-	mixed := func(i int) cc.Algorithm {
-		if i == 0 {
-			return cubic.New()
-		}
-		return &fixedCC{w: 40}
+}
+
+// mixedCC pits a Cubic flow against fixed-window ones.
+func mixedCC(i int) cc.Algorithm {
+	if i == 0 {
+		return cubic.New()
 	}
-	cases := []struct {
-		name    string
-		build   func(seed uint64) *Network
-		nonzero func(*FlowStats) int64
-	}{
+	return &fixedCC{w: 40}
+}
+
+// diffNets is the network set the end-to-end differential tests share
+// (scoreboard against map here, sim.Pipe against per-packet events in
+// delayline_test.go): drop-tail overflow recovered by SACK, AQM drops,
+// a buffer tight enough that RTOs fire, and sustained reordering under
+// spray.
+func diffNets() []diffNet {
+	return []diffNet{
 		{"droptail-overflow", func(seed uint64) *Network {
 			return buildDumbbell(8*units.Mbps, 40*units.Millisecond,
-				queue.NewDropTail(8*packet.MTU), 2, mixed, onOff(seed))
+				queue.NewDropTail(8*packet.MTU), 2, mixedCC, onOff(seed))
 		}, func(st *FlowStats) int64 { return st.Retransmits }},
 		{"sfqcodel-aqm-drops", func(seed uint64) *Network {
 			return buildDumbbell(8*units.Mbps, 40*units.Millisecond,
-				queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU), 2, mixed, onOff(seed))
+				queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU), 2, mixedCC, onOff(seed))
 		}, func(st *FlowStats) int64 { return st.Retransmits }},
 		{"rto", func(seed uint64) *Network {
 			return buildDumbbell(2*units.Mbps, 40*units.Millisecond,
@@ -277,7 +283,16 @@ func TestRingScoreboardMatchesMap(t *testing.T) {
 			return sprayDiamond(cubic.New(), onOff(seed)(0))
 		}, func(st *FlowStats) int64 { return st.Reordered }},
 	}
-	for _, tc := range cases {
+}
+
+// TestRingScoreboardMatchesMap is the end-to-end cross-check: whole
+// networks run twice from the same seed, once on the shipping ring
+// scoreboard and once with every sender's sb swapped for the map
+// oracle, must finish with identical FlowStats in every field. The
+// cases cover each way the scoreboard is exercised, and each asserts
+// the counter that makes it non-vacuous.
+func TestRingScoreboardMatchesMap(t *testing.T) {
+	for _, tc := range diffNets() {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				ring := tc.build(seed).Run(10 * units.Second)

@@ -8,6 +8,7 @@ import (
 	"learnability/internal/cc/remycc"
 	"learnability/internal/rng"
 	"learnability/internal/units"
+	"learnability/internal/workload"
 )
 
 // pooledVariants enumerates scenario shapes that exercise every packet
@@ -90,6 +91,55 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("cut-off-mid-flight", cutOffMidFlight)
+}
+
+// cutOffMidFlight is the run boundary a delay line must survive: a run
+// ends with packets in propagation and ACKs on the reverse path (their
+// pipes busy, each with an entry in the scheduler), and the next run on
+// the recycled world has a different propagation delay. Reinit must
+// drain the pipes and forget their armed entries — the scheduler's
+// Reset has already released those slots to the new run — or the
+// recycled run delivers the old run's packets, or cancels a new event
+// through a stale handle. The recycled run must equal Build + Finish.
+func cutOffMidFlight(t *testing.T) {
+	cut := baseSpec()
+	cut.LinkSpeed = 32 * units.Mbps
+	cut.MinRTT = 150 * units.Millisecond
+	// Slow start is still opening (no loss yet), and the cut falls
+	// inside both flows' ACK bursts.
+	cut.Duration = 1230 * units.Millisecond
+	cut.Senders = []Sender{
+		{Alg: cubic.New(), Delta: 1, Workload: workload.AlwaysOn{}},
+		{Alg: cubic.New(), Delta: 1, Workload: workload.AlwaysOn{}},
+	}
+	MustRun(cut)
+	w := idleWorld(t, 1, 2)
+	l := w.Net.Links[0]
+	if inProp := l.InFlight() - l.Queue().Len(); inProp < 2 {
+		t.Fatalf("run ended with %d packets serializing or in propagation; want several", inProp)
+	}
+	for i, f := range w.Net.Flows {
+		if f.Stats.Retransmits != 0 {
+			t.Fatalf("flow %d retransmitted; the ACK count below assumes it did not", i)
+		}
+		acked := f.Stats.SentPackets - f.Sender.Outstanding()
+		if inAck := f.Receiver.Cum() + 1 - acked; inAck < 2 {
+			t.Fatalf("flow %d ended with %d ACKs in flight; want several", i, inAck)
+		}
+	}
+
+	for seed := uint64(1); seed <= 3; seed++ {
+		next := baseSpec() // 100 ms RTT: another propagation and ACK delay
+		next.Seed = rng.New(seed)
+		next.BufferBDP = 0.25
+		got := MustRun(next)
+		if idleWorld(t, 1, 2) != w {
+			t.Fatal("the run did not recycle the cut-off world")
+		}
+		mustEqual(t, "after cut-off run", got, runFresh(next))
+		MustRun(cut) // leave the world busy again for the next seed
 	}
 }
 

@@ -285,3 +285,34 @@ func TestPooledFabricRunAllocationBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestFabricHeapBound pins the event core's O(links + flows) claim on
+// the k=4 ADAPTIVE fat tree as a count: a link holds at most its
+// serializer's event and its propagation pipe's, a flow its reverse
+// path's pipe, an RTO, a pacing timer and an on/off switch — however
+// many packets are in flight. The second clause shows the count means
+// something: the run had more packets in the network than the
+// scheduler ever held entries.
+func TestFabricHeapBound(t *testing.T) {
+	spec := fabricSpec(topo.Adaptive, FiniteDropTail, false, func() cc.Algorithm { return cubic.New() }, 1)
+	nw, _ := MustBuild(spec)
+	peak := 0
+	spec.ProbeInterval = units.Millisecond
+	spec.Probe = func(units.Time) {
+		n := 0
+		for _, l := range nw.Links {
+			n += l.InFlight()
+		}
+		peak = max(peak, n)
+	}
+	Finish(spec, nw)
+	// +1: the probe's own event.
+	hw, bound := nw.Sched.HighWater(), 2*len(nw.Links)+4*len(nw.Flows)+1
+	if hw > bound {
+		t.Fatalf("heap high-water %d; want ≤ 2·links + 4·flows + 1 = %d", hw, bound)
+	}
+	if peak <= hw {
+		t.Fatalf("at most %d packets in the network against a heap high-water of %d: the bound was never tested", peak, hw)
+	}
+	t.Logf("heap high-water %d (bound %d), %d packets in the network at peak", hw, bound, peak)
+}

@@ -48,8 +48,17 @@ func (r *refScheduler) len() int {
 	return n
 }
 
-// pop removes and returns the live event with the smallest (at, seq).
-func (r *refScheduler) pop() (refEvent, bool) {
+// peek returns the live event with the smallest (at, seq).
+func (r *refScheduler) peek() (refEvent, bool) {
+	best := r.earliest()
+	if best < 0 {
+		return refEvent{}, false
+	}
+	return r.events[best], true
+}
+
+// earliest indexes the live event with the smallest (at, seq), or -1.
+func (r *refScheduler) earliest() int {
 	best := -1
 	for i := range r.events {
 		if r.events[i].dead {
@@ -60,6 +69,12 @@ func (r *refScheduler) pop() (refEvent, bool) {
 			best = i
 		}
 	}
+	return best
+}
+
+// pop removes and returns the live event with the smallest (at, seq).
+func (r *refScheduler) pop() (refEvent, bool) {
+	best := r.earliest()
 	if best < 0 {
 		return refEvent{}, false
 	}
@@ -164,6 +179,221 @@ func TestHeapMatchesReference(t *testing.T) {
 		if s.Len() != 0 {
 			t.Fatalf("trial %d: %d events left after drain", trial, s.Len())
 		}
+	}
+}
+
+// TestPipesMatchPerValueAt is the pipe's contract as a property: random
+// interleavings of At/After/Stop with pushes onto several pipes — zero
+// delay, two pipes of equal delay, all times on one coarse grid so
+// equal-time collisions are the norm — fire in exactly the order of the
+// naive reference in which every push was an At. A third of the pipe
+// handlers push again from inside the handler, onto their own pipe or
+// another (the re-arm must already have happened), and Len must always
+// be the live timers plus one per non-empty pipe.
+func TestPipesMatchPerValueAt(t *testing.T) {
+	const grid = 100 * units.Microsecond
+	delays := []units.Duration{0, grid, grid, 3 * grid, 10 * grid}
+	var collisions, selfPushes int
+	for trial := 0; trial < 40; trial++ {
+		r := rng.New(uint64(2000 + trial))
+		s := New()
+		ref := &refScheduler{}
+
+		var fired []int
+		timers := map[int]Timer{}
+		inPipe := make([]int, len(delays)) // reference occupancy per pipe
+		pipeOf := map[int]int{}            // id -> pipe, for ids pushed onto one
+		nextID := 0
+		peakLen, peakTimers := 0, 0
+
+		// follow-ups a handler performed, replayed on the reference once
+		// it has popped the same event.
+		type push struct{ pipe, id int }
+		var followed []push
+
+		pipes := make([]*Pipe[int], len(delays))
+		pushOn := func(k int) int {
+			id := nextID
+			nextID++
+			pipes[k].Push(s.Now().Add(delays[k]), id)
+			pipeOf[id] = k
+			return id
+		}
+		for k := range pipes {
+			k := k
+			pipes[k] = NewPipe(s, func(id int) {
+				fired = append(fired, id)
+				if id%3 != 0 {
+					return
+				}
+				to := k // own pipe: empty here if this was its last value
+				if id%2 == 0 {
+					to = (k + 1) % len(pipes)
+				} else {
+					selfPushes++
+				}
+				followed = append(followed, push{to, pushOn(to)})
+			})
+		}
+
+		wantLen := func() int {
+			n := len(timers)
+			for _, c := range inPipe {
+				if c > 0 {
+					n++
+				}
+			}
+			return n
+		}
+		step := func(where string) bool {
+			nFired := len(fired)
+			followed = followed[:0]
+			simOK := s.Step()
+			refEv, refOK := ref.pop()
+			if simOK != refOK {
+				t.Fatalf("trial %d %s: Step = %v, reference = %v", trial, where, simOK, refOK)
+			}
+			if !simOK {
+				return false
+			}
+			if len(fired) != nFired+1 || fired[nFired] != refEv.id {
+				t.Fatalf("trial %d %s: fired %v, reference fired %d", trial, where, fired[nFired:], refEv.id)
+			}
+			if s.Now() != refEv.at {
+				t.Fatalf("trial %d %s: now %v, reference %v", trial, where, s.Now(), refEv.at)
+			}
+			if nx, ok := ref.peek(); ok && nx.at == refEv.at {
+				collisions++
+			}
+			if k, ok := pipeOf[refEv.id]; ok {
+				inPipe[k]--
+				delete(pipeOf, refEv.id)
+			} else {
+				delete(timers, refEv.id)
+			}
+			for _, f := range followed {
+				ref.schedule(ref.now.Add(delays[f.pipe]), f.id)
+				inPipe[f.pipe]++
+			}
+			return true
+		}
+
+		for op := 0; op < 600; op++ {
+			switch r.Intn(8) {
+			case 0, 1, 2: // push onto a random pipe
+				k := r.Intn(len(pipes))
+				id := pushOn(k)
+				ref.schedule(s.Now().Add(delays[k]), id)
+				inPipe[k]++
+			case 3: // plain event on the same grid
+				id := nextID
+				nextID++
+				d := units.Duration(r.Intn(12)) * grid
+				if r.Intn(2) == 0 {
+					timers[id] = s.After(d, func() { fired = append(fired, id) })
+				} else {
+					timers[id] = s.At(s.Now().Add(d), func() { fired = append(fired, id) })
+				}
+				ref.schedule(s.Now().Add(d), id)
+			case 4: // cancel the oldest live timer
+				best := -1
+				for id := range timers {
+					if best < 0 || id < best {
+						best = id
+					}
+				}
+				if best < 0 {
+					continue
+				}
+				if got, want := timers[best].Stop(), ref.cancel(best); got != want {
+					t.Fatalf("trial %d: Stop(%d) = %v, reference = %v", trial, best, got, want)
+				}
+				delete(timers, best)
+			default:
+				step("op")
+			}
+			if got, want := s.Len(), wantLen(); got != want {
+				t.Fatalf("trial %d op %d: Len = %d, want %d (timers + busy pipes)", trial, op, got, want)
+			}
+			peakLen = max(peakLen, s.Len())
+			peakTimers = max(peakTimers, len(timers))
+			for k, p := range pipes {
+				if p.Len() != inPipe[k] {
+					t.Fatalf("trial %d op %d: pipe %d holds %d, reference %d", trial, op, k, p.Len(), inPipe[k])
+				}
+			}
+		}
+		for i := 0; step("drain"); i++ {
+			if i > 100000 {
+				t.Fatalf("trial %d: drain does not terminate", trial)
+			}
+		}
+		if hw := s.HighWater(); s.Len() != 0 || hw < peakLen || hw > len(pipes)+peakTimers {
+			t.Fatalf("trial %d: Len %d after drain, HighWater %d outside [%d, %d pipes + %d timers]",
+				trial, s.Len(), hw, peakLen, len(pipes), peakTimers)
+		}
+	}
+	if collisions == 0 || selfPushes == 0 {
+		t.Fatalf("vacuous: %d equal-time successions, %d handler pushes onto the firing pipe", collisions, selfPushes)
+	}
+}
+
+// sinkInts collects what a drained Pipe[int] held.
+type sinkInts []int
+
+func (k *sinkInts) Put(v int) { *k = append(*k, v) }
+
+// TestResetWithBusyPipes pins the recycling contract: Scheduler.Reset
+// takes a busy pipe's armed entry with everything else (stale Timers
+// report not-pending, HighWater restarts), Drain then hands back what
+// the pipe held without scheduling or cancelling anything that belongs
+// to the new run, and the reused pipe fires only what is pushed after.
+// Without a Reset, Drain cancels the armed entry itself.
+func TestResetWithBusyPipes(t *testing.T) {
+	s := New()
+	var got []int
+	p := NewPipe(s, func(v int) { got = append(got, v) })
+	q := NewPipe(s, func(v int) { got = append(got, 100+v) })
+	for i := 0; i < 40; i++ { // past the first ring size, so the ring has grown
+		p.Push(s.Now().Add(units.Millisecond), i)
+	}
+	q.Push(s.Now().Add(2*units.Millisecond), 0)
+	tm := s.After(5*units.Millisecond, func() { t.Error("event survived Reset") })
+	if s.Len() != 3 || s.HighWater() != 3 {
+		t.Fatalf("Len %d HighWater %d with two busy pipes and a timer, want 3 and 3", s.Len(), s.HighWater())
+	}
+
+	s.Reset()
+	if tm.Pending() || tm.Stop() || s.Len() != 0 || s.HighWater() != 0 {
+		t.Fatalf("after Reset: pending=%v Len=%d HighWater=%d", tm.Pending(), s.Len(), s.HighWater())
+	}
+	// The new run's first event lands in the slot the pipe's armed
+	// entry used to own; draining must not cancel it.
+	fresh := s.After(units.Millisecond, func() { got = append(got, -1) })
+	var held sinkInts
+	p.Drain(&held)
+	q.Drain(nil)
+	if len(held) != 40 || held[0] != 0 || held[39] != 39 {
+		t.Fatalf("Drain handed back %v", held)
+	}
+	if p.Len() != 0 || q.Len() != 0 || !fresh.Pending() || s.Len() != 1 {
+		t.Fatalf("after Drain: pipe lens %d %d, fresh pending %v, Len %d", p.Len(), q.Len(), fresh.Pending(), s.Len())
+	}
+	p.Push(s.Now().Add(3*units.Millisecond), 7)
+	p.Push(s.Now().Add(3*units.Millisecond), 8)
+	s.Run(units.Time(units.Second))
+	if len(got) != 3 || got[0] != -1 || got[1] != 7 || got[2] != 8 {
+		t.Fatalf("recycled pipe fired %v, want [-1 7 8]", got)
+	}
+
+	// Mid-run, no Reset: Drain removes the armed entry.
+	p.Push(s.Now().Add(units.Millisecond), 9)
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d with one busy pipe", s.Len())
+	}
+	p.Drain(nil)
+	if s.Len() != 0 || s.Step() {
+		t.Fatal("Drain left the pipe's entry in the queue")
 	}
 }
 

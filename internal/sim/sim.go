@@ -2,20 +2,21 @@
 // holding a time-ordered queue of pending events, with deterministic
 // tie-breaking by insertion order.
 //
-// Components schedule callbacks with At or After; Run drains the queue in
-// time order until it is empty, a deadline is reached, or the simulation
-// is stopped. All simulation state is owned by a single goroutine; the
-// scheduler is deliberately not safe for concurrent use (parallelism in
-// this repository happens across independent simulations, never inside
-// one).
+// Components schedule callbacks with At or After, or push values onto a
+// Pipe, a constant-delay FIFO stage that holds one queue entry however
+// many values are in flight. Run drains the queue in time order until it
+// is empty, a deadline is reached, or the simulation is stopped. All
+// simulation state is owned by a single goroutine; the scheduler is
+// deliberately not safe for concurrent use (parallelism in this
+// repository happens across independent simulations, never inside one).
 //
 // The scheduler is built for the per-packet hot path: events live in a
 // value-typed slot arena indexed by a hand-rolled 4-ary min-heap, freed
 // slots are recycled through a free list, and Timer handles carry a
 // generation counter so a handle to a fired or cancelled event can never
-// observe (or corrupt) the slot's next occupant. Scheduling with At or
-// After performs no per-event heap allocation once the arena has grown
-// to the simulation's working set.
+// observe (or corrupt) the slot's next occupant. Scheduling performs no
+// per-event heap allocation once the arena has grown to the simulation's
+// working set, which pipes keep at O(components), not O(packets).
 package sim
 
 import (
@@ -90,8 +91,10 @@ type Scheduler struct {
 	heap    []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
 	seq     uint64
 	stopped bool
-	// Processed counts events executed since creation (observability).
+	// processed counts events executed since creation; highWater is the
+	// peak heap length since creation or Reset (observability).
 	processed uint64
+	highWater int
 }
 
 // New returns a new Scheduler starting at time 0.
@@ -103,14 +106,36 @@ func (s *Scheduler) Now() units.Time { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// At schedules fn to run at time t. Scheduling in the past (before Now)
-// panics: it always indicates a logic error in a component.
+// HighWater reports the peak of Len since the scheduler was created or
+// last Reset: the size the event queue actually needed.
+func (s *Scheduler) HighWater() int { return s.highWater }
+
+// At schedules fn to run at time t. Events at equal times fire in the
+// order their delays began: the order of the At, After and Pipe.Push
+// calls that created them. Scheduling in the past (before Now) panics:
+// it always indicates a logic error in a component.
 func (s *Scheduler) At(t units.Time, fn func()) Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: scheduling nil callback")
+	}
+	return s.schedule(t, s.reserve(), fn)
+}
+
+// reserve draws the next insertion number.
+func (s *Scheduler) reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// schedule enters an event into the heap under an insertion number
+// drawn earlier with reserve. A Pipe reserves at Push and schedules
+// when the value reaches the head of its ring, so the event carries the
+// key a per-value At would have given it; the heap's total order on
+// (at, seq) does not depend on when an entry was inserted.
+func (s *Scheduler) schedule(t units.Time, seq uint64, fn func()) Timer {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	var si int32
 	if n := len(s.free); n > 0 {
@@ -122,11 +147,13 @@ func (s *Scheduler) At(t units.Time, fn func()) Timer {
 	}
 	sl := &s.slots[si]
 	sl.at = t
-	sl.seq = s.seq
+	sl.seq = seq
 	sl.fn = fn
-	s.seq++
 	sl.heapIdx = int32(len(s.heap))
 	s.heap = append(s.heap, si)
+	if len(s.heap) > s.highWater {
+		s.highWater = len(s.heap)
+	}
 	s.siftUp(len(s.heap) - 1)
 	return Timer{s: s, slot: si, gen: sl.gen}
 }
@@ -147,8 +174,10 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // arena and free list, so a recycled simulation schedules into warm
 // storage instead of re-growing it. Every pending event's slot is
 // released with a generation bump, so outstanding Timer handles report
-// not-pending rather than touching a recycled slot. Processed keeps
-// counting across resets (it observes the scheduler's lifetime).
+// not-pending rather than touching a recycled slot. A Pipe's armed
+// entry goes with the rest; its owner empties the pipe with Drain.
+// Processed keeps counting across resets (it observes the scheduler's
+// lifetime).
 func (s *Scheduler) Reset() {
 	for _, si := range s.heap {
 		s.release(si)
@@ -157,11 +186,14 @@ func (s *Scheduler) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
+	s.highWater = 0
 }
 
-// Len reports the exact number of pending events. Cancelling a timer
-// removes its event immediately, so (unlike a lazy-cancellation
-// scheduler) there are never dead entries inflating this count.
+// Len reports the exact number of queue entries: one per pending At or
+// After event and one per non-empty Pipe, whatever the pipe holds.
+// Cancelling a timer removes its entry immediately, so (unlike a
+// lazy-cancellation scheduler) there are never dead entries inflating
+// this count.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
 // popHead removes the earliest event from the heap, releases its slot,

@@ -1,5 +1,6 @@
 // Benchmarks that regenerate every table and figure in the paper's
-// evaluation (DESIGN.md §4 maps each to its experiment). Run with:
+// evaluation (docs/EXPERIMENTS.md maps each to its experiment). Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -41,10 +42,10 @@ func BenchmarkFigure2LinkSpeed(b *testing.B) {
 		b.Logf("\n%s", res.Table())
 		// Headline: the broad Tao vs the narrow Tao inside 22-44 Mbps,
 		// and the broad Tao vs Cubic over the full range.
-		broad := res.MeanObjectiveInRange("Tao-1000x", 20, 50)
-		narrow := res.MeanObjectiveInRange("Tao-2x", 20, 50)
-		cubic := res.MeanObjectiveInRange("Cubic", 1, 1000)
-		broadFull := res.MeanObjectiveInRange("Tao-1000x", 1, 1000)
+		broad := res.MeanInRange("", "Tao-1000x", 20, 50)
+		narrow := res.MeanInRange("", "Tao-2x", 20, 50)
+		cubic := res.MeanInRange("", "Cubic", 1, 1000)
+		broadFull := res.MeanInRange("", "Tao-1000x", 1, 1000)
 		b.ReportMetric(narrow-broad, "narrow-minus-broad-in-range")
 		b.ReportMetric(broadFull-cubic, "broad-minus-cubic-full-range")
 	}
@@ -54,13 +55,13 @@ func BenchmarkFigure3Multiplexing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := learnability.RunMultiplexing(benchEffort(), nil)
 		b.Logf("\n%s", res.Table())
-		if lo, ok := res.ObjectiveAt("5bdp", "Tao-1-2", 1); ok {
-			if hi, ok2 := res.ObjectiveAt("5bdp", "Tao-1-100", 1); ok2 {
+		if lo, ok := res.At("5bdp", "Tao-1-2", 1); ok {
+			if hi, ok2 := res.At("5bdp", "Tao-1-100", 1); ok2 {
 				b.ReportMetric(lo-hi, "narrow-minus-broad-at-1-sender")
 			}
 		}
-		if lo, ok := res.ObjectiveAt("5bdp", "Tao-1-2", 100); ok {
-			if hi, ok2 := res.ObjectiveAt("5bdp", "Tao-1-100", 100); ok2 {
+		if lo, ok := res.At("5bdp", "Tao-1-2", 100); ok {
+			if hi, ok2 := res.At("5bdp", "Tao-1-100", 100); ok2 {
 				b.ReportMetric(hi-lo, "broad-minus-narrow-at-100-senders")
 			}
 		}
@@ -71,9 +72,9 @@ func BenchmarkFigure4PropDelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := learnability.RunPropDelay(benchEffort(), nil)
 		b.Logf("\n%s", res.Table())
-		exact := res.MeanObjectiveInRange("Tao-rtt-150", 1, 49)
-		dithered := res.MeanObjectiveInRange("Tao-rtt-145-155", 1, 49)
-		broad := res.MeanObjectiveInRange("Tao-rtt-50-250", 50, 250)
+		exact := res.MeanInRange("", "Tao-rtt-150", 1, 49)
+		dithered := res.MeanInRange("", "Tao-rtt-145-155", 1, 49)
+		broad := res.MeanInRange("", "Tao-rtt-50-250", 50, 250)
 		b.ReportMetric(dithered-exact, "dithered-minus-exact-below-50ms")
 		b.ReportMetric(broad, "broad-50-250ms")
 	}

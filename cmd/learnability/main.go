@@ -1,58 +1,64 @@
 // Command learnability regenerates the paper's tables and figures.
 //
-// Usage:
+//	learnability -exp fig2,fig4 -plot     # selected experiments, with ASCII charts
+//	learnability -exp all -effort quick   # everything, at smoke-test fidelity
 //
-//	learnability -exp fig1            # calibration (Table 1 / Figure 1)
-//	learnability -exp fig2            # link-speed operating range
-//	learnability -exp fig3            # degree of multiplexing
-//	learnability -exp fig4            # propagation delay
-//	learnability -exp fig6            # structural knowledge (parking lot)
-//	learnability -exp fig7            # TCP-awareness
-//	learnability -exp fig8            # time-domain queue trace
-//	learnability -exp fig9            # sender diversity
-//	learnability -exp knockout        # §3.4 signal knockout
-//	learnability -exp vegas           # §4.5 Vegas squeeze-out premise
-//	learnability -exp all             # everything
-//
-// -effort quick|default trades fidelity for wall-clock time; -v streams
-// training progress; -csv DIR additionally writes each experiment's
-// full dataset as DIR/<exp>.csv for external plotting.
+// learnability -h lists the experiment ids (core.Experiments is the one
+// list). -effort quick|default trades fidelity for wall-clock time; -v
+// streams training progress; -csv DIR additionally writes each
+// experiment's full dataset as DIR/<exp>.csv for external plotting.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"learnability/internal/core"
 )
 
-// result is what every experiment produces: a rendered table and a
-// CSV dump.
-type result interface {
-	Table() string
-	WriteCSV(io.Writer) error
-}
-
-// plotter is implemented by sweep results that can render an ASCII
-// chart of the corresponding figure.
-type plotter interface {
-	Plot() string
-}
-
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process-wide inputs as parameters: the argument
+// list, the stream tables go to and the diagnostic stream. It returns
+// the exit status (2 for a bad invocation).
+func run(args []string, stdout, stderr io.Writer) int {
+	var ids []string
+	for _, ex := range core.Experiments {
+		ids = append(ids, ex.ID)
+	}
+
+	fs := flag.NewFlagSet("learnability", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiments to run (comma-separated): fig1,fig2,fig3,fig4,fig6,fig7,fig8,fig9,knockout,vegas,unified,all")
-		effort  = flag.String("effort", "default", "effort preset: quick or default")
-		seed    = flag.Uint64("seed", 1, "root seed (determinism)")
-		csvDir  = flag.String("csv", "", "directory to write per-experiment CSV datasets")
-		plots   = flag.Bool("plot", false, "also render ASCII charts for the sweep figures")
-		verbose = flag.Bool("v", false, "stream training progress to stderr")
+		exp     = fs.String("exp", "all", "experiments to run (comma-separated): "+strings.Join(ids, ",")+",all")
+		effort  = fs.String("effort", "default", "effort preset: quick or default")
+		seed    = fs.Uint64("seed", 1, "root seed (determinism)")
+		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV datasets")
+		plots   = fs.Bool("plot", false, "also render ASCII charts for the sweep figures")
+		verbose = fs.Bool("v", false, "stream training progress to stderr")
 	)
-	flag.Parse()
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: learnability [flags]\n\nexperiments:")
+		for _, ex := range core.Experiments {
+			fmt.Fprintf(stderr, "  -exp %-9s %s\n", ex.ID, ex.Title)
+		}
+		fmt.Fprintf(stderr, "  -exp %-9s everything\n\nflags:\n", "all")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var e core.Effort
 	switch *effort {
@@ -61,88 +67,69 @@ func main() {
 	case "default":
 		e = core.DefaultEffort()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown effort %q\n", *effort)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown effort %q\n", *effort)
+		return 2
 	}
 	e.Seed = *seed
 
 	var log func(string, ...any)
 	if *verbose {
-		log = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
-	}
-
-	type experiment struct {
-		name, title string
-		run         func() result
-	}
-	experiments := []experiment{
-		{"fig1", "Calibration (Table 1 / Figure 1)",
-			func() result { return core.RunCalibration(e, log) }},
-		{"fig2", "Knowledge of link speed (Table 2 / Figure 2) — normalized objective",
-			func() result { return core.RunLinkSpeed(e, log) }},
-		{"fig3", "Knowledge of the degree of multiplexing (Table 3 / Figure 3)",
-			func() result { return core.RunMultiplexing(e, log) }},
-		{"fig4", "Knowledge of propagation delay (Table 4 / Figure 4)",
-			func() result { return core.RunPropDelay(e, log) }},
-		{"fig6", "Structural knowledge (Table 5 / Figures 5-6) — flow 1 throughput",
-			func() result { return core.RunStructure(e, log) }},
-		{"fig7", "Knowledge about incumbent endpoints (Table 6 / Figure 7)",
-			func() result { return core.RunTCPAware(e, log) }},
-		{"fig8", "Time-domain behavior (Figure 8)",
-			func() result { return core.RunTimeDomain(e, log) }},
-		{"fig9", "The price of sender diversity (Table 7 / Figure 9)",
-			func() result { return core.RunDiversity(e, log) }},
-		{"knockout", "Value of congestion signals (§3.4)",
-			func() result { return core.RunKnockout(e, log) }},
-		{"vegas", "Vegas squeeze-out premise (§4.5)",
-			func() result { return core.RunVegasSqueeze(e, log) }},
-		{"unified", "One-size-fits-all Tao across all axes (extension; §5 open question)",
-			func() result { return core.RunUnified(e, log) }},
+		log = func(f string, a ...any) { fmt.Fprintf(stderr, f+"\n", a...) }
 	}
 
 	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(name)] = true
+	for _, id := range strings.Split(*exp, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if id != "all" && !slices.Contains(ids, id) {
+			fmt.Fprintf(stderr, "unknown experiment %q (valid: %s, all)\n", id, strings.Join(ids, ", "))
+			return 2
+		}
+		want[id] = true
+	}
+	if len(want) == 0 {
+		fmt.Fprintf(stderr, "no experiment matched %q\n", *exp)
+		return 2
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "csv dir:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "csv dir:", err)
+			return 1
 		}
 	}
 
-	ran := 0
-	for _, ex := range experiments {
-		if !want["all"] && !want[ex.name] {
+	for _, ex := range core.Experiments {
+		if !want["all"] && !want[ex.ID] {
 			continue
 		}
-		fmt.Printf("== %s: %s ==\n", ex.name, ex.title)
-		res := ex.run()
-		fmt.Println(res.Table())
-		if *plots {
-			if p, ok := res.(plotter); ok {
-				fmt.Println(p.Plot())
-			}
+		fmt.Fprintf(stdout, "== %s: %s ==\n", ex.ID, ex.Title)
+		res := ex.Run(e, log)
+		fmt.Fprintln(stdout, res.Table())
+		if p, ok := res.(interface{ Plot() string }); ok && *plots {
+			fmt.Fprintln(stdout, p.Plot())
 		}
 		if *csvDir != "" {
-			path := filepath.Join(*csvDir, core.CSVName(ex.name))
-			fh, err := os.Create(path)
-			if err == nil {
-				err = res.WriteCSV(fh)
-				if cerr := fh.Close(); err == nil {
-					err = cerr
-				}
+			path := filepath.Join(*csvDir, ex.ID+".csv")
+			if err := writeCSV(path, res); err != nil {
+				fmt.Fprintf(stderr, "csv %s: %v\n", path, err)
+				return 1
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "csv %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Printf("(dataset written to %s)\n\n", path)
+			fmt.Fprintf(stdout, "(dataset written to %s)\n\n", path)
 		}
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *exp)
-		os.Exit(2)
+	return 0
+}
+
+// writeCSV writes the result's dataset to a new file at path.
+func writeCSV(path string, res core.Result) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := res.WriteCSV(fh); err != nil {
+		fh.Close()
+		return err
+	}
+	return fh.Close()
 }

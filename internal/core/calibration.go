@@ -5,7 +5,6 @@ import (
 
 	"learnability/internal/cc/remycc"
 	"learnability/internal/omniscient"
-	"learnability/internal/remy"
 	"learnability/internal/scenario"
 	"learnability/internal/stats"
 	"learnability/internal/units"
@@ -38,25 +37,17 @@ var CalibrationParams = struct {
 // calibrationTaoSpec trains a Tao on exactly the Table 1 network.
 func calibrationTaoSpec() TaoSpec {
 	p := CalibrationParams
-	return TaoSpec{
-		Name: "Tao-calibration",
-		Seed: 0x0e1,
-		Cfg: remy.Config{
-			Topology:     scenario.Dumbbell,
-			LinkSpeedMin: p.LinkSpeed,
-			LinkSpeedMax: p.LinkSpeed,
-			MinRTTMin:    p.MinRTT,
-			MinRTTMax:    p.MinRTT,
-			SendersMin:   p.Senders,
-			SendersMax:   p.Senders,
-			MeanOn:       p.MeanOn,
-			MeanOff:      p.MeanOff,
-			Buffering:    scenario.FiniteDropTail,
-			BufferBDP:    p.BufferBDP,
-			Delta:        p.Delta,
-			Mask:         remycc.AllSignals(),
-		},
-	}
+	cfg := dumbbellTraining(p.LinkSpeed, p.LinkSpeed, p.MinRTT, p.MinRTT, p.Senders, p.Senders, p.BufferBDP)
+	cfg.MeanOn, cfg.MeanOff, cfg.Delta = p.MeanOn, p.MeanOff, p.Delta
+	return TaoSpec{Name: "Tao-calibration", Seed: 0x0e1, Cfg: cfg}
+}
+
+// calibrationNetwork is the Table 1 testing network.
+func calibrationNetwork(e Effort) scenario.Spec {
+	p := CalibrationParams
+	tmpl := testDumbbell(e, p.LinkSpeed, p.MinRTT)
+	tmpl.BufferBDP, tmpl.MeanOn, tmpl.MeanOff = p.BufferBDP, p.MeanOn, p.MeanOff
+	return tmpl
 }
 
 // CalibrationRow is one protocol's Figure 1 point: median throughput
@@ -80,17 +71,7 @@ func RunCalibration(e Effort, log func(string, ...any)) *CalibrationResult {
 	p := CalibrationParams
 	tree := calibrationTaoSpec().Train(e, log)
 
-	tmpl := scenario.Spec{
-		Topology:  scenario.Dumbbell,
-		LinkSpeed: p.LinkSpeed,
-		MinRTT:    p.MinRTT,
-		Buffering: scenario.FiniteDropTail,
-		BufferBDP: p.BufferBDP,
-		MeanOn:    p.MeanOn,
-		MeanOff:   p.MeanOff,
-		Duration:  e.TestDuration,
-	}
-
+	tmpl := calibrationNetwork(e)
 	protocols := []Protocol{
 		taoProtocol("Tao", tree, remycc.AllSignals()),
 		cubicProtocol(),
@@ -99,13 +80,11 @@ func RunCalibration(e Effort, log func(string, ...any)) *CalibrationResult {
 
 	res := &CalibrationResult{}
 	for _, proto := range protocols {
-		results := evalPoint(e, proto, tmpl, p.Senders, "calibration")
+		results := evalPoint(e, proto, tmpl, p.Senders, testRoot(e, "calibration")).on()
 		row := CalibrationRow{Protocol: proto.Name, Summary: summarize(results)}
 		var objs []float64
 		for _, r := range results {
-			if r.OnTime > 0 {
-				objs = append(objs, stats.Objective(r.Throughput, r.Delay, p.Delta))
-			}
+			objs = append(objs, stats.Objective(r.Throughput, r.Delay, p.Delta))
 		}
 		row.MeanObjective = stats.Mean(objs)
 		res.Rows = append(res.Rows, row)

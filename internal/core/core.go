@@ -2,13 +2,14 @@
 // protocols each experiment calls for (via internal/remy), evaluates
 // them alongside the human-designed baselines and the omniscient
 // reference on the paper's testing scenarios, and renders the
-// tables/series behind every figure (see DESIGN.md §4 for the
-// experiment index).
+// tables/series behind every figure (Experiments is the index;
+// docs/EXPERIMENTS.md says what each should show).
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -17,6 +18,7 @@ import (
 	"learnability/internal/cc/newreno"
 	"learnability/internal/cc/remycc"
 	"learnability/internal/cc/vegas"
+	"learnability/internal/omniscient"
 	"learnability/internal/remy"
 	"learnability/internal/rng"
 	"learnability/internal/scenario"
@@ -123,16 +125,41 @@ type TaoSpec struct {
 	Seed uint64      // training seed
 }
 
+// dumbbellTraining returns the training model the paper's experiments
+// share — a drop-tail dumbbell, senders switching on and off with 1 s
+// means, δ = 1, every congestion signal observable — over the given
+// link-speed, minimum-RTT and sender-count ranges and buffer depth.
+// An experiment whose model departs from it (Tables 5–7) overrides
+// those fields on the result.
+func dumbbellTraining(speedMin, speedMax units.Rate, rttMin, rttMax units.Duration,
+	sendersMin, sendersMax int, bufferBDP float64) remy.Config {
+	return remy.Config{
+		Topology:     scenario.Dumbbell,
+		LinkSpeedMin: speedMin,
+		LinkSpeedMax: speedMax,
+		MinRTTMin:    rttMin,
+		MinRTTMax:    rttMax,
+		SendersMin:   sendersMin,
+		SendersMax:   sendersMax,
+		MeanOn:       units.Second,
+		MeanOff:      units.Second,
+		Buffering:    scenario.FiniteDropTail,
+		BufferBDP:    bufferBDP,
+		Delta:        1,
+		Mask:         remycc.AllSignals(),
+	}
+}
+
 var (
 	taoCacheMu sync.Mutex
 	taoCache   = map[string]*remycc.Tree{}
 )
 
 // Train returns the trained tree for the spec, training it on first
-// use. The cache key includes the effort so different fidelities do
-// not collide.
+// use. The cache key includes everything of the effort that training
+// reads, so different fidelities and seeds do not collide.
 func (s TaoSpec) Train(e Effort, log func(string, ...any)) *remycc.Tree {
-	key := fmt.Sprintf("%s/%d/%+v/%d/%v", s.Name, s.Seed, e.TrainBudget, e.TrainReplicas, e.TrainDuration)
+	key := fmt.Sprintf("%s/%d/%d/%+v/%d/%v", s.Name, s.Seed, e.Seed, e.TrainBudget, e.TrainReplicas, e.TrainDuration)
 	taoCacheMu.Lock()
 	if t, ok := taoCache[key]; ok {
 		taoCacheMu.Unlock()
@@ -152,6 +179,12 @@ func (s TaoSpec) Train(e Effort, log func(string, ...any)) *remycc.Tree {
 	return tree
 }
 
+// protocol trains the spec and wraps the tree as an evaluable protocol
+// under the spec's name, observing the signals it was trained on.
+func (s TaoSpec) protocol(e Effort, log func(string, ...any)) Protocol {
+	return taoProtocol(s.Name, s.Train(e, log), s.Cfg.Mask)
+}
+
 // ResetTaoCache clears trained protocols (tests use it to force
 // retraining).
 func ResetTaoCache() {
@@ -160,26 +193,110 @@ func ResetTaoCache() {
 	taoCacheMu.Unlock()
 }
 
-// evalPoint runs protocol p (homogeneous senders) on the scenario
-// template, overriding buffering if the protocol demands it, for
-// e.TestReplicas independent seeds. It returns per-replica per-flow
-// results flattened.
-func evalPoint(e Effort, p Protocol, tmpl scenario.Spec, nSenders int, label string) []scenario.Result {
+// testDumbbell returns the testing network most experiments share: a
+// drop-tail dumbbell with 5 BDP of buffer and 1 s on/off senders.
+func testDumbbell(e Effort, speed units.Rate, minRTT units.Duration) scenario.Spec {
+	return scenario.Spec{
+		Topology:  scenario.Dumbbell,
+		LinkSpeed: speed,
+		MinRTT:    minRTT,
+		Buffering: scenario.FiniteDropTail,
+		BufferBDP: 5,
+		MeanOn:    units.Second,
+		MeanOff:   units.Second,
+		Duration:  e.TestDuration,
+	}
+}
+
+// flow is one sender of a testing scenario: a factory for its
+// controller and its objective weight.
+type flow struct {
+	alg   func() cc.Algorithm
+	delta float64
+}
+
+// mix is one testing network of an experiment about senders that
+// differ: who sends, and which flows each result row reports together.
+type mix struct {
+	label  string
+	flows  []flow
+	groups []flowGroup
+}
+
+// flowGroup names the flows one result row reports together.
+type flowGroup struct {
+	name  string
+	flows []int
+}
+
+// replicas holds the per-flow results of each independent run of one
+// testing scenario.
+type replicas [][]scenario.Result
+
+// runReplicas runs e.TestReplicas independent copies of the template,
+// replica i seeded from root's "replica" child i, each with fresh
+// controllers. It is the one place an experiment's testing scenarios
+// execute, so every figure evaluates its protocols the same way.
+func runReplicas(e Effort, tmpl scenario.Spec, flows []flow, root *rng.Stream) replicas {
+	runs := make(replicas, e.TestReplicas)
+	for rep := range runs {
+		spec := tmpl
+		spec.Seed = root.SplitN("replica", rep)
+		spec.Senders = make([]scenario.Sender, len(flows))
+		for i, f := range flows {
+			spec.Senders[i] = scenario.Sender{Alg: f.alg(), Delta: f.delta}
+		}
+		runs[rep] = scenario.MustRun(spec)
+	}
+	return runs
+}
+
+// on returns, replica by replica, the results of the named flows (of
+// every flow when none is named) that were ever on; a flow that never
+// turned on has no throughput or delay to report.
+func (runs replicas) on(flows ...int) []scenario.Result {
+	var out []scenario.Result
+	for _, results := range runs {
+		for fi, r := range results {
+			if r.OnTime > 0 && (len(flows) == 0 || slices.Contains(flows, fi)) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// evalPoint runs nSenders copies of protocol p on the scenario
+// template, overriding buffering if the protocol demands it, seeding
+// the replicas from root's child named after the protocol.
+func evalPoint(e Effort, p Protocol, tmpl scenario.Spec, nSenders int, root *rng.Stream) replicas {
 	if p.Gateway != nil {
 		tmpl.Buffering = *p.Gateway
 	}
-	var all []scenario.Result
-	root := rng.New(e.Seed).Split("test").Split(label).Split(p.Name)
-	for rep := 0; rep < e.TestReplicas; rep++ {
-		spec := tmpl
-		spec.Seed = root.SplitN("replica", rep)
-		spec.Senders = make([]scenario.Sender, nSenders)
-		for i := range spec.Senders {
-			spec.Senders[i] = scenario.Sender{Alg: p.New(), Delta: 1}
-		}
-		all = append(all, scenario.MustRun(spec)...)
+	flows := make([]flow, nSenders)
+	for i := range flows {
+		flows[i] = flow{p.New, 1}
 	}
-	return all
+	return runReplicas(e, tmpl, flows, root.Split(p.Name))
+}
+
+// testRoot is the seed root of the testing point named label.
+func testRoot(e Effort, label string) *rng.Stream {
+	return rng.New(e.Seed).Split("test").Split(label)
+}
+
+// normalizedObjectives scores each protocol at one dumbbell testing
+// point: nSenders homogeneous senders on the template, the normalized
+// objective taken against the omniscient allocation for that network.
+func normalizedObjectives(e Effort, protocols []Protocol, tmpl scenario.Spec, nSenders int, label string) []float64 {
+	sys := omniscient.Dumbbell(tmpl.LinkSpeed, tmpl.MinRTT, nSenders, 0.5)
+	omniTpt, omniDelay := sys.ExpectedThroughput(0), sys.Delay(0)
+	objs := make([]float64, len(protocols))
+	for pi, p := range protocols {
+		results := evalPoint(e, p, tmpl, nSenders, testRoot(e, label)).on()
+		objs[pi] = meanNormalizedObjective(results, omniTpt, omniDelay, 1)
+	}
+	return objs
 }
 
 // meanNormalizedObjective averages the normalized objective (§3.2,
@@ -188,9 +305,6 @@ func evalPoint(e Effort, p Protocol, tmpl scenario.Spec, nSenders int, label str
 func meanNormalizedObjective(results []scenario.Result, omniTpt units.Rate, omniDelay units.Duration, delta float64) float64 {
 	var vals []float64
 	for _, r := range results {
-		if r.OnTime == 0 {
-			continue
-		}
 		vals = append(vals, stats.NormalizedObjective(r.Throughput, omniTpt, r.Delay, omniDelay, delta))
 	}
 	return stats.Mean(vals)
@@ -201,13 +315,21 @@ func meanNormalizedObjective(results []scenario.Result, omniTpt units.Rate, omni
 func summarize(results []scenario.Result) stats.Summary {
 	var tpt, qd []float64
 	for _, r := range results {
-		if r.OnTime == 0 {
-			continue
-		}
 		tpt = append(tpt, float64(r.Throughput))
 		qd = append(qd, r.QueueDelay.Seconds())
 	}
 	return stats.Summarize(tpt, qd)
+}
+
+// meanTptAndQueue averages throughput (Mbps) and queueing delay (ms)
+// over results; ok is false when there are none.
+func meanTptAndQueue(results []scenario.Result) (tptMbps, queueMs float64, ok bool) {
+	var tpt, qd []float64
+	for _, r := range results {
+		tpt = append(tpt, float64(r.Throughput)/1e6)
+		qd = append(qd, r.QueueDelay.Seconds()*1e3)
+	}
+	return stats.Mean(tpt), stats.Mean(qd), len(results) > 0
 }
 
 // logspace returns n points log-spaced over [lo, hi] inclusive.

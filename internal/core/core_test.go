@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"learnability/internal/remy"
 	"learnability/internal/units"
 )
 
@@ -66,10 +66,8 @@ func TestEffortPresets(t *testing.T) {
 func TestTaoCache(t *testing.T) {
 	ResetTaoCache()
 	defer ResetTaoCache()
-	e := QuickEffort()
-	e.TrainBudget = remy.Budget{Generations: 0, OptPasses: 1, MovesPerWhisker: 1}
-	e.TrainReplicas = 1
-	e.TrainDuration = 2 * units.Second
+	e := tinyEffort()
+	e.TrainBudget.MovesPerWhisker = 3 // enough search for two seeds to part ways
 	spec := calibrationTaoSpec()
 	trains := 0
 	log := func(string, ...any) { trains++ }
@@ -88,6 +86,18 @@ func TestTaoCache(t *testing.T) {
 	t3 := spec.Train(e2, log)
 	if t3 == t1 {
 		t.Fatal("different effort should not share a cache entry")
+	}
+	// Training is seeded by the effort's seed too: a second seed in the
+	// same process must get its own tree, not the first seed's.
+	e3 := e
+	e3.Seed = e.Seed + 1
+	before := trains
+	t4 := spec.Train(e3, log)
+	if trains == before {
+		t.Fatal("an effort differing only in Seed was served the first seed's tree")
+	}
+	if reflect.DeepEqual(t4, t1) {
+		t.Fatal("two effort seeds trained the same tree")
 	}
 }
 

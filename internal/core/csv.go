@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -36,42 +35,6 @@ func (r *CalibrationResult) WriteCSV(w io.Writer) error {
 	}
 	return writeCSV(w, []string{"protocol", "median_tpt_bps", "median_queue_delay_s",
 		"std_tpt_bps", "std_delay_s", "mean_objective"}, rows)
-}
-
-// WriteCSV dumps the Figure 2 dataset in long form.
-func (r *LinkSpeedResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, s := range r.Series {
-		for i, mbps := range r.SpeedsMbps {
-			rows = append(rows, []string{s.Protocol, f(mbps), f(s.Objective[i])})
-		}
-	}
-	return writeCSV(w, []string{"protocol", "link_speed_mbps", "normalized_objective"}, rows)
-}
-
-// WriteCSV dumps both Figure 3 panels in long form.
-func (r *MultiplexingResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, panel := range []string{"5bdp", "nodrop"} {
-		for _, s := range r.Panels[panel] {
-			for i, n := range r.Senders {
-				rows = append(rows, []string{panel, s.Protocol,
-					strconv.Itoa(n), f(s.Objective[i])})
-			}
-		}
-	}
-	return writeCSV(w, []string{"buffer", "protocol", "senders", "normalized_objective"}, rows)
-}
-
-// WriteCSV dumps the Figure 4 dataset in long form.
-func (r *PropDelayResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, s := range r.Series {
-		for i, ms := range r.RTTsMs {
-			rows = append(rows, []string{s.Protocol, f(ms), f(s.Objective[i])})
-		}
-	}
-	return writeCSV(w, []string{"protocol", "min_rtt_ms", "normalized_objective"}, rows)
 }
 
 // WriteCSV dumps the Figure 6 dataset in long form.
@@ -136,6 +99,3 @@ func (r *KnockoutResult) WriteCSV(w io.Writer) error {
 	return writeCSV(w, []string{"protocol", "signal_removed",
 		"mean_objective", "tpt_mbps", "delay_ms"}, rows)
 }
-
-// CSVName suggests a file name per experiment id.
-func CSVName(exp string) string { return fmt.Sprintf("%s.csv", exp) }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"learnability/internal/cc"
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy"
 	"learnability/internal/rng"
@@ -24,20 +25,10 @@ const (
 )
 
 func diversityBaseCfg(delta float64) remy.Config {
-	return remy.Config{
-		Topology:     scenario.Dumbbell,
-		LinkSpeedMin: 10 * units.Mbps,
-		LinkSpeedMax: 10 * units.Mbps,
-		MinRTTMin:    100 * units.Millisecond,
-		MinRTTMax:    100 * units.Millisecond,
-		SendersMin:   1,
-		SendersMax:   2,
-		MeanOn:       units.Second,
-		MeanOff:      units.Second,
-		Buffering:    scenario.NoDrop,
-		Delta:        delta,
-		Mask:         remycc.AllSignals(),
-	}
+	cfg := dumbbellTraining(10*units.Mbps, 10*units.Mbps, 100*units.Millisecond, 100*units.Millisecond, 1, 2, 0)
+	cfg.Buffering = scenario.NoDrop
+	cfg.Delta = delta
+	return cfg
 }
 
 // trainDiversityPair returns the (tpt, del) trees. Naive trees are
@@ -57,14 +48,12 @@ func trainDiversityPair(e Effort, coopt bool, log func(string, ...any)) (tpt, de
 		}
 		return TaoSpec{Name: fmt.Sprintf("%s-r%d", name, round), Seed: 0x0e8, Cfg: cfg}.Train(e, log)
 	}
+	tpt = trainOne("Tao-tpt-naive", TptSenderDelta, nil, 0, 0)
+	del = trainOne("Tao-del-naive", DelSenderDelta, nil, 0, 0)
 	if !coopt {
-		tpt = trainOne("Tao-tpt-naive", TptSenderDelta, nil, 0, 0)
-		del = trainOne("Tao-del-naive", DelSenderDelta, nil, 0, 0)
 		return tpt, del
 	}
 	// Alternate optimization, starting from the naive protocols.
-	tpt = trainOne("Tao-tpt-naive", TptSenderDelta, nil, 0, 0)
-	del = trainOne("Tao-del-naive", DelSenderDelta, nil, 0, 0)
 	for round := 1; round <= 2; round++ {
 		tpt = trainOne("Tao-tpt-coopt", TptSenderDelta, del, DelSenderDelta, round)
 		del = trainOne("Tao-del-coopt", DelSenderDelta, tpt, TptSenderDelta, round)
@@ -97,78 +86,29 @@ func RunDiversity(e Effort, log func(string, ...any)) *DiversityResult {
 		{"co-optimized", true},
 	} {
 		tptTree, delTree := trainDiversityPair(e, mode.coopt, log)
+		tpt := flow{func() cc.Algorithm { return remycc.New(tptTree) }, TptSenderDelta}
+		del := flow{func() cc.Algorithm { return remycc.New(delTree) }, DelSenderDelta}
 
-		eval := func(setting string, senders []scenario.Sender, report map[int]string) {
-			type acc struct{ tpt, qd []float64 }
-			accs := map[string]*acc{}
-			root := rng.New(e.Seed).Split("diversity").Split(mode.name).Split(setting)
-			for rep := 0; rep < e.TestReplicas; rep++ {
-				spec := scenario.Spec{
-					Topology:  scenario.Dumbbell,
-					LinkSpeed: 10 * units.Mbps,
-					MinRTT:    100 * units.Millisecond,
-					Buffering: scenario.NoDrop,
-					MeanOn:    units.Second,
-					MeanOff:   units.Second,
-					Duration:  e.TestDuration,
-					Seed:      root.SplitN("replica", rep),
+		tmpl := testDumbbell(e, 10*units.Mbps, 100*units.Millisecond)
+		tmpl.Buffering = scenario.NoDrop
+		for _, st := range []mix{
+			// Alone: two senders of the same type (a homogeneous
+			// network). Both networks draw the same seeds.
+			{"alone", []flow{tpt, tpt}, []flowGroup{{"Tpt", []int{0, 1}}}},
+			{"alone", []flow{del, del}, []flowGroup{{"Del", []int{0, 1}}}},
+			// Mixed: one of each (Table 7b).
+			{"mixed", []flow{tpt, del}, []flowGroup{{"Tpt", []int{0}}, {"Del", []int{1}}}},
+		} {
+			runs := runReplicas(e, tmpl, st.flows,
+				rng.New(e.Seed).Split("diversity").Split(mode.name).Split(st.label))
+			for _, g := range st.groups {
+				if tptMbps, queueMs, ok := meanTptAndQueue(runs.on(g.flows...)); ok {
+					res.Rows = append(res.Rows, DiversityRow{mode.name, st.label, g.name, tptMbps, queueMs})
 				}
-				// Fresh controller instances each replica.
-				spec.Senders = make([]scenario.Sender, len(senders))
-				for i, s := range senders {
-					alg := remycc.New(tptTree)
-					if s.Delta == DelSenderDelta {
-						alg = remycc.New(delTree)
-					}
-					spec.Senders[i] = scenario.Sender{Alg: alg, Delta: s.Delta}
-				}
-				results := scenario.MustRun(spec)
-				for fi, name := range report {
-					r := results[fi]
-					if r.OnTime == 0 {
-						continue
-					}
-					a := accs[name]
-					if a == nil {
-						a = &acc{}
-						accs[name] = a
-					}
-					a.tpt = append(a.tpt, float64(r.Throughput)/1e6)
-					a.qd = append(a.qd, r.QueueDelay.Seconds()*1e3)
-				}
-			}
-			for name, a := range accs {
-				res.Rows = append(res.Rows, DiversityRow{
-					Training: mode.name,
-					Setting:  setting,
-					Sender:   name,
-					TptMbps:  mean(a.tpt),
-					QueueMs:  mean(a.qd),
-				})
 			}
 		}
-
-		// Alone: two senders of the same type (a homogeneous network).
-		eval("alone", []scenario.Sender{{Delta: TptSenderDelta}, {Delta: TptSenderDelta}},
-			map[int]string{0: "Tpt", 1: "Tpt"})
-		eval("alone", []scenario.Sender{{Delta: DelSenderDelta}, {Delta: DelSenderDelta}},
-			map[int]string{0: "Del", 1: "Del"})
-		// Mixed: one of each (Table 7b).
-		eval("mixed", []scenario.Sender{{Delta: TptSenderDelta}, {Delta: DelSenderDelta}},
-			map[int]string{0: "Tpt", 1: "Del"})
 	}
 	return res
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Row returns the cell for (training, setting, sender), or nil.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"learnability/internal/units"
 )
 
 // These tests exercise the heavier sweep experiments at quick effort
@@ -14,30 +17,31 @@ func TestLinkSpeedShape(t *testing.T) {
 		t.Skip("experiment test")
 	}
 	res := RunLinkSpeed(QuickEffort(), nil)
-	if len(res.Series) != 6 {
-		t.Fatalf("expected 6 series, got %d", len(res.Series))
+	series := res.Panels[0].Series
+	if len(series) != 6 {
+		t.Fatalf("expected 6 series, got %d", len(series))
 	}
-	for _, s := range res.Series {
-		if len(s.Objective) != len(res.SpeedsMbps) {
-			t.Fatalf("series %s has %d points, want %d", s.Protocol, len(s.Objective), len(res.SpeedsMbps))
+	for _, s := range series {
+		if len(s.Y) != len(res.X) {
+			t.Fatalf("series %s has %d points, want %d", s.Protocol, len(s.Y), len(res.X))
 		}
 	}
 	// Within the 22-44 Mbps design range, every Tao whose range covers
 	// it beats Cubic (Figure 2's headline).
-	cub := res.MeanObjectiveInRange("Cubic", 20, 50)
+	cub := res.MeanInRange("", "Cubic", 20, 50)
 	for _, name := range []string{"Tao-1000x", "Tao-100x", "Tao-10x", "Tao-2x"} {
-		tao := res.MeanObjectiveInRange(name, 20, 50)
+		tao := res.MeanInRange("", name, 20, 50)
 		if tao <= cub {
 			t.Errorf("%s (%.3f) does not beat Cubic (%.3f) near the center of its range", name, tao, cub)
 		}
 	}
 	// All normalized objectives are <= a small positive bound (the
 	// omniscient reference is the ceiling up to estimation noise).
-	for _, s := range res.Series {
-		for i, v := range s.Objective {
+	for _, s := range series {
+		for i, v := range s.Y {
 			if v > 0.25 {
 				t.Errorf("%s at %.1f Mbps scored %.3f above the omniscient ceiling",
-					s.Protocol, res.SpeedsMbps[i], v)
+					s.Protocol, res.X[i], v)
 			}
 		}
 	}
@@ -54,9 +58,9 @@ func TestPropDelayShape(t *testing.T) {
 	// Every Tao beats Cubic over the 50-250 ms band covered by all
 	// training ranges' vicinity (Figure 4: the Tao curves sit far
 	// above Cubic and Cubic-over-sfqCoDel).
-	cub := res.MeanObjectiveInRange("Cubic", 50, 250)
-	for _, r := range PropDelayRanges {
-		tao := res.MeanObjectiveInRange(r.Name, 50, 250)
+	cub := res.MeanInRange("", "Cubic", 50, 250)
+	for _, r := range propDelaySweep.taos {
+		tao := res.MeanInRange("", r.Name, 50, 250)
 		if tao <= cub {
 			t.Errorf("%s (%.3f) does not beat Cubic (%.3f) over 50-250ms", r.Name, tao, cub)
 		}
@@ -71,21 +75,19 @@ func TestMultiplexingShape(t *testing.T) {
 		t.Skip("experiment test")
 	}
 	res := RunMultiplexing(QuickEffort(), nil)
-	for _, panel := range []string{"5bdp", "nodrop"} {
-		if len(res.Panels[panel]) == 0 {
-			t.Fatalf("missing panel %s", panel)
-		}
+	if len(res.Panels) != 2 || res.Panels[0].Name != "5bdp" || res.Panels[1].Name != "nodrop" {
+		t.Fatalf("panels = %+v", res.Panels)
 	}
 	// Figure 3's tradeoff: the narrow-range Tao (1-2) does better at 1
 	// sender than the broad Tao (1-100), and the broad Tao does better
 	// at 100 senders than the narrow one — in both buffer panels.
 	for _, panel := range []string{"5bdp", "nodrop"} {
-		narrowLow, ok1 := res.ObjectiveAt(panel, "Tao-1-2", 1)
-		broadLow, ok2 := res.ObjectiveAt(panel, "Tao-1-100", 1)
-		narrowHigh, ok3 := res.ObjectiveAt(panel, "Tao-1-2", 100)
-		broadHigh, ok4 := res.ObjectiveAt(panel, "Tao-1-100", 100)
+		narrowLow, ok1 := res.At(panel, "Tao-1-2", 1)
+		broadLow, ok2 := res.At(panel, "Tao-1-100", 1)
+		narrowHigh, ok3 := res.At(panel, "Tao-1-2", 100)
+		broadHigh, ok4 := res.At(panel, "Tao-1-100", 100)
 		if !ok1 || !ok2 || !ok3 || !ok4 {
-			t.Fatalf("%s: missing endpoints in sweep %v", panel, res.Senders)
+			t.Fatalf("%s: missing endpoints in sweep %v", panel, res.X)
 		}
 		if narrowLow <= broadLow {
 			t.Errorf("%s: Tao-1-2 at n=1 (%.3f) not above Tao-1-100 (%.3f)", panel, narrowLow, broadLow)
@@ -152,6 +154,41 @@ func TestDiversityShape(t *testing.T) {
 	}
 	if res.Table() == "" {
 		t.Error("empty table")
+	}
+}
+
+// TestDiversityRowOrder pins Figure 9's row sequence: training, then
+// setting, then sender in flow order — never the order a map happened
+// to iterate in.
+func TestDiversityRowOrder(t *testing.T) {
+	e := tinyEffort()
+	e.TestReplicas, e.TestDuration = 2, 4*units.Second // long enough that every sender turns on
+	var got []string
+	for _, row := range RunDiversity(e, nil).Rows {
+		got = append(got, row.Training+"/"+row.Setting+"/"+row.Sender)
+	}
+	want := []string{
+		"naive/alone/Tpt", "naive/alone/Del", "naive/mixed/Tpt", "naive/mixed/Del",
+		"co-optimized/alone/Tpt", "co-optimized/alone/Del", "co-optimized/mixed/Tpt", "co-optimized/mixed/Del",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+}
+
+// TestDiversityDeterministic runs Figure 9 twice and requires the same
+// bytes from both renderings.
+func TestDiversityDeterministic(t *testing.T) {
+	render := func() string {
+		res := RunDiversity(tinyEffort(), nil)
+		var b strings.Builder
+		if err := res.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return res.Table() + b.String()
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("two runs rendered differently:\n%s\n%s", a, b)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"learnability/internal/cc/remycc"
-	"learnability/internal/scenario"
 	"learnability/internal/stats"
 )
 
@@ -51,25 +50,9 @@ func RunKnockout(e Effort, log func(string, ...any)) *KnockoutResult {
 		spec := calibrationTaoSpec()
 		spec.Name = v.name
 		spec.Cfg.Mask = v.mask
-		tree := spec.Train(e, log)
 
-		tmpl := scenario.Spec{
-			Topology:  scenario.Dumbbell,
-			LinkSpeed: p.LinkSpeed,
-			MinRTT:    p.MinRTT,
-			Buffering: scenario.FiniteDropTail,
-			BufferBDP: p.BufferBDP,
-			MeanOn:    p.MeanOn,
-			MeanOff:   p.MeanOff,
-			Duration:  e.TestDuration,
-		}
-		proto := taoProtocol(v.name, tree, v.mask)
-		results := evalPoint(e, proto, tmpl, p.Senders, "knockout")
 		var objs, tpts, delays []float64
-		for _, r := range results {
-			if r.OnTime == 0 {
-				continue
-			}
+		for _, r := range evalPoint(e, spec.protocol(e, log), calibrationNetwork(e), p.Senders, testRoot(e, "knockout")).on() {
 			objs = append(objs, stats.Objective(r.Throughput, r.Delay, p.Delta))
 			tpts = append(tpts, float64(r.Throughput)/1e6)
 			delays = append(delays, r.Delay.Seconds()*1e3)

@@ -7,49 +7,8 @@ import (
 	"learnability/internal/plot"
 )
 
-// ASCII renderings of the sweep figures (cmd/learnability -plot).
-
-// Plot renders the Figure 2 curves.
-func (r *LinkSpeedResult) Plot() string {
-	var series []plot.Series
-	for _, s := range r.Series {
-		series = append(series, plot.Series{Name: s.Protocol, X: r.SpeedsMbps, Y: s.Objective})
-	}
-	return plot.Chart("Figure 2: normalized objective vs link speed", series,
-		plot.Options{Width: 72, Height: 18, LogX: true,
-			XLabel: "link speed (Mbps)", YLabel: "log(norm tpt) - log(norm delay)"})
-}
-
-// Plot renders both Figure 3 panels.
-func (r *MultiplexingResult) Plot() string {
-	var b strings.Builder
-	x := make([]float64, len(r.Senders))
-	for i, n := range r.Senders {
-		x[i] = float64(n)
-	}
-	for _, panel := range []string{"5bdp", "nodrop"} {
-		var series []plot.Series
-		for _, s := range r.Panels[panel] {
-			series = append(series, plot.Series{Name: s.Protocol, X: x, Y: s.Objective})
-		}
-		b.WriteString(plot.Chart(fmt.Sprintf("Figure 3 (%s): normalized objective vs number of senders", panel),
-			series, plot.Options{Width: 72, Height: 18,
-				XLabel: "senders", YLabel: "normalized objective"}))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// Plot renders the Figure 4 curves.
-func (r *PropDelayResult) Plot() string {
-	var series []plot.Series
-	for _, s := range r.Series {
-		series = append(series, plot.Series{Name: s.Protocol, X: r.RTTsMs, Y: s.Objective})
-	}
-	return plot.Chart("Figure 4: normalized objective vs minimum RTT", series,
-		plot.Options{Width: 72, Height: 18,
-			XLabel: "min RTT (ms)", YLabel: "normalized objective"})
-}
+// ASCII renderings of Figures 6 and 8 (cmd/learnability -plot);
+// Sweep.Plot renders Figures 2–4.
 
 // Plot renders the Figure 6 equal-speed locus.
 func (r *StructureResult) Plot() string {

@@ -7,40 +7,45 @@ import (
 
 // Plot tests use synthetic results so they need no training.
 
+// TestLinkSpeedPlot: Figure 2 is drawn on a logarithmic x-axis, so the
+// decades 1, 10, 100, 1000 land on evenly spaced columns.
 func TestLinkSpeedPlot(t *testing.T) {
-	r := &LinkSpeedResult{
-		SpeedsMbps: []float64{1, 10, 100, 1000},
-		Series: []LinkSpeedSeries{
-			{Protocol: "Tao-2x", Objective: []float64{-2, -1, -0.5, -3}},
-			{Protocol: "Cubic", Objective: []float64{-2.5, -2.5, -2.5, -2.5}},
-		},
-	}
+	r := synthetic(linkSpeedSweep, []float64{1, 10, 100, 1000}, Panel{Series: []Series{
+		{Protocol: "Tao-2x", Y: []float64{-2, -1, -0.5, -3}},
+		{Protocol: "Cubic", Y: []float64{-2.5, -2.5, -2.5, -2.5}},
+	}})
 	out := r.Plot()
-	if !strings.Contains(out, "Figure 2") || !strings.Contains(out, "Tao-2x") {
-		t.Fatalf("plot missing pieces:\n%s", out)
+	for _, want := range []string{"Figure 2: normalized objective vs link speed", "Tao-2x", "Cubic", "link speed (Mbps)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("plot is missing %q:\n%s", want, out)
+		}
+	}
+	linear := *r
+	linear.Axis.Log = false
+	if linear.Plot() == out {
+		t.Fatal("the log-x chart is the linear chart")
 	}
 }
 
+// TestMultiplexingPlot: one chart per panel, each titled with it.
 func TestMultiplexingPlot(t *testing.T) {
-	r := &MultiplexingResult{
-		Senders: []int{1, 50, 100},
-		Panels: map[string][]MultiplexingSeries{
-			"5bdp":   {{Protocol: "Tao-1-2", Objective: []float64{-0.3, -3, -4}}},
-			"nodrop": {{Protocol: "Tao-1-2", Objective: []float64{-0.3, -5, -6}}},
-		},
-	}
+	r := synthetic(multiplexingSweep, []float64{1, 50, 100},
+		Panel{Name: "5bdp", Series: []Series{{Protocol: "Tao-1-2", Y: []float64{-0.3, -3, -4}}}},
+		Panel{Name: "nodrop", Series: []Series{{Protocol: "Tao-1-2", Y: []float64{-0.3, -5, -6}}}})
 	out := r.Plot()
-	if strings.Count(out, "Figure 3") != 2 {
+	if !strings.Contains(out, "Figure 3 (5bdp): ") || !strings.Contains(out, "Figure 3 (nodrop): ") {
 		t.Fatalf("expected both panels:\n%s", out)
 	}
 }
 
+// TestPropDelayPlot: the table header and the plot label of an axis
+// are separate strings, and Figure 4's differ.
 func TestPropDelayPlot(t *testing.T) {
-	r := &PropDelayResult{
-		RTTsMs: []float64{1, 150, 300},
-		Series: []PropDelaySeries{{Protocol: "Tao-rtt-150", Objective: []float64{-2, -0.5, -1}}},
-	}
-	if out := r.Plot(); !strings.Contains(out, "Figure 4") {
+	r := synthetic(propDelaySweep, []float64{1, 150, 300}, Panel{Series: []Series{
+		{Protocol: "Tao-rtt-150", Y: []float64{-2, -0.5, -1}},
+	}})
+	out := r.Plot()
+	if !strings.Contains(out, "Figure 4: ") || !strings.Contains(out, "min RTT (ms)") || strings.Contains(out, "minRTT") {
 		t.Fatalf("plot:\n%s", out)
 	}
 }

@@ -8,66 +8,107 @@ import (
 // Unit tests for result-type helpers using synthetic data (no
 // training, no simulation).
 
+// synthetic returns the declared sweep's figure with made-up curves:
+// the real axis, captions and panel names, no training.
+func synthetic(def sweepDef, x []float64, panels ...Panel) *Sweep {
+	s := def.Sweep
+	s.X, s.Panels = x, panels
+	return &s
+}
+
+// TestLinkSpeedResultHelpers checks the lookups and the table a
+// single-panel sweep offers.
 func TestLinkSpeedResultHelpers(t *testing.T) {
-	r := &LinkSpeedResult{
-		SpeedsMbps: []float64{1, 10, 100},
-		Series: []LinkSpeedSeries{
-			{Protocol: "A", Objective: []float64{-1, -2, -3}},
-			{Protocol: "B", Objective: []float64{-4, -5, -6}},
-		},
+	r := synthetic(linkSpeedSweep, []float64{1, 10, 100}, Panel{Series: []Series{
+		{Protocol: "A", Y: []float64{-1, -2, -3}},
+		{Protocol: "B", Y: []float64{-4, -5, -6}},
+	}})
+	if s := r.Series("", "B"); s == nil || s.Y[0] != -4 {
+		t.Fatalf("Series = %+v", s)
 	}
-	if s := r.Series_("B"); s == nil || s.Objective[0] != -4 {
-		t.Fatalf("Series_ = %+v", s)
-	}
-	if r.Series_("missing") != nil {
+	if r.Series("", "missing") != nil {
 		t.Fatal("missing series should be nil")
 	}
-	if got := r.MeanObjectiveInRange("A", 1, 10); got != -1.5 {
-		t.Fatalf("MeanObjectiveInRange = %v", got)
+	if got := r.MeanInRange("", "A", 1, 10); got != -1.5 {
+		t.Fatalf("MeanInRange = %v", got)
 	}
-	if got := r.MeanObjectiveInRange("A", 500, 900); got != 0 {
+	// A bound a hair inside a grid point computed in floating point
+	// still includes it.
+	if got := r.MeanInRange("", "A", 1.0005, 9.995); got != -1.5 {
+		t.Fatalf("MeanInRange with bounds within 0.1%% of the grid = %v", got)
+	}
+	if got := r.MeanInRange("", "A", 1.01, 9.9); got != 0 {
+		t.Fatalf("MeanInRange with bounds 1%% inside the grid = %v", got)
+	}
+	if got := r.MeanInRange("", "A", 500, 900); got != 0 {
 		t.Fatalf("empty range = %v", got)
 	}
-	if got := r.MeanObjectiveInRange("missing", 1, 100); got != 0 {
+	if got := r.MeanInRange("", "missing", 1, 100); got != 0 {
 		t.Fatalf("missing series mean = %v", got)
 	}
-	tbl := r.Table()
-	if !strings.Contains(tbl, "A") || !strings.Contains(tbl, "Omniscient") {
-		t.Fatalf("table = %q", tbl)
+	want := renderTable(
+		[]string{"link speed (Mbps)", "A", "B", "Omniscient"},
+		[][]string{
+			{"1.00", "-1.000", "-4.000", "+0.000"},
+			{"10.00", "-2.000", "-5.000", "+0.000"},
+			{"100.00", "-3.000", "-6.000", "+0.000"},
+		})
+	if got := r.Table(); got != want {
+		t.Fatalf("table =\n%s\nwant\n%s", got, want)
 	}
 }
 
+// TestPropDelayResultHelpers checks a single-panel sweep's CSV: long
+// form, no panel column, full-precision values.
 func TestPropDelayResultHelpers(t *testing.T) {
-	r := &PropDelayResult{
-		RTTsMs: []float64{1, 150, 300},
-		Series: []PropDelaySeries{{Protocol: "X", Objective: []float64{-3, -1, -2}}},
+	r := synthetic(propDelaySweep, []float64{1, 150.5}, Panel{Series: []Series{
+		{Protocol: "X", Y: []float64{-3, -1.25}},
+		{Protocol: "Y", Y: []float64{-2, 0.123456789}},
+	}})
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.MeanObjectiveInRange("X", 100, 350); got != -1.5 {
-		t.Fatalf("mean = %v", got)
-	}
-	if r.Series_("X") == nil || r.Series_("nope") != nil {
-		t.Fatal("Series_ lookup broken")
+	want := "protocol,min_rtt_ms,normalized_objective\n" +
+		"X,1,-3\nX,150.5,-1.25\nY,1,-2\nY,150.5,0.12345679\n"
+	if b.String() != want {
+		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
 
+// TestMultiplexingResultHelpers checks what panels add: lookups by
+// panel, one table per panel, a panel column in the CSV.
 func TestMultiplexingResultHelpers(t *testing.T) {
-	r := &MultiplexingResult{
-		Senders: []int{1, 100},
-		Panels: map[string][]MultiplexingSeries{
-			"5bdp": {{Protocol: "T", Objective: []float64{-0.5, -4}}},
-		},
+	r := synthetic(multiplexingSweep, []float64{1, 100},
+		Panel{Name: "5bdp", Series: []Series{{Protocol: "T", Y: []float64{-0.5, -4}}}},
+		Panel{Name: "nodrop", Series: []Series{{Protocol: "T", Y: []float64{-1, -2}}}})
+	if v, ok := r.At("5bdp", "T", 100); !ok || v != -4 {
+		t.Fatalf("At = %v %v", v, ok)
 	}
-	if v, ok := r.ObjectiveAt("5bdp", "T", 100); !ok || v != -4 {
-		t.Fatalf("ObjectiveAt = %v %v", v, ok)
+	if v, ok := r.At("nodrop", "T", 100); !ok || v != -2 {
+		t.Fatalf("At in the second panel = %v %v", v, ok)
 	}
-	if _, ok := r.ObjectiveAt("5bdp", "T", 7); ok {
+	if _, ok := r.At("5bdp", "T", 7); ok {
 		t.Fatal("absent sender count should not resolve")
 	}
-	if _, ok := r.ObjectiveAt("nodrop", "T", 1); ok {
+	if _, ok := r.At("1bdp", "T", 1); ok {
 		t.Fatal("absent panel should not resolve")
 	}
 	if r.Series("5bdp", "missing") != nil {
 		t.Fatal("missing series should be nil")
+	}
+	tbl := r.Table()
+	if !strings.Contains(tbl, "senders [5bdp]") || !strings.Contains(tbl, "senders [nodrop]") {
+		t.Fatalf("table does not head each panel:\n%s", tbl)
+	}
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "buffer,protocol,senders,normalized_objective\n" +
+		"5bdp,T,1,-0.5\n5bdp,T,100,-4\nnodrop,T,1,-1\nnodrop,T,100,-2\n"
+	if b.String() != want {
+		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
 }
 
@@ -192,11 +233,5 @@ func TestCalibrationResultHelpers(t *testing.T) {
 	}
 	if (&CalibrationResult{}).OmniscientTpt() != 0 {
 		t.Fatal("empty result omniscient tpt should be 0")
-	}
-}
-
-func TestCSVName(t *testing.T) {
-	if CSVName("fig1") != "fig1.csv" {
-		t.Fatalf("CSVName = %q", CSVName("fig1"))
 	}
 }

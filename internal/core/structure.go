@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"learnability/internal/cc/remycc"
 	"learnability/internal/omniscient"
-	"learnability/internal/remy"
 	"learnability/internal/rng"
 	"learnability/internal/scenario"
 	"learnability/internal/stats"
@@ -20,52 +18,21 @@ import (
 // The reported quantity is the throughput of Flow 1, the flow crossing
 // both bottlenecks.
 
-// structureOneBottleneckSpec models the network as one link whose
-// one-way delay (150 ms) matches the two-hop path, per Table 5.
-func structureOneBottleneckSpec() TaoSpec {
-	return TaoSpec{
-		Name: "Tao-one-bottleneck",
-		Seed: 0x0e5,
-		Cfg: remy.Config{
-			Topology:     scenario.Dumbbell,
-			LinkSpeedMin: 10 * units.Mbps,
-			LinkSpeedMax: 100 * units.Mbps,
-			MinRTTMin:    300 * units.Millisecond,
-			MinRTTMax:    300 * units.Millisecond,
-			SendersMin:   2,
-			SendersMax:   2,
-			MeanOn:       units.Second,
-			MeanOff:      units.Second,
-			Buffering:    scenario.FiniteDropTail,
-			BufferBDP:    1,
-			Delta:        1,
-			Mask:         remycc.AllSignals(),
-		},
+// structureTaoSpec trains on 10–100 Mbps links with 1 BDP of buffer
+// and a 300 ms round trip. Told the truth, the model is the parking
+// lot itself (two 75 ms hops, three flows; the long flow's round trip
+// is four hops); told there is one bottleneck, it is a two-sender
+// dumbbell whose 150 ms one-way delay matches the two-hop path
+// (Table 5).
+func structureTaoSpec(twoBottlenecks bool) TaoSpec {
+	spec := TaoSpec{Name: "Tao-one-bottleneck", Seed: 0x0e5, Cfg: dumbbellTraining(
+		10*units.Mbps, 100*units.Mbps, 300*units.Millisecond, 300*units.Millisecond, 2, 2, 1)}
+	if twoBottlenecks {
+		spec.Name = "Tao-two-bottleneck"
+		spec.Cfg.Topology = scenario.ParkingLot
+		spec.Cfg.SendersMin, spec.Cfg.SendersMax = 3, 3
 	}
-}
-
-// structureTwoBottleneckSpec trains on the true parking-lot topology
-// (two 75 ms hops, three flows).
-func structureTwoBottleneckSpec() TaoSpec {
-	return TaoSpec{
-		Name: "Tao-two-bottleneck",
-		Seed: 0x0e5,
-		Cfg: remy.Config{
-			Topology:     scenario.ParkingLot,
-			LinkSpeedMin: 10 * units.Mbps,
-			LinkSpeedMax: 100 * units.Mbps,
-			MinRTTMin:    300 * units.Millisecond, // long flow: 4 x 75 ms hops
-			MinRTTMax:    300 * units.Millisecond,
-			SendersMin:   3,
-			SendersMax:   3,
-			MeanOn:       units.Second,
-			MeanOff:      units.Second,
-			Buffering:    scenario.FiniteDropTail,
-			BufferBDP:    1,
-			Delta:        1,
-			Mask:         remycc.AllSignals(),
-		},
-	}
+	return spec
 }
 
 // StructureSeries is one protocol's Figure 6 curve: Flow 1 throughput
@@ -87,12 +54,9 @@ type StructureResult struct {
 // RunStructure trains both Taos and sweeps the parking-lot link
 // speeds.
 func RunStructure(e Effort, log func(string, ...any)) *StructureResult {
-	oneTree := structureOneBottleneckSpec().Train(e, log)
-	twoTree := structureTwoBottleneckSpec().Train(e, log)
-
 	protocols := []Protocol{
-		taoProtocol("Tao-one-bottleneck", oneTree, remycc.AllSignals()),
-		taoProtocol("Tao-two-bottleneck", twoTree, remycc.AllSignals()),
+		structureTaoSpec(false).protocol(e, log),
+		structureTaoSpec(true).protocol(e, log),
 		cubicProtocol(),
 		cubicSfqCoDelProtocol(),
 	}
@@ -104,6 +68,7 @@ func RunStructure(e Effort, log func(string, ...any)) *StructureResult {
 	}
 	series[len(protocols)].Protocol = "Omniscient"
 
+	// flow1 is the mean throughput of the flow crossing both links.
 	flow1 := func(p Protocol, r1, r2 units.Rate, label string) float64 {
 		tmpl := scenario.Spec{
 			Topology:   scenario.ParkingLot,
@@ -116,23 +81,9 @@ func RunStructure(e Effort, log func(string, ...any)) *StructureResult {
 			MeanOff:    units.Second,
 			Duration:   e.TestDuration,
 		}
-		if p.Gateway != nil {
-			tmpl.Buffering = *p.Gateway
-		}
 		var tpts []float64
-		root := rng.New(e.Seed).Split("structure").Split(label).Split(p.Name)
-		for rep := 0; rep < e.TestReplicas; rep++ {
-			spec := tmpl
-			spec.Seed = root.SplitN("replica", rep)
-			spec.Senders = []scenario.Sender{
-				{Alg: p.New(), Delta: 1},
-				{Alg: p.New(), Delta: 1},
-				{Alg: p.New(), Delta: 1},
-			}
-			results := scenario.MustRun(spec)
-			if results[0].OnTime > 0 {
-				tpts = append(tpts, float64(results[0].Throughput))
-			}
+		for _, r := range evalPoint(e, p, tmpl, 3, rng.New(e.Seed).Split("structure").Split(label)).on(0) {
+			tpts = append(tpts, float64(r.Throughput))
 		}
 		return stats.Mean(tpts)
 	}
@@ -159,23 +110,15 @@ func RunStructure(e Effort, log func(string, ...any)) *StructureResult {
 	return res
 }
 
-// Series_ returns the named series, or nil.
-func (r *StructureResult) Series_(name string) *StructureSeries {
-	for i := range r.Series {
-		if r.Series[i].Protocol == name {
-			return &r.Series[i]
+// MeanEqualTpt averages the named protocol's equal-speed curve (Mbps;
+// 0 if the protocol is absent).
+func (r *StructureResult) MeanEqualTpt(name string) float64 {
+	for _, s := range r.Series {
+		if s.Protocol == name {
+			return stats.Mean(s.EqualTptMbps)
 		}
 	}
-	return nil
-}
-
-// MeanEqualTpt averages a series' equal-speed curve (Mbps).
-func (r *StructureResult) MeanEqualTpt(name string) float64 {
-	s := r.Series_(name)
-	if s == nil {
-		return 0
-	}
-	return stats.Mean(s.EqualTptMbps)
+	return 0
 }
 
 // Table renders the Figure 6 dataset.

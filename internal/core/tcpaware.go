@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 
-	"learnability/internal/cc"
-	"learnability/internal/cc/remycc"
-	"learnability/internal/remy"
 	"learnability/internal/rng"
 	"learnability/internal/scenario"
 	"learnability/internal/stats"
@@ -20,32 +17,22 @@ import (
 // (2 x Tao) and in a mixed network (Tao vs NewReno).
 
 func tcpAwareSpec(aware bool) TaoSpec {
-	name := "Tao-TCP-naive"
-	prob := 0.0
+	cfg := dumbbellTraining(9*units.Mbps, 11*units.Mbps, 100*units.Millisecond, 100*units.Millisecond, 2, 2, 2)
+	cfg.MeanOn, cfg.MeanOff = 5*units.Second, 10*units.Millisecond
 	if aware {
-		name = "Tao-TCP-aware"
-		prob = 0.5
+		cfg.AIMDProb = 0.5
+		return TaoSpec{Name: "Tao-TCP-aware", Seed: 0x0e6, Cfg: cfg}
 	}
-	return TaoSpec{
-		Name: name,
-		Seed: 0x0e6,
-		Cfg: remy.Config{
-			Topology:     scenario.Dumbbell,
-			LinkSpeedMin: 9 * units.Mbps,
-			LinkSpeedMax: 11 * units.Mbps,
-			MinRTTMin:    100 * units.Millisecond,
-			MinRTTMax:    100 * units.Millisecond,
-			SendersMin:   2,
-			SendersMax:   2,
-			AIMDProb:     prob,
-			MeanOn:       5 * units.Second,
-			MeanOff:      10 * units.Millisecond,
-			Buffering:    scenario.FiniteDropTail,
-			BufferBDP:    2,
-			Delta:        1,
-			Mask:         remycc.AllSignals(),
-		},
-	}
+	return TaoSpec{Name: "Tao-TCP-naive", Seed: 0x0e6, Cfg: cfg}
+}
+
+// tcpAwareNetwork is the Table 6b testing network: 10 Mbps, 100 ms,
+// 2 BDP of buffer, near-continuous load.
+func tcpAwareNetwork(e Effort) scenario.Spec {
+	tmpl := testDumbbell(e, 10*units.Mbps, 100*units.Millisecond)
+	tmpl.BufferBDP = 2
+	tmpl.MeanOn, tmpl.MeanOff = 5*units.Second, 10*units.Millisecond
+	return tmpl
 }
 
 // TCPAwareRow reports one sender group's outcome in one setting.
@@ -62,65 +49,30 @@ type TCPAwareResult struct {
 
 // RunTCPAware trains both Taos and evaluates the Table 6b settings.
 func RunTCPAware(e Effort, log func(string, ...any)) *TCPAwareResult {
-	naive := tcpAwareSpec(false).Train(e, log)
-	aware := tcpAwareSpec(true).Train(e, log)
-
-	mkNaive := func() cc.Algorithm { return remycc.New(naive) }
-	mkAware := func() cc.Algorithm { return remycc.New(aware) }
-	mkReno := newRenoProtocol().New
+	naive := flow{tcpAwareSpec(false).protocol(e, log).New, 1}
+	aware := flow{tcpAwareSpec(true).protocol(e, log).New, 1}
+	reno := flow{newRenoProtocol().New, 1}
 
 	res := &TCPAwareResult{}
-	// Each setting: two sender constructors plus which flows to report
-	// under which name.
-	type group struct {
-		name  string
-		flows []int
-	}
-	type setting struct {
-		label  string
-		mk     [2]func() cc.Algorithm
-		groups []group
-	}
-	settings := []setting{
-		{"homogeneous", [2]func() cc.Algorithm{mkNaive, mkNaive},
-			[]group{{"Tao-TCP-naive", []int{0, 1}}}},
-		{"homogeneous", [2]func() cc.Algorithm{mkAware, mkAware},
-			[]group{{"Tao-TCP-aware", []int{0, 1}}}},
-		{"homogeneous", [2]func() cc.Algorithm{mkReno, mkReno},
-			[]group{{"NewReno", []int{0, 1}}}},
-		{"vs-NewReno", [2]func() cc.Algorithm{mkNaive, mkReno},
-			[]group{{"Tao-TCP-naive", []int{0}}, {"NewReno (vs naive)", []int{1}}}},
-		{"vs-NewReno", [2]func() cc.Algorithm{mkAware, mkReno},
-			[]group{{"Tao-TCP-aware", []int{0}}, {"NewReno (vs aware)", []int{1}}}},
+	settings := []mix{
+		{"homogeneous", []flow{naive, naive}, []flowGroup{{"Tao-TCP-naive", []int{0, 1}}}},
+		{"homogeneous", []flow{aware, aware}, []flowGroup{{"Tao-TCP-aware", []int{0, 1}}}},
+		{"homogeneous", []flow{reno, reno}, []flowGroup{{"NewReno", []int{0, 1}}}},
+		{"vs-NewReno", []flow{naive, reno},
+			[]flowGroup{{"Tao-TCP-naive", []int{0}}, {"NewReno (vs naive)", []int{1}}}},
+		{"vs-NewReno", []flow{aware, reno},
+			[]flowGroup{{"Tao-TCP-aware", []int{0}}, {"NewReno (vs aware)", []int{1}}}},
 	}
 
 	for si, st := range settings {
-		perFlow := make([][]scenario.Result, 2)
-		root := rng.New(e.Seed).Split("tcpaware").SplitN("setting", si)
-		for rep := 0; rep < e.TestReplicas; rep++ {
-			spec := scenario.Spec{
-				Topology:  scenario.Dumbbell,
-				LinkSpeed: 10 * units.Mbps,
-				MinRTT:    100 * units.Millisecond,
-				Buffering: scenario.FiniteDropTail,
-				BufferBDP: 2,
-				MeanOn:    5 * units.Second,
-				MeanOff:   10 * units.Millisecond,
-				Duration:  e.TestDuration,
-				Seed:      root.SplitN("replica", rep),
-				Senders: []scenario.Sender{
-					{Alg: st.mk[0](), Delta: 1},
-					{Alg: st.mk[1](), Delta: 1},
-				},
-			}
-			results := scenario.MustRun(spec)
-			perFlow[0] = append(perFlow[0], results[0])
-			perFlow[1] = append(perFlow[1], results[1])
-		}
+		runs := runReplicas(e, tcpAwareNetwork(e), st.flows,
+			rng.New(e.Seed).Split("tcpaware").SplitN("setting", si))
 		for _, g := range st.groups {
+			// Flow by flow, the order the published spreads were
+			// summed in.
 			var all []scenario.Result
 			for _, fi := range g.flows {
-				all = append(all, perFlow[fi]...)
+				all = append(all, runs.on(fi)...)
 			}
 			res.Rows = append(res.Rows, TCPAwareRow{
 				Setting:  st.label,

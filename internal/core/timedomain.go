@@ -46,31 +46,23 @@ func RunTimeDomain(e Effort, log func(string, ...any)) *TimeDomainResult {
 		{"Tao-TCP-naive", naive},
 	} {
 		trace := TimeDomainTrace{Protocol: cfg.name}
-		spec := scenario.Spec{
-			Topology:  scenario.Dumbbell,
-			LinkSpeed: 10 * units.Mbps,
-			MinRTT:    100 * units.Millisecond,
-			Buffering: scenario.FiniteDropTail,
-			BufferBDP: 2,
-			MeanOn:    5 * units.Second, // unused: workloads overridden
-			MeanOff:   5 * units.Second,
-			Duration:  15 * units.Second,
-			Seed:      rng.New(e.Seed).Split("timedomain").Split(cfg.name),
-			Senders: []scenario.Sender{
-				{
-					Alg:      remycc.New(cfg.tree),
-					Delta:    1,
-					Workload: workload.AlwaysOn{},
-				},
-				{
-					Alg:   newRenoProtocol().New(),
-					Delta: 1,
-					Workload: &workload.Deterministic{
-						InitialOn: false,
-						Transitions: []workload.Transition{
-							{At: units.Time(5 * units.Second), On: true},
-							{At: units.Time(10 * units.Second), On: false},
-						},
+		spec := tcpAwareNetwork(e) // its on/off means go unused: both workloads are set below
+		spec.Duration = 15 * units.Second
+		spec.Seed = rng.New(e.Seed).Split("timedomain").Split(cfg.name)
+		spec.Senders = []scenario.Sender{
+			{
+				Alg:      remycc.New(cfg.tree),
+				Delta:    1,
+				Workload: workload.AlwaysOn{},
+			},
+			{
+				Alg:   newRenoProtocol().New(),
+				Delta: 1,
+				Workload: &workload.Deterministic{
+					InitialOn: false,
+					Transitions: []workload.Transition{
+						{At: units.Time(5 * units.Second), On: true},
+						{At: units.Time(10 * units.Second), On: false},
 					},
 				},
 			},

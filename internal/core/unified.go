@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"learnability/internal/cc/remycc"
-	"learnability/internal/omniscient"
-	"learnability/internal/remy"
 	"learnability/internal/rng"
-	"learnability/internal/scenario"
 	"learnability/internal/stats"
 	"learnability/internal/units"
 )
@@ -36,25 +32,8 @@ var UnifiedTrainingRanges = struct {
 
 func unifiedTaoSpec() TaoSpec {
 	r := UnifiedTrainingRanges
-	return TaoSpec{
-		Name: "Tao-unified",
-		Seed: 0x0ea,
-		Cfg: remy.Config{
-			Topology:     scenario.Dumbbell,
-			LinkSpeedMin: r.SpeedMin,
-			LinkSpeedMax: r.SpeedMax,
-			MinRTTMin:    r.RTTMin,
-			MinRTTMax:    r.RTTMax,
-			SendersMin:   r.SendersMin,
-			SendersMax:   r.SendersMax,
-			MeanOn:       units.Second,
-			MeanOff:      units.Second,
-			Buffering:    scenario.FiniteDropTail,
-			BufferBDP:    5,
-			Delta:        1,
-			Mask:         remycc.AllSignals(),
-		},
-	}
+	return TaoSpec{Name: "Tao-unified", Seed: 0x0ea, Cfg: dumbbellTraining(
+		r.SpeedMin, r.SpeedMax, r.RTTMin, r.RTTMax, r.SendersMin, r.SendersMax, 5)}
 }
 
 // UnifiedRow is one random testing draw.
@@ -76,12 +55,7 @@ type UnifiedResult struct {
 // each side of the speed axis and down to 20 ms RTT, so some draws sit
 // outside the designer's model (as the paper's framing demands).
 func RunUnified(e Effort, log func(string, ...any)) *UnifiedResult {
-	tree := unifiedTaoSpec().Train(e, log)
-	protocols := []Protocol{
-		taoProtocol("Tao-unified", tree, remycc.AllSignals()),
-		cubicProtocol(),
-		cubicSfqCoDelProtocol(),
-	}
+	protocols := []Protocol{unifiedTaoSpec().protocol(e, log), cubicProtocol(), cubicSfqCoDelProtocol()}
 
 	res := &UnifiedResult{}
 	draws := e.SweepPoints * 2
@@ -90,31 +64,14 @@ func RunUnified(e Effort, log func(string, ...any)) *UnifiedResult {
 		speed := units.Rate(r.LogUniform(1e6, 400e6))
 		minRTT := units.Duration(r.Uniform(20, 300)) * units.Millisecond
 		senders := r.IntRange(1, 30)
-		tmpl := scenario.Spec{
-			Topology:  scenario.Dumbbell,
-			LinkSpeed: speed,
-			MinRTT:    minRTT,
-			Buffering: scenario.FiniteDropTail,
-			BufferBDP: 5,
-			MeanOn:    units.Second,
-			MeanOff:   units.Second,
-			Duration:  e.TestDuration,
-		}
-		sys := omniscient.Dumbbell(speed, minRTT, senders, 0.5)
-		omniTpt := sys.ExpectedThroughput(0)
-		omniDelay := sys.Delay(0)
-		row := UnifiedRow{
+		objs := normalizedObjectives(e, protocols, testDumbbell(e, speed, minRTT), senders,
+			fmt.Sprintf("unified-%d", d))
+		res.Rows = append(res.Rows, UnifiedRow{
 			SpeedMbps: float64(speed) / 1e6,
 			RTTMs:     minRTT.Milliseconds(),
 			Senders:   senders,
-		}
-		objs := make([]float64, len(protocols))
-		for pi, p := range protocols {
-			results := evalPoint(e, p, tmpl, senders, fmt.Sprintf("unified-%d", d))
-			objs[pi] = meanNormalizedObjective(results, omniTpt, omniDelay, 1)
-		}
-		row.TaoObj, row.CubicObj, row.SfqObj = objs[0], objs[1], objs[2]
-		res.Rows = append(res.Rows, row)
+			TaoObj:    objs[0], CubicObj: objs[1], SfqObj: objs[2],
+		})
 	}
 	return res
 }

@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"learnability/internal/rng"
-	"learnability/internal/scenario"
-	"learnability/internal/units"
 )
 
 // Vegas squeeze-out demonstration. §4.5 motivates TCP-awareness with
@@ -35,59 +31,16 @@ type VegasResult struct {
 // on a 10 Mbps, 100 ms, 2 BDP dumbbell with near-continuous load.
 func RunVegasSqueeze(e Effort, log func(string, ...any)) *VegasResult {
 	res := &VegasResult{}
-	settings := []struct {
-		label string
-		mk    [2]Protocol
-		names [2]string
-	}{
-		{"homogeneous", [2]Protocol{vegasProtocol(), vegasProtocol()}, [2]string{"Vegas", "Vegas"}},
-		{"vs-NewReno", [2]Protocol{vegasProtocol(), newRenoProtocol()}, [2]string{"Vegas", "NewReno"}},
-	}
-	for si, st := range settings {
-		type acc struct{ tpt, qd []float64 }
-		accs := map[string]*acc{}
-		for rep := 0; rep < e.TestReplicas; rep++ {
-			spec := scenario.Spec{
-				Topology:  scenario.Dumbbell,
-				LinkSpeed: 10 * units.Mbps,
-				MinRTT:    100 * units.Millisecond,
-				Buffering: scenario.FiniteDropTail,
-				BufferBDP: 2,
-				MeanOn:    5 * units.Second,
-				MeanOff:   10 * units.Millisecond,
-				Duration:  e.TestDuration,
-				Seed: rng.New(e.Seed).Split("test").Split("vegas").
-					SplitN("setting", si).SplitN("replica", rep),
-				Senders: []scenario.Sender{
-					{Alg: st.mk[0].New(), Delta: 1},
-					{Alg: st.mk[1].New(), Delta: 1},
-				},
+	vegas, reno := flow{vegasProtocol().New, 1}, flow{newRenoProtocol().New, 1}
+	for si, st := range []mix{
+		{"homogeneous", []flow{vegas, vegas}, []flowGroup{{"Vegas", []int{0, 1}}}},
+		{"vs-NewReno", []flow{vegas, reno}, []flowGroup{{"Vegas", []int{0}}, {"NewReno", []int{1}}}},
+	} {
+		runs := runReplicas(e, tcpAwareNetwork(e), st.flows, testRoot(e, "vegas").SplitN("setting", si))
+		for _, g := range st.groups {
+			if tpt, queue, ok := meanTptAndQueue(runs.on(g.flows...)); ok {
+				res.Rows = append(res.Rows, VegasRow{st.label, g.name, tpt, queue})
 			}
-			for fi, r := range scenario.MustRun(spec) {
-				if r.OnTime == 0 {
-					continue
-				}
-				name := st.names[fi]
-				a := accs[name]
-				if a == nil {
-					a = &acc{}
-					accs[name] = a
-				}
-				a.tpt = append(a.tpt, float64(r.Throughput)/1e6)
-				a.qd = append(a.qd, r.QueueDelay.Seconds()*1e3)
-			}
-		}
-		for _, name := range []string{"Vegas", "NewReno"} {
-			a := accs[name]
-			if a == nil {
-				continue
-			}
-			res.Rows = append(res.Rows, VegasRow{
-				Setting:  st.label,
-				Protocol: name,
-				TptMbps:  mean(a.tpt),
-				QueueMs:  mean(a.qd),
-			})
 		}
 	}
 	return res

@@ -9,7 +9,8 @@ import (
 // Receiver terminates a flow: it records delivery statistics and
 // returns one cumulative ACK per arriving data packet. ACKs travel back
 // over a delay-only reverse path (the paper's dumbbell and parking-lot
-// reverse paths are uncongested; see DESIGN.md substitution #5).
+// reverse paths are uncongested; see docs/ARCHITECTURE.md, "One
+// packet's life", step 6).
 //
 // The ACK path is allocation-free when a pool is attached: the data
 // packet is recycled as soon as its ACK is built, pending ACKs ride a

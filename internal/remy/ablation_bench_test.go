@@ -8,10 +8,10 @@ import (
 	"learnability/internal/units"
 )
 
-// Ablation benchmarks for the trainer's design choices (DESIGN.md §3):
-// each trains under the same budget with one mechanism removed and
-// reports the resulting objective as a metric, so the value of the
-// mechanism is visible in benchmark output.
+// Ablation benchmarks for the trainer's design choices: each trains
+// under the same budget with one mechanism removed and reports the
+// resulting objective as a metric, so the value of the mechanism is
+// visible in benchmark output.
 
 func ablationConfig() Config {
 	return Config{

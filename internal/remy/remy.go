@@ -9,7 +9,8 @@
 // evaluations fanned out across goroutines, processes or machines.
 //
 // The paper spends a CPU-year per protocol; this trainer exposes the
-// same loop under an explicit budget (see DESIGN.md substitution #2).
+// same loop under an explicit budget (docs/EXPERIMENTS.md, "Training
+// and evaluating protocols by hand", shows budgets that fit a laptop).
 package remy
 
 import (

@@ -9,8 +9,8 @@
 //
 // This file is the public facade: it re-exports the pieces a user
 // needs to train protocols, run scenarios, and regenerate the paper's
-// figures. The implementation lives under internal/ (see DESIGN.md for
-// the module map).
+// figures. The implementation lives under internal/ (see
+// docs/ARCHITECTURE.md, "Package map").
 //
 // Quick start:
 //
@@ -257,22 +257,24 @@ func MustRunScenario(spec Spec) []Result { return scenario.MustRun(spec) }
 // NewSeed returns a deterministic random stream for Spec.Seed.
 func NewSeed(seed uint64) *rng.Stream { return rng.New(seed) }
 
-// Experiments (one per table/figure; see DESIGN.md §4).
+// Experiments (one per table/figure; docs/EXPERIMENTS.md says what
+// each should show).
 type (
 	// Effort scales experiment fidelity.
 	Effort = core.Effort
 
-	CalibrationResult  = core.CalibrationResult
-	LinkSpeedResult    = core.LinkSpeedResult
-	MultiplexingResult = core.MultiplexingResult
-	PropDelayResult    = core.PropDelayResult
-	StructureResult    = core.StructureResult
-	TCPAwareResult     = core.TCPAwareResult
-	TimeDomainResult   = core.TimeDomainResult
-	DiversityResult    = core.DiversityResult
-	KnockoutResult     = core.KnockoutResult
-	VegasResult        = core.VegasResult
-	UnifiedResult      = core.UnifiedResult
+	// Sweep is the dataset of Figures 2, 3 and 4: normalized objective
+	// against one swept network parameter, per protocol and panel.
+	Sweep = core.Sweep
+
+	CalibrationResult = core.CalibrationResult
+	StructureResult   = core.StructureResult
+	TCPAwareResult    = core.TCPAwareResult
+	TimeDomainResult  = core.TimeDomainResult
+	DiversityResult   = core.DiversityResult
+	KnockoutResult    = core.KnockoutResult
+	VegasResult       = core.VegasResult
+	UnifiedResult     = core.UnifiedResult
 )
 
 // DefaultEffort is workstation-scale fidelity.

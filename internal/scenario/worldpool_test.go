@@ -12,6 +12,7 @@ import (
 	"learnability/internal/rng"
 	"learnability/internal/topo"
 	"learnability/internal/units"
+	"learnability/internal/workload"
 )
 
 // Differential tests for world recycling: a Run executed on a network
@@ -290,29 +291,48 @@ func TestPooledFabricRunAllocationBudget(t *testing.T) {
 // the k=4 ADAPTIVE fat tree as a count: a link holds at most its
 // serializer's event and its propagation pipe's, a flow its reverse
 // path's pipe, an RTO, a pacing timer and an on/off switch — however
-// many packets are in flight. The second clause shows the count means
-// something: the run had more packets in the network than the
-// scheduler ever held entries.
+// many packets are in flight, and however many on/off transitions a
+// fixed schedule still has ahead of it (one entry per transition put the
+// second case over the bound). The second clause shows the count means
+// something: the run had more packets in the network than the scheduler
+// ever held entries.
 func TestFabricHeapBound(t *testing.T) {
-	spec := fabricSpec(topo.Adaptive, FiniteDropTail, false, func() cc.Algorithm { return cubic.New() }, 1)
-	nw, _ := MustBuild(spec)
-	peak := 0
-	spec.ProbeInterval = units.Millisecond
-	spec.Probe = func(units.Time) {
-		n := 0
-		for _, l := range nw.Links {
-			n += l.InFlight()
+	exponential := func(*Spec) {}
+	scheduled := func(spec *Spec) {
+		for i := range spec.Senders {
+			w := &workload.Deterministic{}
+			for k := 0; k < 20; k++ { // on 80 ms, off 10 ms, staggered by flow
+				at := units.Time(0).Add(units.Duration(90*(k/2)+80*(k%2)+i) * units.Millisecond)
+				w.Transitions = append(w.Transitions, workload.Transition{At: at, On: k%2 == 0})
+			}
+			spec.Senders[i].Workload = w
 		}
-		peak = max(peak, n)
 	}
-	Finish(spec, nw)
-	// +1: the probe's own event.
-	hw, bound := nw.Sched.HighWater(), 2*len(nw.Links)+4*len(nw.Flows)+1
-	if hw > bound {
-		t.Fatalf("heap high-water %d; want ≤ 2·links + 4·flows + 1 = %d", hw, bound)
+	for _, tc := range []struct {
+		name      string
+		workloads func(*Spec)
+	}{{"exponential", exponential}, {"scheduled", scheduled}} {
+		spec := fabricSpec(topo.Adaptive, FiniteDropTail, false, func() cc.Algorithm { return cubic.New() }, 1)
+		tc.workloads(&spec)
+		nw, _ := MustBuild(spec)
+		peak := 0
+		spec.ProbeInterval = units.Millisecond
+		spec.Probe = func(units.Time) {
+			n := 0
+			for _, l := range nw.Links {
+				n += l.InFlight()
+			}
+			peak = max(peak, n)
+		}
+		Finish(spec, nw)
+		// +1: the probe's own event.
+		hw, bound := nw.Sched.HighWater(), 2*len(nw.Links)+4*len(nw.Flows)+1
+		if hw > bound {
+			t.Fatalf("%s: heap high-water %d; want ≤ 2·links + 4·flows + 1 = %d", tc.name, hw, bound)
+		}
+		if peak <= hw {
+			t.Fatalf("%s: at most %d packets in the network against a heap high-water of %d: the bound was never tested", tc.name, peak, hw)
+		}
+		t.Logf("%s on/off: heap high-water %d (bound %d), %d packets in the network at peak", tc.name, hw, bound, peak)
 	}
-	if peak <= hw {
-		t.Fatalf("at most %d packets in the network against a heap high-water of %d: the bound was never tested", peak, hw)
-	}
-	t.Logf("heap high-water %d (bound %d), %d packets in the network at peak", hw, bound, peak)
 }

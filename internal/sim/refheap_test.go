@@ -182,6 +182,222 @@ func TestHeapMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFireInPlaceMatchesReference is the vacant root's contract as a
+// property. Every handler first pops the naive reference (so the
+// reference is where a pop-then-run scheduler would be), then, at random
+// and on a coarse grid so that equal times are the norm, cancels another
+// live timer beside the vacant root, schedules 0, 1 or 3 events (zero
+// delay included), cancels the one it created first (the one that took
+// the root), schedules again, and halts the run — reading Len, HighWater,
+// its own handle and every live handle's When after each step. Even
+// trials drive with Step and interleave the same operations from outside
+// a handler; odd trials drive with Run to random deadlines and through
+// halts. Each trial ends with a halt from a handler that also scheduled,
+// a Reset, and a second run on the recycled scheduler.
+func TestFireInPlaceMatchesReference(t *testing.T) {
+	const grid = 100 * units.Microsecond
+	var vacantStops, rootStops, idleHandlers, halts int
+	for trial := 0; trial < 40; trial++ {
+		r := rng.New(uint64(3000 + trial))
+		s := New()
+		ref := &refScheduler{}
+		timers := map[int]Timer{}     // live handles
+		refAt := map[int]units.Time{} // their firing times
+		nextID, fired, hw := 0, 0, 0  // hw: the reference's peak of Len
+		quiet, mayHalt, halted := false, false, false
+
+		check := func(where string) {
+			t.Helper()
+			if s.Len() != ref.len() || s.HighWater() != hw {
+				t.Fatalf("trial %d %s: Len %d HighWater %d, reference %d and %d",
+					trial, where, s.Len(), s.HighWater(), ref.len(), hw)
+			}
+			for id, tm := range timers {
+				if !tm.Pending() || tm.When() != refAt[id] {
+					t.Fatalf("trial %d %s: live timer %d pending=%v When=%v, reference %v",
+						trial, where, id, tm.Pending(), tm.When(), refAt[id])
+				}
+			}
+		}
+		dead := func(where string, tm Timer) {
+			t.Helper()
+			if tm.Pending() || tm.When() != units.MaxTime || tm.Stop() {
+				t.Fatalf("trial %d %s: handle still live", trial, where)
+			}
+		}
+		stop := func(id int) {
+			t.Helper()
+			if got, want := timers[id].Stop(), ref.cancel(id); !got || !want {
+				t.Fatalf("trial %d: Stop(%d) = %v, reference = %v", trial, id, got, want)
+			}
+			dead("stopped timer", timers[id])
+			delete(timers, id)
+			delete(refAt, id)
+		}
+		stopOldest := func() bool {
+			best := -1
+			for id := range timers {
+				if best < 0 || id < best {
+					best = id
+				}
+			}
+			if best >= 0 {
+				stop(best)
+			}
+			return best >= 0
+		}
+
+		var schedule func() int
+		handler := func(id int) func() {
+			return func() {
+				ev, ok := ref.pop()
+				if !ok || ev.id != id || s.Now() != ev.at {
+					t.Fatalf("trial %d: fired %d at %v, reference %d at %v (live %v)", trial, id, s.Now(), ev.id, ev.at, ok)
+				}
+				fired++
+				own := timers[id]
+				delete(timers, id)
+				delete(refAt, id)
+				dead("running event's own handle", own)
+				check("handler entry")
+				if r.Intn(3) == 0 && stopOldest() {
+					vacantStops++
+					check("stop beside the vacant root")
+				}
+				k := []int{0, 1, 3}[r.Intn(3)]
+				if quiet || ref.len() > 64 {
+					k = 0
+				}
+				if k == 0 {
+					idleHandlers++
+				}
+				var made []int
+				for ; k > 0; k-- {
+					made = append(made, schedule())
+					check("schedule in handler")
+				}
+				if len(made) > 0 && r.Intn(4) == 0 {
+					stop(made[0])
+					rootStops++
+					check("stop of the event that took the root")
+					if r.Intn(2) == 0 {
+						schedule()
+						check("schedule after it")
+					}
+				}
+				if r.Intn(3) == 0 && stopOldest() {
+					check("stop after scheduling")
+				}
+				if mayHalt && r.Intn(8) == 0 {
+					s.Stop()
+					halted = true
+				}
+			}
+		}
+		schedule = func() int {
+			id := nextID
+			nextID++
+			d := units.Duration(r.Intn(6)) * grid
+			refAt[id] = s.Now().Add(d)
+			timers[id] = s.After(d, handler(id))
+			ref.schedule(refAt[id], id)
+			hw = max(hw, ref.len())
+			return id
+		}
+		step := func(where string) bool {
+			t.Helper()
+			want, n := ref.len() > 0, fired
+			if got := s.Step(); got != want || (got && fired != n+1) {
+				t.Fatalf("trial %d %s: Step = %v and fired %d, reference %v", trial, where, got, fired-n, want)
+			}
+			check(where)
+			return want
+		}
+		run := func(deadline units.Time) {
+			t.Helper()
+			halted = false
+			end := s.Run(deadline)
+			if end != s.Now() {
+				t.Fatalf("trial %d: Run returned %v at %v", trial, end, s.Now())
+			}
+			if halted {
+				halts++
+				if end != ref.now {
+					t.Fatalf("trial %d: halted at %v, reference fired last at %v", trial, end, ref.now)
+				}
+			} else if nx, ok := ref.peek(); end != deadline || (ok && nx.at <= deadline) {
+				t.Fatalf("trial %d: Run(%v) ended at %v with reference event due at %v (live %v)", trial, deadline, end, nx.at, ok)
+			}
+			check("after Run")
+		}
+
+		for phase := 0; phase < 2; phase++ {
+			for i := 0; i < 30; i++ {
+				schedule()
+			}
+			check("seeded")
+			for fired0 := fired; fired < fired0+800; {
+				if s.Len() < 10 {
+					schedule()
+				}
+				if trial%2 == 1 {
+					mayHalt = true
+					run(s.Now().Add(units.Duration(r.Intn(8)) * grid))
+					mayHalt = false
+					continue
+				}
+				switch r.Intn(4) {
+				case 0:
+					schedule()
+				case 1:
+					stopOldest()
+				default:
+					step("op")
+				}
+				check("op")
+			}
+			if phase == 1 {
+				break
+			}
+			// A handler that schedules and halts, then a Reset of the
+			// halted scheduler: every handle dies, and the second phase
+			// must match a fresh reference on the recycled arena.
+			s.After(0, func() {
+				ref.pop()
+				schedule()
+				s.Stop()
+			})
+			ref.schedule(s.Now(), -1)
+			hw = max(hw, ref.len())
+			if end := s.Run(units.MaxTime); end != ref.now || s.Len() == 0 {
+				t.Fatalf("trial %d: halting handler: Run ended at %v (reference %v) with %d pending", trial, end, ref.now, s.Len())
+			}
+			check("halted")
+			s.Reset()
+			for _, tm := range timers {
+				dead("after Reset", tm)
+			}
+			ref, hw = &refScheduler{}, 0
+			clear(timers)
+			clear(refAt)
+			if s.Now() != 0 {
+				t.Fatalf("trial %d: Now %v after Reset", trial, s.Now())
+			}
+			check("after Reset")
+		}
+		quiet = true
+		for i := 0; step("drain"); i++ {
+			if i > 100000 {
+				t.Fatalf("trial %d: drain does not terminate", trial)
+			}
+		}
+	}
+	if vacantStops == 0 || rootStops == 0 || idleHandlers == 0 || halts == 0 {
+		t.Fatalf("vacuous: %d stops beside a vacant root, %d of the root's new occupant, %d handlers that scheduled nothing, %d halts",
+			vacantStops, rootStops, idleHandlers, halts)
+	}
+}
+
 // TestPipesMatchPerValueAt is the pipe's contract as a property: random
 // interleavings of At/After/Stop with pushes onto several pipes — zero
 // delay, two pipes of equal delay, all times on one coarse grid so
@@ -394,6 +610,39 @@ func TestResetWithBusyPipes(t *testing.T) {
 	p.Drain(nil)
 	if s.Len() != 0 || s.Step() {
 		t.Fatal("Drain left the pipe's entry in the queue")
+	}
+}
+
+// TestResetWithVacantRoot: a handler that panics out of Run leaves the
+// root vacant, its slot already released. Reset (what recycling a world
+// does next) must not release that slot a second time: two later events
+// would share it and one callback would be lost.
+func TestResetWithVacantRoot(t *testing.T) {
+	s := New()
+	other := s.After(2*units.Millisecond, func() { t.Error("event survived Reset") })
+	s.After(units.Millisecond, func() { panic("handler failed") })
+	func() {
+		defer func() { recover() }()
+		s.Run(units.MaxTime)
+	}()
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after the panic, want the one event still pending", s.Len())
+	}
+	s.Reset()
+	if s.Len() != 0 || s.Now() != 0 || other.Pending() {
+		t.Fatalf("after Reset: Len %d Now %v pending %v", s.Len(), s.Now(), other.Pending())
+	}
+	var got []int
+	for i := 0; i < 3; i++ {
+		i := i
+		s.After(units.Duration(i+1), func() { got = append(got, i) })
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d with three events scheduled", s.Len())
+	}
+	s.Run(units.MaxTime)
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("recycled scheduler fired %v, want [0 1 2]", got)
 	}
 }
 

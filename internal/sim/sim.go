@@ -10,13 +10,28 @@
 // deliberately not safe for concurrent use (parallelism in this
 // repository happens across independent simulations, never inside one).
 //
-// The scheduler is built for the per-packet hot path: events live in a
-// value-typed slot arena indexed by a hand-rolled 4-ary min-heap, freed
-// slots are recycled through a free list, and Timer handles carry a
-// generation counter so a handle to a fired or cancelled event can never
-// observe (or corrupt) the slot's next occupant. Scheduling performs no
-// per-event heap allocation once the arena has grown to the simulation's
-// working set, which pipes keep at O(components), not O(packets).
+// The scheduler is built for the per-packet hot path. The queue is a
+// hand-rolled 4-ary min-heap whose entries carry their own (time,
+// insertion number) key beside the index of a slot in a value-typed
+// arena, so ordering two entries reads two neighbouring array elements
+// and never the arena; the slot holds what only firing and cancelling
+// need: the callback, the entry's heap position, and a generation
+// counter, so a Timer handle to a fired or cancelled event can never
+// observe (or corrupt) the slot's next occupant. Freed slots are recycled
+// through a free list. Scheduling performs no per-event heap allocation
+// once the arena has grown to the simulation's working set, which pipes
+// keep at O(components), not O(packets).
+//
+// An event fires in place. Its slot is released before its handler runs
+// (the handler's own handle already reports not-pending) but its heap
+// position, the root, is only marked vacant; the first event the handler
+// schedules — a pipe's next head, a link's next transmission, a timer
+// re-arming itself — is written there and sifted down once, instead of
+// the last entry being moved up and sifted down and the new one appended
+// and sifted up. Only a handler that schedules nothing pays for the
+// removal. The vacant root is not an entry: Len, read inside a handler,
+// counts the events pending besides the running one, exactly as if it had
+// been removed first, and every entry's order depends on its key alone.
 package sim
 
 import (
@@ -25,12 +40,26 @@ import (
 	"learnability/internal/units"
 )
 
+// entry is one position of the heap: an event's key and the slot that
+// holds the rest of it.
+type entry struct {
+	at   units.Time
+	seq  uint64 // insertion order; breaks ties deterministically
+	slot int32
+}
+
+// before orders entries by (at, seq).
+func (e entry) before(o entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
 // slot is one event in the scheduler's arena. Slots are recycled: gen
 // increments every time a slot is released, invalidating stale Timer
 // handles.
 type slot struct {
-	at      units.Time
-	seq     uint64 // insertion order; breaks ties deterministically
 	fn      func()
 	gen     uint64
 	heapIdx int32 // index into Scheduler.heap, -1 when not scheduled
@@ -79,7 +108,7 @@ func (t Timer) When() units.Time {
 	if !t.Pending() {
 		return units.MaxTime
 	}
-	return t.s.slots[t.slot].at
+	return t.s.heap[t.s.slots[t.slot].heapIdx].at
 }
 
 // Scheduler is a discrete-event scheduler. The zero value is ready to
@@ -88,9 +117,14 @@ type Scheduler struct {
 	now     units.Time
 	slots   []slot  // event arena; grows to the peak working set, then stable
 	free    []int32 // recycled slot indices
-	heap    []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
+	heap    []entry // 4-ary min-heap ordered by (at, seq)
 	seq     uint64
 	stopped bool
+	// vacant is set while a handler runs and has not yet scheduled
+	// anything: heap[0] is then the fired event's stale entry, which
+	// still sorts before every other (so sifts elsewhere in the heap stop
+	// beneath it), for the next schedule to overwrite.
+	vacant bool
 	// processed counts events executed since creation; highWater is the
 	// peak heap length since creation or Reset (observability).
 	processed uint64
@@ -146,15 +180,21 @@ func (s *Scheduler) schedule(t units.Time, seq uint64, fn func()) Timer {
 		si = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[si]
-	sl.at = t
-	sl.seq = seq
 	sl.fn = fn
-	sl.heapIdx = int32(len(s.heap))
-	s.heap = append(s.heap, si)
-	if len(s.heap) > s.highWater {
-		s.highWater = len(s.heap)
+	e := entry{at: t, seq: seq, slot: si}
+	if s.vacant {
+		// Len is back to what it was before the running event fired, so
+		// the high-water mark cannot move.
+		s.vacant = false
+		s.heap[0] = e
+		s.siftDown(0)
+	} else {
+		s.heap = append(s.heap, e)
+		if len(s.heap) > s.highWater {
+			s.highWater = len(s.heap)
+		}
+		s.siftUp(len(s.heap) - 1)
 	}
-	s.siftUp(len(s.heap) - 1)
 	return Timer{s: s, slot: si, gen: sl.gen}
 }
 
@@ -179,8 +219,13 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Processed keeps counting across resets (it observes the scheduler's
 // lifetime).
 func (s *Scheduler) Reset() {
-	for _, si := range s.heap {
-		s.release(si)
+	pending := s.heap
+	if s.vacant { // the running event's slot is released already
+		pending = pending[1:]
+		s.vacant = false
+	}
+	for _, e := range pending {
+		s.release(e.slot)
 	}
 	s.heap = s.heap[:0]
 	s.now = 0
@@ -193,19 +238,31 @@ func (s *Scheduler) Reset() {
 // After event and one per non-empty Pipe, whatever the pipe holds.
 // Cancelling a timer removes its entry immediately, so (unlike a
 // lazy-cancellation scheduler) there are never dead entries inflating
-// this count.
-func (s *Scheduler) Len() int { return len(s.heap) }
+// this count. Inside a handler the running event is not counted.
+func (s *Scheduler) Len() int {
+	if s.vacant {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
 
-// popHead removes the earliest event from the heap, releases its slot,
-// and returns its time and callback. The caller must know the heap is
-// non-empty.
-func (s *Scheduler) popHead() (units.Time, func()) {
-	si := s.heap[0]
-	sl := &s.slots[si]
-	at, fn := sl.at, sl.fn
-	s.removeAt(0)
-	s.release(si)
-	return at, fn
+// fire runs the earliest event in place. Its slot is released first, so
+// the handler sees its own handle as not-pending, and the root is left
+// vacant for the handler's first schedule to fill; if the handler
+// scheduled nothing the root is removed afterwards. The caller must know
+// the heap is non-empty.
+func (s *Scheduler) fire() {
+	e := s.heap[0]
+	fn := s.slots[e.slot].fn
+	s.release(e.slot)
+	s.vacant = true
+	s.now = e.at
+	s.processed++
+	fn()
+	if s.vacant {
+		s.vacant = false
+		s.removeAt(0)
+	}
 }
 
 // Run executes events in time order until the queue is empty, Stop is
@@ -216,14 +273,11 @@ func (s *Scheduler) popHead() (units.Time, func()) {
 func (s *Scheduler) Run(deadline units.Time) units.Time {
 	s.stopped = false
 	for len(s.heap) > 0 && !s.stopped {
-		if s.slots[s.heap[0]].at > deadline {
+		if s.heap[0].at > deadline {
 			s.now = deadline
 			return s.now
 		}
-		at, fn := s.popHead()
-		s.now = at
-		s.processed++
-		fn()
+		s.fire()
 	}
 	if !s.stopped && s.now < deadline {
 		// Queue drained before the deadline; advance to it so callers can
@@ -239,10 +293,7 @@ func (s *Scheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	at, fn := s.popHead()
-	s.now = at
-	s.processed++
-	fn()
+	s.fire()
 	return true
 }
 
@@ -256,63 +307,68 @@ func (s *Scheduler) release(si int32) {
 	s.free = append(s.free, si)
 }
 
-// less orders slot indices by (at, seq).
-func (s *Scheduler) less(a, b int32) bool {
-	sa, sb := &s.slots[a], &s.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
 // The heap is 4-ary: children of node i are 4i+1..4i+4. A wider node
 // trades slightly more comparisons per level for half the levels and
 // better cache behavior on the hot sift paths.
 
 func (s *Scheduler) siftUp(i int) {
 	h := s.heap
-	si := h[i]
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.less(si, h[parent]) {
+		if !e.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		s.slots[h[i]].heapIdx = int32(i)
+		s.slots[h[i].slot].heapIdx = int32(i)
 		i = parent
 	}
-	h[i] = si
-	s.slots[si].heapIdx = int32(i)
+	h[i] = e
+	s.slots[e.slot].heapIdx = int32(i)
 }
 
 func (s *Scheduler) siftDown(i int) {
 	h := s.heap
 	n := len(h)
-	si := h[i]
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.less(h[c], h[min]) {
-				min = c
+		if first+4 <= n {
+			// A full node, the common case below the root of a busy
+			// heap: two independent comparisons and a decider instead
+			// of a chain of three that each wait for the one before.
+			c := h[first : first+4 : first+4]
+			lo, hi := 0, 2
+			if c[1].before(c[0]) {
+				lo = 1
+			}
+			if c[3].before(c[2]) {
+				hi = 3
+			}
+			if c[hi].before(c[lo]) {
+				lo = hi
+			}
+			min = first + lo
+		} else {
+			for c := first + 1; c < n; c++ {
+				if h[c].before(h[min]) {
+					min = c
+				}
 			}
 		}
-		if !s.less(h[min], si) {
+		if !h[min].before(e) {
 			break
 		}
 		h[i] = h[min]
-		s.slots[h[i]].heapIdx = int32(i)
+		s.slots[h[i].slot].heapIdx = int32(i)
 		i = min
 	}
-	h[i] = si
-	s.slots[si].heapIdx = int32(i)
+	h[i] = e
+	s.slots[e.slot].heapIdx = int32(i)
 }
 
 // removeAt deletes the heap entry at position i, restoring the heap
@@ -322,7 +378,7 @@ func (s *Scheduler) removeAt(i int) {
 	n := len(h) - 1
 	if i != n {
 		h[i] = h[n]
-		s.slots[h[i]].heapIdx = int32(i)
+		s.slots[h[i].slot].heapIdx = int32(i)
 	}
 	s.heap = h[:n]
 	if i < n {

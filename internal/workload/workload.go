@@ -73,6 +73,9 @@ type Transition struct {
 
 // Deterministic replays a fixed schedule of on/off transitions, used by
 // the paper's Figure 8 (cross-TCP on at exactly t=5 s, off at t=10 s).
+// The whole schedule rides one sim.Pipe: it holds one scheduler entry
+// however many transitions remain, and each fires when, and in the order,
+// an At entered at Start would have.
 type Deterministic struct {
 	InitialOn   bool         // state before the first transition
 	Transitions []Transition // the schedule, replayed in time order
@@ -84,8 +87,8 @@ func (w *Deterministic) Start(s *sim.Scheduler, set func(on bool)) {
 	ts := make([]Transition, len(w.Transitions))
 	copy(ts, w.Transitions)
 	sort.SliceStable(ts, func(i, j int) bool { return ts[i].At < ts[j].At })
+	p := sim.NewPipe(s, set)
 	for _, tr := range ts {
-		tr := tr
-		s.At(tr.At, func() { set(tr.On) })
+		p.Push(tr.At, tr.On)
 	}
 }

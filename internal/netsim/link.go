@@ -21,19 +21,46 @@ type Deliverer interface {
 	Deliver(now units.Time, p *packet.Packet)
 }
 
-// delayLine is a constant-delay FIFO stage holding packets in flight: a
-// link's propagation delay, a receiver's reverse path. sim.Pipe — one
-// scheduler entry per stage — is the only one that ships; the interface
-// is the test seam through which the differential tests swap in their
-// one-event-per-packet reference (perPacketLine in delayline_test.go).
-type delayLine interface {
-	// Push sends p down the line to come out at time at.
-	Push(at units.Time, p *packet.Packet)
-	// Len reports the packets in flight.
-	Len() int
-	// Drain empties the line into the pool without delivering anything.
-	Drain(into sim.Sink[*packet.Packet])
+// hop is one value on a delay lane: the step of a packet's journey
+// that is due when the lane fires it. The network's stages differ only
+// in what they do at the far end of their delay, so one value type
+// carries all three and any stages of equal delay can share a lane.
+type hop struct {
+	link *Link          // p has crossed link; or, with p nil, link has serialized its txPkt
+	rcv  *Receiver      // p is an ACK at the far end of rcv's reverse path
+	p    *packet.Packet // nil for a serializer's hop, which holds its packet in the link
 }
+
+// fireHop is the handler of every lane: it hands a due hop to its stage.
+func fireHop(h hop) {
+	switch {
+	case h.p == nil:
+		h.link.txDone()
+	case h.rcv == nil:
+		h.link.arrive(h.p)
+	default:
+		h.rcv.deliverAck(h.p)
+	}
+}
+
+// laneSet is a set of delay lanes carrying hops (see sim.Lanes). A
+// Network has one, shared by all its links and receivers, which is what
+// keeps the scheduler's queue as deep as the network has distinct delays
+// rather than stages; a link or receiver built on a bare scheduler has
+// one of its own until a network takes it in.
+type (
+	laneSet = sim.Lanes[hop]
+	lane    = sim.Lane[hop]
+)
+
+func newLaneSet(sched *sim.Scheduler) *laneSet { return sim.NewLanes(sched, fireHop) }
+
+// hopPool is the packet pool as the sink of a lane set's Reset.
+type hopPool packet.Pool
+
+// Put recycles the packet of a hop that never fired (a serializer's hop
+// carries none; its link recycles txPkt itself).
+func (hp *hopPool) Put(h hop) { (*packet.Pool)(hp).Put(h.p) }
 
 // PathSelector picks among a flow's candidate next hops at packet time.
 // It applies only to (link, flow) pairs whose compiled fanout exceeds
@@ -82,13 +109,15 @@ func (h *NextHops) queueLen(i int) int {
 // flow-indexed route table (the next link on the flow's path, or the
 // flow's receiver at the last hop).
 //
-// The transmit path is allocation-free: the serialization-done callback
-// is bound once at construction, transmission times for the two packet
-// sizes that exist in this repository are precomputed, and packets in
-// propagation ride a sim.Pipe (they arrive in serialization order
-// because the propagation delay is constant), so a link holds at most
-// two scheduler entries — its serializer and its pipe — however many
-// packets are in flight on it.
+// The transmit path is allocation-free and schedules through delay lanes
+// only: at kick the link pushes itself onto the lane of its
+// serialization time, at txDone the packet onto the lane of its
+// propagation delay (packets arrive in serialization order because that
+// delay is constant). Both lanes are shared with every other stage of
+// the same delay on the link's lane set, so a link adds no scheduler
+// entry of its own however many packets are in flight on it. The lane
+// pointers are resolved when the link is created and again by Reinit and
+// SetRate, never per packet.
 type Link struct {
 	sched *sim.Scheduler
 	rate  units.Rate
@@ -128,20 +157,35 @@ type Link struct {
 	traceID       int
 	lastTailDrops int64
 
-	txMTU units.Duration // precomputed serialization time of a data packet
-	txACK units.Duration // precomputed serialization time of an ACK
-
 	txPkt *packet.Packet // packet currently being serialized
 
-	// propQ holds packets in propagation, in arrival order.
-	propQ delayLine
-
-	txDoneFn func()
+	// lanes is the set the link's lanes are resolved in: txLane is that
+	// of a data packet's serialization time at the current rate (any
+	// other size looks its lane up), propLane that of prop. inProp
+	// counts the link's own packets in propagation, which a shared lane
+	// cannot tell apart from its other values.
+	lanes    *laneSet
+	txLane   *lane
+	propLane *lane
+	inProp   int
 }
 
-// NewLink creates a link. The route must be set with SetRoute before
-// any packet exits the link.
+// NewLink creates a link on a bare scheduler, with a lane set of its
+// own; a network's links are created with Network.NewLink. The route
+// must be set with SetRoute before any packet exits the link.
 func NewLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
+	l := newLink(sched, rate, prop, q)
+	l.setLanes(newLaneSet(sched))
+	return l
+}
+
+// newLink creates a link whose lanes the caller still has to set.
+func newLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
+	checkLink(rate, prop, q)
+	return &Link{sched: sched, rate: rate, prop: prop, q: q}
+}
+
+func checkLink(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	if rate <= 0 {
 		panic("netsim: link with non-positive rate")
 	}
@@ -151,51 +195,42 @@ func NewLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue
 	if q == nil {
 		panic("netsim: link with nil queue")
 	}
-	l := &Link{
-		sched: sched,
-		rate:  rate,
-		prop:  prop,
-		q:     q,
-		txMTU: rate.TransmissionTime(packet.MTU),
-		txACK: rate.TransmissionTime(packet.ACKSize),
-	}
-	l.txDoneFn = l.txDone
-	l.propQ = sim.NewPipe(sched, l.arrive)
-	return l
+}
+
+// setLanes resolves the link's lanes in ls, at its current rate and
+// propagation delay. A transmission or a packet already on a lane
+// finishes there.
+func (l *Link) setLanes(ls *laneSet) {
+	l.lanes = ls
+	l.txLane = ls.Lane(l.rate.TransmissionTime(packet.MTU))
+	l.propLane = ls.Lane(l.prop)
 }
 
 // Reinit retargets a link from a finished simulation at a new rate,
 // propagation delay, and queueing discipline, keeping the scheduler
-// binding and the pre-bound timer callbacks (both close over the link,
-// whose identity is preserved). Every packet the finished run left in
-// the link — being serialized, in propagation, or queued — is returned
-// to the pool, and the previous queue is Reset, so q may be that same
-// queue, reused as new. The next-hop tables stay as installed (they
-// name links and receivers, which a recycled world keeps), with the
-// spray cursors and packet counts rewound; a caller whose paths or
-// policy changed re-installs them with SetRoute or SetMultiRoute.
+// and lane set bindings. The lanes themselves are resolved again: the
+// set has been Reset (Network.Reset does it, returning every packet the
+// finished run left in propagation to the pool) and may have forgotten
+// the link's delays. The packet being serialized and those queued are
+// returned to the pool here, and the previous queue is Reset, so q may
+// be that same queue, reused as new. The next-hop tables stay as
+// installed (they name links and receivers, which a recycled world
+// keeps), with the spray cursors and packet counts rewound; a caller
+// whose paths or policy changed re-installs them with SetRoute or
+// SetMultiRoute.
 func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
-	if rate <= 0 {
-		panic("netsim: link with non-positive rate")
-	}
-	if prop < 0 {
-		panic("netsim: link with negative propagation delay")
-	}
-	if q == nil {
-		panic("netsim: link with nil queue")
-	}
+	checkLink(rate, prop, q)
 	if l.txPkt != nil {
 		l.pool.Put(l.txPkt)
 		l.txPkt = nil
 	}
-	l.propQ.Drain(l.pool)
 	l.q.Reset(l.pool)
 	l.busy = false
+	l.inProp = 0
 	l.rate = rate
 	l.prop = prop
 	l.q = q
-	l.txMTU = rate.TransmissionTime(packet.MTU)
-	l.txACK = rate.TransmissionTime(packet.ACKSize)
+	l.setLanes(l.lanes)
 	clear(l.rr)
 	l.in, l.out = 0, 0
 	l.tallyIn, l.tallyOut = nil, nil
@@ -312,15 +347,16 @@ func (l *Link) Rate() units.Rate { return l.rate }
 // and Markov-modulated wireless-like channels). The new rate applies
 // from the next packet serialization; a transmission already in flight
 // completes at the old rate, mirroring a real NIC finishing the frame
-// it has started. It allocates nothing and panics on a non-positive
-// rate. Reinit overwrites it for the next run.
+// it has started: it stays on the old rate's lane while the link moves
+// to the new rate's. It allocates nothing once the link's set has a
+// lane for the rate, and panics on a non-positive rate. Reinit
+// overwrites it for the next run.
 func (l *Link) SetRate(rate units.Rate) {
 	if rate <= 0 {
 		panic("netsim: SetRate with non-positive rate")
 	}
 	l.rate = rate
-	l.txMTU = rate.TransmissionTime(packet.MTU)
-	l.txACK = rate.TransmissionTime(packet.ACKSize)
+	l.txLane = l.lanes.Lane(rate.TransmissionTime(packet.MTU))
 }
 
 // Prop reports the link's one-way propagation delay.
@@ -331,22 +367,19 @@ func (l *Link) Prop() units.Duration { return l.prop }
 // conservation property tests use it to account for packets still in
 // the network when a run ends.
 func (l *Link) InFlight() int {
-	n := l.q.Len() + l.propQ.Len()
+	n := l.q.Len() + l.inProp
 	if l.busy {
 		n++
 	}
 	return n
 }
 
-// txTime reports the serialization time of a packet of the given size.
-func (l *Link) txTime(size int) units.Duration {
-	switch size {
-	case packet.MTU:
-		return l.txMTU
-	case packet.ACKSize:
-		return l.txACK
+// laneFor reports the lane of a packet's serialization time.
+func (l *Link) laneFor(size int) *lane {
+	if size == packet.MTU {
+		return l.txLane
 	}
-	return l.rate.TransmissionTime(size)
+	return l.lanes.Lane(l.rate.TransmissionTime(size))
 }
 
 // Deliver implements Deliverer: a packet arrives at the link's ingress
@@ -381,26 +414,27 @@ func (l *Link) kick(now units.Time) {
 	}
 	l.busy = true
 	l.txPkt = p
-	l.sched.After(l.txTime(p.Size), l.txDoneFn)
+	l.laneFor(p.Size).Push(hop{link: l})
 }
 
-// txDone fires when the serializer finishes a packet: the packet enters
-// propagation (in parallel with the next serialization) and the link
-// kicks the queue again.
+// txDone is the serializer's hop: the packet enters propagation (in
+// parallel with the next serialization) and the link kicks the queue
+// again.
 func (l *Link) txDone() {
-	now := l.sched.Now()
 	p := l.txPkt
 	l.txPkt = nil
 	l.busy = false
-	l.propQ.Push(now.Add(l.prop), p)
-	l.kick(now)
+	l.inProp++
+	l.propLane.Push(hop{link: l, p: p})
+	l.kick(l.sched.Now())
 }
 
-// arrive is the propagation pipe's handler: p has reached the far end.
-// Single-path entries (the common case, and every entry in classic
-// topologies) dispatch through one slice load; nil entries fall through
-// to the per-packet path selector.
+// arrive is the propagation hop: p has reached the far end. Single-path
+// entries (the common case, and every entry in classic topologies)
+// dispatch through one slice load; nil entries fall through to the
+// per-packet path selector.
 func (l *Link) arrive(p *packet.Packet) {
+	l.inProp--
 	l.out++
 	if l.tallyOut != nil {
 		l.tallyOut[p.Flow]++

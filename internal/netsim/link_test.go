@@ -199,54 +199,63 @@ func TestReceiverPanicsOnACK(t *testing.T) {
 }
 
 // TestLinkReinitReturnsEveryPacket pins the run-boundary leak: whatever
-// a finished run left inside a link — queued at the gateway, on the
-// serializer, in propagation — goes back to the pool when the link is
-// reinitialized, whether it keeps its queue or is handed another, and
-// the kept next-hop table serves the next run.
+// a finished run left inside a network's links — queued at a gateway, on
+// a serializer, or in propagation on a lane the links share — goes back
+// to the pool when the network is reset and its links reinitialized,
+// whether a link keeps its queue or is handed another, and the kept
+// next-hop tables serve the next run.
 func TestLinkReinitReturnsEveryPacket(t *testing.T) {
 	for _, keep := range []bool{true, false} {
-		sched := sim.New()
-		pool := &packet.Pool{}
+		nw := New()
+		pool := nw.Pool
 		sink := &countSink{pool: pool}
-		// 12 Mbps: a packet serializes in 1 ms and propagates for 3,
-		// so 5.5 ms in, one has arrived, three are in propagation, one
-		// is on the wire's near end and the rest are queued.
-		q := queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU)
-		l := NewLink(sched, 12*units.Mbps, 3*units.Millisecond, q)
-		l.SetPool(pool)
-		l.SetRoute([]Deliverer{sink, sink})
+		// Two links in series, both 12 Mbps and 3 ms long: a packet
+		// serializes in 1 ms, so 9.5 ms in, two packets are through, each
+		// link has three in propagation — on one lane between them — and
+		// one on its serializer, and the first still has a queue.
+		var qs [2]queue.Discipline
+		var ls [2]*Link
+		for i := range ls {
+			qs[i] = queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU)
+			ls[i] = nw.NewLink(12*units.Mbps, 3*units.Millisecond, qs[i])
+		}
+		ls[0].SetRoute([]Deliverer{ls[1], ls[1]})
+		ls[1].SetRoute([]Deliverer{sink, sink})
 		const n = 20
 		for i := 0; i < n; i++ {
-			l.Deliver(0, pool.Data(i%2, int64(i), 0))
+			ls[0].Deliver(0, pool.Data(i%2, int64(i), 0))
 		}
-		sched.Run(units.Time(0).Add(5500 * units.Microsecond))
-		if sink.n == 0 || l.Queue().Len() == 0 || l.InFlight() <= l.Queue().Len()+1 {
-			t.Fatalf("want packets delivered, queued and in propagation; got %d delivered, %d queued, %d in flight",
-				sink.n, l.Queue().Len(), l.InFlight())
+		nw.Sched.Run(units.Time(0).Add(9500 * units.Microsecond))
+		if nw.Lanes() != 2 || sink.n == 0 || qs[0].Len() == 0 || ls[0].InFlight() <= qs[0].Len()+1 || ls[1].InFlight() < 2 {
+			t.Fatalf("want two lanes and packets delivered, queued and in propagation on both links; got %d lanes, %d delivered, %d queued, %d and %d in flight",
+				nw.Lanes(), sink.n, qs[0].Len(), ls[0].InFlight(), ls[1].InFlight())
 		}
+		held := n - sink.n
 
-		sched.Reset()
-		next := queue.Discipline(q)
-		if !keep {
-			next = queue.NewDropTail(64 * packet.MTU)
+		nw.Reset()
+		for i, l := range ls {
+			next := qs[i]
+			if !keep {
+				next = queue.NewDropTail(64 * packet.MTU)
+			}
+			l.Reinit(12*units.Mbps, 3*units.Millisecond, next)
+			if l.InFlight() != 0 || qs[i].Len() != 0 {
+				t.Fatalf("keep=%v: %d packets still in link %d, %d in its old queue", keep, l.InFlight(), i, qs[i].Len())
+			}
 		}
-		l.Reinit(12*units.Mbps, 3*units.Millisecond, next)
-		if l.InFlight() != 0 || q.Len() != 0 {
-			t.Fatalf("keep=%v: %d packets still in the link, %d in its old queue", keep, l.InFlight(), q.Len())
-		}
-		reuses := pool.Reuses
+		// Every packet is back: the next n come off the free list.
 		for i := 0; i < n; i++ {
 			pool.Get()
 		}
-		if got := pool.Reuses - reuses; got != n {
-			t.Fatalf("keep=%v: the pool holds %d of the run's %d packets", keep, got, n)
+		if pool.Reuses != n {
+			t.Fatalf("keep=%v: the pool holds %d of the run's %d packets (%d were in the links)", keep, pool.Reuses, n, held)
 		}
 
 		sink.n = 0
-		l.Deliver(0, pool.Data(1, 0, 0))
-		sched.Run(units.MaxTime)
-		if in, out := l.Counts(); sink.n != 1 || in != 1 || out != 1 {
-			t.Fatalf("keep=%v: reinitialized link delivered %d (in %d, out %d), want 1", keep, sink.n, in, out)
+		ls[0].Deliver(0, pool.Data(1, 0, 0))
+		nw.Sched.Run(units.MaxTime)
+		if in, out := ls[1].Counts(); sink.n != 1 || in != 1 || out != 1 {
+			t.Fatalf("keep=%v: reinitialized links delivered %d (in %d, out %d), want 1", keep, sink.n, in, out)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"learnability/internal/packet"
+	"learnability/internal/queue"
 	"learnability/internal/sim"
 	"learnability/internal/units"
 	"learnability/internal/workload"
@@ -28,41 +29,76 @@ type Network struct {
 	// builders wire it into every sender, receiver, and link; the
 	// network runs on one goroutine, so the pool is unsynchronized.
 	Pool *packet.Pool
+
+	// lanes is the delay-lane set every link and receiver of the
+	// network schedules through: stages of equal delay share a lane.
+	lanes *laneSet
 }
 
 // New returns an empty network on a fresh scheduler.
 func New() *Network {
-	return &Network{Sched: sim.New(), Pool: &packet.Pool{}}
+	s := sim.New()
+	return &Network{Sched: s, Pool: &packet.Pool{}, lanes: newLaneSet(s)}
 }
 
-// AddFlow registers a flow, wiring the network's packet pool into its
-// endpoints so topology builders cannot silently leave a component
-// allocating per packet.
+// Lanes reports how many delay lanes the network holds: the distinct
+// delays among its links' serialization times and propagation delays
+// and its flows' reverse paths. It bounds the scheduler entries all
+// packets in flight occupy between them.
+func (n *Network) Lanes() int { return n.lanes.Len() }
+
+// NewLink creates a link on the network's lanes and registers it.
+func (n *Network) NewLink(rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
+	l := newLink(n.Sched, rate, prop, q)
+	n.AddLink(l)
+	return l
+}
+
+// NewReceiver creates a receiver on the network's lanes, to be
+// registered as part of its flow with AddFlow.
+func (n *Network) NewReceiver(flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
+	r := newReceiver(n.Sched, flow, ackDelay, stats)
+	r.setLanes(n.lanes)
+	return r
+}
+
+// AddFlow registers a flow, wiring the network's packet pool and lanes
+// into its endpoints so topology builders cannot silently leave a
+// component allocating per packet or scheduling on its own. The
+// receiver must be idle.
 func (n *Network) AddFlow(f *Flow) {
 	if f.Sender != nil {
 		f.Sender.SetPool(n.Pool)
 	}
 	if f.Receiver != nil {
 		f.Receiver.SetPool(n.Pool)
+		f.Receiver.setLanes(n.lanes)
 	}
 	n.Flows = append(n.Flows, f)
 }
 
-// AddLink registers a link, wiring in the network's packet pool (and,
-// through the link, its queueing discipline).
+// AddLink registers a link, which must be idle, wiring in the network's
+// packet pool (and, through the link, its queueing discipline) and its
+// lanes.
 func (n *Network) AddLink(l *Link) {
 	l.SetPool(n.Pool)
+	l.setLanes(n.lanes)
 	n.Links = append(n.Links, l)
 }
 
-// Reset rewinds the network's shared machinery — the scheduler (to
-// time zero, arena kept) and the packet pool's counters (free list
-// kept) — so the network can host another simulation. Links and flow
-// endpoints are reinitialized separately by topo.World.Rebuild, which
-// owns the per-run topology.
+// Reset rewinds the network's shared machinery so the network can host
+// another simulation: the scheduler (to time zero, arena kept), the
+// packet pool's counters (free list kept), and the lanes, which hand
+// every packet the finished run left in propagation or on a reverse
+// path back to the pool and forget their delays (storage kept), so a
+// world recycled at another link speed holds only the new run's lanes.
+// Links and flow endpoints are reinitialized separately by
+// topo.World.Rebuild, which owns the per-run topology; until then their
+// lane pointers are stale.
 func (n *Network) Reset() {
 	n.Sched.Reset()
 	n.Pool.Reset()
+	n.lanes.Reset((*hopPool)(n.Pool))
 }
 
 // Sample schedules fn to run every interval from time 0 until the end

@@ -13,10 +13,11 @@ import (
 // packet's life", step 6).
 //
 // The ACK path is allocation-free when a pool is attached: the data
-// packet is recycled as soon as its ACK is built, pending ACKs ride a
-// sim.Pipe (the reverse-path delay is constant, so they arrive in
-// order, behind one scheduler entry), and the ACK itself is recycled
-// after the sender has processed it.
+// packet is recycled as soon as its ACK is built, pending ACKs ride the
+// delay lane of the reverse path (its delay is constant, so they arrive
+// in order; the lane is shared with every stage of equal delay, see
+// Link), and the ACK itself is recycled after the sender has processed
+// it.
 type Receiver struct {
 	sched    *sim.Scheduler
 	flow     int
@@ -32,14 +33,24 @@ type Receiver struct {
 	// data packet; nil in normal runs (one predictable branch).
 	trace PacketTracer
 
-	// ackQ holds ACKs in flight on the reverse path, in arrival order.
-	ackQ delayLine
+	// ackLane is the lane of ackDelay in lanes, resolved when the
+	// receiver is created and again by Reinit.
+	lanes   *laneSet
+	ackLane *lane
 }
 
 // NewReceiver creates a receiver for the given flow whose ACKs reach
-// sender after ackDelay.
+// sender after ackDelay, on a bare scheduler with a lane set of its
+// own; a network's receivers are created with Network.NewReceiver.
 func NewReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
-	r := &Receiver{
+	r := newReceiver(sched, flow, ackDelay, stats)
+	r.setLanes(newLaneSet(sched))
+	return r
+}
+
+// newReceiver creates a receiver whose lanes the caller still has to set.
+func newReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
+	return &Receiver{
 		sched:    sched,
 		flow:     flow,
 		ackDelay: ackDelay,
@@ -47,20 +58,26 @@ func NewReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats 
 		cum:      -1,
 		ooo:      newRingOoo(),
 	}
-	r.ackQ = sim.NewPipe(sched, r.deliverAck)
-	return r
+}
+
+// setLanes resolves the reverse path's lane in ls.
+func (r *Receiver) setLanes(ls *laneSet) {
+	r.lanes = ls
+	r.ackLane = ls.Lane(r.ackDelay)
 }
 
 // Reinit restores a receiver from a finished simulation to the
 // just-constructed state with a new reverse-path delay, keeping the
 // scheduler, flow ID, stats, pool, and sender bindings (the sender's
 // identity is preserved across world recycling, so the reverse path
-// stays wired). ACKs still in flight are returned to the pool.
+// stays wired). The reverse path's lane is resolved again in the lane
+// set, whose Reset (see Network.Reset) has returned the ACKs still in
+// flight to the pool.
 func (r *Receiver) Reinit(ackDelay units.Duration) {
 	r.ackDelay = ackDelay
 	r.cum = -1
 	r.ooo.reset()
-	r.ackQ.Drain(r.pool)
+	r.setLanes(r.lanes)
 	r.trace = nil
 }
 
@@ -119,10 +136,10 @@ func (r *Receiver) Deliver(now units.Time, p *packet.Packet) {
 	}
 	ack := r.pool.ACK(p, r.cum, now)
 	r.pool.Put(p) // data packet consumed
-	r.ackQ.Push(r.sched.Now().Add(r.ackDelay), ack)
+	r.ackLane.Push(hop{rcv: r, p: ack})
 }
 
-// deliverAck is the reverse path's handler: ack has reached the sender.
+// deliverAck is the reverse path's hop: ack has reached the sender.
 func (r *Receiver) deliverAck(ack *packet.Packet) {
 	r.sender.OnAck(r.sched.Now(), ack)
 	r.pool.Put(ack)

@@ -235,13 +235,50 @@ func sprayDiamond(alg cc.Algorithm, wl workload.Source) *Network {
 	return nw
 }
 
+// buildParkingLot wires len(rates) links in series, each hopProp long
+// behind a drop-tail buffer of buf bytes: flow 0 crosses them all, and
+// flow i+1 is the cross traffic of link i alone. With equal rates every
+// serializer, every hop and every cross flow's reverse path have the
+// same delays, so the whole network runs on three lanes.
+func buildParkingLot(rates []units.Rate, hopProp units.Duration, buf int,
+	mk func(i int) cc.Algorithm, wl func(i int) workload.Source) *Network {
+
+	nw := New()
+	for _, r := range rates {
+		nw.NewLink(r, hopProp, queue.NewDropTail(buf))
+	}
+	n := len(rates)
+	for i := 0; i <= n; i++ {
+		first, hops := 0, n // the long flow
+		if i > 0 {
+			first, hops = i-1, 1
+		}
+		prop := units.Duration(hops) * hopProp
+		st := &FlowStats{Flow: i, PropDelay: prop, MinRTT: 2 * prop}
+		rcv := nw.NewReceiver(i, prop, st)
+		snd := NewSender(nw.Sched, i, mk(i), nw.Links[first], st)
+		rcv.SetSender(snd)
+		nw.AddFlow(&Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: wl(i)})
+	}
+	for li, l := range nw.Links {
+		next := make([]Deliverer, n+1)
+		next[0], next[li+1] = nw.Flows[0].Receiver, nw.Flows[li+1].Receiver
+		if li < n-1 {
+			next[0] = nw.Links[li+1]
+		}
+		l.SetRoute(next)
+	}
+	return nw
+}
+
 // diffNet is one network of the end-to-end differential set, with the
 // per-flow counter that shows a run exercised what the case is named
-// for.
+// for; shared marks a case whose stages mostly have equal delays.
 type diffNet struct {
 	name    string
 	build   func(seed uint64) *Network
 	nonzero func(*FlowStats) int64
+	shared  bool
 }
 
 // onOff gives flow i of a differential network its seeded workload.
@@ -260,28 +297,33 @@ func mixedCC(i int) cc.Algorithm {
 }
 
 // diffNets is the network set the end-to-end differential tests share
-// (scoreboard against map here, sim.Pipe against per-packet events in
-// delayline_test.go): drop-tail overflow recovered by SACK, AQM drops,
-// a buffer tight enough that RTOs fire, and sustained reordering under
-// spray.
+// (scoreboard against map here, delay lanes against per-packet events in
+// lanes_test.go): drop-tail overflow recovered by SACK, AQM drops,
+// a buffer tight enough that RTOs fire, sustained reordering under
+// spray, and a three-hop parking lot with cross traffic whose equal
+// rates put all its serializers on one lane and all its hops on another.
 func diffNets() []diffNet {
 	return []diffNet{
-		{"droptail-overflow", func(seed uint64) *Network {
+		{name: "equal-rate-parking-lot", build: func(seed uint64) *Network {
+			r := 8 * units.Mbps
+			return buildParkingLot([]units.Rate{r, r, r}, 10*units.Millisecond, 8*packet.MTU, mixedCC, onOff(seed))
+		}, nonzero: func(st *FlowStats) int64 { return st.Retransmits }, shared: true},
+		{name: "droptail-overflow", build: func(seed uint64) *Network {
 			return buildDumbbell(8*units.Mbps, 40*units.Millisecond,
 				queue.NewDropTail(8*packet.MTU), 2, mixedCC, onOff(seed))
-		}, func(st *FlowStats) int64 { return st.Retransmits }},
-		{"sfqcodel-aqm-drops", func(seed uint64) *Network {
+		}, nonzero: func(st *FlowStats) int64 { return st.Retransmits }},
+		{name: "sfqcodel-aqm-drops", build: func(seed uint64) *Network {
 			return buildDumbbell(8*units.Mbps, 40*units.Millisecond,
 				queue.NewSFQCoDel(queue.SFQCoDelBins, 64*packet.MTU), 2, mixedCC, onOff(seed))
-		}, func(st *FlowStats) int64 { return st.Retransmits }},
-		{"rto", func(seed uint64) *Network {
+		}, nonzero: func(st *FlowStats) int64 { return st.Retransmits }},
+		{name: "rto", build: func(seed uint64) *Network {
 			return buildDumbbell(2*units.Mbps, 40*units.Millisecond,
 				queue.NewDropTail(2*packet.MTU), 2,
 				func(int) cc.Algorithm { return &fixedCC{w: 60} }, onOff(seed))
-		}, func(st *FlowStats) int64 { return st.Timeouts }},
-		{"spray-reordering", func(seed uint64) *Network {
+		}, nonzero: func(st *FlowStats) int64 { return st.Timeouts }},
+		{name: "spray-reordering", build: func(seed uint64) *Network {
 			return sprayDiamond(cubic.New(), onOff(seed)(0))
-		}, func(st *FlowStats) int64 { return st.Reordered }},
+		}, nonzero: func(st *FlowStats) int64 { return st.Reordered }},
 	}
 }
 

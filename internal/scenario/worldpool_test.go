@@ -287,15 +287,16 @@ func TestPooledFabricRunAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestFabricHeapBound pins the event core's O(links + flows) claim on
-// the k=4 ADAPTIVE fat tree as a count: a link holds at most its
-// serializer's event and its propagation pipe's, a flow its reverse
-// path's pipe, an RTO, a pacing timer and an on/off switch — however
-// many packets are in flight, and however many on/off transitions a
-// fixed schedule still has ahead of it (one entry per transition put the
-// second case over the bound). The second clause shows the count means
-// something: the run had more packets in the network than the scheduler
-// ever held entries.
+// TestFabricHeapBound pins the event core's O(distinct delays + flows)
+// claim on the k=4 ADAPTIVE fat tree as a count: all 96 links schedule
+// through the lanes of their one serialization time and one hop delay
+// and all 16 reverse paths through a third, and a flow adds an RTO, a
+// pacing timer and an on/off switch — however many packets are in
+// flight, and however many on/off transitions a fixed schedule still has
+// ahead of it (one entry per transition put the second case over an
+// earlier bound). The second clause shows the count means something: the
+// run had more packets in the network than the scheduler ever held
+// entries.
 func TestFabricHeapBound(t *testing.T) {
 	exponential := func(*Spec) {}
 	scheduled := func(spec *Spec) {
@@ -326,13 +327,14 @@ func TestFabricHeapBound(t *testing.T) {
 		}
 		Finish(spec, nw)
 		// +1: the probe's own event.
-		hw, bound := nw.Sched.HighWater(), 2*len(nw.Links)+4*len(nw.Flows)+1
-		if hw > bound {
-			t.Fatalf("%s: heap high-water %d; want ≤ 2·links + 4·flows + 1 = %d", tc.name, hw, bound)
+		hw, bound := nw.Sched.HighWater(), nw.Lanes()+3*len(nw.Flows)+1
+		if nw.Lanes() != 3 || hw > bound {
+			t.Fatalf("%s: %d lanes, heap high-water %d; want 3 lanes and ≤ lanes + 3·flows + 1 = %d", tc.name, nw.Lanes(), hw, bound)
 		}
 		if peak <= hw {
 			t.Fatalf("%s: at most %d packets in the network against a heap high-water of %d: the bound was never tested", tc.name, peak, hw)
 		}
-		t.Logf("%s on/off: heap high-water %d (bound %d), %d packets in the network at peak", tc.name, hw, bound, peak)
+		t.Logf("%s on/off: heap high-water %d (bound %d) with %d links on %d lanes, %d packets in the network at peak",
+			tc.name, hw, bound, len(nw.Links), nw.Lanes(), peak)
 	}
 }

@@ -2,16 +2,17 @@ package sim
 
 import "learnability/internal/units"
 
-// Pipe is a constant-delay FIFO stage — a link's propagation delay, a
-// reverse path — whose values fire in the order they were pushed. It
-// occupies at most one scheduler entry however many values are in
-// flight, and fires each value exactly when, and in exactly the order,
-// an At per value would have: Push stamps the value with its firing
-// time and the insertion number an At at that moment would have drawn,
-// only the oldest value's event sits in the heap, and when it fires the
-// next value is entered under its own stamp before the handler runs.
-// That entry always happens while its predecessor — a strictly smaller
-// key — is the running event, so nothing can fire in between.
+// Pipe is a FIFO stage whose values fire in the order they were pushed —
+// a schedule known in advance, or, as the body of a Lane, everything one
+// constant delay ahead of the clock. It occupies at most one scheduler
+// entry however many values are in flight, and fires each value exactly
+// when, and in exactly the order, an At per value would have: Push
+// stamps the value with its firing time and the insertion number an At
+// at that moment would have drawn, only the oldest value's event sits in
+// the heap, and when it fires the next value is entered under its own
+// stamp before the handler runs. That entry always happens while its
+// predecessor — a strictly smaller key — is the running event, so
+// nothing can fire in between.
 //
 // Values wait in a power-of-two ring that grows to the largest number
 // in flight and is then reused, so a busy pipe allocates nothing.
@@ -38,9 +39,15 @@ func NewPipe[T any](s *Scheduler, fn func(T)) *Pipe[T] {
 	if fn == nil {
 		panic("sim: pipe with nil handler")
 	}
-	p := &Pipe[T]{s: s, fn: fn}
-	p.fire = p.fireHead
+	p := &Pipe[T]{}
+	p.init(s, fn)
 	return p
+}
+
+// init binds a zero pipe to its scheduler and handler.
+func (p *Pipe[T]) init(s *Scheduler, fn func(T)) {
+	p.s, p.fn = s, fn
+	p.fire = p.fireHead
 }
 
 // Len reports the number of values in flight.

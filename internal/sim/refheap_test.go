@@ -554,6 +554,257 @@ func TestPipesMatchPerValueAt(t *testing.T) {
 	}
 }
 
+// laneVal is what the lanes of TestLanesMatchPerValueAt carry: an event
+// id and the owner that pushed it.
+type laneVal struct{ owner, id int }
+
+// sinkVals collects what a Reset lane set held.
+type sinkVals []laneVal
+
+func (k *sinkVals) Put(v laneVal) { *k = append(*k, v) }
+
+// TestLanesMatchPerValueAt is the lane set's contract as a property.
+// Several owners, more than there are delays, resolve their lanes in one
+// set — a zero delay among them, all delays on one coarse grid so that
+// equal-time collisions are the norm — and push onto them in a random
+// interleaving with plain events, cancellations and steps; values fire
+// in exactly the order, and at the times, of the naive reference in
+// which every push was an At. Handlers push again from inside, onto the
+// lane of another owner, and some first cancel a timer while the root is
+// still vacant. Mid-run the scheduler and the set are Reset — the set
+// hands back what was in flight, lane by lane and oldest first — and a
+// second phase runs on other delays, resolved in another order: the set
+// then holds the second phase's delays only, in the first phase's
+// storage. Throughout, Len is the live timers plus one per non-empty
+// lane, so never more than the distinct delays plus the plain events.
+func TestLanesMatchPerValueAt(t *testing.T) {
+	const (
+		grid   = 100 * units.Microsecond
+		owners = 7
+	)
+	phases := [][]units.Duration{
+		{0, grid, 3 * grid, 10 * grid},
+		{2 * grid, 0, 7 * grid}, // fewer, other values, zero at another index
+	}
+	var collisions, handlerPushes, vacantStops, drained int
+	for trial := 0; trial < 30; trial++ {
+		r := rng.New(uint64(3000 + trial))
+		s := New()
+
+		var (
+			ref       *refScheduler
+			fired     []int
+			timers    map[int]Timer
+			inLane    [][]laneVal // reference contents per delay, oldest first
+			laneOf    map[int]int // id -> index of its delay
+			delays    []units.Duration
+			lanes     [owners]*Lane[laneVal]
+			nextID    int
+			peakLen   int
+			peakTimer int
+		)
+		// follow-ups a handler performed, replayed on the reference once
+		// it has popped the same event: a cancellation (stop >= 0), then
+		// a push.
+		type followUp struct {
+			stop int
+			v    laneVal
+		}
+		var followed []followUp
+
+		delayOf := func(owner int) int { return owner % len(delays) }
+		pushAs := func(owner int) laneVal {
+			v := laneVal{owner, nextID}
+			nextID++
+			lanes[owner].Push(v)
+			laneOf[v.id] = delayOf(owner)
+			return v
+		}
+		oldestTimer := func() int {
+			best := -1
+			for id := range timers {
+				if best < 0 || id < best {
+					best = id
+				}
+			}
+			return best
+		}
+		ls := NewLanes(s, func(v laneVal) {
+			fired = append(fired, v.id)
+			f := followUp{stop: -1}
+			if v.id%5 == 0 {
+				// Nothing is scheduled yet: the root is vacant.
+				if id := oldestTimer(); id >= 0 {
+					if !timers[id].Stop() {
+						t.Errorf("trial %d: live timer %d did not stop", trial, id)
+					}
+					delete(timers, id)
+					f.stop = id
+					vacantStops++
+				}
+			}
+			if v.id%3 == 0 {
+				f.v = pushAs((v.owner + 1 + v.id%2) % owners)
+				handlerPushes++
+			} else if f.stop < 0 {
+				return
+			} else {
+				f.v.id = -1
+			}
+			followed = append(followed, f)
+		})
+
+		wantLen := func() int {
+			n := len(timers)
+			for _, q := range inLane {
+				if len(q) > 0 {
+					n++
+				}
+			}
+			return n
+		}
+		step := func(where string) bool {
+			nFired := len(fired)
+			followed = followed[:0]
+			simOK := s.Step()
+			refEv, refOK := ref.pop()
+			if simOK != refOK {
+				t.Fatalf("trial %d %s: Step = %v, reference = %v", trial, where, simOK, refOK)
+			}
+			if !simOK {
+				return false
+			}
+			if len(fired) != nFired+1 || fired[nFired] != refEv.id {
+				t.Fatalf("trial %d %s: fired %v, reference fired %d", trial, where, fired[nFired:], refEv.id)
+			}
+			if s.Now() != refEv.at {
+				t.Fatalf("trial %d %s: now %v, reference %v", trial, where, s.Now(), refEv.at)
+			}
+			if nx, ok := ref.peek(); ok && nx.at == refEv.at {
+				collisions++
+			}
+			if k, ok := laneOf[refEv.id]; ok {
+				if head := inLane[k][0]; head.id != refEv.id {
+					t.Fatalf("trial %d %s: lane %d fired %d past its head %d", trial, where, k, refEv.id, head.id)
+				}
+				inLane[k] = inLane[k][1:]
+				delete(laneOf, refEv.id)
+			} else {
+				delete(timers, refEv.id)
+			}
+			for _, f := range followed {
+				if f.stop >= 0 && !ref.cancel(f.stop) {
+					t.Fatalf("trial %d %s: handler stopped %d, which the reference does not hold", trial, where, f.stop)
+				}
+				if f.v.id >= 0 {
+					k := delayOf(f.v.owner)
+					ref.schedule(ref.now.Add(delays[k]), f.v.id)
+					inLane[k] = append(inLane[k], f.v)
+				}
+			}
+			return true
+		}
+
+		for phase, ds := range phases {
+			if phase > 0 {
+				// Mid-run: what is in flight comes back, nothing fires.
+				var back sinkVals
+				s.Reset()
+				ls.Reset(&back)
+				var want []laneVal
+				for _, q := range inLane { // lanes were resolved in delay order
+					want = append(want, q...)
+				}
+				if len(back) != len(want) {
+					t.Fatalf("trial %d: Reset handed back %d values, reference holds %d", trial, len(back), len(want))
+				}
+				for i := range want {
+					if back[i] != want[i] {
+						t.Fatalf("trial %d: Reset handed back %v at %d, want %v", trial, back[i], i, want[i])
+					}
+				}
+				drained += len(back)
+				if s.Len() != 0 || ls.Len() != 0 {
+					t.Fatalf("trial %d: after Reset, Len %d with %d lanes", trial, s.Len(), ls.Len())
+				}
+			}
+			ref = &refScheduler{}
+			delays = ds
+			timers, laneOf = map[int]Timer{}, map[int]int{}
+			inLane = make([][]laneVal, len(delays))
+			peakLen, peakTimer = 0, 0
+			for i := range lanes { // first by delay order, then in reverse
+				o := i
+				if phase > 0 {
+					o = owners - 1 - i
+				}
+				lanes[o] = ls.Lane(delays[delayOf(o)])
+			}
+			if ls.Len() != len(delays) || len(ls.lanes) != len(phases[0]) {
+				t.Fatalf("trial %d phase %d: %d lanes in %d of storage for %d delays (the first phase had %d)",
+					trial, phase, ls.Len(), len(ls.lanes), len(delays), len(phases[0]))
+			}
+
+			for op := 0; op < 400; op++ {
+				switch r.Intn(8) {
+				case 0, 1, 2:
+					v := pushAs(r.Intn(owners))
+					k := delayOf(v.owner)
+					ref.schedule(s.Now().Add(delays[k]), v.id)
+					inLane[k] = append(inLane[k], v)
+				case 3: // plain event on the same grid
+					id := nextID
+					nextID++
+					d := units.Duration(r.Intn(12)) * grid
+					timers[id] = s.After(d, func() { fired = append(fired, id) })
+					ref.schedule(s.Now().Add(d), id)
+				case 4:
+					id := oldestTimer()
+					if id < 0 {
+						continue
+					}
+					if got, want := timers[id].Stop(), ref.cancel(id); got != want {
+						t.Fatalf("trial %d: Stop(%d) = %v, reference = %v", trial, id, got, want)
+					}
+					delete(timers, id)
+				default:
+					step("op")
+				}
+				if got, want := s.Len(), wantLen(); got != want || got > ls.Len()+len(timers) {
+					t.Fatalf("trial %d phase %d op %d: Len = %d, want %d (timers + busy lanes) and ≤ %d lanes + %d timers",
+						trial, phase, op, got, want, ls.Len(), len(timers))
+				}
+				peakLen = max(peakLen, s.Len())
+				peakTimer = max(peakTimer, len(timers))
+				for o, l := range lanes {
+					if l.Len() != len(inLane[delayOf(o)]) {
+						t.Fatalf("trial %d phase %d op %d: owner %d's lane holds %d, reference %d",
+							trial, phase, op, o, l.Len(), len(inLane[delayOf(o)]))
+					}
+				}
+			}
+			if phase == len(phases)-1 {
+				for i := 0; step("drain"); i++ {
+					if i > 100000 {
+						t.Fatalf("trial %d: drain does not terminate", trial)
+					}
+				}
+			}
+			if hw := s.HighWater(); hw < peakLen || hw > ls.Len()+peakTimer {
+				t.Fatalf("trial %d phase %d: HighWater %d outside [%d, %d lanes + %d timers]",
+					trial, phase, hw, peakLen, ls.Len(), peakTimer)
+			}
+		}
+		if s.Len() != 0 {
+			t.Fatalf("trial %d: Len %d after drain", trial, s.Len())
+		}
+	}
+	if collisions == 0 || handlerPushes == 0 || vacantStops == 0 || drained == 0 {
+		t.Fatalf("vacuous: %d equal-time successions, %d pushes from handlers, %d stops beside a vacant root, %d values in flight at a Reset",
+			collisions, handlerPushes, vacantStops, drained)
+	}
+}
+
 // sinkInts collects what a drained Pipe[int] held.
 type sinkInts []int
 

@@ -3,12 +3,14 @@
 // tie-breaking by insertion order.
 //
 // Components schedule callbacks with At or After, or push values onto a
-// Pipe, a constant-delay FIFO stage that holds one queue entry however
-// many values are in flight. Run drains the queue in time order until it
-// is empty, a deadline is reached, or the simulation is stopped. All
-// simulation state is owned by a single goroutine; the scheduler is
-// deliberately not safe for concurrent use (parallelism in this
-// repository happens across independent simulations, never inside one).
+// Lane, the constant-delay FIFO stage that every component with that
+// delay shares and that holds one queue entry however many values are in
+// flight (a Pipe is the same thing for one owner's values, each with its
+// own time). Run drains the queue in time order until it is empty, a
+// deadline is reached, or the simulation is stopped. All simulation
+// state is owned by a single goroutine; the scheduler is deliberately
+// not safe for concurrent use (parallelism in this repository happens
+// across independent simulations, never inside one).
 //
 // The scheduler is built for the per-packet hot path. The queue is a
 // hand-rolled 4-ary min-heap whose entries carry their own (time,
@@ -19,23 +21,24 @@
 // counter, so a Timer handle to a fired or cancelled event can never
 // observe (or corrupt) the slot's next occupant. Freed slots are recycled
 // through a free list. Scheduling performs no per-event heap allocation
-// once the arena has grown to the simulation's working set, which pipes
-// keep at O(components), not O(packets).
+// once the arena has grown to the simulation's working set, which lanes
+// keep at O(distinct delays + timers), not O(components) or O(packets).
 //
 // An event fires in place. Its slot is released before its handler runs
 // (the handler's own handle already reports not-pending) but its heap
 // position, the root, is only marked vacant; the first event the handler
-// schedules — a pipe's next head, a link's next transmission, a timer
-// re-arming itself — is written there and sifted down once, instead of
-// the last entry being moved up and sifted down and the new one appended
-// and sifted up. Only a handler that schedules nothing pays for the
-// removal. The vacant root is not an entry: Len, read inside a handler,
-// counts the events pending besides the running one, exactly as if it had
-// been removed first, and every entry's order depends on its key alone.
+// schedules — a lane's next head, a timer re-arming itself — is written
+// there and sifted down once, instead of the last entry being moved up
+// and sifted down and the new one appended and sifted up. Only a handler
+// that schedules nothing pays for the removal. The vacant root is not an
+// entry: Len, read inside a handler, counts the events pending besides
+// the running one, exactly as if it had been removed first, and every
+// entry's order depends on its key alone.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"learnability/internal/units"
 )
@@ -54,6 +57,15 @@ func (e entry) before(o entry) bool {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
+}
+
+// lt is before as a number, 1 or 0, computed without a branch: the
+// borrow out of the two-word subtraction (e.at, e.seq) − (o.at, o.seq).
+// Times are never negative, so they order the same as unsigned words.
+func lt(e, o *entry) int {
+	_, borrow := bits.Sub64(e.seq, o.seq, 0)
+	_, borrow = bits.Sub64(uint64(e.at), uint64(o.at), borrow)
+	return int(borrow)
 }
 
 // slot is one event in the scheduler's arena. Slots are recycled: gen
@@ -145,9 +157,9 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 func (s *Scheduler) HighWater() int { return s.highWater }
 
 // At schedules fn to run at time t. Events at equal times fire in the
-// order their delays began: the order of the At, After and Pipe.Push
-// calls that created them. Scheduling in the past (before Now) panics:
-// it always indicates a logic error in a component.
+// order their delays began: the order of the At, After, Pipe.Push and
+// Lane.Push calls that created them. Scheduling in the past (before Now)
+// panics: it always indicates a logic error in a component.
 func (s *Scheduler) At(t units.Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
@@ -215,9 +227,9 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // storage instead of re-growing it. Every pending event's slot is
 // released with a generation bump, so outstanding Timer handles report
 // not-pending rather than touching a recycled slot. A Pipe's armed
-// entry goes with the rest; its owner empties the pipe with Drain.
-// Processed keeps counting across resets (it observes the scheduler's
-// lifetime).
+// entry goes with the rest; its owner empties the pipe with Drain, and a
+// lane set with Lanes.Reset. Processed keeps counting across resets (it
+// observes the scheduler's lifetime).
 func (s *Scheduler) Reset() {
 	pending := s.heap
 	if s.vacant { // the running event's slot is released already
@@ -235,7 +247,7 @@ func (s *Scheduler) Reset() {
 }
 
 // Len reports the exact number of queue entries: one per pending At or
-// After event and one per non-empty Pipe, whatever the pipe holds.
+// After event and one per non-empty Pipe or Lane, whatever it holds.
 // Cancelling a timer removes its entry immediately, so (unlike a
 // lazy-cancellation scheduler) there are never dead entries inflating
 // this count. Inside a handler the running event is not counted.
@@ -339,19 +351,14 @@ func (s *Scheduler) siftDown(i int) {
 		min := first
 		if first+4 <= n {
 			// A full node, the common case below the root of a busy
-			// heap: two independent comparisons and a decider instead
-			// of a chain of three that each wait for the one before.
+			// heap: a tournament of two independent comparisons and a
+			// decider, computed rather than branched on. The keys of a
+			// busy heap's children are as good as random, so each
+			// branch here would be mispredicted about every other time.
 			c := h[first : first+4 : first+4]
-			lo, hi := 0, 2
-			if c[1].before(c[0]) {
-				lo = 1
-			}
-			if c[3].before(c[2]) {
-				hi = 3
-			}
-			if c[hi].before(c[lo]) {
-				lo = hi
-			}
+			lo := lt(&c[1], &c[0])
+			hi := 2 + lt(&c[3], &c[2])
+			lo += (hi - lo) * lt(&c[hi&3], &c[lo&3])
 			min = first + lo
 		} else {
 			for c := first + 1; c < n; c++ {

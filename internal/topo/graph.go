@@ -396,10 +396,11 @@ func hopDeliverer(succ, f int, nw *netsim.Network) netsim.Deliverer {
 // World is a built network together with what lets the next run take
 // it over instead of building another. A world keeps, from run to run:
 // the scheduler's event arena, the packet free list, every sender's and
-// receiver's rings, each link's queue when the next run asks for the
-// same one, and the links' next-hop tables while the routes and routing
-// policy they were compiled from stay the same. Everything else —
-// rates, delays, algorithms, workloads, counters, control-law state —
+// receiver's rings and the delay lanes' storage, each link's queue when
+// the next run asks for the same one, and the links' next-hop tables
+// while the routes and routing policy they were compiled from stay the
+// same. Everything else — rates, delays (and with them which stages
+// share a lane), algorithms, workloads, counters, control-law state —
 // is re-derived by Rebuild, so a rebuilt world is observably identical
 // to a new one built from the same inputs.
 type World struct {
@@ -440,12 +441,12 @@ func NewWorld(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*World, er
 	}
 	nw := netsim.New()
 	for i, e := range g.Edges {
-		nw.AddLink(netsim.NewLink(nw.Sched, e.Rate, e.Prop, queues[i]))
+		nw.NewLink(e.Rate, e.Prop, queues[i])
 	}
 	for f, fs := range flows {
 		prop := g.PathProp(f)
 		st := &netsim.FlowStats{Flow: f, PropDelay: prop, MinRTT: prop + g.ReverseDelay(f)}
-		rcv := netsim.NewReceiver(nw.Sched, f, g.ReverseDelay(f), st)
+		rcv := nw.NewReceiver(f, g.ReverseDelay(f), st)
 		snd := netsim.NewSender(nw.Sched, f, fs.Alg, nw.Links[g.Routes[f].Links[0]], st)
 		rcv.SetSender(snd)
 		nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: fs.Workload})

@@ -6,6 +6,7 @@ import (
 
 	"learnability/internal/cc"
 	"learnability/internal/netsim"
+	"learnability/internal/packet"
 	"learnability/internal/queue"
 	"learnability/internal/units"
 	"learnability/internal/workload"
@@ -167,5 +168,75 @@ func TestQueueKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// TestRebuiltWorldHoldsOnlyTheRunsLanes recycles one world a hundred
+// times, each time at a link speed no run before it had (the trainer
+// draws one per slot): the network's lane set must hold the current
+// run's distinct delays and no other run's, every packet the last run
+// left in flight on those shared lanes must be back in the pool, and
+// once two rebuilds have grown the world the lanes' storage is reused,
+// so a run and its rebuild allocate nothing for them.
+func TestRebuiltWorldHoldsOnlyTheRunsLanes(t *testing.T) {
+	// Serialization, hop (and the cross flows' reverse path), and the
+	// long flow's reverse path.
+	const delays, rebuilds = 3, 100
+	graphs := make([]*Graph, rebuilds+1)
+	for i := range graphs {
+		rate := 10*units.Mbps + units.Rate(i)*37*units.Kbps
+		graphs[i] = ParkingLotGraph([]units.Rate{rate, rate, rate}, 5*units.Millisecond, 1, true)
+	}
+	queues := []queue.Discipline{queue.NewDropTail(30000), queue.NewDropTail(30000), queue.NewDropTail(30000)}
+	flows := specs(4, 30)
+	w, err := NewWorld(graphs[0], queues, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := w.Net
+	var carved int64 // packets the pool has ever made
+	held := make([]*packet.Packet, 0, 1024)
+	i := 0
+	recycle := func() {
+		i++
+		for _, fl := range nw.Flows { // Network.Run, for always-on flows, without its closures
+			fl.Sender.SetOn(0, true)
+		}
+		nw.Sched.Run(units.Time(100 * units.Millisecond))
+		inFlight := 0
+		for _, l := range nw.Links {
+			inFlight += l.InFlight()
+		}
+		if inFlight == 0 || nw.Lanes() != delays {
+			t.Fatalf("run %d: %d packets in flight on %d lanes, want some on %d", i, inFlight, nw.Lanes(), delays)
+		}
+		carved += nw.Pool.Gets - nw.Pool.Reuses
+
+		if err := w.Rebuild(graphs[i], queues, flows); err != nil {
+			t.Fatal(err)
+		}
+		if nw.Lanes() != delays {
+			t.Fatalf("rebuild %d: %d lanes for %d distinct delays; the set kept a finished run's", i, nw.Lanes(), delays)
+		}
+		for k := int64(0); k < carved; k++ {
+			held = append(held, nw.Pool.Get())
+		}
+		if nw.Pool.Reuses != carved {
+			t.Fatalf("rebuild %d: the pool holds %d of the %d packets made so far", i, nw.Pool.Reuses, carved)
+		}
+		for _, p := range held {
+			nw.Pool.Put(p)
+		}
+		held = held[:0]
+		nw.Pool.Reset()
+	}
+	recycle()
+	recycle()
+	// One: the scratch slice Graph.Validate marks a path's edges in.
+	if n := testing.AllocsPerRun(rebuilds-3, recycle); n > 1 {
+		t.Fatalf("a run and a rebuild at a new link speed make %v allocations, want validation's one", n)
+	}
+	if i != rebuilds {
+		t.Fatalf("%d rebuilds, want %d", i, rebuilds)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,21 +25,34 @@ func tinyEffort() Effort {
 	return e
 }
 
+// rendered is what cmd/learnability prints or writes for one result.
+type rendered interface {
+	Table() string
+	WriteCSV(io.Writer) error
+	Plot() string
+}
+
 // TestSweepGoldens pins every byte cmd/learnability prints or writes
-// for Figures 2–4. The files under testdata were rendered by the three
-// per-figure implementations that runSweep replaced (commit 4f0138b),
-// so the test holds the one implementation to their seeds, grids,
-// labels, formats and column names.
+// for Figures 2–4 and Figure 8. The sweep files under testdata were
+// rendered by the three per-figure implementations that runSweep
+// replaced (commit 4f0138b), the fig8 files by the hand-wired queue
+// sampler and drop recorder that the packet-event stream replaced
+// (commit e1b2419), so the test holds the one implementation to their
+// seeds, grids, labels, formats and column names.
 func TestSweepGoldens(t *testing.T) {
+	sweep := func(run func(Effort, func(string, ...any)) *Sweep) func(Effort) rendered {
+		return func(e Effort) rendered { return run(e, nil) }
+	}
 	for _, fig := range []struct {
 		id  string
-		run func(Effort, func(string, ...any)) *Sweep
+		run func(Effort) rendered
 	}{
-		{"fig2", RunLinkSpeed},
-		{"fig3", RunMultiplexing},
-		{"fig4", RunPropDelay},
+		{"fig2", sweep(RunLinkSpeed)},
+		{"fig3", sweep(RunMultiplexing)},
+		{"fig4", sweep(RunPropDelay)},
+		{"fig8", func(e Effort) rendered { return RunTimeDomain(e, nil) }},
 	} {
-		res := fig.run(tinyEffort(), nil)
+		res := fig.run(tinyEffort())
 		var csv strings.Builder
 		if err := res.WriteCSV(&csv); err != nil {
 			t.Fatal(err)

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"learnability/internal/cc/remycc"
-	"learnability/internal/packet"
-	"learnability/internal/queue"
+	"learnability/internal/netsim"
 	"learnability/internal/rng"
 	"learnability/internal/scenario"
 	"learnability/internal/units"
@@ -16,7 +15,8 @@ import (
 // TCP-naive, reusing the E6 protocols) shares the 10 Mbps / 100 ms /
 // 2 BDP dumbbell with a contrived NewReno cross-sender that turns on at
 // exactly t = 5 s and off at t = 10 s. The bottleneck queue occupancy
-// is sampled over time and drop instants are recorded.
+// is sampled over time and drop instants are recorded, both read off
+// the run's packet-event stream.
 
 // TimeDomainTrace is one protocol's panel of Figure 8.
 type TimeDomainTrace struct {
@@ -67,18 +67,25 @@ func RunTimeDomain(e Effort, log func(string, ...any)) *TimeDomainResult {
 				},
 			},
 		}
-		nw, queues := scenario.MustBuild(spec)
-		q := queues[0]
-		if dt, ok := q.(*queue.DropTail); ok {
-			dt.SetDropRecorder(func(now units.Time, p *packet.Packet) {
-				trace.DropSec = append(trace.DropSec, now.Seconds())
-			})
+		// The bottleneck is link 0. Every change of its occupancy is an
+		// event carrying the depth it left, so the last one seen is the
+		// queue's length at each 50 ms sample.
+		queued := 0
+		spec.Trace = func(ev netsim.PacketEvent) {
+			if ev.Link != 0 {
+				return
+			}
+			queued = ev.QueueLen
+			if ev.Kind == netsim.TraceDropTail || ev.Kind == netsim.TraceDropAQM {
+				trace.DropSec = append(trace.DropSec, ev.Time.Seconds())
+			}
 		}
-		nw.Sample(50*units.Millisecond, func(now units.Time) {
+		spec.ProbeInterval = 50 * units.Millisecond
+		spec.Probe = func(now units.Time) {
 			trace.SampleSec = append(trace.SampleSec, now.Seconds())
-			trace.QueuePkts = append(trace.QueuePkts, q.Len())
-		})
-		results := scenario.Finish(spec, nw)
+			trace.QueuePkts = append(trace.QueuePkts, queued)
+		}
+		results := scenario.MustRun(spec)
 		trace.TaoTptMbps = float64(results[0].Throughput) / 1e6
 		res.Traces = append(res.Traces, trace)
 	}

@@ -151,11 +151,9 @@ type Link struct {
 	// trace, when non-nil, receives packet lifecycle events (see
 	// SetTrace). Nil in normal runs, so the hot path pays the same
 	// single predictable branch as tallyIn. traceID is the link
-	// identifier stamped into events; lastTailDrops classifies drop
-	// callbacks (tail vs AQM) by which stats counter advanced.
-	trace         PacketTracer
-	traceID       int
-	lastTailDrops int64
+	// identifier stamped into events.
+	trace   PacketTracer
+	traceID int
 
 	txPkt *packet.Packet // packet currently being serialized
 
@@ -235,7 +233,6 @@ func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) 
 	l.in, l.out = 0, 0
 	l.tallyIn, l.tallyOut = nil, nil
 	l.trace = nil
-	l.lastTailDrops = 0
 	if pa, ok := q.(queue.PoolAware); ok {
 		pa.SetPool(l.pool)
 	}
@@ -384,7 +381,7 @@ func (l *Link) laneFor(size int) *lane {
 
 // Deliver implements Deliverer: a packet arrives at the link's ingress
 // queue. Packets the queue rejects are returned to the pool (after the
-// queue's drop accounting and recorder have run).
+// queue's drop accounting and observer have run).
 func (l *Link) Deliver(now units.Time, p *packet.Packet) {
 	l.in++
 	if l.tallyIn != nil {

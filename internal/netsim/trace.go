@@ -98,51 +98,36 @@ func (l *Link) emit(kind PacketEventKind, now units.Time, p *packet.Packet) {
 	})
 }
 
+// traceKind names the queue's events in the stream.
+var traceKind = [...]PacketEventKind{
+	queue.TailDrop: TraceDropTail,
+	queue.AQMDrop:  TraceDropAQM,
+	queue.CEMark:   TraceMarkCE,
+}
+
 // SetTrace installs (or, with a nil tracer, removes) a packet tracer
 // on the link. The link emits enqueue/dequeue events itself and
-// installs drop and mark recorders on its queueing discipline to
-// capture tail drops, victim evictions, AQM drops, and CE marks —
-// replacing any recorder a previous caller installed. id is the
+// observes its queueing discipline for the rest: the discipline states
+// the kind — tail drop (victim evictions included), AQM drop, CE mark —
+// and the link stamps its identifier and the queue's depth. This
+// replaces any observer a previous caller installed. id is the
 // identifier stamped into events (conventionally the link's index in
 // Network.Links). Reinit clears the tracer, so recycled worlds start
 // untraced.
 func (l *Link) SetTrace(id int, t PacketTracer) {
-	l.traceID = id
-	l.trace = t
-	if t == nil {
-		if dr, ok := l.q.(interface{ SetDropRecorder(queue.DropRecorder) }); ok {
-			dr.SetDropRecorder(nil)
+	l.traceID, l.trace = id, t
+	var obs queue.Observer
+	if t != nil {
+		obs = func(now units.Time, ev queue.Event, p *packet.Packet) {
+			l.emit(traceKind[ev], now, p)
 		}
-		if mr, ok := l.q.(interface{ SetMarkRecorder(queue.MarkRecorder) }); ok {
-			mr.SetMarkRecorder(nil)
-		}
-		return
 	}
-	// Tail and AQM drops arrive through the same recorder; they are
-	// told apart by which stats counter advanced, which also covers
-	// victim evictions (a tail drop of a packet other than the arrival).
-	st := l.q.Stats()
-	l.lastTailDrops = st.DropsTail
-	if dr, ok := l.q.(interface{ SetDropRecorder(queue.DropRecorder) }); ok {
-		dr.SetDropRecorder(func(now units.Time, p *packet.Packet) {
-			kind := TraceDropAQM
-			if s := l.q.Stats(); s.DropsTail > l.lastTailDrops {
-				kind = TraceDropTail
-				l.lastTailDrops = s.DropsTail
-			}
-			l.emit(kind, now, p)
-		})
-	}
-	if mr, ok := l.q.(interface{ SetMarkRecorder(queue.MarkRecorder) }); ok {
-		mr.SetMarkRecorder(func(now units.Time, p *packet.Packet) {
-			l.emit(TraceMarkCE, now, p)
-		})
-	}
+	l.q.Observe(obs)
 }
 
 // deliverTraced is Deliver's slow-path tail when a tracer is
 // installed: same queue/kick sequence, plus an enqueue event on
-// acceptance (rejections are reported by the queue's drop recorder).
+// acceptance (rejections are reported by the queue's observer).
 func (l *Link) deliverTraced(now units.Time, p *packet.Packet) {
 	if l.q.Enqueue(now, p) {
 		l.emit(TraceEnqueue, now, p)

@@ -52,14 +52,30 @@ func TestLinkTraceEvents(t *testing.T) {
 	if counts[TraceDequeue] == 0 {
 		t.Fatal("no dequeue events after stepping the link")
 	}
-	// Clearing the tracer must stop emission entirely.
-	before := counts[TraceEnqueue] + counts[TraceDequeue] + counts[TraceDropTail]
+	// Clearing the tracer must stop emission entirely and leave the
+	// queue with no observer (one left behind would call the link's
+	// nil tracer at the next drop): overflow the queue again, first
+	// after SetTrace(nil), then after a Reinit that keeps the queue.
+	total := func() int {
+		return counts[TraceEnqueue] + counts[TraceDequeue] + counts[TraceDropTail]
+	}
+	overflow := func() {
+		for i := 0; i < 8; i++ {
+			l.Deliver(sched.Now(), pool.Data(0, int64(100+i), sched.Now()))
+		}
+		sched.Step()
+	}
+	before := total()
 	l.SetTrace(3, nil)
-	l.Deliver(sched.Now(), pool.Data(0, 99, sched.Now()))
-	sched.Step()
-	after := counts[TraceEnqueue] + counts[TraceDequeue] + counts[TraceDropTail]
-	if after != before {
+	overflow()
+	if total() != before {
 		t.Fatal("cleared tracer still received events")
+	}
+	l.SetTrace(3, func(ev PacketEvent) { counts[ev.Kind]++ })
+	l.Reinit(units.Gbps, 20*units.Microsecond, l.Queue())
+	overflow()
+	if total() != before {
+		t.Fatal("tracer survived Reinit")
 	}
 }
 

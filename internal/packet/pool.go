@@ -16,7 +16,7 @@ import "learnability/internal/units"
 //
 // Ownership contract: after Put, the packet may be recycled for an
 // unrelated flow at any time. Callbacks observing packets in flight
-// (queue.DropRecorder, test sinks) must copy what they need rather than
+// (queue.Observer, test sinks) must copy what they need rather than
 // retain the pointer when the network is pooled.
 type Pool struct {
 	free     []*Packet

@@ -24,12 +24,43 @@ const (
 // CoDel its name). The queue also has a hard byte capacity as a
 // backstop, like real implementations.
 type CoDel struct {
+	codel
+	wiring
+}
+
+// wiring is what a CoDel-based discipline is attached to and told from
+// outside. A CoDel has its own; the bins of an SFQCoDel run on their
+// parent's.
+type wiring struct {
+	obs  Observer
+	pool *packet.Pool
+	// markECN switches the discipline from dropping to CE-marking
+	// ECN-capable packets wherever the control law schedules a drop.
+	markECN bool
+}
+
+// Observe implements Discipline.
+func (w *wiring) Observe(o Observer) { w.obs = o }
+
+// SetPool implements PoolAware: packets the discipline had accepted
+// and then drops — CoDel's drops at dequeue time, sfqCoDel's victim
+// evictions — are recycled.
+func (w *wiring) SetPool(pl *packet.Pool) { w.pool = pl }
+
+// SetECNMarking switches the discipline to CE-mark ECN-capable (ECT)
+// packets instead of dropping them wherever the CoDel control law
+// schedules a drop; the state machine advances identically either way.
+// Packets that are not ECT are still dropped, and so are sfqCoDel's
+// overflow victims (they make room for an arriving packet, which
+// marking cannot).
+func (w *wiring) SetECNMarking(on bool) { w.markECN = on }
+
+// codel is the queue and the control law, run on a wiring its caller
+// passes in.
+type codel struct {
 	capBytes int
 	q        fifo
 	stats    Stats
-	onDrop   DropRecorder
-	onMark   MarkRecorder
-	pool     *packet.Pool
 
 	target   units.Duration
 	interval units.Duration
@@ -39,10 +70,6 @@ type CoDel struct {
 	dropNext       units.Time // next scheduled drop while dropping
 	count          int        // drops since entering dropping state
 	dropping       bool
-
-	// markECN switches the discipline from dropping to CE-marking
-	// ECN-capable packets wherever the control law schedules a drop.
-	markECN bool
 }
 
 // NewCoDel returns a CoDel queue with the standard 5 ms target and
@@ -61,36 +88,24 @@ func NewCoDelParams(capBytes int, target, interval units.Duration) *CoDel {
 	if target <= 0 || interval <= 0 {
 		panic("queue: NewCoDel with non-positive target or interval")
 	}
-	return &CoDel{capBytes: capBytes, target: target, interval: interval}
+	return &CoDel{codel: codel{capBytes: capBytes, target: target, interval: interval}}
 }
 
-// SetDropRecorder registers a callback invoked for each dropped packet.
-func (c *CoDel) SetDropRecorder(r DropRecorder) { c.onDrop = r }
-
-// SetMarkRecorder registers a callback invoked for each CE-marked
-// packet.
-func (c *CoDel) SetMarkRecorder(r MarkRecorder) { c.onMark = r }
-
-// SetPool implements PoolAware: packets CoDel drops at dequeue time
-// (packets it had accepted) are recycled.
-func (c *CoDel) SetPool(pl *packet.Pool) { c.pool = pl }
-
-// SetECNMarking switches the discipline to CE-mark ECN-capable (ECT)
-// packets instead of dropping them wherever the CoDel control law
-// schedules a drop; the state machine advances identically either way.
-// Packets that are not ECT are still dropped.
-func (c *CoDel) SetECNMarking(on bool) { c.markECN = on }
-
 // Capacity reports the hard byte capacity backstop.
-func (c *CoDel) Capacity() int { return c.capBytes }
+func (c *codel) Capacity() int { return c.capBytes }
 
 // Enqueue implements Discipline.
 func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
+	return c.enqueue(now, p, &c.wiring)
+}
+
+// enqueue is Enqueue, reporting a rejection to w.
+func (c *codel) enqueue(now units.Time, p *packet.Packet, w *wiring) bool {
 	if c.q.bytes+p.Size > c.capBytes {
 		c.stats.DropsTail++
 		c.stats.BytesDropped += int64(p.Size)
-		if c.onDrop != nil {
-			c.onDrop(now, p)
+		if w.obs != nil {
+			w.obs(now, TailDrop, p)
 		}
 		return false
 	}
@@ -102,13 +117,13 @@ func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 
 // controlLaw computes the next drop time after t given the current
 // count.
-func (c *CoDel) controlLaw(t units.Time) units.Time {
+func (c *codel) controlLaw(t units.Time) units.Time {
 	return t.Add(units.Duration(float64(c.interval) / math.Sqrt(float64(c.count))))
 }
 
 // doDequeue pops one packet and reports whether CoDel considers the
 // queue "above target" at this instant (okToDrop in RFC 8289).
-func (c *CoDel) doDequeue(now units.Time) (p *packet.Packet, okToDrop bool) {
+func (c *codel) doDequeue(now units.Time) (p *packet.Packet, okToDrop bool) {
 	p = c.q.pop()
 	if p == nil {
 		c.firstAboveTime = 0
@@ -127,25 +142,25 @@ func (c *CoDel) doDequeue(now units.Time) (p *packet.Packet, okToDrop bool) {
 	return p, now >= c.firstAboveTime
 }
 
-func (c *CoDel) drop(now units.Time, p *packet.Packet) {
+func (c *codel) drop(now units.Time, p *packet.Packet, w *wiring) {
 	c.stats.DropsAQM++
 	c.stats.BytesDropped += int64(p.Size)
-	if c.onDrop != nil {
-		c.onDrop(now, p)
+	if w.obs != nil {
+		w.obs(now, AQMDrop, p)
 	}
-	if c.pool != nil {
-		c.pool.Put(p)
+	if w.pool != nil {
+		w.pool.Put(p)
 	}
 }
 
 // mark CE-marks a packet the control law scheduled for a drop. Marked
 // packets stay in the delivery path: they count in Dequeued, never in
 // the drop counters.
-func (c *CoDel) mark(now units.Time, p *packet.Packet) {
+func (c *codel) mark(now units.Time, p *packet.Packet, w *wiring) {
 	p.CE = true
 	c.stats.MarksECN++
-	if c.onMark != nil {
-		c.onMark(now, p)
+	if w.obs != nil {
+		w.obs(now, CEMark, p)
 	}
 }
 
@@ -153,6 +168,12 @@ func (c *CoDel) mark(now units.Time, p *packet.Packet) {
 // may drop one or more head packets before returning the packet to
 // transmit, or nil if the queue empties.
 func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
+	return c.dequeue(now, &c.wiring)
+}
+
+// dequeue is Dequeue, with drops and marks reported to, marking decided
+// by and dropped packets recycled through w.
+func (c *codel) dequeue(now units.Time, w *wiring) *packet.Packet {
 	p, okToDrop := c.doDequeue(now)
 	if c.dropping {
 		if !okToDrop {
@@ -161,15 +182,15 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 			c.dropping = false
 		}
 		for c.dropping && now >= c.dropNext {
-			if c.markECN && p.ECT {
+			if w.markECN && p.ECT {
 				// ECN: mark instead of drop and deliver this packet; the
 				// control law advances exactly as if it had dropped.
-				c.mark(now, p)
+				c.mark(now, p, w)
 				c.count++
 				c.dropNext = c.controlLaw(c.dropNext)
 				break
 			}
-			c.drop(now, p)
+			c.drop(now, p, w)
 			c.count++
 			p, okToDrop = c.doDequeue(now)
 			if !okToDrop {
@@ -182,10 +203,10 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 		// Enter dropping state: drop (or CE-mark) this packet; a drop
 		// forwards the successor through doDequeue so the sojourn /
 		// firstAboveTime bookkeeping stays coherent (RFC 8289 dodeque).
-		if c.markECN && p.ECT {
-			c.mark(now, p)
+		if w.markECN && p.ECT {
+			c.mark(now, p, w)
 		} else {
-			c.drop(now, p)
+			c.drop(now, p, w)
 			p, _ = c.doDequeue(now)
 		}
 		c.dropping = true
@@ -208,20 +229,25 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 }
 
 // Len implements Discipline.
-func (c *CoDel) Len() int { return c.q.len() }
+func (c *codel) Len() int { return c.q.len() }
 
 // Bytes implements Discipline.
-func (c *CoDel) Bytes() int { return c.q.bytes }
+func (c *codel) Bytes() int { return c.q.bytes }
 
 // Stats implements Discipline.
-func (c *CoDel) Stats() Stats { return c.stats }
+func (c *codel) Stats() Stats { return c.stats }
 
 // Reset implements Discipline: the RFC 8289 state machine returns to
 // rest (not dropping, count zero), so a reset queue's first drop is
 // scheduled exactly as a new queue's would be.
 func (c *CoDel) Reset(pl *packet.Pool) {
+	c.reset(pl)
+	c.obs = nil
+}
+
+// reset is Reset for everything but the wiring.
+func (c *codel) reset(pl *packet.Pool) {
 	c.q.reset(pl)
 	c.stats = Stats{}
-	c.onDrop, c.onMark = nil, nil
 	c.firstAboveTime, c.dropNext, c.count, c.dropping = 0, 0, 0, false
 }

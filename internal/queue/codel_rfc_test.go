@@ -149,7 +149,7 @@ func TestCoDelMatchesRFCReference(t *testing.T) {
 			q := NewCoDel(tc.capBytes)
 			ref := newRFCCoDel(tc.capBytes)
 			var implDropped []int64
-			q.SetDropRecorder(func(_ units.Time, p *packet.Packet) {
+			q.Observe(func(_ units.Time, _ Event, p *packet.Packet) {
 				implDropped = append(implDropped, p.Seq)
 			})
 

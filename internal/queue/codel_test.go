@@ -51,7 +51,7 @@ func TestCoDelDropRateIncreases(t *testing.T) {
 		q.Enqueue(0, mkpkt(1, i))
 	}
 	var dropTimes []units.Time
-	q.SetDropRecorder(func(now units.Time, p *packet.Packet) { dropTimes = append(dropTimes, now) })
+	q.Observe(func(now units.Time, _ Event, _ *packet.Packet) { dropTimes = append(dropTimes, now) })
 	now := units.Time(0)
 	for i := 0; i < 10000; i++ {
 		now = now.Add(units.Millisecond)

@@ -1,18 +1,31 @@
 package queue
 
 import (
+	"math"
+
 	"learnability/internal/packet"
 	"learnability/internal/units"
 )
 
-// DropTail is a FIFO queue with a finite byte capacity: arriving packets
-// that would exceed the capacity are dropped. This models the paper's
-// "buffer size 5 BDP" (etc.) gateways.
+// Unbounded is the capacity of a FIFO that never drops and the mark
+// threshold of one that never marks.
+const Unbounded = math.MaxInt
+
+// DropTail is the FIFO queue: arriving packets that would exceed its
+// byte capacity are dropped, which models the paper's "buffer size
+// 5 BDP" (etc.) gateways, and an Unbounded capacity its extreme "the
+// link doesn't drop any packet" testing scenarios. With a mark
+// threshold it does DCTCP-style ECN marking: an arriving ECN-capable
+// (ECT) packet is CE-marked when accepting it would push the
+// instantaneous occupancy past the threshold. Packets that overflow the
+// capacity are still tail-dropped, ECT or not — marking signals
+// congestion early, it does not create room.
 type DropTail struct {
-	capBytes int
-	q        fifo
-	stats    Stats
-	onDrop   DropRecorder
+	capBytes  int // Unbounded: never drops
+	markBytes int // Unbounded: never marks
+	q         fifo
+	stats     Stats
+	obs       Observer
 }
 
 // NewDropTail returns a drop-tail FIFO holding at most capBytes bytes.
@@ -22,24 +35,52 @@ func NewDropTail(capBytes int) *DropTail {
 	if capBytes <= 0 {
 		panic("queue: NewDropTail with non-positive capacity")
 	}
-	return &DropTail{capBytes: capBytes}
+	return &DropTail{capBytes: capBytes, markBytes: Unbounded}
 }
 
-// SetDropRecorder registers a callback invoked for each dropped packet.
-func (d *DropTail) SetDropRecorder(r DropRecorder) { d.onDrop = r }
+// NewInfinite returns a FIFO with unbounded capacity.
+func NewInfinite() *DropTail { return NewDropTail(Unbounded) }
+
+// NewMarkingDropTail returns a drop-tail FIFO holding at most capBytes
+// bytes that CE-marks ECT arrivals once occupancy (including the
+// arriving packet) exceeds markBytes. It panics unless
+// 0 < markBytes <= capBytes.
+func NewMarkingDropTail(capBytes, markBytes int) *DropTail {
+	if capBytes <= 0 {
+		panic("queue: NewMarkingDropTail with non-positive capacity")
+	}
+	if markBytes <= 0 || markBytes > capBytes {
+		panic("queue: NewMarkingDropTail threshold outside (0, capacity]")
+	}
+	return &DropTail{capBytes: capBytes, markBytes: markBytes}
+}
 
 // Capacity reports the configured capacity in bytes.
 func (d *DropTail) Capacity() int { return d.capBytes }
 
+// MarkThreshold reports the configured marking threshold in bytes.
+func (d *DropTail) MarkThreshold() int { return d.markBytes }
+
+// Observe implements Discipline.
+func (d *DropTail) Observe(o Observer) { d.obs = o }
+
 // Enqueue implements Discipline.
 func (d *DropTail) Enqueue(now units.Time, p *packet.Packet) bool {
-	if d.q.bytes+p.Size > d.capBytes {
+	bytes := d.q.bytes + p.Size // occupancy were the packet accepted
+	if bytes > d.capBytes {
 		d.stats.DropsTail++
 		d.stats.BytesDropped += int64(p.Size)
-		if d.onDrop != nil {
-			d.onDrop(now, p)
+		if d.obs != nil {
+			d.obs(now, TailDrop, p)
 		}
 		return false
+	}
+	if p.ECT && bytes > d.markBytes {
+		p.CE = true
+		d.stats.MarksECN++
+		if d.obs != nil {
+			d.obs(now, CEMark, p)
+		}
 	}
 	p.EnqueuedAt = now
 	d.q.push(p)
@@ -69,47 +110,5 @@ func (d *DropTail) Stats() Stats { return d.stats }
 func (d *DropTail) Reset(pl *packet.Pool) {
 	d.q.reset(pl)
 	d.stats = Stats{}
-	d.onDrop = nil
-}
-
-// Infinite is a FIFO queue that never drops, modeling the paper's
-// extreme "the link doesn't drop any packet" testing scenarios.
-type Infinite struct {
-	q     fifo
-	stats Stats
-}
-
-// NewInfinite returns a FIFO with unbounded capacity.
-func NewInfinite() *Infinite { return &Infinite{} }
-
-// Enqueue implements Discipline; it always accepts.
-func (d *Infinite) Enqueue(now units.Time, p *packet.Packet) bool {
-	p.EnqueuedAt = now
-	d.q.push(p)
-	d.stats.Enqueued++
-	return true
-}
-
-// Dequeue implements Discipline.
-func (d *Infinite) Dequeue(now units.Time) *packet.Packet {
-	p := d.q.pop()
-	if p != nil {
-		d.stats.Dequeued++
-	}
-	return p
-}
-
-// Len implements Discipline.
-func (d *Infinite) Len() int { return d.q.len() }
-
-// Bytes implements Discipline.
-func (d *Infinite) Bytes() int { return d.q.bytes }
-
-// Stats implements Discipline.
-func (d *Infinite) Stats() Stats { return d.stats }
-
-// Reset implements Discipline.
-func (d *Infinite) Reset(pl *packet.Pool) {
-	d.q.reset(pl)
-	d.stats = Stats{}
+	d.obs = nil
 }

@@ -79,10 +79,15 @@ func TestDropTailBytesAndLen(t *testing.T) {
 	}
 }
 
-func TestDropTailDropRecorder(t *testing.T) {
+func TestDropTailObserver(t *testing.T) {
 	q := NewDropTail(packet.MTU)
 	var dropped []*packet.Packet
-	q.SetDropRecorder(func(now units.Time, p *packet.Packet) { dropped = append(dropped, p) })
+	q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
+		if ev != TailDrop {
+			t.Errorf("event %d, want a tail drop", ev)
+		}
+		dropped = append(dropped, p)
+	})
 	q.Enqueue(0, mkpkt(1, 0))
 	q.Enqueue(0, mkpkt(1, 1))
 	if len(dropped) != 1 || dropped[0].Seq != 1 {

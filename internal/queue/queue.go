@@ -1,8 +1,13 @@
 // Package queue implements the gateway queueing disciplines used in the
-// paper's experiments: drop-tail FIFOs with finite or infinite buffers
-// (all training scenarios and most testing scenarios), and sfqCoDel
-// (stochastic fair queueing over CoDel sub-queues), which the paper runs
-// at bottleneck gateways for its Cubic-over-sfqCoDel baseline.
+// paper's experiments. There are three: DropTail, the one FIFO — finite
+// or unbounded, with or without a DCTCP-style ECN marking threshold
+// (all training scenarios and most testing scenarios); CoDel; and
+// SFQCoDel (stochastic fair queueing over CoDel bins), which the paper
+// runs at bottleneck gateways for its Cubic-over-sfqCoDel baseline.
+//
+// A run is watched through one seam, Discipline.Observe: the discipline
+// states each drop and CE mark, with its kind, at the site that bumps
+// the matching Stats counter.
 package queue
 
 import (
@@ -35,10 +40,13 @@ type Discipline interface {
 	Bytes() int
 	// Stats reports the discipline's accept/drop counters.
 	Stats() Stats
+	// Observe installs the discipline's one observer, replacing any
+	// other; nil removes it.
+	Observe(o Observer)
 	// Reset returns the discipline to the state its constructor left
-	// it in — empty, zero Stats, control law at rest, no drop or mark
-	// recorder — keeping its configuration (capacity, thresholds,
-	// marking mode, attached pool) and the storage it has grown, so a
+	// it in — empty, zero Stats, control law at rest, no observer —
+	// keeping its configuration (capacity, thresholds, marking mode,
+	// attached pool) and the storage it has grown, so a
 	// reset discipline behaves exactly like a new one with the same
 	// configuration. Packets still queued are handed to pl (a nil pool
 	// discards them). A world recycled between runs resets its queues
@@ -59,19 +67,31 @@ type Stats struct {
 // Drops is the total number of dropped packets.
 func (s Stats) Drops() int64 { return s.DropsTail + s.DropsAQM }
 
-// DropRecorder receives a callback for every dropped packet; the
-// time-domain experiment (Figure 8) uses it to mark drop instants.
-// In pooled networks (see packet.Pool) the packet may be recycled as
-// soon as the callback returns: recorders must copy any fields they
-// need rather than retain the pointer.
-type DropRecorder func(now units.Time, p *packet.Packet)
+// Event is what a discipline did to a packet besides queueing and
+// serving it; each kind has its Stats counter.
+type Event uint8
 
-// MarkRecorder receives a callback for every packet a discipline
-// CE-marks instead of dropping; the telemetry trace plane uses it to
-// emit mark events with queue depth. The packet is still owned by the
-// discipline (marked packets stay in the delivery path), so recorders
-// must copy any fields they need rather than retain the pointer.
-type MarkRecorder func(now units.Time, p *packet.Packet)
+// The events a discipline states to its Observer.
+const (
+	// TailDrop: dropped at enqueue time for want of room — a rejected
+	// arrival or a fair-queueing victim eviction (Stats.DropsTail).
+	TailDrop Event = iota
+	// AQMDrop: dropped at dequeue time by the control law
+	// (Stats.DropsAQM).
+	AQMDrop
+	// CEMark: CE-marked instead of dropped; the packet stays in the
+	// delivery path (Stats.MarksECN).
+	CEMark
+)
+
+// Observer receives a callback for every packet a discipline drops or
+// CE-marks, with the kind stated by the discipline. Observers only
+// observe — a traced run is bit-identical to an untraced one. In pooled
+// networks (see packet.Pool) a dropped packet may be recycled as soon
+// as the callback returns, and a marked one is still owned by the
+// discipline: observers must copy any fields they need rather than
+// retain the pointer.
+type Observer func(now units.Time, ev Event, p *packet.Packet)
 
 // PoolAware is implemented by disciplines that can return dropped
 // packets to a packet pool. Ownership rule: a discipline owns packets

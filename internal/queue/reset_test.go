@@ -32,10 +32,10 @@ var disciplines = []struct {
 
 // TestResetMatchesFresh dirties a discipline — packets queued, CoDel
 // mid-drop-schedule, sfqCoDel bins materialised and mid-round-robin,
-// counters advanced, recorders attached — resets it, and drives it
+// counters advanced, an observer attached — resets it, and drives it
 // beside a new one: they must agree after every operation, the packets
 // the reset found queued must be in the pool it was handed, and the
-// recorders of the dirty run must never fire again.
+// observer of the dirty run must never fire again.
 func TestResetMatchesFresh(t *testing.T) {
 	for _, tc := range disciplines {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,14 +64,14 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("Reset handed the pool %d packets, %d were queued", drain.Reuses, queued)
 			}
 
-			// First with no recorder attached, so one left over from
+			// First with no observer attached, so one left over from
 			// the dirty run would be the only one to fire; then with.
 			stale := len(used.log)
 			reset, fresh := &side{q: q}, &side{q: tc.build()}
 			trace.seed = 2
 			trace.run(t, reset, fresh)
 			if len(used.log) != stale {
-				t.Fatalf("a recorder of the run before Reset fired %d times after it", len(used.log)-stale)
+				t.Fatalf("the observer of the run before Reset fired %d times after it", len(used.log)-stale)
 			}
 			reset.record()
 			fresh.record()

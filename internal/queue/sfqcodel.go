@@ -39,17 +39,16 @@ type SFQCoDel struct {
 	// head.
 	head, tail int32
 
-	// Wiring and mode, copied into each bin as it is materialised.
-	onDrop  DropRecorder
-	onMark  MarkRecorder
-	pool    *packet.Pool
-	markECN bool
+	// The bins run on this wiring too: ECT packets are CE-marked
+	// instead of dropped wherever a bin's control law schedules a
+	// drop, and what a bin drops is recycled.
+	wiring
 }
 
 // sfqBin is one materialised hash bin: a CoDel queue plus its place in
 // the round-robin.
 type sfqBin struct {
-	CoDel
+	codel
 	index   int32 // the hash bin this entry serves
 	next    int32 // following bin on the service list, -1 at the tail
 	inList  bool
@@ -77,44 +76,6 @@ func NewSFQCoDel(nbins, capBytes int) *SFQCoDel {
 // Capacity reports the shared byte capacity.
 func (s *SFQCoDel) Capacity() int { return s.capBytes }
 
-// SetDropRecorder registers a callback invoked for each dropped packet.
-func (s *SFQCoDel) SetDropRecorder(r DropRecorder) {
-	s.onDrop = r
-	for i := range s.live {
-		s.live[i].onDrop = r
-	}
-}
-
-// SetMarkRecorder registers a callback invoked for each CE-marked
-// packet, propagated to every bin's CoDel instance.
-func (s *SFQCoDel) SetMarkRecorder(r MarkRecorder) {
-	s.onMark = r
-	for i := range s.live {
-		s.live[i].onMark = r
-	}
-}
-
-// SetPool implements PoolAware: victim packets evicted from the
-// longest bin at enqueue time and CoDel drops inside bins are
-// recycled.
-func (s *SFQCoDel) SetPool(pl *packet.Pool) {
-	s.pool = pl
-	for i := range s.live {
-		s.live[i].pool = pl
-	}
-}
-
-// SetECNMarking propagates ECN marking to every bin's CoDel instance:
-// ECT packets are CE-marked instead of dropped wherever a bin's control
-// law schedules a drop. Overflow evictions still drop (they make room
-// for an arriving packet, which marking cannot).
-func (s *SFQCoDel) SetECNMarking(on bool) {
-	s.markECN = on
-	for i := range s.live {
-		s.live[i].markECN = on
-	}
-}
-
 func (s *SFQCoDel) bin(flow int) int {
 	// Fibonacci hash of the flow ID; flows in our simulations are small
 	// integers, so mixing matters more than collision resistance.
@@ -133,10 +94,7 @@ func (s *SFQCoDel) binFor(flow int) int32 {
 	// Each bin's backstop is the shared capacity; the shared cap is
 	// enforced in Enqueue.
 	s.live = append(s.live, sfqBin{
-		CoDel: CoDel{
-			capBytes: s.capBytes, target: CoDelTarget, interval: CoDelInterval,
-			onDrop: s.onDrop, onMark: s.onMark, pool: s.pool, markECN: s.markECN,
-		},
+		codel: codel{capBytes: s.capBytes, target: CoDelTarget, interval: CoDelInterval},
 		index: int32(i),
 		next:  -1,
 	})
@@ -173,8 +131,8 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 			// capacity: reject it.
 			s.stats.DropsTail++
 			s.stats.BytesDropped += int64(p.Size)
-			if s.onDrop != nil {
-				s.onDrop(now, p)
+			if s.obs != nil {
+				s.obs(now, TailDrop, p)
 			}
 			return false
 		}
@@ -183,8 +141,8 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 		s.pkts--
 		s.stats.DropsTail++
 		s.stats.BytesDropped += int64(victim.Size)
-		if s.onDrop != nil {
-			s.onDrop(now, victim)
+		if s.obs != nil {
+			s.obs(now, TailDrop, victim)
 		}
 		if s.pool != nil {
 			s.pool.Put(victim)
@@ -192,7 +150,7 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	}
 	k := s.binFor(p.Flow)
 	b := &s.live[k]
-	if !b.CoDel.Enqueue(now, p) {
+	if !b.enqueue(now, p, &s.wiring) {
 		// A bin holds no more than the shared buffer does, and room
 		// was just made there.
 		panic("queue: sfqCoDel bin rejected a packet the shared buffer had room for")
@@ -249,7 +207,7 @@ func (s *SFQCoDel) Dequeue(now units.Time) *packet.Packet {
 			continue
 		}
 		bytes, n := b.q.bytes, b.q.len()
-		p := b.CoDel.Dequeue(now)
+		p := b.dequeue(now, &s.wiring)
 		s.bytes -= bytes - b.q.bytes
 		s.pkts -= n - b.q.len()
 		if p == nil {
@@ -294,11 +252,11 @@ func (s *SFQCoDel) Stats() Stats {
 func (s *SFQCoDel) Reset(pl *packet.Pool) {
 	for i := range s.live {
 		b := &s.live[i]
-		b.CoDel.Reset(pl)
+		b.reset(pl)
 		b.next, b.inList, b.deficit = -1, false, 0
 	}
 	s.bytes, s.pkts = 0, 0
 	s.stats = Stats{}
 	s.head, s.tail = -1, -1
-	s.onDrop, s.onMark = nil, nil
+	s.obs = nil
 }

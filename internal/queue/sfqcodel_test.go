@@ -87,7 +87,7 @@ func TestSFQCoDelOverflowDropsFromLongestBin(t *testing.T) {
 		q.Enqueue(0, mkpkt(1, i)) // flow 1 hogs the buffer
 	}
 	var dropped []*packet.Packet
-	q.SetDropRecorder(func(now units.Time, p *packet.Packet) { dropped = append(dropped, p) })
+	q.Observe(func(now units.Time, _ Event, p *packet.Packet) { dropped = append(dropped, p) })
 	// Arrival from flow 2 must be accepted; a flow-1 packet is evicted.
 	if !q.Enqueue(0, mkpkt(2, 0)) {
 		t.Fatal("flow 2 arrival rejected; should evict from longest bin")
@@ -233,7 +233,7 @@ type refSFQCoDel struct {
 	capBytes int // shared capacity across all bins
 	bytes    int
 	stats    Stats
-	onDrop   DropRecorder
+	obs      Observer
 	pool     *packet.Pool
 
 	// Deficit round-robin state.
@@ -265,16 +265,10 @@ func newRefSFQCoDel(nbins, capBytes int) *refSFQCoDel {
 	return s
 }
 
-func (s *refSFQCoDel) SetDropRecorder(r DropRecorder) {
-	s.onDrop = r
+func (s *refSFQCoDel) Observe(o Observer) {
+	s.obs = o
 	for _, b := range s.bins {
-		b.SetDropRecorder(r)
-	}
-}
-
-func (s *refSFQCoDel) SetMarkRecorder(r MarkRecorder) {
-	for _, b := range s.bins {
-		b.SetMarkRecorder(r)
+		b.Observe(o)
 	}
 }
 
@@ -311,8 +305,8 @@ func (s *refSFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 			// capacity: reject it.
 			s.stats.DropsTail++
 			s.stats.BytesDropped += int64(p.Size)
-			if s.onDrop != nil {
-				s.onDrop(now, p)
+			if s.obs != nil {
+				s.obs(now, TailDrop, p)
 			}
 			return false
 		}
@@ -320,8 +314,8 @@ func (s *refSFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 		s.bytes -= victim.Size
 		s.stats.DropsTail++
 		s.stats.BytesDropped += int64(victim.Size)
-		if s.onDrop != nil {
-			s.onDrop(now, victim)
+		if s.obs != nil {
+			s.obs(now, TailDrop, victim)
 		}
 		if s.pool != nil {
 			s.pool.Put(victim)
@@ -408,27 +402,22 @@ type lockstepQ interface {
 	Len() int
 	Bytes() int
 	Stats() Stats
+	Observe(Observer)
 }
 
 // side is one of the two queues a lockstep trace drives, with the log
-// its drop and mark recorders write.
+// its observer writes.
 type side struct {
 	q   lockstepQ
 	log []string
 }
 
-// record points the queue's recorders (those it has) at the side's log.
+// record points the queue's observer at the side's log.
 func (s *side) record() {
-	if q, ok := s.q.(interface{ SetDropRecorder(DropRecorder) }); ok {
-		q.SetDropRecorder(func(now units.Time, p *packet.Packet) {
-			s.log = append(s.log, fmt.Sprintf("drop t=%d flow=%d seq=%d size=%d", now, p.Flow, p.Seq, p.Size))
-		})
-	}
-	if q, ok := s.q.(interface{ SetMarkRecorder(MarkRecorder) }); ok {
-		q.SetMarkRecorder(func(now units.Time, p *packet.Packet) {
-			s.log = append(s.log, fmt.Sprintf("mark t=%d flow=%d seq=%d", now, p.Flow, p.Seq))
-		})
-	}
+	s.q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
+		kind := [...]string{TailDrop: "drop_tail", AQMDrop: "drop_aqm", CEMark: "mark"}[ev]
+		s.log = append(s.log, fmt.Sprintf("%s t=%d flow=%d seq=%d size=%d", kind, now, p.Flow, p.Seq, p.Size))
+	})
 }
 
 // lockstepTrace describes a seeded random enqueue/dequeue trace.

@@ -76,7 +76,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 				res1 := MustRun(pooled)
 
 				unpooled := mk(seed)
-				nw, _ := MustBuild(unpooled)
+				nw, _ := mustBuild(unpooled)
 				nw.Pool.Disable()
 				res2 := Finish(unpooled, nw)
 

@@ -594,7 +594,7 @@ func MustRun(spec Spec) []Result {
 }
 
 // Build assembles a fresh network for a spec without running it, so
-// callers can attach probes (queue samplers, drop recorders) before
+// callers can attach probes (queue samplers, event counters) before
 // Finish. The returned queues are the gateway disciplines in link
 // order. A built network never enters the world pool.
 func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
@@ -702,26 +702,22 @@ func (s *Spec) attach(nw *netsim.Network) {
 	}
 }
 
-// MustBuild is Build for specs known to be valid; it panics on a spec
-// error.
-func MustBuild(spec Spec) (*netsim.Network, []queue.Discipline) {
-	nw, queues, err := Build(spec)
-	if err != nil {
-		panic("scenario: " + err.Error())
-	}
-	return nw, queues
-}
-
 // mkQueue returns the gateway queue for link i (edge e of the compiled
 // layout): old, when it is the discipline this spec would build at the
 // capacity it would build it with, a new one otherwise. Capacity
 // resolves per link: the edge's explicit byte override, then the
 // per-link BDP override, then the spec-wide BufferBDP.
 func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
+	// isFIFO reports whether old is the FIFO of this capacity and mark
+	// threshold; Unbounded is "never drops" and "never marks".
+	isFIFO := func(capBytes, markBytes int) bool {
+		q, ok := old.(*queue.DropTail)
+		return ok && q.Capacity() == capBytes && q.MarkThreshold() == markBytes
+	}
 	switch s.Buffering {
 	case NoDrop:
-		if q, ok := old.(*queue.Infinite); ok {
-			return q, nil
+		if isFIFO(queue.Unbounded, queue.Unbounded) {
+			return old, nil
 		}
 		return queue.NewInfinite(), nil
 	case FiniteDropTail, SfqCoDel, CoDelAQM:
@@ -772,13 +768,13 @@ func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipli
 			if thresh <= 0 {
 				thresh = capBytes
 			}
-			if q, ok := old.(*queue.MarkingDropTail); ok && q.Capacity() == capBytes && q.MarkThreshold() == thresh {
-				return q, nil
+			if isFIFO(capBytes, thresh) {
+				return old, nil
 			}
 			return queue.NewMarkingDropTail(capBytes, thresh), nil
 		}
-		if q, ok := old.(*queue.DropTail); ok && q.Capacity() == capBytes {
-			return q, nil
+		if isFIFO(capBytes, queue.Unbounded) {
+			return old, nil
 		}
 		return queue.NewDropTail(capBytes), nil
 	default:

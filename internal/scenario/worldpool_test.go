@@ -21,10 +21,19 @@ import (
 // must produce results bit-identical to a fresh build. The variants
 // reuse pooledVariants, which covers every packet end-of-life path.
 
+// mustBuild is Build for the tests' known-valid specs.
+func mustBuild(spec Spec) (*netsim.Network, []queue.Discipline) {
+	nw, queues, err := Build(spec)
+	if err != nil {
+		panic(err)
+	}
+	return nw, queues
+}
+
 // runFresh runs the spec on a freshly built world: Build + Finish
 // never touch the pool.
 func runFresh(spec Spec) []Result {
-	nw, _ := MustBuild(spec)
+	nw, _ := mustBuild(spec)
 	return Finish(spec, nw)
 }
 
@@ -175,7 +184,7 @@ func TestWorldPoolFlips(t *testing.T) {
 		}
 
 		spec := mk()
-		fresh, queues := MustBuild(spec)
+		fresh, queues := mustBuild(spec)
 		mustEqual(t, label, got, Finish(spec, fresh))
 		for f := range fresh.Flows {
 			if *w.Net.Flows[f].Stats != *fresh.Flows[f].Stats {
@@ -315,7 +324,7 @@ func TestFabricHeapBound(t *testing.T) {
 	}{{"exponential", exponential}, {"scheduled", scheduled}} {
 		spec := fabricSpec(topo.Adaptive, FiniteDropTail, false, func() cc.Algorithm { return cubic.New() }, 1)
 		tc.workloads(&spec)
-		nw, _ := MustBuild(spec)
+		nw, _ := mustBuild(spec)
 		peak := 0
 		spec.ProbeInterval = units.Millisecond
 		spec.Probe = func(units.Time) {

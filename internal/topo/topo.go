@@ -123,51 +123,3 @@ func ParkingLot(rate1, rate2 units.Rate, hopProp units.Duration,
 	g := ParkingLotGraph([]units.Rate{rate1, rate2}, hopProp, 1, true)
 	return Build(g, []queue.Discipline{q1, q2}, flows)
 }
-
-// QueueSpec is a declarative gateway-queue description used by the
-// experiment configurations.
-type QueueSpec struct {
-	// Kind selects the discipline.
-	Kind QueueKind
-	// CapBytes is the buffer capacity for finite queues; ignored for
-	// Infinite.
-	CapBytes int
-}
-
-// QueueKind enumerates gateway disciplines.
-type QueueKind int
-
-// Supported disciplines.
-const (
-	DropTail QueueKind = iota
-	Infinite
-	SFQCoDel
-)
-
-// Build instantiates the discipline.
-func (q QueueSpec) Build() queue.Discipline {
-	switch q.Kind {
-	case DropTail:
-		return queue.NewDropTail(q.CapBytes)
-	case Infinite:
-		return queue.NewInfinite()
-	case SFQCoDel:
-		return queue.NewSFQCoDel(queue.SFQCoDelBins, q.CapBytes)
-	default:
-		panic("topo: unknown queue kind")
-	}
-}
-
-// String names the discipline for experiment tables.
-func (q QueueKind) String() string {
-	switch q {
-	case DropTail:
-		return "droptail"
-	case Infinite:
-		return "infinite"
-	case SFQCoDel:
-		return "sfqcodel"
-	default:
-		return "unknown"
-	}
-}

@@ -149,28 +149,6 @@ func TestParkingLotValidation(t *testing.T) {
 	}
 }
 
-func TestQueueSpecBuild(t *testing.T) {
-	if _, ok := (QueueSpec{Kind: DropTail, CapBytes: 1500}).Build().(*queue.DropTail); !ok {
-		t.Fatal("DropTail spec built wrong type")
-	}
-	if _, ok := (QueueSpec{Kind: Infinite}).Build().(*queue.Infinite); !ok {
-		t.Fatal("Infinite spec built wrong type")
-	}
-	if _, ok := (QueueSpec{Kind: SFQCoDel, CapBytes: 15000}).Build().(*queue.SFQCoDel); !ok {
-		t.Fatal("SFQCoDel spec built wrong type")
-	}
-}
-
-func TestQueueKindString(t *testing.T) {
-	for k, want := range map[QueueKind]string{
-		DropTail: "droptail", Infinite: "infinite", SFQCoDel: "sfqcodel", QueueKind(99): "unknown",
-	} {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-}
-
 // TestRebuiltWorldHoldsOnlyTheRunsLanes recycles one world a hundred
 // times, each time at a link speed no run before it had (the trainer
 // draws one per slot): the network's lane set must hold the current

@@ -4,7 +4,9 @@
 //	learnability -exp all -effort quick   # everything, at smoke-test fidelity
 //
 // learnability -h lists the experiment ids (core.Experiments is the one
-// list). -effort quick|default trades fidelity for wall-clock time; -v
+// list). Under each table come the experiment's headline quantities,
+// one "headline <id> <value>" line each, to four significant figures.
+// -effort quick|default trades fidelity for wall-clock time; -v
 // streams training progress; -csv DIR additionally writes each
 // experiment's full dataset as DIR/<exp>.csv for external plotting.
 package main
@@ -105,7 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "== %s: %s ==\n", ex.ID, ex.Title)
 		res := ex.Run(e, log)
-		fmt.Fprintln(stdout, res.Table())
+		fmt.Fprint(stdout, res.Table())
+		for _, h := range res.Headlines() {
+			fmt.Fprintf(stdout, "headline  %-36s %#.4g\n", h.ID, h.Value)
+		}
+		fmt.Fprintln(stdout)
 		if p, ok := res.(interface{ Plot() string }); ok && *plots {
 			fmt.Fprintln(stdout, p.Plot())
 		}

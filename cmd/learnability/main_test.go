@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +81,8 @@ func TestVegasTwice(t *testing.T) {
 		return strings.ReplaceAll(stdout.String(), dir, "DIR"), string(data)
 	}
 	table, csv := invoke()
-	for _, want := range []string{"== vegas: Vegas squeeze-out premise (§4.5) ==", "vs-NewReno", "(dataset written to DIR"} {
+	for _, want := range []string{"== vegas: Vegas squeeze-out premise (§4.5) ==", "vs-NewReno",
+		"\nheadline  vegas-share-vs-newreno ", "(dataset written to DIR"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("stdout does not contain %q:\n%s", want, table)
 		}
@@ -90,5 +92,60 @@ func TestVegasTwice(t *testing.T) {
 	}
 	if table2, csv2 := invoke(); table2 != table || csv2 != csv {
 		t.Errorf("two invocations differ:\n%s%s\nvs\n%s%s", table, csv, table2, csv2)
+	}
+}
+
+// TestHeadlinesUnderEachTable runs the whole suite at quick effort and
+// reads stdout the way a person does: every experiment is announced in
+// core.Experiments order, its headline lines come after its table and
+// before the next experiment, every experiment of the paper has at
+// least one (the unified extension has none), and no ID appears twice.
+func TestHeadlinesUnderEachTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	var stdout, stderr bytes.Buffer
+	if status := run([]string{"-exp", "all", "-effort", "quick"}, &stdout, &stderr); status != 0 {
+		t.Fatalf("exit status %d (stderr: %s)", status, &stderr)
+	}
+	var order []string
+	ids := map[string][]string{} // experiment -> its headline IDs
+	seen := map[string]string{}  // headline ID -> experiment
+	tableLines := 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		switch fields := strings.Fields(line); {
+		case strings.HasPrefix(line, "== "):
+			order = append(order, strings.TrimSuffix(fields[1], ":"))
+			tableLines = 0
+		case strings.HasPrefix(line, "headline "):
+			ex := order[len(order)-1]
+			if len(fields) != 3 {
+				t.Errorf("%s: malformed headline line %q", ex, line)
+				continue
+			}
+			if tableLines == 0 {
+				t.Errorf("%s: headline %s printed above the table", ex, fields[1])
+			}
+			if first, dup := seen[fields[1]]; dup {
+				t.Errorf("headline %s printed under both %s and %s", fields[1], first, ex)
+			}
+			seen[fields[1]] = ex
+			ids[ex] = append(ids[ex], fields[1])
+		case line != "":
+			tableLines++
+		}
+	}
+	var want []string
+	for _, ex := range core.Experiments {
+		want = append(want, ex.ID)
+		if n := len(ids[ex.ID]); (n == 0) != (ex.ID == "unified") {
+			t.Errorf("%s printed %d headlines", ex.ID, n)
+		}
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("experiments printed in order %v, want %v", order, want)
+	}
+	if len(seen) != 18 {
+		t.Errorf("%d headlines printed, want the paper's 18: %v", len(seen), ids)
 	}
 }

@@ -66,29 +66,23 @@ func TestLookupCachedMatchesLookup(t *testing.T) {
 	}
 }
 
-// BenchmarkWhiskerLookup measures the per-ACK whisker lookup on a
-// trained-size tree with a realistic locality pattern, via the cached
-// path RemyCC uses.
-func BenchmarkWhiskerLookup(b *testing.B) {
-	tree := splitTree(b, 3)
+// TestLookupZeroAlloc pins the per-ACK whisker lookup at exactly zero
+// allocations on a tree of trained size walked with a realistic
+// locality pattern: through the last-whisker cache RemyCC uses, and
+// through the indexed lookup behind it.
+func TestLookupZeroAlloc(t *testing.T) {
+	tree := splitTree(t, 3)
 	pts := lookupPoints(8192)
-	b.Logf("tree size: %d whiskers", tree.Len())
-	hint := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hint = tree.LookupCached(pts[i%len(pts)], hint)
-	}
-}
-
-// BenchmarkWhiskerLookupUncached is the same workload through the
-// uncached indexed lookup, isolating what the last-whisker cache buys.
-func BenchmarkWhiskerLookupUncached(b *testing.B) {
-	tree := splitTree(b, 3)
-	pts := lookupPoints(8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Lookup(pts[i%len(pts)])
+	i, hint := 0, 0
+	for _, tc := range []struct {
+		name   string
+		lookup func(Vector)
+	}{
+		{"cached", func(v Vector) { hint = tree.LookupCached(v, hint) }},
+		{"uncached", func(v Vector) { hint = tree.Lookup(v) }},
+	} {
+		if allocs := testing.AllocsPerRun(len(pts), func() { tc.lookup(pts[i%len(pts)]); i++ }); allocs != 0 {
+			t.Errorf("%s lookup allocates %.2f times per call, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -331,17 +331,3 @@ func TestUsageStatsMergeAndMean(t *testing.T) {
 		t.Fatal("Mean of unused whisker should be zero")
 	}
 }
-
-func BenchmarkLookup(b *testing.B) {
-	r := rng.New(1)
-	tr := NewTree()
-	for s := 0; s < 5; s++ {
-		at := Vector{r.Float64(), r.Float64(), r.Float64(), 1 + 15*r.Float64()}
-		tr, _ = tr.Split(r.Intn(tr.Len()), at, []Signal{Signal(s % NumSignals)})
-	}
-	v := Vector{0.3, 0.3, 0.3, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(v)
-	}
-}

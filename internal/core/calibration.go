@@ -129,6 +129,17 @@ func (r *CalibrationResult) Row(name string) *CalibrationRow {
 	return nil
 }
 
+// Headlines reports how far the Tao lands above Cubic on the objective
+// and the share of the omniscient throughput it reaches.
+func (r *CalibrationResult) Headlines() []Headline {
+	tao, cub, omni := r.Row("Tao"), r.Row("Cubic"), r.Row("Omniscient")
+	if tao == nil || cub == nil || omni == nil {
+		return nil
+	}
+	out := []Headline{{"tao-minus-cubic-obj", tao.MeanObjective - cub.MeanObjective}}
+	return appendRatio(out, "tao-over-omniscient-tpt", tao.MedianTptBps, omni.MedianTptBps)
+}
+
 // Table renders the Figure 1 dataset.
 func (r *CalibrationResult) Table() string {
 	header := []string{"protocol", "median tpt (Mbps)", "median queue delay (ms)", "tpt sigma", "delay sigma (ms)", "objective"}

@@ -114,8 +114,8 @@ func TestCalibrationShape(t *testing.T) {
 	// The paper's Figure 1 ordering: the Tao beats both human-designed
 	// baselines on the objective and approaches (never exceeds by much)
 	// the omniscient bound.
-	if tao.MeanObjective <= cub.MeanObjective {
-		t.Errorf("Tao objective %.3f <= Cubic %.3f", tao.MeanObjective, cub.MeanObjective)
+	if gain := headline(t, res, "tao-minus-cubic-obj"); gain <= 0 {
+		t.Errorf("Tao objective %.3f <= Cubic %.3f (tao-minus-cubic-obj = %.3f)", tao.MeanObjective, cub.MeanObjective, gain)
 	}
 	if tao.MeanObjective <= sfq.MeanObjective {
 		t.Errorf("Tao objective %.3f <= Cubic/sfqCoDel %.3f", tao.MeanObjective, sfq.MeanObjective)
@@ -244,9 +244,9 @@ func TestVegasSqueezeShape(t *testing.T) {
 	}
 	// §4.5's premise: Vegas does fine against itself but is squeezed
 	// out by loss-triggered TCP.
-	if squeezed.TptMbps >= reno.TptMbps {
-		t.Errorf("Vegas (%.2f Mbps) not squeezed below NewReno (%.2f Mbps)",
-			squeezed.TptMbps, reno.TptMbps)
+	if share := headline(t, res, "vegas-share-vs-newreno"); share >= 1 {
+		t.Errorf("Vegas (%.2f Mbps) not squeezed below NewReno (%.2f Mbps): vegas-share-vs-newreno = %.3f",
+			squeezed.TptMbps, reno.TptMbps, share)
 	}
 	if squeezed.TptMbps >= homog.TptMbps {
 		t.Errorf("Vegas vs TCP (%.2f) should fall below Vegas vs Vegas (%.2f)",

@@ -122,6 +122,23 @@ func (r *DiversityResult) Row(training, setting, sender string) *DiversityRow {
 	return nil
 }
 
+// Headlines reports what co-optimization buys the delay-sensitive
+// sender in the mixed network (queueing delay, naive over
+// co-optimized) and what playing nice costs the throughput-sensitive
+// sender alone (throughput, co-optimized over naive).
+func (r *DiversityResult) Headlines() []Headline {
+	var out []Headline
+	naive, coopt := r.Row("naive", "mixed", "Del"), r.Row("co-optimized", "mixed", "Del")
+	if naive != nil && coopt != nil {
+		out = appendRatio(out, "del-delay-improvement-from-coopt", naive.QueueMs, coopt.QueueMs)
+	}
+	naive, coopt = r.Row("naive", "alone", "Tpt"), r.Row("co-optimized", "alone", "Tpt")
+	if naive != nil && coopt != nil {
+		out = appendRatio(out, "tpt-sender-cost-of-playing-nice", coopt.TptMbps, naive.TptMbps)
+	}
+	return out
+}
+
 // Table renders the Figure 9 dataset.
 func (r *DiversityResult) Table() string {
 	header := []string{"training", "setting", "sender", "tpt (Mbps)", "queue delay (ms)"}

@@ -2,14 +2,36 @@ package core
 
 import "io"
 
-// Result is what every experiment produces: a rendered table and a
-// CSV dump of the full dataset. Results of figures that are curves
-// also have a Plot method returning an ASCII chart.
+// Result is what every experiment produces: a rendered table, the
+// headline quantities that summarise it and a CSV dump of the full
+// dataset. Results of figures that are curves also have a Plot method
+// returning an ASCII chart.
 type Result interface {
 	// Table renders the dataset as aligned text.
 	Table() string
+	// Headlines reduces the dataset to the few numbers the paper's
+	// text argues from, in a fixed order. A headline whose rows are
+	// missing from the dataset, or whose denominator is not positive,
+	// is left out.
+	Headlines() []Headline
 	// WriteCSV dumps the full dataset for external plotting.
 	WriteCSV(io.Writer) error
+}
+
+// Headline is one summary quantity of an experiment: a difference of
+// objectives or a ratio of throughputs or delays between two of its
+// rows. IDs are unique across Experiments.
+type Headline struct {
+	ID    string  // what the quantity is, e.g. "narrow-minus-broad-in-range"
+	Value float64 // in the units of the table it is read off
+}
+
+// appendRatio appends the headline num/den unless den is not positive.
+func appendRatio(out []Headline, id string, num, den float64) []Headline {
+	if den > 0 {
+		out = append(out, Headline{id, num / den})
+	}
+	return out
 }
 
 // Experiment is one runnable study of the paper.

@@ -113,8 +113,8 @@ func TestStructureShape(t *testing.T) {
 	two := res.MeanEqualTpt("Tao-two-bottleneck")
 	cub := res.MeanEqualTpt("Cubic")
 	omni := res.MeanEqualTpt("Omniscient")
-	if one <= cub {
-		t.Errorf("Tao-one-bottleneck mean flow-1 tpt (%.2f) not above Cubic (%.2f)", one, cub)
+	if ratio := headline(t, res, "one-bneck-over-cubic-tpt"); ratio <= 1 {
+		t.Errorf("Tao-one-bottleneck mean flow-1 tpt (%.2f) not above Cubic (%.2f): one-bneck-over-cubic-tpt = %.3f", one, cub, ratio)
 	}
 	if two <= cub {
 		t.Errorf("Tao-two-bottleneck mean flow-1 tpt (%.2f) not above Cubic (%.2f)", two, cub)
@@ -137,20 +137,11 @@ func TestDiversityShape(t *testing.T) {
 	//     delay than when co-optimized;
 	// (2) co-optimization costs the throughput-sensitive sender
 	//     throughput when alone ("the effect of playing nice").
-	naiveDel := res.Row("naive", "mixed", "Del")
-	cooptDel := res.Row("co-optimized", "mixed", "Del")
-	naiveTptAlone := res.Row("naive", "alone", "Tpt")
-	cooptTptAlone := res.Row("co-optimized", "alone", "Tpt")
-	if naiveDel == nil || cooptDel == nil || naiveTptAlone == nil || cooptTptAlone == nil {
-		t.Fatalf("missing rows: %+v", res.Rows)
+	if gain := headline(t, res, "del-delay-improvement-from-coopt"); gain <= 1 {
+		t.Errorf("co-optimization did not reduce the Del sender's mixed-network delay: naive over co-optimized = %.3f", gain)
 	}
-	if cooptDel.QueueMs >= naiveDel.QueueMs {
-		t.Errorf("co-optimization did not reduce the Del sender's mixed-network delay: %.1f >= %.1f",
-			cooptDel.QueueMs, naiveDel.QueueMs)
-	}
-	if cooptTptAlone.TptMbps >= naiveTptAlone.TptMbps {
-		t.Errorf("co-optimization did not cost the Tpt sender throughput when alone: %.2f >= %.2f",
-			cooptTptAlone.TptMbps, naiveTptAlone.TptMbps)
+	if cost := headline(t, res, "tpt-sender-cost-of-playing-nice"); cost >= 1 {
+		t.Errorf("co-optimization did not cost the Tpt sender throughput when alone: co-optimized over naive = %.3f", cost)
 	}
 	if res.Table() == "" {
 		t.Error("empty table")

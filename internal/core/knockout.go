@@ -104,6 +104,15 @@ func (r *KnockoutResult) MostValuableSignal() string {
 	return hs[0].name
 }
 
+// Headlines reports the objective lost by knocking out rec_ewma.
+func (r *KnockoutResult) Headlines() []Headline {
+	all, rec := r.Row(""), r.Row("rec_ewma")
+	if all == nil || rec == nil {
+		return nil
+	}
+	return []Headline{{"value-of-rec-ewma", all.MeanObjective - rec.MeanObjective}}
+}
+
 // Table renders the §3.4 dataset.
 func (r *KnockoutResult) Table() string {
 	header := []string{"protocol", "signal removed", "mean objective", "tpt (Mbps)", "delay (ms)"}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"learnability/internal/stats"
 )
 
 // Unit tests for result-type helpers using synthetic data (no
@@ -14,6 +17,28 @@ func synthetic(def sweepDef, x []float64, panels ...Panel) *Sweep {
 	s := def.Sweep
 	s.X, s.Panels = x, panels
 	return &s
+}
+
+// wantHeadlines fails unless the result's headlines are exactly want,
+// IDs, values and order.
+func wantHeadlines(t *testing.T, r Result, want ...Headline) {
+	t.Helper()
+	if got := r.Headlines(); !slices.Equal(got, want) {
+		t.Errorf("Headlines() = %+v, want %+v", got, want)
+	}
+}
+
+// headline returns the result's headline of that ID; the test fails if
+// the result left it out.
+func headline(t *testing.T, r Result, id string) float64 {
+	t.Helper()
+	for _, h := range r.Headlines() {
+		if h.ID == id {
+			return h.Value
+		}
+	}
+	t.Fatalf("no headline %q among %+v", id, r.Headlines())
+	return 0
 }
 
 // TestLinkSpeedResultHelpers checks the lookups and the table a
@@ -56,6 +81,21 @@ func TestLinkSpeedResultHelpers(t *testing.T) {
 	if got := r.Table(); got != want {
 		t.Fatalf("table =\n%s\nwant\n%s", got, want)
 	}
+	// Neither curve of either headline is here.
+	wantHeadlines(t, r)
+	// The first headline reads the grid inside 20–50 Mbps only, the
+	// second all of it; without Cubic the second is left out, without
+	// a grid point in range the first.
+	tao2x := Series{Protocol: "Tao-2x", Y: []float64{-3, -1, -4}}
+	tao1000x := Series{Protocol: "Tao-1000x", Y: []float64{-1, -1.5, -2}}
+	cubic := Series{Protocol: "Cubic", Y: []float64{-2, -3, -4}}
+	grid := []float64{1, 31.62, 1000}
+	wantHeadlines(t, synthetic(linkSpeedSweep, grid, Panel{Series: []Series{tao2x, tao1000x, cubic}}),
+		Headline{"narrow-minus-broad-in-range", 0.5}, Headline{"broad-minus-cubic-full-range", 1.5})
+	wantHeadlines(t, synthetic(linkSpeedSweep, grid, Panel{Series: []Series{tao2x, tao1000x}}),
+		Headline{"narrow-minus-broad-in-range", 0.5})
+	wantHeadlines(t, synthetic(linkSpeedSweep, []float64{1, 10, 1000}, Panel{Series: []Series{tao2x, tao1000x, cubic}}),
+		Headline{"broad-minus-cubic-full-range", 1.5})
 }
 
 // TestPropDelayResultHelpers checks a single-panel sweep's CSV: long
@@ -74,6 +114,13 @@ func TestPropDelayResultHelpers(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
+	// Below 50 ms means the grid points 1 and 25, not 150; the broad
+	// Tao is read over 50–250 ms alone.
+	wantHeadlines(t, synthetic(propDelaySweep, []float64{1, 25, 150}, Panel{Series: []Series{
+		{Protocol: "Tao-rtt-150", Y: []float64{-2, -1, 9}},
+		{Protocol: "Tao-rtt-145-155", Y: []float64{-1, -1, 9}},
+		{Protocol: "Tao-rtt-50-250", Y: []float64{9, 9, -0.75}},
+	}}), Headline{"dithered-minus-exact-below-50ms", 0.5}, Headline{"broad-50-250ms", -0.75})
 }
 
 // TestMultiplexingResultHelpers checks what panels add: lookups by
@@ -110,6 +157,19 @@ func TestMultiplexingResultHelpers(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("csv = %q, want %q", b.String(), want)
 	}
+	// Both headlines read the 5 BDP panel at one grid point each; a
+	// grid that stops short of 100 senders has only the first.
+	ends := func(x []float64) *Sweep {
+		return synthetic(multiplexingSweep, x,
+			Panel{Name: "5bdp", Series: []Series{
+				{Protocol: "Tao-1-2", Y: []float64{-0.5, -4}}, {Protocol: "Tao-1-100", Y: []float64{-3, -1}}}},
+			Panel{Name: "nodrop", Series: []Series{
+				{Protocol: "Tao-1-2", Y: []float64{7, 7}}, {Protocol: "Tao-1-100", Y: []float64{7, 7}}}})
+	}
+	wantHeadlines(t, ends([]float64{1, 100}),
+		Headline{"narrow-minus-broad-at-1-sender", 2.5}, Headline{"broad-minus-narrow-at-100-senders", 3})
+	wantHeadlines(t, ends([]float64{1, 50}), Headline{"narrow-minus-broad-at-1-sender", 2.5})
+	wantHeadlines(t, r)
 }
 
 func TestStructureResultHelpers(t *testing.T) {
@@ -130,6 +190,15 @@ func TestStructureResultHelpers(t *testing.T) {
 	if !strings.Contains(r.Table(), "S [eq]") {
 		t.Fatalf("table = %q", r.Table())
 	}
+	// An absent protocol averages 0, and a ratio over it is left out.
+	wantHeadlines(t, r)
+	r.Series = []StructureSeries{
+		{Protocol: "Tao-one-bottleneck", EqualTptMbps: []float64{2, 4}, Fast100TptMbps: []float64{9, 9}},
+		{Protocol: "Tao-two-bottleneck", EqualTptMbps: []float64{1, 3}, Fast100TptMbps: []float64{9, 9}},
+	}
+	wantHeadlines(t, r, Headline{"one-bneck-over-two-bneck-tpt", 1.5})
+	r.Series = append(r.Series, StructureSeries{Protocol: "Cubic", EqualTptMbps: []float64{1, 0.5}})
+	wantHeadlines(t, r, Headline{"one-bneck-over-two-bneck-tpt", 1.5}, Headline{"one-bneck-over-cubic-tpt", 4})
 }
 
 func TestTCPAwareResultHelpers(t *testing.T) {
@@ -142,6 +211,21 @@ func TestTCPAwareResultHelpers(t *testing.T) {
 	if r.Row("vs-NewReno", "P") != nil {
 		t.Fatal("wrong setting resolved")
 	}
+	wantHeadlines(t, r)
+	row := func(setting, protocol string, tptBps, delaySec float64) TCPAwareRow {
+		return TCPAwareRow{setting, protocol, stats.Summary{MedianTptBps: tptBps, MedianDelaySec: delaySec}}
+	}
+	r.Rows = []TCPAwareRow{
+		row("homogeneous", "Tao-TCP-naive", 4e6, 0.002), row("homogeneous", "Tao-TCP-aware", 9e6, 0.003),
+		row("vs-NewReno", "Tao-TCP-naive", 4e6, 0.1), row("vs-NewReno", "Tao-TCP-aware", 3e6, 0.9),
+	}
+	wantHeadlines(t, r, Headline{"aware-over-naive-homog-delay", 1.5}, Headline{"aware-over-naive-vs-tcp-tpt", 0.75})
+	// A naive Tao that never queued gives no delay ratio; a missing
+	// mixed-network row gives no throughput ratio.
+	r.Rows[0].MedianDelaySec = 0
+	wantHeadlines(t, r, Headline{"aware-over-naive-vs-tcp-tpt", 0.75})
+	r.Rows = r.Rows[:3]
+	wantHeadlines(t, r)
 }
 
 func TestDiversityResultHelpers(t *testing.T) {
@@ -157,6 +241,14 @@ func TestDiversityResultHelpers(t *testing.T) {
 	if !strings.Contains(r.Table(), "naive") {
 		t.Fatal("table missing rows")
 	}
+	wantHeadlines(t, r)
+	r.Rows = append(r.Rows,
+		DiversityRow{Training: "co-optimized", Setting: "mixed", Sender: "Del", QueueMs: 1.5},
+		DiversityRow{Training: "naive", Setting: "alone", Sender: "Tpt", TptMbps: 8},
+		DiversityRow{Training: "co-optimized", Setting: "alone", Sender: "Tpt", TptMbps: 6})
+	wantHeadlines(t, r, Headline{"del-delay-improvement-from-coopt", 6}, Headline{"tpt-sender-cost-of-playing-nice", 0.75})
+	r.Rows[1].QueueMs = 0
+	wantHeadlines(t, r, Headline{"tpt-sender-cost-of-playing-nice", 0.75})
 }
 
 func TestKnockoutResultHelpers(t *testing.T) {
@@ -177,6 +269,8 @@ func TestKnockoutResultHelpers(t *testing.T) {
 	if !strings.Contains(r.Table(), "(none)") {
 		t.Fatalf("table = %q", r.Table())
 	}
+	wantHeadlines(t, r, Headline{"value-of-rec-ewma", 2})
+	wantHeadlines(t, &KnockoutResult{Rows: r.Rows[:1]})
 }
 
 func TestTimeDomainTraceHelpers(t *testing.T) {
@@ -194,6 +288,11 @@ func TestTimeDomainTraceHelpers(t *testing.T) {
 	if r.Trace("p") == nil || r.Trace("q") != nil {
 		t.Fatal("Trace lookup broken")
 	}
+	// Each panel present gives its mean occupancy over [5, 10) s.
+	wantHeadlines(t, r)
+	naive := TimeDomainTrace{Protocol: "Tao-TCP-naive", SampleSec: []float64{4, 5, 9, 10}, QueuePkts: []int{50, 10, 20, 70}}
+	r.Traces = append(r.Traces, naive)
+	wantHeadlines(t, r, Headline{"Tao-TCP-naive-queue-during-tcp", 15})
 }
 
 func TestUnifiedResultHelpers(t *testing.T) {
@@ -214,6 +313,7 @@ func TestUnifiedResultHelpers(t *testing.T) {
 	if !strings.Contains(r.Table(), "win rate") {
 		t.Fatal("table missing summary")
 	}
+	wantHeadlines(t, r)
 }
 
 func TestVegasResultHelpers(t *testing.T) {
@@ -221,6 +321,12 @@ func TestVegasResultHelpers(t *testing.T) {
 	if r.Row("homogeneous", "Vegas") == nil || r.Row("vs-NewReno", "Vegas") != nil {
 		t.Fatal("row lookup broken")
 	}
+	wantHeadlines(t, r)
+	r.Rows = append(r.Rows, VegasRow{Setting: "vs-NewReno", Protocol: "Vegas", TptMbps: 1},
+		VegasRow{Setting: "vs-NewReno", Protocol: "NewReno", TptMbps: 8})
+	wantHeadlines(t, r, Headline{"vegas-share-vs-newreno", 0.125})
+	r.Rows[2].TptMbps = 0
+	wantHeadlines(t, r)
 }
 
 func TestCalibrationResultHelpers(t *testing.T) {
@@ -234,4 +340,13 @@ func TestCalibrationResultHelpers(t *testing.T) {
 	if (&CalibrationResult{}).OmniscientTpt() != 0 {
 		t.Fatal("empty result omniscient tpt should be 0")
 	}
+	// All three rows or no headline.
+	wantHeadlines(t, r)
+	r.Rows = []CalibrationRow{
+		{Protocol: "Tao", Summary: stats.Summary{MedianTptBps: 12e6}, MeanObjective: 18.5},
+		{Protocol: "Cubic", MeanObjective: 17.25},
+	}
+	wantHeadlines(t, r)
+	r.Rows = append(r.Rows, CalibrationRow{Protocol: "Omniscient", Summary: stats.Summary{MedianTptBps: 24e6}})
+	wantHeadlines(t, r, Headline{"tao-minus-cubic-obj", 1.25}, Headline{"tao-over-omniscient-tpt", 0.5})
 }

@@ -121,6 +121,15 @@ func (r *StructureResult) MeanEqualTpt(name string) float64 {
 	return 0
 }
 
+// Headlines reports the long flow's mean equal-speed throughput under
+// the Tao told of one bottleneck, relative to the Tao told of both and
+// to Cubic.
+func (r *StructureResult) Headlines() []Headline {
+	one := r.MeanEqualTpt("Tao-one-bottleneck")
+	out := appendRatio(nil, "one-bneck-over-two-bneck-tpt", one, r.MeanEqualTpt("Tao-two-bottleneck"))
+	return appendRatio(out, "one-bneck-over-cubic-tpt", one, r.MeanEqualTpt("Cubic"))
+}
+
 // Table renders the Figure 6 dataset.
 func (r *StructureResult) Table() string {
 	header := []string{"slower link (Mbps)"}

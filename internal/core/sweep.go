@@ -52,6 +52,19 @@ type Sweep struct {
 	PanelColumn string
 	X           []float64 // the swept values
 	Panels      []Panel   // in the figure's order
+	// headlines are the figure's summary quantities, declared by its
+	// sweepDef row.
+	headlines []sweepHeadline
+}
+
+// sweepHeadline declares one headline of a sweep: the mean of curve
+// over, less the mean of curve less when one is named, both taken over
+// the swept values inside [lo, hi] of one panel.
+type sweepHeadline struct {
+	id         string
+	panel      string
+	over, less string
+	lo, hi     float64
 }
 
 // Series returns the named protocol's curve in the named panel, or
@@ -88,9 +101,16 @@ func (s *Sweep) At(panel, name string, x float64) (float64, bool) {
 // floating point still counts as on it. It is 0 when the curve is
 // absent or no point falls inside.
 func (s *Sweep) MeanInRange(panel, name string, lo, hi float64) float64 {
+	mean, _ := s.meanInRange(panel, name, lo, hi)
+	return mean
+}
+
+// meanInRange is MeanInRange; ok is false when the curve is absent or
+// no point falls inside.
+func (s *Sweep) meanInRange(panel, name string, lo, hi float64) (mean float64, ok bool) {
 	series := s.Series(panel, name)
 	if series == nil {
-		return 0
+		return 0, false
 	}
 	var in []float64
 	for i, x := range s.X {
@@ -98,7 +118,25 @@ func (s *Sweep) MeanInRange(panel, name string, lo, hi float64) float64 {
 			in = append(in, series.Y[i])
 		}
 	}
-	return stats.Mean(in)
+	return stats.Mean(in), len(in) > 0
+}
+
+// Headlines evaluates the figure's declared headlines, leaving out one
+// whose curve is absent or has no swept value inside its range.
+func (s *Sweep) Headlines() []Headline {
+	var out []Headline
+	for _, h := range s.headlines {
+		v, ok := s.meanInRange(h.panel, h.over, h.lo, h.hi)
+		if ok && h.less != "" {
+			var less float64
+			less, ok = s.meanInRange(h.panel, h.less, h.lo, h.hi)
+			v -= less
+		}
+		if ok {
+			out = append(out, Headline{h.id, v})
+		}
+	}
+	return out
 }
 
 // Table renders one table per panel: rows are swept values, columns
@@ -175,8 +213,8 @@ func (s *Sweep) Plot() string {
 
 // sweepDef declares a single-axis study as data.
 type sweepDef struct {
-	// Sweep carries the figure's naming; runSweep fills X and the
-	// panels' series.
+	// Sweep carries the figure's naming and headlines; runSweep fills
+	// X and the panels' series.
 	Sweep
 	// taos are the protocols under study, one per training range; the
 	// baselines (Cubic, Cubic-over-sfqCoDel) join every sweep.
@@ -246,6 +284,12 @@ var linkSpeedSweep = sweepDef{
 		YLabel: "log(norm tpt) - log(norm delay)",
 		Axis: Axis{Header: "link speed (Mbps)", Format: "%.2f", Column: "link_speed_mbps",
 			Label: "link speed (Mbps)", Log: true},
+		// What the narrowest Tao gains inside its 22–44 Mbps design
+		// range, and what the broadest keeps over Cubic everywhere.
+		headlines: []sweepHeadline{
+			{"narrow-minus-broad-in-range", "", "Tao-2x", "Tao-1000x", 20, 50},
+			{"broad-minus-cubic-full-range", "", "Tao-1000x", "Cubic", 1, 1000},
+		},
 	},
 	taos: func() []TaoSpec {
 		tao := func(name string, lo, hi units.Rate) TaoSpec {
@@ -276,6 +320,11 @@ var multiplexingSweep = sweepDef{
 		YLabel:      "normalized objective",
 		Axis:        Axis{Header: "senders", Format: "%.0f", Column: "senders", Label: "senders"},
 		PanelColumn: "buffer",
+		// The trade-off at the two ends of the sweep.
+		headlines: []sweepHeadline{
+			{"narrow-minus-broad-at-1-sender", "5bdp", "Tao-1-2", "Tao-1-100", 1, 1},
+			{"broad-minus-narrow-at-100-senders", "5bdp", "Tao-1-100", "Tao-1-2", 100, 100},
+		},
 	},
 	taos: func() []TaoSpec {
 		var specs []TaoSpec
@@ -307,6 +356,12 @@ var propDelaySweep = sweepDef{
 		Figure: "Figure 4", Caption: "normalized objective vs minimum RTT",
 		YLabel: "normalized objective",
 		Axis:   Axis{Header: "minRTT (ms)", Format: "%.0f", Column: "min_rtt_ms", Label: "min RTT (ms)"},
+		// What a little dither in training buys far below the
+		// training RTT, and the broad Tao's level over its own range.
+		headlines: []sweepHeadline{
+			{"dithered-minus-exact-below-50ms", "", "Tao-rtt-145-155", "Tao-rtt-150", 1, 49},
+			{"broad-50-250ms", "", "Tao-rtt-50-250", "", 50, 250},
+		},
 	},
 	taos: func() []TaoSpec {
 		tao := func(name string, lo, hi units.Duration) TaoSpec {

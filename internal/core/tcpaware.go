@@ -94,6 +94,22 @@ func (r *TCPAwareResult) Row(setting, protocol string) *TCPAwareRow {
 	return nil
 }
 
+// Headlines reports what TCP-awareness costs among Taos (queueing
+// delay, aware over naive) and what it changes against NewReno
+// (throughput, aware over naive).
+func (r *TCPAwareResult) Headlines() []Headline {
+	var out []Headline
+	naive, aware := r.Row("homogeneous", "Tao-TCP-naive"), r.Row("homogeneous", "Tao-TCP-aware")
+	if naive != nil && aware != nil {
+		out = appendRatio(out, "aware-over-naive-homog-delay", aware.MedianDelaySec, naive.MedianDelaySec)
+	}
+	naive, aware = r.Row("vs-NewReno", "Tao-TCP-naive"), r.Row("vs-NewReno", "Tao-TCP-aware")
+	if naive != nil && aware != nil {
+		out = appendRatio(out, "aware-over-naive-vs-tcp-tpt", aware.MedianTptBps, naive.MedianTptBps)
+	}
+	return out
+}
+
 // Table renders the Figure 7 dataset.
 func (r *TCPAwareResult) Table() string {
 	header := []string{"setting", "protocol", "median tpt (Mbps)", "median queue delay (ms)"}

@@ -118,6 +118,18 @@ func (tr *TimeDomainTrace) MeanQueueBetween(lo, hi float64) float64 {
 	return sum / float64(n)
 }
 
+// Headlines reports each panel's mean bottleneck occupancy while the
+// NewReno cross-sender is on.
+func (r *TimeDomainResult) Headlines() []Headline {
+	var out []Headline
+	for _, name := range []string{"Tao-TCP-aware", "Tao-TCP-naive"} {
+		if tr := r.Trace(name); tr != nil {
+			out = append(out, Headline{name + "-queue-during-tcp", tr.MeanQueueBetween(5, 10)})
+		}
+	}
+	return out
+}
+
 // Table renders a compact summary of both panels (the full series is
 // available programmatically and via cmd/learnability -csv).
 func (r *TimeDomainResult) Table() string {

@@ -102,6 +102,10 @@ func (r *UnifiedResult) MeanObjectives() (tao, cubic, sfq float64) {
 	return stats.Mean(a), stats.Mean(b), stats.Mean(c)
 }
 
+// Headlines is empty: the extension has no claim of the paper's to
+// summarise, and Table ends with its means and win rate.
+func (r *UnifiedResult) Headlines() []Headline { return nil }
+
 // Table renders the dataset.
 func (r *UnifiedResult) Table() string {
 	header := []string{"speed (Mbps)", "RTT (ms)", "senders", "Tao-unified", "Cubic", "Cubic/sfqCoDel"}

@@ -56,6 +56,16 @@ func (r *VegasResult) Row(setting, protocol string) *VegasRow {
 	return nil
 }
 
+// Headlines reports Vegas's throughput against a NewReno competitor as
+// a fraction of that competitor's.
+func (r *VegasResult) Headlines() []Headline {
+	vegas, reno := r.Row("vs-NewReno", "Vegas"), r.Row("vs-NewReno", "NewReno")
+	if vegas == nil || reno == nil {
+		return nil
+	}
+	return appendRatio(nil, "vegas-share-vs-newreno", vegas.TptMbps, reno.TptMbps)
+}
+
 // Table renders the dataset.
 func (r *VegasResult) Table() string {
 	header := []string{"setting", "protocol", "tpt (Mbps)", "queue delay (ms)"}

@@ -12,10 +12,10 @@ import (
 // TestECNMarkZeroAlloc pins the per-packet forwarding path through a
 // marking gateway at exactly zero allocations per event, for both
 // marking disciplines: CE-marking must stay as cheap as dropping. The
-// fixture is the refeed loop from BenchmarkLinkSaturation over a slow
-// link, so the queue stands far above the CoDel target and every
-// enqueue sits over the DCTCP threshold — both control laws mark
-// continuously while the allocation counter watches.
+// fixture is tracedLink's refeed loop over a slow link, so the queue
+// stands far above the CoDel target and every enqueue sits over the
+// DCTCP threshold — both control laws mark continuously while the
+// allocation counter watches.
 func TestECNMarkZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,10 +1,9 @@
 package netsim
 
-// Multipath forwarding tests and benchmarks: the per-packet path
-// selector (spray round-robin, adaptive least-queue) must stay
-// allocation-free and deterministic. BenchmarkLinkFanout is the
-// multipath counterpart of BenchmarkLinkSaturation and is gated in
-// BENCH_core.json at 0 allocs/op.
+// Multipath forwarding tests: the per-packet path selector (spray
+// round-robin, adaptive least-queue) must stay allocation-free
+// (TestMultipathForwardZeroAlloc, the multipath counterpart of
+// TestLinkTraceDisabledZeroAllocs) and deterministic.
 
 import (
 	"testing"
@@ -134,9 +133,8 @@ func TestAdaptiveAvoidsBacklog(t *testing.T) {
 }
 
 // TestMultipathForwardZeroAlloc pins the multipath forwarding path at
-// exactly zero allocations per event for both per-packet selectors —
-// the invariant BenchmarkLinkFanout reports and the bench gate enforces
-// — and for the adaptive selector reading sfqCoDel occupancy, the pair
+// exactly zero allocations per event for both per-packet selectors,
+// and for the adaptive selector reading sfqCoDel occupancy, the pair
 // whose per-candidate Len used to walk 1 024 bins.
 func TestMultipathForwardZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -167,36 +165,6 @@ func TestMultipathForwardZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("%s multipath forwarding allocates %.1f times per 64 events, want 0", tc.name, allocs)
-			}
-		})
-	}
-}
-
-// BenchmarkLinkFanout measures the per-event cost of a saturated link
-// whose packets take the multipath forward() path on every hop — the
-// spray and adaptive counterpart of BenchmarkLinkSaturation. One op is
-// one scheduler event; allocs/op must stay at zero.
-func BenchmarkLinkFanout(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		sel  PathSelector
-	}{
-		{"spray", SelectSpray},
-		{"adaptive", SelectAdaptive},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			sched, _, _ := fanoutDiamond(tc.sel, dropTail64)
-			for i := 0; i < 256; i++ {
-				if !sched.Step() {
-					b.Fatal("diamond went idle")
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !sched.Step() {
-					b.Fatal("diamond went idle")
-				}
 			}
 		})
 	}

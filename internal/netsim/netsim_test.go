@@ -352,12 +352,3 @@ func TestReceiverRejectsMisrouted(t *testing.T) {
 	}()
 	rcv.Deliver(0, packet.DataPacket(4, 0, 0))
 }
-
-func BenchmarkDumbbellSimulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		q := queue.NewDropTail(100 * packet.MTU)
-		nw := buildDumbbell(10*units.Mbps, 100*units.Millisecond, q, 2,
-			func(int) cc.Algorithm { return &fixedCC{w: 50} }, alwaysOn)
-		nw.Run(10 * units.Second)
-	}
-}

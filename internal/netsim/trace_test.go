@@ -9,8 +9,15 @@ import (
 	"learnability/internal/units"
 )
 
-// tracedLink builds the saturated-link harness of BenchmarkLinkSaturation
-// with a tiny queue, so enqueue, dequeue, and tail-drop events all fire.
+// refeed recirculates every packet leaving the link back into it, so a
+// small set of pooled packets keeps the link saturated forever.
+type refeed struct{ l *Link }
+
+func (r refeed) Deliver(now units.Time, p *packet.Packet) { r.l.Deliver(now, p) }
+
+// tracedLink builds a saturated-link harness: a 1 Gbps, 20 µs link that
+// feeds itself, over a drop-tail queue of capPkts packets — small
+// enough, at 4, that enqueue, dequeue and tail-drop events all fire.
 func tracedLink(capPkts int) (*sim.Scheduler, *Link, *packet.Pool) {
 	sched := sim.New()
 	pool := &packet.Pool{}
@@ -79,60 +86,63 @@ func TestLinkTraceEvents(t *testing.T) {
 	}
 }
 
-// TestLinkTraceDisabledZeroAllocs pins the telemetry plane's first
-// invariant at the packet hook: an untraced link's delivery path
-// allocates nothing, so disabled tracing costs one nil check.
+// flowPath builds one flow's whole round trip — sender, queue, link,
+// receiver, delayed ACK, sender — under a fixed window, so the flow
+// stays in equilibrium for as long as it is stepped.
+func flowPath() *sim.Scheduler {
+	sched := sim.New()
+	pool := &packet.Pool{}
+	l := NewLink(sched, 100*units.Mbps, 5*units.Millisecond, queue.NewDropTail(256*packet.MTU))
+	l.SetPool(pool)
+	st := &FlowStats{Flow: 0, PropDelay: 5 * units.Millisecond, MinRTT: 10 * units.Millisecond}
+	rcv := NewReceiver(sched, 0, 5*units.Millisecond, st)
+	snd := NewSender(sched, 0, &fixedCC{w: 32}, l, st)
+	rcv.SetSender(snd)
+	rcv.SetPool(pool)
+	snd.SetPool(pool)
+	l.SetRoute([]Deliverer{rcv})
+	snd.SetOn(0, true)
+	return sched
+}
+
+// TestLinkTraceDisabledZeroAllocs pins the per-event hot paths at
+// exactly zero allocations. A saturated single-path link — queue,
+// serializer and propagation pipeline all busy — allocates nothing
+// untraced, which is the telemetry plane's first invariant at the
+// packet hook (disabled tracing costs one nil check), and nothing with
+// a minimal counting tracer installed (observing is building an event
+// on the stack and one indirect call). Neither does a whole flow path
+// in equilibrium.
 func TestLinkTraceDisabledZeroAllocs(t *testing.T) {
-	sched, l, pool := tracedLink(64)
-	for i := 0; i < 16; i++ {
-		l.Deliver(sched.Now(), pool.Data(0, int64(i), sched.Now()))
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if !sched.Step() {
-			t.Fatal("link went idle")
+	saturated := func(trace func(PacketEvent)) *sim.Scheduler {
+		sched, l, pool := tracedLink(64)
+		l.SetTrace(0, trace)
+		for i := 0; i < 16; i++ {
+			l.Deliver(sched.Now(), pool.Data(0, int64(i), sched.Now()))
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("untraced link path allocates %.1f/op, want 0", allocs)
+		return sched
 	}
-}
-
-// BenchmarkLinkTraceDisabled is BenchmarkLinkSaturation with the trace
-// plumbing compiled in but no tracer installed — scripts/bench.sh gates
-// its allocs/op at zero and its ns/op within tolerance of the baseline,
-// pinning the disabled path's zero cost release over release.
-func BenchmarkLinkTraceDisabled(b *testing.B) {
-	sched, l, pool := tracedLink(64)
-	for i := 0; i < 16; i++ {
-		l.Deliver(sched.Now(), pool.Data(0, int64(i), sched.Now()))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !sched.Step() {
-			b.Fatal("link went idle")
-		}
-	}
-}
-
-// BenchmarkLinkTraceEnabled measures the same path with a minimal
-// counting tracer installed, so the cost of observation itself (event
-// construction plus one indirect call) stays visible.
-func BenchmarkLinkTraceEnabled(b *testing.B) {
-	sched, l, pool := tracedLink(64)
 	var events int64
-	l.SetTrace(0, func(ev PacketEvent) { events++ })
-	for i := 0; i < 16; i++ {
-		l.Deliver(sched.Now(), pool.Data(0, int64(i), sched.Now()))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !sched.Step() {
-			b.Fatal("link went idle")
-		}
+	for _, tc := range []struct {
+		name  string
+		sched *sim.Scheduler
+	}{
+		{"untraced link", saturated(nil)},
+		{"traced link", saturated(func(PacketEvent) { events++ })},
+		{"flow path", flowPath()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(2000, func() {
+				if !tc.sched.Step() {
+					t.Fatal("simulation drained")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%.2f allocations per event, want 0", allocs)
+			}
+		})
 	}
 	if events == 0 {
-		b.Fatal("tracer saw no events")
+		t.Fatal("tracer saw no events")
 	}
 }

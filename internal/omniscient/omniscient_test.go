@@ -168,11 +168,3 @@ func TestExpectedThroughputPanicsOutOfRange(t *testing.T) {
 	}()
 	s.ExpectedThroughput(5)
 }
-
-func BenchmarkAllocateParkingLot(b *testing.B) {
-	s := ParkingLot(10*units.Mbps, 100*units.Mbps, 75*units.Millisecond, 0.5)
-	on := []bool{true, true, true}
-	for i := 0; i < b.N; i++ {
-		s.Allocate(on)
-	}
-}

@@ -174,12 +174,3 @@ func TestFIFOCompaction(t *testing.T) {
 		t.Fatalf("Len=%d Bytes=%d after full drain", q.Len(), q.Bytes())
 	}
 }
-
-func BenchmarkDropTail(b *testing.B) {
-	q := NewDropTail(1000 * packet.MTU)
-	p := mkpkt(1, 0)
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(0, p)
-		q.Dequeue(0)
-	}
-}

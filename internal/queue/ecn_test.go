@@ -304,15 +304,3 @@ func TestMarkingDropTailValidation(t *testing.T) {
 		}()
 	}
 }
-
-// --- benchmarks -----------------------------------------------------
-
-func BenchmarkCoDel(b *testing.B) {
-	q := NewCoDel(1000 * packet.MTU)
-	var now units.Time
-	for i := 0; i < b.N; i++ {
-		now = now.Add(100 * units.Microsecond)
-		q.Enqueue(now, mkpkt(i%8, int64(i)))
-		q.Dequeue(now)
-	}
-}

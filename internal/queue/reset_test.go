@@ -81,9 +81,8 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc pins what BenchmarkCoDel and
-// BenchmarkSFQCoDel only printed: once a finite discipline's rings
-// have grown to its working set, an enqueue and a dequeue allocate
+// TestSteadyStateZeroAlloc: once a finite discipline's rings have
+// grown to its working set, an enqueue and a dequeue allocate
 // nothing — AQM drops, marks and overflow evictions included.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range disciplines {

@@ -192,16 +192,6 @@ func TestSFQCoDelStatsBytes(t *testing.T) {
 	}
 }
 
-func BenchmarkSFQCoDel(b *testing.B) {
-	q := NewSFQCoDel(SFQCoDelBins, 1000*packet.MTU)
-	var now units.Time
-	for i := 0; i < b.N; i++ {
-		now = now.Add(100 * units.Microsecond)
-		q.Enqueue(now, mkpkt(i%8, int64(i)))
-		q.Dequeue(now)
-	}
-}
-
 func TestSFQCoDelHashSpreadsFlows(t *testing.T) {
 	q := NewSFQCoDel(64, 100000*packet.MTU)
 	bins := map[int]bool{}

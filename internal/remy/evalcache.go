@@ -137,8 +137,8 @@ func (t *Trainer) localCache() *shardnet.Cache {
 
 // LocalCacheStats snapshots the in-process evaluation cache counters
 // (zero when the cache is disabled or was never touched). cmd/
-// remytrain surfaces the hit rate after training; the bench gate
-// asserts a floor on it.
+// remytrain surfaces the hit rate after training;
+// TestEvalCacheHitRateFloor asserts a floor on it.
 func (t *Trainer) LocalCacheStats() shardnet.CacheStats {
 	if t.DisableEvalCache || t.EvalCache == nil {
 		return shardnet.CacheStats{}

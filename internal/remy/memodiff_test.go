@@ -260,7 +260,7 @@ func TestDrawMemoDerivesOnce(t *testing.T) {
 // TestEvalCacheHitRateFloor asserts a floor on the cold-run hit rate
 // of a standard training: the hill-climb's neighbor overlap and the
 // post-pass usage refresh must make a measurable fraction of slots
-// free. scripts/bench.sh runs this test as part of its gate set.
+// free. A count, not a timing: the search is deterministic for a seed.
 func TestEvalCacheHitRateFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")

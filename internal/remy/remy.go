@@ -109,19 +109,6 @@ type Config struct {
 	// Replicas is the number of independent scenario draws averaged
 	// per candidate evaluation.
 	Replicas int
-
-	// SplitAtMidpoint is an ablation switch: split whiskers at the
-	// geometric midpoint of their domain instead of at the mean
-	// observed memory (Remy's adaptive-split refinement). Midpoint
-	// splits waste whiskers on empty memory regions; the ablation
-	// benchmark quantifies the cost.
-	SplitAtMidpoint bool
-
-	// DisablePacing is an ablation switch: restrict the action space
-	// to window dynamics only, pinning every whisker's intersend time
-	// to the minimum. The paper's action triplet (§3.5) includes a
-	// pacing bound; this measures what it buys.
-	DisablePacing bool
 }
 
 func (c *Config) normalize() Config {
@@ -588,9 +575,9 @@ func (t *Trainer) evaluate(cfg *Config, tree *remycc.Tree, gen int) (float64, *r
 	return means[0], usage
 }
 
-// neighbors generates the candidate actions adjacent to a. When
-// pacing is disabled the intersend dimension is frozen.
-func neighbors(a remycc.Action, disablePacing bool) []remycc.Action {
+// neighbors generates the candidate actions adjacent to a: each
+// dimension of the action triplet (§3.5) moved alone.
+func neighbors(a remycc.Action) []remycc.Action {
 	var out []remycc.Action
 	add := func(n remycc.Action) { out = append(out, n.Clamp()) }
 	for _, dm := range []float64{-0.2, -0.05, 0.05, 0.2} {
@@ -603,12 +590,10 @@ func neighbors(a remycc.Action, disablePacing bool) []remycc.Action {
 		n.WindowIncr += db
 		add(n)
 	}
-	if !disablePacing {
-		for _, ft := range []float64{0.25, 0.5, 0.8, 1.25, 2, 4} {
-			n := a
-			n.Intersend *= ft
-			add(n)
-		}
+	for _, ft := range []float64{0.25, 0.5, 0.8, 1.25, 2, 4} {
+		n := a
+		n.Intersend *= ft
+		add(n)
 	}
 	return out
 }
@@ -637,11 +622,6 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 		defer stopShards()
 	}
 	tree := remycc.NewTree()
-	if cfg.DisablePacing {
-		a := tree.Action(0)
-		a.Intersend = remycc.MinIntersend
-		tree = tree.WithAction(0, a)
-	}
 
 	// The telemetry layer (generation journal, registry gauges) only
 	// observes: wall clocks and counter snapshots happen outside the
@@ -687,11 +667,11 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 			}
 		}
 
-		// Split the most-used whisker — at its mean observed memory by
-		// default, or at its domain midpoint under the ablation — unless
-		// the generation budget is spent. The decision is folded into
-		// one (splitW, note, done) triple so a single journal emission
-		// covers every exit path.
+		// Split the most-used whisker at its mean observed memory
+		// (Remy's adaptive split: midpoint splits waste whiskers on
+		// empty memory regions) unless the generation budget is spent.
+		// The decision is folded into one (splitW, note, done) triple
+		// so a single journal emission covers every exit path.
 		splitW, note, done := -1, "", false
 		switch {
 		case gen >= b.Generations:
@@ -703,15 +683,7 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 				note, done = "no-usage", true
 				break
 			}
-			at := usage.Mean(wi)
-			if cfg.SplitAtMidpoint {
-				dom := tree.Whiskers[wi].Domain
-				for d := 0; d < remycc.NumSignals; d++ {
-					at[d] = (dom.Lo[d] + dom.Hi[d]) / 2
-				}
-			}
-			dims := enabledDims(cfg.Mask)
-			nt, ok := tree.Split(wi, at, dims)
+			nt, ok := tree.Split(wi, usage.Mean(wi), enabledDims(cfg.Mask))
 			if !ok {
 				t.logf("gen %d: split degenerate; stopping", gen)
 				note, done = "split-degenerate", true
@@ -740,7 +712,7 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 // neighbor evaluations (candidate x replica) run as one batch.
 func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
 	for move := 0; move < maxMoves; move++ {
-		cands := neighbors(tree.Action(wi), cfg.DisablePacing)
+		cands := neighbors(tree.Action(wi))
 		trees := make([]*remycc.Tree, len(cands))
 		for ci, a := range cands {
 			trees[ci] = tree.WithAction(wi, a)

@@ -240,28 +240,16 @@ func TestEvalOneScoresTraineesOnly(t *testing.T) {
 
 func TestNeighborsStayInBounds(t *testing.T) {
 	a := remycc.Action{WindowMult: remycc.MaxWindowMult, WindowIncr: remycc.MaxWindowIncr, Intersend: remycc.MaxIntersend}
-	for _, n := range neighbors(a, false) {
+	for _, n := range neighbors(a) {
 		if n.WindowMult > remycc.MaxWindowMult || n.WindowIncr > remycc.MaxWindowIncr || n.Intersend > remycc.MaxIntersend {
 			t.Fatalf("neighbor out of bounds: %+v", n)
 		}
 	}
 	a = remycc.Action{WindowMult: remycc.MinWindowMult, WindowIncr: remycc.MinWindowIncr, Intersend: remycc.MinIntersend}
-	for _, n := range neighbors(a, false) {
+	for _, n := range neighbors(a) {
 		if n.WindowMult < remycc.MinWindowMult || n.WindowIncr < remycc.MinWindowIncr || n.Intersend < remycc.MinIntersend {
 			t.Fatalf("neighbor out of bounds: %+v", n)
 		}
-	}
-}
-
-func TestNeighborsPacingAblation(t *testing.T) {
-	a := remycc.Action{WindowMult: 1, WindowIncr: 1, Intersend: 0.001}
-	for _, n := range neighbors(a, true) {
-		if n.Intersend != a.Intersend {
-			t.Fatalf("pacing-ablated neighbors moved intersend: %+v", n)
-		}
-	}
-	if len(neighbors(a, true)) >= len(neighbors(a, false)) {
-		t.Fatal("ablation should shrink the candidate set")
 	}
 }
 
@@ -314,52 +302,5 @@ func TestEnabledDims(t *testing.T) {
 		if d == remycc.SendEWMA {
 			t.Fatal("masked dim included")
 		}
-	}
-}
-
-func TestDisablePacingTrainsWindowOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	cfg := tinyConfig()
-	cfg.DisablePacing = true
-	tr := &Trainer{Cfg: cfg, Seed: 13}
-	tree := tr.Train(Budget{Generations: 1, OptPasses: 1, MovesPerWhisker: 3})
-	for i, w := range tree.Whiskers {
-		if w.Action.Intersend != remycc.MinIntersend {
-			t.Fatalf("whisker %d intersend = %v; pacing ablation leaked", i, w.Action.Intersend)
-		}
-	}
-}
-
-func TestSplitAtMidpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	cfg := tinyConfig()
-	cfg.SplitAtMidpoint = true
-	tr := &Trainer{Cfg: cfg, Seed: 14}
-	tree := tr.Train(Budget{Generations: 1, OptPasses: 1, MovesPerWhisker: 1})
-	if tree.Len() < 2 {
-		t.Skip("no split happened under the tiny budget")
-	}
-	// Every split plane must be at a domain midpoint: each whisker
-	// boundary along a split dimension equals (lo+hi)/2 of the full
-	// domain for the first generation.
-	full := remycc.FullDomain()
-	foundMid := false
-	for _, w := range tree.Whiskers {
-		for d := 0; d < remycc.NumSignals; d++ {
-			mid := (full.Lo[d] + full.Hi[d]) / 2
-			if w.Domain.Lo[d] == mid || w.Domain.Hi[d] == mid {
-				foundMid = true
-			}
-		}
-	}
-	if !foundMid {
-		t.Fatal("no midpoint split plane found")
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

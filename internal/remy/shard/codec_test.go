@@ -336,65 +336,3 @@ func TestCfgSentStripsAfterFirstSend(t *testing.T) {
 		t.Fatal("hashless job was not passed through verbatim")
 	}
 }
-
-// BenchmarkShardCodec measures encode+decode round trips for both
-// codecs on a realistic mid-training frame: an 8-slot job carrying two
-// ~1 KB trees, and its result with scores and one usage frame.
-func BenchmarkShardCodec(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	tree := make([]byte, 1024)
-	r.Read(tree)
-	cfg := bytes.Repeat([]byte(`{"Delta":1}`), 1)
-	job := &Job{
-		ID: 42, Version: ProtocolVersion, Seed: 7, Gen: 12, Replicas: 8,
-		UsageFor: 3, SlotLo: 8, SlotHi: 16, Workers: 4,
-		CfgHash: HashBytes(cfg), Cfg: cfg,
-		Trees: [][]byte{tree, tree},
-	}
-	res := randResult(r, false)
-	res.NeedCfg = false
-	res.Err = ""
-	res.Scores = make([]float64, 8)
-	for i := range res.Scores {
-		res.Scores[i] = r.NormFloat64()
-	}
-
-	for _, bc := range []struct {
-		name   string
-		binary bool
-	}{
-		{"job-json", false}, {"job-binary", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				payload, err := EncodeJob(job, bc.binary)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := DecodeJob(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, bc := range []struct {
-		name   string
-		binary bool
-	}{
-		{"result-json", false}, {"result-binary", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				payload, err := EncodeResult(res, bc.binary)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := DecodeResult(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -451,6 +451,11 @@ func TestCacheServesRepeatVerbatim(t *testing.T) {
 	if evals.Load() != 1 {
 		t.Fatalf("evaluator ran %d times, want 1", evals.Load())
 	}
+	// The server counts a job after it has written the reply, so the
+	// second one may not be in Stats yet when the reply arrives here.
+	for deadline := time.Now().Add(time.Second); srv.Stats().Jobs < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if st := srv.Stats(); st.CacheHits != 1 || st.Jobs != 2 {
 		t.Fatalf("server stats = %+v", st)
 	}

@@ -202,17 +202,3 @@ func TestZeroValueUsable(t *testing.T) {
 	var s Stream
 	_ = s.Uint64() // must not panic
 }
-
-func BenchmarkUint64(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.Uint64()
-	}
-}
-
-func BenchmarkExponential(b *testing.B) {
-	s := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = s.Exponential(1)
-	}
-}

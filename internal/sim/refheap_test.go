@@ -945,34 +945,39 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkScheduler measures the scheduler hot loop: a rolling window
-// of pending events with one schedule and one fire per operation, the
-// access pattern the packet simulation produces. The interesting number
-// is allocs/op, which must stay at zero.
-func BenchmarkScheduler(b *testing.B) {
-	s := New()
+// TestSchedulerZeroAlloc pins the scheduler's two hot loops at exactly
+// zero allocations: a rolling window of pending events with one
+// schedule and one fire per step — the access pattern the packet
+// simulation produces, over a heap of realistic depth — and the
+// schedule-then-cancel pair the transport performs when it re-arms its
+// RTO timer on every cumulative ACK.
+func TestSchedulerZeroAlloc(t *testing.T) {
 	fn := func() {}
-	// Pre-fill a working set so the heap has realistic depth.
-	for i := 0; i < 256; i++ {
-		s.After(units.Duration(i%97+1)*units.Microsecond, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(units.Duration(i%97+1)*units.Microsecond, fn)
-		s.Step()
-	}
-}
-
-// BenchmarkSchedulerCancel measures the schedule+cancel path (the
-// transport re-arms its RTO timer on every cumulative ACK).
-func BenchmarkSchedulerCancel(b *testing.B) {
-	s := New()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm := s.After(units.Duration(i%97+1)*units.Microsecond, fn)
-		tm.Stop()
+	for _, tc := range []struct {
+		name    string
+		pending int
+		step    func(s *Scheduler, i int)
+	}{
+		{"schedule and fire", 256, func(s *Scheduler, i int) {
+			s.After(units.Duration(i%97+1)*units.Microsecond, fn)
+			s.Step()
+		}},
+		{"schedule and cancel", 0, func(s *Scheduler, i int) {
+			s.After(units.Duration(i%97+1)*units.Microsecond, fn).Stop()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			for i := 0; i < tc.pending; i++ {
+				s.After(units.Duration(i%97+1)*units.Microsecond, fn)
+			}
+			i := 0
+			if allocs := testing.AllocsPerRun(2000, func() { tc.step(s, i); i++ }); allocs != 0 {
+				t.Fatalf("%.2f allocations per step, want 0", allocs)
+			}
+			if s.Len() != tc.pending {
+				t.Fatalf("%d events pending afterwards, want %d", s.Len(), tc.pending)
+			}
+		})
 	}
 }

@@ -230,13 +230,3 @@ func TestStep(t *testing.T) {
 		t.Fatal("Step on empty queue should be false")
 	}
 }
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New()
-		for j := 0; j < 1000; j++ {
-			s.After(units.Duration(j%97)*units.Microsecond, func() {})
-		}
-		s.Run(units.MaxTime)
-	}
-}

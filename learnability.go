@@ -134,7 +134,7 @@ func DefaultTrainBudget() TrainBudget { return remy.DefaultBudget() }
 type (
 	// ShardServer serves shard jobs over TCP to remote coordinators
 	// (the worker half of Trainer.Remotes); cmd/remyshardd hosts one
-	// per machine, and benchmarks host them in-process on loopback.
+	// per machine, and benchmark/ hosts them in-process on loopback.
 	ShardServer = shardnet.Server
 	// ShardCache is a worker-side content-addressed result cache.
 	ShardCache = shardnet.Cache

@@ -2,30 +2,28 @@
 // for a remytrain coordinator behind a content-addressed result cache,
 // so repeated candidate evaluations — common across a training run's
 // hill-climb, and across reruns of the same seed — are answered from
-// memory. It serves one of two transports:
+// memory:
 //
 //	remyshardd -listen :7117            # a daemon, one per worker machine
 //	remytrain -remotes w1:7117,w2:7117  # ... and its coordinator
 //
-//	remytrain -shards 4 -shard-cmd "remyshardd -stdio"   # local worker processes
-//
-// As a daemon it listens on a TCP port and serves any number of
-// coordinator connections (many jobs per connection). With -stdio it
-// serves the same jobs on stdin/stdout until the coordinator closes
-// the pipe, and opens no listener; remytrain spawns one such process
-// per shard.
+// It listens on a TCP port and serves any number of coordinator
+// connections (many jobs per connection). To spread training over one
+// machine's processes, run a daemon on a loopback port and name it
+// once per lane: `remyshardd -listen 127.0.0.1:7118` with `remytrain
+// -remotes 127.0.0.1:7118,127.0.0.1:7118`.
 //
 // Jobs are self-contained and evaluation is a pure function of the
 // job, so a worker holds no training state: it can be restarted at any
-// time (the coordinator reconnects or respawns, and requeues), serve
+// time (the coordinator reconnects and requeues), serve
 // several trainings at once, and return cached results verbatim
 // without any effect on the trained bits. With -cache-dir the cache
 // also spills every entry to disk (hash-verified on load, corrupt
 // files evicted), so even a restarted worker answers repeated work
 // from its warm store. -pprof/-cpuprofile/-memprofile expose the
 // standard profiling taps. Setting REMY_SHARD_DIE_AFTER=N makes every
-// connection (or the -stdio process) drop after N jobs — a chaos knob
-// for exercising the coordinator's requeue path against real workers.
+// connection drop after N jobs — a chaos knob for exercising the
+// coordinator's requeue path against real workers.
 package main
 
 import (
@@ -40,32 +38,30 @@ import (
 
 	"learnability/internal/prof"
 	"learnability/internal/remy"
-	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
 	"learnability/internal/telemetry"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
 // run is main with its process-wide inputs as parameters: the argument
-// list, the -stdio job stream and result stream, and the diagnostic
-// stream. It returns the exit status (2 for a bad invocation).
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+// list and the diagnostic stream. It returns the exit status (2 for a
+// bad invocation) once serving stops.
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("remyshardd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		listen   = fs.String("listen", ":7117", "TCP address to serve shard jobs on")
-		stdio    = fs.Bool("stdio", false, "serve shard jobs on stdin/stdout instead of a TCP listener (the `remytrain -shard-cmd` worker)")
-		workers  = fs.Int("workers", 0, "parallel simulations per job (0 = NumCPU; with -stdio, 0 keeps the parallelism the coordinator sized for its co-located workers)")
+		workers  = fs.Int("workers", 0, "parallel simulations per job (0 = NumCPU)")
 		cacheN   = fs.Int("cache", shardnet.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative disables)")
 		cacheDir = fs.String("cache-dir", "", "spill cache entries to this directory (created if missing) and reload them on restart, hash-verified; entries survive worker lifetimes so warm restarts stay warm")
 		hb       = fs.Duration("hb", shardnet.DefaultHeartbeat, "heartbeat interval while a job evaluates")
 		metricsF = fs.String("metrics", "", "serve live metrics on this address (e.g. :9090): connections, jobs, job latency, cache counters. GET /metrics for Prometheus text, ?format=json for JSON")
 		ppAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (flushed on SIGINT/SIGTERM, and when -stdio reaches end of input)")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file on SIGINT/SIGTERM, and when -stdio reaches end of input")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (flushed on SIGINT/SIGTERM)")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on SIGINT/SIGTERM")
 		verbose  = fs.Bool("v", true, "log connections and cache stats")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -122,24 +118,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		defer closeMetrics()
 		fmt.Fprintf(stderr, "remyshardd: serving metrics on http://%s/metrics\n", addr)
-	}
-
-	if *stdio {
-		defer stopProf()
-		if *workers > 0 {
-			// Only an explicit -workers overrides the job's own figure:
-			// the coordinator sized it as NumCPU/shards for workers that
-			// share its machine, and NumCPU each would oversubscribe it.
-			n, inner := *workers, eval
-			eval = func(job *shard.Job) (*shard.Result, error) {
-				job.Workers = n
-				return inner(job)
-			}
-		}
-		if err := shard.Serve(stdin, stdout, eval, shard.ServeOpts{DieAfter: dieAfter}); err != nil {
-			return fail(1, err)
-		}
-		return 0
 	}
 
 	srv := &shardnet.Server{

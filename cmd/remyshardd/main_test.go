@@ -1,24 +1,27 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
-	"net"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy"
 	"learnability/internal/remy/shard"
+	"learnability/internal/remy/shardnet"
 	"learnability/internal/scenario"
 	"learnability/internal/units"
 )
 
 // TestRunRejectsBadInvocations table-tests the flag and environment
 // plumbing: every bad invocation exits 2 with a diagnostic naming the
-// problem, before any listener or worker loop starts.
+// problem, before any listener starts.
 func TestRunRejectsBadInvocations(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -27,53 +30,48 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		want     string // substring of stderr
 	}{
 		{"disk cache without a cache", []string{"-cache", "-1", "-cache-dir", filepath.Join(t.TempDir(), "d")}, "", "-cache-dir needs the cache enabled"},
-		{"non-numeric die-after", []string{"-stdio"}, "soon", `bad REMY_SHARD_DIE_AFTER "soon"`},
+		{"non-numeric die-after", nil, "soon", `bad REMY_SHARD_DIE_AFTER "soon"`},
 		{"negative die-after", nil, "-3", `bad REMY_SHARD_DIE_AFTER "-3"`},
 		{"unknown flag", []string{"-no-such-flag"}, "", "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Setenv("REMY_SHARD_DIE_AFTER", tc.dieAfter)
-			var stdout, stderr bytes.Buffer
-			if status := run(tc.args, strings.NewReader(""), &stdout, &stderr); status != 2 {
+			var stderr bytes.Buffer
+			if status := run(tc.args, &stderr); status != 2 {
 				t.Fatalf("exit status %d, want 2 (stderr: %s)", status, &stderr)
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("stderr %q does not mention %q", &stderr, tc.want)
 			}
-			if stdout.Len() != 0 {
-				t.Fatalf("wrote %d bytes to stdout", stdout.Len())
-			}
 		})
 	}
 }
 
-// TestStdioOpensNoListener points -listen at a port this test already
-// holds: the daemon mode would fail to bind it, so a clean exit on an
-// empty job stream proves -stdio never tried.
-func TestStdioOpensNoListener(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// startDaemon runs the daemon on an ephemeral loopback port and
+// returns the address it reports on stderr. The daemon serves until
+// the test binary exits.
+func startDaemon(t *testing.T, args ...string) string {
+	t.Helper()
+	t.Setenv("REMY_SHARD_DIE_AFTER", "")
+	pr, pw := io.Pipe()
+	go run(append([]string{"-listen", "127.0.0.1:0", "-v=false"}, args...), pw)
+	lines := bufio.NewScanner(pr)
+	const serving = "remyshardd: serving shard jobs on "
+	for lines.Scan() {
+		if rest, ok := strings.CutPrefix(lines.Text(), serving); ok {
+			go io.Copy(io.Discard, pr)
+			return strings.Fields(rest)[0]
+		}
 	}
-	defer ln.Close()
-	var stdout, stderr bytes.Buffer
-	if status := run([]string{"-listen", ln.Addr().String()}, strings.NewReader(""), &stdout, &stderr); status != 1 {
-		t.Fatalf("daemon mode on a held port exited %d, want 1 (the guard is vacuous)", status)
-	}
-	stderr.Reset()
-	if status := run([]string{"-stdio", "-listen", ln.Addr().String()}, strings.NewReader(""), &stdout, &stderr); status != 0 {
-		t.Fatalf("-stdio on an empty job stream exited %d: %s", status, &stderr)
-	}
-	if stdout.Len() != 0 || stderr.Len() != 0 {
-		t.Fatalf("-stdio with nothing to do wrote stdout %q, stderr %q", &stdout, &stderr)
-	}
+	t.Fatal("daemon exited before serving")
+	return ""
 }
 
-// TestStdioRoundTrip drives the -stdio worker the way remytrain's
-// -shard-cmd lanes do: the first job's result equals the uncached
-// reference evaluator's, and an exact repeat comes back from the
-// worker's cache with the same bits.
-func TestStdioRoundTrip(t *testing.T) {
+// TestDaemonRoundTrip drives the daemon the way remytrain's -remotes
+// lanes do: the first job's result equals the uncached reference
+// evaluator's, and an exact repeat comes back from the worker's cache
+// with the same bits.
+func TestDaemonRoundTrip(t *testing.T) {
 	cfg := remy.Config{
 		Topology:     scenario.Dumbbell,
 		LinkSpeedMin: 10 * units.Mbps,
@@ -110,17 +108,13 @@ func TestStdioRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stdin, stdout, stderr bytes.Buffer
-	for id := uint64(1); id <= 2; id++ {
-		if err := shard.WriteJob(&stdin, job(id)); err != nil {
-			t.Fatal(err)
-		}
+	conn, err := (&shardnet.Dialer{Addr: startDaemon(t)}).Dial()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if status := run([]string{"-stdio"}, &stdin, &stdout, &stderr); status != 0 {
-		t.Fatalf("exit status %d: %s", status, &stderr)
-	}
+	defer conn.Close()
 	for id := uint64(1); id <= 2; id++ {
-		got, err := shard.ReadResult(&stdout)
+		got, err := shard.RoundTrip(conn, job(id), 10*time.Second)
 		if err != nil {
 			t.Fatalf("result %d: %v", id, err)
 		}
@@ -133,8 +127,5 @@ func TestStdioRoundTrip(t *testing.T) {
 		if wantCached := id == 2; got.Cached != wantCached {
 			t.Fatalf("result %d: Cached = %v, want %v", id, got.Cached, wantCached)
 		}
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("%d stray bytes after the last result", stdout.Len())
 	}
 }

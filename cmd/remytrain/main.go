@@ -7,10 +7,11 @@
 //	remytrain -speed-min 10 -speed-max 100 -rtt 150 -senders 2 \
 //	          -buffer-bdp 5 -generations 4 -o tao10x.json
 //
-// Training distributes across processes (-shards N -shard-cmd
-// "remyshardd -stdio") and machines (-remotes host:port,... pointing
-// at remyshardd daemons); output is byte-identical to the in-process
-// search either way (docs/EXPERIMENTS.md, "Multi-machine training").
+// Training distributes over remyshardd daemons (-remotes
+// host:port,...; one lane per address, so a daemon on a loopback port
+// named twice gives two local lanes); output is byte-identical to the
+// in-process search either way (docs/EXPERIMENTS.md, "Multi-machine
+// training").
 package main
 
 import (
@@ -51,11 +52,8 @@ var (
 	dur        = flag.Float64("duration", 12, "simulated seconds per training run")
 	seed       = flag.Uint64("seed", 1, "training seed")
 	workers    = flag.Int("workers", 0, "parallel simulations (0 = NumCPU)")
-	shards     = flag.Int("shards", 1, "shard each generation across N workers (1 = in-process); output is bit-identical for any N")
-	shardCmd   = flag.String("shard-cmd", "", "worker command for -shards (e.g. 'remyshardd -stdio'); empty runs shard jobs in-process")
-	shardWkrs  = flag.Int("shard-workers", 0, "parallel simulations per shard (0 = NumCPU/shards)")
-	shardTmo   = flag.Duration("shard-timeout", 0, "kill and requeue a shard job after this long (e.g. 10m); 0 waits forever — set it to survive hung (not just crashed) workers. On -remotes lanes this bounds silence between frames (heartbeats reset it), not job length")
-	remotes    = flag.String("remotes", "", "comma-separated remyshardd worker addresses (host:port,...); each is one TCP shard lane. Remote-only unless -shards 2+ adds local lanes. Output stays byte-identical to in-process training")
+	shardTmo   = flag.Duration("shard-timeout", 0, "drop a -remotes lane's connection and requeue its jobs after this much silence (e.g. 1m; worker heartbeats reset it, so it bounds silence, not job length); 0 waits forever — set it to survive hung (not just crashed) workers")
+	remotes    = flag.String("remotes", "", "comma-separated remyshardd worker addresses (host:port,...); each is one TCP shard lane, and an address may repeat. Empty trains in process. Output stays byte-identical to in-process training")
 	evalCache  = flag.Int("eval-cache", 0, "in-process slot-cache capacity in entries (0 = default, negative disables); repeated (config, draw, tree) evaluations are served from memory, byte-identical to simulating")
 	evalDir    = flag.String("eval-cache-dir", "", "spill the in-process slot cache to this directory and reload on the next run, so warm reruns skip simulation entirely")
 	journalF   = flag.String("telemetry", "", "write one JSONL generation record (wall time, score delta, slots, cache and fabric counters) per whisker-split round to this file; fold it with scripts/telemetry-summary")
@@ -161,9 +159,6 @@ func main() {
 		Cfg:              cfg,
 		Seed:             *seed,
 		Workers:          *workers,
-		Shards:           *shards,
-		ShardCmd:         strings.Fields(*shardCmd),
-		ShardWorkers:     *shardWkrs,
 		ShardTimeout:     *shardTmo,
 		Remotes:          remoteAddrs,
 		DisableEvalCache: *evalCache < 0,

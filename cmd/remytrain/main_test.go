@@ -33,7 +33,7 @@ func TestScenarioFlagsMatchSharedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	own := []string{"-speed-min", "1", "-rtt-max", "40", "-generations", "1", "-shards", "2"}
+	own := []string{"-speed-min", "1", "-rtt-max", "40", "-generations", "1", "-shard-timeout", "1m"}
 	if err := flag.CommandLine.Parse(append(own, scenarioArgs...)); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func tinyECNVarRateConfig() Config {
 }
 
 // TestShardedTrainBitEqualECN trains the ECN distribution with the
-// fifth signal unmasked and with it knocked out, each over in-process
-// shard lanes, and requires the result byte-equal to the plain
+// fifth signal unmasked and with it knocked out, each over one and two
+// TCP worker lanes, and requires the result byte-equal to the plain
 // in-process trainer — the knockout methodology applies to ecn_frac
 // exactly as to the paper's four signals.
 func TestShardedTrainBitEqualECN(t *testing.T) {
@@ -59,22 +59,16 @@ func TestShardedTrainBitEqualECN(t *testing.T) {
 			cfg := tinyECNConfig()
 			cfg.Mask = tc.mask
 			want := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Workers: 4})
-			for _, shards := range []int{2, 3} {
-				got := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Workers: 4, Shards: shards})
-				if !bytes.Equal(got, want) {
-					t.Fatalf("shards=%d: ECN training over shard lanes changed the trained tree", shards)
-				}
-			}
+			requireRemotesBitEqual(t, cfg, seed, want)
 		})
 	}
 }
 
-// TestShardedTrainBitEqualECNVarRateSubprocess ships the full new
-// config surface — ECN flag, marking threshold, and the on/off rate
-// family — to worker processes and requires byte-equal results: the
-// new fields must survive the JSON config blob inside the binary job
-// framing.
-func TestShardedTrainBitEqualECNVarRateSubprocess(t *testing.T) {
+// TestShardedTrainBitEqualECNVarRateTCP ships the full new config
+// surface — ECN flag, marking threshold, and the on/off rate family —
+// to TCP workers and requires byte-equal results: the new fields must
+// survive the JSON config blob inside the binary job framing.
+func TestShardedTrainBitEqualECNVarRateTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
@@ -82,17 +76,7 @@ func TestShardedTrainBitEqualECNVarRateSubprocess(t *testing.T) {
 	cfg := tinyECNVarRateConfig()
 	cfg.ECNThresholdBytes = 8 * 1500
 	want := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Workers: 4})
-
-	lanes := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Workers: 4, Shards: 2})
-	if !bytes.Equal(lanes, want) {
-		t.Fatal("in-process shard lanes changed the ECN+varrate trained tree")
-	}
-
-	t.Setenv("REMY_SHARD_WORKER", "1")
-	procs := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Shards: 2, ShardCmd: workerCmd()})
-	if !bytes.Equal(procs, want) {
-		t.Fatal("worker processes changed the ECN+varrate trained tree")
-	}
+	requireRemotesBitEqual(t, cfg, seed, want)
 }
 
 // TestECNTrainingMasksDiffer guards against the fifth signal being

@@ -1,8 +1,8 @@
 package remy
 
-// The one evaluation path. Every way of training — in process, over
-// in-process lanes, worker processes or TCP daemons — scores candidate
-// trees by calling evalSlots on a contiguous range of the batch's
+// The one evaluation path. Both ways of training — in process, and
+// over remyshardd workers reached by TCP — score candidate trees by
+// calling evalSlots on a contiguous range of the batch's
 // (tree x replica) slot space: the trainer calls it directly over the
 // whole batch, a worker calls it on the range its job decoded to. The
 // memo lookup, the usage-bearing serve rule, the simulation fan-out

@@ -72,8 +72,8 @@ type GenerationRecord struct {
 // LaneRecord is one shard lane's cumulative fabric counters, folded
 // out of the metrics registry's shard_lane_* series.
 type LaneRecord struct {
-	// Lane is the lane label, "index:name" (e.g. "0:local",
-	// "1:host:port").
+	// Lane is the lane label, "index:address" (e.g.
+	// "0:127.0.0.1:7118", "1:w2:7117").
 	Lane string `json:"lane"`
 	// Jobs is the number of jobs the lane delivered, whether over its
 	// transport or via in-process fallback.

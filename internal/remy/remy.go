@@ -324,9 +324,9 @@ func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats) fl
 
 // Trainer runs the Remy search. Every candidate evaluation goes
 // through the one slot evaluator (evalslots.go): in process over the
-// whole batch, or — with Shards, ShardCmd or Remotes set — sliced into
-// self-contained jobs that shard workers decode back into slot ranges
-// (see sharding.go). The result is bit-identical either way.
+// whole batch, or — with Remotes set — sliced into self-contained jobs
+// that remyshardd workers decode back into slot ranges (see
+// sharding.go). The result is bit-identical either way.
 type Trainer struct {
 	// Cfg is the training-scenario distribution and objective.
 	Cfg Config
@@ -337,32 +337,23 @@ type Trainer struct {
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 
-	// Shards, when > 1 (or when ShardCmd is set), distributes every
-	// evaluation batch across that many shard lanes instead of
-	// evaluating it in process. Training output is bit-identical to the
-	// in-process trainer for the same Seed and Budget.
-	Shards int
-	// ShardCmd is the worker argv (e.g. {"remyshardd", "-stdio"})
-	// spawned once per shard for the duration of Train. Empty runs
-	// shard jobs in-process on goroutine lanes — the same slicing and
-	// merge path without the processes.
-	ShardCmd []string
-	// ShardWorkers bounds each shard's internal parallelism. 0 divides
-	// NumCPU evenly across shards.
+	// ShardWorkers is the internal parallelism each shard job asks for
+	// (Job.Workers); 0 means NumCPU. A remyshardd daemon overrides it
+	// with its own -workers, so it sizes only in-process fallback
+	// evaluations and workers that keep the job's figure (the
+	// benchmark's loopback servers).
 	ShardWorkers int
-	// ShardTimeout bounds one shard job round-trip; an expired job's
-	// worker is killed and the job requeued. 0 means no limit. On
-	// remote (shardnet) lanes it bounds the silence between frames —
-	// worker heartbeats reset it — so it detects dead workers without
-	// capping job length.
+	// ShardTimeout bounds the silence between frames on a worker lane
+	// — worker heartbeats reset it — so it detects dead or hung workers
+	// without capping job length; an expired wait drops the connection
+	// and requeues its jobs. 0 means no limit.
 	ShardTimeout time.Duration
-	// Remotes adds one TCP worker lane per "host:port" address (a
-	// cmd/remyshardd daemon). With Remotes set the pool is remote-only
-	// unless local lanes are explicitly requested with Shards >= 2, in
-	// which case the two kinds mix. Training
-	// output stays bit-identical to the in-process trainer; worker-side
-	// result caches change only where results come from, never their
-	// bytes.
+	// Remotes, when non-empty, distributes every evaluation batch
+	// over one TCP worker lane per "host:port" address, each a
+	// cmd/remyshardd daemon (`remyshardd -listen 127.0.0.1:PORT` on
+	// this machine, or one per worker machine). Training output stays
+	// bit-identical to the in-process trainer; worker-side result
+	// caches change only where results come from, never their bytes.
 	Remotes []string
 
 	// DisableEvalCache turns off the in-process slot cache, so every
@@ -373,7 +364,7 @@ type Trainer struct {
 	// correctness.
 	DisableEvalCache bool
 	// EvalCache, when set, is the in-process slot cache the evaluator
-	// (and the shard pool's in-process fallback lanes) consults before
+	// (and the shard pool's in-process fallback) consults before
 	// simulating. Leave nil to have Train build a default-sized one
 	// lazily that lives for the Trainer's lifetime; supply a
 	// shardnet.NewCache(n) to bound it or a shardnet.NewDiskCache to
@@ -417,8 +408,8 @@ type Trainer struct {
 
 // ShardCacheStats reports, after a sharded Train, how many shard
 // results were merged and how many of those were served verbatim from
-// worker-side result caches (shardnet workers only; local lanes never
-// report cache hits). cmd/remytrain surfaces the hit rate.
+// worker-side result caches (the in-process fallback never reports
+// cache hits). cmd/remytrain surfaces the hit rate.
 func (t *Trainer) ShardCacheStats() (hits, total uint64) {
 	return t.shardCacheHits, t.shardResults
 }
@@ -617,7 +608,7 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 	// so no batch re-marshals it.
 	t.cfgJSON, t.cfgHash = t.cfgID(cfg)
 	defer func() { t.cfgJSON = nil }()
-	if t.Shards > 1 || len(t.ShardCmd) > 0 || len(t.Remotes) > 0 {
+	if len(t.Remotes) > 0 {
 		stopShards := t.startShards()
 		defer stopShards()
 	}

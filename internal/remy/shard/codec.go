@@ -260,14 +260,22 @@ func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
 		} else {
 			c.fail("cfg_hash")
 		}
+		if c.err == nil && job.CfgHash.IsZero() {
+			// The encoder writes flag 0 for the zero hash, so this frame
+			// has no canonical form.
+			return nil, false, fmt.Errorf("shard: cfg_hash flag set on the zero hash")
+		}
 	default:
 		if c.err == nil {
 			return nil, false, fmt.Errorf("shard: bad cfg_hash flag %d", flag)
 		}
 	}
 	job.Cfg = c.blob("cfg")
+	// Each nested count is bounded by what the remaining bytes could
+	// hold at the element's minimum encoded size, so a corrupt count
+	// cannot allocate more than the frame it arrived in.
 	nTrees := int(c.u32("tree count"))
-	if c.err == nil && nTrees > len(c.b)-c.off {
+	if c.err == nil && nTrees > (len(c.b)-c.off)/4 {
 		c.fail("tree count")
 	}
 	if c.err == nil && nTrees > 0 {
@@ -297,6 +305,15 @@ func (c *cursor) flagByte(what string) byte {
 const (
 	resultFlagCached  = 1 << 0
 	resultFlagNeedCfg = 1 << 1
+	resultFlagsKnown  = resultFlagCached | resultFlagNeedCfg
+)
+
+// Minimum encoded sizes of a result's nested elements: a usage frame
+// is its replica index plus its whisker count, and a whisker is its
+// fire count plus its NumSignals sums.
+const (
+	usageFrameMinSize = 8 + 4
+	whiskerSize       = 8 + 8*remycc.NumSignals
 )
 
 // EncodeResult renders a result in the binary codec (or the JSON
@@ -344,7 +361,15 @@ func EncodeResult(res *Result, binaryCodec bool) ([]byte, error) {
 func DecodeResult(payload []byte) (*Result, error) {
 	if IsJSONPayload(payload) {
 		res := &Result{}
-		return res, unmarshalJSONFrame(payload, res)
+		if err := unmarshalJSONFrame(payload, res); err != nil {
+			return nil, err
+		}
+		for _, uf := range res.Usage {
+			if len(uf.Sum) != len(uf.Count) {
+				return nil, fmt.Errorf("shard: usage frame k=%d has %d sums for %d counts", uf.K, len(uf.Sum), len(uf.Count))
+			}
+		}
+		return res, nil
 	}
 	c := &cursor{b: payload}
 	if m := c.u32("magic"); c.err == nil && m != resultMagic {
@@ -353,6 +378,9 @@ func DecodeResult(payload []byte) (*Result, error) {
 	res := &Result{}
 	res.ID = c.u64("id")
 	flags := c.flagByte("flags")
+	if flags&^resultFlagsKnown != 0 {
+		return nil, fmt.Errorf("shard: unknown result flags %#x", flags)
+	}
 	res.Cached = flags&resultFlagCached != 0
 	res.NeedCfg = flags&resultFlagNeedCfg != 0
 	res.Err = string(c.blob("err"))
@@ -367,13 +395,13 @@ func DecodeResult(payload []byte) (*Result, error) {
 		}
 	}
 	nFrames := int(c.u32("usage count"))
-	if c.err == nil && nFrames > len(c.b)-c.off {
+	if c.err == nil && nFrames > (len(c.b)-c.off)/usageFrameMinSize {
 		c.fail("usage count")
 	}
 	for i := 0; i < nFrames && c.err == nil; i++ {
 		uf := UsageFrame{K: int(c.i64("usage k"))}
 		nw := int(c.u32("whisker count"))
-		if c.err == nil && nw > (len(c.b)-c.off)/8 {
+		if c.err == nil && nw > (len(c.b)-c.off)/whiskerSize {
 			c.fail("whisker count")
 			break
 		}
@@ -422,26 +450,6 @@ func ReadResult(r io.Reader) (*Result, error) {
 		return nil, err
 	}
 	return DecodeResult(payload)
-}
-
-// cfgSent tracks which config blobs a connection's peer already holds,
-// so a lane ships each config once and references it by hash after.
-type cfgSent map[Hash]bool
-
-// prep returns the job as the wire should carry it: the first time a
-// hash crosses this connection (or on a forced refetch) the config
-// rides inline; after that the job goes out hash-only.
-func (s cfgSent) prep(job *Job, force bool) *Job {
-	if job.CfgHash.IsZero() || len(job.Cfg) == 0 {
-		return job
-	}
-	if force || !s[job.CfgHash] {
-		s[job.CfgHash] = true
-		return job
-	}
-	stripped := *job
-	stripped.Cfg = nil
-	return &stripped
 }
 
 // DefaultConfigEntries bounds a worker's config store. Configs are a

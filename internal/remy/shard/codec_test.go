@@ -304,35 +304,71 @@ func TestConfigStore(t *testing.T) {
 	}
 }
 
-// TestCfgSentStripsAfterFirstSend checks the coordinator half of
-// config-by-hash: a connection ships a config blob once, strips it
-// from every later job with the same hash (without mutating the
-// caller's job), and re-ships it on a forced refetch.
-func TestCfgSentStripsAfterFirstSend(t *testing.T) {
-	cfg := json.RawMessage(`{"Delta":1}`)
-	job := &Job{ID: 1, CfgHash: HashBytes(cfg), Cfg: cfg}
-	sent := cfgSent{}
+// FuzzDecodeJob feeds arbitrary payloads to the job decoder — the
+// first thing a worker daemon runs on bytes from a socket. It must
+// never panic, and whatever it accepts must survive re-encoding: a
+// binary payload re-encodes to itself byte for byte, and any accepted
+// job (JSON ones included) decodes back from its binary encoding
+// unchanged.
+func FuzzDecodeJob(f *testing.F) {
+	r := rand.New(rand.NewSource(4))
+	for _, job := range append(testJobs(2, 3), randJob(r), randJob(r), randJob(r)) {
+		for _, binaryCodec := range []bool{true, false} {
+			payload, err := EncodeJob(job, binaryCodec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		job, _, err := DecodeJob(payload)
+		if err != nil {
+			return
+		}
+		wire, err := EncodeJob(job, true)
+		if err != nil {
+			t.Fatalf("accepted job does not re-encode: %v", err)
+		}
+		if !IsJSONPayload(payload) && !bytes.Equal(wire, payload) {
+			t.Fatalf("binary job re-encodes differently:\n got %x\nwant %x", wire, payload)
+		}
+		back, _, err := DecodeJob(wire)
+		if err != nil || !jobsEqual(back, job) {
+			t.Fatalf("re-encoded job decodes to %+v, %v; want %+v", back, err, job)
+		}
+	})
+}
 
-	if first := sent.prep(job, false); len(first.Cfg) == 0 {
-		t.Fatal("first send did not carry the config inline")
+// FuzzDecodeResult is FuzzDecodeJob's twin for the result decoder, the
+// coordinator's reader of worker replies.
+func FuzzDecodeResult(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 6; i++ {
+		res := randResult(r, i%2 == 0)
+		for _, binaryCodec := range []bool{true, false} {
+			payload, err := EncodeResult(res, binaryCodec)
+			if err != nil {
+				continue // the JSON codec cannot carry non-finite scores
+			}
+			f.Add(payload)
+		}
 	}
-	second := sent.prep(job, false)
-	if len(second.Cfg) != 0 {
-		t.Fatal("second send still carried the config blob")
-	}
-	if second.CfgHash != job.CfgHash {
-		t.Fatal("stripped job lost its config hash")
-	}
-	if len(job.Cfg) == 0 {
-		t.Fatal("prep mutated the caller's job")
-	}
-	if refetch := sent.prep(job, true); len(refetch.Cfg) == 0 {
-		t.Fatal("forced refetch did not carry the config inline")
-	}
-
-	// Jobs without a hash are inline-only and pass through untouched.
-	inline := &Job{ID: 2, Cfg: cfg}
-	if got := sent.prep(inline, false); got != inline || len(got.Cfg) == 0 {
-		t.Fatal("hashless job was not passed through verbatim")
-	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := DecodeResult(payload)
+		if err != nil {
+			return
+		}
+		wire, err := EncodeResult(res, true)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		if !IsJSONPayload(payload) && !bytes.Equal(wire, payload) {
+			t.Fatalf("binary result re-encodes differently:\n got %x\nwant %x", wire, payload)
+		}
+		back, err := DecodeResult(wire)
+		if err != nil || !resultsEqual(back, res) {
+			t.Fatalf("re-encoded result decodes to %+v, %v; want %+v", back, err, res)
+		}
+	})
 }

@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,17 +10,15 @@ import (
 	"learnability/internal/telemetry"
 )
 
-// Transport establishes worker connections for one pool lane. The
-// built-in ProcTransport spawns local worker processes speaking the
-// frame protocol on stdin/stdout; internal/remy/shardnet provides a TCP
-// transport for workers on other machines. Dial is called at pool
-// startup and again whenever a lane's connection fails (the
-// reconnect-with-requeue path), so a Transport must be safe to dial
-// repeatedly.
+// Transport establishes worker connections for one pool lane:
+// internal/remy/shardnet's Dialer reaches a remyshardd daemon over TCP,
+// and tests script their own. Dial is called at pool startup and again
+// whenever a lane's connection fails (the reconnect-with-requeue
+// path), so a Transport must be safe to dial repeatedly.
 type Transport interface {
 	// Dial establishes one worker connection ready for job traffic.
 	Dial() (Conn, error)
-	// Name identifies the worker for diagnostics (an argv, an address).
+	// Name identifies the worker for diagnostics (its address).
 	Name() string
 }
 
@@ -40,10 +35,10 @@ type Conn interface {
 	// the connection unusable.
 	Send(job *Job, forceCfg bool) error
 	// Recv awaits the next result frame. timeout, when positive,
-	// bounds the wait: for process connections it caps the whole wait;
-	// for transports with heartbeats (shardnet) it caps the silence
-	// between frames, so long jobs survive as long as the worker keeps
-	// proving liveness. An expired or failed Recv leaves the
+	// bounds the wait; transports with heartbeats (shardnet) apply it
+	// to the silence between frames, so long jobs survive as long as
+	// the worker keeps proving liveness. An expired or failed Recv
+	// leaves the
 	// connection unusable — the pool discards it and redials.
 	Recv(timeout time.Duration) (*Result, error)
 	// Close tears the connection down, releasing its resources and
@@ -71,105 +66,39 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 	return res, nil
 }
 
-// ProcTransport spawns a local worker process per connection, wired
-// for frame I/O on its stdin/stdout — the `remytrain -shard-cmd`
-// transport.
-type ProcTransport struct {
-	// Argv is the worker command (e.g. {"remyshardd", "-stdio"}).
-	Argv []string
-}
-
-// Dial spawns one worker process.
-func (t *ProcTransport) Dial() (Conn, error) {
-	cmd := exec.Command(t.Argv[0], t.Argv[1:]...)
-	cmd.Stderr = os.Stderr
-	in, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return &procConn{cmd: cmd, in: in, out: bufio.NewReader(out), sent: cfgSent{}}, nil
-}
-
-// Name identifies the transport by its command.
-func (t *ProcTransport) Name() string { return t.Argv[0] }
-
-// procConn is one live worker process and its pipes.
-type procConn struct {
-	cmd  *exec.Cmd
-	in   io.WriteCloser
-	out  *bufio.Reader
-	sent cfgSent
-}
-
-// Send ships one job frame to the worker process, hash-only once the
-// config has crossed this connection.
-func (c *procConn) Send(job *Job, forceCfg bool) error {
-	return WriteJob(c.in, c.sent.prep(job, forceCfg))
-}
-
-// Recv reads the worker's next result, enforcing the timeout by
-// killing the process (which errors the pending read).
-func (c *procConn) Recv(timeout time.Duration) (*Result, error) {
-	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() { c.cmd.Process.Kill() })
-		defer timer.Stop()
-	}
-	return ReadResult(c.out)
-}
-
-// Close kills and reaps the worker process.
-func (c *procConn) Close() {
-	c.in.Close()
-	c.cmd.Process.Kill()
-	c.cmd.Wait()
-}
-
 // Pool fans shard jobs out over a fixed set of worker lanes and merges
 // results by batch position, so the caller sees deterministic output
 // regardless of which lane finished which job when. Each lane is one
-// of: a worker process (Cmd set), an in-process fallback call (Cmd
-// empty — the local mode cmd/remytrain uses when no -shard-cmd is
-// given), or a remote worker reached through an entry of Transports
-// (the TCP lanes `remytrain -remotes` adds). Worker lanes pipeline:
-// each keeps up to Window jobs in flight, so a worker starts its next
-// job without waiting for the coordinator to read the last result. A
-// lane whose worker crashes, writes garbage, or exceeds Timeout is
-// reconnected and its whole in-flight window requeued for any other
-// lane; after MaxAttempts worker deliveries a job is evaluated
-// in-process, so a batch always completes with the same bits.
+// worker reached through an entry of Transports (the TCP lanes
+// `remytrain -remotes` adds). Lanes pipeline: each keeps up to Window
+// jobs in flight, so a worker starts its next job without waiting for
+// the coordinator to read the last result. A lane whose worker
+// crashes, writes garbage, or exceeds Timeout is reconnected and its
+// whole in-flight window requeued for any other lane; a lane whose
+// redial fails is dead and evaluates in-process from then on, and
+// after MaxAttempts worker deliveries a job is evaluated in-process,
+// so a batch always completes with the same bits.
 type Pool struct {
-	// Lanes is the number of local lanes: worker processes when Cmd is
-	// set, in-process fallback lanes otherwise. With Transports present
-	// it may be 0 (remote-only pools); otherwise it defaults to 1.
-	Lanes int
-	// Cmd is the local worker argv (e.g. {"remyshardd", "-stdio"}).
-	// Empty means every local lane evaluates in-process via Fallback.
-	Cmd []string
-	// Transports adds one extra lane per entry, each dialing its own
-	// worker (shardnet TCP dialers). Dial failures at Start are fatal;
-	// mid-run failures mark the lane dead after a failed redial.
+	// Transports holds one lane per entry, each dialing its own worker
+	// (shardnet TCP dialers). At least one is required. Dial failures
+	// at Start are fatal; mid-run failures mark the lane dead after a
+	// failed redial.
 	Transports []Transport
-	// Fallback evaluates a job in-process: the local mode's evaluator
-	// and the requeue path of last resort. Required.
+	// Fallback evaluates a job in-process: the requeue path of last
+	// resort and the evaluator of dead lanes. Required.
 	Fallback Eval
-	// Timeout bounds one result wait on a worker lane (for
-	// heartbeat-capable transports: the silence between frames); 0
+	// Timeout bounds one result wait on a lane (for heartbeat-capable
+	// transports: the silence between frames); 0
 	// means no limit. An expired wait tears the connection down and
 	// requeues the lane's window.
 	Timeout time.Duration
 	// MaxAttempts is the number of worker deliveries per job before
 	// the pool falls back to in-process evaluation (default 3).
 	MaxAttempts int
-	// Window is the number of jobs a worker lane keeps in flight
-	// (default 2): one evaluating, one queued behind it, so the worker
-	// never idles waiting for the next frame.
+	// Window is the number of jobs a lane keeps in flight (default 2,
+	// set by Start): one evaluating, one queued behind it, so the
+	// worker never idles waiting for the next frame. A batch should
+	// hold Window jobs per lane to keep every pipeline full.
 	Window int
 	// Metrics, when non-nil, receives per-lane fabric metrics
 	// (dispatched jobs, job latency, in-flight window occupancy,
@@ -181,8 +110,8 @@ type Pool struct {
 	lanes []*lane // built by Start; nil entries never occur
 }
 
-// lane is one worker slot: its transport (nil for in-process fallback
-// lanes) and its current connection (nil when local or dead).
+// lane is one worker slot: its transport and its current connection
+// (nil once the lane is dead).
 type lane struct {
 	transport Transport
 	conn      Conn
@@ -215,27 +144,13 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 	}
 }
 
-// NumLanes reports the pool's total lane count (local + transports) as
-// resolved by Start; callers use it to slice batches.
+// NumLanes reports the pool's lane count as resolved by Start;
+// callers use it to slice batches.
 func (p *Pool) NumLanes() int { return len(p.lanes) }
 
-// Depth reports how many jobs per lane a batch should provide to keep
-// the pipelines full: Window (as resolved by Start) when any lane has
-// a worker connection, 1 for pure in-process pools, where pipelining
-// buys nothing and finer slicing only adds merge overhead.
-func (p *Pool) Depth() int {
-	for _, l := range p.lanes {
-		if l.transport != nil {
-			return p.Window
-		}
-	}
-	return 1
-}
-
-// Start establishes every lane's worker connection (a no-op for
-// in-process lanes). A spawn or dial failure stops the pool and is
-// returned: a bad worker command or dead remote should fail loudly at
-// startup, not degrade silently.
+// Start dials every lane's worker. A pool without Transports, or a
+// dial failure, stops the pool and is returned: a dead remote should
+// fail loudly at startup, not degrade silently.
 func (p *Pool) Start() error {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
@@ -246,38 +161,17 @@ func (p *Pool) Start() error {
 	if p.Fallback == nil {
 		return fmt.Errorf("shard: pool needs a Fallback evaluator")
 	}
-	local := p.Lanes
-	if local < 1 {
-		if len(p.Transports) > 0 {
-			local = 0 // remote-only pool
-		} else {
-			local = 1
-		}
+	if len(p.Transports) == 0 {
+		return fmt.Errorf("shard: pool needs at least one Transport")
 	}
-	var localT Transport
-	if len(p.Cmd) > 0 {
-		localT = &ProcTransport{Argv: p.Cmd}
-	}
-	p.lanes = make([]*lane, 0, local+len(p.Transports))
-	for i := 0; i < local; i++ {
-		p.lanes = append(p.lanes, &lane{transport: localT})
-	}
-	for _, t := range p.Transports {
-		p.lanes = append(p.lanes, &lane{transport: t})
-	}
-	if p.Metrics != nil {
-		for i, l := range p.lanes {
-			name := "local"
-			if l.transport != nil {
-				name = l.transport.Name()
-			}
-			l.m = mkLaneMetrics(p.Metrics, i, name)
+	p.lanes = make([]*lane, len(p.Transports))
+	for i, t := range p.Transports {
+		p.lanes[i] = &lane{transport: t}
+		if p.Metrics != nil {
+			p.lanes[i].m = mkLaneMetrics(p.Metrics, i, t.Name())
 		}
 	}
 	for i, l := range p.lanes {
-		if l.transport == nil {
-			continue
-		}
 		conn, err := l.transport.Dial()
 		if err != nil {
 			p.Close()
@@ -343,10 +237,8 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	}
 
 	// Every lane races for jobs, even when the batch is smaller than
-	// the pool: lanes are heterogeneous now (a prefix cut would
-	// always idle the remote lanes, which Start appends last, keeping
-	// small batches away from worker caches). Surplus lanes just
-	// block until the batch finishes and exit.
+	// the pool; surplus lanes just block until the batch finishes and
+	// exit.
 	var wg sync.WaitGroup
 	wg.Add(len(p.lanes))
 	for _, l := range p.lanes {
@@ -365,9 +257,9 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	return results, nil
 }
 
-// runLane drives one lane until the batch finishes: in-process
-// evaluation for local or dead lanes, a pipelined window for connected
-// worker lanes (re-entered after every reconnect).
+// runLane drives one lane until the batch finishes: a pipelined
+// window while connected (re-entered after every reconnect),
+// in-process evaluation once dead.
 func (p *Pool) runLane(l *lane, queue chan *Job, done <-chan struct{}, deliver func(*Job, *Result)) {
 	for {
 		if l.conn == nil {

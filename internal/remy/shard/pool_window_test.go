@@ -11,11 +11,11 @@ import (
 // Tests for the pipelined dispatch window: a lane keeps Window jobs in
 // flight, and any transport fault requeues the entire window. The
 // scripted transport below lets a test dictate exactly when a
-// connection dies and what it answers, which real processes cannot do
+// connection dies and what it answers, which real workers cannot do
 // deterministically.
 
 // scriptTransport dials scripted connections: mkConn(n) builds the
-// n-th connection (1-based).
+// n-th connection (1-based); a nil connection is a refused dial.
 type scriptTransport struct {
 	mu     sync.Mutex
 	dials  int
@@ -27,7 +27,10 @@ func (t *scriptTransport) Dial() (Conn, error) {
 	t.dials++
 	n := t.dials
 	t.mu.Unlock()
-	return t.mkConn(n), nil
+	if c := t.mkConn(n); c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("script: dial %d refused", n)
 }
 
 func (t *scriptTransport) Name() string { return "script" }
@@ -39,18 +42,22 @@ func (t *scriptTransport) dialCount() int {
 }
 
 // scriptConn is a worker connection with programmable behavior. Its
-// send side strips configs through a cfgSent exactly like procConn, so
-// the wire stream it "carries" is the real hash-only stream; its recv
-// side plays a worker with a scriptable config store.
+// send side strips configs the way shardnet's TCP connection does (the
+// blob rides inline the first time a hash crosses, and on a forced
+// refetch), so the wire stream it "carries" is the real hash-only
+// stream; its recv side plays a worker with a scriptable config store.
 type scriptConn struct {
-	mu    sync.Mutex
-	fifo  []*Job
-	sends []sendRecord
-	sent  cfgSent
+	mu      sync.Mutex
+	fifo    []*Job
+	sends   []sendRecord
+	shipped map[Hash]bool
+	closed  bool
 	// serveBefore is how many results this connection serves before
 	// Recv starts failing (-1 = never fail).
 	serveBefore int
 	served      int
+	// failID is a job ID the worker answers with an evaluation error.
+	failID uint64
 	// known is the worker-side config store. flushEachServe empties it
 	// after every served job (a worker that keeps losing its store);
 	// alwaysNeedCfg answers NeedCfg even for inline sends (a worker
@@ -67,13 +74,22 @@ type sendRecord struct {
 }
 
 func newScriptConn(serveBefore int) *scriptConn {
-	return &scriptConn{serveBefore: serveBefore, sent: cfgSent{}, known: map[Hash]bool{}}
+	return &scriptConn{serveBefore: serveBefore, shipped: map[Hash]bool{}, known: map[Hash]bool{}}
 }
 
 func (c *scriptConn) Send(job *Job, forceCfg bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wire := c.sent.prep(job, forceCfg)
+	wire := job
+	if !job.CfgHash.IsZero() && len(job.Cfg) > 0 {
+		if forceCfg || !c.shipped[job.CfgHash] {
+			c.shipped[job.CfgHash] = true
+		} else {
+			stripped := *job
+			stripped.Cfg = nil
+			wire = &stripped
+		}
+	}
 	c.sends = append(c.sends, sendRecord{id: wire.ID, force: forceCfg, inline: len(wire.Cfg) > 0})
 	c.fifo = append(c.fifo, wire)
 	return nil
@@ -104,12 +120,19 @@ func (c *scriptConn) Recv(timeout time.Duration) (*Result, error) {
 	if c.flushEachServe {
 		c.known = map[Hash]bool{}
 	}
+	if job.ID == c.failID {
+		return &Result{ID: job.ID, Err: "script: evaluation failed"}, nil
+	}
 	res, _ := echoEval(job)
 	res.ID = job.ID
 	return res, nil
 }
 
-func (c *scriptConn) Close() {}
+func (c *scriptConn) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+}
 
 func (c *scriptConn) sendCount() int {
 	c.mu.Lock()
@@ -143,8 +166,8 @@ func TestPoolRequeuesWholeWindowOnCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if pool.Depth() != 2 {
-		t.Fatalf("Depth() = %d with a worker lane, want the default window 2", pool.Depth())
+	if pool.Window != 2 {
+		t.Fatalf("Window = %d after Start, want the default 2", pool.Window)
 	}
 
 	jobs := testJobs(4, 2)

@@ -3,9 +3,9 @@
 // generation's evaluation batch — every (candidate tree, replica)
 // slot — into self-contained Jobs, fans them out over a Pool of lanes
 // speaking length-prefixed frames (the binary v3 codec of codec.go —
-// the one wire for a job) to worker processes on stdin/stdout
-// (`remyshardd -stdio`), to TCP daemons
-// (internal/remy/shardnet) or to in-process fallback lanes, and merges
+// the one wire for a job) to remyshardd daemons over TCP
+// (internal/remy/shardnet; one machine runs `remyshardd -listen
+// 127.0.0.1:PORT` and points `remytrain -remotes` at it), and merges
 // the Results deterministically regardless of completion order.
 //
 // Determinism contract: a Job carries everything a worker needs to
@@ -23,9 +23,7 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -92,7 +90,7 @@ type Job struct {
 
 	// index is the job's position in its batch (coordinator side only).
 	index int
-	// attempts counts process deliveries tried for this job
+	// attempts counts worker deliveries tried for this job
 	// (coordinator side only).
 	attempts int
 	// sentAt stamps the job's last Send on a worker lane, for the
@@ -187,54 +185,6 @@ func ReadFrame(r io.Reader, v any) error {
 // inject fakes.
 type Eval func(*Job) (*Result, error)
 
-// ErrDied is returned by Serve when ServeOpts.DieAfter triggers; the
-// worker process should exit non-zero without replying, simulating a
-// crash for the requeue tests.
-var ErrDied = errors.New("shard: worker reached DieAfter limit")
-
-// ServeOpts tunes a worker loop.
-type ServeOpts struct {
-	// DieAfter, when positive, makes Serve return ErrDied after fully
-	// serving that many jobs — the next job is read and then abandoned
-	// without a reply, exercising the coordinator's crash requeue.
-	DieAfter int
-}
-
-// Serve runs a worker loop on r/w: read a Job frame, evaluate it,
-// write the binary Result frame, until r reaches EOF. Evaluation
-// errors are reported to the coordinator as
-// Result.Err; only transport errors (and ErrDied) are returned.
-// Inline configs of hash-bearing jobs are retained in a per-loop
-// ConfigStore so later hash-only jobs resolve locally.
-func Serve(r io.Reader, w io.Writer, eval Eval, opts ServeOpts) error {
-	br := bufio.NewReader(r)
-	store := NewConfigStore(0)
-	served := 0
-	for {
-		payload, err := ReadPayload(br)
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		job, _, err := DecodeJob(payload)
-		if err != nil {
-			return err
-		}
-		if opts.DieAfter > 0 && served >= opts.DieAfter {
-			return ErrDied
-		}
-		res := serveOne(job, eval, store)
-		if err := WriteResult(w, res); err != nil {
-			return err
-		}
-		if !res.NeedCfg {
-			served++
-		}
-	}
-}
-
 // ResolveConfig fills in a hash-only job's Cfg from the store (or
 // stores an inline one). It returns a NeedCfg Result on a store miss
 // and an error Result on a corrupt blob; nil means the job's config is
@@ -255,21 +205,4 @@ func ResolveConfig(job *Job, store *ConfigStore) *Result {
 	}
 	job.Cfg = cfg
 	return nil
-}
-
-// serveOne evaluates one job, converting version mismatches, config
-// misses, and eval failures into protocol Results.
-func serveOne(job *Job, eval Eval, store *ConfigStore) *Result {
-	if job.Version != ProtocolVersion {
-		return &Result{ID: job.ID, Err: fmt.Sprintf("protocol version %d, worker speaks %d", job.Version, ProtocolVersion)}
-	}
-	if res := ResolveConfig(job, store); res != nil {
-		return res
-	}
-	res, err := eval(job)
-	if err != nil {
-		return &Result{ID: job.ID, Err: err.Error()}
-	}
-	res.ID = job.ID
-	return res
 }

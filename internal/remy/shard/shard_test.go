@@ -3,8 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -66,104 +64,36 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestServeEvaluatesJobs(t *testing.T) {
-	var in, out bytes.Buffer
-	for _, job := range testJobs(3, 2) {
-		if err := WriteJob(&in, job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := Serve(&in, &out, echoEval, ServeOpts{}); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := ReadResult(&out)
-		if err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		if res.ID != uint64(100+i) || res.Err != "" {
-			t.Fatalf("result %d = %+v", i, res)
-		}
-		if len(res.Scores) != 2 || res.Scores[0] != float64(2*i) {
-			t.Fatalf("result %d scores = %v", i, res.Scores)
-		}
+// countingEval is echoEval counting its calls, for tests that must
+// prove the in-process fallback did (or did not) run.
+func countingEval(calls *atomic.Int64) Eval {
+	return func(job *Job) (*Result, error) {
+		calls.Add(1)
+		return echoEval(job)
 	}
 }
 
-// TestServeAnswersBinary pins the one result wire: DecodeJob still
-// accepts a JSON-encoded job (the codec tests' oracle encoding), but a
-// worker never echoes that codec back — the answer is a binary frame.
-func TestServeAnswersBinary(t *testing.T) {
-	var in, out bytes.Buffer
-	if err := WriteFrame(&in, testJobs(1, 2)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := Serve(&in, &out, echoEval, ServeOpts{}); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	payload, err := ReadPayload(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsJSONPayload(payload) {
-		t.Fatalf("worker answered a JSON job in JSON: %s", payload)
-	}
-	if res, err := DecodeResult(payload); err != nil || res.ID != 100 || len(res.Scores) != 2 {
-		t.Fatalf("binary answer = %+v, %v", res, err)
-	}
-}
-
-func TestServeRejectsVersionMismatch(t *testing.T) {
-	var in, out bytes.Buffer
-	job := testJobs(1, 1)[0]
-	job.Version = ProtocolVersion + 1
-	WriteJob(&in, job)
-	if err := Serve(&in, &out, echoEval, ServeOpts{}); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	res, err := ReadResult(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Err == "" {
-		t.Fatal("version mismatch not reported")
-	}
-}
-
-func TestServeDieAfter(t *testing.T) {
-	var in, out bytes.Buffer
-	for _, job := range testJobs(3, 1) {
-		WriteJob(&in, job)
-	}
-	err := Serve(&in, &out, echoEval, ServeOpts{DieAfter: 2})
-	if !errors.Is(err, ErrDied) {
-		t.Fatalf("serve = %v, want ErrDied", err)
-	}
-	n := 0
-	for {
-		if _, err := ReadResult(&out); err != nil {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("worker replied to %d jobs before dying, want 2", n)
-	}
-}
-
+// TestPoolLocalLanes fans a batch over four healthy lanes: results
+// come back in batch order whichever lane served them, every job is
+// delivered exactly once, and the in-process fallback never runs.
 func TestPoolLocalLanes(t *testing.T) {
-	var calls int64
-	pool := &Pool{
-		Lanes: 4,
-		Fallback: func(job *Job) (*Result, error) {
-			atomic.AddInt64(&calls, 1)
-			return echoEval(job)
-		},
+	pool := &Pool{Fallback: func(job *Job) (*Result, error) {
+		t.Error("fallback used; every lane is healthy")
+		return echoEval(job)
+	}}
+	conns := make([]*scriptConn, 4)
+	for i := range conns {
+		c := newScriptConn(-1)
+		conns[i] = c
+		pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn { return c }})
 	}
 	if err := pool.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	if pool.NumLanes() != 4 {
+		t.Fatalf("NumLanes = %d, want one per transport", pool.NumLanes())
+	}
 	jobs := testJobs(10, 3)
 	results, err := pool.Do(jobs)
 	if err != nil {
@@ -180,21 +110,27 @@ func TestPoolLocalLanes(t *testing.T) {
 			t.Fatalf("result %d scores = %v", i, res.Scores)
 		}
 	}
-	if calls != int64(len(jobs)) {
-		t.Fatalf("%d eval calls for %d jobs", calls, len(jobs))
+	served := 0
+	for _, c := range conns {
+		c.mu.Lock()
+		served += c.served
+		c.mu.Unlock()
+	}
+	if served != len(jobs) {
+		t.Fatalf("lanes served %d jobs for a batch of %d", served, len(jobs))
 	}
 }
 
+// TestPoolSurfacesEvalError has a worker answer one job with an
+// evaluation error: a deterministic failure, so the batch fails with
+// it instead of requeueing.
 func TestPoolSurfacesEvalError(t *testing.T) {
-	pool := &Pool{
-		Lanes: 2,
-		Fallback: func(job *Job) (*Result, error) {
-			if job.ID == 101 {
-				return nil, fmt.Errorf("boom")
-			}
-			return echoEval(job)
-		},
-	}
+	tr := &scriptTransport{mkConn: func(int) Conn {
+		c := newScriptConn(-1)
+		c.failID = 101
+		return c
+	}}
+	pool := &Pool{Transports: []Transport{tr, tr}, Fallback: echoEval}
 	if err := pool.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +138,26 @@ func TestPoolSurfacesEvalError(t *testing.T) {
 	if _, err := pool.Do(testJobs(4, 1)); err == nil {
 		t.Fatal("eval error not surfaced")
 	}
+	if tr.dialCount() != 2 {
+		t.Fatalf("an evaluation error caused a redial (%d dials)", tr.dialCount())
+	}
 }
 
+// TestPoolCrashedProcessFallsBack kills the lane's only connection
+// with its window in flight and refuses every redial: the lane is dead,
+// and the in-process fallback must still deliver a complete, ordered
+// batch.
 func TestPoolCrashedProcessFallsBack(t *testing.T) {
-	// A worker command that exits immediately looks like a crash on
-	// every round-trip; after MaxAttempts the pool must evaluate the
-	// job in-process and still deliver a complete, ordered batch.
-	pool := &Pool{
-		Lanes:       2,
-		Cmd:         []string{"false"},
-		MaxAttempts: 2,
-		Fallback:    echoEval,
-	}
+	tr := &scriptTransport{mkConn: func(dial int) Conn {
+		if dial == 1 {
+			return newScriptConn(0)
+		}
+		return nil
+	}}
+	var fallbacks atomic.Int64
+	pool := &Pool{Transports: []Transport{tr}, Fallback: countingEval(&fallbacks)}
 	if err := pool.Start(); err != nil {
-		t.Skipf("cannot spawn 'false': %v", err)
+		t.Fatal(err)
 	}
 	defer pool.Close()
 	jobs := testJobs(4, 2)
@@ -228,16 +170,34 @@ func TestPoolCrashedProcessFallsBack(t *testing.T) {
 			t.Fatalf("result %d = %+v", i, res)
 		}
 	}
+	if got := fallbacks.Load(); got != int64(len(jobs)) {
+		t.Fatalf("%d jobs fell back in-process, want all %d", got, len(jobs))
+	}
 }
 
+// TestPoolStartRejectsBadCommand fails the second lane's dial at
+// Start: Start must return the error and close the connection the
+// first lane already holds.
 func TestPoolStartRejectsBadCommand(t *testing.T) {
+	good := newScriptConn(-1)
 	pool := &Pool{
-		Lanes:    1,
-		Cmd:      []string{"/nonexistent/worker/binary"},
+		Transports: []Transport{
+			&scriptTransport{mkConn: func(int) Conn { return good }},
+			&scriptTransport{mkConn: func(int) Conn { return nil }},
+		},
 		Fallback: echoEval,
 	}
 	if err := pool.Start(); err == nil {
 		pool.Close()
-		t.Fatal("Start accepted a nonexistent worker command")
+		t.Fatal("Start accepted a lane whose dial failed")
+	}
+	if pool.NumLanes() != 0 {
+		t.Fatalf("failed Start left %d lanes", pool.NumLanes())
+	}
+	if !good.closed {
+		t.Fatal("failed Start leaked the first lane's connection")
+	}
+	if err := (&Pool{Fallback: echoEval}).Start(); err == nil {
+		t.Fatal("Start accepted a pool without transports")
 	}
 }

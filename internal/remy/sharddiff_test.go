@@ -1,18 +1,17 @@
 package remy
 
 // Differential tests for the sharded trainer: the headline guarantee is
-// that training with -shards N (any N, any worker transport, even with
-// workers crashing mid-run) produces a tree BYTE-EQUAL to the
-// in-process trainer for the same Seed and Budget. The subprocess tests
-// re-exec this test binary as the worker (TestShardWorkerProcess),
-// so no separate build step is needed.
+// that training over remyshardd workers (one or several lanes, every
+// topology and config family, even with workers dying mid-run)
+// produces a tree BYTE-EQUAL to the in-process trainer for the same
+// Seed and Budget. The workers are loopback TCP servers hosted by this
+// test binary (startTCPWorker), so every row crosses a real socket
+// without a separate build step.
 
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -23,39 +22,6 @@ import (
 	"learnability/internal/topo"
 	"learnability/internal/units"
 )
-
-// TestShardWorkerProcess is not a test: it is the worker half of the
-// subprocess differential tests. When re-executed with
-// REMY_SHARD_WORKER=1 it serves shard jobs on stdin/stdout and exits
-// before the testing framework can print its summary (which would
-// corrupt the frame stream). REMY_SHARD_DIE_AFTER simulates a crash
-// after that many jobs.
-func TestShardWorkerProcess(t *testing.T) {
-	if os.Getenv("REMY_SHARD_WORKER") != "1" {
-		t.Skip("worker-process helper; not a test")
-	}
-	opts := shard.ServeOpts{}
-	if s := os.Getenv("REMY_SHARD_DIE_AFTER"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			os.Exit(2)
-		}
-		opts.DieAfter = n
-	}
-	// The worker binary's evaluator (remyshardd -stdio): cached, so the
-	// subprocess rows of the matrix exercise memoization too.
-	if err := shard.Serve(os.Stdin, os.Stdout, CachedShardEval(shardnet.NewCache(0)), opts); err != nil {
-		os.Exit(3)
-	}
-	os.Exit(0)
-}
-
-// workerCmd is the argv that re-execs this test binary as a shard
-// worker (activated by REMY_SHARD_WORKER=1 in the environment, which
-// spawned processes inherit).
-func workerCmd() []string {
-	return []string{os.Args[0], "-test.run=^TestShardWorkerProcess$"}
-}
 
 // diffBudget is the budget every differential test trains under: big
 // enough to split whiskers and hill-climb (so the trajectory visits
@@ -82,59 +48,35 @@ func inProcessBytes(t *testing.T, seed uint64) []byte {
 	return trainBytes(t, &Trainer{Cfg: tinyConfig(), Seed: seed, Workers: 4})
 }
 
-func TestShardedTrainBitEqualInProcessLanes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	const seed = 7
-	want := inProcessBytes(t, seed)
-	for _, shards := range []int{1, 2, 4} {
-		tr := &Trainer{Cfg: tinyConfig(), Seed: seed, Workers: 4, Shards: shards}
-		got := trainBytes(t, tr)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d (in-process lanes): trained tree differs from in-process trainer", shards)
+// requireRemotesBitEqual trains cfg over one and over two loopback
+// TCP workers and requires each tree byte-equal to want.
+func requireRemotesBitEqual(t *testing.T, cfg Config, seed uint64, want []byte) {
+	t.Helper()
+	a, _ := startTCPWorker(t, nil)
+	b, _ := startTCPWorker(t, nil)
+	for _, remotes := range [][]string{{a}, {a, b}} {
+		if got := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Remotes: remotes}); !bytes.Equal(got, want) {
+			t.Fatalf("training over %d TCP worker lanes changed the trained tree", len(remotes))
 		}
 	}
 }
 
-func TestShardedTrainBitEqualSubprocess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	const seed = 7
-	want := inProcessBytes(t, seed)
-	t.Setenv("REMY_SHARD_WORKER", "1")
-	for _, shards := range []int{1, 2, 4} {
-		tr := &Trainer{
-			Cfg:      tinyConfig(),
-			Seed:     seed,
-			Shards:   shards,
-			ShardCmd: workerCmd(),
-		}
-		got := trainBytes(t, tr)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d (worker processes): trained tree differs from in-process trainer", shards)
-		}
-	}
-}
-
-// TestShardedTrainRequeuesKilledWorker kills every worker after its
-// third job — each lane crashes and respawns repeatedly across the
-// run, so jobs are requeued onto fresh processes mid-generation — and
-// still requires a byte-equal result.
+// TestShardedTrainRequeuesKilledWorker drops every connection of both
+// workers after its third job — each lane dies and reconnects
+// repeatedly across the run, with no healthy lane to absorb the
+// requeued jobs — and still requires a byte-equal result.
 func TestShardedTrainRequeuesKilledWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
-	t.Setenv("REMY_SHARD_WORKER", "1")
-	t.Setenv("REMY_SHARD_DIE_AFTER", "3")
+	a, _ := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
+	b, _ := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
 	tr := &Trainer{
 		Cfg:          tinyConfig(),
 		Seed:         seed,
-		Shards:       2,
-		ShardCmd:     workerCmd(),
+		Remotes:      []string{a, b},
 		ShardTimeout: time.Minute,
 	}
 	got := trainBytes(t, tr)
@@ -192,12 +134,11 @@ func tinyFatTreeConfig(routing topo.RoutingPolicy) Config {
 // guarantee to topology-bearing generations: sharded training over
 // multi-hop topology draws (family, explicit-graph, and fat-tree
 // descriptions shipped inside the job config) must match in-process
-// training byte for byte, over in-process lanes and worker processes.
+// training byte for byte, over one and over two TCP worker lanes.
 func TestShardedTrainBitEqualTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	t.Setenv("REMY_SHARD_WORKER", "1")
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -210,14 +151,7 @@ func TestShardedTrainBitEqualTopologies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed = 7
 			want := trainBytes(t, &Trainer{Cfg: tc.cfg, Seed: seed, Workers: 4})
-			lanes := trainBytes(t, &Trainer{Cfg: tc.cfg, Seed: seed, Workers: 4, Shards: 3})
-			if !bytes.Equal(lanes, want) {
-				t.Fatal("in-process shard lanes changed the trained tree")
-			}
-			procs := trainBytes(t, &Trainer{Cfg: tc.cfg, Seed: seed, Shards: 2, ShardCmd: workerCmd()})
-			if !bytes.Equal(procs, want) {
-				t.Fatal("worker processes changed the trained tree")
-			}
+			requireRemotesBitEqual(t, tc.cfg, seed, want)
 		})
 	}
 }

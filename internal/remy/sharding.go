@@ -19,32 +19,19 @@ import (
 // byte-for-byte on the trained tree).
 
 // startShards brings up the shard pool for one Train call and returns
-// its teardown. Misconfiguration (an unspawnable ShardCmd, a dead
-// remote) panics: training has no error path, and silent degradation
-// would hide a broken deployment.
+// its teardown: one lane per Remotes address. A dead remote panics:
+// training has no error path, and silent degradation would hide a
+// broken deployment.
 func (t *Trainer) startShards() (stop func()) {
-	lanes := t.Shards
-	if len(t.Remotes) > 0 {
-		// Remote-only unless local lanes were explicitly requested
-		// (Shards >= 2): a lone default lane would silently race the
-		// workers for jobs and halve any worker cache's reach.
-		if lanes <= 1 {
-			lanes = 0
-		}
-	} else if lanes < 1 {
-		lanes = 1
-	}
 	transports := make([]shard.Transport, len(t.Remotes))
 	for i, addr := range t.Remotes {
 		transports[i] = &shardnet.Dialer{Addr: addr, Metrics: t.Metrics}
 	}
 	pool := &shard.Pool{
-		Lanes:      lanes,
-		Cmd:        t.ShardCmd,
 		Transports: transports,
-		// In-process fallback lanes share the trainer's slot cache (a
-		// nil cache degrades to the plain evaluator), so local-lane and
-		// mixed-mode training memoize exactly like in-process training.
+		// The in-process fallback shares the trainer's slot cache (a
+		// nil cache degrades to the plain evaluator), so jobs that fall
+		// back memoize exactly like in-process training.
 		Fallback: CachedShardEval(t.localCache()),
 		Timeout:  t.ShardTimeout,
 		Metrics:  t.Metrics,
@@ -61,31 +48,21 @@ func (t *Trainer) startShards() (stop func()) {
 }
 
 // shardWorkers resolves the per-shard parallelism shipped in each job:
-// an explicit ShardWorkers, or NumCPU divided evenly across shards so
-// co-located workers don't oversubscribe the machine.
+// an explicit ShardWorkers, else NumCPU.
 func (t *Trainer) shardWorkers() int {
 	if t.ShardWorkers > 0 {
 		return t.ShardWorkers
 	}
-	lanes := t.Shards
-	if lanes < 1 {
-		lanes = 1
-	}
-	w := runtime.NumCPU() / lanes
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.NumCPU()
 }
 
 // slotsPerJob is the size of the contiguous slot ranges a batch of
-// nSlots is cut into for the shard pool: the pool's pipeline depth per
-// lane — Depth jobs per lane keep every worker's in-flight window full
-// (one job evaluating while the next is already queued behind it), so
-// workers never idle on coordinator round-trips. Pure in-process pools
-// report depth 1: splitting finer there only adds merge overhead.
+// nSlots is cut into for the shard pool: Window jobs per lane keep
+// every worker's in-flight window full (one job evaluating while the
+// next is already queued behind it), so workers never idle on
+// coordinator round-trips.
 func (t *Trainer) slotsPerJob(nSlots int) int {
-	jobs := max(t.shards.NumLanes(), 1) * t.shards.Depth()
+	jobs := t.shards.NumLanes() * t.shards.Window
 	jobs = min(jobs, nSlots)
 	return (nSlots + jobs - 1) / jobs
 }
@@ -115,7 +92,7 @@ func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*sh
 			// Every in-memory job keeps the config inline — the
 			// fallback path needs it, and requeues may land on a fresh
 			// connection. Each connection strips it to hash-only after
-			// its first send (see shard.cfgSent).
+			// its first send (see shardnet's tcpConn.Send).
 			Cfg:     cfgJSON,
 			CfgHash: batch.cfgHash,
 		})

@@ -15,11 +15,10 @@ import (
 // of hanging a Send forever.
 const clientWriteTimeout = time.Minute
 
-// Dialer is the client half of the TCP transport: it implements
-// shard.Transport, so `remytrain -remotes host:port,...` plugs worker
-// daemons into the same pool (and the same crash/requeue path) as
-// local lanes. Each Dial performs the magic+version handshake before
-// the connection carries a single job.
+// Dialer is the client half of the TCP transport and the one
+// shard.Transport a trainer uses: `remytrain -remotes host:port,...`
+// makes one pool lane per worker daemon. Each Dial performs the
+// magic+version handshake before the connection carries a single job.
 type Dialer struct {
 	// Addr is the worker daemon's host:port.
 	Addr string

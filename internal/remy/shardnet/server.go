@@ -55,7 +55,7 @@ type Server struct {
 	// DieAfter, when positive, drops each connection after fully
 	// serving that many jobs — the next job is read and abandoned
 	// without a reply, simulating a worker killed mid-generation for
-	// the requeue tests (the TCP twin of shard.ServeOpts.DieAfter).
+	// the requeue tests (remyshardd's REMY_SHARD_DIE_AFTER).
 	DieAfter int
 	// Log, when set, receives one line per connection event.
 	Log func(format string, args ...any)

@@ -2,11 +2,10 @@
 // transport for shard.Pool lanes (Dialer, the client half) and the
 // worker daemon's serving loop (Server, hosted by cmd/remyshardd).
 //
-// The wire format reuses the shard package's length-prefixed v3
-// frames — the binary job/result codec and config-by-hash shipping —
-// verbatim: a job crossing TCP is byte-identical to a job crossing a
-// pipe; JSON carries only the control frames below. On top of it,
-// shardnet adds what a network needs and a pipe does not:
+// The wire format is the shard package's length-prefixed v3 frames —
+// the binary job/result codec and config-by-hash shipping — verbatim;
+// JSON carries only the control frames below. On top of it, shardnet
+// adds what a network needs:
 //
 //   - a connection handshake (magic string + protocol version both
 //     ways) so mismatched builds are rejected before any job is
@@ -16,8 +15,7 @@
 //     length — a slow worker survives, a hung or dead one is detected;
 //   - reconnect-with-requeue: a failed send or receive tears the
 //     connection down and shard.Pool redials and requeues the lane's
-//     whole in-flight window, exactly like the process-lane crash
-//     path;
+//     whole in-flight window;
 //   - a content-addressed slot cache on the worker (see Cache, fed by
 //     remy.CachedShardEval): a slot's score is a pure function of
 //     (config, draw, tree), so a repeated candidate evaluation returns

@@ -189,17 +189,7 @@ func TestClientRejectsJSONResultFrame(t *testing.T) {
 // next connection.
 func TestTruncatedJobFrame(t *testing.T) {
 	addr := startServer(t, &Server{Eval: echoEval})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shard.WriteFrame(nc, &hello{Magic: Magic, Version: shard.ProtocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	var w welcome
-	if err := shard.ReadFrame(nc, &w); err != nil || !w.OK {
-		t.Fatalf("handshake: %v, ok=%v", err, w.OK)
-	}
+	nc := handshake(t, addr)
 	nc.Write([]byte{0, 0, 1, 0, 'g', 'a', 'r'}) // 256-byte promise, 3 bytes, hang up
 	nc.Close()
 
@@ -212,6 +202,137 @@ func TestTruncatedJobFrame(t *testing.T) {
 	res, err := shard.RoundTrip(conn, testJobs(1, 2)[0], time.Second)
 	if err != nil || len(res.Scores) != 2 {
 		t.Fatalf("post-truncation round-trip: %v, %+v", err, res)
+	}
+}
+
+// handshake dials addr with a raw socket and completes the client
+// handshake, for tests that write frames by hand.
+func handshake(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if err := shard.WriteFrame(nc, &hello{Magic: Magic, Version: shard.ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	var w welcome
+	if err := shard.ReadFrame(nc, &w); err != nil || !w.OK {
+		t.Fatalf("handshake: %v, ok=%v", err, w.OK)
+	}
+	return nc
+}
+
+// TestServerAnswersJSONJobInBinary pins the one result wire on the
+// server side: the job decoder still accepts a JSON-encoded job (the
+// codec tests' oracle encoding), but the worker never echoes that
+// codec back — the answer is a binary frame.
+func TestServerAnswersJSONJobInBinary(t *testing.T) {
+	nc := handshake(t, startServer(t, &Server{Eval: echoEval}))
+	if err := shard.WriteFrame(nc, testJobs(1, 2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := shard.ReadPayload(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shard.IsJSONPayload(payload) {
+		t.Fatalf("worker answered a JSON job in JSON: %s", payload)
+	}
+	if res, err := shard.DecodeResult(payload); err != nil || res.ID != 100 || len(res.Scores) != 2 {
+		t.Fatalf("binary answer = %+v, %v", res, err)
+	}
+}
+
+// TestServerRejectsJobVersionMismatch sends a job of another protocol
+// version over a connection whose handshake succeeded: the server must
+// answer it with an error result without evaluating it, and keep
+// serving the connection.
+func TestServerRejectsJobVersionMismatch(t *testing.T) {
+	var evals atomic.Int64
+	counting := func(job *shard.Job) (*shard.Result, error) {
+		evals.Add(1)
+		return echoEval(job)
+	}
+	conn, err := (&Dialer{Addr: startServer(t, &Server{Eval: counting})}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	jobs := testJobs(2, 1)
+	jobs[0].Version = shard.ProtocolVersion + 1
+	res, err := shard.RoundTrip(conn, jobs[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != jobs[0].ID || !strings.Contains(res.Err, "version") {
+		t.Fatalf("version-mismatched job answered %+v, want an error naming the version", res)
+	}
+	if evals.Load() != 0 {
+		t.Fatal("the server evaluated a version-mismatched job")
+	}
+	if res, err := shard.RoundTrip(conn, jobs[1], time.Second); err != nil || res.Err != "" || len(res.Scores) != 1 {
+		t.Fatalf("next job on the same connection = %+v, %v", res, err)
+	}
+}
+
+// TestTCPConnShipsCfgOnce checks the coordinator half of
+// config-by-hash: a connection ships a config blob once, strips it
+// from every later job with the same hash (without mutating the
+// caller's job), and re-ships it on a forced refetch; a job without a
+// hash always carries its config.
+func TestTCPConnShipsCfgOnce(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	c := &tcpConn{nc: client, sent: map[shard.Hash]bool{}}
+	defer c.Close()
+
+	cfg := []byte(`{"Delta":1}`)
+	job := &shard.Job{ID: 1, CfgHash: shard.HashBytes(cfg), Cfg: cfg}
+	hashless := &shard.Job{ID: 2, Cfg: cfg}
+	sends := []struct {
+		job    *shard.Job
+		force  bool
+		inline bool
+	}{
+		{job, false, true},
+		{job, false, false},
+		{job, true, true},
+		{hashless, false, true},
+		{hashless, false, true},
+	}
+	errs := make(chan error, 1)
+	go func() {
+		for _, s := range sends {
+			if err := c.Send(s.job, s.force); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for i, s := range sends {
+		payload, err := shard.ReadPayload(server)
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		wire, _, err := shard.DecodeJob(payload)
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if inline := len(wire.Cfg) > 0; inline != s.inline {
+			t.Fatalf("send %d carried the config inline = %v, want %v", i, inline, s.inline)
+		}
+		if wire.ID != s.job.ID || wire.CfgHash != s.job.CfgHash {
+			t.Fatalf("send %d arrived as job %d hash %s", i, wire.ID, wire.CfgHash)
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Cfg) == 0 {
+		t.Fatal("Send stripped the caller's job")
 	}
 }
 

@@ -4,8 +4,7 @@ package remy
 // over shardnet workers — loopback servers hosted inside this test
 // binary, no separate daemon build — must produce a tree BYTE-EQUAL to
 // the in-process trainer, through reconnects, a worker machine lost
-// for good mid-generation, and warm result caches. These extend the
-// pipe-transport guarantees of sharddiff_test.go to the network.
+// for good mid-generation, and warm result caches.
 
 import (
 	"bytes"
@@ -41,9 +40,8 @@ func startTCPWorker(t *testing.T, srv *shardnet.Server) (string, *shardnet.Serve
 }
 
 // TestShardedTrainBitEqualTCP is the tentpole guarantee: training over
-// TCP worker lanes — remote-only, several remotes, and remotes mixed
-// with local in-process lanes — is byte-identical to the in-process
-// trainer for the same seed and budget.
+// TCP worker lanes — one remote, or several — is byte-identical to the
+// in-process trainer for the same seed and budget.
 func TestShardedTrainBitEqualTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -58,7 +56,6 @@ func TestShardedTrainBitEqualTCP(t *testing.T) {
 	}{
 		{"remote-only", &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{a}}},
 		{"two-remotes", &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{a, b}}},
-		{"mixed-local-and-remote", &Trainer{Cfg: tinyConfig(), Seed: seed, Shards: 2, Remotes: []string{a}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := trainBytes(t, tc.tr); !bytes.Equal(got, want) {
@@ -84,6 +81,22 @@ func (l *limitListener) Accept() (net.Conn, error) {
 	return l.Listener.Accept()
 }
 
+// startVanishingWorker serves real shard jobs on a loopback listener
+// that grants conns connections, each dropped after dieAfter jobs;
+// then the worker is gone for good and redials fail.
+func startVanishingWorker(t *testing.T, conns, dieAfter int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	lim := &limitListener{Listener: ln}
+	lim.left.Store(int64(conns))
+	go (&shardnet.Server{Eval: EvalShardJob, Heartbeat: 25 * time.Millisecond, DieAfter: dieAfter}).Serve(lim)
+	return ln.Addr().String()
+}
+
 // TestShardedTrainTCPWorkerKilledMidGeneration kills one of two TCP
 // workers mid-generation — each of its connections dies after two jobs
 // (the third is read and dropped, a job lost in flight), and after two
@@ -99,21 +112,10 @@ func TestShardedTrainTCPWorkerKilledMidGeneration(t *testing.T) {
 	want := inProcessBytes(t, seed)
 
 	healthy, _ := startTCPWorker(t, nil)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	lim := &limitListener{Listener: ln}
-	lim.left.Store(2)
-	flaky := &shardnet.Server{Eval: EvalShardJob, Heartbeat: 25 * time.Millisecond, DieAfter: 2}
-	go flaky.Serve(lim)
-
 	tr := &Trainer{
 		Cfg:          tinyConfig(),
 		Seed:         seed,
-		Remotes:      []string{healthy, ln.Addr().String()},
+		Remotes:      []string{healthy, startVanishingWorker(t, 2, 2)},
 		ShardTimeout: time.Minute,
 	}
 	if got := trainBytes(t, tr); !bytes.Equal(got, want) {

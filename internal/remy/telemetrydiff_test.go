@@ -64,14 +64,16 @@ func TestTelemetryInvisibleShardedLanes(t *testing.T) {
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
+	a, _ := startTCPWorker(t, nil)
+	b, _ := startTCPWorker(t, nil)
 	var buf bytes.Buffer
 	tr := &Trainer{
-		Cfg: tinyConfig(), Seed: seed, Shards: 2,
+		Cfg: tinyConfig(), Seed: seed, Remotes: []string{a, b},
 		Metrics: telemetry.NewRegistry(),
 		Journal: telemetry.NewJournal(&buf),
 	}
 	if got := trainBytes(t, tr); !bytes.Equal(got, want) {
-		t.Fatal("telemetry changed the trained tree (local shard lanes)")
+		t.Fatal("telemetry changed the trained tree (two TCP lanes)")
 	}
 	// The lane counters must have folded into the journal's records.
 	sc := bufio.NewScanner(&buf)

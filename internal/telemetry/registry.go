@@ -15,7 +15,7 @@
 // ARCHITECTURE.md invariant 6 over this plane).
 //
 // Metric names follow subsystem_quantity_unit, with labels baked into
-// the name Prometheus-style: shard_lane_jobs_total{lane="0:local"}.
+// the name Prometheus-style: shard_lane_jobs_total{lane="0:w1:7117"}.
 // Every name registers exactly one metric; get-or-create accessors
 // return the existing metric for a known name.
 package telemetry

@@ -62,10 +62,11 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for the layout
-// written by MarshalBinary and rebuilds the lookup index. It performs
-// structural validation (magic, version, length, NaN-free actions) but
-// not the full partition check — binary trees travel between the shard
-// coordinator and its workers, which already hold a validated tree.
+// written by MarshalBinary and rebuilds the lookup index. Beyond the
+// structure (magic, version, length, NaN-free actions and domains) it
+// runs the partition check, as UnmarshalJSON does: a worker looks up
+// whiskers in every tree a job ships, and a tree with a hole in it
+// would panic there. On error t is left unchanged.
 func (t *Tree) UnmarshalBinary(data []byte) error {
 	if len(data) < treeHeaderSize {
 		return fmt.Errorf("remycc: binary tree truncated (%d bytes)", len(data))
@@ -96,6 +97,12 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 		}
 		for d := 0; d < NumSignals; d++ {
 			w.Domain.Hi[d] = f(base + NumSignals + d)
+			if math.IsNaN(w.Domain.Lo[d]) || math.IsNaN(w.Domain.Hi[d]) {
+				// A NaN edge passes every containment test, so the grid
+				// check can accept such a tree, but the lookup index
+				// cannot place it.
+				return fmt.Errorf("remycc: whisker %d has NaN domain", i)
+			}
 		}
 		w.Action.WindowMult = f(base + 2*NumSignals)
 		w.Action.WindowIncr = f(base + 2*NumSignals + 1)
@@ -104,8 +111,12 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("remycc: whisker %d has NaN action", i)
 		}
 	}
-	t.Whiskers = whiskers
-	t.buildIndex()
+	nt := Tree{Whiskers: whiskers}
+	if err := nt.Validate(); err != nil {
+		return err
+	}
+	nt.buildIndex()
+	*t = nt
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 // randomTree grows a tree through a few random splits and action
 // tweaks, mimicking what the trainer produces.
-func randomTree(t *testing.T, r *rng.Stream) *Tree {
+func randomTree(t testing.TB, r *rng.Stream) *Tree {
 	t.Helper()
 	tree := NewTree()
 	dims := []Signal{RecEWMA, SlowRecEWMA, SendEWMA, RTTRatio}
@@ -109,5 +109,23 @@ func TestTreeBinaryRejectsGarbage(t *testing.T) {
 	enc, _ := nan.MarshalBinary()
 	if _, err := DecodeTree(enc); err == nil {
 		t.Error("decode accepted NaN action")
+	}
+
+	// Trees that are well-formed bytes but no partition: a hole on a
+	// grid point (the initial memory vector among the uncovered), and a
+	// NaN edge, which every containment test passes but the lookup
+	// index cannot place.
+	holed := NewTree()
+	holed.Whiskers[0].Domain.Lo[ECNFraction] = 0.5
+	nanEdge := NewTree()
+	nanEdge.Whiskers[0].Domain.Lo[RecEWMA] = math.NaN()
+	for name, tree := range map[string]*Tree{"holed": holed, "NaN edge": nanEdge} {
+		enc, _ := tree.MarshalBinary()
+		var into Tree
+		if err := into.UnmarshalBinary(enc); err == nil {
+			t.Errorf("%s: decode accepted a tree that is no partition", name)
+		} else if into.Whiskers != nil {
+			t.Errorf("%s: a failed decode changed the tree", name)
+		}
 	}
 }

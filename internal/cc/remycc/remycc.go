@@ -165,8 +165,8 @@ func (r *RemyCC) Reset(units.Time) {
 // OnACK implements cc.Algorithm.
 func (r *RemyCC) OnACK(now units.Time, fb cc.Feedback) {
 	r.memory.Observe(fb)
-	v := r.memory.Vector()
-	i := r.tree.LookupCached(v, r.lastWhisker)
+	v := r.memory.Vector() // clamped into the domain already
+	i := r.tree.lookupHinted(&v, r.lastWhisker)
 	r.lastWhisker = i
 	if r.usage != nil {
 		r.usage.Count[i]++

@@ -73,22 +73,30 @@ func FullDomain() Box {
 	}
 }
 
+// domainTop is the memory space's upper corner: a box edge equal to it
+// is inclusive.
+var domainTop = FullDomain().Hi
+
 // Contains reports whether v lies in the box, treating coordinates at
 // the domain's upper edge as contained.
-func (b Box) Contains(v Vector) bool {
-	full := FullDomain()
+func (b Box) Contains(v Vector) bool { return b.contains(&v) }
+
+// contains is Contains without copying the box or the vector, for the
+// per-ACK lookup.
+func (b *Box) contains(v *Vector) bool {
 	for d := 0; d < NumSignals; d++ {
-		if v[d] < b.Lo[d] {
-			return false
-		}
-		if v[d] >= b.Hi[d] && b.Hi[d] != full.Hi[d] {
-			return false
-		}
-		if v[d] > b.Hi[d] {
+		if !b.containsAt(d, v[d]) {
 			return false
 		}
 	}
 	return true
+}
+
+// containsAt is Contains restricted to dimension d: a box contains a
+// vector exactly when it contains every coordinate.
+func (b *Box) containsAt(d int, x float64) bool {
+	lo, hi := b.Lo[d], b.Hi[d]
+	return !(x < lo) && !(x >= hi && hi != domainTop[d]) && !(x > hi)
 }
 
 // Whisker is one match-action rule: a domain box and the action taken
@@ -103,12 +111,14 @@ type Whisker struct {
 // the overall structure (memory definition + mapping + action
 // semantics) a Tao protocol; Tree is its learned component.
 //
-// Lookup narrows candidates through a first-dimension sorted index
-// (built at construction; trees are immutable) and scans the surviving
-// bucket. Because the whiskers partition memory space, any search order
-// returns the same unique whisker, so the index cannot change results.
-// Trees built as bare literals (no index) fall back to a full linear
-// scan. The trainer builds modified copies rather than mutating.
+// Lookup narrows candidates through a first-dimension sorted index and
+// scans the surviving bucket. The index depends on the domains alone:
+// NewTree, Split and the decoders build it, and the copies Clone and
+// WithAction make share it. Because the whiskers partition memory
+// space, any search order returns the same unique whisker, so the index
+// cannot change results. Trees built as bare literals (no index) fall
+// back to a full linear scan. Trees are immutable: the trainer builds
+// modified copies rather than mutating.
 type Tree struct {
 	// Whiskers are the match-action rules; their domains partition the
 	// memory space.
@@ -117,6 +127,7 @@ type Tree struct {
 	// idx accelerates Lookup: cuts is the ascending list of whisker
 	// boundaries along the first dimension (including the domain edges)
 	// and buckets[k] lists the whiskers overlapping [cuts[k], cuts[k+1]).
+	// It depends on the domains alone and is never modified once built.
 	idx *treeIndex
 }
 
@@ -125,9 +136,9 @@ type treeIndex struct {
 	buckets [][]int32
 }
 
-// buildIndex constructs the first-dimension interval index. It is
-// called by every Tree constructor; lookups on an unindexed tree fall
-// back to the linear scan.
+// buildIndex constructs the first-dimension interval index. Every
+// constructor that sets domains calls it; lookups on an unindexed tree
+// fall back to the linear scan.
 func (t *Tree) buildIndex() {
 	if len(t.Whiskers) == 0 {
 		t.idx = nil
@@ -172,7 +183,8 @@ func NewTree() *Tree {
 // Lookup returns the index of the whisker containing v (after clamping
 // into the domain). It panics if the partition invariant is broken.
 func (t *Tree) Lookup(v Vector) int {
-	return t.lookupClamped(v.Clamp())
+	v = v.Clamp()
+	return t.lookupClamped(&v)
 }
 
 // LookupCached returns the index of the whisker containing v, checking
@@ -181,13 +193,19 @@ func (t *Tree) Lookup(v Vector) int {
 // per-ACK lookups. A hint out of range is ignored.
 func (t *Tree) LookupCached(v Vector, hint int) int {
 	v = v.Clamp()
-	if hint >= 0 && hint < len(t.Whiskers) && t.Whiskers[hint].Domain.Contains(v) {
+	return t.lookupHinted(&v, hint)
+}
+
+// lookupHinted is LookupCached for a vector already clamped into the
+// domain, such as Memory.Vector's.
+func (t *Tree) lookupHinted(v *Vector, hint int) int {
+	if hint >= 0 && hint < len(t.Whiskers) && t.Whiskers[hint].Domain.contains(v) {
 		return hint
 	}
 	return t.lookupClamped(v)
 }
 
-func (t *Tree) lookupClamped(v Vector) int {
+func (t *Tree) lookupClamped(v *Vector) int {
 	if t.idx != nil {
 		k := sort.SearchFloat64s(t.idx.cuts, v[0])
 		// SearchFloat64s returns the first cut >= v[0]; map that to the
@@ -204,18 +222,18 @@ func (t *Tree) lookupClamped(v Vector) int {
 			k = len(t.idx.buckets) - 1
 		}
 		for _, wi := range t.idx.buckets[k] {
-			if t.Whiskers[wi].Domain.Contains(v) {
+			if t.Whiskers[wi].Domain.contains(v) {
 				return int(wi)
 			}
 		}
-		panic(fmt.Sprintf("remycc: no whisker contains %v; tree partition broken", v))
+		panic(fmt.Sprintf("remycc: no whisker contains %v; tree partition broken", *v))
 	}
 	for i := range t.Whiskers {
-		if t.Whiskers[i].Domain.Contains(v) {
+		if t.Whiskers[i].Domain.contains(v) {
 			return i
 		}
 	}
-	panic(fmt.Sprintf("remycc: no whisker contains %v; tree partition broken", v))
+	panic(fmt.Sprintf("remycc: no whisker contains %v; tree partition broken", *v))
 }
 
 // Action returns the action of whisker i.
@@ -224,13 +242,13 @@ func (t *Tree) Action(i int) Action { return t.Whiskers[i].Action }
 // Len reports the number of whiskers.
 func (t *Tree) Len() int { return len(t.Whiskers) }
 
-// Clone returns a deep copy.
+// Clone returns a copy whose whiskers can be changed without touching
+// t's. It shares t's lookup index, which depends only on the domains:
+// callers change actions, never domains.
 func (t *Tree) Clone() *Tree {
 	w := make([]Whisker, len(t.Whiskers))
 	copy(w, t.Whiskers)
-	nt := &Tree{Whiskers: w}
-	nt.buildIndex()
-	return nt
+	return &Tree{Whiskers: w, idx: t.idx}
 }
 
 // WithAction returns a copy of the tree with whisker i's action
@@ -279,39 +297,99 @@ func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 	return nt, true
 }
 
+// Validate's sample grid: gridSide points per dimension, both domain
+// edges included, gridPoints = gridSide^NumSignals in all.
+const (
+	gridShift  = 3
+	gridSide   = 1 << gridShift
+	gridPoints = 1 << (gridShift * NumSignals)
+)
+
+// gridCover counts, for every point of Validate's sample grid, the
+// whiskers containing it. A point's index holds its per-dimension grid
+// indices as gridShift-bit digits, the first dimension most
+// significant, so ascending index order is the order of a walk whose
+// outermost loop is the first dimension.
+type gridCover struct {
+	counts [gridPoints]uint8 // saturating at math.MaxUint8
+	// in[d][:n[d]] are the index offsets of the grid coordinates of
+	// dimension d that the box being added contains.
+	in [NumSignals][gridSide]int
+	n  [NumSignals]int
+}
+
+// gridStride is the index offset of one grid step in dimension d.
+func gridStride(d int) int { return 1 << (gridShift * (NumSignals - 1 - d)) }
+
+// add counts every point of the product in[d][:n[d]] × … × in[last],
+// offset by base.
+func (g *gridCover) add(d, base int) {
+	if d == NumSignals-1 {
+		for _, o := range g.in[d][:g.n[d]] {
+			if c := &g.counts[base+o]; *c < math.MaxUint8 {
+				*c++
+			}
+		}
+		return
+	}
+	for _, o := range g.in[d][:g.n[d]] {
+		g.add(d+1, base+o)
+	}
+}
+
 // Validate checks the partition invariant on a sample grid: every
 // memory point maps to exactly one whisker. It returns an error
-// describing the first violation found.
+// describing the first violation found, scanning the grid with the
+// first dimension outermost.
+//
+// Containment is a conjunction of per-dimension tests, so each whisker
+// marks the grid coordinates it contains per dimension and counts the
+// points of their product: O(gridPoints + NumSignals·gridSide·whiskers)
+// for a partition, instead of testing every whisker at every point.
 func (t *Tree) Validate() error {
 	if len(t.Whiskers) == 0 {
 		return fmt.Errorf("remycc: empty tree")
 	}
 	full := FullDomain()
-	const steps = 7
-	var v Vector
-	var walk func(d int) error
-	walk = func(d int) error {
-		if d == NumSignals {
-			n := 0
-			for i := range t.Whiskers {
-				if t.Whiskers[i].Domain.Contains(v) {
-					n++
+	const steps = gridSide - 1
+	var grid [NumSignals][gridSide]float64
+	for d := range grid {
+		for s := range grid[d] {
+			grid[d][s] = full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/steps
+		}
+	}
+	var g gridCover
+	for i := range t.Whiskers {
+		b := &t.Whiskers[i].Domain
+		for d := range grid {
+			g.n[d] = 0
+			for s, x := range grid[d] {
+				if b.containsAt(d, x) {
+					g.in[d][g.n[d]] = s * gridStride(d)
+					g.n[d]++
 				}
 			}
-			if n != 1 {
-				return fmt.Errorf("remycc: point %v contained in %d whiskers", v, n)
-			}
-			return nil
 		}
-		for s := 0; s <= steps; s++ {
-			v[d] = full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/steps
-			if err := walk(d + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+		g.add(0, 0)
 	}
-	return walk(0)
+	for p, c := range g.counts {
+		if c == 1 {
+			continue
+		}
+		var v Vector
+		for d := range v {
+			v[d] = grid[d][p/gridStride(d)%gridSide]
+		}
+		// Recount exactly: the counter saturates.
+		n := 0
+		for i := range t.Whiskers {
+			if t.Whiskers[i].Domain.contains(&v) {
+				n++
+			}
+		}
+		return fmt.Errorf("remycc: point %v contained in %d whiskers", v, n)
+	}
+	return nil
 }
 
 // MarshalJSON / UnmarshalJSON round-trip the tree for cmd/remytrain

@@ -8,12 +8,17 @@ package remy
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"learnability/internal/cc/remycc"
+	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
+	"learnability/internal/units"
 )
 
 // startTCPWorker serves real shard jobs on a loopback listener and
@@ -62,6 +67,53 @@ func TestShardedTrainBitEqualTCP(t *testing.T) {
 				t.Fatal("TCP-sharded training changed the trained tree")
 			}
 		})
+	}
+}
+
+// TestTCPWorkerAnswersHoledTreeWithError sends a worker a job whose
+// candidate tree leaves a grid point of memory space uncovered — the
+// initial memory vector, which every simulated sender looks up first.
+// The worker must answer with an error result instead of panicking in
+// the lookup (which would take the daemon down), and the same
+// connection must then serve a good job.
+func TestTCPWorkerAnswersHoledTreeWithError(t *testing.T) {
+	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	cfg := tinyConfig()
+	cfg.Duration = 2 * units.Second
+	ncfg := cfg.normalize()
+	cfgJSON, err := json.Marshal(&ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holed := remycc.NewTree()
+	holed.Whiskers[0].Domain.Lo[remycc.ECNFraction] = 0.5
+	job := func(id uint64, tree *remycc.Tree) *shard.Job {
+		enc, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &shard.Job{
+			ID: id, Version: shard.ProtocolVersion, Seed: 3, Replicas: ncfg.Replicas, UsageFor: -1,
+			SlotLo: 0, SlotHi: ncfg.Replicas, Trees: [][]byte{enc}, Cfg: cfgJSON,
+		}
+	}
+
+	res, err := shard.RoundTrip(conn, job(1, holed), time.Minute)
+	if err != nil {
+		t.Fatalf("holed tree: %v", err)
+	}
+	if !strings.Contains(res.Err, "contained in 0 whiskers") {
+		t.Fatalf("holed tree answered %+v, want the partition error", res)
+	}
+	res, err = shard.RoundTrip(conn, job(2, remycc.NewTree()), time.Minute)
+	if err != nil || res.Err != "" || len(res.Scores) != ncfg.Replicas {
+		t.Fatalf("good job on the same connection = %+v, %v", res, err)
 	}
 }
 

@@ -120,10 +120,7 @@ func (n *Network) Sample(interval units.Duration, fn func(now units.Time)) {
 // flows' stats in flow order.
 func (n *Network) Run(duration units.Duration) []*FlowStats {
 	for _, f := range n.Flows {
-		f := f
-		f.Workload.Start(n.Sched, func(on bool) {
-			f.Sender.SetOn(n.Sched.Now(), on)
-		})
+		f.Workload.Start(n.Sched, f.Sender.setOnFn)
 	}
 	end := units.Time(0).Add(duration)
 	n.Sched.Run(end)

@@ -85,6 +85,10 @@ type Sender struct {
 	// timer on the per-ACK path does not allocate a closure.
 	onTimeoutFn func()
 	paceFn      func()
+	// setOnFn is SetOn at the scheduler's clock, the callback a
+	// workload's on/off transitions are handed, bound once as well so
+	// starting a run does not allocate one per flow.
+	setOnFn func(on bool)
 
 	// nextSendTime is the earliest time the next packet may leave,
 	// according to the algorithm's pacing interval.
@@ -112,6 +116,7 @@ func NewSender(sched *sim.Scheduler, flow int, alg cc.Algorithm, egress Delivere
 	}
 	s.onTimeoutFn = func() { s.onTimeout(s.sched.Now()) }
 	s.paceFn = func() { s.trySend(s.sched.Now()) }
+	s.setOnFn = func(on bool) { s.SetOn(s.sched.Now(), on) }
 	return s
 }
 

@@ -122,6 +122,13 @@ func (c *Config) normalize() Config {
 	if out.Duration <= 0 {
 		out.Duration = 16 * units.Second
 	}
+	// A topology other than the dumbbell fixes the flow count (sample
+	// ignores the range), so that count is the normalized range: a
+	// normalized config, such as the one a shard job ships, validates
+	// as the one it came from.
+	if n := out.Topology.FlowCount(0); out.Topology.Kind != scenario.KindDumbbell && n > 0 {
+		out.SendersMin, out.SendersMax = n, n
+	}
 	if out.SendersMin <= 0 {
 		out.SendersMin = 1
 	}

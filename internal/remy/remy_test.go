@@ -80,6 +80,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := pl.Validate(); err != nil {
 		t.Fatalf("valid parking-lot config rejected: %v", err)
 	}
+	// A worker validates the normalized config a job ships; it must
+	// pass wherever the original did.
+	ft := pl
+	ft.Topology = scenario.FatTreeTopology(4, topo.Spray)
+	for _, c := range []Config{good, pl, ft} {
+		if n := c.normalize(); n.Validate() != nil {
+			t.Fatalf("normalized %v config rejected: %v", c.Topology.Kind, n.Validate())
+		}
+	}
 	for name, mutate := range map[string]func(*Config){
 		"zero hops":      func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindParkingLot} },
 		"nil graph":      func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindGraph} },

@@ -18,6 +18,8 @@ import (
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
+	"learnability/internal/scenario"
+	"learnability/internal/topo"
 	"learnability/internal/units"
 )
 
@@ -114,6 +116,55 @@ func TestTCPWorkerAnswersHoledTreeWithError(t *testing.T) {
 	res, err = shard.RoundTrip(conn, job(2, remycc.NewTree()), time.Minute)
 	if err != nil || res.Err != "" || len(res.Scores) != ncfg.Replicas {
 		t.Fatalf("good job on the same connection = %+v, %v", res, err)
+	}
+}
+
+// TestTCPWorkerAnswersInvalidConfigWithError ships a worker a config
+// that fails Config.Validate — a fat tree of odd arity, which the
+// simulator would panic on — and requires an error result instead of a
+// dead daemon. The config must not be remembered: a good job on the
+// same connection is served, and the bad config, sent again, is
+// rejected again.
+func TestTCPWorkerAnswersInvalidConfigWithError(t *testing.T) {
+	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	tree, err := remycc.NewTree().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(id uint64, cfg Config) *shard.Job {
+		ncfg := cfg.normalize()
+		cfgJSON, err := json.Marshal(&ncfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &shard.Job{
+			ID: id, Version: shard.ProtocolVersion, Seed: 3, Replicas: ncfg.Replicas, UsageFor: -1,
+			SlotLo: 0, SlotHi: ncfg.Replicas, Trees: [][]byte{tree}, Cfg: cfgJSON,
+		}
+	}
+	bad := tinyConfig()
+	bad.Topology = scenario.FatTreeTopology(3, topo.ECMP)
+	good := tinyConfig()
+	good.Duration = 2 * units.Second
+
+	for id, cfg := range []Config{bad, good, bad} {
+		res, err := shard.RoundTrip(conn, job(uint64(id+1), cfg), time.Minute)
+		if err != nil {
+			t.Fatalf("job %d: %v", id+1, err)
+		}
+		if cfg.Topology.Kind == scenario.KindFatTree {
+			if !strings.Contains(res.Err, "fat-tree arity must be even") {
+				t.Fatalf("job %d with an odd-arity fat tree answered %+v, want the arity error", id+1, res)
+			}
+		} else if res.Err != "" || len(res.Scores) != good.normalize().Replicas {
+			t.Fatalf("good job on the same connection = %+v", res)
+		}
 	}
 }
 

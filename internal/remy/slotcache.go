@@ -133,7 +133,8 @@ var cfgDecodeMemo = fifoMemo[shard.Hash, *Config]{max: 16}
 
 // decodeShardConfig returns the job's normalized training config and
 // its content hash, memoized by that hash so only the first job of a
-// run pays the JSON decode.
+// run pays the JSON decode. A config that fails Validate is an error
+// (the simulator would panic on it) and is not memoized.
 func decodeShardConfig(job *shard.Job) (*Config, shard.Hash, error) {
 	h := job.CfgHash
 	if h.IsZero() {
@@ -145,6 +146,9 @@ func decodeShardConfig(job *shard.Job) (*Config, shard.Hash, error) {
 	var decoded Config
 	if err := json.Unmarshal(job.Cfg, &decoded); err != nil {
 		return nil, h, fmt.Errorf("remy: decode shard config: %w", err)
+	}
+	if err := decoded.Validate(); err != nil {
+		return nil, h, fmt.Errorf("remy: invalid shard config: %w", err)
 	}
 	decoded = decoded.normalize()
 	return cfgDecodeMemo.add(h, &decoded), h, nil

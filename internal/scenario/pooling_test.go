@@ -115,7 +115,7 @@ func cutOffMidFlight(t *testing.T) {
 		{Alg: cubic.New(), Delta: 1, Workload: workload.AlwaysOn{}},
 	}
 	MustRun(cut)
-	w := idleWorld(t, 1, 2)
+	w := idleWorld(t, cut)
 	l := w.Net.Links[0]
 	if inProp := l.InFlight() - l.Queue().Len(); inProp < 2 {
 		t.Fatalf("run ended with %d packets serializing or in propagation; want several", inProp)
@@ -135,7 +135,7 @@ func cutOffMidFlight(t *testing.T) {
 		next.Seed = rng.New(seed)
 		next.BufferBDP = 0.25
 		got := MustRun(next)
-		if idleWorld(t, 1, 2) != w {
+		if idleWorld(t, next) != w {
 			t.Fatal("the run did not recycle the cut-off world")
 		}
 		mustEqual(t, "after cut-off run", got, runFresh(next))

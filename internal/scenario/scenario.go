@@ -392,6 +392,10 @@ func (s *Spec) linkRate(i int) units.Rate {
 // spec's rates and delays, explicit graphs are validated and returned
 // as-is. Per-flow propagation, minimum RTT, and fair share all derive
 // from this graph.
+//
+// The returned graph is read-only. An explicit graph is the spec's
+// own, and a fat tree's Routes are shared with every other layout of
+// the same arity and placement (each layout gets its own Edges).
 func (s *Spec) Layout() (*topo.Graph, error) {
 	if err := s.Topology.Validate(); err != nil {
 		return nil, err
@@ -439,9 +443,10 @@ func (s *Spec) Layout() (*topo.Graph, error) {
 // spec's rates, per-tier delays derived from MinRTT (an inter-pod flow
 // crosses 6 links each way, so each hop contributes MinRTT/12 of
 // propagation and the farthest flows see exactly MinRTT), the spec's
-// routing policy, and the declared flow placement.
+// routing policy, and the declared flow placement. The routes come
+// from the placement's skeleton, built once and shared; only the edges
+// are the spec's.
 func (s *Spec) fatTreeLayout() (*topo.Graph, error) {
-	t := s.Topology
 	if s.MinRTT <= 0 {
 		return nil, fmt.Errorf("scenario: fat-tree with non-positive MinRTT %v", s.MinRTT)
 	}
@@ -452,19 +457,40 @@ func (s *Spec) fatTreeLayout() (*topo.Graph, error) {
 	if s.LinkSpeed <= 0 {
 		return nil, fmt.Errorf("scenario: fat-tree with non-positive link speed %v", s.LinkSpeed)
 	}
-	ft, err := topo.FatTree(t.FatTreeK, s.LinkSpeed, topo.FatTreeDelays{Host: hop, Pod: hop, Core: hop})
+	sk, err := runPool.skeleton(s.Topology)
 	if err != nil {
 		return nil, err
 	}
-	for i := range ft.G.Edges {
-		if r := s.linkRate(i); r != ft.G.Edges[i].Rate {
-			if r <= 0 {
-				return nil, fmt.Errorf("scenario: fat-tree link %d has non-positive speed %v", i, r)
-			}
-			ft.G.Edges[i].Rate = r
-		}
+	g := &topo.Graph{Edges: make([]topo.Edge, sk.edges), Routes: sk.routes, Routing: s.Topology.Routing}
+	for i := range g.Edges {
+		g.Edges[i] = topo.Edge{Rate: s.linkRate(i), Prop: hop}
 	}
-	ft.G.Routing = t.Routing
+	return g, nil
+}
+
+// skeleton is the part of a fat-tree layout that depends only on the
+// arity and the placement: how many edges the fabric has and every
+// flow's route set. Layouts share its routes read-only.
+type skeleton struct {
+	edges  int
+	routes []topo.Route
+}
+
+// skeletonKey is what a fat tree's routes depend on.
+type skeletonKey struct {
+	k         int
+	placement Placement
+	incastN   int
+}
+
+// newSkeleton routes the topology's placement over its fabric. The
+// fabric's rates and delays are placeholders: a skeleton keeps only
+// the edge count and the routes.
+func newSkeleton(t Topology) (skeleton, error) {
+	ft, err := topo.FatTree(t.FatTreeK, 1, topo.FatTreeDelays{})
+	if err != nil {
+		return skeleton{}, err
+	}
 	switch t.Placement {
 	case PlacementPermutation:
 		err = ft.AddPermutation()
@@ -476,9 +502,9 @@ func (s *Spec) fatTreeLayout() (*topo.Graph, error) {
 		err = fmt.Errorf("scenario: unknown fat-tree placement %d", t.Placement)
 	}
 	if err != nil {
-		return nil, err
+		return skeleton{}, err
 	}
-	return &ft.G, nil
+	return skeleton{edges: len(ft.G.Edges), routes: ft.G.Routes}, nil
 }
 
 // Result reports one flow's outcome.
@@ -499,28 +525,40 @@ type Result struct {
 // order. It returns an error for an invalid spec (bad topology,
 // sender-count mismatch, missing seed, ...).
 //
-// Run has one path. It takes a world of the layout's shape from the
-// pool earlier runs left (scheduler arena, packet free list, per-flow
-// rings and queues already grown to a working set, next-hop tables
-// compiled) and builds only what that world cannot supply: a link's
-// queue is kept when this spec would build the same one, the route
-// tables when the routes and policy are unchanged (topo.World.Rebuild).
-// With no world to take it builds one (topo.NewWorld); either way the
-// world goes back to the pool afterwards. The fresh-world oracle the
-// differential tests compare against is Build followed by Finish,
-// which never touches the pool.
+// Run has one path. It takes a world from the pool earlier runs left
+// (scheduler arena, packet free list, per-flow rings and queues
+// already grown to a working set, next-hop tables compiled), one of the
+// layout's shape, gateway discipline and routing policy, and builds
+// only what that world cannot supply: a link's queue is kept when this
+// spec would build the same one, the route tables when the routes and
+// policy are unchanged (topo.World.Rebuild). With no world to take it
+// builds one (topo.NewWorld); either way the world goes back to the
+// pool afterwards. The fresh-world oracle the differential tests
+// compare against is Build followed by Finish, which never touches the
+// pool's worlds.
 func Run(spec Spec) ([]Result, error) {
 	lay, flows, err := spec.plan()
 	if err != nil {
 		return nil, err
 	}
-	k := worldKey{links: len(lay.Edges), flows: len(lay.Routes)}
-	w := takeWorld(k)
+	k := spec.worldKey(lay)
+	w, err := spec.host(runPool.take(k), lay, flows)
+	if err != nil {
+		return nil, err
+	}
+	res := finish(spec, lay, w.Net)
+	runPool.put(k, w)
+	return res, nil
+}
+
+// host readies a world to run the spec's layout and flows: w rebuilt
+// when there is one to take over, a new world when w is nil.
+func (s *Spec) host(w *topo.World, lay *topo.Graph, flows []topo.FlowSpec) (*topo.World, error) {
 	var links []*netsim.Link
 	if w != nil {
 		links = w.Net.Links
 	}
-	queues, err := spec.queues(lay, links)
+	queues, err := s.queues(lay, links)
 	if err != nil {
 		return nil, err
 	}
@@ -532,54 +570,101 @@ func Run(spec Spec) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec.attach(w.Net)
-	res := finish(spec, lay, w.Net)
-	putWorld(k, w)
-	return res, nil
+	s.attach(w.Net)
+	return w, nil
 }
 
-// worldKey identifies the pool bucket a world can be recycled from:
-// its shape (link and flow counts), the only thing topo.World.Rebuild
-// cannot re-derive. Everything else — rates, delays, queues,
-// algorithms, workloads, paths — is per-run.
-type worldKey struct{ links, flows int }
+// worldKey identifies the pool bucket a world can be recycled from: its
+// shape (link and flow counts), which topo.World.Rebuild cannot change,
+// and what it would otherwise rebuild — the gateway discipline (every
+// queue) and the routing policy (every route table). Every part is a
+// property of the spec, never of a workload; a run whose world was last
+// used by a spec of the same key keeps its queues and, for the same
+// routes, its tables.
+// Everything else — rates, delays, buffer sizes, algorithms, workloads
+// — is re-derived per run.
+type worldKey struct {
+	links, flows int
+	buffering    Buffering
+	ecn          bool
+	routing      topo.RoutingPolicy
+}
 
-// worldPoolCap bounds how many idle worlds each shape retains;
-// beyond it, finished worlds are dropped to the garbage collector.
-// Callers run at most a handful of scenarios concurrently per shape
-// (the trainer's evaluation workers), so a small per-shape stack
-// captures the reuse without hoarding arenas.
+// worldKey is the pool bucket of a run of the spec over lay.
+func (s *Spec) worldKey(lay *topo.Graph) worldKey {
+	return worldKey{
+		links: len(lay.Edges), flows: len(lay.Routes),
+		buffering: s.Buffering, ecn: s.ECN, routing: lay.Routing,
+	}
+}
+
+// worldPoolCap bounds how many idle worlds each key retains; beyond
+// it, finished worlds are dropped to the garbage collector. Callers run
+// at most a handful of scenarios concurrently per key (the trainer's
+// evaluation workers), so a small per-key stack captures the reuse
+// without hoarding arenas.
 const worldPoolCap = 8
 
-var (
-	worldMu   sync.Mutex
-	worldPool = map[worldKey][]*topo.World{}
-)
+// pool is what runs leave for later runs: idle worlds by worldKey, and
+// fat-tree skeletons by skeletonKey. Worlds are taken and put back
+// whole; skeletons are built once and only read.
+type pool struct {
+	mu        sync.Mutex
+	worlds    map[worldKey][]*topo.World
+	skeletons map[skeletonKey]skeleton
+}
 
-// takeWorld pops an idle same-shape world, or returns nil when the
-// caller should build one.
-func takeWorld(k worldKey) *topo.World {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	ws := worldPool[k]
+// runPool is the pool Run, Build and Layout share.
+var runPool = pool{
+	worlds:    map[worldKey][]*topo.World{},
+	skeletons: map[skeletonKey]skeleton{},
+}
+
+// take pops an idle world of key k, or returns nil when the caller
+// should build one.
+func (p *pool) take(k worldKey) *topo.World {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ws := p.worlds[k]
 	n := len(ws)
 	if n == 0 {
 		return nil
 	}
 	w := ws[n-1]
 	ws[n-1] = nil
-	worldPool[k] = ws[:n-1]
+	p.worlds[k] = ws[:n-1]
 	return w
 }
 
-// putWorld returns a finished world to its shape's pool, unless the
-// pool is full.
-func putWorld(k worldKey, w *topo.World) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	if len(worldPool[k]) < worldPoolCap {
-		worldPool[k] = append(worldPool[k], w)
+// put returns a finished world to its key's stack, unless the stack
+// is full.
+func (p *pool) put(k worldKey, w *topo.World) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.worlds[k]) < worldPoolCap {
+		p.worlds[k] = append(p.worlds[k], w)
 	}
+}
+
+// skeleton returns the fat-tree topology's skeleton, building it on
+// first use. A placement other than incast ignores IncastN, so it does
+// not enter the key.
+func (p *pool) skeleton(t Topology) (skeleton, error) {
+	k := skeletonKey{k: t.FatTreeK, placement: t.Placement}
+	if t.Placement == PlacementIncast {
+		k.incastN = t.IncastN
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if sk, ok := p.skeletons[k]; ok {
+		return sk, nil
+	}
+	sk, err := newSkeleton(t)
+	if err != nil {
+		return skeleton{}, err
+	}
+	p.skeletons[k] = sk
+	return sk, nil
 }
 
 // MustRun is Run for specs known to be valid (experiment runners and

@@ -2,6 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"learnability/internal/cc"
@@ -107,14 +111,19 @@ func fabricSpec(routing topo.RoutingPolicy, buf Buffering, ecn bool, alg func() 
 	return spec
 }
 
-// idleWorld is the world the next Run of this shape will take.
-func idleWorld(t *testing.T, links, flows int) *topo.World {
+// idleWorld is the world the next Run of the spec will take.
+func idleWorld(t *testing.T, spec Spec) *topo.World {
 	t.Helper()
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	ws := worldPool[worldKey{links, flows}]
+	lay, err := spec.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := spec.worldKey(lay)
+	runPool.mu.Lock()
+	defer runPool.mu.Unlock()
+	ws := runPool.worlds[k]
 	if len(ws) == 0 {
-		t.Fatalf("no idle %d-link %d-flow world", links, flows)
+		t.Fatalf("no idle world for %+v", k)
 	}
 	return ws[len(ws)-1]
 }
@@ -125,9 +134,12 @@ func idleWorld(t *testing.T, links, flows int) *topo.World {
 // mode on a kept queue, and all the way back, and requires every run
 // to equal a new world's in every flow's statistics, every link's
 // packet counts and every queue's counters, not only in the Results.
-// What it catches: next-hop tables kept across a routes or policy
-// change, spray cursors that carry over, and a kept queue with the last
-// run's recorder, marking mode, bins or CoDel drop schedule.
+// The pool keeps a world per discipline and policy, so the test hands
+// the one world to every spec itself, through the path Run takes
+// (Spec.host, topo.World.Rebuild). What it catches: next-hop tables
+// kept across a routes or policy change, spray cursors that carry
+// over, and a kept queue with the last run's recorder, marking mode,
+// bins or CoDel drop schedule.
 func TestWorldPoolFlips(t *testing.T) {
 	type step struct {
 		routing topo.RoutingPolicy
@@ -157,25 +169,31 @@ func TestWorldPoolFlips(t *testing.T) {
 		steps = append(steps, steps[i])
 	}
 
-	var world *topo.World
+	var w *topo.World
 	var kept, compiled int
 	for i, st := range steps {
 		mk := func() Spec { return fabricSpec(st.routing, st.buf, st.ecn, st.alg, uint64(100+i)) }
 		label := fmt.Sprintf("step %d (%v, buffering %d, ecn %v)", i, st.routing, st.buf, st.ecn)
 
 		var before []queue.Discipline
-		if world != nil {
-			for _, l := range world.Net.Links {
+		if w != nil {
+			for _, l := range w.Net.Links {
 				before = append(before, l.Queue())
 			}
 		}
-		got := MustRun(mk())
-		w := idleWorld(t, 96, 16)
-		if world == nil {
-			world = w
-		} else if w != world {
+		run := mk()
+		lay, flows, err := run.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := w
+		if w, err = run.host(w, lay, flows); err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && w != prev {
 			t.Fatalf("%s ran on another world", label)
 		}
+		got := finish(run, lay, w.Net)
 		if before != nil && before[0] == w.Net.Links[0].Queue() {
 			kept++
 		}
@@ -218,14 +236,15 @@ func TestWorldPoolFlips(t *testing.T) {
 // different placement under the same policy is.
 func TestWorldKeepsRouteTables(t *testing.T) {
 	alg := func() cc.Algorithm { return cubic.New() }
-	MustRun(fabricSpec(topo.Spray, FiniteDropTail, false, alg, 1))
-	w := idleWorld(t, 96, 16)
+	first := fabricSpec(topo.Spray, FiniteDropTail, false, alg, 1)
+	MustRun(first)
+	w := idleWorld(t, first)
 	uplink := w.Net.Links[0] // host 0's, where flow 0 picks its aggregation switch
 	if uplink.Fanout(0) != 2 {
 		t.Fatalf("flow 0 has %d candidates at its uplink, want the pod's 2 aggregation switches", uplink.Fanout(0))
 	}
 	allocs := testing.AllocsPerRun(1, func() { MustRun(fabricSpec(topo.Spray, FiniteDropTail, false, alg, 2)) })
-	if idleWorld(t, 96, 16) != w {
+	if idleWorld(t, first) != w {
 		t.Fatal("rerun took another world")
 	}
 	// A recompile makes a table per link and a candidate set per
@@ -250,7 +269,7 @@ func TestWorldKeepsRouteTables(t *testing.T) {
 	spec := fabricSpec(topo.Spray, FiniteDropTail, false, alg, 3)
 	spec.Topology = GraphTopology(&ft.G)
 	got := MustRun(spec)
-	if idleWorld(t, 96, 16) != w {
+	if idleWorld(t, spec) != w {
 		t.Fatal("graph run took another world")
 	}
 	if uplink.NextHop(0) != netsim.Deliverer(w.Net.Links[ft.HostDownlink(1)]) {
@@ -260,22 +279,33 @@ func TestWorldKeepsRouteTables(t *testing.T) {
 }
 
 // fabricRunAllocs is the allocation budget of one pooled k=4 fat-tree
-// Run whose world already holds this spec's queues and routes: the
-// layout graph (≈ 230: the fabric's edges and index tables, then four
-// six-hop paths for each of 16 flows), 16 senders' controller and
-// workload state, and the result slices. The gateway queues, the
-// next-hop tables and the packet population contribute nothing. Before
-// the fabric hot path was flattened this was ≈ 110 000 with sfqCoDel.
-const fabricRunAllocs = 400
+// Run whose world already holds this spec's queues and routes: ≈ 130,
+// nearly all of it the 16 senders' own state — a controller, an
+// exponential on/off source with its stream and the closures its Start
+// arms — and the rest the layout's edges (its routes are the shared
+// skeleton), the graph check, the fair-share table and the result
+// slices. The gateway queues, the next-hop tables and the packet
+// population contribute nothing: rebuilding the 96 queues or
+// recompiling the tables would each cost at least one allocation per
+// link on top. It was 400 while every layout rebuilt its 96-edge graph
+// and 16 routes, and ≈ 110 000 with sfqCoDel before the fabric hot path
+// was flattened.
+const fabricRunAllocs = 150
 
 // TestPooledFabricRunAllocationBudget holds a pooled fat-tree Run to
-// that budget under every gateway queue.
+// that budget under every gateway queue, and then along eval-fabric's
+// own order: three routing policies, each over drop-tail, sfqCoDel and
+// CoDel+ECN, two algorithms apiece. The first walk stocks the pool with
+// a world per discipline and policy; on the second, every run must take
+// the world the same key left, keep all of its queues and stay within
+// the budget, which a route-table recompile would break.
 func TestPooledFabricRunAllocationBudget(t *testing.T) {
-	for _, q := range []struct {
+	queues := []struct {
 		name string
 		buf  Buffering
 		ecn  bool
-	}{{"droptail", FiniteDropTail, false}, {"sfqcodel", SfqCoDel, false}, {"codel+ecn", CoDelAQM, true}} {
+	}{{"droptail", FiniteDropTail, false}, {"sfqcodel", SfqCoDel, false}, {"codel+ecn", CoDelAQM, true}}
+	for _, q := range queues {
 		t.Run(q.name, func(t *testing.T) {
 			spec := func(seed uint64) Spec {
 				return fabricSpec(topo.Adaptive, q.buf, q.ecn, func() cc.Algorithm { return cubic.New() }, seed)
@@ -293,6 +323,119 @@ func TestPooledFabricRunAllocationBudget(t *testing.T) {
 			}
 			t.Logf("%v allocations per pooled run", allocs)
 		})
+	}
+	t.Run("eval-fabric-order", func(t *testing.T) {
+		algs := []func() cc.Algorithm{
+			func() cc.Algorithm { return cubic.New() },
+			func() cc.Algorithm { return newreno.New() },
+		}
+		for walk := 0; walk < 2; walk++ {
+			op := 0
+			for _, r := range []topo.RoutingPolicy{topo.ECMP, topo.Spray, topo.Adaptive} {
+				for _, q := range queues {
+					for _, alg := range algs {
+						op++
+						spec := func() Spec { return fabricSpec(r, q.buf, q.ecn, alg, uint64(op)) }
+						if walk == 0 {
+							MustRun(spec())
+							continue
+						}
+						label := fmt.Sprintf("second walk, %v/%s op %d", r, q.name, op)
+						w := idleWorld(t, spec())
+						var kept []queue.Discipline
+						for _, l := range w.Net.Links {
+							kept = append(kept, l.Queue())
+						}
+						allocs := mallocs(func() { MustRun(spec()) })
+						if idleWorld(t, spec()) != w {
+							t.Fatalf("%s: the run took another world", label)
+						}
+						for li, l := range w.Net.Links {
+							if l.Queue() != kept[li] {
+								t.Fatalf("%s: link %d got a new queue", label, li)
+							}
+						}
+						if allocs > fabricRunAllocs {
+							t.Fatalf("%s: %v allocations, budget %d", label, allocs, fabricRunAllocs)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// mallocs counts the heap allocations of one call of f. Unlike
+// testing.AllocsPerRun it runs f once, with no warm-up call that could
+// do the rebuilding the count is meant to catch.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSharedSkeletonRunsConcurrently runs k=4 permutation fat trees —
+// one skeleton — from four goroutines at once, at different link speeds
+// and propagation delays and under different routing policies, and
+// requires every result to equal Build+Finish of the same spec (which
+// lays out from the same skeleton). Run
+// under -race it also shows that layouts only read the shared routes;
+// afterwards the skeleton must still equal a new one.
+func TestSharedSkeletonRunsConcurrently(t *testing.T) {
+	routings := []topo.RoutingPolicy{topo.ECMP, topo.Spray, topo.Adaptive, topo.Spray}
+	spec := func(g, i int) Spec {
+		s := fabricSpec(routings[g], FiniteDropTail, false, func() cc.Algorithm { return cubic.New() }, uint64(10*g+i))
+		s.LinkSpeed = units.Rate(8*(g+1)) * units.Mbps
+		s.MinRTT = units.Duration(12*(g+1)) * units.Millisecond
+		if g == 3 {
+			s.LinkSpeeds = []units.Rate{units.Mbps, 0, 2 * units.Mbps} // hosts 0 and 1's uplinks slower
+		}
+		return s
+	}
+	sa, sb := spec(0, 0), spec(3, 0)
+	a, _ := sa.Layout()
+	b, _ := sb.Layout()
+	if &a.Routes[0] != &b.Routes[0] || &a.Edges[0] == &b.Edges[0] || a.Edges[0] == b.Edges[0] {
+		t.Fatal("two layouts of one skeleton do not share their routes, or share their edges")
+	}
+
+	const goroutines, runs = 4, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				got, err := Run(spec(g, i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := runFresh(spec(g, i)); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d run %d (%v): pooled %+v != fresh %+v", g, i, routings[g], got, want)
+					return
+				}
+				if !slices.ContainsFunc(got, func(r Result) bool { return r.Throughput > 0 }) {
+					t.Errorf("goroutine %d run %d delivered nothing", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	sk, err := runPool.skeleton(FatTreeTopology(4, topo.ECMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newSkeleton(FatTreeTopology(4, topo.ECMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk.edges != fresh.edges || !reflect.DeepEqual(sk.routes, fresh.routes) {
+		t.Fatal("the shared skeleton was written to")
 	}
 }
 

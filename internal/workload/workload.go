@@ -4,7 +4,8 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"learnability/internal/rng"
 	"learnability/internal/sim"
@@ -81,14 +82,22 @@ type Deterministic struct {
 	Transitions []Transition // the schedule, replayed in time order
 }
 
-// Start implements Source.
+// Start implements Source. It never modifies Transitions: a schedule
+// out of time order is replayed from a stably sorted copy, and one
+// already in order (a stable sort would return it unchanged) is
+// replayed as it is.
 func (w *Deterministic) Start(s *sim.Scheduler, set func(on bool)) {
 	set(w.InitialOn)
-	ts := make([]Transition, len(w.Transitions))
-	copy(ts, w.Transitions)
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].At < ts[j].At })
+	ts := w.Transitions
+	if !slices.IsSortedFunc(ts, byTime) {
+		ts = slices.Clone(ts)
+		slices.SortStableFunc(ts, byTime)
+	}
 	p := sim.NewPipe(s, set)
 	for _, tr := range ts {
 		p.Push(tr.At, tr.On)
 	}
 }
+
+// byTime orders transitions by when they take effect.
+func byTime(a, b Transition) int { return cmp.Compare(a.At, b.At) }

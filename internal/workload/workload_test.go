@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -155,16 +156,45 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestDeterministicDoesNotMutateInput: an out-of-order schedule is
+// replayed in time order from a copy; the caller's slice keeps its
+// order.
 func TestDeterministicDoesNotMutateInput(t *testing.T) {
 	trs := []workload.Transition{
 		{At: units.Time(2 * units.Second), On: true},
 		{At: units.Time(1 * units.Second), On: false},
+		{At: units.Time(3 * units.Second), On: false},
 	}
+	given := slices.Clone(trs)
 	w := &workload.Deterministic{Transitions: trs}
 	s := sim.New()
-	w.Start(s, func(bool) {})
-	if trs[0].At != units.Time(2*units.Second) {
-		t.Fatal("Start reordered the caller's slice")
+	var at []units.Time
+	w.Start(s, func(bool) { at = append(at, s.Now()) })
+	s.Run(units.MaxTime)
+	if !slices.Equal(trs, given) {
+		t.Fatalf("Start reordered the caller's slice: %v, given %v", trs, given)
+	}
+	if want := []units.Time{0, units.Time(units.Second), units.Time(2 * units.Second), units.Time(3 * units.Second)}; !slices.Equal(at, want) {
+		t.Fatalf("transitions fired at %v, want %v", at, want)
+	}
+}
+
+// TestDeterministicSortedStartsWithoutCopy: a schedule already in time
+// order is replayed as it is, so starting it allocates exactly one
+// slice less — the sorted copy — than starting the same transitions out
+// of order.
+func TestDeterministicSortedStartsWithoutCopy(t *testing.T) {
+	sorted := &workload.Deterministic{}
+	for i := 0; i < 20; i++ {
+		sorted.Transitions = append(sorted.Transitions, workload.Transition{At: units.Time(0).Add(units.Duration(i/2) * units.Second), On: i%2 == 0})
+	}
+	unsorted := &workload.Deterministic{Transitions: slices.Clone(sorted.Transitions)}
+	unsorted.Transitions[0], unsorted.Transitions[2] = unsorted.Transitions[2], unsorted.Transitions[0]
+	start := func(w *workload.Deterministic) float64 {
+		return testing.AllocsPerRun(10, func() { w.Start(sim.New(), func(bool) {}) })
+	}
+	if got, out := start(sorted), start(unsorted); got != out-1 {
+		t.Fatalf("starting a sorted schedule made %v allocations, an unsorted one %v: want one fewer", got, out)
 	}
 }
 

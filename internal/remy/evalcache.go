@@ -68,7 +68,7 @@ type drawMemoKey struct {
 }
 
 // drawMemo is the process-wide derive-once cache of generation draws:
-// generationDraws is pure in (config, seed, gen), and a pipelined
+// generationDraws is pure in (config, seed, gen), and a sharded
 // generation evaluates many jobs. It is keyed by the config's content
 // hash, so the in-process trainer, its fallback lanes, and a daemon
 // serving several trainings all share one derivation per generation.
@@ -77,7 +77,7 @@ type drawMemoKey struct {
 var drawMemo = fifoMemo[drawMemoKey, []draw]{max: 32}
 
 // drawMemoHits/drawMemoMisses count memo consultations process-wide;
-// atomics because pipelined lanes race drawsFor, and the telemetry
+// atomics because concurrent lanes race drawsFor, and the telemetry
 // journal reads them from the Train goroutine.
 var drawMemoHits, drawMemoMisses atomic.Int64
 

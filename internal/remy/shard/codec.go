@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"sync"
@@ -75,13 +76,20 @@ func (h *Hash) UnmarshalJSON(b []byte) error {
 // length followed by the payload, issued as a single Write so frames
 // never interleave.
 func WritePayload(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("shard: frame of %d bytes exceeds limit", len(payload))
-	}
 	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	return writeFrame(w, buf)
+}
+
+// writeFrame writes a frame whose payload was encoded after 4 reserved
+// bytes: it fills in the length prefix and issues one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrame {
+		return fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -195,7 +203,37 @@ func EncodeJob(job *Job, binaryCodec bool) ([]byte, error) {
 	if !binaryCodec {
 		return marshalJSONFrame(job)
 	}
-	b := make([]byte, 0, 128+len(job.Cfg)+treesSize(job.Trees))
+	return appendJob(make([]byte, 0, jobSize(job)), job), nil
+}
+
+// jobHeadSize is the most appendJobHead writes: the magic, ten 8-byte
+// fields, the config-hash flag and the hash.
+const jobHeadSize = 4 + 10*8 + 1 + sha256.Size
+
+// jobSize bounds the binary encoding's length (exact when CfgHash is
+// set).
+func jobSize(job *Job) int {
+	n := jobHeadSize + 4 + len(job.Cfg) + 4
+	for _, t := range job.Trees {
+		n += 4 + len(t)
+	}
+	return n
+}
+
+// appendJob appends job's binary encoding to b.
+func appendJob(b []byte, job *Job) []byte {
+	b = appendJobHead(b, job)
+	b = appendBlob(b, job.Cfg)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(job.Trees)))
+	for _, tree := range job.Trees {
+		b = appendBlob(b, tree)
+	}
+	return b
+}
+
+// appendJobHead appends the fixed-size fields that open a binary job:
+// everything before the config blob.
+func appendJobHead(b []byte, job *Job) []byte {
 	b = binary.LittleEndian.AppendUint32(b, jobMagic)
 	b = binary.LittleEndian.AppendUint64(b, job.ID)
 	b = appendI64(b, int64(job.Version))
@@ -208,25 +246,40 @@ func EncodeJob(job *Job, binaryCodec bool) ([]byte, error) {
 	b = appendI64(b, int64(job.Workers))
 	b = appendI64(b, int64(job.TreeLo))
 	if job.CfgHash.IsZero() {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = append(b, job.CfgHash[:]...)
+		return append(b, 0)
 	}
-	b = appendBlob(b, job.Cfg)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(job.Trees)))
-	for _, tree := range job.Trees {
-		b = appendBlob(b, tree)
-	}
-	return b, nil
+	b = append(b, 1)
+	return append(b, job.CfgHash[:]...)
 }
 
-func treesSize(trees [][]byte) int {
-	n := 0
-	for _, t := range trees {
-		n += 4 + len(t)
+// jobHasher is a reusable SHA-256 state with scratch for the fixed
+// fields, so HashJob allocates nothing in steady state.
+type jobHasher struct {
+	h   hash.Hash
+	buf [jobHeadSize + 4]byte
+}
+
+var jobHashers = sync.Pool{New: func() any { return &jobHasher{h: sha256.New()} }}
+
+// HashJob returns sha256(EncodeJob(job, true)) without building the
+// payload: the fixed fields pass through a small scratch buffer and
+// the config and trees stream into the hasher where they lie.
+func HashJob(job *Job) Hash {
+	jh := jobHashers.Get().(*jobHasher)
+	h := jh.h
+	h.Reset()
+	b := appendJobHead(jh.buf[:0], job)
+	h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(job.Cfg))))
+	h.Write(job.Cfg)
+	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Trees))))
+	for _, tree := range job.Trees {
+		h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(tree))))
+		h.Write(tree)
 	}
-	return n
+	var sum Hash
+	copy(sum[:], h.Sum(jh.buf[:0]))
+	jobHashers.Put(jh)
+	return sum
 }
 
 // DecodeJob decodes a job payload in either codec, reporting which one
@@ -322,7 +375,17 @@ func EncodeResult(res *Result, binaryCodec bool) ([]byte, error) {
 	if !binaryCodec {
 		return marshalJSONFrame(res)
 	}
-	b := make([]byte, 0, 64+8*len(res.Scores)+len(res.Err))
+	return appendResult(make([]byte, 0, resultSize(res)), res)
+}
+
+// resultSize is the binary encoding's length without usage frames,
+// which are rare enough to grow into.
+func resultSize(res *Result) int {
+	return 4 + 8 + 1 + 4 + len(res.Err) + 4 + 8*len(res.Scores) + 4
+}
+
+// appendResult appends res's binary encoding to b.
+func appendResult(b []byte, res *Result) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, resultMagic)
 	b = binary.LittleEndian.AppendUint64(b, res.ID)
 	var flags byte
@@ -425,22 +488,20 @@ func DecodeResult(payload []byte) (*Result, error) {
 	return res, nil
 }
 
-// WriteJob writes one job frame in the binary codec.
+// WriteJob writes one job frame in the binary codec, encoded straight
+// behind its length prefix.
 func WriteJob(w io.Writer, job *Job) error {
-	payload, err := EncodeJob(job, true)
-	if err != nil {
-		return err
-	}
-	return WritePayload(w, payload)
+	return writeFrame(w, appendJob(make([]byte, 4, 4+jobSize(job)), job))
 }
 
-// WriteResult writes one result frame in the binary codec.
+// WriteResult writes one result frame in the binary codec, encoded
+// straight behind its length prefix.
 func WriteResult(w io.Writer, res *Result) error {
-	payload, err := EncodeResult(res, true)
+	frame, err := appendResult(make([]byte, 4, 4+resultSize(res)), res)
 	if err != nil {
 		return err
 	}
-	return WritePayload(w, payload)
+	return writeFrame(w, frame)
 }
 
 // ReadResult reads one result frame.

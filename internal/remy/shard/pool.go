@@ -22,12 +22,11 @@ type Transport interface {
 	Name() string
 }
 
-// Conn is one live worker connection carrying a pipelined job stream:
-// the lane may Send several jobs before the first Recv, and the worker
-// answers in its own order (in practice FIFO — workers are serial). A
-// Conn is used by a single lane goroutine at a time; implementations
-// need not be concurrency-safe beyond surviving Close during a pending
-// Recv.
+// Conn is one live worker connection. A pool lane keeps one job in
+// flight on it: Send, then Recv that job's result (a NeedCfg answer
+// gets one forced resend first; see RoundTrip). A Conn is used by a
+// single lane goroutine at a time; implementations need not be
+// concurrency-safe beyond surviving Close during a pending Recv.
 type Conn interface {
 	// Send ships one job frame. forceCfg makes a hash-bearing job
 	// carry its config inline even if this connection shipped that
@@ -46,38 +45,53 @@ type Conn interface {
 	Close()
 }
 
-// RoundTrip sends one job and awaits its result, transparently
-// resolving one NeedCfg refetch — the lockstep convenience the tests
-// and one-shot tools use; the pool itself pipelines.
+// RoundTrip sends one job and awaits its result, resolving one NeedCfg
+// refetch by resending the job with its config inline — one pool lane
+// step, also used by tests and one-shot tools. A result for another
+// job, or a second NeedCfg, means the connection is broken and is an
+// error.
 func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
+	res, _, err := roundTrip(c, job, timeout)
+	return res, err
+}
+
+// roundTrip is RoundTrip reporting whether a refetch happened.
+func roundTrip(c Conn, job *Job, timeout time.Duration) (res *Result, refetched bool, err error) {
 	if err := c.Send(job, false); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	res, err := c.Recv(timeout)
-	if err != nil {
-		return nil, err
-	}
-	if res.NeedCfg && res.ID == job.ID {
-		if err := c.Send(job, true); err != nil {
-			return nil, err
+	res, err = c.Recv(timeout)
+	if err == nil && res.ID == job.ID && res.NeedCfg {
+		// Config-store miss: resend with the blob inline (not a delivery
+		// attempt — nothing was evaluated).
+		refetched = true
+		if err = c.Send(job, true); err == nil {
+			res, err = c.Recv(timeout)
 		}
-		return c.Recv(timeout)
 	}
-	return res, nil
+	switch {
+	case err != nil:
+		return nil, refetched, err
+	case res.ID != job.ID:
+		return nil, refetched, fmt.Errorf("shard: worker answered job %d with a result for job %d", job.ID, res.ID)
+	case res.NeedCfg:
+		return nil, refetched, fmt.Errorf("shard: worker cannot hold job %d's config", job.ID)
+	}
+	return res, refetched, nil
 }
 
 // Pool fans shard jobs out over a fixed set of worker lanes and merges
 // results by batch position, so the caller sees deterministic output
 // regardless of which lane finished which job when. Each lane is one
 // worker reached through an entry of Transports (the TCP lanes
-// `remytrain -remotes` adds). Lanes pipeline: each keeps up to Window
-// jobs in flight, so a worker starts its next job without waiting for
-// the coordinator to read the last result. A lane whose worker
+// `remytrain -remotes` adds) and keeps one job in flight; the trainer
+// cuts a batch into one job per lane, and a lane that finishes early
+// takes whatever is left in the shared queue. A lane whose worker
 // crashes, writes garbage, or exceeds Timeout is reconnected and its
-// whole in-flight window requeued for any other lane; a lane whose
-// redial fails is dead and evaluates in-process from then on, and
-// after MaxAttempts worker deliveries a job is evaluated in-process,
-// so a batch always completes with the same bits.
+// in-flight job requeued for any lane; a lane whose redial fails is
+// dead and evaluates in-process from then on, and after MaxAttempts
+// worker deliveries a job is evaluated in-process, so a batch always
+// completes with the same bits.
 type Pool struct {
 	// Transports holds one lane per entry, each dialing its own worker
 	// (shardnet TCP dialers). At least one is required. Dial failures
@@ -90,21 +104,16 @@ type Pool struct {
 	// Timeout bounds one result wait on a lane (for heartbeat-capable
 	// transports: the silence between frames); 0
 	// means no limit. An expired wait tears the connection down and
-	// requeues the lane's window.
+	// requeues the lane's job.
 	Timeout time.Duration
 	// MaxAttempts is the number of worker deliveries per job before
 	// the pool falls back to in-process evaluation (default 3).
 	MaxAttempts int
-	// Window is the number of jobs a lane keeps in flight (default 2,
-	// set by Start): one evaluating, one queued behind it, so the
-	// worker never idles waiting for the next frame. A batch should
-	// hold Window jobs per lane to keep every pipeline full.
-	Window int
 	// Metrics, when non-nil, receives per-lane fabric metrics
-	// (dispatched jobs, job latency, in-flight window occupancy,
-	// requeues, NeedCfg refetches, reconnects, in-process fallbacks)
-	// under names labeled lane="<index>:<transport name>". Nil keeps
-	// the dispatch path free of clock reads.
+	// (dispatched jobs, job latency, requeues, NeedCfg refetches,
+	// reconnects, in-process fallbacks) under names labeled
+	// lane="<index>:<transport name>". Nil keeps the dispatch path
+	// free of clock reads.
 	Metrics *telemetry.Registry
 
 	lanes []*lane // built by Start; nil entries never occur
@@ -123,7 +132,6 @@ type lane struct {
 type laneMetrics struct {
 	jobs       *telemetry.Counter   // results delivered by this lane
 	jobNanos   *telemetry.Histogram // Send-to-result latency
-	inflight   *telemetry.Gauge     // current window occupancy
 	requeues   *telemetry.Counter   // jobs returned to the queue on a fault
 	refetches  *telemetry.Counter   // NeedCfg config resends
 	reconnects *telemetry.Counter   // connection replacements
@@ -136,7 +144,6 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 	return laneMetrics{
 		jobs:       reg.Counter("shard_lane_jobs_total" + label),
 		jobNanos:   reg.Histogram("shard_lane_job_ns" + label),
-		inflight:   reg.Gauge("shard_lane_inflight" + label),
 		requeues:   reg.Counter("shard_lane_requeues_total" + label),
 		refetches:  reg.Counter("shard_lane_cfg_refetches_total" + label),
 		reconnects: reg.Counter("shard_lane_reconnects_total" + label),
@@ -148,15 +155,13 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 // callers use it to slice batches.
 func (p *Pool) NumLanes() int { return len(p.lanes) }
 
-// Start dials every lane's worker. A pool without Transports, or a
-// dial failure, stops the pool and is returned: a dead remote should
-// fail loudly at startup, not degrade silently.
+// Start dials every lane's worker, all lanes at once. A pool without
+// Transports, or a dial failure, stops the pool and is returned (the
+// lowest failing lane's error): a dead remote should fail loudly at
+// startup, not degrade silently.
 func (p *Pool) Start() error {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
-	}
-	if p.Window <= 0 {
-		p.Window = 2
 	}
 	if p.Fallback == nil {
 		return fmt.Errorf("shard: pool needs a Fallback evaluator")
@@ -165,19 +170,26 @@ func (p *Pool) Start() error {
 		return fmt.Errorf("shard: pool needs at least one Transport")
 	}
 	p.lanes = make([]*lane, len(p.Transports))
+	errs := make([]error, len(p.Transports))
+	var wg sync.WaitGroup
+	wg.Add(len(p.Transports))
 	for i, t := range p.Transports {
-		p.lanes[i] = &lane{transport: t}
+		l := &lane{transport: t}
 		if p.Metrics != nil {
-			p.lanes[i].m = mkLaneMetrics(p.Metrics, i, t.Name())
+			l.m = mkLaneMetrics(p.Metrics, i, t.Name())
 		}
+		p.lanes[i] = l
+		go func() {
+			defer wg.Done()
+			l.conn, errs[i] = t.Dial()
+		}()
 	}
-	for i, l := range p.lanes {
-		conn, err := l.transport.Dial()
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			p.Close()
-			return fmt.Errorf("shard: connect lane %d (%s): %w", i, l.transport.Name(), err)
+			return fmt.Errorf("shard: connect lane %d (%s): %w", i, p.Transports[i].Name(), err)
 		}
-		l.conn = conn
 	}
 	return nil
 }
@@ -197,8 +209,8 @@ func (p *Pool) Close() {
 // Do evaluates a batch of jobs and returns their results in batch
 // order. It blocks until every job has a result (or a deterministic
 // evaluation error surfaces). Jobs are handed to free lanes as they
-// come; crashes and timeouts requeue the affected window, so
-// completion order never affects the merged output.
+// come; crashes and timeouts requeue the affected job, so completion
+// order never affects the merged output.
 func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -257,23 +269,45 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	return results, nil
 }
 
-// runLane drives one lane until the batch finishes: a pipelined
-// window while connected (re-entered after every reconnect),
-// in-process evaluation once dead.
+// runLane drives one lane until the batch finishes: take a job, send
+// it, receive its result, deliver it — one job in flight. On any
+// transport fault the job goes back to the shared queue (its capacity
+// covers the whole batch, so this never blocks) and the connection is
+// replaced; evaluation is a pure function of the job, so a retry is
+// bit-identical wherever it lands. A dead lane, or a job out of
+// attempts, is evaluated in-process.
 func (p *Pool) runLane(l *lane, queue chan *Job, done <-chan struct{}, deliver func(*Job, *Result)) {
 	for {
-		if l.conn == nil {
-			select {
-			case <-done:
-				return
-			case job := <-queue:
-				p.fallbackJob(l, job, deliver)
-			}
+		var job *Job
+		select {
+		case <-done:
+			return
+		case job = <-queue:
+		}
+		if l.conn == nil || job.attempts >= p.MaxAttempts {
+			p.fallbackJob(l, job, deliver)
 			continue
 		}
-		if !p.runWindow(l, queue, done, deliver) {
-			return
+		job.attempts++
+		var sent time.Time
+		if l.m.jobNanos != nil {
+			sent = time.Now()
 		}
+		res, refetched, err := roundTrip(l.conn, job, p.Timeout)
+		if refetched {
+			l.m.refetches.Inc()
+		}
+		if err != nil {
+			l.m.requeues.Inc()
+			queue <- job
+			p.reconnect(l)
+			continue
+		}
+		l.m.jobs.Inc()
+		if l.m.jobNanos != nil {
+			l.m.jobNanos.Observe(time.Since(sent).Nanoseconds())
+		}
+		deliver(job, res)
 	}
 }
 
@@ -289,105 +323,6 @@ func (p *Pool) fallbackJob(l *lane, job *Job, deliver func(*Job, *Result)) {
 	}
 	res.ID = job.ID
 	deliver(job, res)
-}
-
-// runWindow runs one connection's pipelined job stream: keep up to
-// Window jobs in flight, deliver results as they land, and on any
-// transport fault requeue the entire in-flight window and redial.
-// Evaluation is a pure function of the job, so requeued retries are
-// bit-identical wherever they land. It returns false when the batch is
-// done (the lane should exit) and true when the lane should re-enter
-// with a fresh connection state.
-func (p *Pool) runWindow(l *lane, queue chan *Job, done <-chan struct{}, deliver func(*Job, *Result)) bool {
-	window := make(map[uint64]*Job, p.Window)
-	refetched := make(map[uint64]bool)
-	// abort returns every undelivered job to the shared queue (its
-	// capacity covers the whole batch, so this never blocks) and
-	// replaces the connection.
-	abort := func(failed *Job) {
-		n := int64(len(window))
-		if failed != nil {
-			n++
-			queue <- failed
-		}
-		for _, job := range window {
-			queue <- job
-		}
-		l.m.requeues.Add(n)
-		l.m.inflight.Set(0)
-		p.reconnect(l)
-	}
-	for {
-		// Top up the window: block for the first job, opportunistically
-		// take more while in-flight slots remain.
-		for len(window) < p.Window {
-			var job *Job
-			if len(window) == 0 {
-				select {
-				case <-done:
-					return false
-				case job = <-queue:
-				}
-			} else {
-				select {
-				case job = <-queue:
-				default:
-				}
-				if job == nil {
-					break
-				}
-			}
-			if job.attempts >= p.MaxAttempts {
-				p.fallbackJob(l, job, deliver)
-				continue
-			}
-			job.attempts++
-			if err := l.conn.Send(job, false); err != nil {
-				abort(job)
-				return true
-			}
-			if l.m.jobNanos != nil {
-				job.sentAt = time.Now()
-			}
-			window[job.ID] = job
-			l.m.inflight.Set(float64(len(window)))
-		}
-		res, err := l.conn.Recv(p.Timeout)
-		if err != nil {
-			abort(nil)
-			return true
-		}
-		job, ok := window[res.ID]
-		if !ok {
-			// A result for a job this window never sent: the worker is
-			// answering garbage IDs — treat the connection as broken.
-			abort(nil)
-			return true
-		}
-		if res.NeedCfg {
-			// Config-store miss: resend with the blob inline (not a
-			// delivery attempt — nothing was evaluated). A second miss
-			// for the same job means the worker cannot hold a config.
-			if refetched[res.ID] {
-				abort(nil)
-				return true
-			}
-			refetched[res.ID] = true
-			l.m.refetches.Inc()
-			if err := l.conn.Send(job, true); err != nil {
-				abort(nil)
-				return true
-			}
-			continue
-		}
-		delete(window, res.ID)
-		l.m.jobs.Inc()
-		if l.m.jobNanos != nil {
-			l.m.jobNanos.Observe(time.Since(job.sentAt).Nanoseconds())
-		}
-		l.m.inflight.Set(float64(len(window)))
-		deliver(job, res)
-	}
 }
 
 // reconnect replaces a lane's connection after a failure. If the

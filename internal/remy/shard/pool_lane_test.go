@@ -1,0 +1,433 @@
+package shard
+
+import (
+	"encoding/json"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// Tests for a pool lane's job stream: one job in flight per lane, a
+// fault requeues that job, a NeedCfg answer is resolved on the same
+// connection, and a batch of one job per lane lands one job on each
+// lane. The scripted transport below lets a test dictate exactly when
+// a connection dies and what it answers, which real workers cannot do
+// deterministically.
+
+// scriptTransport dials scripted connections: mkConn(n) builds the
+// n-th connection (1-based); a nil connection is a refused dial.
+type scriptTransport struct {
+	mu     sync.Mutex
+	dials  int
+	mkConn func(dial int) Conn
+}
+
+func (t *scriptTransport) Dial() (Conn, error) {
+	t.mu.Lock()
+	t.dials++
+	n := t.dials
+	t.mu.Unlock()
+	if c := t.mkConn(n); c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("script: dial %d refused", n)
+}
+
+func (t *scriptTransport) Name() string { return "script" }
+
+func (t *scriptTransport) dialCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dials
+}
+
+// scriptConn is a worker connection with programmable behavior. Its
+// send side strips configs the way shardnet's TCP connection does (the
+// blob rides inline the first time a hash crosses, and on a forced
+// refetch), so the wire stream it "carries" is the real hash-only
+// stream; its recv side plays a worker with a scriptable config store.
+type scriptConn struct {
+	mu      sync.Mutex
+	fifo    []*Job
+	sends   []sendRecord
+	shipped map[Hash]bool
+	closed  bool
+	// serveBefore is how many results this connection serves before
+	// Recv starts failing (-1 = never fail).
+	serveBefore int
+	served      int
+	// failID is a job ID the worker answers with an evaluation error.
+	failID uint64
+	// known is the worker-side config store. flushEachServe empties it
+	// after every served job (a worker that keeps losing its store);
+	// alwaysNeedCfg answers NeedCfg even for inline sends (a worker
+	// that cannot hold a config at all).
+	known          map[Hash]bool
+	flushEachServe bool
+	alwaysNeedCfg  bool
+	// onSend, when set, runs after every Send; recvGate, when set,
+	// runs before every Recv with this connection's send count, and
+	// its error fails the Recv.
+	onSend   func()
+	recvGate func(sent int) error
+}
+
+type sendRecord struct {
+	id     uint64
+	force  bool
+	inline bool
+}
+
+func newScriptConn(serveBefore int) *scriptConn {
+	return &scriptConn{serveBefore: serveBefore, shipped: map[Hash]bool{}, known: map[Hash]bool{}}
+}
+
+func (c *scriptConn) Send(job *Job, forceCfg bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	wire := job
+	if !job.CfgHash.IsZero() && len(job.Cfg) > 0 {
+		if forceCfg || !c.shipped[job.CfgHash] {
+			c.shipped[job.CfgHash] = true
+		} else {
+			stripped := *job
+			stripped.Cfg = nil
+			wire = &stripped
+		}
+	}
+	c.sends = append(c.sends, sendRecord{id: wire.ID, force: forceCfg, inline: len(wire.Cfg) > 0})
+	c.fifo = append(c.fifo, wire)
+	if c.onSend != nil {
+		c.onSend()
+	}
+	return nil
+}
+
+func (c *scriptConn) Recv(timeout time.Duration) (*Result, error) {
+	if c.recvGate != nil {
+		if err := c.recvGate(c.sendCount()); err != nil {
+			return nil, err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.serveBefore >= 0 && c.served >= c.serveBefore {
+		return nil, fmt.Errorf("script: connection died")
+	}
+	if len(c.fifo) == 0 {
+		return nil, fmt.Errorf("script: Recv with nothing in flight")
+	}
+	job := c.fifo[0]
+	c.fifo = c.fifo[1:]
+	if !job.CfgHash.IsZero() {
+		switch {
+		case c.alwaysNeedCfg:
+			return &Result{ID: job.ID, NeedCfg: true}, nil
+		case len(job.Cfg) > 0:
+			c.known[job.CfgHash] = true
+		case !c.known[job.CfgHash]:
+			return &Result{ID: job.ID, NeedCfg: true}, nil
+		}
+	}
+	c.served++
+	if c.flushEachServe {
+		c.known = map[Hash]bool{}
+	}
+	if job.ID == c.failID {
+		return &Result{ID: job.ID, Err: "script: evaluation failed"}, nil
+	}
+	res, _ := echoEval(job)
+	res.ID = job.ID
+	return res, nil
+}
+
+func (c *scriptConn) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+}
+
+func (c *scriptConn) sendCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.sends)
+}
+
+func (c *scriptConn) sendLog() []sendRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]sendRecord(nil), c.sends...)
+}
+
+func (c *scriptConn) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// barrier lets n parties wait, with a deadline, until each of them has
+// arrived k times.
+type barrier struct {
+	n       int
+	mu      sync.Mutex
+	count   int
+	changed chan struct{}
+}
+
+func newBarrier(n int) *barrier { return &barrier{n: n, changed: make(chan struct{})} }
+
+// arrive records one arrival and wakes every waiter.
+func (b *barrier) arrive() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.count++
+	close(b.changed)
+	b.changed = make(chan struct{})
+}
+
+// wait blocks until n×k arrivals, or fails after deadline.
+func (b *barrier) wait(k int, deadline time.Duration) error {
+	timer := time.NewTimer(deadline)
+	defer timer.Stop()
+	for {
+		b.mu.Lock()
+		count, changed := b.count, b.changed
+		b.mu.Unlock()
+		if count >= b.n*k {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			return fmt.Errorf("barrier: %d of %d arrivals after %v", count, b.n*k, deadline)
+		}
+	}
+}
+
+// TestPoolBatchLandsOnePerLane sends batches of two jobs over two
+// lanes whose connections hold each Recv until both lanes together
+// have sent as many jobs as that lane has — i.e. until the other lane
+// took its share. A lane that takes both jobs of a batch (a two-deep
+// window) waits alone until the deadline and fails the test; with one
+// job in flight per lane, each lane must take exactly one job of every
+// batch.
+func TestPoolBatchLandsOnePerLane(t *testing.T) {
+	const batches = 20
+	sends := newBarrier(2)
+	var alone atomic.Int64
+	pool := &Pool{Fallback: func(job *Job) (*Result, error) {
+		t.Error("fallback used; every lane is healthy")
+		return echoEval(job)
+	}}
+	conns := make([]*scriptConn, 2)
+	for i := range conns {
+		c := newScriptConn(-1)
+		c.onSend = sends.arrive
+		c.recvGate = func(sent int) error {
+			if err := sends.wait(sent, 2*time.Second); err != nil {
+				alone.Add(1)
+				return err
+			}
+			return nil
+		}
+		conns[i] = c
+		pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn { return c }})
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for b := 0; b < batches; b++ {
+		jobs := testJobs(2, 3)
+		results, err := pool.Do(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := alone.Load(); n > 0 {
+			t.Fatalf("batch %d: a lane took both jobs and waited alone for the other (%d waits expired)", b, n)
+		}
+		for i, res := range results {
+			if res.ID != jobs[i].ID || res.Scores[0] != float64(3*i) {
+				t.Fatalf("batch %d: result %d = %+v", b, i, res)
+			}
+		}
+	}
+	for i, c := range conns {
+		if got := c.sendCount(); got != batches {
+			t.Fatalf("lane %d sent %d jobs over %d batches, want one per batch", i, got, batches)
+		}
+	}
+}
+
+// TestPoolRequeuesInFlightJobOnCrash kills a connection with a job in
+// flight: the first connection accepts one job and dies before serving
+// it. That job must be requeued onto the redialed connection, and the
+// batch must complete in order without falling back in-process.
+func TestPoolRequeuesInFlightJobOnCrash(t *testing.T) {
+	var first, second *scriptConn
+	tr := &scriptTransport{mkConn: func(dial int) Conn {
+		if dial == 1 {
+			first = newScriptConn(0) // dies with its job in flight
+			return first
+		}
+		second = newScriptConn(-1)
+		return second
+	}}
+	fallbacks := 0
+	pool := &Pool{
+		Transports: []Transport{tr},
+		Fallback: func(job *Job) (*Result, error) {
+			fallbacks++
+			return echoEval(job)
+		},
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	jobs := testJobs(4, 2)
+	results, err := pool.Do(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.ID != jobs[i].ID || res.Scores[0] != float64(2*i) {
+			t.Fatalf("result %d = %+v", i, res)
+		}
+	}
+	crashed := first.sendLog()
+	if len(crashed) != 1 {
+		t.Fatalf("crashed connection had %d jobs sent, want the one in flight", len(crashed))
+	}
+	if !first.isClosed() {
+		t.Fatal("the crashed connection was not closed")
+	}
+	if tr.dialCount() != 2 {
+		t.Fatalf("%d dials, want the original and one redial", tr.dialCount())
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d jobs fell back in-process; the requeue should have re-delivered the job", fallbacks)
+	}
+	redelivered := false
+	for _, s := range second.sendLog() {
+		redelivered = redelivered || s.id == crashed[0].id
+	}
+	if !redelivered || second.served != len(jobs) {
+		t.Fatalf("redialed connection served %d jobs (requeued job %d sent: %v), want all %d", second.served, crashed[0].id, redelivered, len(jobs))
+	}
+}
+
+// TestPoolResolvesNeedCfgOnSameConn drives the config refetch: the
+// worker loses its config store after every job, so each hash-only job
+// after the first answers NeedCfg; the lane must resend that job with
+// the blob inline (forceCfg) right away on the same connection and
+// complete the batch without reconnecting.
+func TestPoolResolvesNeedCfgOnSameConn(t *testing.T) {
+	cfg := json.RawMessage(`{"Delta":1}`)
+	var conn *scriptConn
+	tr := &scriptTransport{mkConn: func(int) Conn {
+		conn = newScriptConn(-1)
+		conn.flushEachServe = true
+		return conn
+	}}
+	pool := &Pool{Transports: []Transport{tr}, Fallback: echoEval}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	jobs := testJobs(3, 2)
+	for _, job := range jobs {
+		job.CfgHash = HashBytes(cfg)
+		job.Cfg = cfg
+	}
+	results, err := pool.Do(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.ID != jobs[i].ID || res.NeedCfg {
+			t.Fatalf("result %d = %+v", i, res)
+		}
+	}
+	if tr.dialCount() != 1 {
+		t.Fatalf("NeedCfg refetch caused %d dials, want the original connection to survive", tr.dialCount())
+	}
+	want := []sendRecord{
+		{id: 100, inline: true},
+		{id: 101}, {id: 101, force: true, inline: true},
+		{id: 102}, {id: 102, force: true, inline: true},
+	}
+	got := conn.sendLog()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sends = %+v, want %+v", got, want)
+	}
+}
+
+// TestPoolTreatsRepeatedNeedCfgAsBroken gives the lane a worker that
+// answers NeedCfg even for inline sends: after one refetch the pool
+// must declare the connection broken, reconnect, and finish the batch
+// on the replacement.
+func TestPoolTreatsRepeatedNeedCfgAsBroken(t *testing.T) {
+	cfg := json.RawMessage(`{"Delta":2}`)
+	var broken *scriptConn
+	tr := &scriptTransport{}
+	tr.mkConn = func(dial int) Conn {
+		c := newScriptConn(-1)
+		if dial == 1 {
+			c.alwaysNeedCfg = true
+			broken = c
+		}
+		return c
+	}
+	pool := &Pool{Transports: []Transport{tr}, Fallback: echoEval}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	jobs := testJobs(2, 1)
+	for _, job := range jobs {
+		job.CfgHash = HashBytes(cfg)
+		job.Cfg = cfg
+	}
+	results, err := pool.Do(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.ID != jobs[i].ID {
+			t.Fatalf("result %d = %+v", i, res)
+		}
+	}
+	if tr.dialCount() < 2 {
+		t.Fatalf("pool kept a worker that can never hold a config (%d dials)", tr.dialCount())
+	}
+	if got := broken.sendCount(); got != 2 {
+		t.Fatalf("broken connection saw %d sends, want the job and one forced resend", got)
+	}
+}
+
+// TestPoolStartDialsLanesConcurrently gives Start two lanes whose
+// dials each wait, with a deadline, for the other dial to begin: only
+// a Start that dials its lanes at once gets both connections.
+func TestPoolStartDialsLanesConcurrently(t *testing.T) {
+	dials := newBarrier(2)
+	pool := &Pool{Fallback: echoEval}
+	for range 2 {
+		pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn {
+			dials.arrive()
+			if dials.wait(1, 2*time.Second) != nil {
+				return nil
+			}
+			return newScriptConn(-1)
+		}})
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatalf("lanes were dialed one after another: %v", err)
+	}
+	pool.Close()
+}

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"learnability/internal/cc/remycc"
 )
@@ -36,8 +35,8 @@ import (
 // training configs: Cfg's topology field became a declarative graph
 // description (kind/hops/cross or explicit edges and routes) instead of
 // a two-member enum, so jobs ship arbitrary multi-hop topologies.
-// Version 3 added the binary codec (codec.go), config-by-hash shipping
-// (Job.CfgHash, Result.NeedCfg), and pipelined dispatch.
+// Version 3 added the binary codec (codec.go) and config-by-hash
+// shipping (Job.CfgHash, Result.NeedCfg).
 const ProtocolVersion = 3
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate
@@ -93,10 +92,6 @@ type Job struct {
 	// attempts counts worker deliveries tried for this job
 	// (coordinator side only).
 	attempts int
-	// sentAt stamps the job's last Send on a worker lane, for the
-	// pool's job-latency histogram (coordinator side only; zero when
-	// pool metrics are off).
-	sentAt time.Time
 }
 
 // Result is a worker's answer to one Job.

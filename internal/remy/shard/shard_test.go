@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -144,7 +145,7 @@ func TestPoolSurfacesEvalError(t *testing.T) {
 }
 
 // TestPoolCrashedProcessFallsBack kills the lane's only connection
-// with its window in flight and refuses every redial: the lane is dead,
+// with its job in flight and refuses every redial: the lane is dead,
 // and the in-process fallback must still deliver a complete, ordered
 // batch.
 func TestPoolCrashedProcessFallsBack(t *testing.T) {
@@ -176,8 +177,8 @@ func TestPoolCrashedProcessFallsBack(t *testing.T) {
 }
 
 // TestPoolStartRejectsBadCommand fails the second lane's dial at
-// Start: Start must return the error and close the connection the
-// first lane already holds.
+// Start: Start must return that lane's error and close the connection
+// the first lane got (the two dial concurrently).
 func TestPoolStartRejectsBadCommand(t *testing.T) {
 	good := newScriptConn(-1)
 	pool := &Pool{
@@ -187,14 +188,18 @@ func TestPoolStartRejectsBadCommand(t *testing.T) {
 		},
 		Fallback: echoEval,
 	}
-	if err := pool.Start(); err == nil {
+	err := pool.Start()
+	if err == nil {
 		pool.Close()
 		t.Fatal("Start accepted a lane whose dial failed")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "lane 1") || !strings.Contains(msg, "dial 1 refused") {
+		t.Fatalf("Start error %q does not name the refusing lane and its error", msg)
 	}
 	if pool.NumLanes() != 0 {
 		t.Fatalf("failed Start left %d lanes", pool.NumLanes())
 	}
-	if !good.closed {
+	if !good.isClosed() {
 		t.Fatal("failed Start leaked the first lane's connection")
 	}
 	if err := (&Pool{Fallback: echoEval}).Start(); err == nil {

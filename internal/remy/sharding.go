@@ -57,13 +57,11 @@ func (t *Trainer) shardWorkers() int {
 }
 
 // slotsPerJob is the size of the contiguous slot ranges a batch of
-// nSlots is cut into for the shard pool: Window jobs per lane keep
-// every worker's in-flight window full (one job evaluating while the
-// next is already queued behind it), so workers never idle on
-// coordinator round-trips.
+// nSlots is cut into for the shard pool: one job per lane, so a batch
+// costs each worker one round trip, and each lane keeps that one job
+// in flight.
 func (t *Trainer) slotsPerJob(nSlots int) int {
-	jobs := t.shards.NumLanes() * t.shards.Window
-	jobs = min(jobs, nSlots)
+	jobs := min(t.shards.NumLanes(), nSlots)
 	return (nSlots + jobs - 1) / jobs
 }
 

@@ -21,6 +21,11 @@ const handshakeTimeout = 10 * time.Second
 // (network partition, no RST) cannot hang a session goroutine forever.
 const writeTimeout = time.Minute
 
+// readBufSize sizes a session's frame reader so that a whole job —
+// one lane's share of a batch, tens of kilobytes at most in practice —
+// usually arrives in one read.
+const readBufSize = 64 << 10
+
 // DefaultHeartbeat is the worker's liveness interval while a job
 // evaluates; clients should set their per-job timeout comfortably
 // above it (remytrain's -shard-timeout bounds silence, not job
@@ -181,19 +186,26 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // session serializes frame writes to one connection: the heartbeat
-// goroutine and the job loop share the socket.
+// goroutine and the job loop share the socket. busy is set while a job
+// evaluates; the heartbeat goroutine writes only then.
 type session struct {
-	nc net.Conn
-	mu sync.Mutex
+	nc   net.Conn
+	mu   sync.Mutex
+	busy atomic.Bool
 }
 
 // writeHeartbeat sends one liveness frame under the session's write
-// lock and deadline.
-func (sn *session) writeHeartbeat() error {
+// lock and deadline if a job is evaluating, and reports whether it
+// did. busy is read under the lock and cleared before the result is
+// written, so no heartbeat follows its job's result.
+func (sn *session) writeHeartbeat() (sent bool, err error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
+	if !sn.busy.Load() {
+		return false, nil
+	}
 	sn.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return shard.WriteFrame(sn.nc, &reply{Kind: kindHeartbeat})
+	return true, shard.WriteFrame(sn.nc, &reply{Kind: kindHeartbeat})
 }
 
 // writeResult sends one binary result frame under the same lock and
@@ -209,7 +221,7 @@ func (sn *session) writeResult(res *shard.Result) error {
 // completion, closing it on return.
 func (s *Server) ServeConn(nc net.Conn) {
 	defer nc.Close()
-	br := bufio.NewReader(nc)
+	br := bufio.NewReaderSize(nc, readBufSize)
 
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	var h hello
@@ -236,6 +248,15 @@ func (s *Server) ServeConn(nc net.Conn) {
 	defer m.conns.Add(-1)
 
 	sn := &session{nc: nc}
+	stop := make(chan struct{})
+	var hb sync.WaitGroup
+	hb.Add(1)
+	go func() {
+		defer hb.Done()
+		s.heartbeats(sn, stop)
+	}()
+	defer hb.Wait()
+	defer close(stop)
 	served := 0
 	for {
 		payload, err := shard.ReadPayload(br)
@@ -271,7 +292,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 
 // evalJob answers one job: version check, config-by-hash resolution
 // against the server-wide store (a miss answers NeedCfg and evaluates
-// nothing), then the evaluator under a heartbeat ticker. Failures
+// nothing), then the evaluator with the session marked busy, so the
+// session's ticker heartbeats through it. Failures
 // become error Results, never torn connections — only transport
 // trouble ends a session.
 func (s *Server) evalJob(sn *session, job *shard.Job) *shard.Result {
@@ -289,9 +311,9 @@ func (s *Server) evalJob(sn *session, job *shard.Job) *shard.Result {
 	if m.jobNanos != nil {
 		began = time.Now()
 	}
-	stop := s.startHeartbeat(sn)
+	sn.busy.Store(true)
 	res, err := s.Eval(job)
-	stop()
+	sn.busy.Store(false)
 	if m.jobNanos != nil {
 		m.jobNanos.Observe(time.Since(began).Nanoseconds())
 	}
@@ -306,33 +328,27 @@ func (s *Server) evalJob(sn *session, job *shard.Job) *shard.Result {
 	return res
 }
 
-// startHeartbeat emits heartbeat frames on the session until the
-// returned stop function is called (which joins the ticker goroutine,
-// so no heartbeat write races the result write's buffer).
-func (s *Server) startHeartbeat(sn *session) (stop func()) {
+// heartbeats is a session's one liveness ticker: every interval it
+// writes a heartbeat if a job is evaluating, so the silence a client
+// sees during a job is at most one interval. It returns when stop
+// closes or a write fails (the job loop will see the same broken
+// pipe).
+func (s *Server) heartbeats(sn *session, stop <-chan struct{}) {
 	m := s.metrics()
-	interval := s.heartbeat()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
+	t := time.NewTicker(s.heartbeat())
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			sent, err := sn.writeHeartbeat()
+			if err != nil {
 				return
-			case <-t.C:
-				if sn.writeHeartbeat() != nil {
-					return // the job loop will see the same broken pipe
-				}
+			}
+			if sent {
 				m.heartbeats.Inc()
 			}
 		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
 	}
 }

@@ -10,12 +10,13 @@
 //   - a connection handshake (magic string + protocol version both
 //     ways) so mismatched builds are rejected before any job is
 //     miscomputed;
-//   - heartbeat frames from the worker while a job evaluates, so the
+//   - heartbeat frames from the worker while a job evaluates (one
+//     ticker per connection, writing only while a job is busy), so the
 //     client's per-result timeout bounds *silence* rather than job
 //     length — a slow worker survives, a hung or dead one is detected;
 //   - reconnect-with-requeue: a failed send or receive tears the
 //     connection down and shard.Pool redials and requeues the lane's
-//     whole in-flight window;
+//     one in-flight job;
 //   - a content-addressed slot cache on the worker (see Cache, fed by
 //     remy.CachedShardEval): a slot's score is a pure function of
 //     (config, draw, tree), so a repeated candidate evaluation returns
@@ -45,7 +46,7 @@ type hello struct {
 // (OK=false) carries the reason and the server's version so the
 // operator can see which side is stale. An accepted one advertises
 // the worker's heartbeat interval, so the client can keep its per-job
-// silence bound meaningful (see tcpConn.RoundTrip).
+// silence bound meaningful (see tcpConn.Recv).
 type welcome struct {
 	Magic           string `json:"magic"`
 	Version         int    `json:"version"`

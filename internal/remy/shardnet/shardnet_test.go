@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"learnability/internal/remy/shard"
+	"learnability/internal/telemetry"
 )
 
 // echoEval returns a recognizable per-slot score (float64 of the slot
@@ -408,6 +409,36 @@ func TestTimeoutClampedToHeartbeat(t *testing.T) {
 	defer conn.Close()
 	if _, err := shard.RoundTrip(conn, testJobs(1, 1)[0], 50*time.Millisecond); err != nil {
 		t.Fatalf("timeout below the heartbeat interval was not clamped: %v", err)
+	}
+}
+
+// TestHeartbeatsOnlyWhileBusy pins the session's one ticker to job
+// time: it heartbeats through a slow job and writes nothing while the
+// connection idles between jobs.
+func TestHeartbeatsOnlyWhileBusy(t *testing.T) {
+	slowEval := func(job *shard.Job) (*shard.Result, error) {
+		time.Sleep(60 * time.Millisecond)
+		return echoEval(job)
+	}
+	reg := telemetry.NewRegistry()
+	addr := startServer(t, &Server{Eval: slowEval, Heartbeat: 5 * time.Millisecond, Metrics: reg})
+	conn, err := (&Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := shard.RoundTrip(conn, testJobs(1, 1)[0], time.Second); err != nil {
+		t.Fatal(err)
+	}
+	beats := reg.Counter("shardnet_server_heartbeats_total")
+	time.Sleep(20 * time.Millisecond) // let the last tick's count land
+	during := beats.Value()
+	if during == 0 {
+		t.Fatal("no heartbeat during a job twelve intervals long")
+	}
+	time.Sleep(60 * time.Millisecond)
+	if idle := beats.Value() - during; idle != 0 {
+		t.Fatalf("%d heartbeats while the connection idled", idle)
 	}
 }
 

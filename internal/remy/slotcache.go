@@ -206,8 +206,9 @@ func EvalShardJob(job *shard.Job) (*shard.Result, error) {
 // binary codec with ID and Workers zeroed (the two fields that vary
 // between identical evaluations and provably cannot affect scores) and
 // the config normalized to its hash, so an inline-config job and its
-// hash-only repeat share an address.
-func jobKey(job *shard.Job) (shardnet.Key, bool) {
+// hash-only repeat share an address. shard.HashJob streams the
+// encoding into the hasher, so no copy of the job is built.
+func jobKey(job *shard.Job) shardnet.Key {
 	j := *job
 	j.ID = 0
 	j.Workers = 0
@@ -215,11 +216,7 @@ func jobKey(job *shard.Job) (shardnet.Key, bool) {
 	if j.CfgHash.IsZero() {
 		j.CfgHash = shard.HashBytes(job.Cfg)
 	}
-	b, err := shard.EncodeJob(&j, true)
-	if err != nil {
-		return shardnet.Key{}, false
-	}
-	return sha256.Sum256(b), true
+	return shardnet.Key(shard.HashJob(&j))
 }
 
 // CachedShardEval is the worker-side evaluator: EvalShardJob's decode
@@ -228,7 +225,7 @@ func jobKey(job *shard.Job) (shardnet.Key, bool) {
 // seed — a warm rerun of the same training) from the stored result
 // bytes without decoding the job at all. The slot tier (evalSlots)
 // looks each slot up independently, so a repeat sliced differently —
-// another lane count, a requeued window — still skips every
+// another lane count, a requeued job — still skips every
 // simulation it has seen; fresh results feed both tiers.
 // Result.Cached is set only when the whole job was served from cache,
 // which is what Server.Stats().CacheHits counts. A nil cache returns
@@ -238,29 +235,25 @@ func CachedShardEval(c *shardnet.Cache) shard.Eval {
 		return EvalShardJob
 	}
 	return func(job *shard.Job) (*shard.Result, error) {
-		jk, jkOK := jobKey(job)
-		if jkOK {
-			if b, ok := c.Get(jk); ok {
-				if res, err := shard.DecodeResult(b); err == nil {
-					res.ID = job.ID
-					res.Cached = true
-					return res, nil
-				}
-				// An undecodable entry is as good as poisoned; fall
-				// through to the slot tier.
+		jk := jobKey(job)
+		if b, ok := c.Get(jk); ok {
+			if res, err := shard.DecodeResult(b); err == nil {
+				res.ID = job.ID
+				res.Cached = true
+				return res, nil
 			}
+			// An undecodable entry is as good as poisoned; fall
+			// through to the slot tier.
 		}
 		w, err := decodeShardJob(job)
 		if err != nil {
 			return nil, err
 		}
 		res := evalSlots(w, c)
-		if jkOK {
-			stored := *res
-			stored.Cached = false
-			if b, err := shard.EncodeResult(&stored, true); err == nil {
-				c.Put(jk, b)
-			}
+		stored := *res
+		stored.Cached = false
+		if b, err := shard.EncodeResult(&stored, true); err == nil {
+			c.Put(jk, b)
 		}
 		return res, nil
 	}

@@ -2,7 +2,9 @@ package remy
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
+	"math/rand"
 	"testing"
 
 	"learnability/internal/cc/remycc"
@@ -125,6 +127,63 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 			t.Fatalf("entry truncated to %d/%d bytes decoded cleanly", n, len(full))
 		}
 	}
+}
+
+// TestJobKeyMatchesEncodedJob holds the streamed replay key to its
+// definition, sha256 of the binary job with ID and Workers zeroed and
+// the config reduced to its hash, over random jobs, so replay entries
+// already on disk keep their addresses. It also checks that computing
+// the key allocates nothing.
+func TestJobKeyMatchesEncodedJob(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	blob := func(max int) []byte {
+		b := make([]byte, r.Intn(max+1))
+		r.Read(b)
+		return b
+	}
+	for i := 0; i < 500; i++ {
+		job := &shard.Job{
+			ID: r.Uint64(), Version: r.Intn(5), Seed: r.Uint64(), Gen: r.Intn(100) - 1,
+			Replicas: r.Intn(20), UsageFor: r.Intn(10) - 1, SlotLo: r.Intn(1000), SlotHi: r.Intn(1000),
+			Workers: r.Intn(64), TreeLo: r.Intn(50), Cfg: blob(300),
+		}
+		if r.Intn(2) == 0 {
+			job.CfgHash = shard.HashBytes(job.Cfg)
+		}
+		for n := r.Intn(6); n > 0; n-- {
+			job.Trees = append(job.Trees, blob(2000))
+		}
+
+		zeroed := *job
+		zeroed.ID, zeroed.Workers, zeroed.Cfg = 0, 0, nil
+		if zeroed.CfgHash.IsZero() {
+			zeroed.CfgHash = shard.HashBytes(job.Cfg)
+		}
+		enc, err := shard.EncodeJob(&zeroed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jobKey(job), shardnet.Key(sha256.Sum256(enc)); got != want {
+			t.Fatalf("job %d: jobKey = %x, sha256(EncodeJob(zeroed)) = %x", i, got, want)
+		}
+		if got := shard.HashJob(job); got != shard.HashBytes(mustEncodeJob(t, job)) {
+			t.Fatalf("job %d: HashJob differs from the hash of EncodeJob", i)
+		}
+	}
+
+	job := &shard.Job{Version: shard.ProtocolVersion, Cfg: []byte(`{"Delta":1}`), Trees: [][]byte{blob(3000), blob(3000)}}
+	if allocs := testing.AllocsPerRun(100, func() { jobKey(job) }); allocs >= 1 {
+		t.Fatalf("jobKey allocates %.2f times per call, want none", allocs)
+	}
+}
+
+func mustEncodeJob(t *testing.T, job *shard.Job) []byte {
+	t.Helper()
+	b, err := shard.EncodeJob(job, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // FuzzSlotEntry covers the one decoder in this package that reads

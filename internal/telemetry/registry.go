@@ -61,7 +61,7 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous float64 value (window occupancy, current
+// Gauge is an instantaneous float64 value (open connections, current
 // score). All methods are nil-receiver safe.
 type Gauge struct {
 	bits atomic.Uint64

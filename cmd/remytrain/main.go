@@ -222,7 +222,7 @@ func main() {
 	cs := tr.LocalCacheStats()
 	shardHits, shardTotal := tr.ShardCacheStats()
 	drawHits, drawMisses := remy.DrawMemoStats()
-	fmt.Printf("summary: whiskers=%d slots=%d eval_cache_hits=%d eval_cache_disk_hits=%d eval_cache_misses=%d eval_cache_entries=%d shard_results=%d shard_cache_hits=%d draw_memo_hits=%d draw_memo_misses=%d\n",
-		tree.Len(), tr.SlotsEvaluated(), cs.Hits, cs.DiskHits, cs.Misses, cs.Entries,
+	fmt.Printf("summary: whiskers=%d slots=%d skipped_slots=%d eval_cache_hits=%d eval_cache_disk_hits=%d eval_cache_misses=%d eval_cache_entries=%d shard_results=%d shard_cache_hits=%d draw_memo_hits=%d draw_memo_misses=%d\n",
+		tree.Len(), tr.SlotsEvaluated(), tr.SlotsSkipped(), cs.Hits, cs.DiskHits, cs.Misses, cs.Entries,
 		shardTotal, shardHits, drawHits, drawMisses)
 }

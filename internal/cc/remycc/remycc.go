@@ -153,11 +153,14 @@ func (r *RemyCC) Tree() *Tree { return r.tree }
 func (r *RemyCC) LastVector() Vector { return r.memory.Vector() }
 
 // Reset implements cc.Algorithm: each "on" period is a fresh
-// connection with cleared memory.
+// connection with cleared memory, paced by the intersend of the
+// whisker holding the cleared memory point. That read, and the counted
+// lookup in OnACK, are the only reads of the tree's actions; the
+// trainer's slot skipping relies on it (see Tree.ResetWhisker).
 func (r *RemyCC) Reset(units.Time) {
 	r.memory.Reset()
 	r.cwnd = initialWindow
-	r.lastWhisker = r.tree.Lookup(r.memory.Vector())
+	r.lastWhisker = r.tree.ResetWhisker()
 	a := r.tree.Action(r.lastWhisker)
 	r.pace = units.DurationFromSeconds(a.Intersend)
 }

@@ -284,6 +284,38 @@ func TestRemyCCReset(t *testing.T) {
 	}
 }
 
+// TestResetWhiskerIsWhatResetReads holds Tree.ResetWhisker to the
+// memory point RemyCC.Reset starts from, under every single-signal
+// knockout mask and after history: the trainer treats that whisker's
+// action as read on every run, fired or not, and a reset point that
+// drifted from InitialVector would make it skip slots it must run.
+func TestResetWhiskerIsWhatResetReads(t *testing.T) {
+	tr := NewTree()
+	tr, _ = tr.Split(0, Vector{0.01, 0.02, 0.03, 2, 0.5}, []Signal{RecEWMA, RTTRatio, ECNFraction})
+	masks := []SignalMask{AllSignals()}
+	for s := Signal(0); s < NumSignals; s++ {
+		masks = append(masks, AllSignals().Without(s))
+	}
+	for _, mask := range masks {
+		m := NewMemory(mask)
+		for i := 0; i < 5; i++ {
+			at := units.Time(i) * units.Time(7*units.Millisecond)
+			m.Observe(cc.Feedback{RTT: 300 * units.Millisecond, MinRTT: 100 * units.Millisecond,
+				ReceivedAt: at, SentAt: at, ECNEcho: true})
+		}
+		m.Reset()
+		if m.Vector() != InitialVector() {
+			t.Fatalf("mask %v: memory after Reset = %v, want InitialVector", mask, m.Vector())
+		}
+		r := NewMasked(tr, mask)
+		r.OnACK(0, cc.Feedback{RTT: 900 * units.Millisecond, MinRTT: 100 * units.Millisecond, NewlyAcked: 1})
+		r.Reset(0)
+		if got, want := r.lastWhisker, tr.ResetWhisker(); got != want {
+			t.Fatalf("mask %v: Reset started from whisker %d, ResetWhisker says %d", mask, got, want)
+		}
+	}
+}
+
 func TestRemyCCUsageRecording(t *testing.T) {
 	tr := NewTree()
 	tr, _ = tr.Split(0, Vector{0, 0, 0, 2}, []Signal{RTTRatio})

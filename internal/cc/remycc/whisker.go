@@ -236,6 +236,12 @@ func (t *Tree) lookupClamped(v *Vector) int {
 	panic(fmt.Sprintf("remycc: no whisker contains %v; tree partition broken", *v))
 }
 
+// ResetWhisker returns the whisker holding InitialVector, the memory
+// point every connection starts from: RemyCC.Reset reads its Intersend
+// on every "on" period, whether or not the whisker ever fires on an
+// ACK. It depends on the domains alone.
+func (t *Tree) ResetWhisker() int { return t.Lookup(InitialVector()) }
+
 // Action returns the action of whisker i.
 func (t *Tree) Action(i int) Action { return t.Whiskers[i].Action }
 

@@ -60,7 +60,7 @@ func TestEvaluateBatchMatchesSerialOracle(t *testing.T) {
 					// The second pass is served from the cache the first
 					// filled (when there is one).
 					for pass := 0; pass < 2; pass++ {
-						means, usage := tr.evaluateBatch(&cfg, trees, gen, usageFor)
+						means, usage := tr.evaluateBatch(&cfg, trees, gen, usageFor, nil)
 						if !reflect.DeepEqual(means, wantMeans) {
 							t.Fatalf("pass %d: means %v, oracle %v", pass, means, wantMeans)
 						}

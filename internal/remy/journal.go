@@ -40,8 +40,13 @@ type GenerationRecord struct {
 	// "split-degenerate"; empty otherwise.
 	Note string `json:"note,omitempty"`
 	// Slots is the number of (tree x replica) evaluation slots the
-	// generation requested (cache hits included).
+	// generation requested (cache hits and skipped slots included).
 	Slots int64 `json:"slots"`
+	// SkippedSlots is how many of those slots hill-climb batches took
+	// from the current tree's run instead of looking them up or
+	// simulating them: in process, Slots = EvalCacheHits +
+	// EvalCacheMisses + SkippedSlots.
+	SkippedSlots int64 `json:"skipped_slots"`
 	// EvalCacheHits is the in-process slot cache's hit delta this
 	// generation (zero when the cache is disabled).
 	EvalCacheHits int64 `json:"eval_cache_hits"`
@@ -100,7 +105,7 @@ type genSnapshot struct {
 	evalHits, evalMisses, evalDiskHits uint64
 	shardResults, shardCacheHits       uint64
 	drawHits, drawMisses               int64
-	slots                              int64
+	slots, skipped                     int64
 }
 
 // counterSnapshot captures the current counter values (Train
@@ -114,6 +119,7 @@ func (t *Trainer) counterSnapshot() genSnapshot {
 	s.shardResults, s.shardCacheHits = t.shardResults, t.shardCacheHits
 	s.drawHits, s.drawMisses = DrawMemoStats()
 	s.slots = t.slotsEvaluated.Load()
+	s.skipped = t.slotsSkipped.Load()
 	return s
 }
 
@@ -172,6 +178,7 @@ func (t *Trainer) emitGeneration(gen int, start time.Time, snap genSnapshot, sco
 		SplitWhisker:      splitW,
 		Note:              note,
 		Slots:             now.slots - snap.slots,
+		SkippedSlots:      now.skipped - snap.skipped,
 		EvalCacheHits:     int64(cs.Hits - snap.evalHits),
 		EvalCacheMisses:   int64(cs.Misses - snap.evalMisses),
 		EvalCacheDiskHits: int64(cs.DiskHits - snap.evalDiskHits),

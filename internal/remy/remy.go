@@ -408,9 +408,50 @@ type Trainer struct {
 	shardResults, shardCacheHits uint64
 
 	// slotsEvaluated counts (tree x replica) evaluation slots requested
-	// across the Trainer's lifetime, cache hits included. Atomic so a
-	// Metrics scrape can read it from the HTTP goroutine mid-Train.
+	// across the Trainer's lifetime, cache hits and skipped slots
+	// included. Atomic so a Metrics scrape can read it from the HTTP
+	// goroutine mid-Train.
 	slotsEvaluated atomic.Int64
+	// slotsSkipped counts the slots among those that a hill-climb
+	// batch took from the current tree's run instead of evaluating
+	// (see optimizeWhisker).
+	slotsSkipped atomic.Int64
+
+	// cur holds the current tree's run on each of the generation's
+	// replicas; batch is the last batch's runs, tree-major. Both are
+	// reused from batch to batch, as is live, the replica list of a
+	// hill-climb batch.
+	cur, batch replicaRuns
+	live       []int
+}
+
+// replicaRuns holds one or more trees' runs on a generation's replicas:
+// per run, the score and the fired set (words words each).
+type replicaRuns struct {
+	scores []float64
+	fired  []uint64
+	words  int
+}
+
+// resize sizes r for n runs of words-word fired sets, reusing its
+// buffers. Contents are left for the caller to overwrite.
+func (r *replicaRuns) resize(n, words int) {
+	if cap(r.scores) < n {
+		r.scores = make([]float64, n)
+	}
+	if cap(r.fired) < n*words {
+		r.fired = make([]uint64, n*words)
+	}
+	r.scores, r.fired, r.words = r.scores[:n], r.fired[:n*words], words
+}
+
+// takeTree copies runs [i*n, (i+1)*n) of from — tree i of a batch on
+// n replicas — into r.
+func (r *replicaRuns) takeTree(from *replicaRuns, i, n int) {
+	w := from.words
+	r.resize(n, w)
+	copy(r.scores, from.scores[i*n:(i+1)*n])
+	copy(r.fired, from.fired[i*n*w:(i+1)*n*w])
 }
 
 // ShardCacheStats reports, after a sharded Train, how many shard
@@ -422,10 +463,18 @@ func (t *Trainer) ShardCacheStats() (hits, total uint64) {
 }
 
 // SlotsEvaluated reports the total (tree x replica) evaluation slots
-// requested across the Trainer's lifetime, cache hits included —
-// the denominator for every cache hit rate cmd/remytrain summarizes.
+// requested across the Trainer's lifetime, cache hits and skipped
+// slots included — the denominator for every cache hit rate
+// cmd/remytrain summarizes.
 func (t *Trainer) SlotsEvaluated() int64 {
 	return t.slotsEvaluated.Load()
+}
+
+// SlotsSkipped reports how many of those slots a hill-climb batch
+// served from the current tree's run, because the move could not
+// change it, instead of looking them up or simulating them.
+func (t *Trainer) SlotsSkipped() int64 {
+	return t.slotsSkipped.Load()
 }
 
 // Budget bounds the search effort.
@@ -478,80 +527,114 @@ func (t *Trainer) workers() int {
 // ranges — one in process, several with a shard pool — and every range
 // is scored by evalSlots, here or on a worker; the merge and reduction
 // below are shared, so every mode performs the identical sequence of
-// float operations — the root of the bit-equality guarantee. It
-// returns the mean objective per tree and, when usageFor is a valid
-// index, the merged whisker usage of that tree.
-func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor int) ([]float64, *remycc.UsageStats) {
+// float operations — the root of the bit-equality guarantee.
+//
+// A non-nil reps restricts evaluation to those replicas: every other
+// replica's run of every tree is taken from the current tree's (t.cur),
+// which must then be that of a tree of the same structure in the same
+// generation. The runs land in t.batch either way, tree-major, so the
+// mean adds the same per-slot floats in the same order. It returns the
+// mean objective per tree and, when usageFor is a valid index, the
+// merged whisker usage of that tree.
+func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor int, reps []int) ([]float64, *remycc.UsageStats) {
 	if usageFor < 0 || usageFor >= len(trees) {
 		usageFor = -1
 	}
-	scores := make([]float64, len(trees)*cfg.Replicas)
-	t.slotsEvaluated.Add(int64(len(scores)))
-	cfgJSON, cfgHash := t.cfgID(cfg)
-	cache := t.localCache()
-	var enc [][]byte // slot-key and wire form of the trees
-	if t.shards != nil || cache != nil {
-		enc = make([][]byte, len(trees))
-		for i, tree := range trees {
-			b, err := tree.MarshalBinary()
-			if err != nil {
-				panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
-			}
-			enc[i] = b
-		}
+	replicas := cfg.Replicas
+	nr := replicas
+	if reps != nil {
+		nr = len(reps)
 	}
-
-	batch := slotWork{
-		cfg: cfg, cfgHash: cfgHash, trees: trees, enc: enc, lo: 0, hi: len(scores),
-		usageFor: usageFor, workers: t.workers(),
-	}
-	per := len(scores) // slots per evaluation unit: the whole batch, or one shard job
-	var results []*shard.Result
-	if t.shards != nil {
-		per = t.slotsPerJob(len(scores))
-		var err error
-		if results, err = t.shards.Do(t.shardJobs(&batch, cfgJSON, gen, per)); err != nil {
-			panic(fmt.Sprintf("remy: shard batch failed: %v", err))
+	nSlots := len(trees) * nr
+	t.slotsEvaluated.Add(int64(len(trees) * replicas))
+	t.slotsSkipped.Add(int64(len(trees) * (replicas - nr)))
+	words := treeFiredWords(trees)
+	runs := &t.batch
+	runs.resize(len(trees)*replicas, words)
+	if reps != nil {
+		if t.cur.words != words || len(t.cur.scores) != replicas {
+			panic(fmt.Sprintf("remy: skipping replicas of %d-word trees against a current tree of %d words", words, t.cur.words))
 		}
-		t.shardResults += uint64(len(results))
-		for _, res := range results {
-			if res.Cached {
-				t.shardCacheHits++
-			}
+		// A replica left out runs every candidate exactly as it ran
+		// the current tree.
+		for ti := range trees {
+			copy(runs.scores[ti*replicas:], t.cur.scores)
+			copy(runs.fired[ti*replicas*words:], t.cur.fired)
 		}
-	} else {
-		// Slot tier only: the replay tier exists to skip decoding a
-		// job's bytes, and nothing was encoded.
-		batch.draws = drawsFor(cfgHash, t.Seed, gen, cfg)
-		results = []*shard.Result{evalSlots(batch, cache)}
 	}
 
 	var usageK []*remycc.UsageStats // per-replica usage of trees[usageFor]
 	if usageFor >= 0 {
-		usageK = make([]*remycc.UsageStats, cfg.Replicas)
+		usageK = make([]*remycc.UsageStats, replicas)
 	}
-	for i, res := range results {
-		lo, hi := i*per, min((i+1)*per, len(scores))
-		if len(res.Scores) != hi-lo {
-			panic(fmt.Sprintf("remy: slots [%d,%d) returned %d scores", lo, hi, len(res.Scores)))
-		}
-		copy(scores[lo:hi], res.Scores)
-		for fi := range res.Usage {
-			uf := &res.Usage[fi]
-			if usageK == nil || uf.K < 0 || uf.K >= len(usageK) {
-				panic(fmt.Sprintf("remy: slots [%d,%d) returned usage for replica %d", lo, hi, uf.K))
+	if nSlots > 0 {
+		cfgJSON, cfgHash := t.cfgID(cfg)
+		cache := t.localCache()
+		var enc [][]byte // slot-key and wire form of the trees
+		if t.shards != nil || cache != nil {
+			enc = make([][]byte, len(trees))
+			for i, tree := range trees {
+				b, err := tree.MarshalBinary()
+				if err != nil {
+					panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
+				}
+				enc[i] = b
 			}
-			usageK[uf.K] = uf.Stats()
+		}
+
+		batch := slotWork{
+			cfg: cfg, cfgHash: cfgHash, reps: reps, trees: trees, enc: enc, lo: 0, hi: nSlots,
+			usageFor: usageFor, workers: t.workers(),
+		}
+		per := nSlots // slots per evaluation unit: the whole batch, or one shard job
+		var results []*shard.Result
+		if t.shards != nil {
+			per = t.slotsPerJob(nSlots)
+			var err error
+			if results, err = t.shards.Do(t.shardJobs(&batch, cfgJSON, gen, per)); err != nil {
+				panic(fmt.Sprintf("remy: shard batch failed: %v", err))
+			}
+			t.shardResults += uint64(len(results))
+			for _, res := range results {
+				if res.Cached {
+					t.shardCacheHits++
+				}
+			}
+		} else {
+			// Slot tier only: the replay tier exists to skip decoding a
+			// job's bytes, and nothing was encoded.
+			batch.draws = drawsFor(cfgHash, t.Seed, gen, cfg)
+			results = []*shard.Result{evalSlots(batch, cache)}
+		}
+
+		for i, res := range results {
+			lo, hi := i*per, min((i+1)*per, nSlots)
+			if len(res.Scores) != hi-lo || len(res.Fired) != (hi-lo)*words {
+				panic(fmt.Sprintf("remy: slots [%d,%d) returned %d scores and %d fired words", lo, hi, len(res.Scores), len(res.Fired)))
+			}
+			for s := lo; s < hi; s++ {
+				ti, k := batch.slot(s)
+				j := ti*replicas + k
+				runs.scores[j] = res.Scores[s-lo]
+				copy(runs.fired[j*words:(j+1)*words], res.Fired[(s-lo)*words:])
+			}
+			for fi := range res.Usage {
+				uf := &res.Usage[fi]
+				if usageK == nil || uf.K < 0 || uf.K >= len(usageK) {
+					panic(fmt.Sprintf("remy: slots [%d,%d) returned usage for replica %d", lo, hi, uf.K))
+				}
+				usageK[uf.K] = uf.Stats()
+			}
 		}
 	}
 
 	means := make([]float64, len(trees))
 	for ti := range trees {
 		total := 0.0
-		for k := 0; k < cfg.Replicas; k++ {
-			total += scores[ti*cfg.Replicas+k]
+		for k := 0; k < replicas; k++ {
+			total += runs.scores[ti*replicas+k]
 		}
-		means[ti] = total / float64(cfg.Replicas)
+		means[ti] = total / float64(replicas)
 	}
 	var usage *remycc.UsageStats
 	if usageFor >= 0 {
@@ -566,17 +649,23 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 	return means, usage
 }
 
-// evaluate scores a tree on the generation's common scenario draws and
-// returns the mean objective and merged whisker usage.
+// evaluate scores a tree on every one of the generation's common
+// scenario draws and returns the mean objective and merged whisker
+// usage. The tree becomes the current tree whose runs hill-climb
+// batches skip against.
 func (t *Trainer) evaluate(cfg *Config, tree *remycc.Tree, gen int) (float64, *remycc.UsageStats) {
-	means, usage := t.evaluateBatch(cfg, []*remycc.Tree{tree}, gen, 0)
+	means, usage := t.evaluateBatch(cfg, []*remycc.Tree{tree}, gen, 0, nil)
+	t.cur.takeTree(&t.batch, 0, cfg.Replicas)
 	return means[0], usage
 }
+
+// numNeighbors is how many candidate actions neighbors returns.
+const numNeighbors = 14
 
 // neighbors generates the candidate actions adjacent to a: each
 // dimension of the action triplet (§3.5) moved alone.
 func neighbors(a remycc.Action) []remycc.Action {
-	var out []remycc.Action
+	out := make([]remycc.Action, 0, numNeighbors)
 	add := func(n remycc.Action) { out = append(out, n.Clamp()) }
 	for _, dm := range []float64{-0.2, -0.05, 0.05, 0.2} {
 		n := a
@@ -645,13 +734,16 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 		}
 		score, usage := t.evaluate(cfg, tree, gen)
 		t.logf("gen %d: score %.4f, %d whiskers", gen, score, tree.Len())
+		// Moves change actions, never domains, so the whisker every
+		// connection starts in is fixed for the generation.
+		resetW := tree.ResetWhisker()
 
 		// Action optimization passes.
 		for pass := 0; pass < b.OptPasses; pass++ {
 			order := usageOrder(usage)
 			before := score
 			for _, wi := range order {
-				tree, score = t.optimizeWhisker(cfg, tree, wi, score, gen, b.MovesPerWhisker)
+				tree, score = t.optimizeWhisker(cfg, tree, wi, resetW, score, gen, b.MovesPerWhisker)
 			}
 			// Refresh usage (and the reference score) for the next pass
 			// or the split decision. When the slot cache holds
@@ -708,14 +800,23 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 
 // optimizeWhisker hill-climbs one whisker's action; all candidate
 // neighbor evaluations (candidate x replica) run as one batch.
-func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
+//
+// A candidate differs from the current tree only in whisker wi's
+// action, and a run reads an action only when its whisker fires on an
+// ACK — or, for the reset whisker resetW, at every connection start.
+// So on a replica where wi never fired under the current tree, every
+// candidate's run is bit-identical to the current tree's: the batch
+// runs only the other replicas (liveReps) and takes the rest from
+// t.cur, which an accepted candidate's runs then replace.
+func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi, resetW int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
+	trees := make([]*remycc.Tree, numNeighbors)
 	for move := 0; move < maxMoves; move++ {
 		cands := neighbors(tree.Action(wi))
-		trees := make([]*remycc.Tree, len(cands))
+		trees = trees[:len(cands)]
 		for ci, a := range cands {
 			trees[ci] = tree.WithAction(wi, a)
 		}
-		scores, _ := t.evaluateBatch(cfg, trees, gen, -1)
+		scores, _ := t.evaluateBatch(cfg, trees, gen, -1, t.liveReps(cfg, wi, resetW))
 		best, bestScore := -1, score
 		for ci, s := range scores {
 			if s > bestScore+improvementEpsilon {
@@ -725,11 +826,36 @@ func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi int, score 
 		if best < 0 {
 			break
 		}
-		tree = tree.WithAction(wi, cands[best])
-		score = bestScore
+		tree, score = trees[best], bestScore
+		t.cur.takeTree(&t.batch, best, cfg.Replicas)
 		t.logf("  whisker %d -> %+v (score %.4f)", wi, tree.Action(wi), score)
 	}
 	return tree, score
+}
+
+// liveReps returns the replicas on which a move of whisker wi can
+// change the current tree's run — those where wi fired — or nil when
+// that is all of them. The reset whisker's intersend is read at every
+// connection start, fired or not, so its moves run everywhere.
+func (t *Trainer) liveReps(cfg *Config, wi, resetW int) []int {
+	if wi == resetW {
+		return nil
+	}
+	if t.live == nil {
+		t.live = make([]int, 0, cfg.Replicas)
+	}
+	live := t.live[:0]
+	word, bit := wi/64, uint64(1)<<(wi%64)
+	for k := 0; k < cfg.Replicas; k++ {
+		if t.cur.fired[k*t.cur.words+word]&bit != 0 {
+			live = append(live, k)
+		}
+	}
+	t.live = live
+	if len(live) == cfg.Replicas {
+		return nil
+	}
+	return live
 }
 
 // usageOrder returns whisker indices sorted by descending use count,

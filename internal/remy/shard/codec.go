@@ -1,4 +1,4 @@
-// Binary wire codec for protocol v3, plus the content-addressed
+// Binary wire codec for protocol v4, plus the content-addressed
 // config store that backs config-by-hash job shipping.
 //
 // A frame is a 4-byte big-endian length + payload. Jobs and results
@@ -29,8 +29,8 @@ import (
 // Binary payload magics, little-endian. The leading 'R' guarantees the
 // first byte is never '{', so codec sniffing is unambiguous.
 const (
-	jobMagic    = uint32('R') | uint32('J')<<8 | uint32('B')<<16 | uint32('3')<<24
-	resultMagic = uint32('R') | uint32('R')<<8 | uint32('S')<<16 | uint32('3')<<24
+	jobMagic    = uint32('R') | uint32('J')<<8 | uint32('B')<<16 | uint32('4')<<24
+	resultMagic = uint32('R') | uint32('R')<<8 | uint32('S')<<16 | uint32('4')<<24
 )
 
 // Hash is a SHA-256 content address, used to ship the training config
@@ -213,7 +213,7 @@ const jobHeadSize = 4 + 10*8 + 1 + sha256.Size
 // jobSize bounds the binary encoding's length (exact when CfgHash is
 // set).
 func jobSize(job *Job) int {
-	n := jobHeadSize + 4 + len(job.Cfg) + 4
+	n := jobHeadSize + 4 + len(job.Cfg) + 4 + 4 + 8*len(job.Reps)
 	for _, t := range job.Trees {
 		n += 4 + len(t)
 	}
@@ -227,6 +227,16 @@ func appendJob(b []byte, job *Job) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(job.Trees)))
 	for _, tree := range job.Trees {
 		b = appendBlob(b, tree)
+	}
+	return appendReps(b, job.Reps)
+}
+
+// appendReps appends the replica list that closes a binary job: a u32
+// count and one 64-bit integer per replica.
+func appendReps(b []byte, reps []int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(reps)))
+	for _, k := range reps {
+		b = appendI64(b, int64(k))
 	}
 	return b
 }
@@ -275,6 +285,10 @@ func HashJob(job *Job) Hash {
 	for _, tree := range job.Trees {
 		h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(tree))))
 		h.Write(tree)
+	}
+	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Reps))))
+	for _, k := range job.Reps {
+		h.Write(appendI64(jh.buf[:0], int64(k)))
 	}
 	var sum Hash
 	copy(sum[:], h.Sum(jh.buf[:0]))
@@ -337,6 +351,16 @@ func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
 			job.Trees[i] = c.blob("tree")
 		}
 	}
+	nReps := int(c.u32("replica count"))
+	if c.err == nil && nReps > (len(c.b)-c.off)/8 {
+		c.fail("replica count")
+	}
+	if c.err == nil && nReps > 0 {
+		job.Reps = make([]int, nReps)
+		for i := range job.Reps {
+			job.Reps[i] = int(c.i64("replica"))
+		}
+	}
 	if err := c.done(); err != nil {
 		return nil, false, err
 	}
@@ -381,7 +405,7 @@ func EncodeResult(res *Result, binaryCodec bool) ([]byte, error) {
 // resultSize is the binary encoding's length without usage frames,
 // which are rare enough to grow into.
 func resultSize(res *Result) int {
-	return 4 + 8 + 1 + 4 + len(res.Err) + 4 + 8*len(res.Scores) + 4
+	return 4 + 8 + 1 + 4 + len(res.Err) + 4 + 8*len(res.Scores) + 4 + 4 + 8*len(res.Fired)
 }
 
 // appendResult appends res's binary encoding to b.
@@ -402,10 +426,10 @@ func appendResult(b []byte, res *Result) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s))
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.Usage)))
+	if err := res.check(); err != nil {
+		return nil, err
+	}
 	for _, uf := range res.Usage {
-		if len(uf.Sum) != len(uf.Count) {
-			return nil, fmt.Errorf("shard: usage frame k=%d has %d sums for %d counts", uf.K, len(uf.Sum), len(uf.Count))
-		}
 		b = appendI64(b, int64(uf.K))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(uf.Count)))
 		for _, n := range uf.Count {
@@ -417,7 +441,26 @@ func appendResult(b []byte, res *Result) ([]byte, error) {
 			}
 		}
 	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.Fired)))
+	for _, word := range res.Fired {
+		b = binary.LittleEndian.AppendUint64(b, word)
+	}
 	return b, nil
+}
+
+// check rejects a result whose parts disagree: a usage frame with
+// sums and counts of different lengths, or fired sets that do not
+// split evenly over the slots.
+func (res *Result) check() error {
+	for _, uf := range res.Usage {
+		if len(uf.Sum) != len(uf.Count) {
+			return fmt.Errorf("shard: usage frame k=%d has %d sums for %d counts", uf.K, len(uf.Sum), len(uf.Count))
+		}
+	}
+	if n := len(res.Fired); n > 0 && (len(res.Scores) == 0 || n%len(res.Scores) != 0) {
+		return fmt.Errorf("shard: %d fired words for %d slots", n, len(res.Scores))
+	}
+	return nil
 }
 
 // DecodeResult decodes a result payload in either codec.
@@ -427,10 +470,8 @@ func DecodeResult(payload []byte) (*Result, error) {
 		if err := unmarshalJSONFrame(payload, res); err != nil {
 			return nil, err
 		}
-		for _, uf := range res.Usage {
-			if len(uf.Sum) != len(uf.Count) {
-				return nil, fmt.Errorf("shard: usage frame k=%d has %d sums for %d counts", uf.K, len(uf.Sum), len(uf.Count))
-			}
+		if err := res.check(); err != nil {
+			return nil, err
 		}
 		return res, nil
 	}
@@ -482,7 +523,20 @@ func DecodeResult(payload []byte) (*Result, error) {
 		}
 		res.Usage = append(res.Usage, uf)
 	}
+	nFired := int(c.u32("fired count"))
+	if c.err == nil && nFired > (len(c.b)-c.off)/8 {
+		c.fail("fired count")
+	}
+	if c.err == nil && nFired > 0 {
+		res.Fired = make([]uint64, nFired)
+		for i := range res.Fired {
+			res.Fired[i] = c.u64("fired")
+		}
+	}
 	if err := c.done(); err != nil {
+		return nil, err
+	}
+	if err := res.check(); err != nil {
 		return nil, err
 	}
 	return res, nil

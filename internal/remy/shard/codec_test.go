@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -31,6 +32,11 @@ func randJob(r *rand.Rand) *Job {
 		TreeLo:   r.Intn(32),
 	}
 	job.SlotHi = job.SlotLo + 1 + r.Intn(64)
+	for k := 0; k < job.Replicas; k++ {
+		if r.Intn(2) == 0 {
+			job.Reps = append(job.Reps, k)
+		}
+	}
 	for i := 0; i < r.Intn(4); i++ {
 		tree := make([]byte, r.Intn(200))
 		r.Read(tree)
@@ -90,6 +96,12 @@ func randResult(r *rand.Rand, nonFinite bool) *Result {
 		}
 		res.Usage = append(res.Usage, uf)
 	}
+	if words := r.Intn(3); words > 0 {
+		res.Fired = make([]uint64, words*len(res.Scores))
+		for i := range res.Fired {
+			res.Fired[i] = r.Uint64() >> r.Intn(64)
+		}
+	}
 	return res
 }
 
@@ -102,8 +114,13 @@ func jobsEqual(a, b *Job) bool {
 		a.TreeLo != b.TreeLo || a.CfgHash != b.CfgHash {
 		return false
 	}
-	if !bytes.Equal(a.Cfg, b.Cfg) || len(a.Trees) != len(b.Trees) {
+	if !bytes.Equal(a.Cfg, b.Cfg) || len(a.Trees) != len(b.Trees) || len(a.Reps) != len(b.Reps) {
 		return false
+	}
+	for i := range a.Reps {
+		if a.Reps[i] != b.Reps[i] {
+			return false
+		}
 	}
 	for i := range a.Trees {
 		if !bytes.Equal(a.Trees[i], b.Trees[i]) {
@@ -117,8 +134,14 @@ func jobsEqual(a, b *Job) bool {
 // IEEE-754 bit patterns, so NaN == NaN and -0 != +0.
 func resultsEqual(a, b *Result) bool {
 	if a.ID != b.ID || a.Cached != b.Cached || a.NeedCfg != b.NeedCfg ||
-		a.Err != b.Err || len(a.Scores) != len(b.Scores) || len(a.Usage) != len(b.Usage) {
+		a.Err != b.Err || len(a.Scores) != len(b.Scores) || len(a.Usage) != len(b.Usage) ||
+		len(a.Fired) != len(b.Fired) {
 		return false
+	}
+	for i := range a.Fired {
+		if a.Fired[i] != b.Fired[i] {
+			return false
+		}
 	}
 	for i := range a.Scores {
 		if math.Float64bits(a.Scores[i]) != math.Float64bits(b.Scores[i]) {
@@ -256,6 +279,75 @@ func TestBinaryDecodeRejectsTruncation(t *testing.T) {
 		if _, err := DecodeResult(payload[:n]); err == nil {
 			t.Fatalf("result truncated to %d/%d bytes decoded cleanly", n, len(payload))
 		}
+	}
+}
+
+// TestDecodeResultRejectsUnevenFired requires both codecs to reject
+// fired sets that do not split evenly over the result's slots (and
+// fired words without slots), and the encoder to refuse to write one.
+func TestDecodeResultRejectsUnevenFired(t *testing.T) {
+	good := &Result{ID: 1, Scores: []float64{1, 2, 3}, Fired: []uint64{1, 2, 3, 4, 5, 6}}
+	payload, err := EncodeResult(good, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := DecodeResult(payload); err != nil || !resultsEqual(back, good) {
+		t.Fatalf("two words per slot: decoded %+v, %v", back, err)
+	}
+	for _, bad := range []*Result{
+		{ID: 2, Scores: []float64{1, 2, 3}, Fired: []uint64{1, 2, 3, 4}},
+		{ID: 3, Fired: []uint64{7}},
+	} {
+		if _, err := EncodeResult(bad, true); err == nil {
+			t.Fatalf("binary encoder wrote %d fired words for %d slots", len(bad.Fired), len(bad.Scores))
+		}
+		// Hand-build the frame the encoder refuses: a valid frame for
+		// the scores, with the fired words spliced on in place of its
+		// empty fired list.
+		ok := &Result{ID: bad.ID, Scores: bad.Scores}
+		frame, err := EncodeResult(ok, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = binary.LittleEndian.AppendUint32(frame[:len(frame)-4], uint32(len(bad.Fired)))
+		for _, w := range bad.Fired {
+			frame = binary.LittleEndian.AppendUint64(frame, w)
+		}
+		if _, err := DecodeResult(frame); err == nil {
+			t.Fatalf("binary decoder accepted %d fired words for %d slots", len(bad.Fired), len(bad.Scores))
+		}
+		js, err := EncodeResult(bad, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResult(js); err == nil {
+			t.Fatalf("JSON decoder accepted %d fired words for %d slots", len(bad.Fired), len(bad.Scores))
+		}
+	}
+}
+
+// TestDecodeBoundsCountsByRemainingBytes hands each decoder a frame
+// whose replica or fired count claims far more elements than the bytes
+// left could hold: the decoder must fail before allocating them.
+func TestDecodeBoundsCountsByRemainingBytes(t *testing.T) {
+	job := &Job{ID: 1, Version: ProtocolVersion, Replicas: 4, SlotHi: 1, Reps: []int{1, 3}}
+	payload, err := EncodeJob(job, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(payload) - 4 - 8*len(job.Reps)
+	binary.LittleEndian.PutUint32(payload[at:], 1<<30)
+	if _, _, err := DecodeJob(payload); err == nil {
+		t.Fatal("job with a replica count beyond its bytes decoded")
+	}
+	res := &Result{ID: 1, Scores: []float64{1}, Fired: []uint64{5}}
+	payload, err = EncodeResult(res, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(payload[len(payload)-12:], 1<<30)
+	if _, err := DecodeResult(payload); err == nil {
+		t.Fatal("result with a fired count beyond its bytes decoded")
 	}
 }
 

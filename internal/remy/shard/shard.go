@@ -2,7 +2,7 @@
 // evaluations across workers. The coordinator (internal/remy) slices a
 // generation's evaluation batch — every (candidate tree, replica)
 // slot — into self-contained Jobs, fans them out over a Pool of lanes
-// speaking length-prefixed frames (the binary v3 codec of codec.go —
+// speaking length-prefixed frames (the binary v4 codec of codec.go —
 // the one wire for a job) to remyshardd daemons over TCP
 // (internal/remy/shardnet; one machine runs `remyshardd -listen
 // 127.0.0.1:PORT` and points `remytrain -remotes` at it), and merges
@@ -36,8 +36,10 @@ import (
 // description (kind/hops/cross or explicit edges and routes) instead of
 // a two-member enum, so jobs ship arbitrary multi-hop topologies.
 // Version 3 added the binary codec (codec.go) and config-by-hash
-// shipping (Job.CfgHash, Result.NeedCfg).
-const ProtocolVersion = 3
+// shipping (Job.CfgHash, Result.NeedCfg). Version 4 added batches over
+// a subset of replicas (Job.Reps) and per-slot fired sets
+// (Result.Fired).
+const ProtocolVersion = 4
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate
 // trees (~100 bytes per whisker), so real frames are kilobytes; the cap
@@ -46,7 +48,9 @@ const maxFrame = 64 << 20
 
 // Job is one self-contained slice of a generation's evaluation batch:
 // slots [SlotLo, SlotHi) of the flattened (tree × replica) space, where
-// slot s means tree s/Replicas evaluated on replica draw s%Replicas.
+// slot s means tree s/n evaluated on replica draw Reps[s%n] with
+// n = len(Reps) — or, with Reps empty, tree s/Replicas on draw
+// s%Replicas.
 type Job struct {
 	// ID matches a Result to its Job across the wire.
 	ID uint64 `json:"id"`
@@ -76,6 +80,10 @@ type Job struct {
 	// Trees holds the candidate trees covering [SlotLo, SlotHi),
 	// encoded with remycc's stable binary codec.
 	Trees [][]byte `json:"trees"`
+	// Reps lists the replicas the batch runs on, strictly ascending in
+	// [0, Replicas); empty means every replica. The coordinator leaves
+	// out replicas where a hill-climb move cannot change the run.
+	Reps []int `json:"reps,omitempty"`
 	// Cfg is the training configuration, owned (and round-tripped) by
 	// internal/remy; shard treats it as opaque. With CfgHash set, Cfg
 	// may be empty on the wire: a connection ships the blob once, then
@@ -104,6 +112,11 @@ type Result struct {
 	// Usage holds per-replica whisker usage of the UsageFor tree, for
 	// the replicas that fell in this job's slice.
 	Usage []UsageFrame `json:"usage,omitempty"`
+	// Fired holds each slot's fired set, in slot order: the same number
+	// of words per slot (len(Fired)/len(Scores), one per 64 whiskers of
+	// the job's largest tree), bit w%64 of word w/64 set when whisker w
+	// fired on at least one ACK of the slot's run.
+	Fired []uint64 `json:"fired,omitempty"`
 	// Err reports an evaluation failure (bad config, undecodable
 	// tree). It is a deterministic error, not a crash: the pool
 	// surfaces it instead of requeueing.

@@ -202,8 +202,9 @@ func TestShardedTrainDifferentSeedsDiffer(t *testing.T) {
 // the one evaluation path directly: a job over any sub-range of a
 // batch — decoded from bytes on the worker — must reproduce, bit for
 // bit, the matching positions of the whole-batch evaluation the
-// in-process trainer runs, including the usage frames of a range that
-// splits the usageFor tree (fast enough to run in -short).
+// in-process trainer runs, including the fired sets and the usage
+// frames of a range that splits the usageFor tree (fast enough to run
+// in -short).
 func TestEvalShardJobMatchesLocalSlots(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Replicas = 2
@@ -248,6 +249,10 @@ func TestEvalShardJobMatchesLocalSlots(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Scores, whole.Scores[r.lo:r.hi]) {
 			t.Fatalf("slots [%d,%d): job scores %v, whole-batch scores %v", r.lo, r.hi, res.Scores, whole.Scores[r.lo:r.hi])
+		}
+		// One-whisker trees: one fired word per slot.
+		if !reflect.DeepEqual(res.Fired, whole.Fired[r.lo:r.hi]) {
+			t.Fatalf("slots [%d,%d): job fired sets %b, whole-batch fired sets %b", r.lo, r.hi, res.Fired, whole.Fired[r.lo:r.hi])
 		}
 		var want []shard.UsageFrame
 		for slot := r.lo; slot < r.hi; slot++ {

@@ -66,21 +66,23 @@ func (t *Trainer) slotsPerJob(nSlots int) int {
 }
 
 // shardJobs renders the batch as one job per range of per slots. Each
-// ships only the trees its range touches; the worker addresses tree ti
-// at Trees[ti-TreeLo] and re-derives the draws from Seed and Gen.
+// ships only the trees its range touches and the batch's replica list;
+// the worker addresses tree ti at Trees[ti-TreeLo] and re-derives the
+// draws from Seed and Gen.
 func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*shard.Job {
-	replicas := batch.cfg.Replicas
+	nr := batch.nReps()
 	jobs := make([]*shard.Job, 0, (batch.hi+per-1)/per)
 	for lo := 0; lo < batch.hi; lo += per {
 		hi := min(lo+per, batch.hi)
-		tiLo, tiHi := lo/replicas, (hi-1)/replicas
+		tiLo, tiHi := lo/nr, (hi-1)/nr
 		t.shardJobID++
 		jobs = append(jobs, &shard.Job{
 			ID:       t.shardJobID,
 			Version:  shard.ProtocolVersion,
 			Seed:     t.Seed,
 			Gen:      gen,
-			Replicas: replicas,
+			Replicas: batch.cfg.Replicas,
+			Reps:     batch.reps,
 			UsageFor: batch.usageFor,
 			SlotLo:   lo,
 			SlotHi:   hi,

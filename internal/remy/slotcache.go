@@ -56,18 +56,36 @@ func slotKey(cfgHash shard.Hash, d draw, tree []byte) shardnet.Key {
 	return k
 }
 
+// Slot-entry flags: the byte after the score says what follows it.
+const (
+	// entryScoreOnly is the score-only format from before entries
+	// carried fired sets. It is no longer written, and reading one is
+	// a miss whose fresh result replaces it.
+	entryScoreOnly = 0
+	// entryUsage is followed by the whisker-usage accumulator, from
+	// which the fired set is derived.
+	entryUsage = 1
+	// entryFired is followed by the fired set alone.
+	entryFired = 2
+)
+
 // encodeSlotEntry renders one slot's result for the cache: the score's
-// IEEE-754 bits, then a flag byte and — only for slots evaluated under
-// a usage query — the whisker-usage accumulator. Usage is omitted
-// otherwise because it dominates entry size and most slots never need
-// it; a usage-needing lookup that finds a usage-less entry simply
-// misses and re-evaluates.
-func encodeSlotEntry(score float64, u *remycc.UsageStats) []byte {
+// IEEE-754 bits, then a flag byte and either — for slots evaluated
+// under a usage query — the whisker-usage accumulator, or the slot's
+// fired set. Usage is stored only when asked for because it dominates
+// entry size and most slots never need it; a usage-needing lookup that
+// finds a usage-less entry simply misses and re-evaluates.
+func encodeSlotEntry(score float64, u *remycc.UsageStats, fired []uint64) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(score))
 	if u == nil {
-		return append(b, 0)
+		b = append(b, entryFired)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(fired)))
+		for _, word := range fired {
+			b = binary.LittleEndian.AppendUint64(b, word)
+		}
+		return b
 	}
-	b = append(b, 1)
+	b = append(b, entryUsage)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(u.Count)))
 	for _, n := range u.Count {
 		b = binary.LittleEndian.AppendUint64(b, uint64(n))
@@ -80,36 +98,45 @@ func encodeSlotEntry(score float64, u *remycc.UsageStats) []byte {
 	return b
 }
 
-// decodeSlotEntry parses encodeSlotEntry's layout. Errors are treated
-// as misses by the caller; the cache's own hash verification makes
-// them unreachable short of an encoder bug.
-func decodeSlotEntry(b []byte) (float64, *remycc.UsageStats, error) {
+// decodeSlotEntry parses encodeSlotEntry's layout: the score and
+// either the usage (fired nil; the caller derives the fired set from
+// its counts) or the fired set (usage nil). Errors — a truncated or
+// corrupt entry, or one in the older score-only format — are misses
+// to the caller.
+func decodeSlotEntry(b []byte) (score float64, u *remycc.UsageStats, fired []uint64, err error) {
 	if len(b) < 9 {
-		return 0, nil, fmt.Errorf("remy: slot entry of %d bytes", len(b))
+		return 0, nil, nil, fmt.Errorf("remy: slot entry of %d bytes", len(b))
 	}
-	score := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	switch b[8] {
-	case 0:
-		if len(b) != 9 {
-			return 0, nil, fmt.Errorf("remy: %d trailing bytes in slot entry", len(b)-9)
-		}
-		return score, nil, nil
-	case 1:
+	score = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	flag, rest := b[8], b[9:]
+	switch flag {
+	case entryScoreOnly:
+		return 0, nil, nil, fmt.Errorf("remy: score-only slot entry without a fired set")
+	case entryUsage, entryFired:
 	default:
-		return 0, nil, fmt.Errorf("remy: bad slot-entry usage flag %d", b[8])
+		return 0, nil, nil, fmt.Errorf("remy: bad slot-entry flag %d", flag)
 	}
-	rest := b[9:]
 	if len(rest) < 4 {
-		return 0, nil, fmt.Errorf("remy: truncated slot-entry usage header")
+		return 0, nil, nil, fmt.Errorf("remy: truncated slot-entry header")
 	}
-	nw := int(binary.LittleEndian.Uint32(rest))
+	n := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
-	if want := nw * 8 * (1 + remycc.NumSignals); nw < 0 || len(rest) != want {
-		return 0, nil, fmt.Errorf("remy: slot-entry usage of %d bytes for %d whiskers", len(rest), nw)
+	if flag == entryFired {
+		if len(rest) != 8*n {
+			return 0, nil, nil, fmt.Errorf("remy: slot-entry fired set of %d bytes for %d words", len(rest), n)
+		}
+		fired = make([]uint64, n)
+		for j := range fired {
+			fired[j] = binary.LittleEndian.Uint64(rest[8*j:])
+		}
+		return score, nil, fired, nil
 	}
-	u := &remycc.UsageStats{
-		Count: make([]int64, nw),
-		Sum:   make([][remycc.NumSignals]float64, nw),
+	if len(rest) != n*8*(1+remycc.NumSignals) {
+		return 0, nil, nil, fmt.Errorf("remy: slot-entry usage of %d bytes for %d whiskers", len(rest), n)
+	}
+	u = &remycc.UsageStats{
+		Count: make([]int64, n),
+		Sum:   make([][remycc.NumSignals]float64, n),
 	}
 	for j := range u.Count {
 		u.Count[j] = int64(binary.LittleEndian.Uint64(rest))
@@ -121,7 +148,18 @@ func decodeSlotEntry(b []byte) (float64, *remycc.UsageStats, error) {
 			rest = rest[8:]
 		}
 	}
-	return score, u, nil
+	return score, u, nil, nil
+}
+
+// entryFits reports whether a decoded entry is sized for tree: usage
+// for every whisker, or a fired set of the tree's length. An entry that
+// does not fit is a miss, unreachable short of an encoder bug, since
+// the slot key holds the tree's bytes.
+func entryFits(tree *remycc.Tree, u *remycc.UsageStats, fired []uint64) bool {
+	if u != nil {
+		return len(u.Count) == tree.Len()
+	}
+	return len(fired) == firedWords(tree.Len())
 }
 
 // cfgDecodeMemo memoizes config decoding by content hash: every job of
@@ -156,9 +194,9 @@ func decodeShardConfig(job *shard.Job) (*Config, shard.Hash, error) {
 
 // decodeShardJob validates a job and decodes it into the slot range it
 // describes: the config (memoized, with its content hash), the
-// candidate trees, and the generation's scenario draws, re-derived
-// from the job's Seed and Gen (splittable RNG: same splits, same
-// draws) once per (config, seed, generation).
+// replicas it runs on, the candidate trees, and the generation's
+// scenario draws, re-derived from the job's Seed and Gen (splittable
+// RNG: same splits, same draws) once per (config, seed, generation).
 func decodeShardJob(job *shard.Job) (slotWork, error) {
 	cfg, cfgHash, err := decodeShardConfig(job)
 	if err != nil {
@@ -167,11 +205,20 @@ func decodeShardJob(job *shard.Job) (slotWork, error) {
 	if job.Replicas != cfg.Replicas {
 		return slotWork{}, fmt.Errorf("remy: job says %d replicas, config %d", job.Replicas, cfg.Replicas)
 	}
+	for i, k := range job.Reps {
+		if k < 0 || k >= cfg.Replicas || (i > 0 && k <= job.Reps[i-1]) {
+			return slotWork{}, fmt.Errorf("remy: replica list %v is not strictly ascending in [0,%d)", job.Reps, cfg.Replicas)
+		}
+	}
+	nr := cfg.Replicas
+	if len(job.Reps) > 0 {
+		nr = len(job.Reps)
+	}
 	if job.SlotLo < 0 || job.SlotLo >= job.SlotHi {
 		return slotWork{}, fmt.Errorf("remy: bad slot range [%d,%d)", job.SlotLo, job.SlotHi)
 	}
-	if job.TreeLo < 0 || job.SlotLo/cfg.Replicas < job.TreeLo ||
-		(job.SlotHi-1)/cfg.Replicas >= job.TreeLo+len(job.Trees) {
+	if job.TreeLo < 0 || job.SlotLo/nr < job.TreeLo ||
+		(job.SlotHi-1)/nr >= job.TreeLo+len(job.Trees) {
 		return slotWork{}, fmt.Errorf("remy: slot range [%d,%d) outside trees [%d,%d)",
 			job.SlotLo, job.SlotHi, job.TreeLo, job.TreeLo+len(job.Trees))
 	}
@@ -184,7 +231,7 @@ func decodeShardJob(job *shard.Job) (slotWork, error) {
 		trees[i] = tree
 	}
 	return slotWork{
-		cfg: cfg, cfgHash: cfgHash, draws: drawsFor(cfgHash, job.Seed, job.Gen, cfg),
+		cfg: cfg, cfgHash: cfgHash, draws: drawsFor(cfgHash, job.Seed, job.Gen, cfg), reps: job.Reps,
 		treeLo: job.TreeLo, trees: trees, enc: job.Trees, lo: job.SlotLo, hi: job.SlotHi,
 		usageFor: job.UsageFor, workers: job.Workers,
 	}, nil

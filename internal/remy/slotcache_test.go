@@ -3,8 +3,10 @@ package remy
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"learnability/internal/cc/remycc"
@@ -100,13 +102,13 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 			{math.Pi, 0, -0.0, 1e300},
 		},
 	}
-	b := encodeSlotEntry(-12.75, u)
-	score, got, err := decodeSlotEntry(b)
+	b := encodeSlotEntry(-12.75, u, nil)
+	score, got, fired, err := decodeSlotEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if score != -12.75 || got == nil {
-		t.Fatalf("decoded score %v, usage %v", score, got)
+	if score != -12.75 || got == nil || fired != nil {
+		t.Fatalf("decoded score %v, usage %v, fired %v", score, got, fired)
 	}
 	for i := range u.Count {
 		if got.Count[i] != u.Count[i] || got.Sum[i] != u.Sum[i] {
@@ -115,17 +117,25 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 		}
 	}
 
-	b = encodeSlotEntry(2.5, nil)
-	score, got, err = decodeSlotEntry(b)
-	if err != nil || score != 2.5 || got != nil {
-		t.Fatalf("usage-less entry decoded to %v, %v, %v", score, got, err)
+	b = encodeSlotEntry(2.5, nil, []uint64{0b101, 1 << 63})
+	score, got, fired, err = decodeSlotEntry(b)
+	if err != nil || score != 2.5 || got != nil || !reflect.DeepEqual(fired, []uint64{0b101, 1 << 63}) {
+		t.Fatalf("usage-less entry decoded to %v, %v, %v, %v", score, got, fired, err)
 	}
 
-	full := encodeSlotEntry(1, u)
-	for n := 0; n < len(full); n++ {
-		if _, _, err := decodeSlotEntry(full[:n]); err == nil {
-			t.Fatalf("entry truncated to %d/%d bytes decoded cleanly", n, len(full))
+	for _, full := range [][]byte{encodeSlotEntry(1, u, nil), b} {
+		for n := 0; n < len(full); n++ {
+			if _, _, _, err := decodeSlotEntry(full[:n]); err == nil {
+				t.Fatalf("entry truncated to %d/%d bytes decoded cleanly", n, len(full))
+			}
 		}
+	}
+
+	// The score-only format from before entries carried fired sets:
+	// the score's bits and a zero flag, nine bytes in all.
+	old := binary.LittleEndian.AppendUint64(nil, math.Float64bits(2.5))
+	if _, _, _, err := decodeSlotEntry(append(old, 0)); err == nil {
+		t.Fatal("a score-only entry without a fired set decoded cleanly")
 	}
 }
 
@@ -146,6 +156,11 @@ func TestJobKeyMatchesEncodedJob(t *testing.T) {
 			ID: r.Uint64(), Version: r.Intn(5), Seed: r.Uint64(), Gen: r.Intn(100) - 1,
 			Replicas: r.Intn(20), UsageFor: r.Intn(10) - 1, SlotLo: r.Intn(1000), SlotHi: r.Intn(1000),
 			Workers: r.Intn(64), TreeLo: r.Intn(50), Cfg: blob(300),
+		}
+		for k := 0; k < job.Replicas; k++ {
+			if r.Intn(3) == 0 {
+				job.Reps = append(job.Reps, k)
+			}
 		}
 		if r.Intn(2) == 0 {
 			job.CfgHash = shard.HashBytes(job.Cfg)
@@ -196,19 +211,27 @@ func FuzzSlotEntry(f *testing.F) {
 		Count: []int64{3, 0},
 		Sum:   [][remycc.NumSignals]float64{{0.5, -1.25, 1e-9, 2, 0.25}, {}},
 	}
-	full := encodeSlotEntry(-12.75, usage)
-	badFlag := encodeSlotEntry(1, nil)
-	badFlag[8] = 2
-	f.Add(encodeSlotEntry(2.5, nil)) // score-only
-	f.Add(full)                      // usage-bearing
-	f.Add(full[:len(full)-3])        // truncated
-	f.Add(badFlag)                   // bad flag
+	full := encodeSlotEntry(-12.75, usage, nil)
+	fired := encodeSlotEntry(2.5, nil, []uint64{0b11, 1 << 40})
+	badFlag := encodeSlotEntry(1, nil, []uint64{1})
+	badFlag[8] = 3
+	bigCount := encodeSlotEntry(1, nil, []uint64{1})
+	binary.LittleEndian.PutUint32(bigCount[9:], 1<<31)
+	f.Add(fired)                                               // score and fired set
+	f.Add(encodeSlotEntry(0, nil, nil))                        // empty fired set
+	f.Add(full)                                                // usage-bearing
+	f.Add(full[:len(full)-3])                                  // truncated
+	f.Add(fired[:len(fired)-1])                                // truncated fired set
+	f.Add(badFlag)                                             // bad flag
+	f.Add(bigCount)                                            // count beyond the bytes
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<62)[:8:8])  // score alone
+	f.Add(append(binary.LittleEndian.AppendUint64(nil, 7), 0)) // the older score-only format
 	f.Fuzz(func(t *testing.T, b []byte) {
-		score, u, err := decodeSlotEntry(b)
+		score, u, fired, err := decodeSlotEntry(b)
 		if err != nil {
 			return
 		}
-		if again := encodeSlotEntry(score, u); !bytes.Equal(again, b) {
+		if again := encodeSlotEntry(score, u, fired); !bytes.Equal(again, b) {
 			t.Fatalf("accepted entry is not canonical:\n in  %x\n out %x", b, again)
 		}
 	})

@@ -1,7 +1,7 @@
 // Command telemetry-summary folds a remytrain -telemetry journal (one
 // JSON remy.GenerationRecord per line) into a human-readable table:
-// per generation the wall time, score trajectory, slot volume, and
-// cache hit rates, followed by run totals and — when the run was
+// per generation the wall time, score trajectory, slot volume, the
+// share of slots skipped, and cache hit rates, followed by run totals and — when the run was
 // sharded with metrics enabled — the final per-lane fabric counters.
 //
 // Usage:
@@ -56,11 +56,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("%-4s %10s %10s %9s %8s %6s %8s %9s %9s %9s %s\n",
-		"gen", "wall(ms)", "score", "delta", "whiskers", "split", "slots", "eval-hit%", "shard-hit%", "draw-hit%", "note")
+	fmt.Printf("%-4s %10s %10s %9s %8s %6s %8s %7s %9s %9s %9s %s\n",
+		"gen", "wall(ms)", "score", "delta", "whiskers", "split", "slots", "skip%", "eval-hit%", "shard-hit%", "draw-hit%", "note")
 	var (
 		totWall                    float64
-		totSlots                   int64
+		totSlots, totSkipped       int64
 		totEvalHits, totEvalMiss   int64
 		totDiskHits                int64
 		totShard, totShardHits     int64
@@ -71,14 +71,16 @@ func main() {
 		if r.SplitWhisker >= 0 {
 			split = fmt.Sprintf("%d", r.SplitWhisker)
 		}
-		fmt.Printf("%-4d %10.1f %10.4f %+9.4f %8d %6s %8d %9s %9s %9s %s\n",
+		fmt.Printf("%-4d %10.1f %10.4f %+9.4f %8d %6s %8d %7s %9s %9s %9s %s\n",
 			r.Gen, r.WallMillis, r.Score, r.ScoreDelta, r.Whiskers, split, r.Slots,
+			pct(r.SkippedSlots, r.Slots),
 			pct(r.EvalCacheHits, r.EvalCacheHits+r.EvalCacheMisses),
 			pct(r.ShardCacheHits, r.ShardResults),
 			pct(r.DrawMemoHits, r.DrawMemoHits+r.DrawMemoMisses),
 			r.Note)
 		totWall += r.WallMillis
 		totSlots += r.Slots
+		totSkipped += r.SkippedSlots
 		totEvalHits += r.EvalCacheHits
 		totEvalMiss += r.EvalCacheMisses
 		totDiskHits += r.EvalCacheDiskHits
@@ -88,8 +90,8 @@ func main() {
 		totDrawMisses += r.DrawMemoMisses
 	}
 	last := recs[len(recs)-1]
-	fmt.Printf("\ntotal: %d generations, %.1f ms wall, %d slots, final score %.4f (%d whiskers)\n",
-		len(recs), totWall, totSlots, last.Score, last.Whiskers)
+	fmt.Printf("\ntotal: %d generations, %.1f ms wall, %d slots (%d skipped), final score %.4f (%d whiskers)\n",
+		len(recs), totWall, totSlots, totSkipped, last.Score, last.Whiskers)
 	fmt.Printf("caches: eval %s hit (%d hits, %d from disk, %d misses); shard %s hit (%d/%d); draw memo %s hit (%d/%d)\n",
 		pct(totEvalHits, totEvalHits+totEvalMiss), totEvalHits, totDiskHits, totEvalMiss,
 		pct(totShardHits, totShard), totShardHits, totShard,

@@ -446,6 +446,16 @@ func FuzzDecodeResult(f *testing.F) {
 			f.Add(payload)
 		}
 	}
+	// A fixed result with two fired words per slot, so the corpus
+	// carries a fired list whatever the random results draw.
+	fired := &Result{ID: 7, Scores: []float64{1.5, -2, 0}, Fired: []uint64{1, 0, 1 << 63, 5, 0, 3}}
+	for _, binaryCodec := range []bool{true, false} {
+		payload, err := EncodeResult(fired, binaryCodec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		res, err := DecodeResult(payload)
 		if err != nil {

@@ -243,6 +243,11 @@ func (c *Config) Validate() error {
 	if n.MeanOn <= 0 || n.MeanOff <= 0 {
 		return fmt.Errorf("remy: on/off workload means must be positive (on %v, off %v)", n.MeanOn, n.MeanOff)
 	}
+	switch n.Buffering {
+	case scenario.FiniteDropTail, scenario.NoDrop, scenario.SfqCoDel, scenario.CoDelAQM:
+	default:
+		return fmt.Errorf("remy: unknown buffering %d", n.Buffering)
+	}
 	if n.ECN && n.Buffering == scenario.NoDrop {
 		return fmt.Errorf("remy: ECN needs a marking gateway queue, not NoDrop buffering")
 	}
@@ -264,6 +269,26 @@ func (c *Config) generationDraws(seed uint64, gen int) []draw {
 		draws[k] = c.sample(root.SplitN("replica", k))
 	}
 	return draws
+}
+
+// spec is the scenario draw d runs, with the given senders.
+func (c *Config) spec(d draw, senders []scenario.Sender) scenario.Spec {
+	return scenario.Spec{
+		Topology:          c.Topology,
+		LinkSpeed:         d.linkSpeed,
+		LinkSpeeds:        d.linkSpeeds,
+		MinRTT:            d.minRTT,
+		Buffering:         c.Buffering,
+		BufferBDP:         c.BufferBDP,
+		ECN:               c.ECN,
+		ECNThresholdBytes: c.ECNThresholdBytes,
+		VarRate:           c.VarRate,
+		MeanOn:            c.MeanOn,
+		MeanOff:           c.MeanOff,
+		Senders:           senders,
+		Duration:          c.Duration,
+		Seed:              d.seed,
+	}
 }
 
 // evalOne runs the candidate tree on one scenario draw, accumulating
@@ -288,23 +313,7 @@ func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats) fl
 		senders = append(senders, scenario.Sender{Alg: newreno.New(), Delta: c.Delta})
 	}
 
-	spec := scenario.Spec{
-		Topology:          c.Topology,
-		LinkSpeed:         d.linkSpeed,
-		LinkSpeeds:        d.linkSpeeds,
-		MinRTT:            d.minRTT,
-		Buffering:         c.Buffering,
-		BufferBDP:         c.BufferBDP,
-		ECN:               c.ECN,
-		ECNThresholdBytes: c.ECNThresholdBytes,
-		VarRate:           c.VarRate,
-		MeanOn:            c.MeanOn,
-		MeanOff:           c.MeanOff,
-		Senders:           senders,
-		Duration:          c.Duration,
-		Seed:              d.seed,
-	}
-	results := scenario.MustRun(spec)
+	results := scenario.MustRun(c.spec(d, senders))
 
 	score, n := 0.0, 0
 	scoreFlow := func(i int, delta float64) {

@@ -97,6 +97,7 @@ func TestConfigValidate(t *testing.T) {
 		"zero rtt":       func(c *Config) { c.MinRTTMin, c.MinRTTMax = 0, 0 },
 		"bad aimd":       func(c *Config) { c.AIMDProb = 1.5 },
 		"zero means":     func(c *Config) { c.MeanOn = 0 },
+		"bad buffering":  func(c *Config) { c.Buffering = scenario.Buffering(7) },
 		"partner-on-lot": func(c *Config) { c.Topology = scenario.ParkingLot; c.Other = remycc.NewTree(); c.OtherCountMax = 1 },
 		"rtt-under-hops": func(c *Config) {
 			c.Topology = scenario.ParkingLotN(3, true)

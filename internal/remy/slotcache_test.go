@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"learnability/internal/cc/newreno"
 	"learnability/internal/cc/remycc"
 	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
 	"learnability/internal/rng"
+	"learnability/internal/scenario"
+	"learnability/internal/topo"
 	"learnability/internal/units"
 )
 
@@ -233,6 +237,53 @@ func FuzzSlotEntry(f *testing.F) {
 		}
 		if again := encodeSlotEntry(score, u, fired); !bytes.Equal(again, b) {
 			t.Fatalf("accepted entry is not canonical:\n in  %x\n out %x", b, again)
+		}
+	})
+}
+
+// FuzzShardConfig covers the config a shard job carries, which a
+// worker decodes from the wire. Whatever decodeShardConfig accepts must
+// turn into scenarios: the first draw of a generation, with the senders
+// evalOne would give it, must build without an error or a panic (the
+// worker's scenario.MustRun would panic). Building stops short of
+// simulating, so the fuzzer does not time runs. Validate bounds no
+// size yet, and a k=24 fat tree or a few thousand senders take a minute
+// to build; that is a per-job cost, not a crash, so configs beyond
+// maxSize (replicas, hops, senders) or beyond a k=8 fat tree are
+// skipped.
+func FuzzShardConfig(f *testing.F) {
+	const maxSize = 256
+	for _, cfg := range []Config{
+		tinyConfig(), tinyECNVarRateConfig(), tinyParkingLotConfig(),
+		tinyGraphConfig(), tinyFatTreeConfig(topo.Adaptive),
+	} {
+		b, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg, _, err := decodeShardConfig(&shard.Job{Cfg: b})
+		if err != nil || cfg.Replicas > maxSize || cfg.Topology.Hops > maxSize || cfg.Topology.FatTreeK > 8 {
+			return
+		}
+		d := cfg.generationDraws(1, 0)[0]
+		if d.nTrainee+d.nOther+d.nAIMD > maxSize {
+			return
+		}
+		var senders []scenario.Sender
+		for i := 0; i < d.nTrainee; i++ {
+			senders = append(senders, scenario.Sender{Alg: remycc.NewMasked(remycc.NewTree(), cfg.Mask), Delta: cfg.Delta})
+		}
+		for i := 0; i < d.nOther; i++ {
+			senders = append(senders, scenario.Sender{Alg: remycc.New(cfg.Other), Delta: cfg.OtherDelta})
+		}
+		for i := 0; i < d.nAIMD; i++ {
+			senders = append(senders, scenario.Sender{Alg: newreno.New(), Delta: cfg.Delta})
+		}
+		if _, _, err := scenario.Build(cfg.spec(d, senders)); err != nil {
+			t.Fatalf("accepted config does not build: %v\n%s", err, b)
 		}
 	})
 }

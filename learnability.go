@@ -12,22 +12,11 @@
 // figures. The implementation lives under internal/ (see
 // docs/ARCHITECTURE.md, "Package map").
 //
-// Quick start:
-//
-//	tr := &learnability.Trainer{Cfg: learnability.TrainConfig{
-//		LinkSpeedMin: 10 * learnability.Mbps,
-//		LinkSpeedMax: 100 * learnability.Mbps,
-//		MinRTTMin:    150 * learnability.Millisecond,
-//		MinRTTMax:    150 * learnability.Millisecond,
-//		SendersMin:   2, SendersMax: 2,
-//		MeanOn:       learnability.Second,
-//		MeanOff:      learnability.Second,
-//		BufferBDP:    5,
-//		Delta:        1,
-//	}}
-//	tao := tr.Train(learnability.DefaultTrainBudget())
-//	res := learnability.RunCalibration(learnability.QuickEffort(), nil)
-//	fmt.Println(res.Table())
+// The package example trains a small Tao and races it against Cubic
+// and NewReno (go test -run '^Example$' -v . runs it); the other
+// examples drive the parking-lot and fat-tree topologies and a Tao's
+// per-ACK trace. Experiments lists every table and figure of the
+// paper; cmd/learnability runs them.
 package learnability
 
 import (
@@ -38,7 +27,6 @@ import (
 	"learnability/internal/cc/vegas"
 	"learnability/internal/core"
 	"learnability/internal/remy"
-	"learnability/internal/remy/shardnet"
 	"learnability/internal/rng"
 	"learnability/internal/scenario"
 	"learnability/internal/topo"
@@ -78,14 +66,23 @@ type (
 	Action = remycc.Action
 	// SignalMask selects observable congestion signals (§3.4).
 	SignalMask = remycc.SignalMask
+	// Tao is a controller executing a trained Tao protocol. Its
+	// SetTrace method installs a per-ACK observer that must not change
+	// any state, so a traced run equals an untraced one.
+	Tao = remycc.RemyCC
+	// TaoTrace is one per-ACK observation of a Tao: the whisker that
+	// fired, the window and pacing it set, and the signal vector it
+	// matched (rec_ewma, slow_rec_ewma, send_ewma in seconds,
+	// rtt_ratio, then the ecn_frac extension).
+	TaoTrace = remycc.TraceEntry
 )
 
 // NewRemyCC returns a controller executing a trained Tao protocol.
-func NewRemyCC(tree *Tree) Algorithm { return remycc.New(tree) }
+func NewRemyCC(tree *Tree) *Tao { return remycc.New(tree) }
 
 // NewRemyCCMasked returns a Tao controller observing only the signals
 // in mask.
-func NewRemyCCMasked(tree *Tree, mask SignalMask) Algorithm {
+func NewRemyCCMasked(tree *Tree, mask SignalMask) *Tao {
 	return remycc.NewMasked(tree, mask)
 }
 
@@ -104,19 +101,6 @@ func AllSignals() SignalMask { return remycc.AllSignals() }
 // NewWhiskerTree returns the untrained single-whisker tree.
 func NewWhiskerTree() *Tree { return remycc.NewTree() }
 
-// TaoSignals reports the congestion signals currently tracked by a Tao
-// controller created with NewRemyCC/NewRemyCCMasked, in the paper's
-// order (rec_ewma, slow_rec_ewma, send_ewma in seconds; rtt_ratio
-// dimensionless) followed by the ecn_frac extension (fraction of
-// recent ACKs echoing a CE mark). ok is false if alg is not a Tao.
-func TaoSignals(alg Algorithm) (signals [remycc.NumSignals]float64, ok bool) {
-	r, ok := alg.(*remycc.RemyCC)
-	if !ok {
-		return signals, false
-	}
-	return r.LastVector(), true
-}
-
 // Training (the Remy protocol-design tool).
 type (
 	// TrainConfig describes a training-scenario distribution (§3.1).
@@ -129,28 +113,6 @@ type (
 
 // DefaultTrainBudget is a laptop-scale training budget.
 func DefaultTrainBudget() TrainBudget { return remy.DefaultBudget() }
-
-// Distributed training (the shardnet TCP fabric).
-type (
-	// ShardServer serves shard jobs over TCP to remote coordinators
-	// (the worker half of Trainer.Remotes); cmd/remyshardd hosts one
-	// per machine, and benchmark/ hosts them in-process on loopback.
-	ShardServer = shardnet.Server
-	// ShardCache is a worker-side content-addressed result cache.
-	ShardCache = shardnet.Cache
-)
-
-// NewShardServer returns a TCP shard worker wired to the real job
-// evaluator, with a slot-level result cache of maxCacheEntries entries
-// (0 = the default size, negative = no cache). Serve it on a
-// net.Listener and point Trainer.Remotes at its address.
-func NewShardServer(maxCacheEntries int) *ShardServer {
-	var cache *shardnet.Cache
-	if maxCacheEntries >= 0 {
-		cache = shardnet.NewCache(maxCacheEntries)
-	}
-	return &shardnet.Server{Eval: remy.CachedShardEval(cache)}
-}
 
 // Scenario execution.
 type (
@@ -262,38 +224,21 @@ func NewSeed(seed uint64) *rng.Stream { return rng.New(seed) }
 type (
 	// Effort scales experiment fidelity.
 	Effort = core.Effort
-
-	// Sweep is the dataset of Figures 2, 3 and 4: normalized objective
-	// against one swept network parameter, per protocol and panel.
-	Sweep = core.Sweep
-
-	CalibrationResult = core.CalibrationResult
-	StructureResult   = core.StructureResult
-	TCPAwareResult    = core.TCPAwareResult
-	TimeDomainResult  = core.TimeDomainResult
-	DiversityResult   = core.DiversityResult
-	KnockoutResult    = core.KnockoutResult
-	VegasResult       = core.VegasResult
-	UnifiedResult     = core.UnifiedResult
+	// Experiment is one runnable study of the paper: its
+	// cmd/learnability id, its title and its runner.
+	Experiment = core.Experiment
+	// ExperimentResult is what an experiment produces: a table, its
+	// headline quantities and a CSV dump of the dataset.
+	ExperimentResult = core.Result
+	// Headline is one summary quantity of an experiment.
+	Headline = core.Headline
 )
+
+// Experiments lists every study in the order the paper presents them.
+var Experiments = core.Experiments
 
 // DefaultEffort is workstation-scale fidelity.
 func DefaultEffort() Effort { return core.DefaultEffort() }
 
 // QuickEffort is smoke-test fidelity.
 func QuickEffort() Effort { return core.QuickEffort() }
-
-// The experiment runners. log may be nil.
-var (
-	RunCalibration  = core.RunCalibration
-	RunLinkSpeed    = core.RunLinkSpeed
-	RunMultiplexing = core.RunMultiplexing
-	RunPropDelay    = core.RunPropDelay
-	RunStructure    = core.RunStructure
-	RunTCPAware     = core.RunTCPAware
-	RunTimeDomain   = core.RunTimeDomain
-	RunDiversity    = core.RunDiversity
-	RunKnockout     = core.RunKnockout
-	RunVegasSqueeze = core.RunVegasSqueeze
-	RunUnified      = core.RunUnified
-)

@@ -44,7 +44,7 @@ var (
 	sendersMin = flag.Int("senders-min", 2, "minimum number of senders")
 	sendersMax = flag.Int("senders", 2, "maximum number of senders")
 	aimdProb   = flag.Float64("aimd-prob", 0, "probability one sender is AIMD TCP (TCP-aware training)")
-	knockout   = flag.String("knockout", "", "signal to remove: rec_ewma, slow_rec_ewma, send_ewma, rtt_ratio, ecn_frac")
+	knockout   = flag.String("knockout", "", "signal to remove: "+signalNames())
 	gens       = flag.Int("generations", 3, "whisker-split rounds")
 	passes     = flag.Int("passes", 2, "action-optimization passes per generation")
 	moves      = flag.Int("moves", 6, "hill-climb moves per whisker")
@@ -75,21 +75,9 @@ func main() {
 	}
 	defer stopProf()
 
-	mask := remycc.AllSignals()
-	switch *knockout {
-	case "":
-	case "rec_ewma":
-		mask = mask.Without(remycc.RecEWMA)
-	case "slow_rec_ewma":
-		mask = mask.Without(remycc.SlowRecEWMA)
-	case "send_ewma":
-		mask = mask.Without(remycc.SendEWMA)
-	case "rtt_ratio":
-		mask = mask.Without(remycc.RTTRatio)
-	case "ecn_frac":
-		mask = mask.Without(remycc.ECNFraction)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown signal %q\n", *knockout)
+	mask, err := knockoutMask(*knockout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "remytrain:", err)
 		os.Exit(2)
 	}
 
@@ -225,4 +213,28 @@ func main() {
 	fmt.Printf("summary: whiskers=%d slots=%d skipped_slots=%d eval_cache_hits=%d eval_cache_disk_hits=%d eval_cache_misses=%d eval_cache_entries=%d shard_results=%d shard_cache_hits=%d draw_memo_hits=%d draw_memo_misses=%d\n",
 		tree.Len(), tr.SlotsEvaluated(), tr.SlotsSkipped(), cs.Hits, cs.DiskHits, cs.Misses, cs.Entries,
 		shardTotal, shardHits, drawHits, drawMisses)
+}
+
+// signalNames lists the memory signals by name, in index order.
+func signalNames() string {
+	names := make([]string, remycc.NumSignals)
+	for s := range names {
+		names[s] = remycc.Signal(s).String()
+	}
+	return strings.Join(names, ", ")
+}
+
+// knockoutMask is the signal mask -knockout asks for: every signal but
+// the one named, or every signal for "".
+func knockoutMask(name string) (remycc.SignalMask, error) {
+	mask := remycc.AllSignals()
+	if name == "" {
+		return mask, nil
+	}
+	for s := range remycc.Signal(remycc.NumSignals) {
+		if s.String() == name {
+			return mask.Without(s), nil
+		}
+	}
+	return mask, fmt.Errorf("unknown signal %q (want one of %s)", name, signalNames())
 }

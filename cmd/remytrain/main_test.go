@@ -3,9 +3,11 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	"learnability/cmd/internal/scenflags"
+	"learnability/internal/cc/remycc"
 )
 
 // TestScenarioFlagsMatchSharedSet parses one scenario command line
@@ -43,5 +45,31 @@ func TestScenarioFlagsMatchSharedSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) || scen.Delta() != shared.Delta() {
 		t.Fatalf("remytrain's flag set resolved\n got %+v (delta %v)\nwant %+v (delta %v)", got, scen.Delta(), want, shared.Delta())
+	}
+}
+
+// TestKnockoutParsesSignalNames parses -knockout's argument: every
+// signal name removes exactly that signal, "" removes none, and any
+// other name is an error. The flag's usage lists every name.
+func TestKnockoutParsesSignalNames(t *testing.T) {
+	for s := range remycc.Signal(remycc.NumSignals) {
+		mask, err := knockoutMask(s.String())
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if want := remycc.AllSignals().Without(s); mask != want {
+			t.Fatalf("%s: mask %v, want %v", s, mask, want)
+		}
+		if usage := flag.Lookup("knockout").Usage; !strings.Contains(usage, s.String()) {
+			t.Fatalf("-knockout usage %q does not name %s", usage, s)
+		}
+	}
+	if mask, err := knockoutMask(""); err != nil || mask != remycc.AllSignals() {
+		t.Fatalf(`knockoutMask("") = %v, %v; want every signal`, mask, err)
+	}
+	for _, name := range []string{"rtt", "ECN_FRAC", "signal(5)", " rec_ewma"} {
+		if _, err := knockoutMask(name); err == nil {
+			t.Fatalf("knockoutMask(%q) accepted an unknown signal", name)
+		}
 	}
 }

@@ -58,10 +58,6 @@ func slotKey(cfgHash shard.Hash, d draw, tree []byte) shardnet.Key {
 
 // Slot-entry flags: the byte after the score says what follows it.
 const (
-	// entryScoreOnly is the score-only format from before entries
-	// carried fired sets. It is no longer written, and reading one is
-	// a miss whose fresh result replaces it.
-	entryScoreOnly = 0
 	// entryUsage is followed by the whisker-usage accumulator, from
 	// which the fired set is derived.
 	entryUsage = 1
@@ -101,19 +97,15 @@ func encodeSlotEntry(score float64, u *remycc.UsageStats, fired []uint64) []byte
 // decodeSlotEntry parses encodeSlotEntry's layout: the score and
 // either the usage (fired nil; the caller derives the fired set from
 // its counts) or the fired set (usage nil). Errors — a truncated or
-// corrupt entry, or one in the older score-only format — are misses
-// to the caller.
+// corrupt entry, or an unknown flag — are misses to the caller, whose
+// fresh result replaces the entry.
 func decodeSlotEntry(b []byte) (score float64, u *remycc.UsageStats, fired []uint64, err error) {
 	if len(b) < 9 {
 		return 0, nil, nil, fmt.Errorf("remy: slot entry of %d bytes", len(b))
 	}
 	score = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	flag, rest := b[8], b[9:]
-	switch flag {
-	case entryScoreOnly:
-		return 0, nil, nil, fmt.Errorf("remy: score-only slot entry without a fired set")
-	case entryUsage, entryFired:
-	default:
+	if flag != entryUsage && flag != entryFired {
 		return 0, nil, nil, fmt.Errorf("remy: bad slot-entry flag %d", flag)
 	}
 	if len(rest) < 4 {

@@ -85,8 +85,6 @@ type LaneRecord struct {
 	Jobs int64 `json:"jobs"`
 	// Requeues counts jobs taken back from the lane after a failure.
 	Requeues int64 `json:"requeues"`
-	// Refetches counts NeedCfg config resends.
-	Refetches int64 `json:"cfg_refetches"`
 	// Reconnects counts transport reconnect attempts.
 	Reconnects int64 `json:"reconnects"`
 	// Fallbacks counts jobs the lane gave up to in-process evaluation.
@@ -227,8 +225,6 @@ func collectLaneRecords(r *telemetry.Registry) []LaneRecord {
 			lr.Jobs = metric.(*telemetry.Counter).Value()
 		case "shard_lane_requeues_total":
 			lr.Requeues = metric.(*telemetry.Counter).Value()
-		case "shard_lane_cfg_refetches_total":
-			lr.Refetches = metric.(*telemetry.Counter).Value()
 		case "shard_lane_reconnects_total":
 			lr.Reconnects = metric.(*telemetry.Counter).Value()
 		case "shard_lane_fallbacks_total":

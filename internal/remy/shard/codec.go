@@ -1,5 +1,4 @@
-// Binary wire codec for protocol v4, plus the content-addressed
-// config store that backs config-by-hash job shipping.
+// Binary wire codec for protocol v5 (the frame layouts of v4).
 //
 // A frame is a 4-byte big-endian length + payload. Jobs and results
 // cross the wire in the binary codec only; a payload opening with '{'
@@ -27,7 +26,9 @@ import (
 )
 
 // Binary payload magics, little-endian. The leading 'R' guarantees the
-// first byte is never '{', so codec sniffing is unambiguous.
+// first byte is never '{', so codec sniffing is unambiguous. v5 frames
+// are v4's, so the magics keep v4's digit; the handshake tells the
+// versions apart.
 const (
 	jobMagic    = uint32('R') | uint32('J')<<8 | uint32('B')<<16 | uint32('4')<<24
 	resultMagic = uint32('R') | uint32('R')<<8 | uint32('S')<<16 | uint32('4')<<24
@@ -380,9 +381,8 @@ func (c *cursor) flagByte(what string) byte {
 
 // Result flag bits.
 const (
-	resultFlagCached  = 1 << 0
-	resultFlagNeedCfg = 1 << 1
-	resultFlagsKnown  = resultFlagCached | resultFlagNeedCfg
+	resultFlagCached = 1 << 0
+	resultFlagsKnown = resultFlagCached
 )
 
 // Minimum encoded sizes of a result's nested elements: a usage frame
@@ -415,9 +415,6 @@ func appendResult(b []byte, res *Result) ([]byte, error) {
 	var flags byte
 	if res.Cached {
 		flags |= resultFlagCached
-	}
-	if res.NeedCfg {
-		flags |= resultFlagNeedCfg
 	}
 	b = append(b, flags)
 	b = appendBlob(b, []byte(res.Err))
@@ -486,7 +483,6 @@ func DecodeResult(payload []byte) (*Result, error) {
 		return nil, fmt.Errorf("shard: unknown result flags %#x", flags)
 	}
 	res.Cached = flags&resultFlagCached != 0
-	res.NeedCfg = flags&resultFlagNeedCfg != 0
 	res.Err = string(c.blob("err"))
 	nScores := int(c.u32("score count"))
 	if c.err == nil && nScores > (len(c.b)-c.off)/8 {
@@ -565,71 +561,4 @@ func ReadResult(r io.Reader) (*Result, error) {
 		return nil, err
 	}
 	return DecodeResult(payload)
-}
-
-// DefaultConfigEntries bounds a worker's config store. Configs are a
-// few kilobytes and one trainer ships exactly one, so the bound exists
-// only so a long-lived daemon serving many coordinators cannot grow
-// without limit.
-const DefaultConfigEntries = 16
-
-// ConfigStore is a worker-side content-addressed store of training
-// config blobs, filled by inline-config jobs and consulted for
-// hash-only ones. A miss is not an error: the worker answers
-// Result.NeedCfg and the coordinator resends the job with the config
-// inline (the refetch path reconnected or restarted workers rely on).
-type ConfigStore struct {
-	mu    sync.Mutex
-	max   int
-	cfgs  map[Hash][]byte
-	order []Hash
-}
-
-// NewConfigStore returns a store bounded to max configs (or
-// DefaultConfigEntries when max <= 0), evicting oldest-first.
-func NewConfigStore(max int) *ConfigStore {
-	if max <= 0 {
-		max = DefaultConfigEntries
-	}
-	return &ConfigStore{max: max, cfgs: make(map[Hash][]byte)}
-}
-
-// Put stores cfg under h after verifying the content address — a
-// mismatched blob means wire corruption and must not poison the store.
-func (s *ConfigStore) Put(h Hash, cfg []byte) error {
-	if got := HashBytes(cfg); got != h {
-		return fmt.Errorf("shard: config blob hashes to %s, job says %s", got, h)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cfgs[h]; ok {
-		return nil
-	}
-	for len(s.order) >= s.max {
-		delete(s.cfgs, s.order[0])
-		s.order = s.order[1:]
-	}
-	stored := make([]byte, len(cfg))
-	copy(stored, cfg)
-	s.cfgs[h] = stored
-	s.order = append(s.order, h)
-	return nil
-}
-
-// Get returns the stored config for h, if present.
-func (s *ConfigStore) Get(h Hash) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cfg, ok := s.cfgs[h]
-	return cfg, ok
-}
-
-// Flush drops every stored config, forcing the NeedCfg refetch path on
-// the next hash-only job — the differential tests use it to simulate a
-// worker that lost its store mid-generation.
-func (s *ConfigStore) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfgs = make(map[Hash][]byte)
-	s.order = nil
 }

@@ -60,8 +60,7 @@ func randResult(r *rand.Rand, nonFinite bool) *Result {
 		Cached: r.Intn(2) == 0,
 	}
 	if r.Intn(8) == 0 {
-		res.NeedCfg = true
-		return res
+		return res // no slots at all
 	}
 	if r.Intn(8) == 0 {
 		res.Err = "evaluation exploded"
@@ -133,7 +132,7 @@ func jobsEqual(a, b *Job) bool {
 // resultsEqual compares results bit-exactly: floats are compared as
 // IEEE-754 bit patterns, so NaN == NaN and -0 != +0.
 func resultsEqual(a, b *Result) bool {
-	if a.ID != b.ID || a.Cached != b.Cached || a.NeedCfg != b.NeedCfg ||
+	if a.ID != b.ID || a.Cached != b.Cached ||
 		a.Err != b.Err || len(a.Scores) != len(b.Scores) || len(a.Usage) != len(b.Usage) ||
 		len(a.Fired) != len(b.Fired) {
 		return false
@@ -348,51 +347,6 @@ func TestDecodeBoundsCountsByRemainingBytes(t *testing.T) {
 	binary.LittleEndian.PutUint32(payload[len(payload)-12:], 1<<30)
 	if _, err := DecodeResult(payload); err == nil {
 		t.Fatal("result with a fired count beyond its bytes decoded")
-	}
-}
-
-// TestConfigStore exercises the worker-side content-addressed store:
-// hash verification on Put, FIFO eviction at capacity, and Flush.
-func TestConfigStore(t *testing.T) {
-	st := NewConfigStore(2)
-	cfg1, cfg2, cfg3 := []byte(`{"a":1}`), []byte(`{"a":2}`), []byte(`{"a":3}`)
-	h1, h2, h3 := HashBytes(cfg1), HashBytes(cfg2), HashBytes(cfg3)
-
-	if err := st.Put(h1, cfg2); err == nil {
-		t.Fatal("Put accepted a blob that does not hash to its address")
-	}
-	if err := st.Put(h1, cfg1); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := st.Get(h1)
-	if !ok || !bytes.Equal(got, cfg1) {
-		t.Fatalf("Get(h1) = %q, %v", got, ok)
-	}
-	if _, ok := st.Get(h2); ok {
-		t.Fatal("Get hit for a config never stored")
-	}
-
-	// Stored blobs are copies: mutating the caller's slice afterwards
-	// must not corrupt the store.
-	mine := append([]byte(nil), cfg2...)
-	st.Put(h2, mine)
-	mine[0] = 'X'
-	if got, _ := st.Get(h2); !bytes.Equal(got, cfg2) {
-		t.Fatalf("stored config aliased the caller's buffer: %q", got)
-	}
-
-	// Capacity 2: storing a third evicts the oldest (h1).
-	st.Put(h3, cfg3)
-	if _, ok := st.Get(h1); ok {
-		t.Fatal("oldest config not evicted at capacity")
-	}
-	if _, ok := st.Get(h2); !ok {
-		t.Fatal("newer config evicted out of FIFO order")
-	}
-
-	st.Flush()
-	if _, ok := st.Get(h2); ok {
-		t.Fatal("Flush left a config behind")
 	}
 }
 

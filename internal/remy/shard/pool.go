@@ -23,61 +23,43 @@ type Transport interface {
 }
 
 // Conn is one live worker connection. A pool lane keeps one job in
-// flight on it: Send, then Recv that job's result (a NeedCfg answer
-// gets one forced resend first; see RoundTrip). A Conn is used by a
-// single lane goroutine at a time; implementations need not be
-// concurrency-safe beyond surviving Close during a pending Recv.
+// flight on it: Send, then Recv that job's result (see RoundTrip). A
+// Conn is used by a single lane goroutine at a time; implementations
+// need not be concurrency-safe beyond surviving Close during a pending
+// Recv.
 type Conn interface {
-	// Send ships one job frame. forceCfg makes a hash-bearing job
-	// carry its config inline even if this connection shipped that
-	// config before — the NeedCfg refetch path. A failed Send leaves
-	// the connection unusable.
-	Send(job *Job, forceCfg bool) error
+	// Send ships one job frame. A hash-bearing job's config rides
+	// inline unless it is the config this connection shipped last (see
+	// shardnet's tcpConn.Send). A failed Send leaves the connection
+	// unusable.
+	Send(job *Job) error
 	// Recv awaits the next result frame. timeout, when positive,
 	// bounds the wait; transports with heartbeats (shardnet) apply it
 	// to the silence between frames, so long jobs survive as long as
 	// the worker keeps proving liveness. An expired or failed Recv
-	// leaves the
-	// connection unusable — the pool discards it and redials.
+	// leaves the connection unusable — the pool discards it and
+	// redials.
 	Recv(timeout time.Duration) (*Result, error)
 	// Close tears the connection down, releasing its resources and
 	// failing any pending Recv.
 	Close()
 }
 
-// RoundTrip sends one job and awaits its result, resolving one NeedCfg
-// refetch by resending the job with its config inline — one pool lane
-// step, also used by tests and one-shot tools. A result for another
-// job, or a second NeedCfg, means the connection is broken and is an
-// error.
+// RoundTrip sends one job and awaits its result — one pool lane step,
+// also used by tests and one-shot tools. A result for another job
+// means the connection is broken and is an error.
 func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
-	res, _, err := roundTrip(c, job, timeout)
-	return res, err
-}
-
-// roundTrip is RoundTrip reporting whether a refetch happened.
-func roundTrip(c Conn, job *Job, timeout time.Duration) (res *Result, refetched bool, err error) {
-	if err := c.Send(job, false); err != nil {
-		return nil, false, err
+	if err := c.Send(job); err != nil {
+		return nil, err
 	}
-	res, err = c.Recv(timeout)
-	if err == nil && res.ID == job.ID && res.NeedCfg {
-		// Config-store miss: resend with the blob inline (not a delivery
-		// attempt — nothing was evaluated).
-		refetched = true
-		if err = c.Send(job, true); err == nil {
-			res, err = c.Recv(timeout)
-		}
+	res, err := c.Recv(timeout)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case err != nil:
-		return nil, refetched, err
-	case res.ID != job.ID:
-		return nil, refetched, fmt.Errorf("shard: worker answered job %d with a result for job %d", job.ID, res.ID)
-	case res.NeedCfg:
-		return nil, refetched, fmt.Errorf("shard: worker cannot hold job %d's config", job.ID)
+	if res.ID != job.ID {
+		return nil, fmt.Errorf("shard: worker answered job %d with a result for job %d", job.ID, res.ID)
 	}
-	return res, refetched, nil
+	return res, nil
 }
 
 // Pool fans shard jobs out over a fixed set of worker lanes and merges
@@ -109,11 +91,12 @@ type Pool struct {
 	// MaxAttempts is the number of worker deliveries per job before
 	// the pool falls back to in-process evaluation (default 3).
 	MaxAttempts int
-	// Metrics, when non-nil, receives per-lane fabric metrics
-	// (dispatched jobs, job latency, requeues, NeedCfg refetches,
-	// reconnects, in-process fallbacks) under names labeled
-	// lane="<index>:<transport name>". Nil keeps the dispatch path
-	// free of clock reads.
+	// Metrics, when non-nil, receives per-lane fabric metrics under
+	// names labeled lane="<index>:<transport name>":
+	// shard_lane_jobs_total, shard_lane_job_ns (job latency),
+	// shard_lane_requeues_total, shard_lane_reconnects_total and
+	// shard_lane_fallbacks_total (jobs evaluated in-process). Nil keeps
+	// the dispatch path free of clock reads.
 	Metrics *telemetry.Registry
 
 	lanes []*lane // built by Start; nil entries never occur
@@ -133,7 +116,6 @@ type laneMetrics struct {
 	jobs       *telemetry.Counter   // results delivered by this lane
 	jobNanos   *telemetry.Histogram // Send-to-result latency
 	requeues   *telemetry.Counter   // jobs returned to the queue on a fault
-	refetches  *telemetry.Counter   // NeedCfg config resends
 	reconnects *telemetry.Counter   // connection replacements
 	fallbacks  *telemetry.Counter   // jobs evaluated in-process
 }
@@ -145,7 +127,6 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 		jobs:       reg.Counter("shard_lane_jobs_total" + label),
 		jobNanos:   reg.Histogram("shard_lane_job_ns" + label),
 		requeues:   reg.Counter("shard_lane_requeues_total" + label),
-		refetches:  reg.Counter("shard_lane_cfg_refetches_total" + label),
 		reconnects: reg.Counter("shard_lane_reconnects_total" + label),
 		fallbacks:  reg.Counter("shard_lane_fallbacks_total" + label),
 	}
@@ -293,10 +274,7 @@ func (p *Pool) runLane(l *lane, queue chan *Job, done <-chan struct{}, deliver f
 		if l.m.jobNanos != nil {
 			sent = time.Now()
 		}
-		res, refetched, err := roundTrip(l.conn, job, p.Timeout)
-		if refetched {
-			l.m.refetches.Inc()
-		}
+		res, err := RoundTrip(l.conn, job, p.Timeout)
 		if err != nil {
 			l.m.requeues.Inc()
 			queue <- job

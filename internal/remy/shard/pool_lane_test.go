@@ -10,9 +10,8 @@ import (
 )
 
 // Tests for a pool lane's job stream: one job in flight per lane, a
-// fault requeues that job, a NeedCfg answer is resolved on the same
-// connection, and a batch of one job per lane lands one job on each
-// lane. The scripted transport below lets a test dictate exactly when
+// fault requeues that job, a redialed connection ships its config
+// again, and a batch of one job per lane lands one job on each lane. The scripted transport below lets a test dictate exactly when
 // a connection dies and what it answers, which real workers cannot do
 // deterministically.
 
@@ -44,15 +43,18 @@ func (t *scriptTransport) dialCount() int {
 }
 
 // scriptConn is a worker connection with programmable behavior. Its
-// send side strips configs the way shardnet's TCP connection does (the
-// blob rides inline the first time a hash crosses, and on a forced
-// refetch), so the wire stream it "carries" is the real hash-only
-// stream; its recv side plays a worker with a scriptable config store.
+// send side strips configs the way shardnet's TCP connection does (a
+// job goes by hash alone when its config is the one the connection
+// shipped last), so the wire stream it "carries" is the real hash-only
+// stream; its recv side plays a worker session, which holds the last
+// config that arrived inline and breaks on a hash-only job for any
+// other.
 type scriptConn struct {
 	mu      sync.Mutex
 	fifo    []*Job
 	sends   []sendRecord
-	shipped map[Hash]bool
+	shipped Hash
+	held    Hash
 	closed  bool
 	// serveBefore is how many results this connection serves before
 	// Recv starts failing (-1 = never fail).
@@ -60,13 +62,9 @@ type scriptConn struct {
 	served      int
 	// failID is a job ID the worker answers with an evaluation error.
 	failID uint64
-	// known is the worker-side config store. flushEachServe empties it
-	// after every served job (a worker that keeps losing its store);
-	// alwaysNeedCfg answers NeedCfg even for inline sends (a worker
-	// that cannot hold a config at all).
-	known          map[Hash]bool
-	flushEachServe bool
-	alwaysNeedCfg  bool
+	// stripAll sends every hash-bearing job by hash alone, shipped or
+	// not (a client that lost track of its connection's config).
+	stripAll bool
 	// onSend, when set, runs after every Send; recvGate, when set,
 	// runs before every Recv with this connection's send count, and
 	// its error fails the Recv.
@@ -76,28 +74,27 @@ type scriptConn struct {
 
 type sendRecord struct {
 	id     uint64
-	force  bool
 	inline bool
 }
 
 func newScriptConn(serveBefore int) *scriptConn {
-	return &scriptConn{serveBefore: serveBefore, shipped: map[Hash]bool{}, known: map[Hash]bool{}}
+	return &scriptConn{serveBefore: serveBefore}
 }
 
-func (c *scriptConn) Send(job *Job, forceCfg bool) error {
+func (c *scriptConn) Send(job *Job) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wire := job
 	if !job.CfgHash.IsZero() && len(job.Cfg) > 0 {
-		if forceCfg || !c.shipped[job.CfgHash] {
-			c.shipped[job.CfgHash] = true
-		} else {
+		if c.stripAll || job.CfgHash == c.shipped {
 			stripped := *job
 			stripped.Cfg = nil
 			wire = &stripped
+		} else {
+			c.shipped = job.CfgHash
 		}
 	}
-	c.sends = append(c.sends, sendRecord{id: wire.ID, force: forceCfg, inline: len(wire.Cfg) > 0})
+	c.sends = append(c.sends, sendRecord{id: wire.ID, inline: len(wire.Cfg) > 0})
 	c.fifo = append(c.fifo, wire)
 	if c.onSend != nil {
 		c.onSend()
@@ -123,18 +120,13 @@ func (c *scriptConn) Recv(timeout time.Duration) (*Result, error) {
 	c.fifo = c.fifo[1:]
 	if !job.CfgHash.IsZero() {
 		switch {
-		case c.alwaysNeedCfg:
-			return &Result{ID: job.ID, NeedCfg: true}, nil
 		case len(job.Cfg) > 0:
-			c.known[job.CfgHash] = true
-		case !c.known[job.CfgHash]:
-			return &Result{ID: job.ID, NeedCfg: true}, nil
+			c.held = job.CfgHash
+		case job.CfgHash != c.held:
+			return nil, fmt.Errorf("script: session closed on job %d for an unshipped config", job.ID)
 		}
 	}
 	c.served++
-	if c.flushEachServe {
-		c.known = map[Hash]bool{}
-	}
 	if job.ID == c.failID {
 		return &Result{ID: job.ID, Err: "script: evaluation failed"}, nil
 	}
@@ -320,20 +312,28 @@ func TestPoolRequeuesInFlightJobOnCrash(t *testing.T) {
 	}
 }
 
-// TestPoolResolvesNeedCfgOnSameConn drives the config refetch: the
-// worker loses its config store after every job, so each hash-only job
-// after the first answers NeedCfg; the lane must resend that job with
-// the blob inline (forceCfg) right away on the same connection and
-// complete the batch without reconnecting.
-func TestPoolResolvesNeedCfgOnSameConn(t *testing.T) {
+// TestPoolReshipsConfigOnRedial gives the lane a first connection that
+// sends its first job by hash alone although it never shipped the
+// config: the worker session breaks, and the pool must requeue the job
+// onto a redialed connection, which ships the config inline with its
+// first job and sends the rest of the batch by hash.
+func TestPoolReshipsConfigOnRedial(t *testing.T) {
 	cfg := json.RawMessage(`{"Delta":1}`)
-	var conn *scriptConn
-	tr := &scriptTransport{mkConn: func(int) Conn {
-		conn = newScriptConn(-1)
-		conn.flushEachServe = true
-		return conn
+	var first, second *scriptConn
+	tr := &scriptTransport{mkConn: func(dial int) Conn {
+		c := newScriptConn(-1)
+		if dial == 1 {
+			c.stripAll = true
+			first = c
+		} else {
+			second = c
+		}
+		return c
 	}}
-	pool := &Pool{Transports: []Transport{tr}, Fallback: echoEval}
+	pool := &Pool{Transports: []Transport{tr}, Fallback: func(job *Job) (*Result, error) {
+		t.Error("fallback used; the redialed connection should serve the batch")
+		return echoEval(job)
+	}}
 	if err := pool.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,65 +349,20 @@ func TestPoolResolvesNeedCfgOnSameConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if res.ID != jobs[i].ID || res.NeedCfg {
+		if res.ID != jobs[i].ID || res.Scores[0] != float64(2*i) {
 			t.Fatalf("result %d = %+v", i, res)
 		}
 	}
-	if tr.dialCount() != 1 {
-		t.Fatalf("NeedCfg refetch caused %d dials, want the original connection to survive", tr.dialCount())
+	if tr.dialCount() != 2 || !first.isClosed() {
+		t.Fatalf("%d dials (first closed: %v), want the broken session replaced once", tr.dialCount(), first.isClosed())
 	}
-	want := []sendRecord{
-		{id: 100, inline: true},
-		{id: 101}, {id: 101, force: true, inline: true},
-		{id: 102}, {id: 102, force: true, inline: true},
+	if got, want := fmt.Sprint(first.sendLog()), fmt.Sprint([]sendRecord{{id: 100}}); got != want {
+		t.Fatalf("broken connection sends = %s, want %s", got, want)
 	}
-	got := conn.sendLog()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("sends = %+v, want %+v", got, want)
-	}
-}
-
-// TestPoolTreatsRepeatedNeedCfgAsBroken gives the lane a worker that
-// answers NeedCfg even for inline sends: after one refetch the pool
-// must declare the connection broken, reconnect, and finish the batch
-// on the replacement.
-func TestPoolTreatsRepeatedNeedCfgAsBroken(t *testing.T) {
-	cfg := json.RawMessage(`{"Delta":2}`)
-	var broken *scriptConn
-	tr := &scriptTransport{}
-	tr.mkConn = func(dial int) Conn {
-		c := newScriptConn(-1)
-		if dial == 1 {
-			c.alwaysNeedCfg = true
-			broken = c
-		}
-		return c
-	}
-	pool := &Pool{Transports: []Transport{tr}, Fallback: echoEval}
-	if err := pool.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	jobs := testJobs(2, 1)
-	for _, job := range jobs {
-		job.CfgHash = HashBytes(cfg)
-		job.Cfg = cfg
-	}
-	results, err := pool.Do(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.ID != jobs[i].ID {
-			t.Fatalf("result %d = %+v", i, res)
-		}
-	}
-	if tr.dialCount() < 2 {
-		t.Fatalf("pool kept a worker that can never hold a config (%d dials)", tr.dialCount())
-	}
-	if got := broken.sendCount(); got != 2 {
-		t.Fatalf("broken connection saw %d sends, want the job and one forced resend", got)
+	// The requeued job went to the back of the queue.
+	want := []sendRecord{{id: 101, inline: true}, {id: 102}, {id: 100}}
+	if got := second.sendLog(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("redialed connection sends = %+v, want %+v", got, want)
 	}
 }
 

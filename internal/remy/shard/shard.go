@@ -2,7 +2,7 @@
 // evaluations across workers. The coordinator (internal/remy) slices a
 // generation's evaluation batch — every (candidate tree, replica)
 // slot — into self-contained Jobs, fans them out over a Pool of lanes
-// speaking length-prefixed frames (the binary v4 codec of codec.go —
+// speaking length-prefixed frames (the binary codec of codec.go —
 // the one wire for a job) to remyshardd daemons over TCP
 // (internal/remy/shardnet; one machine runs `remyshardd -listen
 // 127.0.0.1:PORT` and points `remytrain -remotes` at it), and merges
@@ -36,10 +36,13 @@ import (
 // description (kind/hops/cross or explicit edges and routes) instead of
 // a two-member enum, so jobs ship arbitrary multi-hop topologies.
 // Version 3 added the binary codec (codec.go) and config-by-hash
-// shipping (Job.CfgHash, Result.NeedCfg). Version 4 added batches over
-// a subset of replicas (Job.Reps) and per-slot fired sets
-// (Result.Fired).
-const ProtocolVersion = 4
+// shipping (Job.CfgHash, with a worker-wide config store and a refetch
+// on a miss). Version 4 added batches over a subset of replicas
+// (Job.Reps) and per-slot fired sets (Result.Fired). Version 5 keeps
+// one config per connection: a worker session holds the last config
+// that arrived inline on it, a hash-only job for any other config ends
+// the session, and the refetch is gone. Frame layouts are unchanged.
+const ProtocolVersion = 5
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate
 // trees (~100 bytes per whisker), so real frames are kilobytes; the cap
@@ -86,13 +89,12 @@ type Job struct {
 	Reps []int `json:"reps,omitempty"`
 	// Cfg is the training configuration, owned (and round-tripped) by
 	// internal/remy; shard treats it as opaque. With CfgHash set, Cfg
-	// may be empty on the wire: a connection ships the blob once, then
-	// references it by hash, and workers resolve hash-only jobs from
-	// their ConfigStore (answering NeedCfg on a miss).
+	// may be empty on the wire: a connection ships the blob inline,
+	// then sends jobs for the same config by hash alone, and the
+	// worker's session fills in the config it last received inline.
 	Cfg json.RawMessage `json:"cfg,omitempty"`
 	// CfgHash is the SHA-256 content address of Cfg. Zero means the
-	// config always rides inline (the pre-v3 behavior, kept for
-	// hand-built jobs and the reference path).
+	// config always rides inline (kept for hand-built jobs).
 	CfgHash Hash `json:"cfg_hash"`
 
 	// index is the job's position in its batch (coordinator side only).
@@ -128,11 +130,6 @@ type Result struct {
 	// scores are unaffected; the coordinator tallies it for the
 	// hit-rate report.
 	Cached bool `json:"cached,omitempty"`
-	// NeedCfg reports a config-store miss on a hash-only job: the
-	// worker does not hold CfgHash's blob and evaluated nothing. The
-	// pool resends the job with the config inline — a refetch, not a
-	// failure, so it never consumes a delivery attempt.
-	NeedCfg bool `json:"need_cfg,omitempty"`
 }
 
 // UsageFrame is one replica's whisker usage of the UsageFor tree.
@@ -192,25 +189,3 @@ func ReadFrame(r io.Reader, v any) error {
 // Eval evaluates one job. internal/remy provides the real one; tests
 // inject fakes.
 type Eval func(*Job) (*Result, error)
-
-// ResolveConfig fills in a hash-only job's Cfg from the store (or
-// stores an inline one). It returns a NeedCfg Result on a store miss
-// and an error Result on a corrupt blob; nil means the job's config is
-// ready for evaluation.
-func ResolveConfig(job *Job, store *ConfigStore) *Result {
-	if job.CfgHash.IsZero() {
-		return nil
-	}
-	if len(job.Cfg) > 0 {
-		if err := store.Put(job.CfgHash, job.Cfg); err != nil {
-			return &Result{ID: job.ID, Err: err.Error()}
-		}
-		return nil
-	}
-	cfg, ok := store.Get(job.CfgHash)
-	if !ok {
-		return &Result{ID: job.ID, NeedCfg: true}
-	}
-	job.Cfg = cfg
-	return nil
-}

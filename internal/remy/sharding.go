@@ -13,7 +13,7 @@ import (
 // contiguous ranges (slotsPerJob), ships each as a self-contained
 // shard.Job (shardJobs) and merges the results by position. A worker
 // decodes the job back into the slot range it describes and runs the
-// same evalSlots the in-process trainer runs (slotcache.go), so
+// same evalSlots the in-process trainer runs (evalslots.go), so
 // sharded training is bit-identical to in-process training for the
 // same Seed and Budget (remy's differential tests enforce this
 // byte-for-byte on the trained tree).
@@ -91,8 +91,8 @@ func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*sh
 			Trees:    batch.enc[tiLo : tiHi+1],
 			// Every in-memory job keeps the config inline — the
 			// fallback path needs it, and requeues may land on a fresh
-			// connection. Each connection strips it to hash-only after
-			// its first send (see shardnet's tcpConn.Send).
+			// connection. A connection strips it to hash-only once it
+			// has shipped this config (see shardnet's tcpConn.Send).
 			Cfg:     cfgJSON,
 			CfgHash: batch.cfgHash,
 		})

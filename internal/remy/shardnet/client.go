@@ -24,23 +24,12 @@ type Dialer struct {
 	Addr string
 	// DialTimeout bounds the TCP connect plus handshake (default 5s).
 	DialTimeout time.Duration
-	// Version is the protocol version to offer (default
-	// shard.ProtocolVersion); tests override it to exercise the
-	// handshake rejection path.
-	Version int
 	// Metrics, when non-nil, records the worker's heartbeat cadence as
 	// observed by this client: the gap between consecutive heartbeat
 	// frames while a job is running, in a histogram labeled by worker
 	// address. The gap exceeds the advertised interval by network plus
 	// scheduling delay, making it a cheap heartbeat-RTT proxy.
 	Metrics *telemetry.Registry
-}
-
-func (d *Dialer) version() int {
-	if d.Version != 0 {
-		return d.Version
-	}
-	return shard.ProtocolVersion
 }
 
 // Dial connects and handshakes with the worker daemon.
@@ -54,7 +43,7 @@ func (d *Dialer) Dial() (shard.Conn, error) {
 		return nil, err
 	}
 	nc.SetDeadline(time.Now().Add(timeout))
-	if err := shard.WriteFrame(nc, &hello{Magic: Magic, Version: d.version()}); err != nil {
+	if err := shard.WriteFrame(nc, &hello{Magic: Magic, Version: shard.ProtocolVersion}); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("shardnet: %s: send hello: %w", d.Addr, err)
 	}
@@ -73,11 +62,7 @@ func (d *Dialer) Dial() (shard.Conn, error) {
 		return nil, fmt.Errorf("shardnet: %s: handshake rejected: %s", d.Addr, w.Reason)
 	}
 	nc.SetDeadline(time.Time{})
-	c := &tcpConn{
-		nc: nc, br: br,
-		hb:   time.Duration(w.HeartbeatMillis) * time.Millisecond,
-		sent: map[shard.Hash]bool{},
-	}
+	c := &tcpConn{nc: nc, br: br, hb: time.Duration(w.HeartbeatMillis) * time.Millisecond}
 	if d.Metrics != nil {
 		c.hbGap = d.Metrics.Histogram(fmt.Sprintf("shardnet_heartbeat_gap_ns{worker=%q}", d.Addr))
 	}
@@ -89,10 +74,12 @@ func (d *Dialer) Name() string { return d.Addr }
 
 // tcpConn is one handshaken worker connection.
 type tcpConn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	hb   time.Duration // the worker's advertised heartbeat interval
-	sent map[shard.Hash]bool
+	nc net.Conn
+	br *bufio.Reader
+	hb time.Duration // the worker's advertised heartbeat interval
+	// shipped is the hash of the config this connection last sent
+	// inline — the one config the worker's session holds.
+	shipped shard.Hash
 
 	// hbGap, when non-nil, observes the wall-clock gap between
 	// consecutive heartbeat frames; lastHB is the previous heartbeat's
@@ -101,17 +88,19 @@ type tcpConn struct {
 	lastHB time.Time
 }
 
-// Send ships one job frame, config-by-hash once the blob has crossed
-// this connection (forceCfg resends it inline — the refetch path).
-func (c *tcpConn) Send(job *shard.Job, forceCfg bool) error {
+// Send ships one job frame. A hash-bearing job goes by hash alone
+// when its config is the one this connection shipped last, which the
+// worker's session holds; any other config rides inline and becomes
+// the connection's config.
+func (c *tcpConn) Send(job *shard.Job) error {
 	wire := job
 	if !job.CfgHash.IsZero() && len(job.Cfg) > 0 {
-		if forceCfg || !c.sent[job.CfgHash] {
-			c.sent[job.CfgHash] = true
-		} else {
+		if job.CfgHash == c.shipped {
 			stripped := *job
 			stripped.Cfg = nil
 			wire = &stripped
+		} else {
+			c.shipped = job.CfgHash
 		}
 	}
 	c.nc.SetWriteDeadline(time.Now().Add(clientWriteTimeout))

@@ -2,6 +2,7 @@ package shardnet
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -53,10 +54,6 @@ type Server struct {
 	// machine, which means nothing on this one. cmd/remyshardd
 	// defaults it to NumCPU. Parallelism never affects results.
 	Workers int
-	// Version is the protocol version the server speaks (default
-	// shard.ProtocolVersion); the handshake and every job are checked
-	// against it. Tests override it to exercise mismatch rejection.
-	Version int
 	// DieAfter, when positive, drops each connection after fully
 	// serving that many jobs — the next job is read and abandoned
 	// without a reply, simulating a worker killed mid-generation for
@@ -65,8 +62,8 @@ type Server struct {
 	// Log, when set, receives one line per connection event.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, records the worker's fabric series:
-	// connection count, jobs served, cache hits, NeedCfg misses,
-	// heartbeats sent, and a job evaluation-latency histogram —
+	// connection count, jobs served, cache hits, heartbeats sent, and a
+	// job evaluation-latency histogram —
 	// cmd/remyshardd serves them on `-metrics`. Set it before Serve.
 	Metrics *telemetry.Registry
 
@@ -75,9 +72,6 @@ type Server struct {
 
 	mOnce sync.Once
 	m     serverMetrics
-
-	cfgOnce sync.Once
-	cfgs    *shard.ConfigStore // server-wide, so configs survive reconnects
 }
 
 // serverMetrics holds the server's metric handles; all nil when
@@ -86,7 +80,6 @@ type serverMetrics struct {
 	conns      *telemetry.Gauge
 	jobs       *telemetry.Counter
 	cacheHits  *telemetry.Counter
-	cfgMisses  *telemetry.Counter
 	heartbeats *telemetry.Counter
 	jobNanos   *telemetry.Histogram
 	connTotal  *telemetry.Counter
@@ -105,25 +98,12 @@ func (s *Server) metrics() *serverMetrics {
 			connTotal:  s.Metrics.Counter("shardnet_server_connections_total"),
 			jobs:       s.Metrics.Counter("shardnet_server_jobs_total"),
 			cacheHits:  s.Metrics.Counter("shardnet_server_cache_hits_total"),
-			cfgMisses:  s.Metrics.Counter("shardnet_server_cfg_misses_total"),
 			heartbeats: s.Metrics.Counter("shardnet_server_heartbeats_total"),
 			jobNanos:   s.Metrics.Histogram("shardnet_server_job_ns"),
 		}
 	})
 	return &s.m
 }
-
-// configs returns the server's content-addressed config store,
-// creating it on first use.
-func (s *Server) configs() *shard.ConfigStore {
-	s.cfgOnce.Do(func() { s.cfgs = shard.NewConfigStore(0) })
-	return s.cfgs
-}
-
-// FlushConfigs drops every stored config blob, forcing the NeedCfg
-// refetch path on the next hash-only job — the differential tests use
-// it to model a daemon that lost its store mid-generation.
-func (s *Server) FlushConfigs() { s.configs().Flush() }
 
 // ServerStats counts a server's lifetime traffic.
 type ServerStats struct {
@@ -142,13 +122,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.Log != nil {
 		s.Log(format, args...)
 	}
-}
-
-func (s *Server) version() int {
-	if s.Version != 0 {
-		return s.Version
-	}
-	return shard.ProtocolVersion
 }
 
 // heartbeat resolves the effective liveness interval.
@@ -185,13 +158,19 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// session serializes frame writes to one connection: the heartbeat
-// goroutine and the job loop share the socket. busy is set while a job
-// evaluates; the heartbeat goroutine writes only then.
+// session is one coordinator connection's state. It serializes frame
+// writes: the heartbeat goroutine and the job loop share the socket.
+// busy is set while a job evaluates; the heartbeat goroutine writes
+// only then. cfg is the last config that arrived inline on the
+// connection, checked against its hash cfgHash; the job loop alone
+// touches them.
 type session struct {
 	nc   net.Conn
 	mu   sync.Mutex
 	busy atomic.Bool
+
+	cfg     []byte
+	cfgHash shard.Hash
 }
 
 // writeHeartbeat sends one liveness frame under the session's write
@@ -229,19 +208,19 @@ func (s *Server) ServeConn(nc net.Conn) {
 		s.logf("shardnet: %s: handshake read: %v", nc.RemoteAddr(), err)
 		return
 	}
-	w := welcome{Magic: Magic, Version: s.version(), OK: true, HeartbeatMillis: s.heartbeat().Milliseconds()}
+	w := welcome{Magic: Magic, Version: shard.ProtocolVersion, OK: true, HeartbeatMillis: s.heartbeat().Milliseconds()}
 	switch {
 	case h.Magic != Magic:
 		w.OK, w.Reason = false, fmt.Sprintf("bad magic %q", h.Magic)
-	case h.Version != s.version():
-		w.OK, w.Reason = false, fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, s.version())
+	case h.Version != shard.ProtocolVersion:
+		w.OK, w.Reason = false, fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, shard.ProtocolVersion)
 	}
 	if err := shard.WriteFrame(nc, &w); err != nil || !w.OK {
 		s.logf("shardnet: %s: handshake rejected: %s", nc.RemoteAddr(), w.Reason)
 		return
 	}
 	nc.SetDeadline(time.Time{})
-	s.logf("shardnet: %s: connected (protocol v%d)", nc.RemoteAddr(), s.version())
+	s.logf("shardnet: %s: connected (protocol v%d)", nc.RemoteAddr(), shard.ProtocolVersion)
 	m := s.metrics()
 	m.connTotal.Inc()
 	m.conns.Add(1)
@@ -273,16 +252,14 @@ func (s *Server) ServeConn(nc net.Conn) {
 			s.logf("shardnet: %s: DieAfter %d reached; dropping connection", nc.RemoteAddr(), s.DieAfter)
 			return
 		}
-		res := s.evalJob(sn, job)
+		res, err := s.evalJob(sn, job)
+		if err != nil {
+			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
+			return
+		}
 		if err := sn.writeResult(res); err != nil {
 			s.logf("shardnet: %s: write result: %v", nc.RemoteAddr(), err)
 			return
-		}
-		if res.NeedCfg {
-			// A config-store miss answers nothing: the coordinator
-			// resends the job inline, and only that delivery counts.
-			m.cfgMisses.Inc()
-			continue
 		}
 		served++
 		s.jobs.Add(1)
@@ -290,18 +267,29 @@ func (s *Server) ServeConn(nc net.Conn) {
 	}
 }
 
-// evalJob answers one job: version check, config-by-hash resolution
-// against the server-wide store (a miss answers NeedCfg and evaluates
-// nothing), then the evaluator with the session marked busy, so the
-// session's ticker heartbeats through it. Failures
-// become error Results, never torn connections — only transport
-// trouble ends a session.
-func (s *Server) evalJob(sn *session, job *shard.Job) *shard.Result {
-	if job.Version != s.version() {
-		return &shard.Result{ID: job.ID, Err: fmt.Sprintf("protocol version %d, worker speaks %d", job.Version, s.version())}
+// evalJob answers one job: version check, the session's config for a
+// hash-only job, then the evaluator with the session marked busy, so
+// the session's ticker heartbeats through it. Failures become error
+// Results; only a broken protocol — a hash-only job for a config this
+// connection never shipped, or not last — is an error, and ends the
+// session like transport trouble does.
+func (s *Server) evalJob(sn *session, job *shard.Job) (*shard.Result, error) {
+	if job.Version != shard.ProtocolVersion {
+		return &shard.Result{ID: job.ID, Err: fmt.Sprintf("protocol version %d, worker speaks %d", job.Version, shard.ProtocolVersion)}, nil
 	}
-	if res := shard.ResolveConfig(job, s.configs()); res != nil {
-		return res
+	switch {
+	case job.CfgHash.IsZero():
+	case len(job.Cfg) > 0:
+		// A blob that does not hash to its address is wire corruption:
+		// answer it, and keep the session's config.
+		if got := shard.HashBytes(job.Cfg); got != job.CfgHash {
+			return &shard.Result{ID: job.ID, Err: fmt.Sprintf("shard: config blob hashes to %s, job says %s", got, job.CfgHash)}, nil
+		}
+		sn.cfg, sn.cfgHash = bytes.Clone(job.Cfg), job.CfgHash
+	case job.CfgHash == sn.cfgHash:
+		job.Cfg = sn.cfg
+	default:
+		return nil, fmt.Errorf("job %d names config %s, which this connection did not ship last", job.ID, job.CfgHash)
 	}
 	if s.Workers > 0 {
 		job.Workers = s.Workers
@@ -318,14 +306,14 @@ func (s *Server) evalJob(sn *session, job *shard.Job) *shard.Result {
 		m.jobNanos.Observe(time.Since(began).Nanoseconds())
 	}
 	if err != nil {
-		return &shard.Result{ID: job.ID, Err: err.Error()}
+		return &shard.Result{ID: job.ID, Err: err.Error()}, nil
 	}
 	res.ID = job.ID
 	if res.Cached {
 		s.cacheHits.Add(1)
 		m.cacheHits.Inc()
 	}
-	return res
+	return res, nil
 }
 
 // heartbeats is a session's one liveness ticker: every interval it

@@ -2,14 +2,20 @@
 // transport for shard.Pool lanes (Dialer, the client half) and the
 // worker daemon's serving loop (Server, hosted by cmd/remyshardd).
 //
-// The wire format is the shard package's length-prefixed v4 frames —
-// the binary job/result codec and config-by-hash shipping — verbatim;
-// JSON carries only the control frames below. On top of it, shardnet
-// adds what a network needs:
+// The wire format is the shard package's length-prefixed v5 frames —
+// the binary job/result codec — verbatim; JSON carries only the
+// control frames below. On top of it, shardnet adds what a network
+// needs:
 //
 //   - a connection handshake (magic string + protocol version both
 //     ways) so mismatched builds are rejected before any job is
 //     miscomputed;
+//   - one config per connection: a job's training config rides inline
+//     the first time it crosses a connection, and later jobs for the
+//     same config carry only its hash. The worker's session holds the
+//     last config that arrived inline on it, and the client mirrors
+//     that one hash. A hash-only job for any other config ends the
+//     session, and the pool's reconnect path re-ships the config;
 //   - heartbeat frames from the worker while a job evaluates (one
 //     ticker per connection, writing only while a job is busy), so the
 //     client's per-result timeout bounds *silence* rather than job

@@ -2,8 +2,10 @@ package shardnet
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,26 +78,62 @@ func TestPoolOverTCP(t *testing.T) {
 	}
 }
 
+// TestHandshakeVersionMismatchRejected turns away peers of another
+// protocol version at the handshake, before any job can be
+// miscomputed: a worker answers a newer client's hello with a refusal
+// naming both versions, and a Dialer facing a worker of the previous
+// version, which refuses it the same way, fails at dial — loudly at
+// pool Start, not as silent degradation.
 func TestHandshakeVersionMismatchRejected(t *testing.T) {
-	// A stale worker (different protocol version) must be rejected at
-	// dial time — before any job can be miscomputed — with a reason
-	// naming both versions.
-	addr := startServer(t, &Server{Eval: echoEval, Version: shard.ProtocolVersion + 1})
-	d := &Dialer{Addr: addr}
+	nc, err := net.Dial("tcp", startServer(t, &Server{Eval: echoEval}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := shard.WriteFrame(nc, &hello{Magic: Magic, Version: shard.ProtocolVersion + 1}); err != nil {
+		t.Fatal(err)
+	}
+	var w welcome
+	if err := shard.ReadFrame(nc, &w); err != nil {
+		t.Fatalf("read welcome: %v", err)
+	}
+	if w.OK || w.Version != shard.ProtocolVersion || !strings.Contains(w.Reason, "version") {
+		t.Fatalf("welcome to a v%d client = %+v, want a refusal naming the versions", shard.ProtocolVersion+1, w)
+	}
+
+	// A worker of the previous version, answering as its server did.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	old := shard.ProtocolVersion - 1
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var h hello
+			shard.ReadFrame(nc, &h)
+			shard.WriteFrame(nc, &welcome{Magic: Magic, Version: old, OK: h.Version == old,
+				Reason: fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, old)})
+			nc.Close()
+		}
+	}()
+	d := &Dialer{Addr: ln.Addr().String()}
 	conn, err := d.Dial()
 	if err == nil {
 		conn.Close()
-		t.Fatal("dial succeeded against a version-mismatched worker")
+		t.Fatalf("dial succeeded against a v%d worker", old)
 	}
 	if !strings.Contains(err.Error(), "version") {
 		t.Fatalf("mismatch error does not name the version: %v", err)
 	}
-	// And the pool surfaces it loudly at Start, not as silent
-	// degradation.
 	pool := &shard.Pool{Transports: []shard.Transport{d}, Fallback: echoEval}
 	if err := pool.Start(); err == nil {
 		pool.Close()
-		t.Fatal("pool.Start accepted a version-mismatched worker")
+		t.Fatalf("pool.Start accepted a v%d worker", old)
 	}
 }
 
@@ -279,34 +317,36 @@ func TestServerRejectsJobVersionMismatch(t *testing.T) {
 }
 
 // TestTCPConnShipsCfgOnce checks the coordinator half of
-// config-by-hash: a connection ships a config blob once, strips it
-// from every later job with the same hash (without mutating the
-// caller's job), and re-ships it on a forced refetch; a job without a
-// hash always carries its config.
+// config-by-hash: a connection sends a job by hash alone only when its
+// config is the one the connection shipped last, so configs A, A, B, A
+// cross inline, stripped, inline, inline — and it never strips the
+// caller's job. A job without a hash always carries its config.
 func TestTCPConnShipsCfgOnce(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	c := &tcpConn{nc: client, sent: map[shard.Hash]bool{}}
+	c := &tcpConn{nc: client}
 	defer c.Close()
 
-	cfg := []byte(`{"Delta":1}`)
-	job := &shard.Job{ID: 1, CfgHash: shard.HashBytes(cfg), Cfg: cfg}
-	hashless := &shard.Job{ID: 2, Cfg: cfg}
+	cfgA, cfgB := []byte(`{"Delta":1}`), []byte(`{"Delta":2}`)
+	a := &shard.Job{ID: 1, CfgHash: shard.HashBytes(cfgA), Cfg: cfgA}
+	b := &shard.Job{ID: 2, CfgHash: shard.HashBytes(cfgB), Cfg: cfgB}
+	hashless := &shard.Job{ID: 3, Cfg: cfgA}
 	sends := []struct {
 		job    *shard.Job
-		force  bool
 		inline bool
 	}{
-		{job, false, true},
-		{job, false, false},
-		{job, true, true},
-		{hashless, false, true},
-		{hashless, false, true},
+		{a, true},
+		{a, false},
+		{b, true},
+		{a, true},
+		{hashless, true},
+		{hashless, true},
+		{a, false},
 	}
 	errs := make(chan error, 1)
 	go func() {
 		for _, s := range sends {
-			if err := c.Send(s.job, s.force); err != nil {
+			if err := c.Send(s.job); err != nil {
 				errs <- err
 				return
 			}
@@ -332,7 +372,7 @@ func TestTCPConnShipsCfgOnce(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if len(job.Cfg) == 0 {
+	if len(a.Cfg) == 0 || len(b.Cfg) == 0 {
 		t.Fatal("Send stripped the caller's job")
 	}
 }
@@ -613,52 +653,83 @@ func TestCacheServesRepeatVerbatim(t *testing.T) {
 	}
 }
 
-// TestConfigByHashRefetch drives the whole config-by-hash lifecycle on
-// one connection: first job ships the blob inline, the second goes
-// hash-only and resolves from the server's store, and after the store
-// is flushed (a daemon that lost its state) the third job triggers the
-// NeedCfg refetch, which RoundTrip resolves transparently.
-func TestConfigByHashRefetch(t *testing.T) {
-	var sawCfg atomic.Int64
-	checking := func(job *shard.Job) (*shard.Result, error) {
-		if len(job.Cfg) > 0 {
-			sawCfg.Add(1)
-		}
+// TestSessionHoldsLastInlineConfig drives the worker half of
+// config-by-hash with hand-written frames. A session fills hash-only
+// jobs from the last config that arrived inline on it, answers a blob
+// that does not match its hash with an error and keeps its config, and
+// ends on a hash-only job for any other config: one it received before
+// the last, or one only another connection shipped.
+func TestSessionHoldsLastInlineConfig(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	recording := func(job *shard.Job) (*shard.Result, error) {
+		mu.Lock()
+		seen = append(seen, string(job.Cfg))
+		mu.Unlock()
 		return echoEval(job)
 	}
-	srv := &Server{Eval: checking}
-	addr := startServer(t, srv)
-	conn, err := (&Dialer{Addr: addr}).Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	addr := startServer(t, &Server{Eval: recording})
 
-	cfg := []byte(`{"Delta":1}`)
-	jobs := testJobs(3, 2)
-	for _, job := range jobs {
-		job.Cfg = cfg
-		job.CfgHash = shard.HashBytes(cfg)
+	cfgA, cfgB := []byte(`{"Delta":1}`), []byte(`{"Delta":2}`)
+	hashA, hashB := shard.HashBytes(cfgA), shard.HashBytes(cfgB)
+	job := func(id uint64, cfg []byte, h shard.Hash) *shard.Job {
+		j := testJobs(1, 2)[0]
+		j.ID, j.Cfg, j.CfgHash = id, cfg, h
+		return j
 	}
-	for i, job := range jobs {
-		if i == 2 {
-			srv.FlushConfigs()
+	// roundTrip writes one job frame and reads the answer; a nil
+	// result means the session ended instead.
+	roundTrip := func(nc net.Conn, j *shard.Job) *shard.Result {
+		t.Helper()
+		if err := shard.WriteJob(nc, j); err != nil {
+			t.Fatal(err)
 		}
-		res, err := shard.RoundTrip(conn, job, time.Second)
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		payload, err := shard.ReadPayload(nc)
 		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("job %d: no answer and no hang-up: %v", j.ID, err)
+			}
+			return nil
 		}
-		if res.ID != job.ID || len(res.Scores) != 2 {
-			t.Fatalf("job %d result = %+v", i, res)
+		res, err := shard.DecodeResult(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	nc := handshake(t, addr)
+	for _, step := range []struct {
+		job *shard.Job
+		err string // "" for a scored result
+	}{
+		{job(1, cfgA, hashA), ""},
+		{job(2, nil, hashA), ""},
+		{job(3, cfgA, hashB), "hashes to"},
+		{job(4, nil, hashA), ""},
+		{job(5, cfgB, hashB), ""},
+		{job(6, nil, hashB), ""},
+	} {
+		res := roundTrip(nc, step.job)
+		if res == nil {
+			t.Fatalf("job %d ended the session", step.job.ID)
+		}
+		if res.ID != step.job.ID || !strings.Contains(res.Err, step.err) || (step.err == "") != (len(res.Scores) == 2) {
+			t.Fatalf("job %d answered %+v, want error %q", step.job.ID, res, step.err)
 		}
 	}
-	// Every evaluation saw a resolved config: inline (jobs 0 and 2,
-	// the latter via refetch) or from the store (job 1).
-	if sawCfg.Load() != 3 {
-		t.Fatalf("evaluator saw a config %d times, want 3", sawCfg.Load())
+	if res := roundTrip(nc, job(7, nil, hashA)); res != nil {
+		t.Fatalf("a hash-only job for the config shipped before the last was answered: %+v", res)
 	}
-	if st := srv.Stats(); st.Jobs != 3 {
-		t.Fatalf("server answered %d jobs, want 3 (NeedCfg must not count)", st.Jobs)
+	if res := roundTrip(handshake(t, addr), job(8, nil, hashB)); res != nil {
+		t.Fatalf("a hash-only job for a config only another connection shipped was answered: %+v", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{string(cfgA), string(cfgA), string(cfgA), string(cfgB), string(cfgB)}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("evaluator saw configs %q, want %q", seen, want)
 	}
 }
 

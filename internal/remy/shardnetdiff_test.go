@@ -4,11 +4,14 @@ package remy
 // over shardnet workers — loopback servers hosted inside this test
 // binary, no separate daemon build — must produce a tree BYTE-EQUAL to
 // the in-process trainer, through reconnects, a worker machine lost
-// for good mid-generation, and warm result caches.
+// for good mid-generation, a session broken by a hash-only job, and
+// warm result caches.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -19,6 +22,7 @@ import (
 	"learnability/internal/remy/shard"
 	"learnability/internal/remy/shardnet"
 	"learnability/internal/scenario"
+	"learnability/internal/telemetry"
 	"learnability/internal/topo"
 	"learnability/internal/units"
 )
@@ -226,41 +230,106 @@ func TestShardedTrainTCPWorkerKilledMidGeneration(t *testing.T) {
 	}
 }
 
-// TestShardedTrainConfigFlushedDuringTraining keeps flushing the
-// worker's config store while training runs, so hash-only jobs keep
-// missing and the pool's NeedCfg refetch path fires throughout the
-// run — mid-generation included. The trained tree must still be
-// byte-equal: a refetch re-ships bits, never changes them.
-func TestShardedTrainConfigFlushedDuringTraining(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	const seed = 7
-	want := inProcessBytes(t, seed)
-	addr, srv := startTCPWorker(t, nil)
+// unshippedFirstDialer dials like shardnet.Dialer, but its first
+// connection sends its first job by hash alone, as a client that lost
+// track of which config it shipped would.
+type unshippedFirstDialer struct {
+	shardnet.Dialer
+	dials atomic.Int64
+}
 
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				srv.FlushConfigs()
-			}
+func (d *unshippedFirstDialer) Dial() (shard.Conn, error) {
+	c, err := d.Dialer.Dial()
+	if err != nil || d.dials.Add(1) > 1 {
+		return c, err
+	}
+	return &unshippedFirstConn{Conn: c}, nil
+}
+
+type unshippedFirstConn struct {
+	shard.Conn
+	sent bool
+}
+
+func (c *unshippedFirstConn) Send(job *shard.Job) error {
+	if c.sent {
+		return c.Conn.Send(job)
+	}
+	c.sent = true
+	stripped := *job
+	stripped.Cfg = nil
+	return c.Conn.Send(&stripped)
+}
+
+// TestUnshippedConfigIsReshippedOnRedial sends a real worker a
+// hash-only job for a config its connection never shipped. The worker
+// ends that session; the pool must requeue the job, re-ship the config
+// inline on the redialed connection and deliver the bits an inline,
+// in-process evaluation of the job gives.
+func TestUnshippedConfigIsReshippedOnRedial(t *testing.T) {
+	addr, _ := startTCPWorker(t, nil)
+	cfg := tinyConfig()
+	cfg.Duration = 2 * units.Second
+	ncfg := cfg.normalize()
+	cfgJSON, err := json.Marshal(&ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := remycc.NewTree().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &shard.Job{
+		ID: 1, Version: shard.ProtocolVersion, Seed: 3, Replicas: ncfg.Replicas, UsageFor: 0,
+		SlotLo: 0, SlotHi: ncfg.Replicas, Trees: [][]byte{tree}, Cfg: cfgJSON, CfgHash: shard.HashBytes(cfgJSON),
+	}
+	inline := *job
+	want, err := EvalShardJob(&inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := &unshippedFirstDialer{Dialer: shardnet.Dialer{Addr: addr}}
+	reg := telemetry.NewRegistry()
+	pool := &shard.Pool{
+		Transports: []shard.Transport{d},
+		Fallback: func(job *shard.Job) (*shard.Result, error) {
+			t.Error("fallback used; the redialed connection should answer")
+			return EvalShardJob(job)
+		},
+		Timeout: time.Minute,
+		Metrics: reg,
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	results, err := pool.Do([]*shard.Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.dials.Load() != 2 {
+		t.Fatalf("%d dials, want the broken session replaced once", d.dials.Load())
+	}
+	for _, name := range []string{"shard_lane_requeues_total", "shard_lane_reconnects_total"} {
+		if n := reg.Counter(name + `{lane="0:` + addr + `"}`).Value(); n != 1 {
+			t.Fatalf("%s = %d, want 1", name, n)
 		}
-	}()
+	}
+	want.ID = job.ID
+	if got, exp := resultBits(results[0]), resultBits(want); got != exp {
+		t.Fatalf("re-shipped job answered\n%s\nwant the inline run's\n%s", got, exp)
+	}
+}
 
-	tr := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr}, ShardTimeout: time.Minute}
-	if got := trainBytes(t, tr); !bytes.Equal(got, want) {
-		t.Fatal("config-store flushes during training changed the trained tree")
+// resultBits renders a result's scores as IEEE-754 bits, with its
+// fired sets and usage, for an exact comparison.
+func resultBits(res *shard.Result) string {
+	bits := make([]uint64, len(res.Scores))
+	for i, s := range res.Scores {
+		bits[i] = math.Float64bits(s)
 	}
-	if st := srv.Stats(); st.Jobs == 0 {
-		t.Fatal("no jobs served; the flush test never exercised the worker")
-	}
+	return fmt.Sprintf("scores %x fired %x usage %v err %q", bits, res.Fired, res.Usage, res.Err)
 }
 
 // TestShardedTrainTCPWarmCacheRerun trains twice against the same

@@ -100,11 +100,11 @@ func main() {
 	// Lane counters are cumulative, so the last record carries the run's
 	// final fabric shape.
 	if len(last.Lanes) > 0 {
-		fmt.Printf("\n%-16s %8s %8s %9s %10s %9s %9s %9s %9s\n",
-			"lane", "jobs", "requeues", "refetches", "reconnects", "fallbacks", "p50(ms)", "p90(ms)", "p99(ms)")
+		fmt.Printf("\n%-16s %8s %8s %10s %9s %9s %9s %9s\n",
+			"lane", "jobs", "requeues", "reconnects", "fallbacks", "p50(ms)", "p90(ms)", "p99(ms)")
 		for _, l := range last.Lanes {
-			fmt.Printf("%-16s %8d %8d %9d %10d %9d %9.2f %9.2f %9.2f\n",
-				l.Lane, l.Jobs, l.Requeues, l.Refetches, l.Reconnects, l.Fallbacks,
+			fmt.Printf("%-16s %8d %8d %10d %9d %9.2f %9.2f %9.2f\n",
+				l.Lane, l.Jobs, l.Requeues, l.Reconnects, l.Fallbacks,
 				l.P50Millis, l.P90Millis, l.P99Millis)
 		}
 	}

@@ -40,8 +40,8 @@ import (
 // on a miss). Version 4 added batches over a subset of replicas
 // (Job.Reps) and per-slot fired sets (Result.Fired). Version 5 keeps
 // one config per connection: a worker session holds the last config
-// that arrived inline on it, a hash-only job for any other config ends
-// the session, and the refetch is gone. Frame layouts are unchanged.
+// that arrived inline on it, and a hash-only job for any other config
+// ends the session. Its frames are version 4's.
 const ProtocolVersion = 5
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate

@@ -90,7 +90,7 @@ func (u *UsageStats) Mean(i int) Vector {
 // ACK-derived signals.
 type RemyCC struct {
 	tree   *Tree
-	memory *Memory
+	memory Memory
 	cwnd   float64
 	pace   units.Duration
 
@@ -133,12 +133,21 @@ func New(tree *Tree) *RemyCC { return NewMasked(tree, AllSignals()) }
 // NewMasked returns a RemyCC observing only the signals in mask (used
 // by the §3.4 knockout study).
 func NewMasked(tree *Tree, mask SignalMask) *RemyCC {
+	r := new(RemyCC)
+	r.Reinit(tree, mask)
+	return r
+}
+
+// Reinit makes r exactly the controller NewMasked(tree, mask) returns —
+// fresh memory under the new mask, no usage accumulator, no trace — so
+// a trainer can keep its controllers from run to run instead of
+// allocating them.
+func (r *RemyCC) Reinit(tree *Tree, mask SignalMask) {
 	if tree == nil || tree.Len() == 0 {
 		panic("remycc: nil or empty tree")
 	}
-	r := &RemyCC{tree: tree, memory: NewMemory(mask)}
+	*r = RemyCC{tree: tree, memory: Memory{mask: mask}}
 	r.Reset(0)
-	return r
 }
 
 // RecordUsage attaches a usage accumulator; the trainer sets one per

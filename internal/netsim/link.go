@@ -215,7 +215,7 @@ func (l *Link) setLanes(ls *laneSet) {
 // installed (they name links and receivers, which a recycled world
 // keeps), with the spray cursors and packet counts rewound; a caller
 // whose paths or policy changed re-installs them with SetRoute or
-// SetMultiRoute.
+// SetMultiRoute. Per-flow tallies stay installed, zeroed.
 func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	checkLink(rate, prop, q)
 	if l.txPkt != nil {
@@ -231,7 +231,8 @@ func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) 
 	l.setLanes(l.lanes)
 	clear(l.rr)
 	l.in, l.out = 0, 0
-	l.tallyIn, l.tallyOut = nil, nil
+	clear(l.tallyIn)
+	clear(l.tallyOut)
 	l.trace = nil
 	if pa, ok := q.(queue.PoolAware); ok {
 		pa.SetPool(l.pool)

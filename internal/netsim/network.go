@@ -33,6 +33,9 @@ type Network struct {
 	// lanes is the delay-lane set every link and receiver of the
 	// network schedules through: stages of equal delay share a lane.
 	lanes *laneSet
+
+	// stats is what Run returns, kept for the next run.
+	stats []*FlowStats
 }
 
 // New returns an empty network on a fresh scheduler.
@@ -101,6 +104,20 @@ func (n *Network) Reset() {
 	n.lanes.Reset((*hopPool)(n.Pool))
 }
 
+// Packets reports how many packets the network holds: queued at its
+// gateways, being serialized, in propagation and, as ACKs, on reverse
+// paths. With the packets on its pool's free list they are every packet
+// the pool has made, which is what the scenario package's books check
+// holds each run to under go test. A serializing packet stays in its
+// link, but the link's hop on the serialization lane stands for it.
+func (n *Network) Packets() int {
+	held := n.lanes.InFlight()
+	for _, l := range n.Links {
+		held += l.q.Len()
+	}
+	return held
+}
+
 // Sample schedules fn to run every interval from time 0 until the end
 // of the run (used to record queue-occupancy time series).
 func (n *Network) Sample(interval units.Duration, fn func(now units.Time)) {
@@ -117,17 +134,18 @@ func (n *Network) Sample(interval units.Duration, fn func(now units.Time)) {
 
 // Run starts every flow's workload, executes the simulation for the
 // given duration, and finalizes per-flow statistics. It returns the
-// flows' stats in flow order.
+// flows' stats in flow order; the slice is the network's and is reused
+// by its next Run (the stats themselves always were).
 func (n *Network) Run(duration units.Duration) []*FlowStats {
 	for _, f := range n.Flows {
 		f.Workload.Start(n.Sched, f.Sender.setOnFn)
 	}
 	end := units.Time(0).Add(duration)
 	n.Sched.Run(end)
-	out := make([]*FlowStats, len(n.Flows))
-	for i, f := range n.Flows {
+	n.stats = n.stats[:0]
+	for _, f := range n.Flows {
 		f.Stats.Finalize(end)
-		out[i] = f.Stats
+		n.stats = append(n.stats, f.Stats)
 	}
-	return out
+	return n.stats
 }

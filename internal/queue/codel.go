@@ -94,6 +94,16 @@ func NewCoDelParams(capBytes int, target, interval units.Duration) *CoDel {
 // Capacity reports the hard byte capacity backstop.
 func (c *codel) Capacity() int { return c.capBytes }
 
+// SetCapacity changes the hard byte capacity backstop in place, so a
+// recycled queue serves another buffer depth without being rebuilt.
+// Packets already queued stay. It panics if capBytes is not positive.
+func (c *CoDel) SetCapacity(capBytes int) {
+	if capBytes <= 0 {
+		panic("queue: CoDel with non-positive capacity")
+	}
+	c.capBytes = capBytes
+}
+
 // Enqueue implements Discipline.
 func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	return c.enqueue(now, p, &c.wiring)

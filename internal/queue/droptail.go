@@ -58,6 +58,21 @@ func NewMarkingDropTail(capBytes, markBytes int) *DropTail {
 // Capacity reports the configured capacity in bytes.
 func (d *DropTail) Capacity() int { return d.capBytes }
 
+// SetLimits changes the capacity and the mark threshold in place, so a
+// recycled queue serves another buffer depth without being rebuilt;
+// markBytes Unbounded never marks. Packets already queued stay. It
+// panics unless capBytes is positive and markBytes is Unbounded or in
+// (0, capBytes].
+func (d *DropTail) SetLimits(capBytes, markBytes int) {
+	if capBytes <= 0 {
+		panic("queue: DropTail with non-positive capacity")
+	}
+	if markBytes != Unbounded && (markBytes <= 0 || markBytes > capBytes) {
+		panic("queue: DropTail threshold outside (0, capacity]")
+	}
+	d.capBytes, d.markBytes = capBytes, markBytes
+}
+
 // MarkThreshold reports the configured marking threshold in bytes.
 func (d *DropTail) MarkThreshold() int { return d.markBytes }
 

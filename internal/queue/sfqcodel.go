@@ -76,6 +76,20 @@ func NewSFQCoDel(nbins, capBytes int) *SFQCoDel {
 // Capacity reports the shared byte capacity.
 func (s *SFQCoDel) Capacity() int { return s.capBytes }
 
+// SetCapacity changes the shared byte capacity in place — and with it
+// every bin's backstop, materialised or not — so a recycled queue
+// serves another buffer depth without being rebuilt. Packets already
+// queued stay. It panics if capBytes is not positive.
+func (s *SFQCoDel) SetCapacity(capBytes int) {
+	if capBytes <= 0 {
+		panic("queue: SFQCoDel with non-positive capacity")
+	}
+	s.capBytes = capBytes
+	for i := range s.live {
+		s.live[i].capBytes = capBytes
+	}
+}
+
 func (s *SFQCoDel) bin(flow int) int {
 	// Fibonacci hash of the flow ID; flows in our simulations are small
 	// integers, so mixing matters more than collision resistance.

@@ -142,19 +142,20 @@ func evalSlots(w slotWork, cache *shardnet.Cache) *shard.Result {
 	res.Cached = cache != nil && len(miss) == 0
 
 	parallelFor(len(miss), w.workers, func() func(int) {
-		// Score-only slots discard their usage after marking their
-		// fired set, so each worker accumulates them into one scratch
-		// buffer (evalOne resets it).
-		var scratch remycc.UsageStats
+		// Each worker runs its slots on one scratch: its sender list
+		// and controllers, and — score-only slots discard their usage
+		// after marking their fired set — one usage buffer (evalOne
+		// resets it).
+		var sc evalScratch
 		return func(j int) {
 			i := miss[j]
 			ti, k := w.slot(w.lo + i)
-			u := &scratch
+			u := &sc.usage
 			if ti == w.usageFor {
 				u = &remycc.UsageStats{}
 				usages[i] = u
 			}
-			res.Scores[i] = w.cfg.evalOne(w.trees[ti-w.treeLo], w.draws[k], u)
+			res.Scores[i] = w.cfg.evalOne(w.trees[ti-w.treeLo], w.draws[k], u, &sc)
 			markFired(res.Fired[i*words:], u.Count)
 		}
 	})

@@ -20,7 +20,7 @@ func oracleBatch(cfg Config, seed uint64, trees []*remycc.Tree, gen, usageFor in
 		total := 0.0
 		for _, d := range draws {
 			var u remycc.UsageStats
-			total += cfg.evalOne(tree, d, &u)
+			total += cfg.evalOne(tree, d, &u, new(evalScratch))
 			if ti == usageFor {
 				if usage == nil {
 					usage = remycc.NewUsageStats(tree.Len())

@@ -293,49 +293,64 @@ func (c *Config) spec(d draw, senders []scenario.Sender) scenario.Spec {
 
 // evalOne runs the candidate tree on one scenario draw, accumulating
 // whisker usage into the caller-provided buffer (reset here), and
-// returns the draw's objective.
-func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats) float64 {
+// returns the draw's objective. The run's sender list and its Tao
+// controllers are sc's, reinitialized for the run, so on a scratch that
+// has run a draw as large the only allocation is the run's results.
+func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats, sc *evalScratch) float64 {
 	usage.Reset(tree.Len())
-	var senders []scenario.Sender
-	var trainees []int
+	senders := sc.senders[:0]
 	for i := 0; i < d.nTrainee; i++ {
-		alg := remycc.NewMasked(tree, c.Mask)
+		alg := sc.tao(i)
+		alg.Reinit(tree, c.Mask)
 		alg.RecordUsage(usage)
-		trainees = append(trainees, len(senders))
 		senders = append(senders, scenario.Sender{Alg: alg, Delta: c.Delta})
 	}
-	var others []int
 	for i := 0; i < d.nOther; i++ {
-		others = append(others, len(senders))
-		senders = append(senders, scenario.Sender{Alg: remycc.New(c.Other), Delta: c.OtherDelta})
+		alg := sc.tao(d.nTrainee + i)
+		alg.Reinit(c.Other, remycc.AllSignals())
+		senders = append(senders, scenario.Sender{Alg: alg, Delta: c.OtherDelta})
 	}
 	for i := 0; i < d.nAIMD; i++ {
 		senders = append(senders, scenario.Sender{Alg: newreno.New(), Delta: c.Delta})
 	}
+	sc.senders = senders
 
+	// Trainees come first, then the Tao partners.
 	results := scenario.MustRun(c.spec(d, senders))
-
-	score, n := 0.0, 0
-	scoreFlow := func(i int, delta float64) {
-		res := results[i]
-		if res.OnTime == 0 {
-			return
-		}
-		score += stats.Objective(res.Throughput, res.Delay, delta)
-		n++
-	}
-	for _, i := range trainees {
-		scoreFlow(i, c.Delta)
-	}
+	scored := results[:d.nTrainee]
 	if c.IncludeOtherInObjective {
-		for _, i := range others {
-			scoreFlow(i, c.OtherDelta)
+		scored = results[:d.nTrainee+d.nOther]
+	}
+	score, n := 0.0, 0
+	for _, res := range scored {
+		if res.OnTime == 0 {
+			continue
 		}
+		score += stats.Objective(res.Throughput, res.Delay, res.Delta)
+		n++
 	}
 	if n == 0 {
 		return 0
 	}
 	return score / float64(n)
+}
+
+// evalScratch is what one evaluating goroutine keeps from run to run:
+// the usage accumulator of score-only slots, a run's sender list and
+// the Tao controllers (trainees, then partners), reinitialized per run.
+type evalScratch struct {
+	usage   remycc.UsageStats
+	senders []scenario.Sender
+	taos    []*remycc.RemyCC
+}
+
+// tao returns the scratch's i-th Tao controller, adding one when the
+// scratch has fewer; the caller reinitializes it.
+func (sc *evalScratch) tao(i int) *remycc.RemyCC {
+	for len(sc.taos) <= i {
+		sc.taos = append(sc.taos, new(remycc.RemyCC))
+	}
+	return sc.taos[i]
 }
 
 // Trainer runs the Remy search. Every candidate evaluation goes

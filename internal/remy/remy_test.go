@@ -235,7 +235,7 @@ func TestEvalOneScoresTraineesOnly(t *testing.T) {
 		t.Fatalf("expected AIMD draw, got %+v", d)
 	}
 	usage := &remycc.UsageStats{}
-	score := cfg.evalOne(remycc.NewTree(), d, usage)
+	score := cfg.evalOne(remycc.NewTree(), d, usage, new(evalScratch))
 	if score == 0 {
 		t.Fatal("zero score from a live scenario")
 	}

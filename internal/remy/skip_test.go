@@ -58,7 +58,7 @@ func randomSplitTree(r *rand.Rand, cfg *Config, splits int) *remycc.Tree {
 	tree := remycc.NewTree()
 	for i := 0; i < splits; i++ {
 		var u remycc.UsageStats
-		cfg.evalOne(tree, cfg.generationDraws(r.Uint64(), 0)[0], &u)
+		cfg.evalOne(tree, cfg.generationDraws(r.Uint64(), 0)[0], &u, new(evalScratch))
 		var used []int
 		for wi, c := range u.Count {
 			if c > 0 {
@@ -94,6 +94,7 @@ func firedSet(u *remycc.UsageStats) []uint64 {
 func TestUnfiredWhiskerMovesChangeNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	checked := 0
+	var sc evalScratch // one scratch for every run, across both configs
 	for _, base := range []Config{tinyConfig(), tinyECNConfig()} {
 		base.Duration = 2 * units.Second
 		cfg := base.normalize()
@@ -102,7 +103,7 @@ func TestUnfiredWhiskerMovesChangeNothing(t *testing.T) {
 			resetW := tree.ResetWhisker()
 			d := cfg.generationDraws(r.Uint64(), r.Intn(4))[0]
 			var u remycc.UsageStats
-			score := cfg.evalOne(tree, d, &u)
+			score := cfg.evalOne(tree, d, &u, &sc)
 			fired := firedSet(&u)
 			moved := 0
 			for w := 0; w < tree.Len() && moved < 4; w++ {
@@ -111,7 +112,7 @@ func TestUnfiredWhiskerMovesChangeNothing(t *testing.T) {
 				}
 				moved++
 				var mu remycc.UsageStats
-				got := cfg.evalOne(tree.WithAction(w, randomAction(r)), d, &mu)
+				got := cfg.evalOne(tree.WithAction(w, randomAction(r)), d, &mu, &sc)
 				if math.Float64bits(got) != math.Float64bits(score) {
 					t.Fatalf("trial %d: moving unfired whisker %d of %d moved the score %v -> %v", trial, w, tree.Len(), score, got)
 				}
@@ -161,15 +162,16 @@ func TestResetWhiskerMovesRunEverywhere(t *testing.T) {
 	tree := resetTrapTree(t)
 	resetW := tree.ResetWhisker()
 	draws := cfg.generationDraws(4, 0)
+	var sc evalScratch
 	for k, d := range draws {
 		var u remycc.UsageStats
-		score := cfg.evalOne(tree, d, &u)
+		score := cfg.evalOne(tree, d, &u, &sc)
 		if u.Count[resetW] != 0 || u.Count[1-resetW] == 0 {
 			t.Fatalf("replica %d: fire counts %v; the reset whisker %d must never fire and the other must", k, u.Count, resetW)
 		}
 		slow := tree.Action(resetW)
 		slow.Intersend *= 16
-		if got := cfg.evalOne(tree.WithAction(resetW, slow), d, &u); got == score {
+		if got := cfg.evalOne(tree.WithAction(resetW, slow), d, &u, &sc); got == score {
 			t.Fatalf("replica %d: the reset whisker's intersend did not change the score (%v)", k, score)
 		}
 	}

@@ -72,7 +72,11 @@ const (
 // entry size and most slots never need it; a usage-needing lookup that
 // finds a usage-less entry simply misses and re-evaluates.
 func encodeSlotEntry(score float64, u *remycc.UsageStats, fired []uint64) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(score))
+	size := 8 + 1 + 4 + 8*len(fired)
+	if u != nil {
+		size = 8 + 1 + 4 + 8*len(u.Count)*(1+remycc.NumSignals)
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, size), math.Float64bits(score))
 	if u == nil {
 		b = append(b, entryFired)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(fired)))

@@ -32,17 +32,32 @@ func New(seed uint64) *Stream {
 // is deterministic: the same parent seed and label always yield the same
 // child, and the parent's own sequence is not advanced.
 func (s *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return &Stream{state: mix(s.state ^ h.Sum64())}
+	c := s.split(label)
+	return &c
 }
 
 // SplitN derives an independent child stream identified by an integer,
 // for per-index children (per-sender, per-seed-replica, ...).
+//
+// Split and SplitN inline, so a caller that copies the child into
+// storage it owns (*dst = *s.SplitN(label, n)) allocates nothing.
 func (s *Stream) SplitN(label string, n int) *Stream {
-	child := s.Split(label)
-	child.state = mix(child.state ^ uint64(n)*0x9e3779b97f4a7c15)
-	return child
+	c := s.splitN(label, n)
+	return &c
+}
+
+// split is Split by value.
+func (s *Stream) split(label string) Stream {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return Stream{state: mix(s.state ^ h.Sum64())}
+}
+
+// splitN is SplitN by value.
+func (s *Stream) splitN(label string, n int) Stream {
+	c := s.split(label)
+	c.state = mix(c.state ^ uint64(n)*0x9e3779b97f4a7c15)
+	return c
 }
 
 // State exposes the stream's current internal state word. Two streams

@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"learnability/internal/cc"
@@ -400,6 +401,13 @@ func (s *Spec) Layout() (*topo.Graph, error) {
 	if err := s.Topology.Validate(); err != nil {
 		return nil, err
 	}
+	return s.layout(new(topo.Graph), nil)
+}
+
+// layout is Layout for a validated topology, written into g's storage
+// (and a parking lot's rates into *rates when rates is not nil); an
+// explicit graph is returned as it is, leaving g alone.
+func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
 	if len(s.Senders) == 0 {
 		return nil, fmt.Errorf("scenario: spec has no senders")
 	}
@@ -415,38 +423,44 @@ func (s *Spec) Layout() (*topo.Graph, error) {
 		if s.linkRate(0) <= 0 {
 			return nil, fmt.Errorf("scenario: dumbbell with non-positive link speed %v", s.linkRate(0))
 		}
-		return topo.DumbbellGraph(s.linkRate(0), s.MinRTT, len(s.Senders)), nil
+		g.SetDumbbell(s.linkRate(0), s.MinRTT, len(s.Senders))
+		return g, nil
 	case KindParkingLot:
 		hops := s.Topology.Hops
 		hop := s.MinRTT / units.Duration(2*hops)
 		if hop <= 0 {
 			return nil, fmt.Errorf("scenario: parking lot with MinRTT %v over %d hops", s.MinRTT, hops)
 		}
-		rates := make([]units.Rate, hops)
-		for i := range rates {
-			rates[i] = s.linkRate(i)
-			if rates[i] <= 0 {
-				return nil, fmt.Errorf("scenario: parking-lot link %d has non-positive speed %v", i, rates[i])
+		if rates == nil {
+			rates = new([]units.Rate)
+		}
+		rs := slices.Grow((*rates)[:0], hops)[:hops]
+		*rates = rs
+		for i := range rs {
+			rs[i] = s.linkRate(i)
+			if rs[i] <= 0 {
+				return nil, fmt.Errorf("scenario: parking-lot link %d has non-positive speed %v", i, rs[i])
 			}
 		}
-		return topo.ParkingLotGraph(rates, hop, s.Topology.longFlows(), s.Topology.CrossTraffic), nil
+		g.SetParkingLot(rs, hop, s.Topology.longFlows(), s.Topology.CrossTraffic)
+		return g, nil
 	case KindGraph:
 		return s.Topology.Graph, nil
 	case KindFatTree:
-		return s.fatTreeLayout()
+		return s.fatTreeLayout(g)
 	default:
 		return nil, fmt.Errorf("scenario: unknown topology kind %d", s.Topology.Kind)
 	}
 }
 
-// fatTreeLayout expands the fat-tree family: the switch fabric at the
-// spec's rates, per-tier delays derived from MinRTT (an inter-pod flow
-// crosses 6 links each way, so each hop contributes MinRTT/12 of
+// fatTreeLayout expands the fat-tree family into g: the switch fabric
+// at the spec's rates, per-tier delays derived from MinRTT (an inter-pod
+// flow crosses 6 links each way, so each hop contributes MinRTT/12 of
 // propagation and the farthest flows see exactly MinRTT), the spec's
 // routing policy, and the declared flow placement. The routes come
 // from the placement's skeleton, built once and shared; only the edges
-// are the spec's.
-func (s *Spec) fatTreeLayout() (*topo.Graph, error) {
+// are the spec's, written into g's own.
+func (s *Spec) fatTreeLayout(g *topo.Graph) (*topo.Graph, error) {
 	if s.MinRTT <= 0 {
 		return nil, fmt.Errorf("scenario: fat-tree with non-positive MinRTT %v", s.MinRTT)
 	}
@@ -461,10 +475,11 @@ func (s *Spec) fatTreeLayout() (*topo.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &topo.Graph{Edges: make([]topo.Edge, sk.edges), Routes: sk.routes, Routing: s.Topology.Routing}
+	g.Edges = slices.Grow(g.Edges[:0], sk.edges)[:sk.edges]
 	for i := range g.Edges {
 		g.Edges[i] = topo.Edge{Rate: s.linkRate(i), Prop: hop}
 	}
+	g.Routes, g.Routing = sk.routes, s.Topology.Routing
 	return g, nil
 }
 
@@ -525,53 +540,101 @@ type Result struct {
 // order. It returns an error for an invalid spec (bad topology,
 // sender-count mismatch, missing seed, ...).
 //
-// Run has one path. It takes a world from the pool earlier runs left
-// (scheduler arena, packet free list, per-flow rings and queues
-// already grown to a working set, next-hop tables compiled), one of the
-// layout's shape, gateway discipline and routing policy, and builds
-// only what that world cannot supply: a link's queue is kept when this
-// spec would build the same one, the route tables when the routes and
-// policy are unchanged (topo.World.Rebuild). With no world to take it
-// builds one (topo.NewWorld); either way the world goes back to the
-// pool afterwards. The fresh-world oracle the differential tests
-// compare against is Build followed by Finish, which never touches the
-// pool's worlds.
+// Run has one path. It takes a world from the pool earlier runs left,
+// one of the layout's shape, gateway discipline and routing policy, and
+// builds only what that world cannot supply; with
+// no world to take it builds one (topo.NewWorld). Either way the world
+// goes back to the pool afterwards. A recycled world keeps, from run to
+// run:
+//   - the network: the scheduler's arena, the packet free list, every
+//     sender's and receiver's rings and the delay lanes' storage;
+//   - each link's queue, its capacity changed in place when this spec
+//     sizes it otherwise, and the next-hop tables while the routes and
+//     policy are unchanged (topo.World.Rebuild), whose paths are then
+//     not validated again either;
+//   - a built-in family's layout graph, rewritten in its own storage;
+//   - each flow's exponential on/off source, reset with a stream split
+//     into its own storage, its callbacks bound on its first run;
+//   - the fair-share table and the per-run queue and flow lists.
+//
+// So a run on a world its key last ran allocates only the []Result it
+// returns (and whatever the spec's controllers, probe or varying-rate
+// process allocate themselves). The fresh-world oracle the differential
+// tests compare against is Build followed by Finish, which never
+// touches the pool's worlds.
 func Run(spec Spec) ([]Result, error) {
-	lay, flows, err := spec.plan()
+	k, err := spec.worldKey()
 	if err != nil {
 		return nil, err
 	}
-	k := spec.worldKey(lay)
-	w, err := spec.host(runPool.take(k), lay, flows)
+	w := runPool.take(k)
+	lay, err := spec.plan(w)
 	if err != nil {
 		return nil, err
 	}
-	res := finish(spec, lay, w.Net)
+	if err := spec.host(w, lay); err != nil {
+		return nil, err
+	}
+	res := finish(spec, w.Net, w.FairShares(lay))
+	if checkBooks {
+		w.audit()
+	}
 	runPool.put(k, w)
 	return res, nil
 }
 
-// host readies a world to run the spec's layout and flows: w rebuilt
-// when there is one to take over, a new world when w is nil.
-func (s *Spec) host(w *topo.World, lay *topo.Graph, flows []topo.FlowSpec) (*topo.World, error) {
-	var links []*netsim.Link
-	if w != nil {
-		links = w.Net.Links
+// world is one pooled run's state: the network and what a run would
+// otherwise build around it every time. Its flow count never changes
+// (it is part of the pool key), so its sources are allocated once.
+type world struct {
+	// World is the network, nil until the world's first run.
+	*topo.World
+
+	// lays holds the layouts of the built-in families, one each, so
+	// that a fat tree's shared routes never become another family's
+	// route storage; rates is a parking lot's per-link rates.
+	lays  [KindFatTree + 1]topo.Graph
+	rates []units.Rate
+
+	// queues and flows are the per-run inputs of Rebuild.
+	queues []queue.Discipline
+	flows  []topo.FlowSpec
+
+	// sources are the flows' default on/off sources, made on the
+	// first run that needs them.
+	sources []source
+
+	// books is the packet ledger the books check keeps (nil outside
+	// go test).
+	books *ledger
+}
+
+// source is an exponential on/off source together with the stream it
+// draws from.
+type source struct {
+	workload.OnOff
+	rng rng.Stream
+}
+
+// host readies w to run the spec's layout: its network rebuilt when it
+// has one, a new one otherwise.
+func (s *Spec) host(w *world, lay *topo.Graph) error {
+	if err := s.queues(w, lay); err != nil {
+		return err
 	}
-	queues, err := s.queues(lay, links)
-	if err != nil {
-		return nil, err
-	}
-	if w != nil {
-		err = w.Rebuild(lay, queues, flows)
+	if w.World != nil {
+		if err := w.Rebuild(lay, w.queues, w.flows); err != nil {
+			return err
+		}
 	} else {
-		w, err = topo.NewWorld(lay, queues, flows)
-	}
-	if err != nil {
-		return nil, err
+		tw, err := topo.NewWorld(lay, w.queues, w.flows)
+		if err != nil {
+			return err
+		}
+		w.World = tw
 	}
 	s.attach(w.Net)
-	return w, nil
+	return nil
 }
 
 // worldKey identifies the pool bucket a world can be recycled from: its
@@ -590,12 +653,29 @@ type worldKey struct {
 	routing      topo.RoutingPolicy
 }
 
-// worldKey is the pool bucket of a run of the spec over lay.
-func (s *Spec) worldKey(lay *topo.Graph) worldKey {
-	return worldKey{
-		links: len(lay.Edges), flows: len(lay.Routes),
-		buffering: s.Buffering, ecn: s.ECN, routing: lay.Routing,
+// worldKey validates the spec's topology and returns the pool bucket of
+// its runs.
+func (s *Spec) worldKey() (worldKey, error) {
+	t := s.Topology
+	if err := t.Validate(); err != nil {
+		return worldKey{}, err
 	}
+	k := worldKey{flows: len(s.Senders), buffering: s.Buffering, ecn: s.ECN}
+	switch t.Kind {
+	case KindDumbbell:
+		k.links = 1
+	case KindParkingLot:
+		k.links = t.Hops
+	case KindGraph:
+		k.links, k.routing = len(t.Graph.Edges), t.Graph.Routing
+	case KindFatTree:
+		sk, err := runPool.skeleton(t)
+		if err != nil {
+			return worldKey{}, err
+		}
+		k.links, k.routing = sk.edges, t.Routing
+	}
+	return k, nil
 }
 
 // worldPoolCap bounds how many idle worlds each key retains; beyond
@@ -610,25 +690,25 @@ const worldPoolCap = 8
 // whole; skeletons are built once and only read.
 type pool struct {
 	mu        sync.Mutex
-	worlds    map[worldKey][]*topo.World
+	worlds    map[worldKey][]*world
 	skeletons map[skeletonKey]skeleton
 }
 
 // runPool is the pool Run, Build and Layout share.
 var runPool = pool{
-	worlds:    map[worldKey][]*topo.World{},
+	worlds:    map[worldKey][]*world{},
 	skeletons: map[skeletonKey]skeleton{},
 }
 
-// take pops an idle world of key k, or returns nil when the caller
-// should build one.
-func (p *pool) take(k worldKey) *topo.World {
+// take pops an idle world of key k, or returns an empty one, whose
+// first run builds its network.
+func (p *pool) take(k worldKey) *world {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ws := p.worlds[k]
 	n := len(ws)
 	if n == 0 {
-		return nil
+		return new(world)
 	}
 	w := ws[n-1]
 	ws[n-1] = nil
@@ -638,7 +718,7 @@ func (p *pool) take(k worldKey) *topo.World {
 
 // put returns a finished world to its key's stack, unless the stack
 // is full.
-func (p *pool) put(k worldKey, w *topo.World) {
+func (p *pool) put(k worldKey, w *world) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.worlds[k]) < worldPoolCap {
@@ -683,89 +763,95 @@ func MustRun(spec Spec) []Result {
 // Finish. The returned queues are the gateway disciplines in link
 // order. A built network never enters the world pool.
 func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
-	lay, flows, err := spec.plan()
+	if err := spec.Topology.Validate(); err != nil {
+		return nil, nil, err
+	}
+	w := new(world)
+	lay, err := spec.plan(w)
 	if err != nil {
 		return nil, nil, err
 	}
-	queues, err := spec.queues(lay, nil)
-	if err != nil {
+	if err := spec.host(w, lay); err != nil {
 		return nil, nil, err
 	}
-	nw, err := topo.Build(lay, queues, flows)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec.attach(nw)
-	return nw, queues, nil
+	return w.Net, w.queues, nil
 }
 
-// plan validates the spec and compiles what a run needs whichever
-// network hosts it: the layout graph and the per-flow
-// algorithm/workload pairs. Run and Build both start here.
-func (s *Spec) plan() (*topo.Graph, []topo.FlowSpec, error) {
+// plan checks a spec whose topology is valid and compiles, in w's
+// storage, what a run needs whichever network hosts it: the layout
+// graph and the per-flow algorithm/workload pairs. Run and Build both
+// start here.
+func (s *Spec) plan(w *world) (*topo.Graph, error) {
 	if s.Seed == nil {
-		return nil, nil, fmt.Errorf("scenario: spec needs a seed stream")
+		return nil, fmt.Errorf("scenario: spec needs a seed stream")
 	}
 	if s.Duration <= 0 {
-		return nil, nil, fmt.Errorf("scenario: spec needs a positive duration")
+		return nil, fmt.Errorf("scenario: spec needs a positive duration")
 	}
 	if s.ECN && s.Buffering == NoDrop {
-		return nil, nil, fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
+		return nil, fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
 	}
 	if s.ECNThresholdBytes < 0 {
-		return nil, nil, fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
+		return nil, fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
 	}
 	if err := s.VarRate.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	lay, err := s.Layout()
+	lay, err := s.layout(&w.lays[s.Topology.Kind], &w.rates)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(s.LinkBufferBDP) > len(lay.Edges) {
-		return nil, nil, fmt.Errorf("scenario: %d per-link buffer overrides for %d links",
+		return nil, fmt.Errorf("scenario: %d per-link buffer overrides for %d links",
 			len(s.LinkBufferBDP), len(lay.Edges))
 	}
 	for i, bdp := range s.LinkBufferBDP {
 		if bdp < 0 {
-			return nil, nil, fmt.Errorf("scenario: link %d has negative buffer override %v BDP", i, bdp)
+			return nil, fmt.Errorf("scenario: link %d has negative buffer override %v BDP", i, bdp)
 		}
 	}
 
-	flows := make([]topo.FlowSpec, len(s.Senders))
+	n := len(s.Senders)
+	w.flows = slices.Grow(w.flows[:0], n)[:n]
 	for i, snd := range s.Senders {
 		wl := snd.Workload
 		if wl == nil {
 			if s.MeanOn <= 0 || s.MeanOff <= 0 {
-				return nil, nil, fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
+				return nil, fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
 					i, s.MeanOn, s.MeanOff)
 			}
-			wl = workload.NewOnOff(s.MeanOn, s.MeanOff, s.Seed.SplitN("workload", i))
+			if w.sources == nil {
+				w.sources = make([]source, n)
+			}
+			src := &w.sources[i]
+			src.rng = *s.Seed.SplitN("workload", i)
+			src.MeanOn, src.MeanOff, src.Rng = s.MeanOn, s.MeanOff, &src.rng
+			wl = &src.OnOff
 		}
-		flows[i] = topo.FlowSpec{Alg: snd.Alg, Workload: wl}
+		w.flows[i] = topo.FlowSpec{Alg: snd.Alg, Workload: wl}
 	}
-	return lay, flows, nil
+	return lay, nil
 }
 
-// queues returns the gateway queue of every link of the layout, in
-// link order. links are the links of the pooled world the run is about
-// to take over, nil when it builds a new one: where a link already
-// holds the queue this spec would build, that queue is returned, for
-// Link.Reinit to reset and keep.
-func (s *Spec) queues(lay *topo.Graph, links []*netsim.Link) ([]queue.Discipline, error) {
-	queues := make([]queue.Discipline, len(lay.Edges))
+// queues sets w.queues to the gateway queue of every link of the
+// layout, in link order. Where a link of w's network already holds the
+// discipline this spec asks for, that queue is kept, at the capacity
+// this spec sizes it, for Link.Reinit to reset.
+func (s *Spec) queues(w *world, lay *topo.Graph) error {
+	n := len(lay.Edges)
+	w.queues = slices.Grow(w.queues[:0], n)[:n]
 	for i, e := range lay.Edges {
 		var old queue.Discipline
-		if links != nil {
-			old = links[i].Queue()
+		if w.World != nil {
+			old = w.Net.Links[i].Queue()
 		}
 		q, err := s.mkQueue(i, e, old)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		queues[i] = q
+		w.queues[i] = q
 	}
-	return queues, nil
+	return nil
 }
 
 // attach wires the spec's per-run signal and trace planes into a built
@@ -788,23 +874,24 @@ func (s *Spec) attach(nw *netsim.Network) {
 }
 
 // mkQueue returns the gateway queue for link i (edge e of the compiled
-// layout): old, when it is the discipline this spec would build at the
-// capacity it would build it with, a new one otherwise. Capacity
-// resolves per link: the edge's explicit byte override, then the
-// per-link BDP override, then the spec-wide BufferBDP.
+// layout): old, resized in place, when it is the discipline this spec
+// would build, a new one otherwise. Capacity resolves per link: the
+// edge's explicit byte override, then the per-link BDP override, then
+// the spec-wide BufferBDP.
 func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
-	// isFIFO reports whether old is the FIFO of this capacity and mark
-	// threshold; Unbounded is "never drops" and "never marks".
-	isFIFO := func(capBytes, markBytes int) bool {
+	// fifo returns the FIFO of this capacity and mark threshold;
+	// Unbounded is "never drops" and "never marks".
+	fifo := func(capBytes, markBytes int) queue.Discipline {
 		q, ok := old.(*queue.DropTail)
-		return ok && q.Capacity() == capBytes && q.MarkThreshold() == markBytes
+		if !ok {
+			q = queue.NewDropTail(capBytes)
+		}
+		q.SetLimits(capBytes, markBytes)
+		return q
 	}
 	switch s.Buffering {
 	case NoDrop:
-		if isFIFO(queue.Unbounded, queue.Unbounded) {
-			return old, nil
-		}
-		return queue.NewInfinite(), nil
+		return fifo(queue.Unbounded, queue.Unbounded), nil
 	case FiniteDropTail, SfqCoDel, CoDelAQM:
 		// An explicit edge override is used verbatim — a tiny-buffer
 		// study may genuinely want a single-packet queue. The
@@ -832,16 +919,18 @@ func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipli
 		switch s.Buffering {
 		case SfqCoDel:
 			q, ok := old.(*queue.SFQCoDel)
-			if !ok || q.Capacity() != capBytes {
+			if !ok {
 				q = queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
 			}
+			q.SetCapacity(capBytes)
 			q.SetECNMarking(s.ECN)
 			return q, nil
 		case CoDelAQM:
 			q, ok := old.(*queue.CoDel)
-			if !ok || q.Capacity() != capBytes {
+			if !ok {
 				q = queue.NewCoDel(capBytes)
 			}
+			q.SetCapacity(capBytes)
 			q.SetECNMarking(s.ECN)
 			return q, nil
 		}
@@ -853,15 +942,9 @@ func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipli
 			if thresh <= 0 {
 				thresh = capBytes
 			}
-			if isFIFO(capBytes, thresh) {
-				return old, nil
-			}
-			return queue.NewMarkingDropTail(capBytes, thresh), nil
+			return fifo(capBytes, thresh), nil
 		}
-		if isFIFO(capBytes, queue.Unbounded) {
-			return old, nil
-		}
-		return queue.NewDropTail(capBytes), nil
+		return fifo(capBytes, queue.Unbounded), nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown buffering %d", s.Buffering)
 	}
@@ -876,11 +959,12 @@ func Finish(spec Spec, nw *netsim.Network) []Result {
 	if err != nil {
 		panic("scenario: Finish on invalid spec: " + err.Error())
 	}
-	return finish(spec, lay, nw)
+	return finish(spec, nw, lay.FairShares())
 }
 
-// finish executes a built network against its already-compiled layout.
-func finish(spec Spec, lay *topo.Graph, nw *netsim.Network) []Result {
+// finish executes a built network and reports each flow's result, with
+// shares the fair-share table of its layout.
+func finish(spec Spec, nw *netsim.Network, shares []units.Rate) []Result {
 	spec.armVarRate(nw)
 	if spec.Probe != nil {
 		interval := spec.ProbeInterval
@@ -890,7 +974,6 @@ func finish(spec Spec, lay *topo.Graph, nw *netsim.Network) []Result {
 		nw.Sample(interval, spec.Probe)
 	}
 	sts := nw.Run(spec.Duration)
-	shares := lay.FairShares()
 	out := make([]Result, len(sts))
 	for i, st := range sts {
 		out[i] = Result{

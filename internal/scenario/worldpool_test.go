@@ -114,18 +114,17 @@ func fabricSpec(routing topo.RoutingPolicy, buf Buffering, ecn bool, alg func() 
 // idleWorld is the world the next Run of the spec will take.
 func idleWorld(t *testing.T, spec Spec) *topo.World {
 	t.Helper()
-	lay, err := spec.Layout()
+	k, err := spec.worldKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := spec.worldKey(lay)
 	runPool.mu.Lock()
 	defer runPool.mu.Unlock()
 	ws := runPool.worlds[k]
 	if len(ws) == 0 {
 		t.Fatalf("no idle world for %+v", k)
 	}
-	return ws[len(ws)-1]
+	return ws[len(ws)-1].World
 }
 
 // TestWorldPoolFlips drives one 96-link world through the benchmark's
@@ -169,31 +168,31 @@ func TestWorldPoolFlips(t *testing.T) {
 		steps = append(steps, steps[i])
 	}
 
-	var w *topo.World
+	w := new(world)
 	var kept, compiled int
 	for i, st := range steps {
 		mk := func() Spec { return fabricSpec(st.routing, st.buf, st.ecn, st.alg, uint64(100+i)) }
 		label := fmt.Sprintf("step %d (%v, buffering %d, ecn %v)", i, st.routing, st.buf, st.ecn)
 
 		var before []queue.Discipline
-		if w != nil {
+		if w.World != nil {
 			for _, l := range w.Net.Links {
 				before = append(before, l.Queue())
 			}
 		}
 		run := mk()
-		lay, flows, err := run.plan()
+		lay, err := run.plan(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := w
-		if w, err = run.host(w, lay, flows); err != nil {
+		prev := w.World
+		if err = run.host(w, lay); err != nil {
 			t.Fatal(err)
 		}
-		if prev != nil && w != prev {
+		if prev != nil && w.World != prev {
 			t.Fatalf("%s ran on another world", label)
 		}
-		got := finish(run, lay, w.Net)
+		got := finish(run, w.Net, w.FairShares(lay))
 		if before != nil && before[0] == w.Net.Links[0].Queue() {
 			kept++
 		}

@@ -78,6 +78,15 @@ func (ls *Lanes[T]) Lane(d units.Duration) *Lane[T] {
 // for since the last Reset.
 func (ls *Lanes[T]) Len() int { return ls.live }
 
+// InFlight reports the number of values in flight on the set's lanes.
+func (ls *Lanes[T]) InFlight() int {
+	n := 0
+	for _, l := range ls.lanes[:ls.live] {
+		n += l.Len()
+	}
+	return n
+}
+
 // Reset empties the set for another run: every value in flight goes to
 // into, lane by lane and oldest first (nil discards them), nothing
 // fires, and the delays are forgotten, so the next run's set holds only

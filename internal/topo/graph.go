@@ -86,6 +86,17 @@ type Graph struct {
 // paths still terminates at the receiver. It returns nil for a
 // buildable graph.
 func (g *Graph) Validate() error {
+	if err := g.validateData(); err != nil {
+		return err
+	}
+	return g.validatePaths()
+}
+
+// validateData is the part of Validate that reads no path: the counts,
+// the policy, every edge and every reverse delay. It allocates nothing,
+// so a recycled world whose routes are the ones it last compiled checks
+// only this much.
+func (g *Graph) validateData() error {
 	if len(g.Edges) == 0 {
 		return fmt.Errorf("topo: graph has no edges")
 	}
@@ -106,6 +117,17 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("topo: edge %d has negative buffer override %d", i, e.Buffer)
 		}
 	}
+	for f := range g.Routes {
+		if r := g.Routes[f].Reverse; r < 0 {
+			return fmt.Errorf("topo: route %d has negative reverse delay %v", f, r)
+		}
+	}
+	return nil
+}
+
+// validatePaths is the rest of Validate: every path of every route, and
+// the union of a multipath route's successor choices.
+func (g *Graph) validatePaths() error {
 	// seen[li] holds the number of the last path that visited edge li,
 	// so one slice serves every path of every route.
 	seen := make([]int, len(g.Edges))
@@ -113,9 +135,6 @@ func (g *Graph) Validate() error {
 	npath := 0
 	for f := range g.Routes {
 		rt := &g.Routes[f]
-		if rt.Reverse < 0 {
-			return fmt.Errorf("topo: route %d has negative reverse delay %v", f, rt.Reverse)
-		}
 		for pi := 0; pi < rt.numPaths(); pi++ {
 			path := rt.path(pi)
 			if len(path) == 0 {
@@ -275,8 +294,23 @@ func (g *Graph) MinRTT(f int) units.Duration {
 // bound. The per-edge flow counts are taken in one pass over the
 // routes, so the whole table costs one walk of the graph.
 func (g *Graph) FairShares() []units.Rate {
-	flowsOn := make([]int, len(g.Edges))
-	seen := make([]int, len(g.Edges)) // 1 + the last flow counted on the edge
+	var sc shareScratch
+	return g.fairShares(&sc)
+}
+
+// shareScratch is the storage a fair-share table is computed in.
+type shareScratch struct {
+	shares        []units.Rate
+	flowsOn, seen []int
+}
+
+// fairShares is FairShares computed in sc's storage, grown as needed;
+// the table it returns is sc.shares.
+func (g *Graph) fairShares(sc *shareScratch) []units.Rate {
+	flowsOn := resize(sc.flowsOn, len(g.Edges))
+	seen := resize(sc.seen, len(g.Edges)) // 1 + the last flow counted on the edge
+	clear(flowsOn)
+	clear(seen)
 	for f := range g.Routes {
 		rt := &g.Routes[f]
 		for pi := 0; pi < rt.numPaths(); pi++ {
@@ -288,7 +322,7 @@ func (g *Graph) FairShares() []units.Rate {
 			}
 		}
 	}
-	shares := make([]units.Rate, len(g.Routes))
+	shares := resize(sc.shares, len(g.Routes))
 	for f := range g.Routes {
 		for i, li := range g.Routes[f].Links {
 			share := g.Edges[li].Rate / units.Rate(flowsOn[li])
@@ -297,15 +331,31 @@ func (g *Graph) FairShares() []units.Rate {
 			}
 		}
 	}
+	sc.shares, sc.flowsOn, sc.seen = shares, flowsOn, seen
 	return shares
 }
 
+// resize returns s at length n, reallocated only when its capacity is
+// short; elements it keeps hold what they held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // validateBuild checks the full NewWorld/Rebuild input set: the graph
-// itself, the queue-per-edge and flow-per-route correspondences, and
-// that every flow has an algorithm and a workload.
-func validateBuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
-	if err := g.Validate(); err != nil {
+// itself (its paths only when paths is set), the queue-per-edge and
+// flow-per-route correspondences, and that every flow has an algorithm
+// and a workload.
+func validateBuild(g *Graph, paths bool, queues []queue.Discipline, flows []FlowSpec) error {
+	if err := g.validateData(); err != nil {
 		return err
+	}
+	if paths {
+		if err := g.validatePaths(); err != nil {
+			return err
+		}
 	}
 	if len(flows) != len(g.Routes) {
 		return fmt.Errorf("topo: %d flows for %d routes", len(flows), len(g.Routes))
@@ -412,6 +462,9 @@ type World struct {
 	// compiled from; scratch is where Rebuild spells out the next
 	// run's to compare.
 	routeKey, scratch []int
+
+	// shares is where FairShares computes.
+	shares shareScratch
 }
 
 // appendRouteKey appends everything route compilation reads from the
@@ -436,7 +489,7 @@ func appendRouteKey(dst []int, g *Graph) []int {
 // per-packet forwarding stays allocation-free. Per-flow PropDelay,
 // MinRTT, and reverse-path delay are derived from path membership.
 func NewWorld(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*World, error) {
-	if err := validateBuild(g, queues, flows); err != nil {
+	if err := validateBuild(g, true, queues, flows); err != nil {
 		return nil, err
 	}
 	nw := netsim.New()
@@ -469,16 +522,18 @@ func Build(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*netsim.Netwo
 // finished run. The world must have the graph's shape: the same number
 // of edges and routes. queues[i] may be the queue link i already has
 // (Link.Reinit resets it) or another; the next-hop tables are compiled
-// again only if the routes or the policy differ from those they were
-// last compiled from.
+// again, and the paths validated again, only if the routes or the
+// policy differ from those they were last compiled from.
 func (w *World) Rebuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
-	if err := validateBuild(g, queues, flows); err != nil {
-		return err
-	}
 	nw := w.Net
 	if len(nw.Links) != len(g.Edges) || len(nw.Flows) != len(g.Routes) {
 		return fmt.Errorf("topo: network shape %d links/%d flows cannot host graph with %d edges/%d routes",
 			len(nw.Links), len(nw.Flows), len(g.Edges), len(g.Routes))
+	}
+	w.scratch = appendRouteKey(w.scratch[:0], g)
+	same := slices.Equal(w.routeKey, w.scratch)
+	if err := validateBuild(g, !same, queues, flows); err != nil {
+		return err
 	}
 	nw.Reset()
 	for i, e := range g.Edges {
@@ -492,10 +547,15 @@ func (w *World) Rebuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) e
 		fl.Sender.Reinit(fs.Alg, nw.Links[g.Routes[f].Links[0]])
 		fl.Workload = fs.Workload
 	}
-	w.scratch = appendRouteKey(w.scratch[:0], g)
-	if !slices.Equal(w.routeKey, w.scratch) {
+	if !same {
 		installRoutes(g, nw)
 		w.routeKey, w.scratch = w.scratch, w.routeKey
 	}
 	return nil
+}
+
+// FairShares is g.FairShares computed in storage the world keeps for
+// it: the table is valid until the world's next FairShares call.
+func (w *World) FairShares(g *Graph) []units.Rate {
+	return g.fairShares(&w.shares)
 }

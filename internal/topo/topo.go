@@ -32,12 +32,37 @@ type FlowSpec struct {
 // RTT is exactly minRTT even when minRTT is an odd number of
 // nanoseconds.
 func DumbbellGraph(rate units.Rate, minRTT units.Duration, nflows int) *Graph {
-	prop := minRTT / 2
-	g := &Graph{Edges: []Edge{{Rate: rate, Prop: prop}}}
-	for i := 0; i < nflows; i++ {
-		g.Routes = append(g.Routes, Route{Links: []int{0}, Reverse: minRTT - prop})
-	}
+	g := new(Graph)
+	g.SetDumbbell(rate, minRTT, nflows)
 	return g
+}
+
+// SetDumbbell makes g the graph DumbbellGraph describes, in g's own
+// edge and route storage: a layout rewritten for every run of a
+// recycled world allocates nothing once it has grown.
+func (g *Graph) SetDumbbell(rate units.Rate, minRTT units.Duration, nflows int) {
+	prop := minRTT / 2
+	g.Edges = append(g.Edges[:0], Edge{Rate: rate, Prop: prop})
+	g.setRoutes(nflows)
+	for i := range g.Routes {
+		rt := &g.Routes[i]
+		rt.Links = append(rt.Links, 0)
+		rt.Reverse = minRTT - prop
+	}
+	g.Routing = ECMP
+}
+
+// setRoutes makes g.Routes n empty routes, keeping the path storage of
+// the routes it already had.
+func (g *Graph) setRoutes(n int) {
+	if c := cap(g.Routes); c < n {
+		g.Routes = append(g.Routes[:c], make([]Route, n-c)...)
+	}
+	g.Routes = g.Routes[:n]
+	for i := range g.Routes {
+		rt := &g.Routes[i]
+		*rt = Route{Links: rt.Links[:0]}
+	}
 }
 
 // DuplexDumbbellGraph describes a two-direction dumbbell: edge 0
@@ -74,21 +99,34 @@ func DuplexDumbbellGraph(fwdRate, revRate units.Rate, minRTT units.Duration, nFw
 // long flow, and cross traffic this is exactly the paper's Figure 5
 // topology and flow numbering.
 func ParkingLotGraph(rates []units.Rate, hopProp units.Duration, nLong int, cross bool) *Graph {
-	g := &Graph{}
-	all := make([]int, len(rates))
-	for i, r := range rates {
+	g := new(Graph)
+	g.SetParkingLot(rates, hopProp, nLong, cross)
+	return g
+}
+
+// SetParkingLot makes g the graph ParkingLotGraph describes, in g's own
+// edge and route storage, as SetDumbbell does.
+func (g *Graph) SetParkingLot(rates []units.Rate, hopProp units.Duration, nLong int, cross bool) {
+	g.Edges = g.Edges[:0]
+	for _, r := range rates {
 		g.Edges = append(g.Edges, Edge{Rate: r, Prop: hopProp})
-		all[i] = i
 	}
-	for i := 0; i < nLong; i++ {
-		g.Routes = append(g.Routes, Route{Links: all})
-	}
+	n := nLong
 	if cross {
-		for i := range rates {
-			g.Routes = append(g.Routes, Route{Links: []int{i}})
+		n += len(rates)
+	}
+	g.setRoutes(n)
+	for f := range g.Routes {
+		rt := &g.Routes[f]
+		if f < nLong {
+			for li := range rates {
+				rt.Links = append(rt.Links, li)
+			}
+		} else {
+			rt.Links = append(rt.Links, f-nLong)
 		}
 	}
-	return g
+	g.Routing = ECMP
 }
 
 // Dumbbell builds a network of len(flows) senders sharing one

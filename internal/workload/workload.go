@@ -25,10 +25,21 @@ type Source interface {
 // then "off" for an exponential duration with mean MeanOff, repeating.
 // The source begins "off" and turns on after an initial exponential
 // off-draw, which staggers sender start times.
+//
+// A source is reset for another run by assigning its three fields; the
+// callbacks Start hands the scheduler are bound on its first Start and
+// kept, so starting a run allocates nothing. For the same reason an
+// OnOff must not be copied once started.
 type OnOff struct {
 	MeanOn  units.Duration // mean of the exponential on-period
 	MeanOff units.Duration // mean of the exponential off-period
 	Rng     *rng.Stream    // stream the period draws come from
+
+	// The run Start armed: its scheduler and transition callback, and
+	// the two transitions bound as callbacks once.
+	sched               *sim.Scheduler
+	set                 func(on bool)
+	turnOnFn, turnOffFn func()
 }
 
 // NewOnOff returns an exponential on/off source with the given means,
@@ -45,19 +56,24 @@ func NewOnOff(meanOn, meanOff units.Duration, r *rng.Stream) *OnOff {
 
 // Start implements Source.
 func (w *OnOff) Start(s *sim.Scheduler, set func(on bool)) {
+	if w.turnOnFn == nil {
+		w.turnOnFn, w.turnOffFn = w.turnOn, w.turnOff
+	}
+	w.sched, w.set = s, set
 	set(false)
-	var turnOn, turnOff func()
-	turnOn = func() {
-		set(true)
-		d := units.DurationFromSeconds(w.Rng.Exponential(w.MeanOn.Seconds()))
-		s.After(d, turnOff)
-	}
-	turnOff = func() {
-		set(false)
-		d := units.DurationFromSeconds(w.Rng.Exponential(w.MeanOff.Seconds()))
-		s.After(d, turnOn)
-	}
-	s.After(units.DurationFromSeconds(w.Rng.Exponential(w.MeanOff.Seconds())), turnOn)
+	s.After(units.DurationFromSeconds(w.Rng.Exponential(w.MeanOff.Seconds())), w.turnOnFn)
+}
+
+// turnOn starts an on-period and schedules its end.
+func (w *OnOff) turnOn() {
+	w.set(true)
+	w.sched.After(units.DurationFromSeconds(w.Rng.Exponential(w.MeanOn.Seconds())), w.turnOffFn)
+}
+
+// turnOff starts an off-period and schedules its end.
+func (w *OnOff) turnOff() {
+	w.set(false)
+	w.sched.After(units.DurationFromSeconds(w.Rng.Exponential(w.MeanOff.Seconds())), w.turnOnFn)
 }
 
 // AlwaysOn keeps the sender on for the whole simulation.

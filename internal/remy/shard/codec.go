@@ -20,6 +20,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"learnability/internal/cc/remycc"
@@ -94,6 +95,14 @@ func writeFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
+// readChunk is as much of a frame's declared length as ReadPayload
+// allocates before any of it has arrived. A frame no longer is read
+// into one buffer of its size; a longer one into a buffer that at most
+// doubles what has arrived so far, so a length prefix alone — corrupt,
+// or a peer that hangs up — cannot make a reader allocate up to
+// maxFrame.
+const readChunk = 64 << 10
+
 // ReadPayload reads one frame's payload. It returns io.EOF unwrapped
 // when the stream ends cleanly between frames.
 func ReadPayload(r io.Reader) ([]byte, error) {
@@ -108,11 +117,18 @@ func ReadPayload(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("shard: read frame payload: %w", err)
+	payload := make([]byte, min(int(n), readChunk))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return nil, fmt.Errorf("shard: read frame payload: %w", err)
+		}
+		if got = len(payload); got == int(n) {
+			return payload, nil
+		}
+		payload = slices.Grow(payload, min(int(n)-got, got))
+		payload = payload[:min(cap(payload), int(n))]
 	}
-	return payload, nil
 }
 
 // IsJSONPayload reports whether a frame payload opens a JSON object —

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"learnability/internal/cc/remycc"
@@ -427,4 +428,45 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("re-encoded result decodes to %+v, %v; want %+v", back, err, res)
 		}
 	})
+}
+
+// TestReadPayloadAllocatesAsBytesArrive sends a header that claims the
+// largest frame the wire allows, a few payload bytes and then EOF: the
+// reader must fail having allocated a small fraction of the claim, not
+// the claim itself.
+func TestReadPayloadAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame)
+	stream := append(hdr[:], "a few bytes"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadPayload(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame was read")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a %d-byte stream claiming a %d-byte frame allocated %d bytes", len(stream), maxFrame, alloc)
+	}
+}
+
+// TestReadPayloadGrowsToLongFrames reads frames around and well past
+// the size read at once, whole and cut short.
+func TestReadPayloadGrowsToLongFrames(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 3*readChunk + 17, 40 * readChunk} {
+		payload := make([]byte, n)
+		r.Read(payload)
+		frame := binary.BigEndian.AppendUint32(nil, uint32(n))
+		frame = append(frame, payload...)
+		got, err := ReadPayload(bytes.NewReader(frame))
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte frame: read %d bytes, err %v", n, len(got), err)
+		}
+		if n > 0 {
+			if _, err := ReadPayload(bytes.NewReader(frame[:len(frame)-1])); err == nil {
+				t.Fatalf("%d-byte frame cut one byte short was read", n)
+			}
+		}
+	}
 }

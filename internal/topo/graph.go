@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"learnability/internal/netsim"
+	"learnability/internal/packet"
 	"learnability/internal/queue"
 	"learnability/internal/units"
 )
@@ -110,20 +111,32 @@ func (g *Graph) validateData() error {
 		if e.Rate <= 0 {
 			return fmt.Errorf("topo: edge %d has non-positive rate %v", i, e.Rate)
 		}
-		if e.Prop < 0 {
-			return fmt.Errorf("topo: edge %d has negative propagation delay %v", i, e.Prop)
+		if tx := e.Rate.TransmissionTime(packet.MTU); tx <= 0 || tx > maxDelay {
+			return fmt.Errorf("topo: edge %d at %v serializes a packet in %v, outside (0, %v]", i, e.Rate, tx, maxDelay)
+		}
+		if e.Prop < 0 || e.Prop > maxDelay {
+			return fmt.Errorf("topo: edge %d has propagation delay %v outside [0, %v]", i, e.Prop, maxDelay)
 		}
 		if e.Buffer < 0 {
 			return fmt.Errorf("topo: edge %d has negative buffer override %d", i, e.Buffer)
 		}
 	}
 	for f := range g.Routes {
-		if r := g.Routes[f].Reverse; r < 0 {
-			return fmt.Errorf("topo: route %d has negative reverse delay %v", f, r)
+		if r := g.Routes[f].Reverse; r < 0 || r > maxDelay {
+			return fmt.Errorf("topo: route %d has reverse delay %v outside [0, %v]", f, r, maxDelay)
 		}
 	}
 	return nil
 }
+
+// maxDelay bounds every delay a graph carries — a packet's
+// serialization on an edge, an edge's propagation, a route's reverse
+// path — at a day, so that a path's delays summed and added to a run's
+// clock stay far inside int64 nanoseconds. A serialization that rounds
+// to nothing is rejected too: on a path without propagation delay it
+// would let a window of packets cross and be acknowledged without the
+// clock ever advancing.
+const maxDelay = 86400 * units.Second
 
 // validatePaths is the rest of Validate: every path of every route, and
 // the union of a multipath route's successor choices.

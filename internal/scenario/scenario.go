@@ -401,12 +401,12 @@ func (s *Spec) Layout() (*topo.Graph, error) {
 	if err := s.Topology.Validate(); err != nil {
 		return nil, err
 	}
-	return s.layout(new(topo.Graph), nil)
+	return s.layout(new(topo.Graph), new([]units.Rate))
 }
 
 // layout is Layout for a validated topology, written into g's storage
-// (and a parking lot's rates into *rates when rates is not nil); an
-// explicit graph is returned as it is, leaving g alone.
+// (and a parking lot's rates into *rates); an explicit graph is
+// returned as it is, leaving g alone.
 func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
 	if len(s.Senders) == 0 {
 		return nil, fmt.Errorf("scenario: spec has no senders")
@@ -430,9 +430,6 @@ func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
 		hop := s.MinRTT / units.Duration(2*hops)
 		if hop <= 0 {
 			return nil, fmt.Errorf("scenario: parking lot with MinRTT %v over %d hops", s.MinRTT, hops)
-		}
-		if rates == nil {
-			rates = new([]units.Rate)
 		}
 		rs := slices.Grow((*rates)[:0], hops)[:hops]
 		*rates = rs
@@ -542,10 +539,9 @@ type Result struct {
 //
 // Run has one path. It takes a world from the pool earlier runs left,
 // one of the layout's shape, gateway discipline and routing policy, and
-// builds only what that world cannot supply; with
-// no world to take it builds one (topo.NewWorld). Either way the world
-// goes back to the pool afterwards. A recycled world keeps, from run to
-// run:
+// builds only what that world cannot supply; with no world to take it
+// builds one (topo.NewWorld). Either way the world goes back to the
+// pool afterwards. A recycled world keeps, from run to run:
 //   - the network: the scheduler's arena, the packet free list, every
 //     sender's and receiver's rings and the delay lanes' storage;
 //   - each link's queue, its capacity changed in place when this spec

@@ -278,18 +278,18 @@ func TestWorldKeepsRouteTables(t *testing.T) {
 }
 
 // fabricRunAllocs is the allocation budget of one pooled k=4 fat-tree
-// Run whose world already holds this spec's queues and routes: ≈ 130,
-// nearly all of it the 16 senders' own state — a controller, an
-// exponential on/off source with its stream and the closures its Start
-// arms — and the rest the layout's edges (its routes are the shared
-// skeleton), the graph check, the fair-share table and the result
-// slices. The gateway queues, the next-hop tables and the packet
-// population contribute nothing: rebuilding the 96 queues or
-// recompiling the tables would each cost at least one allocation per
-// link on top. It was 400 while every layout rebuilt its 96-edge graph
-// and 16 routes, and ≈ 110 000 with sfqCoDel before the fabric hot path
-// was flattened.
-const fabricRunAllocs = 150
+// Run whose world already holds this spec's queues and routes: ≈ 31–35,
+// nearly all of it what fabricSpec builds inside the counted call — 16
+// controllers, the sender list and the seed stream — and the rest the
+// results. The layout, the gateway queues, the on/off sources, the
+// next-hop tables and the packet population contribute nothing:
+// rebuilding the 96 queues or recompiling the tables would each cost at
+// least one allocation per link on top. It was ≈ 130 while every run
+// made its own on/off sources, layout edges, graph check and fair-share
+// table, 400 while every layout rebuilt its 96-edge graph and 16
+// routes, and ≈ 110 000 with sfqCoDel before the fabric hot path was
+// flattened.
+const fabricRunAllocs = 50
 
 // TestPooledFabricRunAllocationBudget holds a pooled fat-tree Run to
 // that budget under every gateway queue, and then along eval-fabric's

@@ -79,7 +79,9 @@ type Graph struct {
 }
 
 // Validate checks the description: at least one edge and one route,
-// positive rates, non-negative delays, every path (primary and
+// positive rates, non-negative delays, and every delay — a packet's
+// serialization (which must not round to zero), a propagation, a
+// reverse path — at most a day, every path (primary and
 // alternates) a non-empty walk over distinct in-range edges, all of a
 // flow's paths sharing their first edge, a known routing policy, and —
 // for multipath routes — an acyclic union of per-edge successor
@@ -320,8 +322,8 @@ type shareScratch struct {
 // fairShares is FairShares computed in sc's storage, grown as needed;
 // the table it returns is sc.shares.
 func (g *Graph) fairShares(sc *shareScratch) []units.Rate {
-	flowsOn := resize(sc.flowsOn, len(g.Edges))
-	seen := resize(sc.seen, len(g.Edges)) // 1 + the last flow counted on the edge
+	flowsOn := slices.Grow(sc.flowsOn[:0], len(g.Edges))[:len(g.Edges)]
+	seen := slices.Grow(sc.seen[:0], len(g.Edges))[:len(g.Edges)] // 1 + the last flow counted on the edge
 	clear(flowsOn)
 	clear(seen)
 	for f := range g.Routes {
@@ -335,7 +337,7 @@ func (g *Graph) fairShares(sc *shareScratch) []units.Rate {
 			}
 		}
 	}
-	shares := resize(sc.shares, len(g.Routes))
+	shares := slices.Grow(sc.shares[:0], len(g.Routes))[:len(g.Routes)]
 	for f := range g.Routes {
 		for i, li := range g.Routes[f].Links {
 			share := g.Edges[li].Rate / units.Rate(flowsOn[li])
@@ -346,15 +348,6 @@ func (g *Graph) fairShares(sc *shareScratch) []units.Rate {
 	}
 	sc.shares, sc.flowsOn, sc.seen = shares, flowsOn, seen
 	return shares
-}
-
-// resize returns s at length n, reallocated only when its capacity is
-// short; elements it keeps hold what they held.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // validateBuild checks the full NewWorld/Rebuild input set: the graph

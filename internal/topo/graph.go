@@ -453,9 +453,10 @@ func hopDeliverer(succ, f int, nw *netsim.Network) netsim.Deliverer {
 // it over instead of building another. A world keeps, from run to run:
 // the scheduler's event arena, the packet free list, every sender's and
 // receiver's rings and the delay lanes' storage, each link's queue when
-// the next run asks for the same one, and the links' next-hop tables
+// the next run asks for the same one, the links' next-hop tables
 // while the routes and routing policy they were compiled from stay the
-// same. Everything else — rates, delays (and with them which stages
+// same (and with them the knowledge that those paths are valid), and
+// the storage FairShares computes in. Everything else — rates, delays (and with them which stages
 // share a lane), algorithms, workloads, counters, control-law state —
 // is re-derived by Rebuild, so a rebuilt world is observably identical
 // to a new one built from the same inputs.

@@ -285,8 +285,9 @@ const (
 
 // Sender describes one endpoint.
 type Sender struct {
-	// Alg is the sender's congestion controller (a fresh instance per
-	// run; scenarios never share controller state).
+	// Alg is the sender's congestion controller: an instance in its
+	// fresh state, new or reinitialized, used by this run alone
+	// (scenarios never share controller state).
 	Alg cc.Algorithm
 	// Delta is the sender's objective weight (§3.2).
 	Delta float64

@@ -146,7 +146,7 @@ type Link struct {
 	// predictable branch.
 	tallyIn, tallyOut []int64
 
-	pool *packet.Pool // optional; recycles packets rejected at enqueue
+	pool *packet.Pool // optional; recycles rejected arrivals, and the serializer's packet at Reinit
 
 	// trace, when non-nil, receives packet lifecycle events (see
 	// SetTrace). Nil in normal runs, so the hot path pays the same
@@ -209,20 +209,20 @@ func (l *Link) setLanes(ls *laneSet) {
 // and lane set bindings. The lanes themselves are resolved again: the
 // set has been Reset (Network.Reset does it, returning every packet the
 // finished run left in propagation to the pool) and may have forgotten
-// the link's delays. The packet being serialized and those queued are
-// returned to the pool here, and the previous queue is Reset, so q may
-// be that same queue, reused as new. The next-hop tables stay as
-// installed (they name links and receivers, which a recycled world
-// keeps), with the spray cursors and packet counts rewound; a caller
-// whose paths or policy changed re-installs them with SetRoute or
-// SetMultiRoute. Per-flow tallies stay installed, zeroed.
+// the link's delays. The packet being serialized is returned to the
+// pool here, and the previous queue is Reset (the packets it held are
+// values there, and go with it), so q may be that same queue, reused as
+// new. The next-hop tables stay as installed (they name links and
+// receivers, which a recycled world keeps), with the spray cursors and
+// packet counts rewound; a caller whose paths or policy changed
+// re-installs them with SetRoute or SetMultiRoute. Per-flow tallies stay installed, zeroed.
 func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	checkLink(rate, prop, q)
 	if l.txPkt != nil {
 		l.pool.Put(l.txPkt)
 		l.txPkt = nil
 	}
-	l.q.Reset(l.pool)
+	l.q.Reset()
 	l.busy = false
 	l.inProp = 0
 	l.rate = rate
@@ -325,8 +325,8 @@ func (l *Link) Fanout(f int) int {
 
 // SetPool attaches the simulation's packet pool, letting the link
 // recycle packets its queue rejects at enqueue. The pool is forwarded
-// to the queueing discipline so drops of already-accepted packets
-// (AQM dequeue drops, fair-queueing victim evictions) recycle too.
+// to the queueing discipline, which recycles the packets it accepts
+// and draws the packets it serves from it.
 func (l *Link) SetPool(p *packet.Pool) {
 	l.pool = p
 	if pa, ok := l.q.(queue.PoolAware); ok {
@@ -381,16 +381,13 @@ func (l *Link) laneFor(size int) *lane {
 }
 
 // Deliver implements Deliverer: a packet arrives at the link's ingress
-// queue. Packets the queue rejects are returned to the pool (after the
-// queue's drop accounting and observer have run).
+// queue, which copies and recycles it if it accepts it. Packets the
+// queue rejects are returned to the pool (after the queue's drop
+// accounting and observer have run).
 func (l *Link) Deliver(now units.Time, p *packet.Packet) {
 	l.in++
 	if l.tallyIn != nil {
 		l.tallyIn[p.Flow]++
-	}
-	if l.trace != nil {
-		l.deliverTraced(now, p)
-		return
 	}
 	if !l.q.Enqueue(now, p) {
 		l.pool.Put(p)

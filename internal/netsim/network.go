@@ -104,19 +104,15 @@ func (n *Network) Reset() {
 	n.lanes.Reset((*hopPool)(n.Pool))
 }
 
-// Packets reports how many packets the network holds: queued at its
-// gateways, being serialized, in propagation and, as ACKs, on reverse
-// paths. With the packets on its pool's free list they are every packet
-// the pool has made, which is what the scenario package's books check
-// holds each run to under go test. A serializing packet stays in its
-// link, but the link's hop on the serialization lane stands for it.
-func (n *Network) Packets() int {
-	held := n.lanes.InFlight()
-	for _, l := range n.Links {
-		held += l.q.Len()
-	}
-	return held
-}
+// Packets reports how many pool packets the network holds: the values
+// on its delay lanes — packets being serialized, in propagation and, as
+// ACKs, on reverse paths. A serializing packet stays in its link, but
+// the link's hop on the serialization lane stands for it. Packets queued
+// at gateways are values in their queues, not pool packets, and do not
+// count. Between events, these and the packets on the pool's free list
+// are every packet the pool has made, which is what the scenario
+// package's books check holds each run to under go test.
+func (n *Network) Packets() int { return n.lanes.InFlight() }
 
 // Sample schedules fn to run every interval from time 0 until the end
 // of the run (used to record queue-occupancy time series).

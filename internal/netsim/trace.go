@@ -103,17 +103,21 @@ var traceKind = [...]PacketEventKind{
 	queue.TailDrop: TraceDropTail,
 	queue.AQMDrop:  TraceDropAQM,
 	queue.CEMark:   TraceMarkCE,
+	queue.Enqueued: TraceEnqueue,
 }
 
 // SetTrace installs (or, with a nil tracer, removes) a packet tracer
-// on the link. The link emits enqueue/dequeue events itself and
-// observes its queueing discipline for the rest: the discipline states
-// the kind — tail drop (victim evictions included), AQM drop, CE mark —
-// and the link stamps its identifier and the queue's depth. This
-// replaces any observer a previous caller installed. id is the
-// identifier stamped into events (conventionally the link's index in
-// Network.Links). Reinit clears the tracer, so recycled worlds start
-// untraced.
+// on the link. The link emits dequeue events itself and observes its
+// queueing discipline for the rest: the discipline states the kind —
+// acceptance, tail drop (victim evictions included), AQM drop, CE mark
+// — and the link stamps its identifier and the queue's depth. The
+// discipline states an acceptance once it holds the packet, after any
+// CE mark and victim evictions, which is where the enqueue event
+// belongs in the stream; the packet it shows the observer is recycled
+// as soon as Enqueue returns. This replaces any observer a previous
+// caller installed. id is the identifier stamped into events
+// (conventionally the link's index in Network.Links). Reinit clears the
+// tracer, so recycled worlds start untraced.
 func (l *Link) SetTrace(id int, t PacketTracer) {
 	l.traceID, l.trace = id, t
 	var obs queue.Observer
@@ -123,18 +127,6 @@ func (l *Link) SetTrace(id int, t PacketTracer) {
 		}
 	}
 	l.q.Observe(obs)
-}
-
-// deliverTraced is Deliver's slow-path tail when a tracer is
-// installed: same queue/kick sequence, plus an enqueue event on
-// acceptance (rejections are reported by the queue's observer).
-func (l *Link) deliverTraced(now units.Time, p *packet.Packet) {
-	if l.q.Enqueue(now, p) {
-		l.emit(TraceEnqueue, now, p)
-	} else {
-		l.pool.Put(p)
-	}
-	l.kick(now)
 }
 
 // SetTrace installs (or removes) a packet tracer on the receiver,

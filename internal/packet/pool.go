@@ -4,20 +4,23 @@ import "learnability/internal/units"
 
 // Pool is a free list of packets owned by one simulation. Every
 // simulation runs on a single goroutine (see package sim), so the pool
-// is deliberately unsynchronized. Components that create packets draw
-// from the pool with Data and ACK; the component that consumes a packet
-// at its end of life (the receiver for data packets, the receiver's ACK
-// delivery for ACKs, the link for packets rejected at enqueue) returns
-// it with Put.
+// is deliberately unsynchronized.
 //
-// A nil *Pool is valid and simply allocates on Get/Data/ACK and ignores
-// Put, so components wired without a pool (unit tests, hand-built
-// networks) keep the original allocate-per-packet behavior.
+// Ownership contract: a pool packet lives between two hops only — on a
+// delay lane, or inside the handler a lane or a link hands it to. The
+// sender draws data packets with Data and the receiver ACKs with ACK;
+// a queue that accepts a packet copies it into its own storage and
+// Puts the pointer back before Enqueue returns, and hands the link a
+// pool packet filled from that copy (Clone) when it serves it; the
+// receiver Puts what it consumes, and the link Puts what its queue
+// rejects. After Put the packet may be recycled for an unrelated flow
+// at any time, so callbacks observing packets (queue.Observer, packet
+// tracers, test sinks) must copy what they need rather than retain the
+// pointer.
 //
-// Ownership contract: after Put, the packet may be recycled for an
-// unrelated flow at any time. Callbacks observing packets in flight
-// (queue.Observer, test sinks) must copy what they need rather than
-// retain the pointer when the network is pooled.
+// A nil *Pool is valid and simply allocates on Get/Clone/Data/ACK and
+// ignores Put, so components wired without a pool (unit tests,
+// hand-built networks) keep the original allocate-per-packet behavior.
 type Pool struct {
 	free     []*Packet
 	disabled bool
@@ -65,6 +68,23 @@ func (pl *Pool) Disable() {
 // Get returns a zeroed packet, recycling a previously Put packet when
 // one is available and carving from the current slab otherwise.
 func (pl *Pool) Get() *Packet {
+	p := pl.take()
+	*p = Packet{}
+	return p
+}
+
+// Clone returns a pool packet holding a copy of *v: a queue serving a
+// packet it held by value hands the link one of these. The packet is
+// not zeroed first, since the copy overwrites every field.
+func (pl *Pool) Clone(v *Packet) *Packet {
+	p := pl.take()
+	*p = *v
+	return p
+}
+
+// take returns a free packet as its last user left it (a slab packet
+// is zero), counting it in Gets and, when recycled, in Reuses.
+func (pl *Pool) take() *Packet {
 	if pl == nil || pl.disabled {
 		return &Packet{}
 	}
@@ -73,7 +93,6 @@ func (pl *Pool) Get() *Packet {
 		p := pl.free[n-1]
 		pl.free = pl.free[:n-1]
 		pl.Reuses++
-		*p = Packet{}
 		return p
 	}
 	if pl.slabNext == len(pl.slab) {
@@ -85,9 +104,10 @@ func (pl *Pool) Get() *Packet {
 	return p
 }
 
-// Free reports how many packets are on the free list. Between runs a
-// recycled world holds every packet its pool has made there, which is
-// what the scenario package's end-of-run books check under go test.
+// Free reports how many packets are on the free list. With the
+// packets on a network's delay lanes they are every packet the pool has
+// made, which is what the scenario package's end-of-run books check
+// under go test.
 func (pl *Pool) Free() int {
 	if pl == nil {
 		return 0

@@ -83,3 +83,22 @@ func TestPoolACKEchoesCE(t *testing.T) {
 		pl.Put(q)
 	}
 }
+
+func TestPoolCloneCopiesARecycledPacket(t *testing.T) {
+	pl := &Pool{}
+	p := pl.Data(1, 2, 3)
+	pl.Put(p)
+	v := Packet{Flow: 4, Seq: 5, Size: ACKSize, SentAt: 6, IsACK: true, AckSeq: 7, AckedSeq: 8,
+		EchoSentAt: 9, ReceivedAt: 10, Retransmit: true, EnqueuedAt: 11, ECT: true, CE: true}
+	q := pl.Clone(&v)
+	if q != p || *q != v {
+		t.Fatalf("Clone = %p %+v, want the recycled %p holding %+v", q, *q, p, v)
+	}
+	if pl.Gets != 2 || pl.Reuses != 1 {
+		t.Fatalf("Gets %d Reuses %d, want 2 and 1", pl.Gets, pl.Reuses)
+	}
+	var nilPool *Pool
+	if c := nilPool.Clone(&v); *c != v {
+		t.Fatalf("nil pool Clone = %+v, want %+v", *c, v)
+	}
+}

@@ -42,10 +42,17 @@ type wiring struct {
 // Observe implements Discipline.
 func (w *wiring) Observe(o Observer) { w.obs = o }
 
-// SetPool implements PoolAware: packets the discipline had accepted
-// and then drops — CoDel's drops at dequeue time, sfqCoDel's victim
-// evictions — are recycled.
+// SetPool implements PoolAware.
 func (w *wiring) SetPool(pl *packet.Pool) { w.pool = pl }
+
+// accepted states an accepted packet to the observer and recycles the
+// pointer, whose value the discipline now holds.
+func (w *wiring) accepted(now units.Time, p *packet.Packet) {
+	if w.obs != nil {
+		w.obs(now, Enqueued, p)
+	}
+	w.pool.Put(p)
+}
 
 // SetECNMarking switches the discipline to CE-mark ECN-capable (ECT)
 // packets instead of dropping them wherever the CoDel control law
@@ -106,10 +113,15 @@ func (c *CoDel) SetCapacity(capBytes int) {
 
 // Enqueue implements Discipline.
 func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
-	return c.enqueue(now, p, &c.wiring)
+	if !c.enqueue(now, p, &c.wiring) {
+		return false
+	}
+	c.accepted(now, p)
+	return true
 }
 
-// enqueue is Enqueue, reporting a rejection to w.
+// enqueue queues a copy of p, or reports its rejection to w; the
+// caller states an acceptance.
 func (c *codel) enqueue(now units.Time, p *packet.Packet, w *wiring) bool {
 	if c.q.bytes+p.Size > c.capBytes {
 		c.stats.DropsTail++
@@ -158,9 +170,6 @@ func (c *codel) drop(now units.Time, p *packet.Packet, w *wiring) {
 	if w.obs != nil {
 		w.obs(now, AQMDrop, p)
 	}
-	if w.pool != nil {
-		w.pool.Put(p)
-	}
 }
 
 // mark CE-marks a packet the control law scheduled for a drop. Marked
@@ -182,7 +191,8 @@ func (c *CoDel) Dequeue(now units.Time) *packet.Packet {
 }
 
 // dequeue is Dequeue, with drops and marks reported to, marking decided
-// by and dropped packets recycled through w.
+// by and the served packet drawn from w. The packets it drops and marks
+// are ring slots, valid until the next push.
 func (c *codel) dequeue(now units.Time, w *wiring) *packet.Packet {
 	p, okToDrop := c.doDequeue(now)
 	if c.dropping {
@@ -235,7 +245,7 @@ func (c *codel) dequeue(now units.Time, w *wiring) *packet.Packet {
 		return nil
 	}
 	c.stats.Dequeued++
-	return p
+	return w.pool.Clone(p)
 }
 
 // Len implements Discipline.
@@ -250,14 +260,14 @@ func (c *codel) Stats() Stats { return c.stats }
 // Reset implements Discipline: the RFC 8289 state machine returns to
 // rest (not dropping, count zero), so a reset queue's first drop is
 // scheduled exactly as a new queue's would be.
-func (c *CoDel) Reset(pl *packet.Pool) {
-	c.reset(pl)
+func (c *CoDel) Reset() {
+	c.reset()
 	c.obs = nil
 }
 
 // reset is Reset for everything but the wiring.
-func (c *codel) reset(pl *packet.Pool) {
-	c.q.reset(pl)
+func (c *codel) reset() {
+	c.q.reset()
 	c.stats = Stats{}
 	c.firstAboveTime, c.dropNext, c.count, c.dropping = 0, 0, 0, false
 }

@@ -149,8 +149,10 @@ func TestCoDelMatchesRFCReference(t *testing.T) {
 			q := NewCoDel(tc.capBytes)
 			ref := newRFCCoDel(tc.capBytes)
 			var implDropped []int64
-			q.Observe(func(_ units.Time, _ Event, p *packet.Packet) {
-				implDropped = append(implDropped, p.Seq)
+			q.Observe(func(_ units.Time, ev Event, p *packet.Packet) {
+				if ev != Enqueued {
+					implDropped = append(implDropped, p.Seq)
+				}
 			})
 
 			r := rng.New(seed).Split("codel-rfc").SplitN("case", ci)

@@ -26,6 +26,7 @@ type DropTail struct {
 	q         fifo
 	stats     Stats
 	obs       Observer
+	pool      *packet.Pool
 }
 
 // NewDropTail returns a drop-tail FIFO holding at most capBytes bytes.
@@ -79,6 +80,9 @@ func (d *DropTail) MarkThreshold() int { return d.markBytes }
 // Observe implements Discipline.
 func (d *DropTail) Observe(o Observer) { d.obs = o }
 
+// SetPool implements PoolAware.
+func (d *DropTail) SetPool(pl *packet.Pool) { d.pool = pl }
+
 // Enqueue implements Discipline.
 func (d *DropTail) Enqueue(now units.Time, p *packet.Packet) bool {
 	bytes := d.q.bytes + p.Size // occupancy were the packet accepted
@@ -100,16 +104,21 @@ func (d *DropTail) Enqueue(now units.Time, p *packet.Packet) bool {
 	p.EnqueuedAt = now
 	d.q.push(p)
 	d.stats.Enqueued++
+	if d.obs != nil {
+		d.obs(now, Enqueued, p)
+	}
+	d.pool.Put(p)
 	return true
 }
 
 // Dequeue implements Discipline.
 func (d *DropTail) Dequeue(now units.Time) *packet.Packet {
 	p := d.q.pop()
-	if p != nil {
-		d.stats.Dequeued++
+	if p == nil {
+		return nil
 	}
-	return p
+	d.stats.Dequeued++
+	return d.pool.Clone(p)
 }
 
 // Len implements Discipline.
@@ -122,8 +131,8 @@ func (d *DropTail) Bytes() int { return d.q.bytes }
 func (d *DropTail) Stats() Stats { return d.stats }
 
 // Reset implements Discipline.
-func (d *DropTail) Reset(pl *packet.Pool) {
-	d.q.reset(pl)
+func (d *DropTail) Reset() {
+	d.q.reset()
 	d.stats = Stats{}
 	d.obs = nil
 }

@@ -81,17 +81,16 @@ func TestDropTailBytesAndLen(t *testing.T) {
 
 func TestDropTailObserver(t *testing.T) {
 	q := NewDropTail(packet.MTU)
-	var dropped []*packet.Packet
+	var events []Event
+	var seqs []int64
 	q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
-		if ev != TailDrop {
-			t.Errorf("event %d, want a tail drop", ev)
-		}
-		dropped = append(dropped, p)
+		events = append(events, ev)
+		seqs = append(seqs, p.Seq)
 	})
 	q.Enqueue(0, mkpkt(1, 0))
 	q.Enqueue(0, mkpkt(1, 1))
-	if len(dropped) != 1 || dropped[0].Seq != 1 {
-		t.Fatalf("dropped = %v", dropped)
+	if len(events) != 2 || events[0] != Enqueued || seqs[0] != 0 || events[1] != TailDrop || seqs[1] != 1 {
+		t.Fatalf("observed events %v of packets %v, want an acceptance of 0 and a tail drop of 1", events, seqs)
 	}
 }
 

@@ -6,8 +6,8 @@
 // runs at bottleneck gateways for its Cubic-over-sfqCoDel baseline.
 //
 // A run is watched through one seam, Discipline.Observe: the discipline
-// states each drop and CE mark, with its kind, at the site that bumps
-// the matching Stats counter.
+// states each acceptance, drop and CE mark, with its kind, at the site
+// that bumps the matching Stats counter.
 package queue
 
 import (
@@ -22,6 +22,15 @@ import (
 // it returns nil when no packet is available. Disciplines may also drop
 // at dequeue time (CoDel does); such drops are visible in Stats.
 //
+// A discipline holds the packets it has accepted by value: Enqueue
+// copies an accepted packet into the discipline's ring and Puts the
+// pointer back to the attached pool (see PoolAware) before it returns,
+// and Dequeue hands the link a pool packet filled from the ring's head
+// (packet.Pool.Clone). A deep queue is then two in-order passes over
+// one block of memory, written at its tail and read at its head,
+// instead of pointers to packets scattered over the pool, and a pool
+// packet lives only on a delay lane or inside a handler.
+//
 // Len and Bytes are O(1) by contract: every discipline keeps running
 // counters beside its storage. The adaptive router reads a candidate's
 // Len for every packet it forwards, so an occupancy query that walks
@@ -29,10 +38,12 @@ import (
 // every upstream link.
 type Discipline interface {
 	// Enqueue offers an arriving packet; false means dropped on
-	// arrival.
+	// arrival, and the caller keeps (and recycles) it. An accepted
+	// packet is copied, and the pointer recycled, before Enqueue
+	// returns.
 	Enqueue(now units.Time, p *packet.Packet) bool
-	// Dequeue hands the next packet to the link, or nil when none is
-	// available.
+	// Dequeue hands the next packet to the link as a pool packet the
+	// link then owns, or nil when none is available.
 	Dequeue(now units.Time) *packet.Packet
 	// Len is the number of packets currently queued, in O(1).
 	Len() int
@@ -46,12 +57,12 @@ type Discipline interface {
 	// Reset returns the discipline to the state its constructor left
 	// it in — empty, zero Stats, control law at rest, no observer —
 	// keeping its configuration (capacity, thresholds, marking mode,
-	// attached pool) and the storage it has grown, so a
-	// reset discipline behaves exactly like a new one with the same
-	// configuration. Packets still queued are handed to pl (a nil pool
-	// discards them). A world recycled between runs resets its queues
-	// instead of rebuilding them.
-	Reset(pl *packet.Pool)
+	// attached pool) and the storage it has grown, so a reset
+	// discipline behaves exactly like a new one with the same
+	// configuration. The packets still queued are values in that
+	// storage and are simply forgotten. A world recycled between runs
+	// resets its queues instead of rebuilding them.
+	Reset()
 }
 
 // Stats counts the traffic a discipline has handled.
@@ -67,8 +78,8 @@ type Stats struct {
 // Drops is the total number of dropped packets.
 func (s Stats) Drops() int64 { return s.DropsTail + s.DropsAQM }
 
-// Event is what a discipline did to a packet besides queueing and
-// serving it; each kind has its Stats counter.
+// Event is what a discipline did to a packet; each kind has its Stats
+// counter.
 type Event uint8
 
 // The events a discipline states to its Observer.
@@ -82,64 +93,78 @@ const (
 	// CEMark: CE-marked instead of dropped; the packet stays in the
 	// delivery path (Stats.MarksECN).
 	CEMark
+	// Enqueued: accepted (Stats.Enqueued), stated once the queue holds
+	// the packet — after any CE mark of it and any victim evictions it
+	// caused — so Len and Bytes include it.
+	Enqueued
 )
 
-// Observer receives a callback for every packet a discipline drops or
-// CE-marks, with the kind stated by the discipline. Observers only
-// observe — a traced run is bit-identical to an untraced one. In pooled
-// networks (see packet.Pool) a dropped packet may be recycled as soon
-// as the callback returns, and a marked one is still owned by the
-// discipline: observers must copy any fields they need rather than
+// Observer receives a callback for every packet a discipline accepts,
+// drops or CE-marks, with the kind stated by the discipline. Observers
+// only observe — a traced run is bit-identical to an untraced one. The
+// packet is the arriving one or the discipline's own copy, valid only
+// for the call: observers must copy any fields they need rather than
 // retain the pointer.
 type Observer func(now units.Time, ev Event, p *packet.Packet)
 
-// PoolAware is implemented by disciplines that can return dropped
-// packets to a packet pool. Ownership rule: a discipline owns packets
-// it has accepted (Enqueue returned true), so drops of owned packets —
-// AQM dequeue drops, fair-queueing victim evictions — are recycled by
-// the discipline; arrivals it rejects (Enqueue returns false) remain
+// PoolAware is implemented by every discipline: it attaches the pool
+// that accepted packets are recycled to and that served packets are
+// drawn from. Without one (a bare queue in a unit test) a served packet
+// is allocated. Ownership rule: a discipline owns what it has accepted
+// (Enqueue returned true) — its copy of the packet, and the pointer it
+// recycles at once; arrivals it rejects (Enqueue returns false) remain
 // owned by the caller, which recycles them itself.
 type PoolAware interface {
-	// SetPool attaches the pool dropped owned packets are returned to.
+	// SetPool attaches the discipline's pool.
 	SetPool(pl *packet.Pool)
 }
 
-// fifo is a ring of packets with a running byte count: O(1) push and
-// pop, no allocation once the ring has grown to the queue's working
+// fifo is a ring of packet values with a running byte count: O(1) push
+// and pop, no allocation once the ring has grown to the queue's working
 // set, and storage that survives reset. len(buf) is zero or a power of
-// two, so positions wrap with a mask.
+// two, so positions wrap with a mask. Packet holds no pointers, so the
+// ring is memory the garbage collector never scans.
 type fifo struct {
-	buf   []*packet.Packet
+	buf   []packet.Packet
 	head  int // index of the oldest packet
 	n     int // packets held
 	bytes int
 }
 
+// push copies *p to the tail of the ring.
 func (f *fifo) push(p *packet.Packet) {
 	if f.n == len(f.buf) {
 		f.grow()
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = *p
 	f.n++
 	f.bytes += p.Size
 }
 
 // grow doubles the ring, unwrapping its contents to the front.
 func (f *fifo) grow() {
-	buf := make([]*packet.Packet, max(16, 2*len(f.buf)))
+	buf := make([]packet.Packet, max(16, 2*len(f.buf)))
 	n := copy(buf, f.buf[f.head:])
 	copy(buf[n:], f.buf[:f.head])
 	f.buf, f.head = buf, 0
 }
 
+// pop takes the oldest packet off the ring and returns its slot, or
+// nil when the ring is empty. The slot keeps the value until the next
+// push, so a discipline may read, mark or drop it until then. A ring
+// that empties starts again at its front: a shallow queue then cycles
+// through the few slots that are in cache instead of walking its whole
+// ring, which holds values a dozen times the size of pointers.
 func (f *fifo) pop() *packet.Packet {
 	if f.n == 0 {
 		return nil
 	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
+	p := &f.buf[f.head]
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
+	if f.n == 0 {
+		f.head = 0
+	}
 	f.bytes -= p.Size
 	return p
 }
@@ -148,15 +173,10 @@ func (f *fifo) peek() *packet.Packet {
 	if f.n == 0 {
 		return nil
 	}
-	return f.buf[f.head]
+	return &f.buf[f.head]
 }
 
 func (f *fifo) len() int { return f.n }
 
-// reset empties the ring into pl (nil discards), keeping the storage.
-func (f *fifo) reset(pl *packet.Pool) {
-	for f.n > 0 {
-		pl.Put(f.pop())
-	}
-	f.head = 0
-}
+// reset empties the ring, keeping the storage.
+func (f *fifo) reset() { f.head, f.n, f.bytes = 0, 0, 0 }

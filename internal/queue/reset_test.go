@@ -33,41 +33,39 @@ var disciplines = []struct {
 // TestResetMatchesFresh dirties a discipline — packets queued, CoDel
 // mid-drop-schedule, sfqCoDel bins materialised and mid-round-robin,
 // counters advanced, an observer attached — resets it, and drives it
-// beside a new one: they must agree after every operation, the packets
-// the reset found queued must be in the pool it was handed, and the
-// observer of the dirty run must never fire again.
+// beside a new one: they must agree after every operation, and the
+// observer of the dirty run must never fire again. Throughout, every
+// packet a discipline accepts must be on its pool's free list when
+// Enqueue returns (the discipline holds a copy), and Reset, finding
+// only values queued, must hand the pool nothing.
 func TestResetMatchesFresh(t *testing.T) {
 	for _, tc := range disciplines {
 		t.Run(tc.name, func(t *testing.T) {
 			trace := lockstepTrace{steps: 6000, flows: 9, sizes: []int{packet.MTU, packet.MTU, 600}, ectShare: 0.6, maxGap: 3 * units.Millisecond}
 
-			used, twin := &side{q: tc.build()}, &side{q: tc.build()}
+			used, twin := pooled(tc.build()), pooled(tc.build())
 			used.record()
 			twin.record()
 			trace.seed = 1
 			trace.run(t, used, twin)
 			q := used.q.(Discipline)
-			queued := q.Len()
-			if queued == 0 || q.Stats().Enqueued == 0 {
-				t.Fatalf("dirty run left nothing behind (Len %d, %+v)", queued, q.Stats())
+			if q.Len() == 0 || q.Stats().Enqueued == 0 {
+				t.Fatalf("dirty run left nothing behind (Len %d, %+v)", q.Len(), q.Stats())
 			}
 
-			drain := &packet.Pool{}
-			q.Reset(drain)
+			free := used.pool.Free()
+			q.Reset()
 			if q.Len() != 0 || q.Bytes() != 0 || q.Stats() != (Stats{}) {
 				t.Fatalf("after Reset: Len %d Bytes %d Stats %+v", q.Len(), q.Bytes(), q.Stats())
 			}
-			for i := 0; i <= queued; i++ {
-				drain.Get()
-			}
-			if drain.Reuses != int64(queued) {
-				t.Fatalf("Reset handed the pool %d packets, %d were queued", drain.Reuses, queued)
+			if used.pool.Free() != free {
+				t.Fatalf("Reset moved the pool's free list from %d packets to %d", free, used.pool.Free())
 			}
 
 			// First with no observer attached, so one left over from
 			// the dirty run would be the only one to fire; then with.
 			stale := len(used.log)
-			reset, fresh := &side{q: q}, &side{q: tc.build()}
+			reset, fresh := &side{q: q, pool: used.pool}, pooled(tc.build())
 			trace.seed = 2
 			trace.run(t, reset, fresh)
 			if len(used.log) != stale {
@@ -91,9 +89,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			q, pl := tc.build(), &packet.Pool{}
-			if pa, ok := q.(PoolAware); ok {
-				pa.SetPool(pl)
-			}
+			q.(PoolAware).SetPool(pl)
 			var now units.Time
 			var seq int64
 			// Arrivals outpace the drain two to one, so the queue

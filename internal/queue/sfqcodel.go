@@ -41,7 +41,7 @@ type SFQCoDel struct {
 
 	// The bins run on this wiring too: ECT packets are CE-marked
 	// instead of dropped wherever a bin's control law schedules a
-	// drop, and what a bin drops is recycled.
+	// drop, and a bin serves its packets from the wiring's pool.
 	wiring
 }
 
@@ -158,9 +158,6 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 		if s.obs != nil {
 			s.obs(now, TailDrop, victim)
 		}
-		if s.pool != nil {
-			s.pool.Put(victim)
-		}
 	}
 	k := s.binFor(p.Flow)
 	b := &s.live[k]
@@ -176,6 +173,7 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 		b.deficit = s.quantum
 		s.pushTail(k)
 	}
+	s.accepted(now, p)
 	return true
 }
 
@@ -263,10 +261,10 @@ func (s *SFQCoDel) Stats() Stats {
 // observable (victim search skips empty bins, Stats adds their zeroed
 // counters, and service order is the list's, rebuilt as packets
 // arrive).
-func (s *SFQCoDel) Reset(pl *packet.Pool) {
+func (s *SFQCoDel) Reset() {
 	for i := range s.live {
 		b := &s.live[i]
-		b.reset(pl)
+		b.reset()
 		b.next, b.inList, b.deficit = -1, false, 0
 	}
 	s.bytes, s.pkts = 0, 0

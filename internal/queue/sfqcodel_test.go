@@ -86,8 +86,12 @@ func TestSFQCoDelOverflowDropsFromLongestBin(t *testing.T) {
 	for i := int64(0); i < 9; i++ {
 		q.Enqueue(0, mkpkt(1, i)) // flow 1 hogs the buffer
 	}
-	var dropped []*packet.Packet
-	q.Observe(func(now units.Time, _ Event, p *packet.Packet) { dropped = append(dropped, p) })
+	var dropped []packet.Packet
+	q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
+		if ev == TailDrop {
+			dropped = append(dropped, *p)
+		}
+	})
 	// Arrival from flow 2 must be accepted; a flow-1 packet is evicted.
 	if !q.Enqueue(0, mkpkt(2, 0)) {
 		t.Fatal("flow 2 arrival rejected; should evict from longest bin")
@@ -307,9 +311,6 @@ func (s *refSFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 		if s.obs != nil {
 			s.obs(now, TailDrop, victim)
 		}
-		if s.pool != nil {
-			s.pool.Put(victim)
-		}
 	}
 	i := s.bin(p.Flow)
 	if !s.bins[i].Enqueue(now, p) {
@@ -398,14 +399,38 @@ type lockstepQ interface {
 // side is one of the two queues a lockstep trace drives, with the log
 // its observer writes.
 type side struct {
-	q   lockstepQ
-	log []string
+	q lockstepQ
+	// pool, when set, is the pool q recycles into: the trace then
+	// checks that every packet q accepts is on its free list when
+	// Enqueue returns.
+	pool *packet.Pool
+	log  []string
+}
+
+// pooled returns a side driving q with a pool of its own attached.
+func pooled(q lockstepQ) *side {
+	s := &side{q: q, pool: &packet.Pool{}}
+	q.(PoolAware).SetPool(s.pool)
+	return s
+}
+
+// recycled fails unless p, which the side's queue has just accepted,
+// is the packet on top of its pool's free list.
+func (s *side) recycled(t *testing.T, step int, p *packet.Packet) {
+	t.Helper()
+	if s.pool == nil {
+		return
+	}
+	if got := s.pool.Get(); got != p {
+		t.Fatalf("step %d: an accepted packet is not on the pool's free list", step)
+	}
+	s.pool.Put(p)
 }
 
 // record points the queue's observer at the side's log.
 func (s *side) record() {
 	s.q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
-		kind := [...]string{TailDrop: "drop_tail", AQMDrop: "drop_aqm", CEMark: "mark"}[ev]
+		kind := [...]string{TailDrop: "drop_tail", AQMDrop: "drop_aqm", CEMark: "mark", Enqueued: "enqueue"}[ev]
 		s.log = append(s.log, fmt.Sprintf("%s t=%d flow=%d seq=%d size=%d", kind, now, p.Flow, p.Seq, p.Size))
 	})
 }
@@ -425,7 +450,8 @@ type lockstepTrace struct {
 
 // run drives both sides through the trace, giving each its own copy of
 // every packet, and fails at the first operation after which they
-// differ in the returned value, Len, Bytes, Stats or recorder log. The
+// differ in the returned value, Len, Bytes, Stats or recorder log, or
+// after which a pooled side's accepted packet is not in its pool. The
 // arrival share swings between filling and draining phases so bins
 // both overflow and empty out; one step in 64 jumps time far enough
 // for CoDel to leave and re-enter its dropping state.
@@ -454,8 +480,12 @@ func (tr lockstepTrace) run(t *testing.T, a, b *side) {
 			}
 			pb := new(packet.Packet)
 			*pb = *pa
+			want := *pa
 			if oa, ob := a.q.Enqueue(now, pa), b.q.Enqueue(now, pb); oa != ob {
-				t.Fatalf("step %d: enqueue of %+v accepted %v vs %v", step, *pa, oa, ob)
+				t.Fatalf("step %d: enqueue of %+v accepted %v vs %v", step, want, oa, ob)
+			} else if oa {
+				a.recycled(t, step, pa)
+				b.recycled(t, step, pb)
 			}
 		} else {
 			pa, pb := a.q.Dequeue(now), b.q.Dequeue(now)
@@ -536,8 +566,7 @@ func TestSFQCoDelMatchesReference(t *testing.T) {
 				got, ref := NewSFQCoDel(tc.nbins, tc.capBytes), newRefSFQCoDel(tc.nbins, tc.capBytes)
 				a, b := &side{q: got}, &side{q: ref}
 				if tc.pool {
-					got.SetPool(&packet.Pool{})
-					ref.SetPool(&packet.Pool{})
+					a, b = pooled(got), pooled(ref)
 				}
 				got.SetECNMarking(tc.ecn)
 				ref.SetECNMarking(tc.ecn)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -240,6 +243,89 @@ func FuzzSlotEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDiskCacheEntry feeds the disk cache's loader the files it may
+// find in its directory: the fuzz bytes are written as the entry file of
+// one key, a cache is opened on the directory and asked for that key
+// twice. The loader must never panic. It either rejects the file —
+// deletes it and counts one rejection, and the second Get is a plain
+// miss — or serves exactly the bytes after the header, from disk and
+// then from memory, and it serves them exactly when the stored key is
+// the key asked for and the stored SHA-256 is theirs. A served entry
+// then goes through both decoders an entry can reach, the slot entry's
+// and a whole job's result, which may fail but not panic. (The fuzzer
+// lives here, not in shardnet, because the slot-entry decoder is this
+// package's and this package imports shardnet.)
+func FuzzDiskCacheEntry(f *testing.F) {
+	key := shardnet.Key(sha256.Sum256([]byte("disk-entry")))
+	const header = len(diskEntryMagic) + 2*len(key)
+	// entry lays a file out the way the cache spills one: magic, key,
+	// the result's SHA-256, the result.
+	entry := func(k shardnet.Key, res []byte) []byte {
+		sum := sha256.Sum256(res)
+		b := append([]byte(diskEntryMagic), k[:]...)
+		b = append(b, sum[:]...)
+		return append(b, res...)
+	}
+	slot := entry(key, encodeSlotEntry(-3.5, nil, []uint64{0b101}))
+	result, err := shard.EncodeResult(&shard.Result{ID: 9, Scores: []float64{1.5, -2}, Fired: []uint64{1, 2}}, true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wrongKey := key
+	wrongKey[0] ^= 1
+	flippedHash := bytes.Clone(slot)
+	flippedHash[len(diskEntryMagic)+len(key)] ^= 1
+	f.Add(slot)                           // a good slot entry
+	f.Add(entry(key, result))             // a good whole-job entry
+	f.Add(entry(key, nil))                // a good empty entry
+	f.Add(slot[:len(slot)-1])             // truncated payload
+	f.Add(slot[:len(diskEntryMagic)+40])  // truncated inside the header
+	f.Add([]byte{})                       // empty file
+	f.Add(entry(wrongKey, slot[header:])) // another key's entry
+	f.Add(flippedHash)                    // a flipped hash byte
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, hex.EncodeToString(key[:]))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := shardnet.NewDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := len(b) >= header && string(b[:len(diskEntryMagic)]) == diskEntryMagic &&
+			bytes.Equal(b[len(diskEntryMagic):len(diskEntryMagic)+len(key)], key[:]) &&
+			sha256.Sum256(b[header:]) == [sha256.Size]byte(b[len(diskEntryMagic)+len(key):header])
+		for get := 1; get <= 2; get++ {
+			res, ok := c.Get(key)
+			st := c.Stats()
+			if ok != valid {
+				t.Fatalf("get %d: served %v an entry that verifies %v", get, ok, valid)
+			}
+			if !ok {
+				if st.Rejected != 1 || st.Misses != uint64(get) {
+					t.Fatalf("get %d: a rejected file left stats %+v, want 1 rejection and %d misses", get, st, get)
+				}
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("get %d: the rejected file is still there (stat: %v)", get, err)
+				}
+				continue
+			}
+			if !bytes.Equal(res, b[header:]) {
+				t.Fatalf("get %d: served %x, the file holds %x", get, res, b[header:])
+			}
+			if st.Rejected != 0 || st.Hits != uint64(get) || st.DiskHits != 1 {
+				t.Fatalf("get %d: a served entry left stats %+v", get, st)
+			}
+			decodeSlotEntry(res)
+			shard.DecodeResult(res)
+		}
+	})
+}
+
+// diskEntryMagic is the tag the disk cache writes before every entry.
+const diskEntryMagic = "RSC1"
 
 // FuzzShardConfig covers the config a shard job carries, which a
 // worker decodes from the wire. Whatever decodeShardConfig accepts must

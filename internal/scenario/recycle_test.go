@@ -93,7 +93,7 @@ func TestBooksCatchALeak(t *testing.T) {
 		return s
 	}
 	MustRun(spec(1))
-	MustRun(spec(2)) // a second run, with the per-flow tallies installed
+	MustRun(spec(2)) // a second run on the same world
 	idleWorld(t, spec(3)).Net.Pool.Get()
 	defer func() {
 		r := recover()

@@ -572,6 +572,9 @@ func Run(spec Spec) ([]Result, error) {
 	if err := spec.host(w, lay); err != nil {
 		return nil, err
 	}
+	if checkBooks && w.books == nil {
+		w.keepBooks()
+	}
 	res := finish(spec, w.Net, w.FairShares(lay))
 	if checkBooks {
 		w.audit()

@@ -102,17 +102,68 @@ func (f *Flags) Template() (scenario.Spec, error) {
 	if err != nil {
 		return scenario.Spec{}, err
 	}
+	if err := f.check(buffering, varRate); err != nil {
+		return scenario.Spec{}, err
+	}
+	minRTT, err := duration("-rtt", f.rttMs/1e3, topo.MaxDelay)
+	if err != nil {
+		return scenario.Spec{}, err
+	}
+	meanOn, err := duration("-on", f.onS, maxMean)
+	if err != nil {
+		return scenario.Spec{}, err
+	}
+	meanOff, err := duration("-off", f.offS, maxMean)
+	if err != nil {
+		return scenario.Spec{}, err
+	}
 	return scenario.Spec{
 		Topology:          t,
-		MinRTT:            units.DurationFromSeconds(f.rttMs / 1e3),
+		MinRTT:            minRTT,
 		Buffering:         buffering,
 		BufferBDP:         f.bufferBDP,
 		ECN:               f.ecn,
 		ECNThresholdBytes: f.ecnThreshold,
 		VarRate:           varRate,
-		MeanOn:            units.DurationFromSeconds(f.onS),
-		MeanOff:           units.DurationFromSeconds(f.offS),
+		MeanOn:            meanOn,
+		MeanOff:           meanOff,
 	}, nil
+}
+
+// maxMean is the longest workload mean the flags take: far inside the
+// range of a units.Duration.
+const maxMean = 365 * 24 * 3600 * units.Second
+
+// duration converts a flag's seconds, which must be a positive duration
+// no longer than max: a round trip longer than a graph's delays may be
+// (topo.MaxDelay), or one that rounds to nothing, builds no scenario.
+func duration(name string, s float64, max units.Duration) (units.Duration, error) {
+	if !(s > 0 && s <= max.Seconds()) {
+		return 0, fmt.Errorf("%s must be positive and at most %v", name, max)
+	}
+	d := units.DurationFromSeconds(s)
+	if d <= 0 {
+		return 0, fmt.Errorf("%s rounds to no time at all", name)
+	}
+	return d, nil
+}
+
+// check rejects the other values a scenario cannot be built from, so
+// that a template Template accepts builds once the binary fills in
+// what it sweeps: ECN on a queue that never drops or marks, a negative
+// marking threshold or buffer, and rate modulation VarRate.Validate
+// refuses.
+func (f *Flags) check(buffering scenario.Buffering, vr scenario.VarRate) error {
+	if !(f.bufferBDP >= 0) {
+		return fmt.Errorf("-buffer-bdp must not be negative, not %v", f.bufferBDP)
+	}
+	if f.ecn && buffering == scenario.NoDrop {
+		return fmt.Errorf("-ecn needs a finite buffer (-buffer-bdp > 0)")
+	}
+	if f.ecnThreshold < 0 {
+		return fmt.Errorf("-ecn-threshold must not be negative, not %d", f.ecnThreshold)
+	}
+	return vr.Validate()
 }
 
 // topologyOf resolves -topology and the family's own flags; flags of

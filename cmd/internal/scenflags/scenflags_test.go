@@ -136,6 +136,15 @@ func TestTemplateRejects(t *testing.T) {
 		{"bad queue", []string{"-queue", "red"}, `unknown queue "red"`},
 		{"bad varrate", []string{"-varrate", "sine"}, `unknown var-rate kind "sine"`},
 		{"bad varrate factor", []string{"-varrate", "markov", "-varrate-factors", "1,half"}, `bad -varrate-factors entry "half"`},
+		// Found by FuzzScenFlags: each of these once made a template
+		// that did not build.
+		{"zero rtt", []string{"-rtt", "0"}, "-rtt must be positive"},
+		{"rtt that rounds to nothing", []string{"-rtt", ".0000001"}, "-rtt rounds to no time"},
+		{"rtt beyond a graph's delays", []string{"-rtt", "200000000"}, "-rtt must be positive and at most"},
+		{"zero markov dwell", []string{"-varrate", "markov", "-varrate-dwell", "0"}, "positive mean dwell"},
+		{"zero on time", []string{"-on", "0"}, "-on must be positive"},
+		{"ECN without a buffer", []string{"-ecn", "-buffer-bdp", "0"}, "-ecn needs a finite buffer"},
+		{"negative buffer", []string{"-buffer-bdp", "-1"}, "-buffer-bdp must not be negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := parse(t, tc.args...)

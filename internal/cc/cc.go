@@ -115,7 +115,7 @@ func (e *EWMA) Observe(sample float64) {
 		e.init = true
 		return
 	}
-	e.value += e.gain * (sample - e.value)
+	e.value += float64(e.gain * (sample - e.value)) // rounded: never fused
 }
 
 // Value returns the current average (0 before any sample).

@@ -74,7 +74,7 @@ func (cb *Cubic) congestionAvoidance(now units.Time, rtt units.Duration) {
 		cb.ackCnt = 0
 	}
 	t := now.Sub(cb.epochStart).Seconds() + rtt.Seconds()
-	target := cb.wMax + c*math.Pow(t-cb.k, 3)
+	target := cb.wMax + float64(c*math.Pow(t-cb.k, 3))
 
 	// TCP-friendly window estimate (standard AIMD tracking with
 	// Cubic's beta): grows ~0.53 segments per RTT worth of ACKs.

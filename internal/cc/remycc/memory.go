@@ -77,22 +77,24 @@ func InitialVector() Vector { return Vector{0, 0, 0, MinRatio, 0} }
 
 // Clamp returns the vector with each coordinate forced into the domain.
 func (v Vector) Clamp() Vector {
-	clampf := func(x, lo, hi float64) float64 {
-		if x < lo {
-			return lo
-		}
-		if x > hi {
-			return hi
-		}
-		return x
-	}
 	return Vector{
-		clampf(v[0], 0, MaxEWMA),
-		clampf(v[1], 0, MaxEWMA),
-		clampf(v[2], 0, MaxEWMA),
-		clampf(v[3], MinRatio, MaxRatio),
-		clampf(v[4], 0, MaxECNFrac),
+		clamp(v[0], 0, MaxEWMA),
+		clamp(v[1], 0, MaxEWMA),
+		clamp(v[2], 0, MaxEWMA),
+		clamp(v[3], MinRatio, MaxRatio),
+		clamp(v[4], 0, MaxECNFrac),
 	}
+}
+
+// clamp forces x into [lo, hi].
+func clamp(x, lo, hi float64) float64 {
+	if x < lo {
+		return lo
+	}
+	if x > hi {
+		return hi
+	}
+	return x
 }
 
 // SignalMask selects which signals a protocol may observe. The
@@ -113,9 +115,12 @@ func (m SignalMask) Without(s Signal) SignalMask {
 // Enabled reports whether signal s is observable.
 func (m SignalMask) Enabled(s Signal) bool { return m[s] }
 
-// Memory tracks the congestion signals across a connection.
+// Memory tracks the congestion signals across a connection. Beside the
+// signals it keeps their clamped vector, each coordinate updated as its
+// signal moves, so the per-ACK lookup reads it where it is.
 type Memory struct {
 	mask SignalMask
+	v    Vector // the signals, clamped into the domain
 
 	rec     cc.EWMA
 	slowRec cc.EWMA
@@ -143,6 +148,7 @@ func (m *Memory) Reset() {
 	m.send = cc.NewEWMA(1.0 / 8)
 	m.ratio = MinRatio
 	m.ecn = cc.NewEWMA(1.0 / 8)
+	m.v = InitialVector()
 	m.haveReceived = false
 	m.haveSent = false
 }
@@ -154,9 +160,11 @@ func (m *Memory) Observe(fb cc.Feedback) {
 		if dt >= 0 {
 			if m.mask.Enabled(RecEWMA) {
 				m.rec.Observe(dt)
+				m.v[RecEWMA] = clamp(m.rec.Value(), 0, MaxEWMA)
 			}
 			if m.mask.Enabled(SlowRecEWMA) {
 				m.slowRec.Observe(dt)
+				m.v[SlowRecEWMA] = clamp(m.slowRec.Value(), 0, MaxEWMA)
 			}
 		}
 	}
@@ -167,6 +175,7 @@ func (m *Memory) Observe(fb cc.Feedback) {
 		dt := fb.SentAt.Sub(m.lastSentAt).Seconds()
 		if dt >= 0 && m.mask.Enabled(SendEWMA) {
 			m.send.Observe(dt)
+			m.v[SendEWMA] = clamp(m.send.Value(), 0, MaxEWMA)
 		}
 	}
 	m.lastSentAt = fb.SentAt
@@ -178,6 +187,7 @@ func (m *Memory) Observe(fb cc.Feedback) {
 			mark = 1.0
 		}
 		m.ecn.Observe(mark)
+		m.v[ECNFraction] = clamp(m.ecn.Value(), 0, MaxECNFrac)
 	}
 
 	if m.mask.Enabled(RTTRatio) && fb.MinRTT > 0 {
@@ -185,10 +195,9 @@ func (m *Memory) Observe(fb cc.Feedback) {
 		if m.ratio < MinRatio {
 			m.ratio = MinRatio
 		}
+		m.v[RTTRatio] = clamp(m.ratio, MinRatio, MaxRatio)
 	}
 }
 
 // Vector returns the current memory point, clamped into the domain.
-func (m *Memory) Vector() Vector {
-	return Vector{m.rec.Value(), m.slowRec.Value(), m.send.Value(), m.ratio, m.ecn.Value()}.Clamp()
-}
+func (m *Memory) Vector() Vector { return m.v }

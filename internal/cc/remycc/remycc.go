@@ -31,6 +31,20 @@ func NewUsageStats(n int) *UsageStats {
 	return &UsageStats{Count: make([]int64, n), Sum: make([][NumSignals]float64, n)}
 }
 
+// ResetCounts resizes u for a tree of n whiskers to count firings only:
+// Count is zeroed and Sum dropped, and a RemyCC recording into u skips
+// the memory sums, which only split points read. The trainer's
+// score-only slots use one. Merge and Mean need Sum.
+func (u *UsageStats) ResetCounts(n int) {
+	if cap(u.Count) < n {
+		u.Count = make([]int64, n)
+	} else {
+		u.Count = u.Count[:n]
+		clear(u.Count)
+	}
+	u.Sum = nil
+}
+
 // Reset resizes u for a tree of n whiskers and zeroes all accumulators,
 // reusing the existing backing arrays when they are large enough. The
 // trainer recycles UsageStats buffers across candidate evaluations.
@@ -174,29 +188,37 @@ func (r *RemyCC) Reset(units.Time) {
 	r.pace = units.DurationFromSeconds(a.Intersend)
 }
 
-// OnACK implements cc.Algorithm.
+// OnACK implements cc.Algorithm. The memory's clamped vector is looked
+// up where it is, and the pacing interval is converted from the
+// action's seconds only when the whisker changes: it is a function of
+// the whisker alone, and consecutive ACKs almost always match the same
+// one.
 func (r *RemyCC) OnACK(now units.Time, fb cc.Feedback) {
 	r.memory.Observe(fb)
-	v := r.memory.Vector() // clamped into the domain already
-	i := r.tree.lookupHinted(&v, r.lastWhisker)
-	r.lastWhisker = i
-	if r.usage != nil {
-		r.usage.Count[i]++
-		for d := 0; d < NumSignals; d++ {
-			r.usage.Sum[i][d] += v[d]
+	v := &r.memory.v
+	i := r.tree.lookupHinted(v, r.lastWhisker)
+	a := &r.tree.Whiskers[i].Action
+	if i != r.lastWhisker {
+		r.lastWhisker = i
+		r.pace = units.DurationFromSeconds(a.Intersend)
+	}
+	if u := r.usage; u != nil {
+		u.Count[i]++
+		if u.Sum != nil {
+			for d := 0; d < NumSignals; d++ {
+				u.Sum[i][d] += v[d]
+			}
 		}
 	}
-	a := r.tree.Action(i)
-	r.cwnd = a.WindowMult*r.cwnd + a.WindowIncr
+	r.cwnd = float64(a.WindowMult*r.cwnd) + a.WindowIncr // rounded: never fused
 	if r.cwnd < minWindow {
 		r.cwnd = minWindow
 	}
 	if r.cwnd > maxWindow {
 		r.cwnd = maxWindow
 	}
-	r.pace = units.DurationFromSeconds(a.Intersend)
 	if r.trace != nil {
-		r.trace(TraceEntry{Time: now, Whisker: i, Cwnd: r.cwnd, Pace: r.pace, Memory: v})
+		r.trace(TraceEntry{Time: now, Whisker: i, Cwnd: r.cwnd, Pace: r.pace, Memory: *v})
 	}
 }
 

@@ -278,7 +278,7 @@ func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 		lo, hi := parent.Domain.Lo[d], parent.Domain.Hi[d]
 		cut := at[d]
 		width := hi - lo
-		if cut <= lo+width*minWidthFrac || cut >= hi-width*minWidthFrac {
+		if cut <= lo+float64(width*minWidthFrac) || cut >= hi-float64(width*minWidthFrac) {
 			continue // cut would create a degenerate child
 		}
 		next := make([]Box, 0, 2*len(boxes))

@@ -58,11 +58,11 @@ func (v *Vegas) OnACK(_ units.Time, fb cc.Feedback) {
 		} else {
 			// Vegas doubles every other RTT; approximate with +1/2 per
 			// acked packet.
-			v.cwnd += 0.5 * float64(fb.NewlyAcked)
+			v.cwnd += float64(0.5 * float64(fb.NewlyAcked))
 			return
 		}
 	}
-	perAck := 1 / v.cwnd * float64(fb.NewlyAcked)
+	perAck := float64(1 / v.cwnd * float64(fb.NewlyAcked))
 	switch {
 	case diff < alpha:
 		v.cwnd += perAck

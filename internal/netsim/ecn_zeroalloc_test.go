@@ -22,7 +22,9 @@ func TestECNMarkZeroAlloc(t *testing.T) {
 		mk   func() queue.Discipline
 	}{
 		{"markingdroptail", func() queue.Discipline {
-			return queue.NewMarkingDropTail(64*packet.MTU, 2*packet.MTU)
+			q := queue.NewDropTail(64 * packet.MTU)
+			q.SetLimits(64*packet.MTU, 2*packet.MTU)
+			return q
 		}},
 		{"codel", func() queue.Discipline {
 			q := queue.NewCoDel(64 * packet.MTU)

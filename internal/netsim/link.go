@@ -383,11 +383,22 @@ func (l *Link) laneFor(size int) *lane {
 // Deliver implements Deliverer: a packet arrives at the link's ingress
 // queue, which copies and recycles it if it accepts it. Packets the
 // queue rejects are returned to the pool (after the queue's drop
-// accounting and observer have run).
+// accounting and observer have run). A packet that finds the link idle
+// and the queue empty passes straight through the queue
+// (queue.Discipline.Pass) to the serializer, with the accounting and
+// observer events of an enqueue and a dequeue and neither copy.
 func (l *Link) Deliver(now units.Time, p *packet.Packet) {
 	l.in++
 	if l.tallyIn != nil {
 		l.tallyIn[p.Flow]++
+	}
+	if !l.busy && l.q.Len() == 0 {
+		if l.q.Pass(now, p) {
+			l.transmit(now, p)
+		} else {
+			l.pool.Put(p)
+		}
+		return
 	}
 	if !l.q.Enqueue(now, p) {
 		l.pool.Put(p)
@@ -400,10 +411,13 @@ func (l *Link) kick(now units.Time) {
 	if l.busy {
 		return
 	}
-	p := l.q.Dequeue(now)
-	if p == nil {
-		return
+	if p := l.q.Dequeue(now); p != nil {
+		l.transmit(now, p)
 	}
+}
+
+// transmit starts serializing p, which has left the queue.
+func (l *Link) transmit(now units.Time, p *packet.Packet) {
 	if l.trace != nil {
 		l.emit(TraceDequeue, now, p)
 	}

@@ -25,7 +25,7 @@ func TestLinkSerializationPlusPropagation(t *testing.T) {
 	sched := sim.New()
 	sink := &captureSink{sched: sched}
 	// 12 Mbps: one 1500-byte packet serializes in exactly 1 ms.
-	l := NewLink(sched, 12*units.Mbps, 50*units.Millisecond, queue.NewInfinite())
+	l := NewLink(sched, 12*units.Mbps, 50*units.Millisecond, queue.NewDropTail(queue.Unbounded))
 	l.SetRoute([]Deliverer{sink})
 	sched.At(0, func() { l.Deliver(0, packet.DataPacket(0, 0, 0)) })
 	sched.Run(units.MaxTime)
@@ -43,7 +43,7 @@ func TestLinkPipelinesSerializationWithPropagation(t *testing.T) {
 	// as the first finishes, not after the first's propagation.
 	sched := sim.New()
 	sink := &captureSink{sched: sched}
-	l := NewLink(sched, 12*units.Mbps, 50*units.Millisecond, queue.NewInfinite())
+	l := NewLink(sched, 12*units.Mbps, 50*units.Millisecond, queue.NewDropTail(queue.Unbounded))
 	l.SetRoute([]Deliverer{sink})
 	sched.At(0, func() {
 		l.Deliver(0, packet.DataPacket(0, 0, 0))
@@ -65,7 +65,7 @@ func TestLinkPipelinesSerializationWithPropagation(t *testing.T) {
 func TestLinkPreservesOrderWithinFlow(t *testing.T) {
 	sched := sim.New()
 	sink := &captureSink{sched: sched}
-	l := NewLink(sched, units.Mbps, units.Millisecond, queue.NewInfinite())
+	l := NewLink(sched, units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded))
 	l.SetRoute([]Deliverer{sink})
 	sched.At(0, func() {
 		for i := int64(0); i < 20; i++ {
@@ -84,7 +84,7 @@ func TestLinkRoutesPerFlow(t *testing.T) {
 	sched := sim.New()
 	a := &captureSink{sched: sched}
 	b := &captureSink{sched: sched}
-	l := NewLink(sched, 10*units.Mbps, 0, queue.NewInfinite())
+	l := NewLink(sched, 10*units.Mbps, 0, queue.NewDropTail(queue.Unbounded))
 	l.SetRoute([]Deliverer{nil, a, b})
 	sched.At(0, func() {
 		l.Deliver(0, packet.DataPacket(1, 0, 0))
@@ -104,7 +104,7 @@ func TestLinkIdleRestarts(t *testing.T) {
 	// link must wake from idle).
 	sched := sim.New()
 	sink := &captureSink{sched: sched}
-	l := NewLink(sched, 12*units.Mbps, 0, queue.NewInfinite())
+	l := NewLink(sched, 12*units.Mbps, 0, queue.NewDropTail(queue.Unbounded))
 	l.SetRoute([]Deliverer{sink})
 	sched.At(0, func() { l.Deliver(0, packet.DataPacket(0, 0, 0)) })
 	sched.At(units.Time(units.Second), func() { l.Deliver(sched.Now(), packet.DataPacket(0, 1, 0)) })
@@ -119,7 +119,7 @@ func TestLinkIdleRestarts(t *testing.T) {
 
 func TestLinkAccessors(t *testing.T) {
 	sched := sim.New()
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	l := NewLink(sched, 7*units.Mbps, 9*units.Millisecond, q)
 	if l.Rate() != 7*units.Mbps || l.Prop() != 9*units.Millisecond || l.Queue() != queue.Discipline(q) {
 		t.Fatal("accessors wrong")

@@ -76,7 +76,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 
 func TestLinkLimitedThroughput(t *testing.T) {
 	// Huge window saturates the link; throughput ~= link rate.
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	nw := buildDumbbell(12*units.Mbps, 100*units.Millisecond, q, 1,
 		func(int) cc.Algorithm { return &fixedCC{w: 2000} }, alwaysOn)
 	st := nw.Run(30 * units.Second)[0]
@@ -161,7 +161,7 @@ func TestRTORecoversFromTotalLoss(t *testing.T) {
 
 func TestPacingLimitsRate(t *testing.T) {
 	// Window is huge but pacing allows one packet per 10 ms = 1.2 Mbps.
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	nw := buildDumbbell(100*units.Mbps, 100*units.Millisecond, q, 1,
 		func(int) cc.Algorithm { return &fixedCC{w: 1e5, pace: 10 * units.Millisecond} }, alwaysOn)
 	st := nw.Run(30 * units.Second)[0]
@@ -195,7 +195,7 @@ func TestTwoIdenticalSendersShareFairly(t *testing.T) {
 }
 
 func TestOnOffAccounting(t *testing.T) {
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	wl := func(int) workload.Source {
 		return &workload.Deterministic{
 			InitialOn: true,
@@ -245,7 +245,7 @@ func TestDeterministicReplay(t *testing.T) {
 }
 
 func TestDelayIncludesPropagation(t *testing.T) {
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	nw := buildDumbbell(100*units.Mbps, 150*units.Millisecond, q, 1,
 		func(int) cc.Algorithm { return &fixedCC{w: 1} }, alwaysOn)
 	st := nw.Run(10 * units.Second)[0]
@@ -261,7 +261,7 @@ func TestTwoHopPath(t *testing.T) {
 	// One flow over two links in series; delay = both props + both
 	// serializations; throughput limited by the slower link.
 	nw := New()
-	q1, q2 := queue.NewInfinite(), queue.NewInfinite()
+	q1, q2 := queue.NewDropTail(queue.Unbounded), queue.NewDropTail(queue.Unbounded)
 	l1 := NewLink(nw.Sched, 20*units.Mbps, 75*units.Millisecond, q1)
 	l2 := NewLink(nw.Sched, 10*units.Mbps, 75*units.Millisecond, q2)
 	nw.AddLink(l1)
@@ -280,7 +280,7 @@ func TestTwoHopPath(t *testing.T) {
 }
 
 func TestSampleRecordsQueueOccupancy(t *testing.T) {
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	nw := buildDumbbell(5*units.Mbps, 100*units.Millisecond, q, 1,
 		func(int) cc.Algorithm { return &fixedCC{w: 500} }, alwaysOn)
 	var samples []int
@@ -304,7 +304,7 @@ func TestSampleRecordsQueueOccupancy(t *testing.T) {
 
 func TestLinkValidation(t *testing.T) {
 	s := New().Sched
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	for _, fn := range []func(){
 		func() { NewLink(s, 0, 0, q) },
 		func() { NewLink(s, units.Mbps, -1, q) },
@@ -323,7 +323,7 @@ func TestLinkValidation(t *testing.T) {
 
 func TestSenderValidation(t *testing.T) {
 	nw := New()
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	l := NewLink(nw.Sched, units.Mbps, 0, q)
 	st := &FlowStats{}
 	for _, fn := range []func(){

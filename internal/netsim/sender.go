@@ -32,6 +32,13 @@ const lossReorderThreshold = 3
 // three later deliveries, and retransmits them as the window allows.
 // While "on" the sender has infinite backlog (the paper's senders are
 // bulk transfers gated by the on/off workload process).
+//
+// Its pacing timer and its retransmission timer are two deadlines of
+// one sim.Deadlines, so a sender holds at most one scheduler entry,
+// keyed at the earlier of the two: re-arming the RTO on an ACK while the
+// next paced send is due first costs no heap work. Each still fires
+// exactly when, and in the order among simultaneous events, a timer of
+// its own would.
 type Sender struct {
 	sched  *sim.Scheduler
 	flow   int
@@ -78,13 +85,10 @@ type Sender struct {
 	minRTT       units.Duration
 	rtoBackoff   int
 
-	rtoTimer  sim.Timer
-	paceTimer sim.Timer
+	// timers holds the pace deadline (paceDeadline) and the RTO
+	// (rtoDeadline) in one scheduler entry.
+	timers sim.Deadlines
 
-	// Pre-bound timer callbacks, allocated once per sender so arming a
-	// timer on the per-ACK path does not allocate a closure.
-	onTimeoutFn func()
-	paceFn      func()
 	// setOnFn is SetOn at the scheduler's clock, the callback a
 	// workload's on/off transitions are handed, bound once as well so
 	// starting a run does not allocate one per flow.
@@ -114,8 +118,7 @@ func NewSender(sched *sim.Scheduler, flow int, alg cc.Algorithm, egress Delivere
 		highestSacked: -1,
 		minRTT:        units.Duration(math.MaxInt64),
 	}
-	s.onTimeoutFn = func() { s.onTimeout(s.sched.Now()) }
-	s.paceFn = func() { s.trySend(s.sched.Now()) }
+	s.timers.Init(sched, 2, s.onDeadline)
 	s.setOnFn = func(on bool) { s.SetOn(s.sched.Now(), on) }
 	return s
 }
@@ -132,8 +135,8 @@ func (s *Sender) SetECN(on bool) { s.ecn = on }
 // Reinit restores a sender from a finished simulation to the
 // just-constructed state with a new congestion-control algorithm and
 // egress, keeping everything tied to the sender's identity: the
-// scheduler, flow ID, stats and pool bindings, and the pre-bound timer
-// callbacks (which close over s, not over any per-run state). The
+// scheduler, flow ID, stats and pool bindings, and the timers' entry,
+// disarmed (Reinit follows the scheduler's Reset). The
 // scoreboard is rewound in place, keeping the capacity it grew to.
 func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	if alg == nil {
@@ -161,8 +164,7 @@ func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	s.hasRTT = false
 	s.minRTT = units.Duration(math.MaxInt64)
 	s.rtoBackoff = 0
-	s.rtoTimer = sim.Timer{}
-	s.paceTimer = sim.Timer{}
+	s.timers.Reset()
 	s.nextSendTime = 0
 }
 
@@ -254,7 +256,7 @@ func (s *Sender) OnAck(now units.Time, a *packet.Packet) {
 			NewlyAcked: newly,
 			ECNEcho:    a.CE,
 		})
-		s.resetRTO(now)
+		s.resetRTO()
 	}
 
 	s.classifyLosses(now)
@@ -330,12 +332,29 @@ func (s *Sender) rto() units.Duration {
 	return r
 }
 
-func (s *Sender) resetRTO(now units.Time) {
-	s.rtoTimer.Stop()
+// The sender's two deadlines.
+const (
+	paceDeadline = iota
+	rtoDeadline
+)
+
+// onDeadline is the timers' handler.
+func (s *Sender) onDeadline(i int) {
+	if i == paceDeadline {
+		s.trySend(s.sched.Now())
+	} else {
+		s.onTimeout(s.sched.Now())
+	}
+}
+
+// resetRTO re-arms the retransmission timer one RTO from now, or
+// disarms it when nothing is outstanding.
+func (s *Sender) resetRTO() {
 	if s.Outstanding() <= 0 {
+		s.timers.Disarm(rtoDeadline)
 		return
 	}
-	s.rtoTimer = s.sched.After(s.rto(), s.onTimeoutFn)
+	s.timers.Arm(rtoDeadline, s.sched.Now().Add(s.rto()))
 }
 
 // onTimeout handles RTO expiry: collapse the window, treat everything
@@ -363,7 +382,7 @@ func (s *Sender) onTimeout(now units.Time) {
 	s.excluded = s.Outstanding() - 1 // all but the head, resent below
 
 	s.sendPacket(now, s.sndUna, true)
-	s.resetRTO(now)
+	s.resetRTO()
 	s.trySend(now)
 }
 
@@ -383,8 +402,10 @@ func (s *Sender) sendPacket(now units.Time, seq int64, isRetx bool) {
 }
 
 // trySend transmits retransmissions and new packets while the pipe,
-// window, and pacing allow.
+// window, and pacing allow. Nothing it does changes the window, so it
+// reads it once.
 func (s *Sender) trySend(now units.Time) {
+	window := s.window()
 	for {
 		// Drop stale entries from the head of the loss queue.
 		for s.lostHead < len(s.lostQueue) {
@@ -401,7 +422,7 @@ func (s *Sender) trySend(now units.Time) {
 		if !wantRetx && !wantNew {
 			return
 		}
-		if s.pipe() >= s.window() {
+		if s.pipe() >= window {
 			return
 		}
 		if now < s.nextSendTime {
@@ -419,7 +440,7 @@ func (s *Sender) trySend(now units.Time) {
 			s.sendPacket(now, s.nextSeq, false)
 			s.nextSeq++
 			if !hadOutstanding {
-				s.resetRTO(now)
+				s.resetRTO()
 			}
 		}
 	}
@@ -435,10 +456,11 @@ func (s *Sender) popLost() {
 	}
 }
 
+// schedulePace arms the pace deadline for nextSendTime unless it is
+// armed for that time or earlier already.
 func (s *Sender) schedulePace(now units.Time) {
-	if s.paceTimer.Pending() && s.paceTimer.When() <= s.nextSendTime {
+	if s.timers.Armed(paceDeadline) && s.timers.When(paceDeadline) <= s.nextSendTime {
 		return
 	}
-	s.paceTimer.Stop()
-	s.paceTimer = s.sched.At(s.nextSendTime, s.paceFn)
+	s.timers.Arm(paceDeadline, s.nextSendTime)
 }

@@ -288,3 +288,42 @@ func TestSenderCumulativeAckCleansScoreboard(t *testing.T) {
 		t.Fatalf("excluded = %d after full ack", h.snd.excluded)
 	}
 }
+
+// TestPacedSenderHoldsOneEntry: a paced sender with data outstanding
+// has both its pace deadline and its retransmission timer armed, and
+// holds exactly one scheduler entry for the two, keyed at the earlier;
+// ACKs that re-arm the RTO leave it one, and the RTO re-armed by a
+// timeout is one entry too.
+func TestPacedSenderHoldsOneEntry(t *testing.T) {
+	h := newHarness(4)
+	h.alg.pace = 10 * units.Millisecond
+	h.start()
+	check := func(where string) {
+		t.Helper()
+		if h.snd.Outstanding() == 0 {
+			t.Fatalf("%s: nothing outstanding", where)
+		}
+		if !h.snd.timers.Armed(paceDeadline) || !h.snd.timers.Armed(rtoDeadline) {
+			t.Fatalf("%s: pace armed %v, RTO armed %v; want both", where,
+				h.snd.timers.Armed(paceDeadline), h.snd.timers.Armed(rtoDeadline))
+		}
+		if n := h.sched.Len(); n != 1 {
+			t.Fatalf("%s: the sender holds %d scheduler entries, want 1", where, n)
+		}
+	}
+	check("after the first send")
+	for i := int64(0); i < 3; i++ {
+		h.ack(i, i, units.Duration(15+10*i)*units.Millisecond)
+		check("after an ACK")
+	}
+	// No more ACKs: pace fires until the window is full, then the RTO.
+	timeouts := h.stats.Timeouts
+	h.sched.Run(units.Time(5 * units.Second))
+	if h.stats.Timeouts == timeouts {
+		t.Fatal("the retransmission timer never fired")
+	}
+	if !h.snd.timers.Armed(rtoDeadline) || h.sched.Len() != 1 {
+		t.Fatalf("after a timeout: RTO armed %v, %d scheduler entries; want armed and 1",
+			h.snd.timers.Armed(rtoDeadline), h.sched.Len())
+	}
+}

@@ -107,7 +107,7 @@ func (s *System) Allocate(on []bool) []units.Rate {
 			if v := math.Abs(rel); v > maxViolation {
 				maxViolation = v
 			}
-			lambda[l] *= 1 + 0.5*rel
+			lambda[l] *= 1 + float64(0.5*rel)
 			if lambda[l] < 1e-18 {
 				lambda[l] = 1e-18
 			}
@@ -148,7 +148,7 @@ func (s *System) expectedExact(i int) units.Rate {
 			return
 		}
 		if j == n {
-			total += prob * float64(s.Allocate(on)[i])
+			total += float64(prob * float64(s.Allocate(on)[i]))
 			return
 		}
 		if j == i {

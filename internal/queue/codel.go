@@ -54,6 +54,16 @@ func (w *wiring) accepted(now units.Time, p *packet.Packet) {
 	w.pool.Put(p)
 }
 
+// passing states the acceptance of a packet that crosses an empty
+// queue without entering it, with f counting it as held for the call.
+func (w *wiring) passing(now units.Time, p *packet.Packet, f *fifo) {
+	if w.obs != nil {
+		f.passing(p)
+		w.obs(now, Enqueued, p)
+		f.passed()
+	}
+}
+
 // SetECNMarking switches the discipline to CE-mark ECN-capable (ECT)
 // packets instead of dropping them wherever the CoDel control law
 // schedules a drop; the state machine advances identically either way.
@@ -120,9 +130,32 @@ func (c *CoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	return true
 }
 
+// Pass implements Discipline.
+func (c *CoDel) Pass(now units.Time, p *packet.Packet) bool {
+	if !c.admit(now, p, &c.wiring) {
+		c.rest() // Dequeue of the empty queue
+		return false
+	}
+	c.pass()
+	c.passing(now, p, &c.q)
+	return true
+}
+
 // enqueue queues a copy of p, or reports its rejection to w; the
 // caller states an acceptance.
 func (c *codel) enqueue(now units.Time, p *packet.Packet, w *wiring) bool {
+	if !c.admit(now, p, w) {
+		return false
+	}
+	c.q.push(p)
+	c.stats.Enqueued++
+	return true
+}
+
+// admit decides an arrival: it is rejected, and the rejection reported
+// to w, if the queue has no room for it; else its enqueue time is
+// stamped.
+func (c *codel) admit(now units.Time, p *packet.Packet, w *wiring) bool {
 	if c.q.bytes+p.Size > c.capBytes {
 		c.stats.DropsTail++
 		c.stats.BytesDropped += int64(p.Size)
@@ -132,10 +165,24 @@ func (c *codel) enqueue(now units.Time, p *packet.Packet, w *wiring) bool {
 		return false
 	}
 	p.EnqueuedAt = now
-	c.q.push(p)
-	c.stats.Enqueued++
 	return true
 }
+
+// pass is the counting and the control law of enqueue followed by
+// dequeue for an admitted packet that finds the queue empty and leaves
+// it at once: its sojourn is zero, below any target, so dequeue serves
+// it and leaves the control law at rest; the caller states the
+// acceptance.
+func (c *codel) pass() {
+	c.stats.Enqueued++
+	c.stats.Dequeued++
+	c.rest()
+}
+
+// rest is what dequeue leaves behind when the queue is empty after it,
+// or a packet of sojourn below target leaves it: no interval above
+// target running, and not dropping.
+func (c *codel) rest() { c.firstAboveTime, c.dropping = 0, false }
 
 // controlLaw computes the next drop time after t given the current
 // count.

@@ -30,30 +30,13 @@ type DropTail struct {
 }
 
 // NewDropTail returns a drop-tail FIFO holding at most capBytes bytes.
-// It panics if capBytes is not positive (use NewInfinite for the
-// paper's "no packet drops" buffers).
+// It panics if capBytes is not positive (Unbounded is the paper's "no
+// packet drops" buffer). SetLimits adds a mark threshold.
 func NewDropTail(capBytes int) *DropTail {
 	if capBytes <= 0 {
 		panic("queue: NewDropTail with non-positive capacity")
 	}
 	return &DropTail{capBytes: capBytes, markBytes: Unbounded}
-}
-
-// NewInfinite returns a FIFO with unbounded capacity.
-func NewInfinite() *DropTail { return NewDropTail(Unbounded) }
-
-// NewMarkingDropTail returns a drop-tail FIFO holding at most capBytes
-// bytes that CE-marks ECT arrivals once occupancy (including the
-// arriving packet) exceeds markBytes. It panics unless
-// 0 < markBytes <= capBytes.
-func NewMarkingDropTail(capBytes, markBytes int) *DropTail {
-	if capBytes <= 0 {
-		panic("queue: NewMarkingDropTail with non-positive capacity")
-	}
-	if markBytes <= 0 || markBytes > capBytes {
-		panic("queue: NewMarkingDropTail threshold outside (0, capacity]")
-	}
-	return &DropTail{capBytes: capBytes, markBytes: markBytes}
 }
 
 // Capacity reports the configured capacity in bytes.
@@ -74,9 +57,6 @@ func (d *DropTail) SetLimits(capBytes, markBytes int) {
 	d.capBytes, d.markBytes = capBytes, markBytes
 }
 
-// MarkThreshold reports the configured marking threshold in bytes.
-func (d *DropTail) MarkThreshold() int { return d.markBytes }
-
 // Observe implements Discipline.
 func (d *DropTail) Observe(o Observer) { d.obs = o }
 
@@ -85,6 +65,37 @@ func (d *DropTail) SetPool(pl *packet.Pool) { d.pool = pl }
 
 // Enqueue implements Discipline.
 func (d *DropTail) Enqueue(now units.Time, p *packet.Packet) bool {
+	if !d.admit(now, p) {
+		return false
+	}
+	d.q.push(p)
+	d.stats.Enqueued++
+	if d.obs != nil {
+		d.obs(now, Enqueued, p)
+	}
+	d.pool.Put(p)
+	return true
+}
+
+// Pass implements Discipline.
+func (d *DropTail) Pass(now units.Time, p *packet.Packet) bool {
+	if !d.admit(now, p) {
+		return false
+	}
+	d.stats.Enqueued++
+	if d.obs != nil {
+		d.q.passing(p)
+		d.obs(now, Enqueued, p)
+		d.q.passed()
+	}
+	d.stats.Dequeued++
+	return true
+}
+
+// admit decides an arrival: it drops it for want of room, or CE-marks
+// it if it is ECN-capable and pushes the occupancy past the mark
+// threshold, and stamps its enqueue time.
+func (d *DropTail) admit(now units.Time, p *packet.Packet) bool {
 	bytes := d.q.bytes + p.Size // occupancy were the packet accepted
 	if bytes > d.capBytes {
 		d.stats.DropsTail++
@@ -102,12 +113,6 @@ func (d *DropTail) Enqueue(now units.Time, p *packet.Packet) bool {
 		}
 	}
 	p.EnqueuedAt = now
-	d.q.push(p)
-	d.stats.Enqueued++
-	if d.obs != nil {
-		d.obs(now, Enqueued, p)
-	}
-	d.pool.Put(p)
 	return true
 }
 

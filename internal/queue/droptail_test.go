@@ -104,7 +104,7 @@ func TestDropTailPanicsOnBadCapacity(t *testing.T) {
 }
 
 func TestInfiniteNeverDrops(t *testing.T) {
-	q := NewInfinite()
+	q := NewDropTail(Unbounded)
 	for i := int64(0); i < 10000; i++ {
 		if !q.Enqueue(0, mkpkt(1, i)) {
 			t.Fatalf("Infinite rejected packet %d", i)
@@ -156,7 +156,7 @@ func TestPropertyConservation(t *testing.T) {
 
 func TestFIFOCompaction(t *testing.T) {
 	// Wrap the ring many times over with push/pop cycles.
-	q := NewInfinite()
+	q := NewDropTail(Unbounded)
 	var seq int64
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 40; i++ {

@@ -134,7 +134,7 @@ func TestConservationAcrossDisciplines(t *testing.T) {
 		build   func(ecn bool) Discipline
 	}{
 		{"DropTail", false, func(bool) Discipline { return NewDropTail(50 * packet.MTU) }},
-		{"MarkingDropTail", true, func(bool) Discipline { return NewMarkingDropTail(50*packet.MTU, 10*packet.MTU) }},
+		{"MarkingDropTail", true, func(bool) Discipline { return markingDropTail(50*packet.MTU, 10*packet.MTU) }},
 		{"CoDel", true, func(ecn bool) Discipline {
 			q := NewCoDel(50 * packet.MTU)
 			q.SetECNMarking(ecn)
@@ -241,7 +241,7 @@ func TestSFQCoDelECNMarks(t *testing.T) {
 // --- MarkingDropTail ------------------------------------------------
 
 func TestMarkingDropTailThreshold(t *testing.T) {
-	q := NewMarkingDropTail(10*packet.MTU, 3*packet.MTU)
+	q := markingDropTail(10*packet.MTU, 3*packet.MTU)
 	// First three packets fit under the threshold unmarked; from the
 	// fourth on, occupancy crosses it and ECT arrivals are marked.
 	for i := int64(0); i < 6; i++ {
@@ -262,7 +262,7 @@ func TestMarkingDropTailThreshold(t *testing.T) {
 }
 
 func TestMarkingDropTailIgnoresNonECT(t *testing.T) {
-	q := NewMarkingDropTail(10*packet.MTU, packet.MTU)
+	q := markingDropTail(10*packet.MTU, packet.MTU)
 	for i := int64(0); i < 5; i++ {
 		q.Enqueue(0, mkpkt(1, i))
 	}
@@ -277,7 +277,7 @@ func TestMarkingDropTailIgnoresNonECT(t *testing.T) {
 }
 
 func TestMarkingDropTailStillTailDrops(t *testing.T) {
-	q := NewMarkingDropTail(2*packet.MTU, packet.MTU)
+	q := markingDropTail(2*packet.MTU, packet.MTU)
 	q.Enqueue(0, mkect(1, 0))
 	q.Enqueue(0, mkect(1, 1))
 	if q.Enqueue(0, mkect(1, 2)) {
@@ -290,9 +290,9 @@ func TestMarkingDropTailStillTailDrops(t *testing.T) {
 
 func TestMarkingDropTailValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewMarkingDropTail(0, 1) },
-		func() { NewMarkingDropTail(10, 0) },
-		func() { NewMarkingDropTail(10, 11) },
+		func() { NewDropTail(10).SetLimits(0, 1) },
+		func() { NewDropTail(10).SetLimits(10, 0) },
+		func() { NewDropTail(10).SetLimits(10, 11) },
 	} {
 		func() {
 			defer func() {
@@ -303,4 +303,12 @@ func TestMarkingDropTailValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// markingDropTail is a drop-tail FIFO of capBytes that CE-marks ECT
+// arrivals past markBytes.
+func markingDropTail(capBytes, markBytes int) *DropTail {
+	q := NewDropTail(capBytes)
+	q.SetLimits(capBytes, markBytes)
+	return q
 }

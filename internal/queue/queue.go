@@ -45,6 +45,16 @@ type Discipline interface {
 	// Dequeue hands the next packet to the link as a pool packet the
 	// link then owns, or nil when none is available.
 	Dequeue(now units.Time) *packet.Packet
+	// Pass offers a packet that finds the queue empty and its link
+	// idle. It is exactly Enqueue followed by Dequeue — the same Stats,
+	// the same observer events (the acceptance reports a depth of one
+	// packet of p.Size bytes), the same control-law state afterwards —
+	// except that the packet Dequeue would hand back is p itself, so
+	// nothing is copied in or out and the pool is not touched. It
+	// reports whether p was accepted, and so is the packet to serialize
+	// now; the caller keeps p either way. Calling it on a non-empty
+	// queue is a logic error.
+	Pass(now units.Time, p *packet.Packet) bool
 	// Len is the number of packets currently queued, in O(1).
 	Len() int
 	// Bytes is the number of bytes currently queued, in O(1).
@@ -177,6 +187,14 @@ func (f *fifo) peek() *packet.Packet {
 }
 
 func (f *fifo) len() int { return f.n }
+
+// passing counts p, which crosses the empty ring without entering it,
+// as held until passed: an observer told of its acceptance in between
+// reads the depth Enqueue would have shown it.
+func (f *fifo) passing(p *packet.Packet) { f.n, f.bytes = 1, p.Size }
+
+// passed ends passing: the ring is empty again, as it was.
+func (f *fifo) passed() { f.n, f.bytes = 0, 0 }
 
 // reset empties the ring, keeping the storage.
 func (f *fifo) reset() { f.head, f.n, f.bytes = 0, 0, 0 }

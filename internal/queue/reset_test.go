@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"learnability/internal/packet"
@@ -14,7 +16,7 @@ var disciplines = []struct {
 	build func() Discipline
 }{
 	{"DropTail", func() Discipline { return NewDropTail(30 * packet.MTU) }},
-	{"MarkingDropTail", func() Discipline { return NewMarkingDropTail(30*packet.MTU, 10*packet.MTU) }},
+	{"MarkingDropTail", func() Discipline { return markingDropTail(30*packet.MTU, 10*packet.MTU) }},
 	{"CoDel", func() Discipline { return NewCoDel(200 * packet.MTU) }},
 	{"CoDel/ECN", func() Discipline {
 		q := NewCoDel(200 * packet.MTU)
@@ -27,7 +29,7 @@ var disciplines = []struct {
 		q.SetECNMarking(true)
 		return q
 	}},
-	{"Infinite", func() Discipline { return NewInfinite() }},
+	{"Infinite", func() Discipline { return NewDropTail(Unbounded) }},
 }
 
 // TestResetMatchesFresh dirties a discipline — packets queued, CoDel
@@ -132,4 +134,88 @@ func TestNewSFQCoDelAllocations(t *testing.T) {
 		t.Fatalf("NewSFQCoDel(%d, …) makes %v allocations, want at most 2", SFQCoDelBins, allocs)
 	}
 	_ = q
+}
+
+// TestPassMatchesEnqueueDequeue: Pass on an empty queue is Enqueue
+// followed by Dequeue. Two copies of each discipline run the same trace,
+// one taking every arrival that finds it empty through Pass and the
+// other through Enqueue and Dequeue; they must agree after every step on
+// what they accept and serve, Len, Bytes, Stats and internal state
+// (ring contents aside), and on every observer event with the depth it
+// reads, and the pass-through copy must leave its pool untouched. The traces reach arrivals larger than
+// the buffer and, for sfqCoDel, an empty queue whose service list still
+// holds bins that eviction emptied.
+func TestPassMatchesEnqueueDequeue(t *testing.T) {
+	oversize := []struct {
+		name  string
+		build func() Discipline
+	}{
+		{"DropTail/oversize", func() Discipline { return NewDropTail(2 * packet.MTU) }},
+		{"CoDel/oversize", func() Discipline { return NewCoDel(2 * packet.MTU) }},
+		// Two packets fill the buffer, so evictions empty bins that stay
+		// on the service list with deficits of their own.
+		{"SFQCoDel/oversize", func() Discipline { return NewSFQCoDel(4, 2*packet.MTU) }},
+	}
+	cases := append(disciplines[:len(disciplines):len(disciplines)], oversize...)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sizes := []int{packet.MTU, packet.MTU, 600, packet.ACKSize}
+			if strings.HasSuffix(tc.name, "oversize") {
+				sizes = []int{packet.MTU, 600, packet.ACKSize, 3 * packet.MTU}
+			}
+			passes, rejected, listed := 0, 0, 0
+			for seed := uint64(1); seed <= 3; seed++ {
+				pass, ref := pooled(tc.build()), pooled(tc.build())
+				pass.recordDepth()
+				ref.recordDepth()
+				tr := lockstepTrace{seed: seed, steps: 6000, flows: 9, sizes: sizes, ectShare: 0.6, maxGap: 3 * units.Millisecond, pass: true}
+				tr.each = func(step int) {
+					if a, b := state(pass.q.(Discipline)), state(ref.q.(Discipline)); a != b {
+						t.Fatalf("step %d: internal state\n%s\nreference\n%s", step, a, b)
+					}
+					if pass.q.Len() == 0 {
+						if sfq, ok := pass.q.(*SFQCoDel); ok && sfq.head >= 0 {
+							listed++
+						}
+					}
+				}
+				tr.run(t, pass, ref)
+				passes += pass.passes
+				rejected += int(pass.q.Stats().DropsTail)
+			}
+			if passes < 100 {
+				t.Fatalf("vacuous: only %d arrivals passed through", passes)
+			}
+			if strings.HasSuffix(tc.name, "oversize") && rejected == 0 {
+				t.Fatal("vacuous: no arrival was larger than the buffer")
+			}
+			if tc.name == "SFQCoDel/oversize" && listed == 0 {
+				t.Fatal("vacuous: the queue never emptied with bins left on the service list")
+			}
+		})
+	}
+}
+
+// state renders a discipline's internal state but for the packets its
+// rings hold, which a pass-through never writes.
+func state(q Discipline) string {
+	ring := func(f *fifo) string { return fmt.Sprintf("ring(head %d n %d bytes %d)", f.head, f.n, f.bytes) }
+	law := func(c *codel) string {
+		return fmt.Sprintf("%s %+v above %d next %d count %d dropping %v",
+			ring(&c.q), c.stats, c.firstAboveTime, c.dropNext, c.count, c.dropping)
+	}
+	switch q := q.(type) {
+	case *DropTail:
+		return fmt.Sprintf("%s %+v", ring(&q.q), q.stats)
+	case *CoDel:
+		return law(&q.codel)
+	case *SFQCoDel:
+		st := fmt.Sprintf("list %d..%d bytes %d pkts %d %+v", q.head, q.tail, q.bytes, q.pkts, q.stats)
+		for i := range q.live {
+			b := &q.live[i]
+			st += fmt.Sprintf("\n bin %d next %d listed %v deficit %d %s", b.index, b.next, b.inList, b.deficit, law(&b.codel))
+		}
+		return st
+	}
+	panic(fmt.Sprintf("no state for %T", q))
 }

@@ -177,6 +177,66 @@ func (s *SFQCoDel) Enqueue(now units.Time, p *packet.Packet) bool {
 	return true
 }
 
+// Pass implements Discipline. The packet's bin is served at once, as
+// Dequeue's deficit round-robin would serve it: the empty bins ahead of
+// it on the service list are popped and so is the bin, which keeps
+// what its deficit had beyond the packet's size. The empty bins behind
+// it stay, unless its deficit fell short and it went round the list —
+// from the tail, where a bin not on the list joins — topped up by a
+// quantum a round, popping them all.
+func (s *SFQCoDel) Pass(now units.Time, p *packet.Packet) bool {
+	if p.Size > s.capBytes {
+		// Nothing queued to evict, and the packet alone exceeds the
+		// capacity (Enqueue's rejection), then a Dequeue of the empty
+		// queue.
+		s.stats.DropsTail++
+		s.stats.BytesDropped += int64(p.Size)
+		if s.obs != nil {
+			s.obs(now, TailDrop, p)
+		}
+		s.clearList()
+		return false
+	}
+	k := s.binFor(p.Flow)
+	b := &s.live[k]
+	if !b.admit(now, p, &s.wiring) {
+		panic("queue: sfqCoDel bin rejected a packet the shared buffer had room for")
+	}
+	deficit := s.quantum
+	if b.inList && b.deficit >= p.Size {
+		deficit = b.deficit
+		for s.head != k {
+			s.popHead()
+		}
+		s.popHead()
+	} else {
+		if b.inList {
+			deficit = b.deficit
+		}
+		for deficit < p.Size {
+			deficit += s.quantum
+		}
+		s.clearList()
+	}
+	b.deficit = deficit - p.Size
+	b.pass()
+	s.stats.Enqueued++
+	if s.obs != nil {
+		s.pkts, s.bytes = 1, p.Size
+		s.obs(now, Enqueued, p)
+		s.pkts, s.bytes = 0, 0
+	}
+	s.stats.Dequeued++
+	return true
+}
+
+// clearList takes every bin off the service list.
+func (s *SFQCoDel) clearList() {
+	for s.head >= 0 {
+		s.popHead()
+	}
+}
+
 // pushTail appends bin k to the service list.
 func (s *SFQCoDel) pushTail(k int32) {
 	s.live[k].inList = true

@@ -405,6 +405,8 @@ type side struct {
 	// Enqueue returns.
 	pool *packet.Pool
 	log  []string
+	// passes counts the arrivals a pass trace sent through Pass.
+	passes int
 }
 
 // pooled returns a side driving q with a pool of its own attached.
@@ -435,6 +437,16 @@ func (s *side) record() {
 	})
 }
 
+// recordDepth is record with the queue's depth as the observer reads
+// it during the call.
+func (s *side) recordDepth() {
+	s.q.Observe(func(now units.Time, ev Event, p *packet.Packet) {
+		kind := [...]string{TailDrop: "drop_tail", AQMDrop: "drop_aqm", CEMark: "mark", Enqueued: "enqueue"}[ev]
+		s.log = append(s.log, fmt.Sprintf("%s t=%d flow=%d seq=%d size=%d ce=%v len=%d bytes=%d",
+			kind, now, p.Flow, p.Seq, p.Size, p.CE, s.q.Len(), s.q.Bytes()))
+	})
+}
+
 // lockstepTrace describes a seeded random enqueue/dequeue trace.
 type lockstepTrace struct {
 	seed     uint64
@@ -446,6 +458,16 @@ type lockstepTrace struct {
 	// each, when non-nil, runs before every step (tests toggle modes
 	// mid-trace and count the situations they exist to provoke).
 	each func(step int)
+	// pass models the link the queues feed: a dequeue step is the end
+	// of a transmission, and the link is busy while what it served is
+	// on the wire. An arrival that finds the link idle and the queues
+	// empty goes through Pass on side a and through Enqueue and then
+	// Dequeue on side b, and the link is then busy with it. So does one
+	// arrival in four that finds the queues empty and the link busy:
+	// Pass's contract holds on any empty queue, whatever Dequeue last
+	// left behind, and an idle link always follows a Dequeue that found
+	// nothing.
+	pass bool
 }
 
 // run drives both sides through the trace, giving each its own copy of
@@ -460,6 +482,7 @@ func (tr lockstepTrace) run(t *testing.T, a, b *side) {
 	r := rng.New(tr.seed).Split("lockstep")
 	now := units.Time(0)
 	arrive := 0.8
+	busy := false // the modelled link's, with tr.pass
 	for step := 0; step < tr.steps; step++ {
 		if tr.each != nil {
 			tr.each(step)
@@ -481,7 +504,25 @@ func (tr lockstepTrace) run(t *testing.T, a, b *side) {
 			pb := new(packet.Packet)
 			*pb = *pa
 			want := *pa
-			if oa, ob := a.q.Enqueue(now, pa), b.q.Enqueue(now, pb); oa != ob {
+			if tr.pass && a.q.Len() == 0 && (!busy || r.Intn(4) == 0) {
+				what = "pass"
+				gets, free := a.pool.Gets, a.pool.Free()
+				oa := a.q.(Discipline).Pass(now, pa)
+				a.passes++
+				if a.pool.Gets != gets || a.pool.Free() != free {
+					t.Fatalf("step %d: Pass touched the pool", step)
+				}
+				ob := b.q.Enqueue(now, pb)
+				if ob {
+					b.recycled(t, step, pb)
+				}
+				served := b.q.Dequeue(now)
+				if oa != ob || oa != (served != nil) || oa && *pa != *served {
+					t.Fatalf("step %d: Pass of %+v accepted %v as %+v; Enqueue accepted %v, Dequeue served %+v",
+						step, want, oa, pa, ob, served)
+				}
+				busy = oa
+			} else if oa, ob := a.q.Enqueue(now, pa), b.q.Enqueue(now, pb); oa != ob {
 				t.Fatalf("step %d: enqueue of %+v accepted %v vs %v", step, want, oa, ob)
 			} else if oa {
 				a.recycled(t, step, pa)
@@ -492,6 +533,7 @@ func (tr lockstepTrace) run(t *testing.T, a, b *side) {
 			if (pa == nil) != (pb == nil) || pa != nil && *pa != *pb {
 				t.Fatalf("step %d: dequeued %+v vs %+v", step, pa, pb)
 			}
+			busy = pa != nil
 		}
 		if a.q.Len() != b.q.Len() || a.q.Bytes() != b.q.Bytes() {
 			t.Fatalf("step %d (%s): Len/Bytes %d/%d vs %d/%d", step, what, a.q.Len(), a.q.Bytes(), b.q.Len(), b.q.Bytes())

@@ -143,19 +143,22 @@ func evalSlots(w slotWork, cache *shardnet.Cache) *shard.Result {
 
 	parallelFor(len(miss), w.workers, func() func(int) {
 		// Each worker runs its slots on one scratch: its sender list
-		// and controllers, and — score-only slots discard their usage
-		// after marking their fired set — one usage buffer (evalOne
-		// resets it).
+		// and controllers, and — score-only slots need no memory sums,
+		// only the firing counts their fired set is marked from — one
+		// counts buffer (evalOne resets it).
 		var sc evalScratch
 		return func(j int) {
 			i := miss[j]
 			ti, k := w.slot(w.lo + i)
-			u := &sc.usage
+			var u *remycc.UsageStats
 			if ti == w.usageFor {
 				u = &remycc.UsageStats{}
 				usages[i] = u
 			}
 			res.Scores[i] = w.cfg.evalOne(w.trees[ti-w.treeLo], w.draws[k], u, &sc)
+			if u == nil {
+				u = &sc.usage
+			}
 			markFired(res.Fired[i*words:], u.Count)
 		}
 	})

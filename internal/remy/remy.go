@@ -292,12 +292,18 @@ func (c *Config) spec(d draw, senders []scenario.Sender) scenario.Spec {
 }
 
 // evalOne runs the candidate tree on one scenario draw, accumulating
-// whisker usage into the caller-provided buffer (reset here), and
-// returns the draw's objective. The run's sender list and its Tao
-// controllers are sc's, reinitialized for the run, so on a scratch that
-// has run a draw as large the only allocation is the run's results.
+// whisker usage into the caller-provided buffer (reset here) — or, with
+// usage nil, only whisker firing counts into sc.usage — and returns the
+// draw's objective. The run's sender list and its Tao controllers are
+// sc's, reinitialized for the run, so on a scratch that has run a draw
+// as large the only allocation is the run's results.
 func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats, sc *evalScratch) float64 {
-	usage.Reset(tree.Len())
+	if usage != nil {
+		usage.Reset(tree.Len())
+	} else {
+		usage = &sc.usage
+		usage.ResetCounts(tree.Len())
+	}
 	senders := sc.senders[:0]
 	for i := 0; i < d.nTrainee; i++ {
 		alg := sc.tao(i)
@@ -336,7 +342,7 @@ func (c *Config) evalOne(tree *remycc.Tree, d draw, usage *remycc.UsageStats, sc
 }
 
 // evalScratch is what one evaluating goroutine keeps from run to run:
-// the usage accumulator of score-only slots, a run's sender list and
+// the firing counts of score-only slots, a run's sender list and
 // the Tao controllers (trainees, then partners), reinitialized per run.
 type evalScratch struct {
 	usage   remycc.UsageStats

@@ -569,12 +569,3 @@ func WriteResult(w io.Writer, res *Result) error {
 	}
 	return writeFrame(w, frame)
 }
-
-// ReadResult reads one result frame.
-func ReadResult(r io.Reader) (*Result, error) {
-	payload, err := ReadPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResult(payload)
-}

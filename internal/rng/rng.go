@@ -79,9 +79,11 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform draw in [0, 1).
+// Float64 returns a uniform draw in [0, 1). The quotient is rounded
+// explicitly (exact either way), so that no caller's arithmetic fuses
+// with it into one multiply-add.
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform draw in [0, n). It panics if n <= 0.
@@ -103,7 +105,7 @@ func (s *Stream) IntRange(lo, hi int) int {
 
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64())
 }
 
 // LogUniform returns a draw whose logarithm is uniform over

@@ -60,7 +60,7 @@ func FuzzTopologyJSON(f *testing.F) {
 		ParkingLotN(3, false),
 		{Kind: KindParkingLot, Hops: 2, LongFlows: 2, CrossTraffic: true},
 		GraphTopology(topo.DumbbellGraph(8*units.Mbps, 40*units.Millisecond, 2)),
-		GraphTopology(topo.DuplexDumbbellGraph(8*units.Mbps, 4*units.Mbps, 40*units.Millisecond, 1, 1)),
+		GraphTopology(duplexDumbbellGraph(8*units.Mbps, 4*units.Mbps, 40*units.Millisecond, 1, 1)),
 		GraphTopology(&ft.G),
 		FatTreeTopology(4, topo.Adaptive),
 		FatTreeIncast(4, 5, topo.ECMP),

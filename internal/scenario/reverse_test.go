@@ -3,7 +3,7 @@ package scenario
 // Reverse-path scenarios: the graph engine has always supported
 // asymmetric reverse (ACK) delays via topo.Route.Reverse, but no
 // scenario family exercised them. These tests run a two-direction
-// dumbbell (topo.DuplexDumbbellGraph) with the reverse direction
+// dumbbell (duplexDumbbellGraph) with the reverse direction
 // loaded by real data traffic, pinning the engine's reverse-path
 // semantics: Reverse sets each flow's ACK delay and minimum RTT
 // exactly, ACKs themselves never queue (the paper's uncongested-ACK
@@ -25,7 +25,7 @@ import (
 // duplexSpec is a forward flow sharing the fabric with nRev
 // always-on reverse-direction flows loading the reverse link.
 func duplexSpec(seed uint64, revRate units.Rate, nRev int) Spec {
-	g := topo.DuplexDumbbellGraph(16*units.Mbps, revRate, 100*units.Millisecond, 1, nRev)
+	g := duplexDumbbellGraph(16*units.Mbps, revRate, 100*units.Millisecond, 1, nRev)
 	senders := []Sender{{Alg: cubic.New(), Delta: 1, Workload: workload.AlwaysOn{}}}
 	for i := 0; i < nRev; i++ {
 		senders = append(senders, Sender{Alg: cubic.New(), Delta: 1, Workload: workload.AlwaysOn{}})
@@ -128,4 +128,29 @@ func TestReversePathDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("duplex dumbbell replay diverged")
 	}
+}
+
+// duplexDumbbellGraph describes a two-direction dumbbell: edge 0
+// carries nFwd "forward" flows at fwdRate, edge 1 carries nRev
+// "reverse" flows at revRate, each edge with one-way propagation
+// minRTT/2. Every flow's ACKs nominally ride the opposite direction,
+// expressed through Route.Reverse (= minRTT minus the flow's forward
+// propagation, so minimum RTTs are exactly minRTT even for odd
+// nanosecond values). The engine's reverse paths are delay-only —
+// ACKs never queue (the paper's assumption) — so this is the shape
+// for studying a *data-loaded* reverse direction: reverse-flow data
+// congests edge 1 while forward-flow ACK clocking stays clean.
+func duplexDumbbellGraph(fwdRate, revRate units.Rate, minRTT units.Duration, nFwd, nRev int) *topo.Graph {
+	prop := minRTT / 2
+	g := &topo.Graph{Edges: []topo.Edge{
+		{Rate: fwdRate, Prop: prop},
+		{Rate: revRate, Prop: prop},
+	}}
+	for i := 0; i < nFwd; i++ {
+		g.Routes = append(g.Routes, topo.Route{Links: []int{0}, Reverse: minRTT - prop})
+	}
+	for i := 0; i < nRev; i++ {
+		g.Routes = append(g.Routes, topo.Route{Links: []int{1}, Reverse: minRTT - prop})
+	}
+	return g
 }

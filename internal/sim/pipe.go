@@ -4,26 +4,27 @@ import "learnability/internal/units"
 
 // Pipe is a FIFO stage whose values fire in the order they were pushed —
 // a schedule known in advance, or, as the body of a Lane, everything one
-// constant delay ahead of the clock. It occupies at most one scheduler
-// entry however many values are in flight, and fires each value exactly
-// when, and in exactly the order, an At per value would have: Push
-// stamps the value with its firing time and the insertion number an At
-// at that moment would have drawn, only the oldest value's event sits in
-// the heap, and when it fires the next value is entered under its own
-// stamp before the handler runs. That entry always happens while its
+// constant delay ahead of the clock. It owns one scheduler entry for its
+// whole life, queued exactly while values are in flight, and fires each
+// value exactly when, and in exactly the order, an At per value would
+// have: Push stamps the value with its firing time and the insertion
+// number an At at that moment would have drawn, only the oldest value's
+// stamp keys the entry, and when it fires the entry is keyed at the next
+// value's stamp before the handler runs. That happens while its
 // predecessor — a strictly smaller key — is the running event, so
-// nothing can fire in between.
+// nothing can fire in between, and the entry fills the root its own
+// firing left vacant. Len, HighWater and Processed count a pipe's entry
+// as they count an At's.
 //
 // Values wait in a power-of-two ring that grows to the largest number
 // in flight and is then reused, so a busy pipe allocates nothing.
 type Pipe[T any] struct {
-	s     *Scheduler
-	fn    func(T)
-	fire  func() // p.fireHead, bound once
-	armed Timer  // the head's heap entry; pending exactly when n > 0
-	buf   []pipeEntry[T]
-	head  int // index of the oldest value
-	n     int // values held
+	s    *Scheduler
+	fn   func(T)
+	slot int32 // the pipe's owned entry; queued exactly when n > 0
+	buf  []pipeEntry[T]
+	head int // index of the oldest value
+	n    int // values held
 }
 
 // pipeEntry is one value in flight with the key of its event.
@@ -44,10 +45,11 @@ func NewPipe[T any](s *Scheduler, fn func(T)) *Pipe[T] {
 	return p
 }
 
-// init binds a zero pipe to its scheduler and handler.
+// init binds a zero pipe to its scheduler and handler, and takes its
+// entry.
 func (p *Pipe[T]) init(s *Scheduler, fn func(T)) {
 	p.s, p.fn = s, fn
-	p.fire = p.fireHead
+	p.slot = s.own(p.fireHead)
 }
 
 // Len reports the number of values in flight.
@@ -73,10 +75,10 @@ func (p *Pipe[T]) Push(at units.Time, v T) {
 	}
 }
 
-// arm enters the head's event into the heap under the head's stamp.
+// arm keys the pipe's entry at the head's stamp.
 func (p *Pipe[T]) arm() {
 	h := &p.buf[p.head]
-	p.armed = p.s.schedule(h.at, h.seq, p.fire)
+	p.s.put(p.slot, h.at, h.seq)
 }
 
 // pop removes the head from the ring.
@@ -120,11 +122,11 @@ type Sink[T any] interface {
 }
 
 // Drain empties the pipe without firing anything: the values in flight
-// go to into, oldest first (nil discards them), and the armed entry is
-// cancelled. After Scheduler.Reset that entry is already gone and the
-// cancel is a no-op on a stale handle. Storage is kept.
+// go to into, oldest first (nil discards them), and the pipe's entry
+// leaves the queue. After Scheduler.Reset it has left already. Storage
+// is kept.
 func (p *Pipe[T]) Drain(into Sink[T]) {
-	p.armed.Stop()
+	p.s.take(p.slot)
 	for p.n > 0 {
 		if v := p.pop(); into != nil {
 			into.Put(v)

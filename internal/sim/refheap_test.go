@@ -811,11 +811,11 @@ type sinkInts []int
 func (k *sinkInts) Put(v int) { *k = append(*k, v) }
 
 // TestResetWithBusyPipes pins the recycling contract: Scheduler.Reset
-// takes a busy pipe's armed entry with everything else (stale Timers
+// unqueues a busy pipe's entry with everything else (stale Timers
 // report not-pending, HighWater restarts), Drain then hands back what
 // the pipe held without scheduling or cancelling anything that belongs
 // to the new run, and the reused pipe fires only what is pushed after.
-// Without a Reset, Drain cancels the armed entry itself.
+// Without a Reset, Drain takes the pipe's entry out itself.
 func TestResetWithBusyPipes(t *testing.T) {
 	s := New()
 	var got []int
@@ -834,8 +834,8 @@ func TestResetWithBusyPipes(t *testing.T) {
 	if tm.Pending() || tm.Stop() || s.Len() != 0 || s.HighWater() != 0 {
 		t.Fatalf("after Reset: pending=%v Len=%d HighWater=%d", tm.Pending(), s.Len(), s.HighWater())
 	}
-	// The new run's first event lands in the slot the pipe's armed
-	// entry used to own; draining must not cancel it.
+	// The new run's first event lands in a slot the old run released;
+	// draining the pipes must not cancel it.
 	fresh := s.After(units.Millisecond, func() { got = append(got, -1) })
 	var held sinkInts
 	p.Drain(&held)
@@ -853,7 +853,7 @@ func TestResetWithBusyPipes(t *testing.T) {
 		t.Fatalf("recycled pipe fired %v, want [-1 7 8]", got)
 	}
 
-	// Mid-run, no Reset: Drain removes the armed entry.
+	// Mid-run, no Reset: Drain removes the pipe's entry.
 	p.Push(s.Now().Add(units.Millisecond), 9)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d with one busy pipe", s.Len())

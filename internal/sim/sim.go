@@ -2,15 +2,17 @@
 // holding a time-ordered queue of pending events, with deterministic
 // tie-breaking by insertion order.
 //
-// Components schedule callbacks with At or After, or push values onto a
-// Lane, the constant-delay FIFO stage that every component with that
-// delay shares and that holds one queue entry however many values are in
-// flight (a Pipe is the same thing for one owner's values, each with its
-// own time). Run drains the queue in time order until it is empty, a
-// deadline is reached, or the simulation is stopped. All simulation
-// state is owned by a single goroutine; the scheduler is deliberately
-// not safe for concurrent use (parallelism in this repository happens
-// across independent simulations, never inside one).
+// Components schedule one-shot callbacks with At or After, push values
+// onto a Lane, the constant-delay FIFO stage that every component with
+// that delay shares and that holds one queue entry however many values
+// are in flight (a Pipe is the same thing for one owner's values, each
+// with its own time), or keep a few recurring deadlines in a Deadlines,
+// which holds one queue entry for all of them. Run drains the queue in
+// time order until it is empty, a deadline is reached, or the
+// simulation is stopped. All simulation state is owned by a single
+// goroutine; the scheduler is deliberately not safe for concurrent use
+// (parallelism in this repository happens across independent
+// simulations, never inside one).
 //
 // The scheduler is built for the per-packet hot path. The queue is a
 // hand-rolled 4-ary min-heap whose entries carry their own (time,
@@ -24,16 +26,29 @@
 // once the arena has grown to the simulation's working set, which lanes
 // keep at O(distinct delays + timers), not O(components) or O(packets).
 //
-// An event fires in place. Its slot is released before its handler runs
-// (the handler's own handle already reports not-pending) but its heap
-// position, the root, is only marked vacant; the first event the handler
-// schedules — a lane's next head, a timer re-arming itself — is written
-// there and sifted down once, instead of the last entry being moved up
-// and sifted down and the new one appended and sifted up. Only a handler
-// that schedules nothing pays for the removal. The vacant root is not an
-// entry: Len, read inside a handler, counts the events pending besides
-// the running one, exactly as if it had been removed first, and every
-// entry's order depends on its key alone.
+// A source that fires again and again — a Pipe, and so every Lane, and
+// a Deadlines — owns its slot for its whole life instead. An owned slot
+// is never released: firing leaves it unqueued, Reset unqueues it, and
+// its owner enters it again, or moves it up or down in place when its
+// key changes, with no release and re-acquire and no removal and
+// re-insertion. Every key it carries was drawn when the value or
+// deadline it stands for was armed, exactly as an At at that moment
+// would have drawn it, so the order in which events fire does not
+// depend on which of them share an entry: about a fifth of a training
+// run's events fire at the same instant as the event before them, and
+// their order is the order of those insertion numbers.
+//
+// An event fires in place. A one-shot event's slot is released before
+// its handler runs (the handler's own handle already reports
+// not-pending) but its heap position, the root, is only marked vacant;
+// the first event the handler schedules — a lane's next head, a timer
+// re-arming itself — is written there and sifted down once, instead of
+// the last entry being moved up and sifted down and the new one
+// appended and sifted up. Only a handler that schedules nothing pays for
+// the removal. The vacant root is not an entry: Len, read inside a
+// handler, counts the events pending besides the running one, exactly as
+// if it had been removed first, and every entry's order depends on its
+// key alone.
 package sim
 
 import (
@@ -70,11 +85,12 @@ func lt(e, o *entry) int {
 
 // slot is one event in the scheduler's arena. Slots are recycled: gen
 // increments every time a slot is released, invalidating stale Timer
-// handles.
+// handles. An owned slot (see own) is never released.
 type slot struct {
 	fn      func()
 	gen     uint64
 	heapIdx int32 // index into Scheduler.heap, -1 when not scheduled
+	owned   bool
 }
 
 // Timer is a handle to a scheduled event that can be cancelled and
@@ -157,57 +173,106 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 func (s *Scheduler) HighWater() int { return s.highWater }
 
 // At schedules fn to run at time t. Events at equal times fire in the
-// order their delays began: the order of the At, After, Pipe.Push and
-// Lane.Push calls that created them. Scheduling in the past (before Now)
-// panics: it always indicates a logic error in a component.
+// order their delays began: the order of the At, After, Pipe.Push,
+// Lane.Push and Deadlines.Arm calls that created them. Scheduling in the
+// past (before Now) panics: it always indicates a logic error in a
+// component.
 func (s *Scheduler) At(t units.Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	return s.schedule(t, s.reserve(), fn)
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	si := s.acquire(fn)
+	s.insert(entry{at: t, seq: s.reserve(), slot: si})
+	return Timer{s: s, slot: si, gen: s.slots[si].gen}
 }
 
-// reserve draws the next insertion number.
+// reserve draws the next insertion number. A Pipe draws one at Push and
+// a Deadlines at Arm, and key their entry with it whenever that value or
+// deadline is the earliest they hold, so the entry carries the key an
+// At of its own would have; the heap's total order on (at, seq) does
+// not depend on when an entry was inserted or moved.
 func (s *Scheduler) reserve() uint64 {
 	seq := s.seq
 	s.seq++
 	return seq
 }
 
-// schedule enters an event into the heap under an insertion number
-// drawn earlier with reserve. A Pipe reserves at Push and schedules
-// when the value reaches the head of its ring, so the event carries the
-// key a per-value At would have given it; the heap's total order on
-// (at, seq) does not depend on when an entry was inserted.
-func (s *Scheduler) schedule(t units.Time, seq uint64, fn func()) Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
+// acquire takes a slot for fn from the free list, or grows the arena.
+func (s *Scheduler) acquire(fn func()) int32 {
 	var si int32
 	if n := len(s.free); n > 0 {
 		si = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		s.slots = append(s.slots, slot{})
+		s.slots = append(s.slots, slot{heapIdx: -1})
 		si = int32(len(s.slots) - 1)
 	}
-	sl := &s.slots[si]
-	sl.fn = fn
-	e := entry{at: t, seq: seq, slot: si}
+	s.slots[si].fn = fn
+	return si
+}
+
+// insert enters an unqueued slot's entry into the heap: into the vacant
+// root if a handler is running and has not scheduled yet, else at the
+// end.
+func (s *Scheduler) insert(e entry) {
 	if s.vacant {
 		// Len is back to what it was before the running event fired, so
 		// the high-water mark cannot move.
 		s.vacant = false
 		s.heap[0] = e
 		s.siftDown(0)
-	} else {
-		s.heap = append(s.heap, e)
-		if len(s.heap) > s.highWater {
-			s.highWater = len(s.heap)
-		}
-		s.siftUp(len(s.heap) - 1)
+		return
 	}
-	return Timer{s: s, slot: si, gen: sl.gen}
+	s.heap = append(s.heap, e)
+	if len(s.heap) > s.highWater {
+		s.highWater = len(s.heap)
+	}
+	s.siftUp(len(s.heap) - 1)
+}
+
+// own takes a slot for a recurring source whose callback is fn. The
+// slot is never released: put enters it into the heap or moves it in
+// place, take removes it, and firing or Reset leaves it unqueued for
+// its owner to put again. It is always a new slot, never one from the
+// free list, so the one-shot events' share of the arena is their own
+// peak and a recycled world's next run finds it as large as it needs.
+func (s *Scheduler) own(fn func()) int32 {
+	s.slots = append(s.slots, slot{fn: fn, heapIdx: -1, owned: true})
+	return int32(len(s.slots) - 1)
+}
+
+// put keys owned slot si at (t, seq), an insertion number drawn with
+// reserve: it enters the heap if it is not queued, and otherwise its
+// entry moves up or down in place.
+func (s *Scheduler) put(si int32, t units.Time, seq uint64) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	e := entry{at: t, seq: seq, slot: si}
+	i := int(s.slots[si].heapIdx)
+	if i < 0 {
+		s.insert(e)
+		return
+	}
+	up := e.before(s.heap[i])
+	s.heap[i] = e
+	if up {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
+	}
+}
+
+// take removes owned slot si's entry from the heap, if it is queued.
+func (s *Scheduler) take(si int32) {
+	sl := &s.slots[si]
+	if sl.heapIdx >= 0 {
+		s.removeAt(int(sl.heapIdx))
+		sl.heapIdx = -1
+	}
 }
 
 // After schedules fn to run d after the current time.
@@ -224,20 +289,26 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Reset returns the scheduler to its initial state — time zero, no
 // pending events, insertion order restarted — while keeping the slot
 // arena and free list, so a recycled simulation schedules into warm
-// storage instead of re-growing it. Every pending event's slot is
-// released with a generation bump, so outstanding Timer handles report
-// not-pending rather than touching a recycled slot. A Pipe's armed
-// entry goes with the rest; its owner empties the pipe with Drain, and a
-// lane set with Lanes.Reset. Processed keeps counting across resets (it
+// storage instead of re-growing it. Every pending one-shot event's slot
+// is released with a generation bump, so outstanding Timer handles
+// report not-pending rather than touching a recycled slot. The entry of
+// a Pipe or a Deadlines is unqueued and stays its owner's: the pipe is
+// emptied with Drain (a lane set with Lanes.Reset) and the deadlines
+// disarmed with Deadlines.Reset, neither of which touches anything the
+// next run has scheduled. Processed keeps counting across resets (it
 // observes the scheduler's lifetime).
 func (s *Scheduler) Reset() {
 	pending := s.heap
-	if s.vacant { // the running event's slot is released already
+	if s.vacant { // the running event's slot is released or unqueued already
 		pending = pending[1:]
 		s.vacant = false
 	}
 	for _, e := range pending {
-		s.release(e.slot)
+		if sl := &s.slots[e.slot]; sl.owned {
+			sl.heapIdx = -1
+		} else {
+			s.release(e.slot)
+		}
 	}
 	s.heap = s.heap[:0]
 	s.now = 0
@@ -258,15 +329,21 @@ func (s *Scheduler) Len() int {
 	return len(s.heap)
 }
 
-// fire runs the earliest event in place. Its slot is released first, so
-// the handler sees its own handle as not-pending, and the root is left
-// vacant for the handler's first schedule to fill; if the handler
-// scheduled nothing the root is removed afterwards. The caller must know
-// the heap is non-empty.
+// fire runs the earliest event in place. A one-shot event's slot is
+// released first, so the handler sees its own handle as not-pending; an
+// owned slot is only unqueued. The root is left vacant for the
+// handler's first schedule to fill; if the handler scheduled nothing the
+// root is removed afterwards. The caller must know the heap is
+// non-empty.
 func (s *Scheduler) fire() {
 	e := s.heap[0]
-	fn := s.slots[e.slot].fn
-	s.release(e.slot)
+	sl := &s.slots[e.slot]
+	fn := sl.fn
+	if sl.owned {
+		sl.heapIdx = -1
+	} else {
+		s.release(e.slot)
+	}
 	s.vacant = true
 	s.now = e.at
 	s.processed++

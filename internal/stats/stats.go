@@ -24,7 +24,7 @@ const (
 func Objective(tpt units.Rate, delay units.Duration, delta float64) float64 {
 	t := math.Max(float64(tpt), minThroughputBps)
 	d := math.Max(delay.Seconds(), minDelaySec)
-	return math.Log(t) - delta*math.Log(d)
+	return math.Log(t) - float64(delta*math.Log(d))
 }
 
 // NormalizedObjective is the form plotted in Figures 2–4:
@@ -37,7 +37,7 @@ func NormalizedObjective(tpt, fairShare units.Rate, delay, minRTT units.Duration
 	}
 	t := math.Max(float64(tpt), minThroughputBps) / float64(fairShare)
 	d := math.Max(delay.Seconds(), minDelaySec) / minRTT.Seconds()
-	return math.Log(t) - delta*math.Log(d)
+	return math.Log(t) - float64(delta*math.Log(d))
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -76,7 +76,7 @@ func StdDev(xs []float64) float64 {
 	m := Mean(xs)
 	s := 0.0
 	for _, x := range xs {
-		s += (x - m) * (x - m)
+		s += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }

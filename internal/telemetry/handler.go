@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 )
 
@@ -131,13 +130,4 @@ func Serve(addr string, r *Registry) (string, func(), error) {
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	return ln.Addr().String(), func() { srv.Close() }, nil
-}
-
-// SortedNames reports the registered metric names in order; it exists
-// for tests and tools that want to assert on coverage.
-func SortedNames(r *Registry) []string {
-	var names []string
-	r.Visit(func(name string, _ any) { names = append(names, name) })
-	sort.Strings(names)
-	return names
 }

@@ -113,10 +113,6 @@ func FatTree(k int, rate units.Rate, d FatTreeDelays) (*FatTreeNet, error) {
 // Hosts reports the number of hosts (k³/4).
 func (t *FatTreeNet) Hosts() int { return len(t.hostUp) }
 
-// HostUplink reports the edge index of host h's uplink (host → edge
-// switch) — the first hop of every path of every flow sourced at h.
-func (t *FatTreeNet) HostUplink(h int) int { return t.hostUp[h] }
-
 // HostDownlink reports the edge index of host h's downlink (edge
 // switch → host) — the last hop of every path of every flow destined
 // to h.

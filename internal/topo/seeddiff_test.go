@@ -120,7 +120,7 @@ func TestGraphDumbbellBitIdenticalToSeedBuilder(t *testing.T) {
 		{"2flow-droptail", 2, 32 * units.Mbps, 100 * units.Millisecond,
 			func() queue.Discipline { return queue.NewDropTail(80 * 1500) }},
 		{"4flow-infinite", 4, 12 * units.Mbps, 80 * units.Millisecond,
-			func() queue.Discipline { return queue.NewInfinite() }},
+			func() queue.Discipline { return queue.NewDropTail(queue.Unbounded) }},
 		{"2flow-sfqcodel", 2, 20 * units.Mbps, 120 * units.Millisecond,
 			func() queue.Discipline { return queue.NewSFQCoDel(queue.SFQCoDelBins, 60*1500) }},
 		// An odd-nanosecond RTT exercises the forward/reverse rounding
@@ -151,7 +151,7 @@ func TestGraphParkingLotBitIdenticalToSeedBuilder(t *testing.T) {
 		{"unequal-links", 10 * units.Mbps, 40 * units.Mbps, 75 * units.Millisecond,
 			func() queue.Discipline { return queue.NewDropTail(50 * 1500) }},
 		{"infinite", 8 * units.Mbps, 16 * units.Mbps, 40 * units.Millisecond,
-			func() queue.Discipline { return queue.NewInfinite() }},
+			func() queue.Discipline { return queue.NewDropTail(queue.Unbounded) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := seedParkingLot(tc.r1, tc.r2, tc.hopProp, tc.mkQ(), tc.mkQ(), diffFlows(3, 23)).Run(12 * units.Second)

@@ -65,32 +65,6 @@ func (g *Graph) setRoutes(n int) {
 	}
 }
 
-// DuplexDumbbellGraph describes a two-direction dumbbell: edge 0
-// carries nFwd "forward" flows at fwdRate, edge 1 carries nRev
-// "reverse" flows at revRate, each edge with one-way propagation
-// minRTT/2. Every flow's ACKs nominally ride the opposite direction,
-// expressed through Route.Reverse (= minRTT minus the flow's forward
-// propagation, so minimum RTTs are exactly minRTT even for odd
-// nanosecond values). The engine's reverse paths are delay-only —
-// ACKs never queue (the paper's assumption) — so this is the shape
-// for studying a *data-loaded* reverse direction: reverse-flow data
-// congests edge 1 while forward-flow ACK clocking stays clean.
-// scenario's reverse-path tests exercise it.
-func DuplexDumbbellGraph(fwdRate, revRate units.Rate, minRTT units.Duration, nFwd, nRev int) *Graph {
-	prop := minRTT / 2
-	g := &Graph{Edges: []Edge{
-		{Rate: fwdRate, Prop: prop},
-		{Rate: revRate, Prop: prop},
-	}}
-	for i := 0; i < nFwd; i++ {
-		g.Routes = append(g.Routes, Route{Links: []int{0}, Reverse: minRTT - prop})
-	}
-	for i := 0; i < nRev; i++ {
-		g.Routes = append(g.Routes, Route{Links: []int{1}, Reverse: minRTT - prop})
-	}
-	return g
-}
-
 // ParkingLotGraph describes an N-hop parking lot: len(rates) links in
 // series, each with one-way propagation hopProp; nLong flows cross
 // every hop, and, when cross is set, one additional single-hop flow

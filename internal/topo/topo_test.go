@@ -41,7 +41,7 @@ func mustBuild(t *testing.T) func(*netsim.Network, error) *netsim.Network {
 }
 
 func TestDumbbellMinRTT(t *testing.T) {
-	nw := mustBuild(t)(Dumbbell(100*units.Mbps, 150*units.Millisecond, queue.NewInfinite(), specs(1, 1)))
+	nw := mustBuild(t)(Dumbbell(100*units.Mbps, 150*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(1, 1)))
 	sts := nw.Run(5 * units.Second)
 	// Window 1: delay is one-way propagation (75 ms) plus negligible
 	// serialization.
@@ -58,7 +58,7 @@ func TestDumbbellSharesBottleneck(t *testing.T) {
 	// without the giant synchronized bursts that would trick the RTO
 	// (four flows dumping 400 packets at t=0 serializes the FIFO into
 	// per-flow blocks and starves each flow of ACKs for seconds).
-	nw := mustBuild(t)(Dumbbell(10*units.Mbps, 100*units.Millisecond, queue.NewInfinite(), specs(4, 100)))
+	nw := mustBuild(t)(Dumbbell(10*units.Mbps, 100*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(4, 100)))
 	sts := nw.Run(20 * units.Second)
 	total := 0.0
 	for _, st := range sts {
@@ -72,14 +72,16 @@ func TestDumbbellSharesBottleneck(t *testing.T) {
 func TestDumbbellValidation(t *testing.T) {
 	for name, fn := range map[string]func() (*netsim.Network, error){
 		"no flows": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewInfinite(), nil)
+			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), nil)
 		},
-		"zero minRTT": func() (*netsim.Network, error) { return Dumbbell(units.Mbps, 0, queue.NewInfinite(), specs(1, 1)) },
+		"zero minRTT": func() (*netsim.Network, error) {
+			return Dumbbell(units.Mbps, 0, queue.NewDropTail(queue.Unbounded), specs(1, 1))
+		},
 		"nil alg": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewInfinite(), []FlowSpec{{Workload: workload.AlwaysOn{}}})
+			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Workload: workload.AlwaysOn{}}})
 		},
 		"nil workload": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewInfinite(), []FlowSpec{{Alg: &fixedCC{w: 1}}})
+			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Alg: &fixedCC{w: 1}}})
 		},
 	} {
 		if _, err := fn(); err == nil {
@@ -89,7 +91,7 @@ func TestDumbbellValidation(t *testing.T) {
 }
 
 func TestParkingLotRoutes(t *testing.T) {
-	q1, q2 := queue.NewInfinite(), queue.NewInfinite()
+	q1, q2 := queue.NewDropTail(queue.Unbounded), queue.NewDropTail(queue.Unbounded)
 	nw := mustBuild(t)(ParkingLot(10*units.Mbps, 10*units.Mbps, 75*units.Millisecond, q1, q2, specs(3, 2)))
 	sts := nw.Run(10 * units.Second)
 	// Flow 0 crosses both hops: one-way prop 150 ms; flows 1 and 2 one
@@ -134,7 +136,7 @@ func TestParkingLotBottleneckContention(t *testing.T) {
 }
 
 func TestParkingLotValidation(t *testing.T) {
-	q := queue.NewInfinite()
+	q := queue.NewDropTail(queue.Unbounded)
 	for name, fn := range map[string]func() (*netsim.Network, error){
 		"two flows": func() (*netsim.Network, error) {
 			return ParkingLot(units.Mbps, units.Mbps, 75*units.Millisecond, q, q, specs(2, 1))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"learnability/internal/rng"
@@ -95,4 +97,38 @@ func FuzzTreeJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRejectsSubGridHole decodes FuzzTreeBinary's committed
+// sub-grid-hole seed: two whiskers split along the first signal, the
+// upper one starting at 0.21 where the lower one ends at 0.2, so the
+// slab between them, strictly between two points of an 8-point grid,
+// lies in no whisker. A sampling partition check accepts the tree; the
+// decoder must reject it and name a point of the slab.
+func TestDecodeRejectsSubGridHole(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzTreeBinary/subgrid-hole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+		t.Fatalf("unexpected corpus file:\n%s", raw)
+	}
+	lit, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, upper := FullDomain(), FullDomain()
+	lower.Hi[0], upper.Lo[0] = 0.2, 0.21
+	holed := &Tree{Whiskers: []Whisker{{Domain: lower, Action: DefaultAction()}, {Domain: upper, Action: DefaultAction()}}}
+	if want, _ := holed.MarshalBinary(); !bytes.Equal([]byte(lit), want) {
+		t.Fatal("the committed seed is not the holed tree's encoding")
+	}
+	if gridWalkValidate(holed, coarseGrid()) != nil {
+		t.Fatal("the coarse grid walk sees the hole; the seed does not test what it is for")
+	}
+	_, err = DecodeTree([]byte(lit))
+	if want := "remycc: point [0.2 0 0 1 0] contained in 0 whiskers"; errString(err) != want {
+		t.Fatalf("DecodeTree = %v, want %s", err, want)
+	}
 }

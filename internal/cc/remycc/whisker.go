@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -303,99 +305,211 @@ func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 	return nt, true
 }
 
-// Validate's sample grid: gridSide points per dimension, both domain
-// edges included, gridPoints = gridSide^NumSignals in all.
-const (
-	gridShift  = 3
-	gridSide   = 1 << gridShift
-	gridPoints = 1 << (gridShift * NumSignals)
-)
-
-// gridCover counts, for every point of Validate's sample grid, the
-// whiskers containing it. A point's index holds its per-dimension grid
-// indices as gridShift-bit digits, the first dimension most
-// significant, so ascending index order is the order of a walk whose
-// outermost loop is the first dimension.
-type gridCover struct {
-	counts [gridPoints]uint8 // saturating at math.MaxUint8
-	// in[d][:n[d]] are the index offsets of the grid coordinates of
-	// dimension d that the box being added contains.
-	in [NumSignals][gridSide]int
-	n  [NumSignals]int
-}
-
-// gridStride is the index offset of one grid step in dimension d.
-func gridStride(d int) int { return 1 << (gridShift * (NumSignals - 1 - d)) }
-
-// add counts every point of the product in[d][:n[d]] × … × in[last],
-// offset by base.
-func (g *gridCover) add(d, base int) {
-	if d == NumSignals-1 {
-		for _, o := range g.in[d][:g.n[d]] {
-			if c := &g.counts[base+o]; *c < math.MaxUint8 {
-				*c++
-			}
-		}
-		return
-	}
-	for _, o := range g.in[d][:g.n[d]] {
-		g.add(d+1, base+o)
-	}
-}
-
-// Validate checks the partition invariant on a sample grid: every
-// memory point maps to exactly one whisker. It returns an error
-// describing the first violation found, scanning the grid with the
-// first dimension outermost.
+// Validate checks the partition invariant exactly: every point of the
+// memory space (the closed domain lookups clamp into) lies in exactly
+// one whisker under Box.containsAt's edge rule. It returns an error
+// naming a point that lies in none or in several, and how many.
 //
-// Containment is a conjunction of per-dimension tests, so each whisker
-// marks the grid coordinates it contains per dimension and counts the
-// points of their product: O(gridPoints + NumSignals·gridSide·whiskers)
-// for a partition, instead of testing every whisker at every point.
+// No sampling is involved. In each dimension, the tree's box edges that
+// fall in the domain, with the domain's own, cut it into cells: a
+// half-open interval from each edge to the next, and the top edge as a
+// point of its own. No box has an edge inside a cell, so every box
+// contains all of a cell or none of it, and the edges themselves are
+// one point of each cell. A box's cells in a dimension are a run (its
+// containment there is an interval), so whiskers are disjoint exactly
+// when no two have overlapping runs in every dimension, and disjoint
+// whiskers cover the domain exactly when the cells they contain, the
+// product of their run lengths summed over whiskers, are all of them,
+// the product of the cell counts. With W whiskers and D signals, each
+// dimension has at most 2W+2 cells, and the check takes O(D·W²) time
+// (runs, then every pair) and O(D·W) space, on the stack for trees of
+// up to validateStack whiskers; naming the point of a hole takes
+// O(D²·W²) more.
 func (t *Tree) Validate() error {
-	if len(t.Whiskers) == 0 {
+	n := len(t.Whiskers)
+	if n == 0 {
 		return fmt.Errorf("remycc: empty tree")
 	}
-	full := FullDomain()
-	const steps = gridSide - 1
-	var grid [NumSignals][gridSide]float64
-	for d := range grid {
-		for s := range grid[d] {
-			grid[d][s] = full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/steps
+	if n > maxValidate {
+		return fmt.Errorf("remycc: %d whiskers, more than the %d the partition check counts", n, maxValidate)
+	}
+	v, ok := t.misfit()
+	if !ok {
+		return nil
+	}
+	k := 0
+	for i := range t.Whiskers {
+		if t.Whiskers[i].Domain.contains(&v) {
+			k++
 		}
 	}
-	var g gridCover
+	return fmt.Errorf("remycc: point %v contained in %d whiskers", v, k)
+}
+
+// misfit returns a point of the domain that lies in more than one
+// whisker, or in none, and whether there is one: Validate's check, for a
+// tree of at least one and at most maxValidate whiskers.
+func (t *Tree) misfit() (v Vector, ok bool) {
+	var edgeBuf [NumSignals][2*validateStack + 2]float64
+	var runBuf [validateStack]cellRuns
+	var c cells
+	for d := range c.edges {
+		c.edges[d] = cellEdges(d, t.Whiskers, edgeBuf[d][:0])
+	}
+	runs := runBuf[:0]
 	for i := range t.Whiskers {
-		b := &t.Whiskers[i].Domain
-		for d := range grid {
-			g.n[d] = 0
-			for s, x := range grid[d] {
-				if b.containsAt(d, x) {
-					g.in[d][g.n[d]] = s * gridStride(d)
-					g.n[d]++
+		runs = append(runs, c.runs(&t.Whiskers[i].Domain))
+	}
+	if !c.disjoint(runs, &v) {
+		return v, true
+	}
+	if c.covers(runs, 0) {
+		return v, false
+	}
+	c.hole(runs, 0, &v)
+	return v, true
+}
+
+// validateStack is the largest tree whose partition check keeps its
+// storage on the stack; maxValidate bounds the trees it checks at all,
+// so that its cell counts cannot overflow (see u128).
+const (
+	validateStack = 64
+	maxValidate   = 1 << 24
+)
+
+// cells are the cells of Validate's exact check: edges[d] are the
+// sorted distinct box edges of dimension d within the domain, the
+// domain's own included, and cell i of dimension d is the half-open
+// interval from edges[d][i] to the next edge, or the top edge alone.
+type cells struct {
+	edges [NumSignals][]float64
+}
+
+// cellEdges returns dimension d's edges of the whiskers' cells, built
+// in buf.
+func cellEdges(d int, ws []Whisker, buf []float64) []float64 {
+	full := FullDomain()
+	lo, hi := full.Lo[d], full.Hi[d]
+	buf = append(buf, lo, hi)
+	for i := range ws {
+		for _, x := range [2]float64{ws[i].Domain.Lo[d], ws[i].Domain.Hi[d]} {
+			if x > lo && x < hi { // NaN is neither
+				buf = append(buf, x)
+			}
+		}
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// cellRuns are a box's cells: in dimension d, first[d] through last[d],
+// none if first[d] > last[d].
+type cellRuns struct {
+	first, last [NumSignals]int32
+}
+
+// runs returns the cells b contains.
+func (c *cells) runs(b *Box) cellRuns {
+	var r cellRuns
+	for d, es := range c.edges {
+		r.first[d], r.last[d] = 0, -1
+		for i, x := range es {
+			if b.containsAt(d, x) {
+				if r.last[d] < r.first[d] {
+					r.first[d] = int32(i)
+				}
+				r.last[d] = int32(i)
+			}
+		}
+	}
+	return r
+}
+
+// disjoint reports whether no two of runs share a cell. If two do, it
+// sets v to the edge point of the lowest cell they share.
+func (c *cells) disjoint(runs []cellRuns, v *Vector) bool {
+	for i := range runs {
+	pairs:
+		for j := i + 1; j < len(runs); j++ {
+			a, b := &runs[i], &runs[j]
+			for d := range c.edges {
+				if max(a.first[d], b.first[d]) > min(a.last[d], b.last[d]) {
+					continue pairs
 				}
 			}
+			for d, es := range c.edges {
+				v[d] = es[max(a.first[d], b.first[d])]
+			}
+			return false
 		}
-		g.add(0, 0)
 	}
-	for p, c := range g.counts {
-		if c == 1 {
-			continue
+	return true
+}
+
+// covers reports whether runs, which are disjoint, contain every cell of
+// dimensions d onward: whether the cells they contain there number as
+// many as there are.
+func (c *cells) covers(runs []cellRuns, d int) bool {
+	var sum u128
+	for i := range runs {
+		sum = sum.add(c.count(&runs[i], d))
+	}
+	all := u128{lo: 1}
+	for _, es := range c.edges[d:] {
+		all = all.mul(uint64(len(es)))
+	}
+	return sum == all
+}
+
+// count is how many cells of dimensions d onward r contains.
+func (c *cells) count(r *cellRuns, d int) u128 {
+	n := u128{lo: 1}
+	for e := d; e < NumSignals; e++ {
+		if r.first[e] > r.last[e] {
+			return u128{}
 		}
-		var v Vector
-		for d := range v {
-			v[d] = grid[d][p/gridStride(d)%gridSide]
-		}
-		// Recount exactly: the counter saturates.
-		n := 0
-		for i := range t.Whiskers {
-			if t.Whiskers[i].Domain.contains(&v) {
-				n++
+		n = n.mul(uint64(r.last[e] - r.first[e] + 1))
+	}
+	return n
+}
+
+// hole sets v's coordinates from dimension d on to the first cell (with
+// the first dimension outermost) that no run contains, given that runs,
+// which are disjoint and contain v's cells before d, miss one.
+func (c *cells) hole(runs []cellRuns, d int, v *Vector) {
+	if d == NumSignals {
+		return
+	}
+	var sub []cellRuns
+	for i, x := range c.edges[d] {
+		sub = sub[:0]
+		for _, r := range runs {
+			if r.first[d] <= int32(i) && int32(i) <= r.last[d] {
+				sub = append(sub, r)
 			}
 		}
-		return fmt.Errorf("remycc: point %v contained in %d whiskers", v, n)
+		if !c.covers(sub, d+1) {
+			v[d] = x
+			c.hole(sub, d+1, v)
+			return
+		}
 	}
-	return nil
+}
+
+// u128 is an unsigned 128-bit count. Every product Validate forms is of
+// at most NumSignals cell counts, each at most 2·maxValidate+2, so it
+// stays below 2^126 and never overflows.
+type u128 struct{ hi, lo uint64 }
+
+func (a u128) add(b u128) u128 {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	return u128{hi: a.hi + b.hi + carry, lo: lo}
+}
+
+func (a u128) mul(x uint64) u128 {
+	hi, lo := bits.Mul64(a.lo, x)
+	return u128{hi: a.hi*x + hi, lo: lo}
 }
 
 // MarshalJSON / UnmarshalJSON round-trip the tree for cmd/remytrain

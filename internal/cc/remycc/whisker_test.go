@@ -3,38 +3,35 @@ package remycc
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"learnability/internal/rng"
 )
 
-// gridWalkValidate is the partition check as first written, kept as
-// Validate's oracle: every whisker tested at every point of the sample
-// grid, walked with the first dimension outermost, stopping at the
-// first point not contained in exactly one whisker.
-func gridWalkValidate(t *Tree) error {
+// gridWalkValidate is the partition check as first written: every
+// whisker tested at every point of a grid, walked with the first
+// dimension outermost, stopping at the first point not contained in
+// exactly one whisker. On the grid of the tree's own edges (edgeGrid)
+// it is exact and Validate's oracle; on the coarse grid of coarseSide
+// points a dimension it is the sampling check Validate replaced.
+func gridWalkValidate(t *Tree, grid [NumSignals][]float64) error {
 	if len(t.Whiskers) == 0 {
 		return fmt.Errorf("remycc: empty tree")
 	}
 	full := FullDomain()
-	const steps = 7
 	var v Vector
 	var walk func(d int) error
 	walk = func(d int) error {
 		if d == NumSignals {
-			n := 0
-			for i := range t.Whiskers {
-				if walkContains(&t.Whiskers[i].Domain, &v, &full.Hi) {
-					n++
-				}
-			}
-			if n != 1 {
+			if n := walkCount(t, &v, &full.Hi); n != 1 {
 				return fmt.Errorf("remycc: point %v contained in %d whiskers", v, n)
 			}
 			return nil
 		}
-		for s := 0; s <= steps; s++ {
-			v[d] = full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/steps
+		for _, x := range grid[d] {
+			v[d] = x
 			if err := walk(d + 1); err != nil {
 				return err
 			}
@@ -42,6 +39,53 @@ func gridWalkValidate(t *Tree) error {
 		return nil
 	}
 	return walk(0)
+}
+
+// walkCount is how many of t's whiskers contain v.
+func walkCount(t *Tree, v *Vector, top *Vector) int {
+	n := 0
+	for i := range t.Whiskers {
+		if walkContains(&t.Whiskers[i].Domain, v, top) {
+			n++
+		}
+	}
+	return n
+}
+
+// coarseSide is the sampling check's points a dimension, both domain
+// edges included.
+const coarseSide = 8
+
+// coarseGrid is the sampling check's grid.
+func coarseGrid() (g [NumSignals][]float64) {
+	for d := range g {
+		for s := 0; s < coarseSide; s++ {
+			g[d] = append(g[d], gridCoord(d, s))
+		}
+	}
+	return g
+}
+
+// edgeGrid is the grid of t's own box edges: per dimension the domain's
+// edges and every whisker edge strictly inside the domain, sorted. Each
+// is the lowest point of a piece of the domain no whisker edge cuts
+// (the top edge a piece of its own), so a walk over it sees every
+// containment pattern the domain holds.
+func edgeGrid(t *Tree) (g [NumSignals][]float64) {
+	full := FullDomain()
+	for d := range g {
+		g[d] = []float64{full.Lo[d], full.Hi[d]}
+		for _, w := range t.Whiskers {
+			for _, x := range []float64{w.Domain.Lo[d], w.Domain.Hi[d]} {
+				if full.Lo[d] < x && x < full.Hi[d] {
+					g[d] = append(g[d], x)
+				}
+			}
+		}
+		sort.Float64s(g[d])
+		g[d] = slices.Compact(g[d])
+	}
+	return g
 }
 
 // walkContains is Box.Contains as first written, with its own copy of
@@ -61,10 +105,10 @@ func walkContains(b *Box, v *Vector, top *Vector) bool {
 	return true
 }
 
-// gridCoord is the s-th of Validate's sample coordinates in dimension d.
+// gridCoord is the s-th of the coarse grid's coordinates in dimension d.
 func gridCoord(d, s int) float64 {
 	full := FullDomain()
-	return full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/(gridSide-1)
+	return full.Lo[d] + (full.Hi[d]-full.Lo[d])*float64(s)/(coarseSide-1)
 }
 
 // randomSplitTree grows a tree through one to four random splits along
@@ -78,7 +122,7 @@ func randomSplitTree(r *rng.Stream) *Tree {
 		var at Vector
 		for d := range at {
 			if r.Intn(3) == 0 {
-				at[d] = gridCoord(d, 1+r.Intn(gridSide-2))
+				at[d] = gridCoord(d, 1+r.Intn(coarseSide-2))
 			} else {
 				at[d] = r.Uniform(dom.Lo[d], dom.Hi[d])
 			}
@@ -101,7 +145,7 @@ func breakTree(r *rng.Stream, tree *Tree) (*Tree, string) {
 	w := append([]Whisker(nil), tree.Whiskers...)
 	i, d := r.Intn(len(w)), r.Intn(NumSignals)
 	b := &w[i].Domain
-	switch r.Intn(7) {
+	switch r.Intn(9) {
 	case 0:
 		return tree, "none"
 	case 1:
@@ -115,7 +159,7 @@ func breakTree(r *rng.Stream, tree *Tree) (*Tree, string) {
 	case 2:
 		// On-grid hole: the lower edge raised to the next grid
 		// coordinate above it.
-		for s := 0; s < gridSide; s++ {
+		for s := 0; s < coarseSide; s++ {
 			if g := gridCoord(d, s); g > b.Lo[d] {
 				b.Lo[d] = g
 				break
@@ -139,6 +183,32 @@ func breakTree(r *rng.Stream, tree *Tree) (*Tree, string) {
 			b.Lo[d] = full.Lo[d] - r.Uniform(0, 1)
 		}
 		return &Tree{Whiskers: w}, "edge past the domain"
+	case 7, 8:
+		// A sub-grid defect: an edge off the coarse grid moved, away
+		// from the whisker (a hole) or into its neighbour (an overlap),
+		// by half its distance to the nearest coarse coordinate that
+		// way, so the piece it opens or doubles holds none.
+		hole := r.Intn(2) == 0
+		how := map[bool]string{true: "sub-grid hole", false: "sub-grid overlap"}[hole]
+		if b.Lo[d] > full.Lo[d] && !onCoarseGrid(d, b.Lo[d]) {
+			below, above := coarseAround(d, b.Lo[d])
+			if hole {
+				b.Lo[d] += (min(above, b.Hi[d]) - b.Lo[d]) / 2
+			} else {
+				b.Lo[d] -= (b.Lo[d] - below) / 2
+			}
+			return &Tree{Whiskers: w}, how
+		}
+		if b.Hi[d] < full.Hi[d] && !onCoarseGrid(d, b.Hi[d]) {
+			below, above := coarseAround(d, b.Hi[d])
+			if hole {
+				b.Hi[d] -= (b.Hi[d] - max(below, b.Lo[d])) / 2
+			} else {
+				b.Hi[d] += (above - b.Hi[d]) / 2
+			}
+			return &Tree{Whiskers: w}, how
+		}
+		return tree, "none"
 	default:
 		// The top edge pulled just inside the domain: no longer
 		// inclusive.
@@ -149,6 +219,28 @@ func breakTree(r *rng.Stream, tree *Tree) (*Tree, string) {
 	}
 }
 
+// onCoarseGrid reports whether x is a coarse grid coordinate of
+// dimension d.
+func onCoarseGrid(d int, x float64) bool {
+	for s := 0; s < coarseSide; s++ {
+		if gridCoord(d, s) == x {
+			return true
+		}
+	}
+	return false
+}
+
+// coarseAround returns the coarse coordinates of dimension d just below
+// and just above x, which lies strictly inside the domain.
+func coarseAround(d int, x float64) (below, above float64) {
+	for s := 1; s < coarseSide; s++ {
+		if g := gridCoord(d, s); g > x {
+			return gridCoord(d, s-1), g
+		}
+	}
+	panic("coarseAround: x outside the domain")
+}
+
 func errString(err error) string {
 	if err == nil {
 		return "<nil>"
@@ -156,17 +248,19 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestValidateMatchesGridWalk holds the coverage-counting Validate to
-// the grid walk it replaced: on random split trees, broken in every way
-// breakTree knows, both return nil or the same error, which names the
-// first bad point in the walk's order and its exact count. Half the
-// trees get two defects: one defect spoils a box of grid points, whose
-// lower corner comes first in any scan order, but two boxes tell the
-// walk's order from others.
+// TestValidateMatchesGridWalk holds the exact Validate to a walk over
+// every point of each tree's own edge grid: on random split trees,
+// broken in every way breakTree knows, both accept or both reject, and
+// the point Validate names holds the number of whiskers it says, not
+// one. Half the trees get two defects. Wherever the coarse grid walk
+// that Validate replaced rejects a tree, Validate does too, and the
+// sub-grid defects, which the coarse walk accepts, it must reject.
 func TestValidateMatchesGridWalk(t *testing.T) {
 	r := rng.New(28)
-	const trials = 3000
-	invalid, nInvalid := map[string]int{}, 0
+	const trials = 2000
+	top := FullDomain().Hi
+	coarse := coarseGrid()
+	invalid, nInvalid, missed, nMissed := map[string]int{}, 0, map[string]int{}, 0
 	for trial := 0; trial < trials; trial++ {
 		tree, how := breakTree(r, randomSplitTree(r))
 		if r.Intn(2) == 0 {
@@ -174,29 +268,44 @@ func TestValidateMatchesGridWalk(t *testing.T) {
 			tree, second = breakTree(r, tree)
 			how += " + " + second
 		}
-		want, got := gridWalkValidate(tree), tree.Validate()
-		if errString(got) != errString(want) {
-			t.Fatalf("trial %d (%s, %d whiskers): Validate = %v, grid walk = %v", trial, how, tree.Len(), got, want)
+		exact, got := gridWalkValidate(tree, edgeGrid(tree)), tree.Validate()
+		if (got == nil) != (exact == nil) {
+			t.Fatalf("trial %d (%s, %d whiskers): Validate = %v, edge grid walk = %v", trial, how, tree.Len(), got, exact)
 		}
-		if want != nil {
+		if got != nil {
+			v, _ := tree.misfit()
+			if want := fmt.Sprintf("remycc: point %v contained in %d whiskers", v, walkCount(tree, &v, &top)); got.Error() != want || walkCount(tree, &v, &top) == 1 {
+				t.Fatalf("trial %d (%s): Validate = %v; at the point it found, %s", trial, how, got, want)
+			}
 			invalid[how]++
 			nInvalid++
 		}
+		if gridWalkValidate(tree, coarse) != nil && got == nil {
+			t.Fatalf("trial %d (%s): the coarse grid walk rejects a tree Validate accepts", trial, how)
+		} else if gridWalkValidate(tree, coarse) == nil && got != nil {
+			missed[how]++
+			nMissed++
+		}
 	}
-	t.Logf("%d of %d trees invalid", nInvalid, trials)
-	for _, how := range []string{"overlap", "on-grid hole", "duplicate whisker", "edge past the domain", "top edge pulled in", "on-grid hole + overlap"} {
+	t.Logf("%d of %d trees invalid, %d of them accepted by the coarse grid walk", nInvalid, trials, nMissed)
+	for _, how := range []string{"overlap", "on-grid hole", "duplicate whisker", "edge past the domain", "top edge pulled in", "on-grid hole + overlap", "sub-grid hole", "sub-grid overlap"} {
 		if invalid[how] == 0 {
 			t.Errorf("no %q tree was invalid; the comparison never saw that defect fail", how)
 		}
 	}
+	for _, how := range []string{"sub-grid hole", "sub-grid overlap"} {
+		if missed[how] == 0 {
+			t.Errorf("the coarse grid walk caught every %q tree; the defect is not sub-grid", how)
+		}
+	}
 
-	// More whiskers on one point than a uint8 counts: the count in the
-	// error is still exact.
+	// More whiskers on one point than a byte counts: the count in the
+	// error is exact.
 	crowd := &Tree{}
 	for i := 0; i < 300; i++ {
 		crowd.Whiskers = append(crowd.Whiskers, Whisker{Domain: FullDomain(), Action: DefaultAction()})
 	}
-	if got, want := errString(crowd.Validate()), errString(gridWalkValidate(crowd)); got != want {
+	if got, want := errString(crowd.Validate()), errString(gridWalkValidate(crowd, coarse)); got != want {
 		t.Fatalf("300 overlapping whiskers: Validate = %s, grid walk = %s", got, want)
 	}
 	if got, want := errString((&Tree{}).Validate()), "remycc: empty tree"; got != want {

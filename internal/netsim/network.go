@@ -15,6 +15,10 @@ type Flow struct {
 	Receiver *Receiver       // terminating endpoint generating ACKs
 	Stats    *FlowStats      // per-flow counters, shared by both ends
 	Workload workload.Source // on/off process driving the sender
+
+	// onOff is the entry Workload arms, the flow's for its whole life:
+	// AddFlow makes it, and Run starts it again for every run.
+	onOff *workload.Entry
 }
 
 // Network is an assembled simulation: a scheduler, links, and flows.
@@ -72,6 +76,8 @@ func (n *Network) NewReceiver(flow int, ackDelay units.Duration, stats *FlowStat
 func (n *Network) AddFlow(f *Flow) {
 	if f.Sender != nil {
 		f.Sender.SetPool(n.Pool)
+		snd := f.Sender
+		f.onOff = workload.NewEntry(n.Sched, func(on bool) { snd.SetOn(n.Sched.Now(), on) })
 	}
 	if f.Receiver != nil {
 		f.Receiver.SetPool(n.Pool)
@@ -95,6 +101,8 @@ func (n *Network) AddLink(l *Link) {
 // every packet the finished run left in propagation or on a reverse
 // path back to the pool and forget their delays (storage kept), so a
 // world recycled at another link speed holds only the new run's lanes.
+// Each flow's on/off entry drops the transitions the finished run did
+// not reach when Run starts it again.
 // Links and flow endpoints are reinitialized separately by
 // topo.World.Rebuild, which owns the per-run topology; until then their
 // lane pointers are stale.
@@ -128,13 +136,13 @@ func (n *Network) Sample(interval units.Duration, fn func(now units.Time)) {
 	n.Sched.At(0, tick)
 }
 
-// Run starts every flow's workload, executes the simulation for the
-// given duration, and finalizes per-flow statistics. It returns the
-// flows' stats in flow order; the slice is the network's and is reused
-// by its next Run (the stats themselves always were).
+// Run starts every flow's workload on its on/off entry, executes the
+// simulation for the given duration, and finalizes per-flow statistics.
+// It returns the flows' stats in flow order; the slice is the network's
+// and is reused by its next Run (the stats themselves always were).
 func (n *Network) Run(duration units.Duration) []*FlowStats {
 	for _, f := range n.Flows {
-		f.Workload.Start(n.Sched, f.Sender.setOnFn)
+		f.onOff.Start(f.Workload)
 	}
 	end := units.Time(0).Add(duration)
 	n.Sched.Run(end)

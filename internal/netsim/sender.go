@@ -89,11 +89,6 @@ type Sender struct {
 	// (rtoDeadline) in one scheduler entry.
 	timers sim.Deadlines
 
-	// setOnFn is SetOn at the scheduler's clock, the callback a
-	// workload's on/off transitions are handed, bound once as well so
-	// starting a run does not allocate one per flow.
-	setOnFn func(on bool)
-
 	// nextSendTime is the earliest time the next packet may leave,
 	// according to the algorithm's pacing interval.
 	nextSendTime units.Time
@@ -119,7 +114,6 @@ func NewSender(sched *sim.Scheduler, flow int, alg cc.Algorithm, egress Delivere
 		minRTT:        units.Duration(math.MaxInt64),
 	}
 	s.timers.Init(sched, 2, s.onDeadline)
-	s.setOnFn = func(on bool) { s.SetOn(s.sched.Now(), on) }
 	return s
 }
 

@@ -575,7 +575,7 @@ func Run(spec Spec) ([]Result, error) {
 	if checkBooks && w.books == nil {
 		w.keepBooks()
 	}
-	res := finish(spec, w.Net, w.FairShares(lay))
+	res := finish(spec, w.Net, &w.rateProcs, w.FairShares(lay))
 	if checkBooks {
 		w.audit()
 	}
@@ -603,6 +603,10 @@ type world struct {
 	// sources are the flows' default on/off sources, made on the
 	// first run that needs them.
 	sources []source
+
+	// rateProcs are the links' rate processes, made on the first run
+	// that varies link rates.
+	rateProcs []rateProc
 
 	// books is the packet ledger the books check keeps (nil outside
 	// go test).
@@ -959,13 +963,14 @@ func Finish(spec Spec, nw *netsim.Network) []Result {
 	if err != nil {
 		panic("scenario: Finish on invalid spec: " + err.Error())
 	}
-	return finish(spec, nw, lay.FairShares())
+	return finish(spec, nw, new([]rateProc), lay.FairShares())
 }
 
 // finish executes a built network and reports each flow's result, with
-// shares the fair-share table of its layout.
-func finish(spec Spec, nw *netsim.Network, shares []units.Rate) []Result {
-	spec.armVarRate(nw)
+// shares the fair-share table of its layout. procs holds the network's
+// link-rate processes, made by the first run that needs them.
+func finish(spec Spec, nw *netsim.Network, procs *[]rateProc, shares []units.Rate) []Result {
+	spec.armVarRate(nw, procs)
 	if spec.Probe != nil {
 		interval := spec.ProbeInterval
 		if interval <= 0 {

@@ -104,57 +104,91 @@ func (v VarRate) Validate() error {
 	}
 }
 
-// armVarRate schedules each link's rate process on the network's
-// scheduler. It runs once per run, after the network is built or
-// recycled and before the simulation starts; the per-link streams are
-// split from the spec seed by link index, so they neither advance the
-// workload streams nor depend on link count.
-func (s *Spec) armVarRate(nw *netsim.Network) {
+// rateProc is one link's rate process: the entry it fires through,
+// which it owns for its world's whole life, and its state, kept in the
+// world so that arming it for another run allocates nothing.
+type rateProc struct {
+	s     *sim.Scheduler
+	l     *netsim.Link
+	entry sim.Deadlines // one deadline: the end of the current dwell
+
+	vr    VarRate
+	base  units.Rate // the link's configured rate
+	rng   rng.Stream
+	high  bool // VarRateOnOff: the link is at its configured rate
+	state int  // VarRateMarkov: index of the current factor
+}
+
+// armVarRate starts each link's rate process on the network's
+// scheduler, through procs, which hold one per link: made on the first
+// run that needs them and kept with the network they are bound to. It
+// runs once per run, after the network is built or recycled and before
+// the simulation starts; the per-link streams are split from the spec
+// seed by link index, so they neither advance the workload streams nor
+// depend on link count.
+func (s *Spec) armVarRate(nw *netsim.Network, procs *[]rateProc) {
 	if !s.VarRate.Enabled() {
 		return
 	}
+	if *procs == nil {
+		ps := make([]rateProc, len(nw.Links))
+		for i := range ps {
+			p := &ps[i]
+			p.s, p.l = nw.Sched, nw.Links[i]
+			p.entry.Init(nw.Sched, 1, p.fire)
+		}
+		*procs = ps
+	}
 	root := s.Seed.Split("varrate")
-	for i, l := range nw.Links {
-		armLinkRate(nw.Sched, l, s.VarRate, root.SplitN("link", i))
+	for i := range *procs {
+		p := &(*procs)[i]
+		p.rng = *root.SplitN("link", i)
+		p.start(s.VarRate)
 	}
 }
 
-// armLinkRate starts one link's rate process. The few closures it
-// allocates are per run and per link — never per packet — and die with
-// the scheduler reset when the world is recycled.
-func armLinkRate(sched *sim.Scheduler, l *netsim.Link, vr VarRate, r *rng.Stream) {
-	base := l.Rate()
-	dwell := func(mean units.Duration) units.Duration {
-		return units.DurationFromSeconds(r.Exponential(mean.Seconds()))
-	}
+// start begins the link's process: at its configured rate (state 0 for
+// the Markov family) until the first dwell ends.
+func (p *rateProc) start(vr VarRate) {
+	p.entry.Reset()
+	p.vr, p.base = vr, p.l.Rate()
 	switch vr.Kind {
 	case VarRateOnOff:
-		high := true
-		var flip func()
-		flip = func() {
-			high = !high
-			if high {
-				l.SetRate(base)
-				sched.After(dwell(vr.MeanHigh), flip)
-			} else {
-				l.SetRate(base * units.Rate(vr.LowFactor))
-				sched.After(dwell(vr.MeanLow), flip)
-			}
-		}
-		sched.After(dwell(vr.MeanHigh), flip)
+		p.high = true
+		p.dwell(vr.MeanHigh)
 	case VarRateMarkov:
-		state := 0
-		var jump func()
-		jump = func() {
-			next := r.Intn(len(vr.Factors) - 1)
-			if next >= state {
-				next++
-			}
-			state = next
-			l.SetRate(base * units.Rate(vr.Factors[state]))
-			sched.After(dwell(vr.MeanDwell), jump)
+		p.state = 0
+		p.l.SetRate(p.base * units.Rate(vr.Factors[0]))
+		p.dwell(vr.MeanDwell)
+	}
+}
+
+// dwell arms the end of a dwell drawn with the given mean.
+func (p *rateProc) dwell(mean units.Duration) {
+	p.entry.Arm(0, p.s.Now().Add(units.DurationFromSeconds(p.rng.Exponential(mean.Seconds()))))
+}
+
+// fire is the entry's handler: the dwell ended, so the link moves to
+// its next state and the next dwell begins.
+func (p *rateProc) fire(int) {
+	vr := &p.vr
+	switch vr.Kind {
+	case VarRateOnOff:
+		p.high = !p.high
+		if p.high {
+			p.l.SetRate(p.base)
+			p.dwell(vr.MeanHigh)
+		} else {
+			p.l.SetRate(p.base * units.Rate(vr.LowFactor))
+			p.dwell(vr.MeanLow)
 		}
-		l.SetRate(base * units.Rate(vr.Factors[0]))
-		sched.After(dwell(vr.MeanDwell), jump)
+	case VarRateMarkov:
+		next := p.rng.Intn(len(vr.Factors) - 1)
+		if next >= p.state {
+			next++
+		}
+		p.state = next
+		p.l.SetRate(p.base * units.Rate(vr.Factors[next]))
+		p.dwell(vr.MeanDwell)
 	}
 }

@@ -192,7 +192,7 @@ func TestWorldPoolFlips(t *testing.T) {
 		if prev != nil && w.World != prev {
 			t.Fatalf("%s ran on another world", label)
 		}
-		got := finish(run, w.Net, w.FairShares(lay))
+		got := finish(run, w.Net, &w.rateProcs, w.FairShares(lay))
 		if before != nil && before[0] == w.Net.Links[0].Queue() {
 			kept++
 		}

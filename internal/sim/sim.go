@@ -172,6 +172,23 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // last Reset: the size the event queue actually needed.
 func (s *Scheduler) HighWater() int { return s.highWater }
 
+// Slots reports the size of the event arena: the peak number of
+// one-shot events pending at once, plus one slot per owned entry (a
+// Pipe's, a Lane's or a Deadlines'). A recycled simulation whose
+// sources all keep their entries runs again without changing it.
+func (s *Scheduler) Slots() int { return len(s.slots) }
+
+// Next reports the key of the event Step would fire next — its time and
+// insertion number — or false if none is pending. Read it between
+// events, not from inside a handler. A test that drives a simulation
+// step by step reads with it which event each step fires.
+func (s *Scheduler) Next() (at units.Time, seq uint64, ok bool) {
+	if len(s.heap) == 0 || s.vacant {
+		return 0, 0, false
+	}
+	return s.heap[0].at, s.heap[0].seq, true
+}
+
 // At schedules fn to run at time t. Events at equal times fire in the
 // order their delays began: the order of the At, After, Pipe.Push,
 // Lane.Push and Deadlines.Arm calls that created them. Scheduling in the

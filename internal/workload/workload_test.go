@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -20,7 +21,7 @@ func TestOnOffAlternates(t *testing.T) {
 	s := sim.New()
 	w := workload.NewOnOff(units.Second, units.Second, rng.New(1))
 	var states []bool
-	w.Start(s, func(on bool) { states = append(states, on) })
+	workload.NewEntry(s, func(on bool) { states = append(states, on) }).Start(w)
 	s.Run(units.Time(60 * units.Second))
 	if len(states) < 10 {
 		t.Fatalf("only %d transitions in 60s with 1s means", len(states))
@@ -42,14 +43,14 @@ func TestOnOffDutyCycle(t *testing.T) {
 	var onTime units.Duration
 	var since units.Time
 	on := false
-	w.Start(s, func(o bool) {
+	workload.NewEntry(s, func(o bool) {
 		now := s.Now()
 		if on {
 			onTime += now.Sub(since)
 		}
 		on = o
 		since = now
-	})
+	}).Start(w)
 	end := s.Run(units.Time(2000 * units.Second))
 	if on {
 		onTime += end.Sub(since)
@@ -66,7 +67,7 @@ func TestOnOffMeanDurations(t *testing.T) {
 	var onStart units.Time
 	var onDur, offDur []float64
 	var offStart units.Time
-	w.Start(s, func(on bool) {
+	workload.NewEntry(s, func(on bool) {
 		now := s.Now()
 		if on {
 			onStart = now
@@ -79,7 +80,7 @@ func TestOnOffMeanDurations(t *testing.T) {
 				onDur = append(onDur, now.Sub(onStart).Seconds())
 			}
 		}
-	})
+	}).Start(w)
 	s.Run(units.Time(5000 * units.Second))
 	mean := func(xs []float64) float64 {
 		t := 0.0
@@ -119,7 +120,7 @@ func TestOnOffValidation(t *testing.T) {
 func TestAlwaysOn(t *testing.T) {
 	s := sim.New()
 	var states []bool
-	workload.AlwaysOn{}.Start(s, func(on bool) { states = append(states, on) })
+	workload.NewEntry(s, func(on bool) { states = append(states, on) }).Start(workload.AlwaysOn{})
 	s.Run(units.Time(units.Second))
 	if len(states) != 1 || !states[0] {
 		t.Fatalf("states = %v", states)
@@ -143,7 +144,7 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 	var evs []ev
 	s := sim.New()
-	w.Start(s, func(on bool) { evs = append(evs, ev{s.Now(), on}) })
+	workload.NewEntry(s, func(on bool) { evs = append(evs, ev{s.Now(), on}) }).Start(w)
 	s.Run(sec(20))
 	want := []ev{{0, false}, {sec(5), true}, {sec(10), false}, {sec(10), true}, {sec(10), false}, {sec(15), true}}
 	if len(evs) != len(want) {
@@ -169,7 +170,7 @@ func TestDeterministicDoesNotMutateInput(t *testing.T) {
 	w := &workload.Deterministic{Transitions: trs}
 	s := sim.New()
 	var at []units.Time
-	w.Start(s, func(bool) { at = append(at, s.Now()) })
+	workload.NewEntry(s, func(bool) { at = append(at, s.Now()) }).Start(w)
 	s.Run(units.MaxTime)
 	if !slices.Equal(trs, given) {
 		t.Fatalf("Start reordered the caller's slice: %v, given %v", trs, given)
@@ -180,21 +181,29 @@ func TestDeterministicDoesNotMutateInput(t *testing.T) {
 }
 
 // TestDeterministicSortedStartsWithoutCopy: a schedule already in time
-// order is replayed as it is, so starting it allocates exactly one
-// slice less — the sorted copy — than starting the same transitions out
-// of order.
+// order is replayed as it is, so its first start allocates exactly one
+// slice less — the sorted copy — than the same transitions out of
+// order; and the schedule is put in order once, so no later start of
+// either allocates at all.
 func TestDeterministicSortedStartsWithoutCopy(t *testing.T) {
-	sorted := &workload.Deterministic{}
+	var ts []workload.Transition
 	for i := 0; i < 20; i++ {
-		sorted.Transitions = append(sorted.Transitions, workload.Transition{At: units.Time(0).Add(units.Duration(i/2) * units.Second), On: i%2 == 0})
+		ts = append(ts, workload.Transition{At: units.Time(0).Add(units.Duration(i/2) * units.Second), On: i%2 == 0})
 	}
-	unsorted := &workload.Deterministic{Transitions: slices.Clone(sorted.Transitions)}
-	unsorted.Transitions[0], unsorted.Transitions[2] = unsorted.Transitions[2], unsorted.Transitions[0]
-	start := func(w *workload.Deterministic) float64 {
-		return testing.AllocsPerRun(10, func() { w.Start(sim.New(), func(bool) {}) })
+	unsorted := slices.Clone(ts)
+	unsorted[0], unsorted[2] = unsorted[2], unsorted[0]
+	e := workload.NewEntry(sim.New(), func(bool) {})
+	first := func(trs []workload.Transition) float64 {
+		return testing.AllocsPerRun(10, func() { e.Start(&workload.Deterministic{Transitions: trs}) })
 	}
-	if got, out := start(sorted), start(unsorted); got != out-1 {
-		t.Fatalf("starting a sorted schedule made %v allocations, an unsorted one %v: want one fewer", got, out)
+	if got, out := first(ts), first(unsorted); got != out-1 {
+		t.Fatalf("first start of a sorted schedule made %v allocations, of an unsorted one %v: want one fewer", got, out)
+	}
+	for _, trs := range [][]workload.Transition{ts, unsorted} {
+		w := &workload.Deterministic{Transitions: trs}
+		if n := testing.AllocsPerRun(10, func() { e.Start(w) }); n != 0 {
+			t.Fatalf("a schedule started again made %v allocations, want 0", n)
+		}
 	}
 }
 
@@ -207,12 +216,12 @@ func TestDeterministicHoldsOneEntry(t *testing.T) {
 	}
 	s := sim.New()
 	fired := -1 // Start reports the initial state
-	w.Start(s, func(bool) {
+	workload.NewEntry(s, func(bool) {
 		fired++
 		if s.Len() > 1 {
 			t.Fatalf("Len = %d inside transition %d", s.Len(), fired)
 		}
-	})
+	}).Start(w)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after Start with 50 transitions pending, want 1", s.Len())
 	}
@@ -229,47 +238,104 @@ func inTimeOrder(ts []workload.Transition) []workload.Transition {
 	return ts
 }
 
-// perTransitionAt is the reference workload.Deterministic is held to: the same
-// schedule with every transition entered as its own event at Start.
-type perTransitionAt struct{ workload.Deterministic }
+// The references below are sources as they were before they armed
+// through their flow's entry, written against the scheduler: each takes
+// the callback a transition is handed and schedules its own events.
 
-func (w *perTransitionAt) Start(s *sim.Scheduler, set func(on bool)) {
-	set(w.InitialOn)
-	for _, tr := range inTimeOrder(w.Transitions) {
-		tr := tr
-		s.At(tr.At, func() { set(tr.On) })
-	}
-}
-
-// chained is the implementation the pipe must not be mistaken for: one
-// entry as well, but each transition is entered only when the one before
-// it fires, so it draws a later insertion number and loses ties it
-// should win.
-type chained struct{ workload.Deterministic }
-
-func (w *chained) Start(s *sim.Scheduler, set func(on bool)) {
-	set(w.InitialOn)
-	ts := inTimeOrder(w.Transitions)
-	var next func()
-	next = func() {
-		set(ts[0].On)
-		if ts = ts[1:]; len(ts) > 0 {
-			s.At(ts[0].At, next)
+// pipePerStart is Deterministic as it was: a sim.Pipe built at every
+// start, the whole schedule pushed onto it there.
+func pipePerStart(d workload.Deterministic) func(*sim.Scheduler, func(bool)) {
+	return func(s *sim.Scheduler, set func(bool)) {
+		set(d.InitialOn)
+		p := sim.NewPipe(s, set)
+		for _, tr := range inTimeOrder(d.Transitions) {
+			p.Push(tr.At, tr.On)
 		}
 	}
-	s.At(ts[0].At, next)
 }
+
+// perTransitionAt enters every transition of the schedule as its own
+// event at start.
+func perTransitionAt(d workload.Deterministic) func(*sim.Scheduler, func(bool)) {
+	return func(s *sim.Scheduler, set func(bool)) {
+		set(d.InitialOn)
+		for _, tr := range inTimeOrder(d.Transitions) {
+			tr := tr
+			s.At(tr.At, func() { set(tr.On) })
+		}
+	}
+}
+
+// chained is what a schedule must not be mistaken for: one event at a
+// time as well, but each transition is entered only when the one before
+// it fires, so it draws a later insertion number and loses ties it
+// should win.
+func chained(d workload.Deterministic) func(*sim.Scheduler, func(bool)) {
+	return func(s *sim.Scheduler, set func(bool)) {
+		set(d.InitialOn)
+		ts := inTimeOrder(d.Transitions)
+		if len(ts) == 0 {
+			return
+		}
+		var next func()
+		next = func() {
+			set(ts[0].On)
+			if ts = ts[1:]; len(ts) > 0 {
+				s.At(ts[0].At, next)
+			}
+		}
+		s.At(ts[0].At, next)
+	}
+}
+
+// afterChain is OnOff as it was: off at start, and each period's end an
+// After entered when the period begins, once the sender has taken the
+// transition. early, the variant a test must tell apart, enters it
+// before.
+func afterChain(w workload.OnOff, early bool) func(*sim.Scheduler, func(bool)) {
+	return func(s *sim.Scheduler, set func(bool)) {
+		var turn func(on bool) func()
+		turn = func(on bool) func() {
+			return func() {
+				mean := w.MeanOff
+				if on {
+					mean = w.MeanOn
+				}
+				d := units.DurationFromSeconds(w.Rng.Exponential(mean.Seconds()))
+				if early {
+					s.After(d, turn(!on))
+					set(on)
+					return
+				}
+				set(on)
+				s.After(d, turn(!on))
+			}
+		}
+		turn(false)()
+	}
+}
+
+// legacy runs a reference on a flow's entry: it hands the reference the
+// entry's Set and pushes nothing itself.
+type legacy struct {
+	s     *sim.Scheduler
+	start func(*sim.Scheduler, func(bool))
+}
+
+func (l legacy) Start(e *workload.Entry)   { l.start(l.s, e.Set) }
+func (legacy) Fired(*workload.Entry, bool) {}
 
 // TestDeterministicMatchesPerTransitionAt runs two Cubic flows over a
 // 12 Mbps dumbbell (1 ms per packet, 50 ms each way, so every packet
 // event lands on a 1 ms grid) under on/off schedules on the same grid
 // with most periods shorter than the propagation delay, and requires the
 // flows' stats to be equal, field for field, to the run in which every
-// transition was its own At. The chained source shows the ties are real:
-// it differs only in the insertion numbers its transitions draw, and
-// that moves the result.
+// transition was its own At and to the run in which a pipe was built
+// per start. The chained source shows the ties are real: it differs
+// only in the insertion numbers its transitions draw, and that moves
+// the result.
 func TestDeterministicMatchesPerTransitionAt(t *testing.T) {
-	run := func(seed uint64, wrap func(workload.Deterministic) workload.Source) []netsim.FlowStats {
+	run := func(seed uint64, ref func(workload.Deterministic) func(*sim.Scheduler, func(bool))) []netsim.FlowStats {
 		const rate, rtt = 12 * units.Mbps, 100 * units.Millisecond
 		nw := netsim.New()
 		link := netsim.NewLink(nw.Sched, rate, rtt/2, queue.NewDropTail(20*packet.MTU))
@@ -292,7 +358,11 @@ func TestDeterministicMatchesPerTransitionAt(t *testing.T) {
 			snd := netsim.NewSender(nw.Sched, i, cubic.New(), link, st)
 			rcv.SetSender(snd)
 			next[i] = rcv
-			nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: wrap(w)})
+			var src workload.Source = &w
+			if ref != nil {
+				src = legacy{nw.Sched, ref(w)}
+			}
+			nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: src})
 		}
 		link.SetRoute(next)
 		var out []netsim.FlowStats
@@ -303,12 +373,13 @@ func TestDeterministicMatchesPerTransitionAt(t *testing.T) {
 	}
 	tiesMatter := false
 	for seed := uint64(1); seed <= 3; seed++ {
-		got := run(seed, func(w workload.Deterministic) workload.Source { return &w })
-		want := run(seed, func(w workload.Deterministic) workload.Source { return &perTransitionAt{w} })
-		late := run(seed, func(w workload.Deterministic) workload.Source { return &chained{w} })
+		got := run(seed, nil)
+		want := run(seed, perTransitionAt)
+		old := run(seed, pipePerStart)
+		late := run(seed, chained)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d flow %d:\n  pipe   %+v\n  per-At %+v", seed, i, got[i], want[i])
+			if got[i] != want[i] || old[i] != want[i] {
+				t.Fatalf("seed %d flow %d:\n  entry    %+v\n  per-At   %+v\n  old pipe %+v", seed, i, got[i], want[i], old[i])
 			}
 			if want[i].Retransmits == 0 || want[i].DeliveredBytes == 0 {
 				t.Fatalf("seed %d flow %d: no loss or no delivery (%+v); the comparison exercises nothing", seed, i, want[i])
@@ -319,4 +390,166 @@ func TestDeterministicMatchesPerTransitionAt(t *testing.T) {
 	if !tiesMatter {
 		t.Fatal("vacuous: entering transitions late changed nothing, so none tied with a packet event")
 	}
+}
+
+// stepWorld is a few flows' on/off sources on one scheduler beside
+// one-shot events on the same 1 ns grid — each transition sets off a
+// few, as a sender's packets would, some at the same instant — driven
+// one step at a time. Every decision is drawn from the world's own
+// stream, so two worlds that fire the same events in the same order
+// draw the same decisions. log holds one line per fired event: its
+// time, its insertion number and what it was.
+type stepWorld struct {
+	s    *sim.Scheduler
+	r    rng.Stream
+	log  []string
+	seq  uint64 // insertion number of the event being fired
+	last units.Time
+	ties int // transitions at the instant of the event before them
+}
+
+func (w *stepWorld) note(what string) {
+	now := w.s.Now()
+	w.log = append(w.log, fmt.Sprintf("t=%d seq=%d %s", now, w.seq, what))
+	w.last = now
+}
+
+// set is flow f's transition callback.
+func (w *stepWorld) set(f int) func(bool) {
+	return func(on bool) {
+		if len(w.log) > 0 && w.s.Now() == w.last {
+			w.ties++
+		}
+		w.note(fmt.Sprintf("flow %d on=%v", f, on))
+		w.react(f)
+	}
+}
+
+// react schedules up to two of flow f's packet events over the next
+// few instants, each of which reacts again half the time.
+func (w *stepWorld) react(f int) {
+	for n := w.r.Intn(3); n > 0; n-- {
+		w.s.After(units.Duration(w.r.Intn(4)), func() {
+			w.note(fmt.Sprintf("flow %d packet", f))
+			if w.r.Intn(2) == 0 {
+				w.react(f)
+			}
+		})
+	}
+}
+
+// run steps the world until its next event would fire after end.
+func (w *stepWorld) run(end units.Time) {
+	for {
+		at, seq, ok := w.s.Next()
+		if !ok || at > end {
+			return
+		}
+		w.seq = seq
+		w.s.Step()
+	}
+}
+
+// stepEnd is how long a stepWorld runs: about a thousand transitions a
+// flow under the sources below.
+const stepEnd = units.Time(2000)
+
+// gridSchedule draws a schedule on the 1 ns grid, several transitions at
+// some instants, given out of time order.
+func gridSchedule(r *rng.Stream) workload.Deterministic {
+	d := workload.Deterministic{InitialOn: r.Intn(2) == 0}
+	on := !d.InitialOn
+	for at := units.Time(r.Intn(3)); at < stepEnd+10; at = at.Add(units.Duration(r.Intn(4))) {
+		d.Transitions = append(d.Transitions, workload.Transition{At: at, On: on})
+		on = !on
+	}
+	for i := range d.Transitions {
+		if j := i + r.Intn(8); j < len(d.Transitions) {
+			d.Transitions[i], d.Transitions[j] = d.Transitions[j], d.Transitions[i]
+		}
+	}
+	return d
+}
+
+// stepFlows draws the four flows' sources of a seed: two schedules, an
+// OnOff whose periods are a few nanoseconds, so they end on the grid,
+// and AlwaysOn. The OnOff's stream is fresh on every call.
+func stepFlows(seed uint64) (schedules [2]workload.Deterministic, onOff workload.OnOff) {
+	r := rng.New(seed).Split("schedules")
+	schedules[0], schedules[1] = gridSchedule(r), gridSchedule(r)
+	onOff = workload.OnOff{MeanOn: 3, MeanOff: 2, Rng: rng.New(seed).Split("onoff")}
+	return schedules, onOff
+}
+
+// referenceLog runs the seed's flows on the references, a schedule's
+// and an OnOff's given, on a fresh scheduler.
+func referenceLog(seed uint64, schedule func(workload.Deterministic) func(*sim.Scheduler, func(bool)), early bool) ([]string, int) {
+	w := &stepWorld{s: sim.New(), r: *rng.New(seed).Split("world")}
+	ds, oo := stepFlows(seed)
+	schedule(ds[0])(w.s, w.set(0))
+	afterChain(oo, early)(w.s, w.set(1))
+	w.set(2)(true) // AlwaysOn
+	schedule(ds[1])(w.s, w.set(3))
+	w.run(stepEnd)
+	return w.log, w.ties
+}
+
+// TestEntriesMatchOldSources drives the sources through their flows'
+// entries beside the references they replaced — a pipe built per start
+// for a schedule, an After chain for OnOff — over random schedules and
+// few-nanosecond periods on a grid where events tie, and requires the
+// fired (time, insertion number, what) sequences to be identical. Each
+// seed runs three times on one world, recycled as a pooled network is:
+// the scheduler reset mid-schedule and every entry started again; the
+// scheduler's arena must not grow after the first run. The late
+// variants — a schedule entered one transition at a time, an OnOff that
+// enters a period's end before the sender takes its start — must differ,
+// which shows the ties decide the order.
+func TestEntriesMatchOldSources(t *testing.T) {
+	ties, lateDiffers, earlyDiffers := 0, false, false
+	for seed := uint64(1); seed <= 4; seed++ {
+		want, n := referenceLog(seed, pipePerStart, false)
+		ties += n
+		late, _ := referenceLog(seed, chained, false)
+		early, _ := referenceLog(seed, pipePerStart, true)
+		lateDiffers = lateDiffers || !slices.Equal(late, want)
+		earlyDiffers = earlyDiffers || !slices.Equal(early, want)
+
+		w := &stepWorld{s: sim.New()}
+		var es [4]*workload.Entry
+		for f := range es {
+			es[f] = workload.NewEntry(w.s, w.set(f))
+		}
+		slots := 0
+		for round := 0; round < 3; round++ {
+			if round > 0 {
+				w.s.Reset()
+			}
+			w.r, w.log, w.seq, w.last = *rng.New(seed).Split("world"), w.log[:0], 0, 0
+			ds, oo := stepFlows(seed)
+			es[0].Start(&ds[0])
+			es[1].Start(&oo)
+			es[2].Start(workload.AlwaysOn{})
+			es[3].Start(&ds[1])
+			w.run(stepEnd)
+			if !slices.Equal(w.log, want) {
+				for i := range min(len(w.log), len(want)) {
+					if w.log[i] != want[i] {
+						t.Fatalf("seed %d round %d: event %d is %q, the reference's %q", seed, round, i, w.log[i], want[i])
+					}
+				}
+				t.Fatalf("seed %d round %d: %d events, the reference %d", seed, round, len(w.log), len(want))
+			}
+			if round == 0 {
+				slots = w.s.Slots()
+			} else if w.s.Slots() != slots {
+				t.Fatalf("seed %d round %d: the arena grew from %d slots to %d", seed, round, slots, w.s.Slots())
+			}
+		}
+	}
+	if ties < 1000 || !lateDiffers || !earlyDiffers {
+		t.Fatalf("vacuous: %d transitions tied with the event before them; late schedule differs %v, early OnOff differs %v",
+			ties, lateDiffers, earlyDiffers)
+	}
+	t.Logf("%d transitions tied with the event before them", ties)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -271,7 +270,9 @@ func (t *Tree) WithAction(i int, a Action) *Tree {
 // bisecting its domain at the given point along every dimension in
 // dims. Each child inherits the parent's action. Dimensions where the
 // split point would produce an empty half are skipped; if no dimension
-// is splittable the tree is returned unchanged and ok is false.
+// is splittable the tree is returned unchanged and ok is false, and so
+// it is if the split would leave the tree more whiskers than Validate
+// checks.
 func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 	const minWidthFrac = 1e-3
 	parent := t.Whiskers[i]
@@ -292,7 +293,7 @@ func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 		}
 		boxes = next
 	}
-	if len(boxes) == 1 {
+	if len(boxes) == 1 || len(t.Whiskers)+len(boxes)-1 > maxValidate {
 		return t, false
 	}
 	nt = &Tree{Whiskers: make([]Whisker, 0, len(t.Whiskers)+len(boxes)-1)}
@@ -324,7 +325,9 @@ func (t *Tree) Split(i int, at Vector, dims []Signal) (nt *Tree, ok bool) {
 // dimension has at most 2W+2 cells, and the check takes O(D·W²) time
 // (runs, then every pair) and O(D·W) space, on the stack for trees of
 // up to validateStack whiskers; naming the point of a hole takes
-// O(D²·W²) more.
+// O(D²·W²) more. A tree of more than maxValidate whiskers is rejected
+// before any of that, so no decoded input costs more than about 10⁸
+// steps.
 func (t *Tree) Validate() error {
 	n := len(t.Whiskers)
 	if n == 0 {
@@ -371,11 +374,14 @@ func (t *Tree) misfit() (v Vector, ok bool) {
 }
 
 // validateStack is the largest tree whose partition check keeps its
-// storage on the stack; maxValidate bounds the trees it checks at all,
-// so that its cell counts cannot overflow (see u128).
+// storage on the stack. maxValidate is the largest tree it checks at
+// all: one whose quadratic check still takes milliseconds, and whose
+// cell counts, at most 2·maxValidate+2 < 2¹³ a dimension, multiply over
+// the NumSignals dimensions to less than 2⁶¹, so no count the check
+// forms overflows a uint64. Split never grows a tree past it.
 const (
 	validateStack = 64
-	maxValidate   = 1 << 24
+	maxValidate   = 1 << 11
 )
 
 // cells are the cells of Validate's exact check: edges[d] are the
@@ -451,25 +457,25 @@ func (c *cells) disjoint(runs []cellRuns, v *Vector) bool {
 // dimensions d onward: whether the cells they contain there number as
 // many as there are.
 func (c *cells) covers(runs []cellRuns, d int) bool {
-	var sum u128
+	var sum uint64
 	for i := range runs {
-		sum = sum.add(c.count(&runs[i], d))
+		sum += c.count(&runs[i], d)
 	}
-	all := u128{lo: 1}
+	all := uint64(1)
 	for _, es := range c.edges[d:] {
-		all = all.mul(uint64(len(es)))
+		all *= uint64(len(es))
 	}
 	return sum == all
 }
 
 // count is how many cells of dimensions d onward r contains.
-func (c *cells) count(r *cellRuns, d int) u128 {
-	n := u128{lo: 1}
+func (c *cells) count(r *cellRuns, d int) uint64 {
+	n := uint64(1)
 	for e := d; e < NumSignals; e++ {
 		if r.first[e] > r.last[e] {
-			return u128{}
+			return 0
 		}
-		n = n.mul(uint64(r.last[e] - r.first[e] + 1))
+		n *= uint64(r.last[e] - r.first[e] + 1)
 	}
 	return n
 }
@@ -495,21 +501,6 @@ func (c *cells) hole(runs []cellRuns, d int, v *Vector) {
 			return
 		}
 	}
-}
-
-// u128 is an unsigned 128-bit count. Every product Validate forms is of
-// at most NumSignals cell counts, each at most 2·maxValidate+2, so it
-// stays below 2^126 and never overflows.
-type u128 struct{ hi, lo uint64 }
-
-func (a u128) add(b u128) u128 {
-	lo, carry := bits.Add64(a.lo, b.lo, 0)
-	return u128{hi: a.hi + b.hi + carry, lo: lo}
-}
-
-func (a u128) mul(x uint64) u128 {
-	hi, lo := bits.Mul64(a.lo, x)
-	return u128{hi: a.hi*x + hi, lo: lo}
 }
 
 // MarshalJSON / UnmarshalJSON round-trip the tree for cmd/remytrain

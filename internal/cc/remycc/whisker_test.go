@@ -257,7 +257,7 @@ func errString(err error) string {
 // sub-grid defects, which the coarse walk accepts, it must reject.
 func TestValidateMatchesGridWalk(t *testing.T) {
 	r := rng.New(28)
-	const trials = 2000
+	const trials = 4000 // about 440 trees of each defect breakTree makes
 	top := FullDomain().Hi
 	coarse := coarseGrid()
 	invalid, nInvalid, missed, nMissed := map[string]int{}, 0, map[string]int{}, 0
@@ -280,9 +280,9 @@ func TestValidateMatchesGridWalk(t *testing.T) {
 			invalid[how]++
 			nInvalid++
 		}
-		if gridWalkValidate(tree, coarse) != nil && got == nil {
+		if sampled := gridWalkValidate(tree, coarse); sampled != nil && got == nil {
 			t.Fatalf("trial %d (%s): the coarse grid walk rejects a tree Validate accepts", trial, how)
-		} else if gridWalkValidate(tree, coarse) == nil && got != nil {
+		} else if sampled == nil && got != nil {
 			missed[how]++
 			nMissed++
 		}
@@ -323,6 +323,52 @@ func TestValidateZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Validate allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestValidateBoundsTheTree: a tree of maxValidate whiskers — slabs
+// along one signal, as many cells as a tree that size can have there —
+// is checked, and one whisker more is refused for its size, before the
+// quadratic check: a thousand overlapping copies of the full domain
+// would otherwise be named as an overlap. Split refuses to grow a tree
+// past the bound, so a trained tree always decodes.
+func TestValidateBoundsTheTree(t *testing.T) {
+	slabs := &Tree{}
+	full := FullDomain()
+	for i := 0; i < maxValidate; i++ {
+		b := full
+		b.Lo[0] = full.Lo[0] + (full.Hi[0]-full.Lo[0])*float64(i)/maxValidate
+		if i+1 < maxValidate {
+			b.Hi[0] = full.Lo[0] + (full.Hi[0]-full.Lo[0])*float64(i+1)/maxValidate
+		}
+		slabs.Whiskers = append(slabs.Whiskers, Whisker{Domain: b, Action: DefaultAction()})
+	}
+	if err := slabs.Validate(); err != nil {
+		t.Fatalf("%d slabs: %v", maxValidate, err)
+	}
+	slabs.buildIndex()
+	var mid Vector
+	for d := range mid {
+		mid[d] = (slabs.Whiskers[0].Domain.Lo[d] + slabs.Whiskers[0].Domain.Hi[d]) / 2
+	}
+	if _, ok := slabs.Split(0, mid, []Signal{1}); ok {
+		t.Fatalf("Split grew a tree of %d whiskers", maxValidate)
+	}
+
+	crowd := &Tree{}
+	for i := 0; i <= maxValidate; i++ {
+		crowd.Whiskers = append(crowd.Whiskers, Whisker{Domain: full, Action: DefaultAction()})
+	}
+	raw, err := crowd.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("remycc: %d whiskers, more than the %d the partition check counts", maxValidate+1, maxValidate)
+	if got := errString(crowd.Validate()); got != want {
+		t.Fatalf("Validate = %s, want %s", got, want)
+	}
+	if _, err := DecodeTree(raw); errString(err) != want {
+		t.Fatalf("DecodeTree = %v, want %s", err, want)
 	}
 }
 

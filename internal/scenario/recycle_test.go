@@ -153,7 +153,7 @@ func TestRecycledRunsKeepTheArena(t *testing.T) {
 				spec.Senders = []Sender{{Alg: cubic.New(), Delta: 1}, {Alg: cubic.New(), Delta: 1}, {Alg: cubic.New(), Delta: 1}}
 				c.set(&spec, run)
 				MustRun(spec)
-				n := idleWorld(t, spec).Net.Sched.Slots()
+				_, _, n := idleWorld(t, spec).Net.Sched.Peek()
 				if run == 0 {
 					slots = n
 				} else if n != slots {

@@ -172,21 +172,19 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // last Reset: the size the event queue actually needed.
 func (s *Scheduler) HighWater() int { return s.highWater }
 
-// Slots reports the size of the event arena: the peak number of
-// one-shot events pending at once, plus one slot per owned entry (a
-// Pipe's, a Lane's or a Deadlines'). A recycled simulation whose
-// sources all keep their entries runs again without changing it.
-func (s *Scheduler) Slots() int { return len(s.slots) }
-
-// Next reports the key of the event Step would fire next — its time and
-// insertion number — or false if none is pending. Read it between
-// events, not from inside a handler. A test that drives a simulation
-// step by step reads with it which event each step fires.
-func (s *Scheduler) Next() (at units.Time, seq uint64, ok bool) {
+// Peek is what a test that steps a simulation, or recycles one, reads
+// of it between events (not from inside a handler): the key of the
+// event Step would fire next — its time and insertion number, or
+// units.MaxTime if none is pending — and the size of the event arena,
+// the peak number of one-shot events pending at once plus one slot per
+// owned entry (a Pipe's, a Lane's or a Deadlines'). A recycled
+// simulation whose sources all keep their entries runs again without
+// changing the arena's size.
+func (s *Scheduler) Peek() (at units.Time, seq uint64, slots int) {
 	if len(s.heap) == 0 || s.vacant {
-		return 0, 0, false
+		return units.MaxTime, 0, len(s.slots)
 	}
-	return s.heap[0].at, s.heap[0].seq, true
+	return s.heap[0].at, s.heap[0].seq, len(s.slots)
 }
 
 // At schedules fn to run at time t. Events at equal times fire in the

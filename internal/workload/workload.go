@@ -142,30 +142,23 @@ type Transition struct {
 // Start pushes the whole schedule, so each transition draws its
 // insertion number at the start of the run, as an At entered there
 // would have.
-//
-// The schedule is put in time order once, by the first Start: the
-// Transitions slice itself when it is in order already, else a stably
-// sorted copy (Transitions is never modified). Later runs replay that,
-// so Transitions must not change once the source has started, and, as
-// any Source, a Deterministic drives one run at a time.
 type Deterministic struct {
 	InitialOn   bool         // state before the first transition
 	Transitions []Transition // the schedule, replayed in time order
-
-	ordered []Transition // the schedule in time order, set by the first Start
 }
 
-// Start implements Source.
+// Start implements Source. It never modifies Transitions: a schedule
+// out of time order is replayed from a stably sorted copy, and one
+// already in order (a stable sort would return it unchanged) is
+// replayed as it is.
 func (w *Deterministic) Start(e *Entry) {
 	e.Set(w.InitialOn)
-	if w.ordered == nil {
-		w.ordered = w.Transitions
-		if !slices.IsSortedFunc(w.ordered, byTime) {
-			w.ordered = slices.Clone(w.ordered)
-			slices.SortStableFunc(w.ordered, byTime)
-		}
+	ts := w.Transitions
+	if !slices.IsSortedFunc(ts, byTime) {
+		ts = slices.Clone(ts)
+		slices.SortStableFunc(ts, byTime)
 	}
-	for _, tr := range w.ordered {
+	for _, tr := range ts {
 		e.Push(tr.At, tr.On)
 	}
 }

@@ -181,29 +181,26 @@ func TestDeterministicDoesNotMutateInput(t *testing.T) {
 }
 
 // TestDeterministicSortedStartsWithoutCopy: a schedule already in time
-// order is replayed as it is, so its first start allocates exactly one
-// slice less — the sorted copy — than the same transitions out of
-// order; and the schedule is put in order once, so no later start of
-// either allocates at all.
+// order is replayed as it is, so starting it allocates exactly one
+// slice less — the sorted copy — than starting the same transitions out
+// of order; and since the entry is the flow's, starting a sorted
+// schedule again allocates nothing at all.
 func TestDeterministicSortedStartsWithoutCopy(t *testing.T) {
-	var ts []workload.Transition
+	sorted := &workload.Deterministic{}
 	for i := 0; i < 20; i++ {
-		ts = append(ts, workload.Transition{At: units.Time(0).Add(units.Duration(i/2) * units.Second), On: i%2 == 0})
+		sorted.Transitions = append(sorted.Transitions, workload.Transition{At: units.Time(0).Add(units.Duration(i/2) * units.Second), On: i%2 == 0})
 	}
-	unsorted := slices.Clone(ts)
-	unsorted[0], unsorted[2] = unsorted[2], unsorted[0]
+	unsorted := &workload.Deterministic{Transitions: slices.Clone(sorted.Transitions)}
+	unsorted.Transitions[0], unsorted.Transitions[2] = unsorted.Transitions[2], unsorted.Transitions[0]
 	e := workload.NewEntry(sim.New(), func(bool) {})
-	first := func(trs []workload.Transition) float64 {
-		return testing.AllocsPerRun(10, func() { e.Start(&workload.Deterministic{Transitions: trs}) })
+	start := func(w *workload.Deterministic) float64 {
+		return testing.AllocsPerRun(10, func() { e.Start(w) })
 	}
-	if got, out := first(ts), first(unsorted); got != out-1 {
-		t.Fatalf("first start of a sorted schedule made %v allocations, of an unsorted one %v: want one fewer", got, out)
+	if got, out := start(sorted), start(unsorted); got != out-1 {
+		t.Fatalf("starting a sorted schedule made %v allocations, an unsorted one %v: want one fewer", got, out)
 	}
-	for _, trs := range [][]workload.Transition{ts, unsorted} {
-		w := &workload.Deterministic{Transitions: trs}
-		if n := testing.AllocsPerRun(10, func() { e.Start(w) }); n != 0 {
-			t.Fatalf("a schedule started again made %v allocations, want 0", n)
-		}
+	if n := start(sorted); n != 0 {
+		t.Fatalf("starting a sorted schedule again made %v allocations, want 0", n)
 	}
 }
 
@@ -441,8 +438,8 @@ func (w *stepWorld) react(f int) {
 // run steps the world until its next event would fire after end.
 func (w *stepWorld) run(end units.Time) {
 	for {
-		at, seq, ok := w.s.Next()
-		if !ok || at > end {
+		at, seq, _ := w.s.Peek()
+		if at > end {
 			return
 		}
 		w.seq = seq
@@ -540,10 +537,10 @@ func TestEntriesMatchOldSources(t *testing.T) {
 				}
 				t.Fatalf("seed %d round %d: %d events, the reference %d", seed, round, len(w.log), len(want))
 			}
-			if round == 0 {
-				slots = w.s.Slots()
-			} else if w.s.Slots() != slots {
-				t.Fatalf("seed %d round %d: the arena grew from %d slots to %d", seed, round, slots, w.s.Slots())
+			if _, _, n := w.s.Peek(); round == 0 {
+				slots = n
+			} else if n != slots {
+				t.Fatalf("seed %d round %d: the arena grew from %d slots to %d", seed, round, slots, n)
 			}
 		}
 	}

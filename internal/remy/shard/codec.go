@@ -78,21 +78,25 @@ func (h *Hash) UnmarshalJSON(b []byte) error {
 // length followed by the payload, issued as a single Write so frames
 // never interleave.
 func WritePayload(w io.Writer, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	copy(buf[4:], payload)
-	return writeFrame(w, buf)
+	frame := make([]byte, 4+len(payload))
+	copy(frame[4:], payload)
+	if err := sealFrame(frame, 0); err != nil {
+		return err
+	}
+	_, err := w.Write(frame)
+	return err
 }
 
-// writeFrame writes a frame whose payload was encoded after 4 reserved
-// bytes: it fills in the length prefix and issues one Write.
-func writeFrame(w io.Writer, frame []byte) error {
-	n := len(frame) - 4
+// sealFrame fills in the length prefix of the frame that opens at
+// b[start]: its payload was appended after 4 reserved bytes and runs
+// to the end of b.
+func sealFrame(b []byte, start int) error {
+	n := len(b) - start - 4
 	if n > maxFrame {
 		return fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
 	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
-	_, err := w.Write(frame)
-	return err
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return nil
 }
 
 // readChunk is as much of a frame's declared length as ReadPayload
@@ -103,31 +107,46 @@ func writeFrame(w io.Writer, frame []byte) error {
 // maxFrame.
 const readChunk = 64 << 10
 
-// ReadPayload reads one frame's payload. It returns io.EOF unwrapped
-// when the stream ends cleanly between frames.
-func ReadPayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadPayload reads one frame's payload into a new buffer. It returns
+// io.EOF unwrapped when the stream ends cleanly between frames.
+func ReadPayload(r io.Reader) ([]byte, error) { return ReadPayloadInto(r, nil) }
+
+// ReadPayloadInto is ReadPayload reading into buf's storage: the
+// returned payload is buf resliced when the frame fits its capacity,
+// or a grown copy when not, which the caller keeps for the next frame.
+// A reader that passes back each payload it got allocates nothing once
+// the buffer has grown to its largest frame; the payload is only valid
+// until the next call.
+func ReadPayloadInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("shard: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return nil, fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, min(int(n), readChunk))
+	payload := buf[:0]
+	if cap(payload) < min(n, readChunk) {
+		payload = make([]byte, 0, min(n, readChunk))
+	}
+	payload = payload[:min(cap(payload), n)]
 	got := 0
 	for {
 		if _, err := io.ReadFull(r, payload[got:]); err != nil {
 			return nil, fmt.Errorf("shard: read frame payload: %w", err)
 		}
-		if got = len(payload); got == int(n) {
+		if got = len(payload); got == n {
 			return payload, nil
 		}
-		payload = slices.Grow(payload, min(int(n)-got, got))
-		payload = payload[:min(cap(payload), int(n))]
+		payload = slices.Grow(payload, min(n-got, got))
+		payload = payload[:min(cap(payload), n)]
 	}
 }
 
@@ -220,27 +239,28 @@ func EncodeJob(job *Job, binaryCodec bool) ([]byte, error) {
 	if !binaryCodec {
 		return marshalJSONFrame(job)
 	}
-	return appendJob(make([]byte, 0, jobSize(job)), job), nil
+	return appendJob(make([]byte, 0, jobSize(job, job.Cfg)), job, job.Cfg), nil
 }
 
 // jobHeadSize is the most appendJobHead writes: the magic, ten 8-byte
 // fields, the config-hash flag and the hash.
 const jobHeadSize = 4 + 10*8 + 1 + sha256.Size
 
-// jobSize bounds the binary encoding's length (exact when CfgHash is
-// set).
-func jobSize(job *Job) int {
-	n := jobHeadSize + 4 + len(job.Cfg) + 4 + 4 + 8*len(job.Reps)
+// jobSize bounds the length of job's binary encoding with config blob
+// cfg (exact when CfgHash is set).
+func jobSize(job *Job, cfg []byte) int {
+	n := jobHeadSize + 4 + len(cfg) + 4 + 4 + 8*len(job.Reps)
 	for _, t := range job.Trees {
 		n += 4 + len(t)
 	}
 	return n
 }
 
-// appendJob appends job's binary encoding to b.
-func appendJob(b []byte, job *Job) []byte {
+// appendJob appends job's binary encoding to b, with cfg in place of
+// job.Cfg: a hash-only job is encoded from the caller's job as it is.
+func appendJob(b []byte, job *Job, cfg []byte) []byte {
 	b = appendJobHead(b, job)
-	b = appendBlob(b, job.Cfg)
+	b = appendBlob(b, cfg)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(job.Trees)))
 	for _, tree := range job.Trees {
 		b = appendBlob(b, tree)
@@ -554,18 +574,35 @@ func DecodeResult(payload []byte) (*Result, error) {
 	return res, nil
 }
 
-// WriteJob writes one job frame in the binary codec, encoded straight
-// behind its length prefix.
-func WriteJob(w io.Writer, job *Job) error {
-	return writeFrame(w, appendJob(make([]byte, 4, 4+jobSize(job)), job))
+// AppendJobFrame appends one length-prefixed binary job frame to b.
+// withCfg false leaves the config blob out — a hash-only job, encoded
+// without copying the caller's Job. b grows at most once per call, so
+// a sender that passes back its buffer allocates only while its jobs
+// still grow.
+func AppendJobFrame(b []byte, job *Job, withCfg bool) ([]byte, error) {
+	var cfg []byte
+	if withCfg {
+		cfg = job.Cfg
+	}
+	start := len(b)
+	b = append(slices.Grow(b, 4+jobSize(job, cfg)), 0, 0, 0, 0)
+	b = appendJob(b, job, cfg)
+	if err := sealFrame(b, start); err != nil {
+		return b[:start], err
+	}
+	return b, nil
 }
 
-// WriteResult writes one result frame in the binary codec, encoded
-// straight behind its length prefix.
-func WriteResult(w io.Writer, res *Result) error {
-	frame, err := appendResult(make([]byte, 4, 4+resultSize(res)), res)
-	if err != nil {
-		return err
+// AppendResultFrame appends one length-prefixed binary result frame to
+// b, growing it at most once for a result without usage frames.
+func AppendResultFrame(b []byte, res *Result) ([]byte, error) {
+	start := len(b)
+	frame, err := appendResult(append(slices.Grow(b, 4+resultSize(res)), 0, 0, 0, 0), res)
+	if err == nil {
+		err = sealFrame(frame, start)
 	}
-	return writeFrame(w, frame)
+	if err != nil {
+		return b, err
+	}
+	return frame, nil
 }

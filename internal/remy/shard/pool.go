@@ -1,10 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"learnability/internal/telemetry"
@@ -16,7 +16,10 @@ import (
 // whenever a lane's connection fails (the reconnect-with-requeue
 // path), so a Transport must be safe to dial repeatedly.
 type Transport interface {
-	// Dial establishes one worker connection ready for job traffic.
+	// Dial establishes one worker connection. It may leave the
+	// connection's handshake to its first Send and Recv (shardnet's
+	// Dialer only connects), so a worker that refuses the connection
+	// shows as a RejectedError from the first Recv.
 	Dial() (Conn, error)
 	// Name identifies the worker for diagnostics (its address).
 	Name() string
@@ -33,17 +36,44 @@ type Conn interface {
 	// shardnet's tcpConn.Send). A failed Send leaves the connection
 	// unusable.
 	Send(job *Job) error
-	// Recv awaits the next result frame. timeout, when positive,
-	// bounds the wait; transports with heartbeats (shardnet) apply it
-	// to the silence between frames, so long jobs survive as long as
-	// the worker keeps proving liveness. An expired or failed Recv
-	// leaves the connection unusable — the pool discards it and
-	// redials.
+	// Recv awaits the next result frame. The first Recv on a
+	// connection whose Dial only connected completes the handshake
+	// first: it reads the worker's welcome, and a refusal is a
+	// RejectedError. timeout, when positive, bounds the wait;
+	// transports with heartbeats (shardnet) apply it to the silence
+	// between frames, so long jobs survive as long as the worker keeps
+	// proving liveness. An expired or failed Recv leaves the
+	// connection unusable — the pool discards it and redials.
 	Recv(timeout time.Duration) (*Result, error)
 	// Close tears the connection down, releasing its resources and
 	// failing any pending Recv.
 	Close()
 }
+
+// RejectedError is a worker's refusal of a connection at its
+// handshake: a worker of another protocol version, or a peer that is
+// not a worker at all. Redialing cannot help, and evaluating in-process
+// would hide a broken deployment, so Pool.Do fails the batch on it:
+// the job is neither requeued nor evaluated in-process.
+type RejectedError struct {
+	// Worker names the worker (its address).
+	Worker string
+	// Reason says why, naming both protocol versions on a mismatch.
+	Reason string
+}
+
+// Error names the worker and the reason.
+func (e *RejectedError) Error() string {
+	return fmt.Sprintf("shard: worker %s rejected the connection: %s", e.Worker, e.Reason)
+}
+
+// ErrNoHandshake marks a Recv that failed before the worker answered
+// the connection's hello: the connection never came up, as if its Dial
+// had failed, and Pool.Do treats it as that Dial's failure. On a
+// lane's connection from Start it fails the batch, as Start would
+// have; on a redialed one the job is requeued and the lane falls back
+// in-process, as after a failed redial.
+var ErrNoHandshake = errors.New("no handshake")
 
 // RoundTrip sends one job and awaits its result — one pool lane step,
 // also used by tests and one-shot tools. A result for another job
@@ -73,7 +103,12 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // in-flight job requeued for any lane; a lane whose redial fails is
 // dead and evaluates in-process from then on, and after MaxAttempts
 // worker deliveries a job is evaluated in-process, so a batch always
-// completes with the same bits.
+// completes with the same bits. A worker that rejects its connection
+// (RejectedError) fails the batch instead.
+//
+// Each lane is one goroutine that lives from Start to Close; a batch
+// hands the lanes its jobs through the pool's queue and allocates only
+// its results.
 type Pool struct {
 	// Transports holds one lane per entry, each dialing its own worker
 	// (shardnet TCP dialers). At least one is required. Dial failures
@@ -99,14 +134,30 @@ type Pool struct {
 	// the dispatch path free of clock reads.
 	Metrics *telemetry.Registry
 
-	lanes []*lane // built by Start; nil entries never occur
+	lanes   []*lane // built by Start; nil entries never occur
+	running sync.WaitGroup
+
+	// The batch in progress, guarded by mu. Lanes wait on work for a
+	// queued job (or Close); Do waits on settled for the batch's end.
+	mu      sync.Mutex
+	work    sync.Cond
+	settled sync.Cond
+	queue   []*Job    // jobs no lane holds, taken from head
+	head    int       // next job of queue to take
+	results []*Result // the batch's results, by batch position
+	left    int       // jobs without a result
+	held    int       // jobs lanes are working on
+	err     error     // the batch's first failure
+	closing bool      // Close was called: lanes exit
 }
 
 // lane is one worker slot: its transport and its current connection
-// (nil once the lane is dead).
+// (nil once the lane is dead), and whether that connection came from a
+// redial rather than from Start.
 type lane struct {
 	transport Transport
 	conn      Conn
+	redialed  bool
 	m         laneMetrics
 }
 
@@ -136,10 +187,10 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 // callers use it to slice batches.
 func (p *Pool) NumLanes() int { return len(p.lanes) }
 
-// Start dials every lane's worker, all lanes at once. A pool without
-// Transports, or a dial failure, stops the pool and is returned (the
-// lowest failing lane's error): a dead remote should fail loudly at
-// startup, not degrade silently.
+// Start dials every lane's worker, all lanes at once, then starts each
+// lane's goroutine. A pool without Transports, or a dial failure,
+// stops the pool and is returned (the lowest failing lane's error): a
+// dead remote should fail loudly at startup, not degrade silently.
 func (p *Pool) Start() error {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
@@ -172,12 +223,24 @@ func (p *Pool) Start() error {
 			return fmt.Errorf("shard: connect lane %d (%s): %w", i, p.Transports[i].Name(), err)
 		}
 	}
+	p.work.L, p.settled.L = &p.mu, &p.mu
+	p.closing = false
+	p.running.Add(len(p.lanes))
+	for _, l := range p.lanes {
+		go p.runLane(l)
+	}
 	return nil
 }
 
-// Close shuts down every worker connection. The pool can be restarted
-// with Start afterwards.
+// Close stops the lanes and shuts down every worker connection. It
+// must not race with Do. The pool can be restarted with Start
+// afterwards.
 func (p *Pool) Close() {
+	p.mu.Lock()
+	p.closing = true
+	p.work.Broadcast()
+	p.mu.Unlock()
+	p.running.Wait()
 	for _, l := range p.lanes {
 		if l != nil && l.conn != nil {
 			l.conn.Close()
@@ -188,135 +251,141 @@ func (p *Pool) Close() {
 }
 
 // Do evaluates a batch of jobs and returns their results in batch
-// order. It blocks until every job has a result (or a deterministic
-// evaluation error surfaces). Jobs are handed to free lanes as they
-// come; crashes and timeouts requeue the affected job, so completion
-// order never affects the merged output.
+// order. It blocks until every job has a result, or until a
+// deterministic evaluation error or a rejected connection fails the
+// batch and no lane still holds one of its jobs. Jobs are handed to
+// free lanes as they come; crashes and timeouts requeue the affected
+// job, so completion order never affects the merged output.
 func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	queue := make(chan *Job, len(jobs))
+	if len(p.lanes) == 0 {
+		return nil, fmt.Errorf("shard: Do on a pool that is not started")
+	}
+	results := make([]*Result, len(jobs))
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, job := range jobs {
 		job.index = i
 		job.attempts = 0
-		queue <- job
 	}
-
-	results := make([]*Result, len(jobs))
-	remaining := int64(len(jobs))
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		finish()
+	p.queue, p.head = append(p.queue[:0], jobs...), 0
+	p.results, p.left, p.err = results, len(jobs), nil
+	p.work.Broadcast()
+	for p.left > 0 && (p.err == nil || p.held > 0) {
+		p.settled.Wait()
 	}
-	deliver := func(job *Job, res *Result) {
-		if res.Err != "" {
-			fail(fmt.Errorf("shard: job %d failed: %s", job.ID, res.Err))
-			return
-		}
-		results[job.index] = res
-		if atomic.AddInt64(&remaining, -1) == 0 {
-			finish()
-		}
-	}
-
-	// Every lane races for jobs, even when the batch is smaller than
-	// the pool; surplus lanes just block until the batch finishes and
-	// exit.
-	var wg sync.WaitGroup
-	wg.Add(len(p.lanes))
-	for _, l := range p.lanes {
-		go func(l *lane) {
-			defer wg.Done()
-			p.runLane(l, queue, done, deliver)
-		}(l)
-	}
-	<-done
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	err := p.err
+	clear(p.queue)
+	p.queue, p.head, p.results, p.err = p.queue[:0], 0, nil, nil
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// runLane drives one lane until the batch finishes: take a job, send
-// it, receive its result, deliver it — one job in flight. On any
-// transport fault the job goes back to the shared queue (its capacity
-// covers the whole batch, so this never blocks) and the connection is
-// replaced; evaluation is a pure function of the job, so a retry is
-// bit-identical wherever it lands. A dead lane, or a job out of
-// attempts, is evaluated in-process.
-func (p *Pool) runLane(l *lane, queue chan *Job, done <-chan struct{}, deliver func(*Job, *Result)) {
+// runLane drives one lane from Start to Close: take a job, send it,
+// receive its result, deliver it — one job in flight. On any
+// transport fault the job goes back to the end of the shared queue
+// and the connection is replaced; evaluation is a pure function of the
+// job, so a retry is bit-identical wherever it lands. A dead lane, or a
+// job out of attempts, is evaluated in-process.
+func (p *Pool) runLane(l *lane) {
+	defer p.running.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		var job *Job
-		select {
-		case <-done:
+		for !p.closing && (p.head == len(p.queue) || p.err != nil) {
+			p.work.Wait()
+		}
+		if p.closing {
 			return
-		case job = <-queue:
 		}
-		if l.conn == nil || job.attempts >= p.MaxAttempts {
-			p.fallbackJob(l, job, deliver)
-			continue
-		}
-		job.attempts++
-		var sent time.Time
-		if l.m.jobNanos != nil {
-			sent = time.Now()
-		}
-		res, err := RoundTrip(l.conn, job, p.Timeout)
-		if err != nil {
+		job := p.queue[p.head]
+		p.queue[p.head] = nil
+		p.head++
+		p.held++
+		p.mu.Unlock()
+		res, err := p.serve(l, job)
+		p.mu.Lock()
+		p.held--
+		switch {
+		case err == nil && res.Err == "":
+			p.results[job.index] = res
+			p.left--
+		case err == nil:
+			p.fail(fmt.Errorf("shard: job %d failed: %s", job.ID, res.Err))
+		case errors.As(err, new(*RejectedError)), errors.Is(err, ErrNoHandshake) && !l.redialed:
+			p.fail(err)
+		default:
+			// A transport fault: the job goes back for any lane.
 			l.m.requeues.Inc()
-			queue <- job
-			p.reconnect(l)
-			continue
+			p.queue = append(p.queue, job)
+			p.work.Signal()
+			p.mu.Unlock()
+			p.reconnect(l, err)
+			p.mu.Lock()
 		}
+		if p.left == 0 || p.err != nil && p.held == 0 {
+			p.settled.Signal()
+		}
+	}
+}
+
+// fail records the batch's first failure; p.mu is held.
+func (p *Pool) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// serve answers one job on lane l: a round trip on its connection, or
+// in-process for a dead lane or a job out of attempts. Only a transport
+// fault or a rejected connection is an error; an evaluation failure is
+// the result's Err.
+func (p *Pool) serve(l *lane, job *Job) (*Result, error) {
+	if l.conn == nil || job.attempts >= p.MaxAttempts {
 		l.m.jobs.Inc()
-		if l.m.jobNanos != nil {
-			l.m.jobNanos.Observe(time.Since(sent).Nanoseconds())
+		l.m.fallbacks.Inc()
+		res, err := p.Fallback(job)
+		if err != nil {
+			return &Result{ID: job.ID, Err: err.Error()}, nil
 		}
-		deliver(job, res)
+		res.ID = job.ID
+		return res, nil
 	}
-}
-
-// fallbackJob evaluates one job in-process on behalf of lane l and
-// delivers it.
-func (p *Pool) fallbackJob(l *lane, job *Job, deliver func(*Job, *Result)) {
-	l.m.jobs.Inc()
-	l.m.fallbacks.Inc()
-	res, err := p.Fallback(job)
+	job.attempts++
+	var sent time.Time
+	if l.m.jobNanos != nil {
+		sent = time.Now()
+	}
+	res, err := RoundTrip(l.conn, job, p.Timeout)
 	if err != nil {
-		deliver(job, &Result{ID: job.ID, Err: err.Error()})
-		return
+		return nil, err
 	}
-	res.ID = job.ID
-	deliver(job, res)
+	l.m.jobs.Inc()
+	if l.m.jobNanos != nil {
+		l.m.jobNanos.Observe(time.Since(sent).Nanoseconds())
+	}
+	return res, nil
 }
 
-// reconnect replaces a lane's connection after a failure. If the
-// redial fails the lane is marked dead and its future jobs run
+// reconnect replaces a lane's connection after the failure err. If
+// the redial fails, or err says the redialed connection never answered
+// its hello, the lane is marked dead and its future jobs run
 // in-process.
-func (p *Pool) reconnect(l *lane) {
-	l.m.reconnects.Inc()
-	if l.conn != nil {
-		l.conn.Close()
+func (p *Pool) reconnect(l *lane, err error) {
+	l.conn.Close()
+	l.conn = nil
+	if !errors.Is(err, ErrNoHandshake) {
+		l.m.reconnects.Inc()
+		l.conn, err = l.transport.Dial()
+		l.redialed = true
 	}
-	conn, err := l.transport.Dial()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shard: reconnect to %s failed (%v); lane falls back in-process\n",
 			l.transport.Name(), err)
 		l.conn = nil
-		return
 	}
-	l.conn = conn
 }

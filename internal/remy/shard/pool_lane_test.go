@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -385,4 +386,91 @@ func TestPoolStartDialsLanesConcurrently(t *testing.T) {
 		t.Fatalf("lanes were dialed one after another: %v", err)
 	}
 	pool.Close()
+}
+
+// cannedConn answers each job with a result built before the batch, so
+// a round trip on it allocates nothing and a batch's allocations are
+// the pool's own.
+type cannedConn struct {
+	results map[uint64]*Result // read-only, shared by every lane
+	last    uint64
+}
+
+func (c *cannedConn) Send(job *Job) error { c.last = job.ID; return nil }
+
+func (c *cannedConn) Recv(time.Duration) (*Result, error) { return c.results[c.last], nil }
+
+func (c *cannedConn) Close() {}
+
+// TestPoolDoAllocatesOnlyItsResults pins a batch's cost to the pool:
+// its lanes live from Start to Close, so Do allocates the results
+// slice and nothing else — the same for one lane and one job as for
+// four lanes and sixteen jobs.
+func TestPoolDoAllocatesOnlyItsResults(t *testing.T) {
+	for _, shape := range []struct{ lanes, jobs int }{{1, 1}, {2, 2}, {2, 8}, {4, 16}} {
+		jobs := testJobs(shape.jobs, 1)
+		results := make(map[uint64]*Result, len(jobs))
+		for _, job := range jobs {
+			results[job.ID] = &Result{ID: job.ID, Scores: []float64{float64(job.SlotLo)}}
+		}
+		pool := &Pool{Fallback: func(job *Job) (*Result, error) {
+			t.Error("fallback used; every lane is healthy")
+			return echoEval(job)
+		}}
+		for range shape.lanes {
+			pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn {
+				return &cannedConn{results: results}
+			}})
+		}
+		if err := pool.Start(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			got, err := pool.Do(jobs)
+			if err != nil || len(got) != len(jobs) || got[len(jobs)-1] != results[jobs[len(jobs)-1].ID] {
+				t.Fatalf("batch = %v, %v", got, err)
+			}
+		})
+		pool.Close()
+		if allocs != 1 {
+			t.Fatalf("%d lanes, %d jobs: %v allocations per batch, want 1 (the results)", shape.lanes, shape.jobs, allocs)
+		}
+	}
+}
+
+// TestPoolUnansweredHelloIsAFailedDial gives a lane connections whose
+// worker never answers the hello (ErrNoHandshake from Recv). On the
+// connection Start dialed, that fails the batch, as a failed dial at
+// Start would have, with nothing evaluated in-process. On a redialed
+// connection it is a failed redial: the job is requeued and the lane
+// falls back in-process, and the batch completes.
+func TestPoolUnansweredHelloIsAFailedDial(t *testing.T) {
+	silent := func(int) error { return fmt.Errorf("script: read welcome: %w", ErrNoHandshake) }
+	for _, redial := range []bool{false, true} {
+		tr := &scriptTransport{mkConn: func(dial int) Conn {
+			c := newScriptConn(-1)
+			if redial && dial == 1 {
+				c.serveBefore = 0 // dies with its first job in flight
+			} else {
+				c.recvGate = silent
+			}
+			return c
+		}}
+		fallbacks := 0
+		pool := &Pool{Transports: []Transport{tr}, Fallback: func(job *Job) (*Result, error) {
+			fallbacks++
+			return echoEval(job)
+		}}
+		if err := pool.Start(); err != nil {
+			t.Fatal(err)
+		}
+		results, err := pool.Do(testJobs(3, 1))
+		pool.Close()
+		switch {
+		case !redial && (!errors.Is(err, ErrNoHandshake) || fallbacks != 0 || tr.dialCount() != 1):
+			t.Fatalf("Start's connection: Do = %v, %d fallbacks, %d dials; want ErrNoHandshake, none, one", err, fallbacks, tr.dialCount())
+		case redial && (err != nil || len(results) != 3 || fallbacks != 3 || tr.dialCount() != 2):
+			t.Fatalf("redialed connection: Do = %v, %d fallbacks, %d dials; want the batch in-process after one redial", err, fallbacks, tr.dialCount())
+		}
+	}
 }

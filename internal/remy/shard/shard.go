@@ -166,7 +166,7 @@ func unmarshalJSONFrame(payload []byte, v any) error {
 
 // WriteFrame writes v as one length-prefixed JSON frame — the codec
 // of control frames (handshakes, heartbeats). Jobs and results cross
-// in the binary codec via WriteJob/WriteResult.
+// in the binary codec via AppendJobFrame/AppendResultFrame.
 func WriteFrame(w io.Writer, v any) error {
 	payload, err := marshalJSONFrame(v)
 	if err != nil {

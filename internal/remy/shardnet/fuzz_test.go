@@ -1,8 +1,8 @@
 package shardnet
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync/atomic"
@@ -22,26 +22,48 @@ import (
 // the binary codec for jobs and results.
 func frame(t testing.TB, v any) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var b []byte
 	var err error
 	switch v := v.(type) {
 	case *shard.Job:
-		err = shard.WriteJob(&buf, v)
+		b, err = shard.AppendJobFrame(nil, v, true)
 	case *shard.Result:
-		err = shard.WriteResult(&buf, v)
+		b, err = shard.AppendResultFrame(nil, v)
 	default:
+		var buf bytes.Buffer
 		err = shard.WriteFrame(&buf, v)
+		b = buf.Bytes()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// firstWrite returns the bytes a dialed connection writes for its
+// first job: the hello and the job frame, in one write.
+func firstWrite(t testing.TB, job *shard.Job) []byte {
+	t.Helper()
+	client, server := net.Pipe()
+	defer server.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(server)
+		got <- b
+	}()
+	c := newTCPConn(client, "pipe", time.Second)
+	if err := c.Send(job); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	return <-got
 }
 
 // fuzzStreams returns byte streams a client could send a worker, built
 // from real frames: a hello, jobs with the config inline, by hash after
 // it crossed, by hash when it never did, and frames a client never
-// sends (a heartbeat, a result, a stale hello).
+// sends (a heartbeat, a result, a stale hello). A dialed connection's
+// first write, the hello with the first job behind it, opens one.
 func fuzzStreams(t testing.TB) [][]byte {
 	cfg := []byte(`{"Delta":1}`)
 	other := []byte(`{"Delta":2}`)
@@ -70,6 +92,7 @@ func fuzzStreams(t testing.TB) [][]byte {
 		frame(t, &hello{Magic: Magic, Version: shard.ProtocolVersion - 1}),
 		frame(t, &hello{Magic: "not-shardnet", Version: shard.ProtocolVersion}),
 		cat(hi, plain[:len(plain)-3]),
+		cat(firstWrite(t, job(1, cfg, shard.HashBytes(cfg))), byHash),
 	}
 }
 
@@ -115,32 +138,40 @@ func FuzzServeConn(f *testing.F) {
 }
 
 // FuzzTCPConnRecv feeds a worker byte stream to the coordinator's
-// tcpConn.Recv, which skips heartbeats and returns the next result.
-// Recv must not panic, each call must consume a frame or fail, and the
-// loop must end once the worker hangs up.
+// tcpConn.Recv on a connection built the way Dial builds it, with the
+// welcome still to come: the first Recv reads the welcome, then every
+// Recv skips heartbeats and returns the next result. Recv must not
+// panic, each call must consume a frame or fail, a refused handshake
+// must fail every later call, and the loop must end once the worker
+// hangs up.
 func FuzzTCPConnRecv(f *testing.F) {
+	hi := frame(f, &welcome{Magic: Magic, Version: shard.ProtocolVersion, OK: true, HeartbeatMillis: 1})
 	hb := frame(f, &reply{Kind: kindHeartbeat})
 	res := frame(f, &shard.Result{ID: 100, Scores: []float64{1, 2}, Fired: []uint64{1, 3}})
 	cached := frame(f, &shard.Result{ID: 101, Scores: []float64{0}, Cached: true})
 	failed := frame(f, &shard.Result{ID: 102, Err: "evaluation failed"})
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	for _, s := range [][]byte{
+		cat(hi, res),
+		cat(hi, hb, res),
+		cat(hi, hb, hb, res),
+		cat(hi, res, hb, cached, failed),
+		cat(hi, hb, frame(f, map[string]any{"kind": "result"})),
+		cat(hi, hb, frame(f, testJobs(1, 1)[0])),
+		cat(hi, hi),
+		cat(hi, res[:len(res)-1]),
+		cat(frame(f, &welcome{Magic: Magic, Version: shard.ProtocolVersion - 1,
+			Reason: "protocol version 5, worker speaks 4"}), res),
+		cat(frame(f, &welcome{Magic: "not-shardnet", Version: shard.ProtocolVersion, OK: true}), res),
+		hi[:len(hi)-2],
 		res,
-		cat(hb, hb, res),
-		cat(res, hb, cached, failed),
-		cat(hb, frame(f, map[string]any{"kind": "result"})),
-		cat(hb, frame(f, testJobs(1, 1)[0])),
-		frame(f, &welcome{Magic: Magic, Version: shard.ProtocolVersion, OK: true}),
-		res[:len(res)-1],
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		client, worker := net.Pipe()
-		c := &tcpConn{
-			nc: client, br: bufio.NewReader(client), hb: time.Millisecond,
-			hbGap: telemetry.NewRegistry().Histogram("gap"),
-		}
+		c := newTCPConn(client, "pipe", 5*time.Second)
+		c.hbGap = telemetry.NewRegistry().Histogram("gap")
 		defer c.Close()
 		go func() {
 			worker.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -154,6 +185,13 @@ func FuzzTCPConnRecv(f *testing.F) {
 				t.Fatalf("%d results from %d bytes", calls, len(in))
 			}
 			res, err := c.Recv(5 * time.Second)
+			var rej *shard.RejectedError
+			if errors.As(err, &rej) {
+				if _, again := c.Recv(time.Second); again != err {
+					t.Fatalf("Recv after a refused handshake = %v, want %v", again, err)
+				}
+				return
+			}
 			if err != nil {
 				return
 			}

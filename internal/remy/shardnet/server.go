@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,8 +25,12 @@ const writeTimeout = time.Minute
 
 // readBufSize sizes a session's frame reader so that a whole job —
 // one lane's share of a batch, tens of kilobytes at most in practice —
-// usually arrives in one read.
+// usually arrives in one read, the hello and the first job together.
 const readBufSize = 64 << 10
+
+// readers recycles sessions' frame readers: a connection per training
+// run would otherwise allocate readBufSize bytes each.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
 
 // DefaultHeartbeat is the worker's liveness interval while a job
 // evaluates; clients should set their per-job timeout comfortably
@@ -163,7 +168,10 @@ func (s *Server) Serve(l net.Listener) error {
 // busy is set while a job evaluates; the heartbeat goroutine writes
 // only then. cfg is the last config that arrived inline on the
 // connection, checked against its hash cfgHash; the job loop alone
-// touches them.
+// touches them. Frames are read into rbuf and results encoded into
+// wbuf, both reused for the session's life: a decoded job aliases rbuf,
+// so nothing may keep a job's bytes after its result is written, and
+// cfg is a copy.
 type session struct {
 	nc   net.Conn
 	mu   sync.Mutex
@@ -171,6 +179,9 @@ type session struct {
 
 	cfg     []byte
 	cfgHash shard.Hash
+
+	rbuf []byte
+	wbuf []byte // guarded by mu
 }
 
 // writeHeartbeat sends one liveness frame under the session's write
@@ -192,15 +203,27 @@ func (sn *session) writeHeartbeat() (sent bool, err error) {
 func (sn *session) writeResult(res *shard.Result) error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
+	var err error
+	if sn.wbuf, err = shard.AppendResultFrame(sn.wbuf[:0], res); err != nil {
+		return err
+	}
 	sn.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return shard.WriteResult(sn.nc, res)
+	_, err = sn.nc.Write(sn.wbuf)
+	return err
 }
 
 // ServeConn handshakes and serves one coordinator connection to
-// completion, closing it on return.
+// completion, closing it on return. A client may write its first job
+// right behind the hello: the session reads the hello, answers it, and
+// then takes the job from what it already read.
 func (s *Server) ServeConn(nc net.Conn) {
 	defer nc.Close()
-	br := bufio.NewReaderSize(nc, readBufSize)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(nc)
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
 
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	var h hello
@@ -217,6 +240,9 @@ func (s *Server) ServeConn(nc net.Conn) {
 	}
 	if err := shard.WriteFrame(nc, &w); err != nil || !w.OK {
 		s.logf("shardnet: %s: handshake rejected: %s", nc.RemoteAddr(), w.Reason)
+		if err == nil {
+			drainRefused(nc, br)
+		}
 		return
 	}
 	nc.SetDeadline(time.Time{})
@@ -238,11 +264,12 @@ func (s *Server) ServeConn(nc net.Conn) {
 	defer close(stop)
 	served := 0
 	for {
-		payload, err := shard.ReadPayload(br)
+		payload, err := shard.ReadPayloadInto(br, sn.rbuf)
 		if err != nil {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
 			return
 		}
+		sn.rbuf = payload
 		job, _, err := shard.DecodeJob(payload)
 		if err != nil {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
@@ -265,6 +292,21 @@ func (s *Server) ServeConn(nc net.Conn) {
 		s.jobs.Add(1)
 		m.jobs.Inc()
 	}
+}
+
+// drainRefused ends a refused connection without a reset. The client
+// may have written its first job behind the hello; closing with those
+// bytes unread would make the kernel answer with a TCP reset, which can
+// discard the refusal before the client reads it. So the session shuts
+// its write side, which delivers the refusal and then end-of-stream,
+// and discards what the client sent until it hangs up or
+// handshakeTimeout passes.
+func drainRefused(nc net.Conn, br *bufio.Reader) {
+	if cw, ok := nc.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	io.Copy(io.Discard, br)
 }
 
 // evalJob answers one job: version check, the session's config for a

@@ -9,7 +9,13 @@
 //
 //   - a connection handshake (magic string + protocol version both
 //     ways) so mismatched builds are rejected before any job is
-//     miscomputed;
+//     miscomputed. It costs no round trip of its own: Dial only
+//     connects, the hello goes out in the same write as the
+//     connection's first job, and the first Recv reads the welcome
+//     before the result, so a refusal surfaces as a
+//     shard.RejectedError on the pool's first batch. A refusing worker
+//     drains the client's first write before closing, so no TCP reset
+//     overtakes the refusal;
 //   - one config per connection: a job's training config rides inline
 //     the first time it crosses a connection, and later jobs for the
 //     same config carry only its hash. The worker's session holds the
@@ -34,6 +40,12 @@
 // hold TCP-sharded training byte-equal to in-process training,
 // including workers killed mid-generation and warm-cache reruns.
 package shardnet
+
+import (
+	"bytes"
+
+	"learnability/internal/remy/shard"
+)
 
 // Magic identifies the shardnet protocol in the handshake; anything
 // else on the socket (a stray HTTP client, a port scan) is rejected
@@ -70,3 +82,13 @@ const kindHeartbeat = "hb"
 type reply struct {
 	Kind string `json:"kind"`
 }
+
+// helloFrame is the client's first frame, the same on every
+// connection, rendered once.
+var helloFrame = func() []byte {
+	var b bytes.Buffer
+	if err := shard.WriteFrame(&b, &hello{Magic: Magic, Version: shard.ProtocolVersion}); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}()

@@ -1,8 +1,11 @@
 package shardnet
 
 import (
+	"bufio"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -81,9 +84,12 @@ func TestPoolOverTCP(t *testing.T) {
 // TestHandshakeVersionMismatchRejected turns away peers of another
 // protocol version at the handshake, before any job can be
 // miscomputed: a worker answers a newer client's hello with a refusal
-// naming both versions, and a Dialer facing a worker of the previous
-// version, which refuses it the same way, fails at dial — loudly at
-// pool Start, not as silent degradation.
+// naming both versions. A Dialer facing a worker of the previous
+// version, which refuses it the same way, connects — the hello rides
+// the first job — and the pool's first batch fails on the refusal,
+// naming both versions, with no job requeued or evaluated in-process;
+// the next batch fails the same way. A dead address still fails at
+// pool Start.
 func TestHandshakeVersionMismatchRejected(t *testing.T) {
 	nc, err := net.Dial("tcp", startServer(t, &Server{Eval: echoEval}))
 	if err != nil {
@@ -101,42 +107,32 @@ func TestHandshakeVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("welcome to a v%d client = %+v, want a refusal naming the versions", shard.ProtocolVersion+1, w)
 	}
 
-	// A worker of the previous version, answering as its server did.
+	old := shard.ProtocolVersion - 1
+	addr := startPeer(t, frame(t, &welcome{Magic: Magic, Version: old,
+		Reason: fmt.Sprintf("protocol version %d, worker speaks %d", shard.ProtocolVersion, old)}))
+	err = requireRejectedBatch(t, addr)
+	for _, v := range []int{old, shard.ProtocolVersion} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("v%d", v)) {
+			t.Fatalf("mismatch error does not name v%d: %v", v, err)
+		}
+	}
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	old := shard.ProtocolVersion - 1
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			var h hello
-			shard.ReadFrame(nc, &h)
-			shard.WriteFrame(nc, &welcome{Magic: Magic, Version: old, OK: h.Version == old,
-				Reason: fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, old)})
-			nc.Close()
-		}
-	}()
-	d := &Dialer{Addr: ln.Addr().String()}
-	conn, err := d.Dial()
-	if err == nil {
-		conn.Close()
-		t.Fatalf("dial succeeded against a v%d worker", old)
-	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("mismatch error does not name the version: %v", err)
-	}
-	pool := &shard.Pool{Transports: []shard.Transport{d}, Fallback: echoEval}
+	dead := ln.Addr().String()
+	ln.Close()
+	pool := &shard.Pool{Transports: []shard.Transport{&Dialer{Addr: dead}}, Fallback: echoEval}
 	if err := pool.Start(); err == nil {
 		pool.Close()
-		t.Fatalf("pool.Start accepted a v%d worker", old)
+		t.Fatalf("pool.Start accepted a dead address")
 	}
 }
 
+// TestHandshakeBadMagicRejected turns away a client with the wrong
+// magic at the worker, and a peer that answers with the wrong magic,
+// or with no welcome at all, at the pool's first batch.
 func TestHandshakeBadMagicRejected(t *testing.T) {
 	addr := startServer(t, &Server{Eval: echoEval})
 	nc, err := net.Dial("tcp", addr)
@@ -154,6 +150,137 @@ func TestHandshakeBadMagicRejected(t *testing.T) {
 	if w.OK {
 		t.Fatal("server welcomed a client with the wrong magic")
 	}
+
+	for _, answer := range []any{
+		&welcome{Magic: "not-shardnet", Version: shard.ProtocolVersion, OK: true},
+		&shard.Result{ID: 100, Scores: []float64{1}},
+	} {
+		addr := startPeer(t, frame(t, answer))
+		if err := requireRejectedBatch(t, addr); !strings.Contains(err.Error(), "not a shardnet worker") {
+			t.Fatalf("answer %T: error %v, want it to say the peer is no worker", answer, err)
+		}
+	}
+}
+
+// TestRefusalOutlivesPipelinedJob refuses a client whose first job,
+// written behind the hello, is far larger than the session's first
+// read. The worker must deliver the refusal and then end-of-stream, not
+// a reset, which could discard the refusal before the client reads it;
+// and it must take the whole first write.
+func TestRefusalOutlivesPipelinedJob(t *testing.T) {
+	nc, err := net.Dial("tcp", startServer(t, &Server{Eval: echoEval}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	cfg := make([]byte, 16*readBufSize)
+	job := testJobs(1, 1)[0]
+	job.Cfg, job.CfgHash = cfg, shard.HashBytes(cfg)
+	first := append(frame(t, &hello{Magic: Magic, Version: shard.ProtocolVersion + 1}), frame(t, job)...)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := nc.Write(first)
+		wrote <- err
+	}()
+	br := bufio.NewReader(nc)
+	var w welcome
+	if err := shard.ReadFrame(br, &w); err != nil {
+		t.Fatalf("read welcome: %v", err)
+	}
+	if w.OK || !strings.Contains(w.Reason, "version") {
+		t.Fatalf("welcome = %+v, want a refusal", w)
+	}
+	if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after the refusal: read %d bytes, %v; want end-of-stream", n, err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("the worker did not take the first write (%d bytes): %v", len(first), err)
+	}
+}
+
+// TestUnansweredHelloFailsFirstBatch points a pool at a peer that
+// accepts and hangs up without a welcome: the connection Start made
+// never came up, so the first batch fails with shard.ErrNoHandshake,
+// as Start failed when it read the welcome itself, and nothing is
+// evaluated in-process.
+func TestUnansweredHelloFailsFirstBatch(t *testing.T) {
+	addr := startPeer(t, nil)
+	reg := telemetry.NewRegistry()
+	pool := &shard.Pool{Transports: []shard.Transport{&Dialer{Addr: addr}}, Fallback: echoEval, Metrics: reg}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if res, err := pool.Do(testJobs(2, 1)); !errors.Is(err, shard.ErrNoHandshake) {
+		t.Fatalf("Do = %v, %v; want shard.ErrNoHandshake", res, err)
+	}
+	if n := reg.Counter(`shard_lane_fallbacks_total{lane="0:` + addr + `"}`).Value(); n != 0 {
+		t.Fatalf("%d jobs evaluated in-process", n)
+	}
+}
+
+// startPeer serves a scripted handshake on a loopback listener: each
+// connection's hello is read (with whatever the client wrote behind
+// it, as a worker's session reader takes it), answer is written, and
+// the connection is closed. It returns the address.
+func startPeer(t *testing.T, answer []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var h hello
+			shard.ReadFrame(bufio.NewReaderSize(nc, readBufSize), &h)
+			nc.Write(answer)
+			nc.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// requireRejectedBatch starts a one-lane pool against addr, which must
+// succeed, and requires its first two batches to fail with a
+// shard.RejectedError and nothing evaluated in-process. It returns the
+// first batch's error.
+func requireRejectedBatch(t *testing.T, addr string) error {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	pool := &shard.Pool{
+		Transports: []shard.Transport{&Dialer{Addr: addr}},
+		Fallback:   echoEval,
+		Timeout:    5 * time.Second,
+		Metrics:    reg,
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatalf("pool.Start: %v (Dial only connects)", err)
+	}
+	defer pool.Close()
+	var first error
+	for batch := range 2 {
+		res, err := pool.Do(testJobs(2, 1))
+		var rej *shard.RejectedError
+		if !errors.As(err, &rej) {
+			t.Fatalf("batch %d = %v, %v; want a shard.RejectedError", batch, res, err)
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	lane := `{lane="0:` + addr + `"}`
+	for _, name := range []string{"shard_lane_fallbacks_total", "shard_lane_requeues_total"} {
+		if n := reg.Counter(name + lane).Value(); n != 0 {
+			t.Fatalf("%s = %d after a rejected handshake, want 0", name, n)
+		}
+	}
+	return first
 }
 
 // TestTruncatedResultFrame cuts the connection mid-frame on the server
@@ -681,7 +808,7 @@ func TestSessionHoldsLastInlineConfig(t *testing.T) {
 	// result means the session ended instead.
 	roundTrip := func(nc net.Conn, j *shard.Job) *shard.Result {
 		t.Helper()
-		if err := shard.WriteJob(nc, j); err != nil {
+		if _, err := nc.Write(frame(t, j)); err != nil {
 			t.Fatal(err)
 		}
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -773,5 +900,64 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 2 {
 		t.Fatalf("Entries = %d, want 2", st.Entries)
+	}
+}
+
+// TestTCPConnRoundTripAllocatesOnlyItsResult pins the client's frame
+// buffers: once a connection's handshake is done and its config has
+// crossed, a Send of a hash-only job and the Recv of its result
+// allocate what decoding the result allocates and nothing more. The
+// worker is a loop over fixed buffers, so every allocation counted is
+// the client's.
+func TestTCPConnRoundTripAllocatesOnlyItsResult(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	answer := frame(t, &shard.Result{ID: 100, Scores: []float64{1, 2}, Fired: []uint64{3, 4}})
+	welcomeFrame := frame(t, &welcome{Magic: Magic, Version: shard.ProtocolVersion, OK: true, HeartbeatMillis: 1000})
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReaderSize(nc, readBufSize)
+		buf := make([]byte, readBufSize)
+		if _, err := shard.ReadPayloadInto(br, buf); err != nil { // the hello
+			return
+		}
+		nc.Write(welcomeFrame)
+		for {
+			if _, err := shard.ReadPayloadInto(br, buf); err != nil {
+				return
+			}
+			if _, err := nc.Write(answer); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := (&Dialer{Addr: ln.Addr().String()}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cfg := []byte(`{"Delta":1}`)
+	job := testJobs(1, 2)[0]
+	job.Cfg, job.CfgHash = cfg, shard.HashBytes(cfg)
+	roundTrip := func() {
+		if res, err := shard.RoundTrip(conn, job, time.Second); err != nil || len(res.Scores) != 2 {
+			t.Fatalf("round trip = %+v, %v", res, err)
+		}
+	}
+	roundTrip() // the handshake, and the config inline
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := shard.DecodeResult(answer[4:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > decode {
+		t.Fatalf("a warm round trip allocates %v times, decoding its result %v", allocs, decode)
 	}
 }

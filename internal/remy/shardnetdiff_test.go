@@ -8,6 +8,7 @@ package remy
 // warm result caches.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -368,5 +369,183 @@ func TestShardedTrainTCPWarmCacheRerun(t *testing.T) {
 	}
 	if st := srv.Stats(); st.CacheHits == 0 {
 		t.Fatalf("worker served %d jobs but reported no cache hits", st.Jobs)
+	}
+}
+
+// TestSessionBufferReuseMatchesEvalShardJob serves a run of jobs over
+// one worker connection, whose session reads every frame into the same
+// buffer and decodes each job in place. The jobs differ in size,
+// config (inline, by hash, and inline again after another config) and
+// replica list, and the run is sent twice, so the second pass replays
+// from the cache. Every result, and every replay and slot entry the
+// worker's cache holds afterwards, must equal what EvalShardJob
+// computes from the test's own copy of the job: a job byte kept past
+// its job would be overwritten by the next frame.
+func TestSessionBufferReuseMatchesEvalShardJob(t *testing.T) {
+	cache := shardnet.NewCache(0)
+	cached := CachedShardEval(cache)
+	// Configs decode through a process-wide memo keyed by hash, so the
+	// blob a job arrives with is checked here.
+	eval := func(job *shard.Job) (*shard.Result, error) {
+		if got := shard.HashBytes(job.Cfg); got != job.CfgHash {
+			return nil, fmt.Errorf("job %d: config hashes to %s, want %s", job.ID, got, job.CfgHash)
+		}
+		return cached(job)
+	}
+	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: eval})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var cfgs [2][]byte
+	for i, dur := range []units.Duration{2 * units.Second, units.Second} {
+		cfg := tinyConfig()
+		cfg.Duration = dur
+		ncfg := cfg.normalize()
+		if cfgs[i], err = json.Marshal(&ncfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var trees [][]byte
+	for _, tree := range []*remycc.Tree{
+		remycc.NewTree(),
+		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 1.05, WindowIncr: 2, Intersend: 0.001}),
+		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 0.9, WindowIncr: 1, Intersend: 0.002}),
+		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 1, WindowIncr: 4, Intersend: 0.0005}),
+	} {
+		enc, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, enc)
+	}
+	job := func(id uint64, cfg []byte, nTrees int, reps []int, usageFor int) *shard.Job {
+		nr := 2
+		if len(reps) > 0 {
+			nr = len(reps)
+		}
+		return &shard.Job{
+			ID: id, Version: shard.ProtocolVersion, Seed: 3, Gen: 1, Replicas: 2, Reps: reps, UsageFor: usageFor,
+			SlotLo: 0, SlotHi: nTrees * nr, Trees: trees[:nTrees], Cfg: cfg, CfgHash: shard.HashBytes(cfg),
+		}
+	}
+	jobs := []*shard.Job{
+		job(1, cfgs[0], 2, nil, -1),
+		job(2, cfgs[0], 4, nil, 1),
+		job(3, cfgs[1], 1, []int{1}, 0),
+		job(4, cfgs[0], 3, []int{0}, -1),
+		job(5, cfgs[0], 4, []int{1}, 3),
+		job(6, cfgs[1], 4, nil, -1),
+	}
+	want := make([]*shard.Result, len(jobs))
+	for i, j := range jobs {
+		own := *j
+		if want[i], err = EvalShardJob(&own); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := range 2 {
+		for i, j := range jobs {
+			res, err := shard.RoundTrip(conn, j, time.Minute)
+			if err != nil {
+				t.Fatalf("pass %d, job %d: %v", pass, j.ID, err)
+			}
+			if got, exp := resultBits(res), resultBits(want[i]); got != exp {
+				t.Fatalf("pass %d, job %d answered\n%s\nwant EvalShardJob's\n%s", pass, j.ID, got, exp)
+			}
+			if pass == 1 && !res.Cached {
+				t.Fatalf("job %d was not replayed from the cache", j.ID)
+			}
+		}
+	}
+	for i, j := range jobs {
+		b, ok := cache.Get(jobKey(j))
+		if !ok {
+			t.Fatalf("job %d has no replay entry", j.ID)
+		}
+		stored, err := shard.DecodeResult(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := resultBits(stored), resultBits(want[i]); got != exp {
+			t.Fatalf("job %d's replay entry holds\n%s\nwant\n%s", j.ID, got, exp)
+		}
+		w, err := decodeShardJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := len(want[i].Fired) / len(want[i].Scores)
+		for s := w.lo; s < w.hi; s++ {
+			ti, k := w.slot(s)
+			b, ok := cache.Get(slotKey(w.cfgHash, w.draws[k], w.enc[ti]))
+			if !ok {
+				t.Fatalf("job %d, slot %d has no slot entry", j.ID, s)
+			}
+			score, u, fired, err := decodeSlotEntry(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u != nil {
+				fired = make([]uint64, words)
+				markFired(fired, u.Count)
+			}
+			if math.Float64bits(score) != math.Float64bits(want[i].Scores[s]) ||
+				fmt.Sprint(fired) != fmt.Sprint(want[i].Fired[s*words:(s+1)*words]) {
+				t.Fatalf("job %d, slot %d: entry holds score %v fired %x, want %v %x",
+					j.ID, s, score, fired, want[i].Scores[s], want[i].Fired[s*words:(s+1)*words])
+			}
+		}
+	}
+}
+
+// TestTrainFailsAgainstWorkerOfOtherVersion points a trainer at a
+// worker of the previous protocol version, which refuses the hello its
+// first job carries. Train must panic at its first batch, naming both
+// versions, with no result delivered and no job evaluated in-process.
+func TestTrainFailsAgainstWorkerOfOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	old := shard.ProtocolVersion - 1
+	var refusal bytes.Buffer
+	if err := shard.WriteFrame(&refusal, map[string]any{
+		"magic": shardnet.Magic, "version": old, "ok": false,
+		"reason": fmt.Sprintf("protocol version %d, worker speaks %d", shard.ProtocolVersion, old),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hello map[string]any
+			shard.ReadFrame(bufio.NewReader(nc), &hello)
+			nc.Write(refusal.Bytes())
+			nc.Close()
+		}
+	}()
+	reg := telemetry.NewRegistry()
+	tr := &Trainer{Cfg: tinyConfig(), Seed: 1, Remotes: []string{ln.Addr().String()}, Metrics: reg}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		tr.Train(diffBudget())
+		return ""
+	}()
+	for _, v := range []int{old, shard.ProtocolVersion} {
+		if !strings.Contains(msg, fmt.Sprintf("v%d", v)) {
+			t.Fatalf("Train against a v%d worker panicked with %q, want both versions named", old, msg)
+		}
+	}
+	if _, results := tr.ShardCacheStats(); results != 0 {
+		t.Fatalf("%d shard results before the refusal, want the first batch to fail", results)
+	}
+	if n := reg.Counter(`shard_lane_fallbacks_total{lane="0:` + ln.Addr().String() + `"}`).Value(); n != 0 {
+		t.Fatalf("%d jobs fell back in-process", n)
 	}
 }

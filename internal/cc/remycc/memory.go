@@ -134,13 +134,6 @@ type Memory struct {
 	haveSent       bool
 }
 
-// NewMemory returns a memory observing the signals enabled in mask.
-func NewMemory(mask SignalMask) *Memory {
-	m := &Memory{mask: mask}
-	m.Reset()
-	return m
-}
-
 // Reset clears all history (connection start).
 func (m *Memory) Reset() {
 	m.rec = cc.NewEWMA(1.0 / 8)

@@ -10,8 +10,12 @@ import (
 	"learnability/internal/units"
 )
 
+// newMemory is the memory a fresh controller observes through: that of
+// a NewMasked controller on the one-whisker tree.
+func newMemory(mask SignalMask) *Memory { return &NewMasked(NewTree(), mask).memory }
+
 func TestMemorySignalUpdates(t *testing.T) {
-	m := NewMemory(AllSignals())
+	m := newMemory(AllSignals())
 	m.Observe(cc.Feedback{
 		RTT: 150 * units.Millisecond, MinRTT: 100 * units.Millisecond,
 		SentAt: 0, ReceivedAt: units.Time(75 * units.Millisecond),
@@ -43,7 +47,7 @@ func TestMemorySignalUpdates(t *testing.T) {
 }
 
 func TestMemoryGains(t *testing.T) {
-	m := NewMemory(AllSignals())
+	m := newMemory(AllSignals())
 	// Two interarrivals: 10 ms then 90 ms. rec gain 1/8, slow 1/256.
 	times := []units.Time{0, units.Time(10 * units.Millisecond), units.Time(100 * units.Millisecond)}
 	for _, at := range times {
@@ -62,7 +66,7 @@ func TestMemoryGains(t *testing.T) {
 
 func TestMemoryMask(t *testing.T) {
 	mask := AllSignals().Without(RecEWMA).Without(RTTRatio)
-	m := NewMemory(mask)
+	m := newMemory(mask)
 	for i := 0; i < 5; i++ {
 		at := units.Time(i) * units.Time(20*units.Millisecond)
 		m.Observe(cc.Feedback{RTT: 500 * units.Millisecond, MinRTT: 100 * units.Millisecond, ReceivedAt: at, SentAt: at})
@@ -297,7 +301,7 @@ func TestResetWhiskerIsWhatResetReads(t *testing.T) {
 		masks = append(masks, AllSignals().Without(s))
 	}
 	for _, mask := range masks {
-		m := NewMemory(mask)
+		m := newMemory(mask)
 		for i := 0; i < 5; i++ {
 			at := units.Time(i) * units.Time(7*units.Millisecond)
 			m.Observe(cc.Feedback{RTT: 300 * units.Millisecond, MinRTT: 100 * units.Millisecond,

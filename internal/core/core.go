@@ -7,6 +7,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -120,7 +122,7 @@ func taoProtocol(name string, tree *remycc.Tree, mask remycc.SignalMask) Protoco
 // TaoSpec names a Tao protocol and the training configuration that
 // produces it. Trees are trained once per process and cached.
 type TaoSpec struct {
-	Name string      // cache key and display name
+	Name string      // display name, and with the config's content the cache key
 	Cfg  remy.Config // training distribution and objective
 	Seed uint64      // training seed
 }
@@ -156,10 +158,16 @@ var (
 )
 
 // Train returns the trained tree for the spec, training it on first
-// use. The cache key includes everything of the effort that training
-// reads, so different fidelities and seeds do not collide.
+// use. The cache key includes the name, the config's content (SHA-256
+// of its JSON, the form remy hashes) and everything of the effort that
+// training reads, so two specs of one name but different configs, and
+// different fidelities and seeds, do not collide.
 func (s TaoSpec) Train(e Effort, log func(string, ...any)) *remycc.Tree {
-	key := fmt.Sprintf("%s/%d/%d/%+v/%d/%v", s.Name, s.Seed, e.Seed, e.TrainBudget, e.TrainReplicas, e.TrainDuration)
+	content, err := json.Marshal(s.Cfg)
+	if err != nil {
+		panic(fmt.Sprintf("core: training config of %s not serializable: %v", s.Name, err))
+	}
+	key := fmt.Sprintf("%s/%x/%d/%d/%+v/%d/%v", s.Name, sha256.Sum256(content), s.Seed, e.Seed, e.TrainBudget, e.TrainReplicas, e.TrainDuration)
 	taoCacheMu.Lock()
 	if t, ok := taoCache[key]; ok {
 		taoCacheMu.Unlock()

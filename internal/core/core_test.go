@@ -99,6 +99,14 @@ func TestTaoCache(t *testing.T) {
 	if reflect.DeepEqual(t4, t1) {
 		t.Fatal("two effort seeds trained the same tree")
 	}
+	// The key holds the config's content: a spec of the same name whose
+	// config differs only in Delta trains a tree of its own.
+	other := spec
+	other.Cfg.Delta = spec.Cfg.Delta + 1
+	before = trains
+	if t5 := other.Train(e, log); trains == before || t5 == t1 {
+		t.Fatal("a same-named spec with another Delta was served the first spec's tree")
+	}
 }
 
 func TestCalibrationShape(t *testing.T) {

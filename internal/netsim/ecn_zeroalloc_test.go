@@ -5,7 +5,6 @@ import (
 
 	"learnability/internal/packet"
 	"learnability/internal/queue"
-	"learnability/internal/sim"
 	"learnability/internal/units"
 )
 
@@ -34,13 +33,12 @@ func TestECNMarkZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sched := sim.New()
-			pool := &packet.Pool{}
+			nw := New()
+			sched, pool := nw.Sched, nw.Pool
 			q := tc.mk()
 			// 1 Mbps: each MTU serializes in ~12 ms, so 16 circulating
 			// packets hold the sojourn far above the 5 ms CoDel target.
-			l := NewLink(sched, units.Mbps, 20*units.Microsecond, q)
-			l.SetPool(pool)
+			l := nw.NewLink(units.Mbps, 20*units.Microsecond, q)
 			l.SetRoute([]Deliverer{refeed{l}})
 			for i := 0; i < 16; i++ {
 				p := pool.Data(0, int64(i), sched.Now())

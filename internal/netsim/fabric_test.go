@@ -50,14 +50,14 @@ func TestFatTreeLanesMatchPerPacketScheduling(t *testing.T) {
 					}
 					flows[f] = topo.FlowSpec{
 						Alg:      alg,
-						Workload: workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("wl", f)),
+						Workload: &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second / 2, Rng: rng.New(seed).SplitN("wl", f)},
 					}
 				}
-				nw, err := topo.Build(&ft.G, queues, flows)
+				w, err := topo.NewWorld(&ft.G, queues, flows)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return nw
+				return w.Net
 			}
 			nw, stats := netsim.RunBothLines(t, build)
 			var retx, reordered int64

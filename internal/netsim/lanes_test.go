@@ -37,7 +37,8 @@ type perPacketLanes struct {
 func perPacket(nw *Network) *Network {
 	o := &perPacketLanes{nw: nw, prop: map[*Link][]*lane{}, ack: map[*Receiver][]*lane{}}
 	for _, l := range nw.Links {
-		l.setLanes(sim.NewLanes(nw.Sched, o.fire))
+		l.lanes = sim.NewLanes(nw.Sched, o.fire)
+		l.Reinit(l.rate, l.prop, l.q)
 	}
 	return nw
 }

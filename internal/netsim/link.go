@@ -46,8 +46,7 @@ func fireHop(h hop) {
 // laneSet is a set of delay lanes carrying hops (see sim.Lanes). A
 // Network has one, shared by all its links and receivers, which is what
 // keeps the scheduler's queue as deep as the network has distinct delays
-// rather than stages; a link or receiver built on a bare scheduler has
-// one of its own until a network takes it in.
+// rather than stages.
 type (
 	laneSet = sim.Lanes[hop]
 	lane    = sim.Lane[hop]
@@ -116,8 +115,7 @@ func (h *NextHops) queueLen(i int) int {
 // delay is constant). Both lanes are shared with every other stage of
 // the same delay on the link's lane set, so a link adds no scheduler
 // entry of its own however many packets are in flight on it. The lane
-// pointers are resolved when the link is created and again by Reinit and
-// SetRate, never per packet.
+// pointers are resolved by Reinit and SetRate, never per packet.
 type Link struct {
 	sched *sim.Scheduler
 	rate  units.Rate
@@ -168,22 +166,21 @@ type Link struct {
 	inProp   int
 }
 
-// NewLink creates a link on a bare scheduler, with a lane set of its
-// own; a network's links are created with Network.NewLink. The route
-// must be set with SetRoute before any packet exits the link.
-func NewLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
-	l := newLink(sched, rate, prop, q)
-	l.setLanes(newLaneSet(sched))
-	return l
-}
-
-// newLink creates a link whose lanes the caller still has to set.
-func newLink(sched *sim.Scheduler, rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
-	checkLink(rate, prop, q)
-	return &Link{sched: sched, rate: rate, prop: prop, q: q}
-}
-
-func checkLink(rate units.Rate, prop units.Duration, q queue.Discipline) {
+// Reinit sets a link's rate, propagation delay, and queueing discipline,
+// and rewinds everything else a run changes. Network.NewLink ends with
+// it, and a recycled world calls it on a link of a finished simulation,
+// keeping the scheduler, pool and lane set bindings. The lanes are
+// resolved again: the set has been Reset (Network.Reset does it,
+// returning every packet the finished run left in propagation to the
+// pool) and may have forgotten the link's delays. The packet being
+// serialized is returned to the pool here, and the previous queue, if
+// any, is Reset (the packets it held are values there, and go with it),
+// so q may be that same queue, reused as new. The next-hop tables stay
+// as installed (they name links and receivers, which a recycled world
+// keeps), with the spray cursors and packet counts rewound; a caller
+// whose paths or policy changed re-installs them with SetRoute or
+// SetMultiRoute. Per-flow tallies stay installed, zeroed.
+func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	if rate <= 0 {
 		panic("netsim: link with non-positive rate")
 	}
@@ -193,42 +190,20 @@ func checkLink(rate units.Rate, prop units.Duration, q queue.Discipline) {
 	if q == nil {
 		panic("netsim: link with nil queue")
 	}
-}
-
-// setLanes resolves the link's lanes in ls, at its current rate and
-// propagation delay. A transmission or a packet already on a lane
-// finishes there.
-func (l *Link) setLanes(ls *laneSet) {
-	l.lanes = ls
-	l.txLane = ls.Lane(l.rate.TransmissionTime(packet.MTU))
-	l.propLane = ls.Lane(l.prop)
-}
-
-// Reinit retargets a link from a finished simulation at a new rate,
-// propagation delay, and queueing discipline, keeping the scheduler
-// and lane set bindings. The lanes themselves are resolved again: the
-// set has been Reset (Network.Reset does it, returning every packet the
-// finished run left in propagation to the pool) and may have forgotten
-// the link's delays. The packet being serialized is returned to the
-// pool here, and the previous queue is Reset (the packets it held are
-// values there, and go with it), so q may be that same queue, reused as
-// new. The next-hop tables stay as installed (they name links and
-// receivers, which a recycled world keeps), with the spray cursors and
-// packet counts rewound; a caller whose paths or policy changed
-// re-installs them with SetRoute or SetMultiRoute. Per-flow tallies stay installed, zeroed.
-func (l *Link) Reinit(rate units.Rate, prop units.Duration, q queue.Discipline) {
-	checkLink(rate, prop, q)
 	if l.txPkt != nil {
 		l.pool.Put(l.txPkt)
 		l.txPkt = nil
 	}
-	l.q.Reset()
+	if l.q != nil {
+		l.q.Reset()
+	}
 	l.busy = false
 	l.inProp = 0
 	l.rate = rate
 	l.prop = prop
 	l.q = q
-	l.setLanes(l.lanes)
+	l.txLane = l.lanes.Lane(rate.TransmissionTime(packet.MTU))
+	l.propLane = l.lanes.Lane(prop)
 	clear(l.rr)
 	l.in, l.out = 0, 0
 	clear(l.tallyIn)
@@ -321,17 +296,6 @@ func (l *Link) Fanout(f int) int {
 		return len(l.multi[f].Cands)
 	}
 	return 0
-}
-
-// SetPool attaches the simulation's packet pool, letting the link
-// recycle packets its queue rejects at enqueue. The pool is forwarded
-// to the queueing discipline, which recycles the packets it accepts
-// and draws the packets it serves from it.
-func (l *Link) SetPool(p *packet.Pool) {
-	l.pool = p
-	if pa, ok := l.q.(queue.PoolAware); ok {
-		pa.SetPool(p)
-	}
 }
 
 // Queue exposes the link's queueing discipline (for sampling occupancy

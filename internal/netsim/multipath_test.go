@@ -34,14 +34,11 @@ func dropTail64() queue.Discipline { return queue.NewDropTail(64 * packet.MTU) }
 // downstream links recirculate packets back into l0, so a handful of
 // pooled packets keeps the multipath hot path busy forever.
 func fanoutDiamond(sel PathSelector, mkq func() queue.Discipline) (*sim.Scheduler, *packet.Pool, *Link) {
-	sched := sim.New()
-	pool := &packet.Pool{}
-	l0 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
-	l1 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
-	l2 := NewLink(sched, units.Gbps, 20*units.Microsecond, mkq())
-	for _, l := range []*Link{l0, l1, l2} {
-		l.SetPool(pool)
-	}
+	nw := New()
+	sched, pool := nw.Sched, nw.Pool
+	l0 := nw.NewLink(units.Gbps, 20*units.Microsecond, mkq())
+	l1 := nw.NewLink(units.Gbps, 20*units.Microsecond, mkq())
+	l2 := nw.NewLink(units.Gbps, 20*units.Microsecond, mkq())
 	l1.SetRoute([]Deliverer{refeed{l0}})
 	l2.SetRoute([]Deliverer{refeed{l0}})
 	l0.SetMultiRoute(
@@ -58,18 +55,14 @@ func fanoutDiamond(sel PathSelector, mkq func() queue.Discipline) (*sim.Schedule
 // TestSpraySplitsEvenly checks the spray selector round-robins a flow's
 // candidates: an even packet count splits exactly in half.
 func TestSpraySplitsEvenly(t *testing.T) {
-	sched := sim.New()
-	pool := &packet.Pool{}
-	l0 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
-	l1 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
-	l2 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	nw := New()
+	sched, pool := nw.Sched, nw.Pool
+	l0 := nw.NewLink(units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	l1 := nw.NewLink(units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	l2 := nw.NewLink(units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
 	sink := &countSink{pool: pool}
-	for _, l := range []*Link{l0, l1, l2} {
-		l.SetPool(pool)
-		if l != l0 {
-			l.SetRoute([]Deliverer{sink})
-		}
-	}
+	l1.SetRoute([]Deliverer{sink})
+	l2.SetRoute([]Deliverer{sink})
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
 		[]NextHops{{Cands: []Deliverer{l1, l2}}},
@@ -94,20 +87,16 @@ func TestSpraySplitsEvenly(t *testing.T) {
 // TestAdaptiveAvoidsBacklog checks the adaptive selector steers every
 // packet away from a candidate with a standing queue.
 func TestAdaptiveAvoidsBacklog(t *testing.T) {
-	sched := sim.New()
-	pool := &packet.Pool{}
-	l0 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
-	l1 := NewLink(sched, units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	nw := New()
+	sched, pool := nw.Sched, nw.Pool
+	l0 := nw.NewLink(units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	l1 := nw.NewLink(units.Gbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
 	// l2 is three orders of magnitude slower, so its prefilled queue
 	// stays backlogged for the whole test.
-	l2 := NewLink(sched, units.Mbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
+	l2 := nw.NewLink(units.Mbps, 20*units.Microsecond, queue.NewDropTail(64*packet.MTU))
 	sink := &countSink{pool: pool}
-	for _, l := range []*Link{l0, l1, l2} {
-		l.SetPool(pool)
-		if l != l0 {
-			l.SetRoute([]Deliverer{sink})
-		}
-	}
+	l1.SetRoute([]Deliverer{sink})
+	l2.SetRoute([]Deliverer{sink})
 	l0.SetMultiRoute(
 		[]Deliverer{nil},
 		[]NextHops{{Cands: []Deliverer{l1, l2}}},

@@ -34,12 +34,11 @@ func buildDumbbell(rate units.Rate, minRTT units.Duration, q queue.Discipline,
 	n int, mk func(i int) cc.Algorithm, wl func(i int) workload.Source) *Network {
 
 	nw := New()
-	link := NewLink(nw.Sched, rate, minRTT/2, q)
-	nw.AddLink(link)
+	link := nw.NewLink(rate, minRTT/2, q)
 	next := make([]Deliverer, n)
 	for i := 0; i < n; i++ {
 		st := &FlowStats{Flow: i, PropDelay: minRTT / 2, MinRTT: minRTT}
-		rcv := NewReceiver(nw.Sched, i, minRTT/2, st)
+		rcv := nw.NewReceiver(i, minRTT/2, st)
 		snd := NewSender(nw.Sched, i, mk(i), link, st)
 		rcv.SetSender(snd)
 		next[i] = rcv
@@ -229,7 +228,7 @@ func TestDeterministicReplay(t *testing.T) {
 		q := queue.NewDropTail(20 * packet.MTU)
 		r := rng.New(99)
 		wl := func(i int) workload.Source {
-			return workload.NewOnOff(units.Second, units.Second, r.SplitN("wl", i))
+			return &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second, Rng: r.SplitN("wl", i)}
 		}
 		nw := buildDumbbell(10*units.Mbps, 100*units.Millisecond, q, 2,
 			func(int) cc.Algorithm { return &fixedCC{w: 30} }, wl)
@@ -262,12 +261,10 @@ func TestTwoHopPath(t *testing.T) {
 	// serializations; throughput limited by the slower link.
 	nw := New()
 	q1, q2 := queue.NewDropTail(queue.Unbounded), queue.NewDropTail(queue.Unbounded)
-	l1 := NewLink(nw.Sched, 20*units.Mbps, 75*units.Millisecond, q1)
-	l2 := NewLink(nw.Sched, 10*units.Mbps, 75*units.Millisecond, q2)
-	nw.AddLink(l1)
-	nw.AddLink(l2)
+	l1 := nw.NewLink(20*units.Mbps, 75*units.Millisecond, q1)
+	l2 := nw.NewLink(10*units.Mbps, 75*units.Millisecond, q2)
 	st := &FlowStats{Flow: 0, PropDelay: 150 * units.Millisecond, MinRTT: 300 * units.Millisecond}
-	rcv := NewReceiver(nw.Sched, 0, 150*units.Millisecond, st)
+	rcv := nw.NewReceiver(0, 150*units.Millisecond, st)
 	snd := NewSender(nw.Sched, 0, &fixedCC{w: 1000}, l1, st)
 	rcv.SetSender(snd)
 	l1.SetRoute([]Deliverer{l2})
@@ -303,12 +300,12 @@ func TestSampleRecordsQueueOccupancy(t *testing.T) {
 }
 
 func TestLinkValidation(t *testing.T) {
-	s := New().Sched
+	nw := New()
 	q := queue.NewDropTail(queue.Unbounded)
 	for _, fn := range []func(){
-		func() { NewLink(s, 0, 0, q) },
-		func() { NewLink(s, units.Mbps, -1, q) },
-		func() { NewLink(s, units.Mbps, 0, nil) },
+		func() { nw.NewLink(0, 0, q) },
+		func() { nw.NewLink(units.Mbps, -1, q) },
+		func() { nw.NewLink(units.Mbps, 0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -324,7 +321,7 @@ func TestLinkValidation(t *testing.T) {
 func TestSenderValidation(t *testing.T) {
 	nw := New()
 	q := queue.NewDropTail(queue.Unbounded)
-	l := NewLink(nw.Sched, units.Mbps, 0, q)
+	l := nw.NewLink(units.Mbps, 0, q)
 	st := &FlowStats{}
 	for _, fn := range []func(){
 		func() { NewSender(nw.Sched, 0, nil, l, st) },
@@ -344,11 +341,11 @@ func TestSenderValidation(t *testing.T) {
 func TestReceiverRejectsMisrouted(t *testing.T) {
 	nw := New()
 	st := &FlowStats{}
-	rcv := NewReceiver(nw.Sched, 3, 0, st)
+	rcv := nw.NewReceiver(3, 0, st)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on misrouted packet")
 		}
 	}()
-	rcv.Deliver(0, packet.DataPacket(4, 0, 0))
+	rcv.Deliver(0, nw.Pool.Data(4, 0, 0))
 }

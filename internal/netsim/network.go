@@ -54,45 +54,34 @@ func New() *Network {
 // packets in flight occupy between them.
 func (n *Network) Lanes() int { return n.lanes.Len() }
 
-// NewLink creates a link on the network's lanes and registers it.
+// NewLink creates a link on the network's pool and lanes, set up by
+// Link.Reinit, and registers it. The route must be set with SetRoute
+// before any packet exits the link.
 func (n *Network) NewLink(rate units.Rate, prop units.Duration, q queue.Discipline) *Link {
-	l := newLink(n.Sched, rate, prop, q)
-	n.AddLink(l)
+	l := &Link{sched: n.Sched, pool: n.Pool, lanes: n.lanes}
+	l.Reinit(rate, prop, q)
+	n.Links = append(n.Links, l)
 	return l
 }
 
-// NewReceiver creates a receiver on the network's lanes, to be
-// registered as part of its flow with AddFlow.
+// NewReceiver creates a receiver on the network's pool and lanes, set up
+// by Receiver.Reinit, to be registered as part of its flow with AddFlow.
 func (n *Network) NewReceiver(flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
-	r := newReceiver(n.Sched, flow, ackDelay, stats)
-	r.setLanes(n.lanes)
+	r := &Receiver{sched: n.Sched, flow: flow, stats: stats, pool: n.Pool, lanes: n.lanes, ooo: newRingScoreboard()}
+	r.Reinit(ackDelay)
 	return r
 }
 
-// AddFlow registers a flow, wiring the network's packet pool and lanes
-// into its endpoints so topology builders cannot silently leave a
-// component allocating per packet or scheduling on its own. The
-// receiver must be idle.
+// AddFlow registers a flow, wiring the network's packet pool into its
+// sender so topology builders cannot silently leave it allocating per
+// packet, and giving the flow the on/off entry its workload arms.
 func (n *Network) AddFlow(f *Flow) {
 	if f.Sender != nil {
 		f.Sender.SetPool(n.Pool)
 		snd := f.Sender
 		f.onOff = workload.NewEntry(n.Sched, func(on bool) { snd.SetOn(n.Sched.Now(), on) })
 	}
-	if f.Receiver != nil {
-		f.Receiver.SetPool(n.Pool)
-		f.Receiver.setLanes(n.lanes)
-	}
 	n.Flows = append(n.Flows, f)
-}
-
-// AddLink registers a link, which must be idle, wiring in the network's
-// packet pool (and, through the link, its queueing discipline) and its
-// lanes.
-func (n *Network) AddLink(l *Link) {
-	l.SetPool(n.Pool)
-	l.setLanes(n.lanes)
-	n.Links = append(n.Links, l)
 }
 
 // Reset rewinds the network's shared machinery so the network can host

@@ -6,73 +6,27 @@ import (
 	"learnability/internal/rng"
 )
 
-// oooBuffer is the contract the property test holds the ring and the
-// map reference to: presence tracking for sequences in [base, ∞),
-// where base is the lowest sequence the receiver still cares about
-// (one past the cumulative point).
-type oooBuffer interface {
-	add(seq int64)
-	has(seq int64) bool
-	remove(seq int64)
-	advance(newBase int64)
-	size() int
-}
-
-// mapOoo is the seed's hash-map buffer, kept (test-only) as the
-// reference implementation the property test compares the ring
-// against.
-type mapOoo struct {
-	m    map[int64]bool
-	base int64
-}
-
-func newMapOoo() *mapOoo {
-	return &mapOoo{m: make(map[int64]bool)}
-}
-
-func (s *mapOoo) add(seq int64) {
-	if seq < s.base {
-		return
-	}
-	s.m[seq] = true
-}
-
-func (s *mapOoo) has(seq int64) bool { return s.m[seq] }
-
-func (s *mapOoo) remove(seq int64) { delete(s.m, seq) }
-
-func (s *mapOoo) advance(newBase int64) {
-	for seq := range s.m {
-		if seq < newBase {
-			delete(s.m, seq)
-		}
-	}
-	if newBase > s.base {
-		s.base = newBase
-	}
-}
-
-func (s *mapOoo) size() int { return len(s.m) }
-
-// oooReceiver replays the receiver's cumulative-ACK logic over an
-// oooBuffer: one arrival per step, returning the new cumulative point.
-// Both implementations must trace identically through it.
+// oooReceiver replays the receiver's cumulative-ACK logic over a
+// scoreboard used as its reorder buffer, the way Receiver.Deliver uses
+// its ring: an arrival above the cumulative point sets a flag, presence
+// is any flag set, and the cumulative point advances the board past what
+// it delivers. deliver takes one arrival and returns the new cumulative
+// point; the ring and the map oracle must trace identically through it.
 type oooReceiver struct {
 	cum int64
-	buf oooBuffer
+	buf scoreboard
 }
 
 func (r *oooReceiver) deliver(seq int64) int64 {
 	switch {
 	case seq == r.cum+1:
 		r.cum++
-		for r.buf.has(r.cum + 1) {
-			r.buf.remove(r.cum + 1)
+		for r.buf.get(r.cum+1) != 0 {
 			r.cum++
 		}
 		r.buf.advance(r.cum + 1)
 	case seq > r.cum:
-		r.buf.add(seq)
+		r.buf.or(seq, sbSacked)
 	}
 	return r.cum
 }
@@ -100,10 +54,10 @@ func reorderTrace(r *rng.Stream, n, depth int) []int64 {
 	return trace
 }
 
-// TestOooRingMatchesMap drives the ring and map buffers through the
-// same random reorder traces and requires identical cumulative points,
-// identical membership on random probes, and identical sizes at every
-// step.
+// TestOooRingMatchesMap drives the ring and the map scoreboard, as a
+// receiver's reorder buffer, through the same random reorder traces and
+// requires identical cumulative points, identical presence on random
+// probes, and identical sizes at every step.
 func TestOooRingMatchesMap(t *testing.T) {
 	r := rng.New(21)
 	for trial := 0; trial < 50; trial++ {
@@ -111,61 +65,79 @@ func TestOooRingMatchesMap(t *testing.T) {
 		depth := 1 + r.Intn(100)
 		trace := reorderTrace(r, n, depth)
 
-		ring := &oooReceiver{cum: -1, buf: newRingOoo()}
-		ref := &oooReceiver{cum: -1, buf: newMapOoo()}
+		ring := &oooReceiver{cum: -1, buf: newRingScoreboard()}
+		ref := &oooReceiver{cum: -1, buf: newMapScoreboard(0)}
 		for step, seq := range trace {
 			rc, mc := ring.deliver(seq), ref.deliver(seq)
 			if rc != mc {
 				t.Fatalf("trial %d step %d (seq %d): ring cum %d, map cum %d", trial, step, seq, rc, mc)
 			}
-			if rs, ms := ring.buf.size(), ref.buf.size(); rs != ms {
+			if rs, ms := ring.buf.marked(), ref.buf.marked(); rs != ms {
 				t.Fatalf("trial %d step %d: ring size %d, map size %d", trial, step, rs, ms)
 			}
 			probe := int64(r.Intn(n))
-			if rh, mh := ring.buf.has(probe), ref.buf.has(probe); rh != mh {
-				t.Fatalf("trial %d step %d: has(%d) ring %v, map %v", trial, step, probe, rh, mh)
+			if rh, mh := ring.buf.get(probe) != 0, ref.buf.get(probe) != 0; rh != mh {
+				t.Fatalf("trial %d step %d: seq %d present on ring %v, on map %v", trial, step, probe, rh, mh)
 			}
 		}
 		// Every in-order-complete trace must end fully delivered.
 		if ring.cum != int64(n-1) {
 			t.Fatalf("trial %d: final cum %d, want %d", trial, ring.cum, n-1)
 		}
-		if ring.buf.size() != 0 {
-			t.Fatalf("trial %d: %d stale entries left in ring", trial, ring.buf.size())
+		if ring.buf.marked() != 0 {
+			t.Fatalf("trial %d: %d stale entries left in ring", trial, ring.buf.marked())
 		}
 	}
 }
 
 // TestOooRingGrowth forces deep reordering so the ring must double
-// several times, and checks membership survives each growth.
+// several times, checks presence survives each growth, that advancing
+// past the whole stored span empties it, and that a reset to sequence
+// zero (a recycled world's receiver) keeps the capacity it grew to.
 func TestOooRingGrowth(t *testing.T) {
-	ring := newRingOoo()
-	ref := newMapOoo()
-	// Hold back seq 0 so the base never advances while adds land far
+	ring := newRingScoreboard()
+	ref := newMapScoreboard(0)
+	// Hold back seq 0 so the base never advances while arrivals land far
 	// beyond the initial 64-entry capacity.
 	r := rng.New(5)
 	var added []int64
 	for i := 0; i < 200; i++ {
 		seq := int64(1 + r.Intn(4096))
-		ring.add(seq)
-		ref.add(seq)
+		ring.or(seq, sbSacked)
+		ref.or(seq, sbSacked)
 		added = append(added, seq)
 	}
 	for _, seq := range added {
-		if !ring.has(seq) {
+		if ring.get(seq) == 0 {
 			t.Fatalf("ring lost seq %d across growth", seq)
 		}
 	}
-	if ring.size() != ref.size() {
-		t.Fatalf("ring size %d, map size %d", ring.size(), ref.size())
+	if ring.marked() != ref.marked() {
+		t.Fatalf("ring size %d, map size %d", ring.marked(), ref.marked())
 	}
-	// Advancing past everything empties the ring.
+	grown := len(ring.flags)
+	if grown <= ringScoreboardMinCap {
+		t.Fatalf("ring holds %d entries after arrivals 4096 ahead; it never grew", grown)
+	}
+	// Advancing past everything, beyond the stored span, empties the
+	// ring.
 	ring.advance(5000)
 	ref.advance(5000)
-	if ring.size() != 0 || ref.size() != 0 {
-		t.Fatalf("advance left entries: ring %d, map %d", ring.size(), ref.size())
+	if ring.marked() != 0 || ref.marked() != 0 {
+		t.Fatalf("advance left entries: ring %d, map %d", ring.marked(), ref.marked())
 	}
-	if ring.has(3000) {
-		t.Fatal("has() true after advance")
+	if ring.get(3000) != 0 || ring.get(5000) != 0 {
+		t.Fatal("a sequence is present after advance")
+	}
+	// A reset rewinds to sequence zero and keeps the grown capacity.
+	ring.or(5001, sbSacked)
+	ring.reset(0)
+	if len(ring.flags) != grown || ring.base != 0 || ring.marked() != 0 {
+		t.Fatalf("reset(0): %d entries from %d, base %d, %d marked; want the capacity kept, base 0, none marked",
+			len(ring.flags), grown, ring.base, ring.marked())
+	}
+	ring.or(7, sbSacked)
+	if ring.get(7) == 0 || len(ring.flags) != grown {
+		t.Fatal("the reset ring does not take an arrival in place")
 	}
 }

@@ -12,12 +12,11 @@ import (
 // reverse paths are uncongested; see docs/ARCHITECTURE.md, "One
 // packet's life", step 6).
 //
-// The ACK path is allocation-free when a pool is attached: the data
-// packet is recycled as soon as its ACK is built, pending ACKs ride the
-// delay lane of the reverse path (its delay is constant, so they arrive
-// in order; the lane is shared with every stage of equal delay, see
-// Link), and the ACK itself is recycled after the sender has processed
-// it.
+// The ACK path is allocation-free: the data packet is recycled as soon
+// as its ACK is built, pending ACKs ride the delay lane of the reverse
+// path (its delay is constant, so they arrive in order; the lane is
+// shared with every stage of equal delay, see Link), and the ACK itself
+// is recycled after the sender has processed it.
 type Receiver struct {
 	sched    *sim.Scheduler
 	flow     int
@@ -27,67 +26,38 @@ type Receiver struct {
 	pool     *packet.Pool
 
 	cum int64 // highest in-order sequence received; -1 initially
-	ooo *ringOoo
+	// ooo marks the sequences above cum that have arrived: the sender's
+	// scoreboard ring, where any flag set means present.
+	ooo *ringScoreboard
 
 	// trace, when non-nil, receives a TraceDeliver event per arriving
 	// data packet; nil in normal runs (one predictable branch).
 	trace PacketTracer
 
-	// ackLane is the lane of ackDelay in lanes, resolved when the
-	// receiver is created and again by Reinit.
+	// ackLane is the lane of ackDelay in lanes, resolved by Reinit.
 	lanes   *laneSet
 	ackLane *lane
 }
 
-// NewReceiver creates a receiver for the given flow whose ACKs reach
-// sender after ackDelay, on a bare scheduler with a lane set of its
-// own; a network's receivers are created with Network.NewReceiver.
-func NewReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
-	r := newReceiver(sched, flow, ackDelay, stats)
-	r.setLanes(newLaneSet(sched))
-	return r
-}
-
-// newReceiver creates a receiver whose lanes the caller still has to set.
-func newReceiver(sched *sim.Scheduler, flow int, ackDelay units.Duration, stats *FlowStats) *Receiver {
-	return &Receiver{
-		sched:    sched,
-		flow:     flow,
-		ackDelay: ackDelay,
-		stats:    stats,
-		cum:      -1,
-		ooo:      newRingOoo(),
-	}
-}
-
-// setLanes resolves the reverse path's lane in ls.
-func (r *Receiver) setLanes(ls *laneSet) {
-	r.lanes = ls
-	r.ackLane = ls.Lane(r.ackDelay)
-}
-
-// Reinit restores a receiver from a finished simulation to the
-// just-constructed state with a new reverse-path delay, keeping the
-// scheduler, flow ID, stats, pool, and sender bindings (the sender's
-// identity is preserved across world recycling, so the reverse path
-// stays wired). The reverse path's lane is resolved again in the lane
-// set, whose Reset (see Network.Reset) has returned the ACKs still in
-// flight to the pool.
+// Reinit sets a receiver's per-run state: its reverse-path delay, no
+// data received yet, an empty reorder ring (which keeps the capacity it
+// grew to) and no tracer. Network.NewReceiver ends with it, and a
+// recycled world calls it for the next run, keeping the scheduler, flow
+// ID, stats, pool, and sender bindings (the sender's identity is
+// preserved across world recycling, so the reverse path stays wired).
+// The reverse path's lane is resolved again in the lane set, whose Reset
+// (see Network.Reset) has returned the ACKs still in flight to the pool.
 func (r *Receiver) Reinit(ackDelay units.Duration) {
 	r.ackDelay = ackDelay
 	r.cum = -1
-	r.ooo.reset()
-	r.setLanes(r.lanes)
+	r.ooo.reset(0)
+	r.ackLane = r.lanes.Lane(ackDelay)
 	r.trace = nil
 }
 
 // SetSender wires the reverse path. It must be called before traffic
 // flows (topology builders do this).
 func (r *Receiver) SetSender(s *Sender) { r.sender = s }
-
-// SetPool attaches the simulation's packet pool, letting the receiver
-// recycle delivered data packets and consumed ACKs.
-func (r *Receiver) SetPool(p *packet.Pool) { r.pool = p }
 
 // Cum reports the highest in-order sequence number received so far
 // (-1 before any).
@@ -108,17 +78,17 @@ func (r *Receiver) Deliver(now units.Time, p *packet.Packet) {
 	case p.Seq == r.cum+1:
 		r.cum++
 		r.stats.DeliveredBytes += int64(p.Size)
-		for r.ooo.has(r.cum + 1) {
-			r.ooo.remove(r.cum + 1)
+		for r.ooo.get(r.cum+1) != 0 {
 			r.cum++
 			r.stats.DeliveredBytes += int64(packet.MTU)
 		}
-		// Slide the ring's window so its capacity tracks the reorder
-		// depth, not the total stream length.
+		// Slide the ring's window past what was delivered, zeroing it,
+		// so its capacity tracks the reorder depth, not the total stream
+		// length.
 		r.ooo.advance(r.cum + 1)
 	case p.Seq > r.cum:
 		r.stats.Reordered++
-		r.ooo.add(p.Seq)
+		r.ooo.or(p.Seq, sbSacked)
 	default:
 		// Duplicate of already-delivered data; ACK it anyway (the
 		// cumulative ack re-synchronizes the sender).

@@ -12,7 +12,9 @@ package netsim
 // allocation. It is the only scoreboard that ships; the seed's map
 // implementation lives in scoreboard_test.go as the oracle, swapped in
 // through Sender's unexported sb field by the in-package differential
-// tests.
+// tests. The receiver's reorder buffer is the same ring: an arrival
+// above its cumulative point sets sbSacked, and a sequence is present
+// when any flag is set (ooo_test.go holds that use to the map oracle).
 
 // Scoreboard flag bits, one per RFC 6675 per-packet fact.
 const (

@@ -214,14 +214,11 @@ func TestSenderRingMatchesMapOnRandomTraces(t *testing.T) {
 func sprayDiamond(alg cc.Algorithm, wl workload.Source) *Network {
 	nw := New()
 	q := func() queue.Discipline { return queue.NewDropTail(16 * packet.MTU) }
-	l0 := NewLink(nw.Sched, 10*units.Mbps, 5*units.Millisecond, q())
-	l1 := NewLink(nw.Sched, 10*units.Mbps, 5*units.Millisecond, q())
-	l2 := NewLink(nw.Sched, 10*units.Mbps, 25*units.Millisecond, q())
-	for _, l := range []*Link{l0, l1, l2} {
-		nw.AddLink(l)
-	}
+	l0 := nw.NewLink(10*units.Mbps, 5*units.Millisecond, q())
+	l1 := nw.NewLink(10*units.Mbps, 5*units.Millisecond, q())
+	l2 := nw.NewLink(10*units.Mbps, 25*units.Millisecond, q())
 	st := &FlowStats{Flow: 0, PropDelay: 10 * units.Millisecond, MinRTT: 20 * units.Millisecond}
-	rcv := NewReceiver(nw.Sched, 0, 10*units.Millisecond, st)
+	rcv := nw.NewReceiver(0, 10*units.Millisecond, st)
 	snd := NewSender(nw.Sched, 0, alg, l0, st)
 	rcv.SetSender(snd)
 	nw.AddFlow(&Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: wl})
@@ -284,7 +281,7 @@ type diffNet struct {
 // onOff gives flow i of a differential network its seeded workload.
 func onOff(seed uint64) func(int) workload.Source {
 	return func(i int) workload.Source {
-		return workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("workload", i))
+		return &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second / 2, Rng: rng.New(seed).SplitN("workload", i)}
 	}
 }
 

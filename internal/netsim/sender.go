@@ -94,26 +94,12 @@ type Sender struct {
 	nextSendTime units.Time
 }
 
-// NewSender creates a sender for the given flow using alg for
-// congestion control, sending into egress.
+// NewSender creates a sender for the given flow, set up by Reinit to use
+// alg for congestion control and to send into egress.
 func NewSender(sched *sim.Scheduler, flow int, alg cc.Algorithm, egress Deliverer, stats *FlowStats) *Sender {
-	if alg == nil {
-		panic("netsim: sender with nil congestion-control algorithm")
-	}
-	if egress == nil {
-		panic("netsim: sender with nil egress")
-	}
-	s := &Sender{
-		sched:         sched,
-		flow:          flow,
-		alg:           alg,
-		egress:        egress,
-		stats:         stats,
-		sb:            newRingScoreboard(),
-		highestSacked: -1,
-		minRTT:        units.Duration(math.MaxInt64),
-	}
+	s := &Sender{sched: sched, flow: flow, stats: stats, sb: newRingScoreboard()}
 	s.timers.Init(sched, 2, s.onDeadline)
+	s.Reinit(alg, egress)
 	return s
 }
 
@@ -126,12 +112,13 @@ func (s *Sender) SetPool(p *packet.Pool) { s.pool = p }
 // dropping them, and the CE echo returns in Feedback.ECNEcho.
 func (s *Sender) SetECN(on bool) { s.ecn = on }
 
-// Reinit restores a sender from a finished simulation to the
-// just-constructed state with a new congestion-control algorithm and
-// egress, keeping everything tied to the sender's identity: the
-// scheduler, flow ID, stats and pool bindings, and the timers' entry,
-// disarmed (Reinit follows the scheduler's Reset). The
-// scoreboard is rewound in place, keeping the capacity it grew to.
+// Reinit sets a sender's per-run state: a congestion-control algorithm
+// and an egress, off, nothing sent, no RTT sample and both timers
+// disarmed. NewSender ends with it, and a recycled world calls it for
+// the next run (after the scheduler's Reset), keeping everything tied to
+// the sender's identity: the scheduler, flow ID, stats and pool
+// bindings, and the timers' entry. The scoreboard is rewound in place,
+// keeping the capacity it grew to.
 func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	if alg == nil {
 		panic("netsim: sender with nil congestion-control algorithm")

@@ -19,13 +19,11 @@ func (r refeed) Deliver(now units.Time, p *packet.Packet) { r.l.Deliver(now, p) 
 // feeds itself, over a drop-tail queue of capPkts packets — small
 // enough, at 4, that enqueue, dequeue and tail-drop events all fire.
 func tracedLink(capPkts int) (*sim.Scheduler, *Link, *packet.Pool) {
-	sched := sim.New()
-	pool := &packet.Pool{}
+	nw := New()
 	q := queue.NewDropTail(capPkts * packet.MTU)
-	l := NewLink(sched, units.Gbps, 20*units.Microsecond, q)
-	l.SetPool(pool)
+	l := nw.NewLink(units.Gbps, 20*units.Microsecond, q)
 	l.SetRoute([]Deliverer{refeed{l}})
-	return sched, l, pool
+	return nw.Sched, l, nw.Pool
 }
 
 func TestLinkTraceEvents(t *testing.T) {
@@ -90,19 +88,16 @@ func TestLinkTraceEvents(t *testing.T) {
 // receiver, delayed ACK, sender — under a fixed window, so the flow
 // stays in equilibrium for as long as it is stepped.
 func flowPath() *sim.Scheduler {
-	sched := sim.New()
-	pool := &packet.Pool{}
-	l := NewLink(sched, 100*units.Mbps, 5*units.Millisecond, queue.NewDropTail(256*packet.MTU))
-	l.SetPool(pool)
+	nw := New()
+	l := nw.NewLink(100*units.Mbps, 5*units.Millisecond, queue.NewDropTail(256*packet.MTU))
 	st := &FlowStats{Flow: 0, PropDelay: 5 * units.Millisecond, MinRTT: 10 * units.Millisecond}
-	rcv := NewReceiver(sched, 0, 5*units.Millisecond, st)
-	snd := NewSender(sched, 0, &fixedCC{w: 32}, l, st)
+	rcv := nw.NewReceiver(0, 5*units.Millisecond, st)
+	snd := NewSender(nw.Sched, 0, &fixedCC{w: 32}, l, st)
 	rcv.SetSender(snd)
-	rcv.SetPool(pool)
-	snd.SetPool(pool)
+	snd.SetPool(nw.Pool)
 	l.SetRoute([]Deliverer{rcv})
 	snd.SetOn(0, true)
-	return sched
+	return nw.Sched
 }
 
 // TestLinkTraceDisabledZeroAllocs pins the per-event hot paths at

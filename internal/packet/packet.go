@@ -73,24 +73,3 @@ type Packet struct {
 	// acknowledged data packet's CE back to the sender.
 	CE bool
 }
-
-// DataPacket returns a data packet of MTU bytes for the given flow and
-// sequence number, stamped with the given send time.
-func DataPacket(flow int, seq int64, sentAt units.Time) *Packet {
-	return &Packet{Flow: flow, Seq: seq, Size: MTU, SentAt: sentAt}
-}
-
-// ACK returns the acknowledgment for data packet p, carrying the
-// cumulative ack cumSeq and the receiver arrival time now.
-func ACK(p *Packet, cumSeq int64, now units.Time) *Packet {
-	return &Packet{
-		Flow:       p.Flow,
-		Size:       ACKSize,
-		IsACK:      true,
-		AckSeq:     cumSeq,
-		AckedSeq:   p.Seq,
-		EchoSentAt: p.SentAt,
-		ReceivedAt: now,
-		CE:         p.CE,
-	}
-}

@@ -125,8 +125,7 @@ func (pl *Pool) Put(p *Packet) {
 }
 
 // Data returns a data packet of MTU bytes for the given flow and
-// sequence number, stamped with the given send time (the pooled
-// equivalent of DataPacket).
+// sequence number, stamped with the given send time.
 func (pl *Pool) Data(flow int, seq int64, sentAt units.Time) *Packet {
 	p := pl.Get()
 	p.Flow = flow
@@ -137,8 +136,8 @@ func (pl *Pool) Data(flow int, seq int64, sentAt units.Time) *Packet {
 }
 
 // ACK returns the acknowledgment for data packet p, carrying the
-// cumulative ack cumSeq and the receiver arrival time now (the pooled
-// equivalent of the package-level ACK).
+// cumulative ack cumSeq and the receiver arrival time now. It echoes
+// p's CE mark; an ACK is never ECN-capable itself.
 func (pl *Pool) ACK(p *Packet, cumSeq int64, now units.Time) *Packet {
 	a := pl.Get()
 	a.Flow = p.Flow

@@ -27,16 +27,6 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestPoolACKMirrorsPackageACK(t *testing.T) {
-	pl := &Pool{}
-	data := DataPacket(4, 10, units.Time(7*units.Millisecond))
-	want := *ACK(data, 9, units.Time(20*units.Millisecond))
-	got := *pl.ACK(data, 9, units.Time(20*units.Millisecond))
-	if got != want {
-		t.Fatalf("pooled ACK = %+v, want %+v", got, want)
-	}
-}
-
 func TestNilPoolAllocates(t *testing.T) {
 	var pl *Pool
 	p := pl.Data(1, 2, 3)

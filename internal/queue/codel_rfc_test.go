@@ -169,7 +169,7 @@ func TestCoDelMatchesRFCReference(t *testing.T) {
 				now = now.Add(units.Duration(r.Intn(int(2 * units.Millisecond))))
 				if r.Float64() < arrivalProb {
 					size := tc.minSize + r.Intn(tc.maxSize-tc.minSize+1)
-					p := packet.DataPacket(1, nextID, 0)
+					p := mkpkt(1, nextID)
 					p.Size = size
 					accImpl := q.Enqueue(now, p)
 					accRef := ref.enqueue(now, nextID, size)

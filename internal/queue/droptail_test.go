@@ -9,8 +9,12 @@ import (
 	"learnability/internal/units"
 )
 
+// fresh hands out packets the way a nil pool does: each one newly
+// allocated, never recycled.
+var fresh *packet.Pool
+
 func mkpkt(flow int, seq int64) *packet.Packet {
-	return packet.DataPacket(flow, seq, 0)
+	return fresh.Data(flow, seq, 0)
 }
 
 func TestDropTailFIFOOrder(t *testing.T) {
@@ -65,7 +69,7 @@ func TestDropTailOverflow(t *testing.T) {
 func TestDropTailBytesAndLen(t *testing.T) {
 	q := NewDropTail(10 * packet.MTU)
 	q.Enqueue(0, mkpkt(1, 0))
-	a := packet.ACK(mkpkt(1, 0), 0, 0)
+	a := fresh.ACK(mkpkt(1, 0), 0, 0)
 	q.Enqueue(0, a)
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())

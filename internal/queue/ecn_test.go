@@ -9,7 +9,7 @@ import (
 )
 
 func mkect(flow int, seq int64) *packet.Packet {
-	p := packet.DataPacket(flow, seq, 0)
+	p := mkpkt(flow, seq)
 	p.ECT = true
 	return p
 }

@@ -1,10 +1,10 @@
 package scenario
 
-// Per-link buffering overrides: a spec-wide BufferBDP used to size
-// every gateway queue from the spec-wide MinRTT; these tests pin the
-// per-link resolution order — explicit topo.Edge.Buffer bytes, then
-// Spec.LinkBufferBDP, then Spec.BufferBDP — and that the overrides are
-// plain data (JSON round-trip, so they ship to shard workers).
+// Per-link buffering overrides: a spec-wide BufferBDP sizes every
+// gateway queue from the spec-wide MinRTT; these tests pin the per-link
+// resolution order — explicit topo.Edge.Buffer bytes, then
+// Spec.BufferBDP — and that the overrides are plain data (JSON
+// round-trip, so they ship to shard workers).
 
 import (
 	"encoding/json"
@@ -35,34 +35,6 @@ func dropTailCaps(t *testing.T, spec Spec) []int {
 		caps[i] = dt.Capacity()
 	}
 	return caps
-}
-
-func TestLinkBufferBDPOverridesPerLink(t *testing.T) {
-	spec := Spec{
-		Topology:      ParkingLotN(2, true),
-		LinkSpeed:     10 * units.Mbps,
-		MinRTT:        100 * units.Millisecond,
-		Buffering:     FiniteDropTail,
-		BufferBDP:     5,
-		LinkBufferBDP: []float64{0, 1}, // link 0: spec-wide 5 BDP; link 1: 1 BDP
-		MeanOn:        units.Second,
-		MeanOff:       units.Second,
-		Duration:      units.Second,
-		Seed:          rng.New(1),
-		Senders: []Sender{
-			{Alg: cubic.New(), Delta: 1},
-			{Alg: cubic.New(), Delta: 1},
-			{Alg: cubic.New(), Delta: 1},
-		},
-	}
-	caps := dropTailCaps(t, spec)
-	bdp := units.BDPBytes(10*units.Mbps, 100*units.Millisecond)
-	if caps[0] != 5*bdp {
-		t.Fatalf("link 0 capacity %d, want spec-wide 5 BDP = %d", caps[0], 5*bdp)
-	}
-	if caps[1] != bdp {
-		t.Fatalf("link 1 capacity %d, want overridden 1 BDP = %d", caps[1], bdp)
-	}
 }
 
 func TestEdgeBufferOverridesBytes(t *testing.T) {
@@ -131,35 +103,6 @@ func TestEdgeBufferUsedVerbatimBelowFloor(t *testing.T) {
 	}
 }
 
-func TestLinkBufferBDPValidated(t *testing.T) {
-	base := Spec{
-		Topology:  ParkingLotN(2, true),
-		LinkSpeed: 10 * units.Mbps,
-		MinRTT:    100 * units.Millisecond,
-		Buffering: FiniteDropTail,
-		BufferBDP: 5,
-		MeanOn:    units.Second,
-		MeanOff:   units.Second,
-		Duration:  units.Second,
-		Seed:      rng.New(1),
-		Senders: []Sender{
-			{Alg: cubic.New(), Delta: 1},
-			{Alg: cubic.New(), Delta: 1},
-			{Alg: cubic.New(), Delta: 1},
-		},
-	}
-	tooMany := base
-	tooMany.LinkBufferBDP = []float64{1, 1, 1} // 3 overrides, 2 links
-	if _, _, err := Build(tooMany); err == nil {
-		t.Fatal("excess per-link buffer overrides accepted silently")
-	}
-	negative := base
-	negative.LinkBufferBDP = []float64{1, -1}
-	if _, _, err := Build(negative); err == nil {
-		t.Fatal("negative per-link buffer override accepted silently")
-	}
-}
-
 func TestNegativeEdgeBufferRejected(t *testing.T) {
 	g := &topo.Graph{
 		Edges:  []topo.Edge{{Rate: 10 * units.Mbps, Prop: units.Millisecond, Buffer: -1}},
@@ -193,10 +136,16 @@ func TestEdgeBufferRoundTripsJSON(t *testing.T) {
 
 // TestLinkBufferOverrideChangesBehavior guards against an override
 // that parses but never reaches the simulation: squeezing one link's
-// buffer must change that scenario's results.
+// buffer, by an edge Buffer on the parking lot's graph, must change that
+// scenario's results.
 func TestLinkBufferOverrideChangesBehavior(t *testing.T) {
+	// The two-hop parking lot ParkingLotN(2, true) lays out at this
+	// MinRTT: 25 ms a hop.
+	lot := func() *topo.Graph {
+		return parkingLotGraph([]units.Rate{4 * units.Mbps, 4 * units.Mbps}, 25*units.Millisecond, 1, true)
+	}
 	base := Spec{
-		Topology:  ParkingLotN(2, true),
+		Topology:  GraphTopology(lot()),
 		LinkSpeed: 4 * units.Mbps,
 		MinRTT:    100 * units.Millisecond,
 		Buffering: FiniteDropTail,
@@ -220,7 +169,9 @@ func TestLinkBufferOverrideChangesBehavior(t *testing.T) {
 		{Alg: cubic.New(), Delta: 1},
 		{Alg: cubic.New(), Delta: 1},
 	}
-	tight.LinkBufferBDP = []float64{0, 0.25}
+	squeezed := lot()
+	squeezed.Edges[1].Buffer = units.BDPBytes(4*units.Mbps, 100*units.Millisecond) / 4 // 0.25 BDP; link 0 keeps 5
+	tight.Topology = GraphTopology(squeezed)
 	tight.Seed = rng.New(3)
 	tightRes := MustRun(tight)
 

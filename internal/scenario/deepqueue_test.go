@@ -44,7 +44,7 @@ func TestDeepQueueHoldsNoPoolPackets(t *testing.T) {
 	if peakQueue < 10000 {
 		t.Fatalf("the gateway queue peaked at %d packets, want a deep queue of at least 10 000", peakQueue)
 	}
-	if bdp := units.BDPPackets(spec.LinkSpeed, spec.MinRTT, packet.MTU); peakLanes > bdp+1 {
+	if bdp := (units.BDPBytes(spec.LinkSpeed, spec.MinRTT) + packet.MTU - 1) / packet.MTU; peakLanes > bdp+1 {
 		t.Fatalf("the network held %d pool packets at once, more than the %d a bandwidth-delay product and a serializer hold",
 			peakLanes, bdp+1)
 	}

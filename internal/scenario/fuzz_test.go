@@ -59,7 +59,7 @@ func FuzzTopologyJSON(f *testing.F) {
 		ParkingLot,
 		ParkingLotN(3, false),
 		{Kind: KindParkingLot, Hops: 2, LongFlows: 2, CrossTraffic: true},
-		GraphTopology(topo.DumbbellGraph(8*units.Mbps, 40*units.Millisecond, 2)),
+		GraphTopology(dumbbellGraph(8*units.Mbps, 40*units.Millisecond, 2)),
 		GraphTopology(duplexDumbbellGraph(8*units.Mbps, 4*units.Mbps, 40*units.Millisecond, 1, 1)),
 		GraphTopology(&ft.G),
 		FatTreeTopology(4, topo.Adaptive),

@@ -14,6 +14,21 @@ import (
 	"learnability/internal/units"
 )
 
+// dumbbellGraph is a new graph made a dumbbell by topo's SetDumbbell.
+func dumbbellGraph(rate units.Rate, minRTT units.Duration, nflows int) *topo.Graph {
+	g := new(topo.Graph)
+	g.SetDumbbell(rate, minRTT, nflows)
+	return g
+}
+
+// parkingLotGraph is a new graph made a parking lot by topo's
+// SetParkingLot.
+func parkingLotGraph(rates []units.Rate, hopProp units.Duration, nLong int, cross bool) *topo.Graph {
+	g := new(topo.Graph)
+	g.SetParkingLot(rates, hopProp, nLong, cross)
+	return g
+}
+
 func nCubic(n int) []Sender {
 	out := make([]Sender, n)
 	for i := range out {
@@ -43,12 +58,12 @@ func TestFamilyMatchesExplicitGraph(t *testing.T) {
 	}{
 		"dumbbell": {
 			family:  Dumbbell,
-			graph:   topo.DumbbellGraph(10*units.Mbps, 300*units.Millisecond, 2),
+			graph:   dumbbellGraph(10*units.Mbps, 300*units.Millisecond, 2),
 			senders: 2,
 		},
 		"parking-lot": {
 			family:  ParkingLot,
-			graph:   topo.ParkingLotGraph([]units.Rate{10 * units.Mbps, 20 * units.Mbps}, 75*units.Millisecond, 1, true),
+			graph:   parkingLotGraph([]units.Rate{10 * units.Mbps, 20 * units.Mbps}, 75*units.Millisecond, 1, true),
 			senders: 3,
 		},
 	} {

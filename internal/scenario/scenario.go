@@ -322,14 +322,9 @@ type Spec struct {
 	// rate).
 	Buffering Buffering
 	// BufferBDP is the gateway buffer depth in bandwidth-delay
-	// products of the link it sits on.
+	// products of the link it sits on. An explicit topo.Edge.Buffer
+	// (bytes) on a graph edge takes precedence over it.
 	BufferBDP float64
-	// LinkBufferBDP optionally overrides BufferBDP per link, in link
-	// order; zero entries fall back to BufferBDP. An explicit
-	// topo.Edge.Buffer (bytes) on a graph edge takes precedence over
-	// both — buffer sizing resolves per link as: edge override, then
-	// per-link BDP, then the spec-wide BDP.
-	LinkBufferBDP []float64
 
 	// MeanOn and MeanOff are the exponential workload means.
 	MeanOn, MeanOff units.Duration
@@ -805,15 +800,6 @@ func (s *Spec) plan(w *world) (*topo.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.LinkBufferBDP) > len(lay.Edges) {
-		return nil, fmt.Errorf("scenario: %d per-link buffer overrides for %d links",
-			len(s.LinkBufferBDP), len(lay.Edges))
-	}
-	for i, bdp := range s.LinkBufferBDP {
-		if bdp < 0 {
-			return nil, fmt.Errorf("scenario: link %d has negative buffer override %v BDP", i, bdp)
-		}
-	}
 
 	n := len(s.Senders)
 	w.flows = slices.Grow(w.flows[:0], n)[:n]
@@ -849,7 +835,7 @@ func (s *Spec) queues(w *world, lay *topo.Graph) error {
 		if w.World != nil {
 			old = w.Net.Links[i].Queue()
 		}
-		q, err := s.mkQueue(i, e, old)
+		q, err := s.mkQueue(e, old)
 		if err != nil {
 			return err
 		}
@@ -877,12 +863,11 @@ func (s *Spec) attach(nw *netsim.Network) {
 	}
 }
 
-// mkQueue returns the gateway queue for link i (edge e of the compiled
-// layout): old, resized in place, when it is the discipline this spec
-// would build, a new one otherwise. Capacity resolves per link: the
-// edge's explicit byte override, then the per-link BDP override, then
-// the spec-wide BufferBDP.
-func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
+// mkQueue returns the gateway queue for edge e of the compiled layout:
+// old, resized in place, when it is the discipline this spec would
+// build, a new one otherwise. Capacity resolves per link: the
+// edge's explicit byte override, then the spec-wide BufferBDP.
+func (s *Spec) mkQueue(e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
 	// fifo returns the FIFO of this capacity and mark threshold;
 	// Unbounded is "never drops" and "never marks".
 	fifo := func(capBytes, markBytes int) queue.Discipline {
@@ -904,10 +889,6 @@ func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipli
 		// link.
 		capBytes := e.Buffer
 		if capBytes <= 0 {
-			bdp := s.BufferBDP
-			if i < len(s.LinkBufferBDP) && s.LinkBufferBDP[i] > 0 {
-				bdp = s.LinkBufferBDP[i]
-			}
 			// BDP-sized buffers are in multiples of rate*MinRTT even
 			// for explicit graphs (whose layout otherwise ignores the
 			// field); without it every buffer would silently floor at
@@ -915,7 +896,7 @@ func (s *Spec) mkQueue(i int, e topo.Edge, old queue.Discipline) (queue.Discipli
 			if s.MinRTT <= 0 {
 				return nil, fmt.Errorf("scenario: finite buffering is sized by MinRTT, which is %v", s.MinRTT)
 			}
-			capBytes = int(float64(units.BDPBytes(e.Rate, s.MinRTT)) * bdp)
+			capBytes = int(float64(units.BDPBytes(e.Rate, s.MinRTT)) * s.BufferBDP)
 			if capBytes < 2*1500 {
 				capBytes = 2 * 1500
 			}

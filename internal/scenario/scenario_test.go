@@ -9,7 +9,6 @@ import (
 	"learnability/internal/cc/newreno"
 	"learnability/internal/queue"
 	"learnability/internal/rng"
-	"learnability/internal/topo"
 	"learnability/internal/units"
 	"learnability/internal/workload"
 )
@@ -206,10 +205,11 @@ func TestSpecValidation(t *testing.T) {
 		"bad buffering":    func(s *Spec) { s.Buffering = Buffering(99) },
 		"bad kind":         func(s *Spec) { s.Topology = Topology{Kind: TopologyKind(99)} },
 		"zero on mean":     func(s *Spec) { s.MeanOn = 0 },
+		"zero off mean":    func(s *Spec) { s.MeanOff = 0 },
 		"parking lot 0hop": func(s *Spec) { s.Topology = Topology{Kind: KindParkingLot} },
 		"nil graph":        func(s *Spec) { s.Topology = Topology{Kind: KindGraph} },
 		"graph no minRTT": func(s *Spec) {
-			s.Topology = GraphTopology(topo.DumbbellGraph(s.LinkSpeed, s.MinRTT, len(s.Senders)))
+			s.Topology = GraphTopology(dumbbellGraph(s.LinkSpeed, s.MinRTT, len(s.Senders)))
 			s.MinRTT = 0 // finite buffers are sized by MinRTT even for graphs
 		},
 	} {

@@ -12,7 +12,7 @@ import (
 
 // Edge is one unidirectional link in a Graph description: a rate and a
 // propagation delay. Edges carry no queueing discipline — queues are
-// supplied at Build time — so a Graph is a pure, JSON-serializable
+// supplied when a world is built — so a Graph is a pure, JSON-serializable
 // description that can cross process boundaries (the sharded trainer
 // ships topologies inside its job config).
 type Edge struct {
@@ -21,9 +21,8 @@ type Edge struct {
 	// Prop is the link's one-way propagation delay.
 	Prop units.Duration `json:"prop"`
 	// Buffer, when positive, fixes this link's gateway buffer capacity
-	// in bytes, used verbatim — it overrides whatever sizing policy
-	// the scenario applies (spec-wide or per-link BDP multiples,
-	// including their two-packet floor). 0 means "no override".
+	// in bytes, used verbatim — it overrides the scenario's BDP
+	// sizing, two-packet floor included. 0 means "no override".
 	// Like the rest of the description it is data, so per-link buffers
 	// ship across the shard wire protocol inside the training config.
 	Buffer int `json:"buffer,omitempty"`
@@ -63,7 +62,7 @@ func (rt *Route) path(i int) []int {
 }
 
 // Graph is a declarative multi-hop topology: links are edges, and every
-// flow carries an explicit path set. Build compiles the graph once into
+// flow carries an explicit path set. NewWorld compiles the graph into
 // a netsim.Network whose per-link next-hop tables preserve the
 // simulator's allocation-free per-packet forwarding.
 type Graph struct {
@@ -456,9 +455,10 @@ func hopDeliverer(succ, f int, nw *netsim.Network) netsim.Deliverer {
 // the next run asks for the same one, the links' next-hop tables
 // while the routes and routing policy they were compiled from stay the
 // same (and with them the knowledge that those paths are valid), and
-// the storage FairShares computes in. Everything else — rates, delays (and with them which stages
-// share a lane), algorithms, workloads, counters, control-law state —
-// is re-derived by Rebuild, so a rebuilt world is observably identical
+// the storage FairShares computes in. Everything else — rates, delays
+// (and with them which stages share a lane), algorithms, workloads,
+// counters, control-law state — is written by Rebuild, which is also
+// how a new world gets it, so a rebuilt world is observably identical
 // to a new one built from the same inputs.
 type World struct {
 	// Net is the network, ready to run once NewWorld or Rebuild
@@ -490,50 +490,31 @@ func appendRouteKey(dst []int, g *Graph) []int {
 	return dst
 }
 
-// NewWorld compiles the graph into a runnable network: one netsim.Link
-// per edge (queues[i] gating edge i), one sender/receiver pair per
-// route, and a flat flow-indexed next-hop table on every link so
-// per-packet forwarding stays allocation-free. Per-flow PropDelay,
+// NewWorld compiles the graph into a runnable network: an empty world,
+// rebuilt. Its first Rebuild gives it the graph's shape — one
+// netsim.Link per edge (queues[i] gating edge i), one sender/receiver
+// pair per route — and a flat flow-indexed next-hop table on every link
+// so per-packet forwarding stays allocation-free. Per-flow PropDelay,
 // MinRTT, and reverse-path delay are derived from path membership.
 func NewWorld(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*World, error) {
-	if err := validateBuild(g, true, queues, flows); err != nil {
+	w := &World{Net: netsim.New()}
+	if err := w.Rebuild(g, queues, flows); err != nil {
 		return nil, err
 	}
-	nw := netsim.New()
-	for i, e := range g.Edges {
-		nw.NewLink(e.Rate, e.Prop, queues[i])
-	}
-	for f, fs := range flows {
-		prop := g.PathProp(f)
-		st := &netsim.FlowStats{Flow: f, PropDelay: prop, MinRTT: prop + g.ReverseDelay(f)}
-		rcv := nw.NewReceiver(f, g.ReverseDelay(f), st)
-		snd := netsim.NewSender(nw.Sched, f, fs.Alg, nw.Links[g.Routes[f].Links[0]], st)
-		rcv.SetSender(snd)
-		nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st, Workload: fs.Workload})
-	}
-	installRoutes(g, nw)
-	return &World{Net: nw, routeKey: appendRouteKey(nil, g)}, nil
+	return w, nil
 }
 
-// Build is NewWorld for callers that run the network once and keep
-// nothing.
-func Build(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
-	w, err := NewWorld(g, queues, flows)
-	if err != nil {
-		return nil, err
-	}
-	return w.Net, nil
-}
-
-// Rebuild recompiles the graph into the world's network after a
-// finished run. The world must have the graph's shape: the same number
-// of edges and routes. queues[i] may be the queue link i already has
-// (Link.Reinit resets it) or another; the next-hop tables are compiled
-// again, and the paths validated again, only if the routes or the
-// policy differ from those they were last compiled from.
+// Rebuild compiles the graph into the world's network: for an empty
+// world (NewWorld's) it makes the links and flows, for one that has run
+// it retargets them. A world that has run must have the graph's shape:
+// the same number of edges and routes. queues[i] may be the queue link i
+// already has (Link.Reinit resets it) or another; the next-hop tables
+// are compiled again, and the paths validated again, only if the routes
+// or the policy differ from those they were last compiled from.
 func (w *World) Rebuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) error {
 	nw := w.Net
-	if len(nw.Links) != len(g.Edges) || len(nw.Flows) != len(g.Routes) {
+	empty := len(nw.Links) == 0 && len(nw.Flows) == 0
+	if !empty && (len(nw.Links) != len(g.Edges) || len(nw.Flows) != len(g.Routes)) {
 		return fmt.Errorf("topo: network shape %d links/%d flows cannot host graph with %d edges/%d routes",
 			len(nw.Links), len(nw.Flows), len(g.Edges), len(g.Routes))
 	}
@@ -544,14 +525,27 @@ func (w *World) Rebuild(g *Graph, queues []queue.Discipline, flows []FlowSpec) e
 	}
 	nw.Reset()
 	for i, e := range g.Edges {
-		nw.Links[i].Reinit(e.Rate, e.Prop, queues[i])
+		if empty {
+			nw.NewLink(e.Rate, e.Prop, queues[i])
+		} else {
+			nw.Links[i].Reinit(e.Rate, e.Prop, queues[i])
+		}
 	}
 	for f, fs := range flows {
+		prop, rev := g.PathProp(f), g.ReverseDelay(f)
+		egress := nw.Links[g.Routes[f].Links[0]]
+		if empty {
+			st := new(netsim.FlowStats)
+			rcv := nw.NewReceiver(f, rev, st)
+			snd := netsim.NewSender(nw.Sched, f, fs.Alg, egress, st)
+			rcv.SetSender(snd)
+			nw.AddFlow(&netsim.Flow{Sender: snd, Receiver: rcv, Stats: st})
+		} else {
+			nw.Flows[f].Receiver.Reinit(rev)
+			nw.Flows[f].Sender.Reinit(fs.Alg, egress)
+		}
 		fl := nw.Flows[f]
-		prop := g.PathProp(f)
-		fl.Stats.Reset(f, prop, prop+g.ReverseDelay(f))
-		fl.Receiver.Reinit(g.ReverseDelay(f))
-		fl.Sender.Reinit(fs.Alg, nw.Links[g.Routes[f].Links[0]])
+		fl.Stats.Reset(f, prop, prop+rev)
 		fl.Workload = fs.Workload
 	}
 	if !same {

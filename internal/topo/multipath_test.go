@@ -44,10 +44,10 @@ func buildAndRun(t *testing.T, g *Graph, seed uint64, dur units.Duration) (*nets
 	for f := range flows {
 		flows[f] = FlowSpec{
 			Alg:      &fixedCC{w: 12},
-			Workload: workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("wl", f)),
+			Workload: &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second / 2, Rng: rng.New(seed).SplitN("wl", f)},
 		}
 	}
-	nw, err := Build(g, queues, flows)
+	nw, err := build(g, queues, flows)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -294,10 +294,10 @@ func TestRandomFatTreeMultipathConservation(t *testing.T) {
 				}
 				flows[f] = FlowSpec{
 					Alg:      alg,
-					Workload: workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("wl", f)),
+					Workload: &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second / 2, Rng: rng.New(seed).SplitN("wl", f)},
 				}
 			}
-			nw, err := Build(g, queues, flows)
+			nw, err := build(g, queues, flows)
 			if err != nil {
 				t.Fatalf("trial %d: build: %v", trial, err)
 			}

@@ -58,10 +58,10 @@ func buildRandom(t *testing.T, g *Graph, r *rng.Stream, seed uint64) *netsim.Net
 		}
 		flows[f] = FlowSpec{
 			Alg:      alg,
-			Workload: workload.NewOnOff(units.Second, units.Second/2, rng.New(seed).SplitN("wl", f)),
+			Workload: &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second / 2, Rng: rng.New(seed).SplitN("wl", f)},
 		}
 	}
-	nw, err := Build(g, queues, flows)
+	nw, err := build(g, queues, flows)
 	if err != nil {
 		t.Fatalf("build random graph: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestGraphValidateRejects(t *testing.T) {
 // old per-topology switch silently got wrong.
 func TestGraphFairShare(t *testing.T) {
 	// Figure 5 parking lot: each link carries two flows.
-	pl := ParkingLotGraph([]units.Rate{10 * units.Mbps, 20 * units.Mbps}, 75*units.Millisecond, 1, true)
+	pl := parkingLotGraph([]units.Rate{10 * units.Mbps, 20 * units.Mbps}, 75*units.Millisecond, 1, true)
 	if got := pl.FairShares()[0]; got != 5*units.Mbps {
 		t.Fatalf("long flow share = %v, want 5Mbps", got)
 	}
@@ -167,7 +167,7 @@ func TestGraphFairShare(t *testing.T) {
 	}
 	// Two long flows + cross traffic: link 0 carries three flows, so
 	// shares follow membership, not a hardcoded two-per-link rule.
-	pl3 := ParkingLotGraph([]units.Rate{30 * units.Mbps, 30 * units.Mbps}, 75*units.Millisecond, 2, true)
+	pl3 := parkingLotGraph([]units.Rate{30 * units.Mbps, 30 * units.Mbps}, 75*units.Millisecond, 2, true)
 	if got := pl3.FairShares()[0]; got != 10*units.Mbps {
 		t.Fatalf("long flow share with 3 flows/link = %v, want 10Mbps", got)
 	}

@@ -1,11 +1,12 @@
 package topo
 
 // Differential tests for the graph engine: the hand-wired seed
-// builders (Dumbbell and ParkingLot as they existed before the graph
-// refactor) are kept here verbatim — modulo Link.SetRoute's signature,
+// builders (the dumbbell and the parking lot as they were built before
+// the graph refactor) are kept here — modulo Link.SetRoute's signature,
 // which changed from a per-flow closure to a flat table with identical
-// routing behavior — and every scenario must produce bit-identical
-// FlowStats through both construction paths.
+// routing behavior, and the links and receivers now made on the
+// network — and every scenario must produce bit-identical FlowStats
+// through the seed builder and through NewWorld on the graph.
 
 import (
 	"testing"
@@ -24,12 +25,11 @@ import (
 func seedDumbbell(rate units.Rate, minRTT units.Duration, q queue.Discipline, flows []FlowSpec) *netsim.Network {
 	nw := netsim.New()
 	prop := units.Duration(minRTT / 2)
-	link := netsim.NewLink(nw.Sched, rate, prop, q)
-	nw.AddLink(link)
+	link := nw.NewLink(rate, prop, q)
 	next := make([]netsim.Deliverer, len(flows))
 	for i, fs := range flows {
 		st := &netsim.FlowStats{Flow: i, PropDelay: prop, MinRTT: minRTT}
-		rcv := netsim.NewReceiver(nw.Sched, i, units.Duration(minRTT)-prop, st)
+		rcv := nw.NewReceiver(i, units.Duration(minRTT)-prop, st)
 		snd := netsim.NewSender(nw.Sched, i, fs.Alg, link, st)
 		rcv.SetSender(snd)
 		next[i] = rcv
@@ -44,10 +44,8 @@ func seedParkingLot(rate1, rate2 units.Rate, hopProp units.Duration,
 	q1, q2 queue.Discipline, flows []FlowSpec) *netsim.Network {
 
 	nw := netsim.New()
-	l1 := netsim.NewLink(nw.Sched, rate1, hopProp, q1)
-	l2 := netsim.NewLink(nw.Sched, rate2, hopProp, q2)
-	nw.AddLink(l1)
-	nw.AddLink(l2)
+	l1 := nw.NewLink(rate1, hopProp, q1)
+	l2 := nw.NewLink(rate2, hopProp, q2)
 
 	// One-way path propagation per flow.
 	props := []units.Duration{2 * hopProp, hopProp, hopProp}
@@ -59,7 +57,7 @@ func seedParkingLot(rate1, rate2 units.Rate, hopProp units.Duration,
 			ingress = l2
 		}
 		st := &netsim.FlowStats{Flow: i, PropDelay: props[i], MinRTT: 2 * props[i]}
-		rcv := netsim.NewReceiver(nw.Sched, i, props[i], st)
+		rcv := nw.NewReceiver(i, props[i], st)
 		snd := netsim.NewSender(nw.Sched, i, fs.Alg, ingress, st)
 		rcv.SetSender(snd)
 		receivers[i] = rcv
@@ -83,7 +81,7 @@ func diffFlows(n int, seed uint64) []FlowSpec {
 		}
 		out[i] = FlowSpec{
 			Alg:      alg,
-			Workload: workload.NewOnOff(units.Second, units.Second, rng.New(seed).SplitN("workload", i)),
+			Workload: &workload.OnOff{MeanOn: units.Second, MeanOff: units.Second, Rng: rng.New(seed).SplitN("workload", i)},
 		}
 	}
 	return out
@@ -130,7 +128,7 @@ func TestGraphDumbbellBitIdenticalToSeedBuilder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := seedDumbbell(tc.rate, tc.minRTT, tc.mkQ(), diffFlows(tc.n, 11)).Run(12 * units.Second)
-			nw, err := Dumbbell(tc.rate, tc.minRTT, tc.mkQ(), diffFlows(tc.n, 11))
+			nw, err := build(dumbbellGraph(tc.rate, tc.minRTT, tc.n), []queue.Discipline{tc.mkQ()}, diffFlows(tc.n, 11))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +153,8 @@ func TestGraphParkingLotBitIdenticalToSeedBuilder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := seedParkingLot(tc.r1, tc.r2, tc.hopProp, tc.mkQ(), tc.mkQ(), diffFlows(3, 23)).Run(12 * units.Second)
-			nw, err := ParkingLot(tc.r1, tc.r2, tc.hopProp, tc.mkQ(), tc.mkQ(), diffFlows(3, 23))
+			g := parkingLotGraph([]units.Rate{tc.r1, tc.r2}, tc.hopProp, 1, true)
+			nw, err := build(g, []queue.Discipline{tc.mkQ(), tc.mkQ()}, diffFlows(3, 23))
 			if err != nil {
 				t.Fatal(err)
 			}

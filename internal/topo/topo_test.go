@@ -30,6 +30,40 @@ func specs(n int, w float64) []FlowSpec {
 	return out
 }
 
+// build is NewWorld for tests that run the network once.
+func build(g *Graph, queues []queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
+	w, err := NewWorld(g, queues, flows)
+	if err != nil {
+		return nil, err
+	}
+	return w.Net, nil
+}
+
+// dumbbellGraph is a new graph made a dumbbell by SetDumbbell.
+func dumbbellGraph(rate units.Rate, minRTT units.Duration, nflows int) *Graph {
+	g := new(Graph)
+	g.SetDumbbell(rate, minRTT, nflows)
+	return g
+}
+
+// parkingLotGraph is a new graph made a parking lot by SetParkingLot.
+func parkingLotGraph(rates []units.Rate, hopProp units.Duration, nLong int, cross bool) *Graph {
+	g := new(Graph)
+	g.SetParkingLot(rates, hopProp, nLong, cross)
+	return g
+}
+
+// dumbbell builds a dumbbell of len(flows) flows with q at its gateway.
+func dumbbell(rate units.Rate, minRTT units.Duration, q queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
+	return build(dumbbellGraph(rate, minRTT, len(flows)), []queue.Discipline{q}, flows)
+}
+
+// parkingLot builds the paper's Figure 5 topology: flow 0 crosses both
+// links, flow 1 only the first, flow 2 only the second.
+func parkingLot(rate1, rate2 units.Rate, hopProp units.Duration, q1, q2 queue.Discipline, flows []FlowSpec) (*netsim.Network, error) {
+	return build(parkingLotGraph([]units.Rate{rate1, rate2}, hopProp, 1, true), []queue.Discipline{q1, q2}, flows)
+}
+
 func mustBuild(t *testing.T) func(*netsim.Network, error) *netsim.Network {
 	return func(nw *netsim.Network, err error) *netsim.Network {
 		t.Helper()
@@ -41,7 +75,7 @@ func mustBuild(t *testing.T) func(*netsim.Network, error) *netsim.Network {
 }
 
 func TestDumbbellMinRTT(t *testing.T) {
-	nw := mustBuild(t)(Dumbbell(100*units.Mbps, 150*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(1, 1)))
+	nw := mustBuild(t)(dumbbell(100*units.Mbps, 150*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(1, 1)))
 	sts := nw.Run(5 * units.Second)
 	// Window 1: delay is one-way propagation (75 ms) plus negligible
 	// serialization.
@@ -58,7 +92,7 @@ func TestDumbbellSharesBottleneck(t *testing.T) {
 	// without the giant synchronized bursts that would trick the RTO
 	// (four flows dumping 400 packets at t=0 serializes the FIFO into
 	// per-flow blocks and starves each flow of ACKs for seconds).
-	nw := mustBuild(t)(Dumbbell(10*units.Mbps, 100*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(4, 100)))
+	nw := mustBuild(t)(dumbbell(10*units.Mbps, 100*units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(4, 100)))
 	sts := nw.Run(20 * units.Second)
 	total := 0.0
 	for _, st := range sts {
@@ -72,16 +106,19 @@ func TestDumbbellSharesBottleneck(t *testing.T) {
 func TestDumbbellValidation(t *testing.T) {
 	for name, fn := range map[string]func() (*netsim.Network, error){
 		"no flows": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), nil)
+			return dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), nil)
 		},
-		"zero minRTT": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, 0, queue.NewDropTail(queue.Unbounded), specs(1, 1))
+		"zero rate": func() (*netsim.Network, error) {
+			return dumbbell(0, units.Millisecond, queue.NewDropTail(queue.Unbounded), specs(1, 1))
+		},
+		"nil queue": func() (*netsim.Network, error) {
+			return dumbbell(units.Mbps, units.Millisecond, nil, specs(1, 1))
 		},
 		"nil alg": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Workload: workload.AlwaysOn{}}})
+			return dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Workload: workload.AlwaysOn{}}})
 		},
 		"nil workload": func() (*netsim.Network, error) {
-			return Dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Alg: &fixedCC{w: 1}}})
+			return dumbbell(units.Mbps, units.Millisecond, queue.NewDropTail(queue.Unbounded), []FlowSpec{{Alg: &fixedCC{w: 1}}})
 		},
 	} {
 		if _, err := fn(); err == nil {
@@ -92,7 +129,7 @@ func TestDumbbellValidation(t *testing.T) {
 
 func TestParkingLotRoutes(t *testing.T) {
 	q1, q2 := queue.NewDropTail(queue.Unbounded), queue.NewDropTail(queue.Unbounded)
-	nw := mustBuild(t)(ParkingLot(10*units.Mbps, 10*units.Mbps, 75*units.Millisecond, q1, q2, specs(3, 2)))
+	nw := mustBuild(t)(parkingLot(10*units.Mbps, 10*units.Mbps, 75*units.Millisecond, q1, q2, specs(3, 2)))
 	sts := nw.Run(10 * units.Second)
 	// Flow 0 crosses both hops: one-way prop 150 ms; flows 1 and 2 one
 	// hop: 75 ms.
@@ -120,7 +157,7 @@ func TestParkingLotBottleneckContention(t *testing.T) {
 	// both. With equal links and FIFO service, flow 0 gets less than
 	// the single-hop flows (it pays at both bottlenecks).
 	q1, q2 := queue.NewDropTail(50*1500), queue.NewDropTail(50*1500)
-	nw := mustBuild(t)(ParkingLot(10*units.Mbps, 10*units.Mbps, 75*units.Millisecond, q1, q2, specs(3, 100)))
+	nw := mustBuild(t)(parkingLot(10*units.Mbps, 10*units.Mbps, 75*units.Millisecond, q1, q2, specs(3, 100)))
 	sts := nw.Run(30 * units.Second)
 	t0 := float64(sts[0].Throughput())
 	t1 := float64(sts[1].Throughput())
@@ -139,10 +176,13 @@ func TestParkingLotValidation(t *testing.T) {
 	q := queue.NewDropTail(queue.Unbounded)
 	for name, fn := range map[string]func() (*netsim.Network, error){
 		"two flows": func() (*netsim.Network, error) {
-			return ParkingLot(units.Mbps, units.Mbps, 75*units.Millisecond, q, q, specs(2, 1))
+			return parkingLot(units.Mbps, units.Mbps, 75*units.Millisecond, q, q, specs(2, 1))
 		},
-		"zero hop prop": func() (*netsim.Network, error) {
-			return ParkingLot(units.Mbps, units.Mbps, 0, q, q, specs(3, 1))
+		"negative hop prop": func() (*netsim.Network, error) {
+			return parkingLot(units.Mbps, units.Mbps, -units.Millisecond, q, q, specs(3, 1))
+		},
+		"one queue": func() (*netsim.Network, error) {
+			return build(parkingLotGraph([]units.Rate{units.Mbps, units.Mbps}, units.Millisecond, 1, true), []queue.Discipline{q}, specs(3, 1))
 		},
 	} {
 		if _, err := fn(); err == nil {
@@ -165,7 +205,7 @@ func TestRebuiltWorldHoldsOnlyTheRunsLanes(t *testing.T) {
 	graphs := make([]*Graph, rebuilds+1)
 	for i := range graphs {
 		rate := 10*units.Mbps + units.Rate(i)*37*units.Kbps
-		graphs[i] = ParkingLotGraph([]units.Rate{rate, rate, rate}, 5*units.Millisecond, 1, true)
+		graphs[i] = parkingLotGraph([]units.Rate{rate, rate, rate}, 5*units.Millisecond, 1, true)
 	}
 	queues := []queue.Discipline{queue.NewDropTail(30000), queue.NewDropTail(30000), queue.NewDropTail(30000)}
 	flows := specs(4, 30)

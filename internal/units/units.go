@@ -98,17 +98,3 @@ func RateFromBytes(bytes int64, d Duration) Rate {
 func BDPBytes(r Rate, rtt Duration) int {
 	return int(math.Round(float64(r) / 8 * rtt.Seconds()))
 }
-
-// BDPPackets reports the bandwidth-delay product in packets of the given
-// size, rounded up so that a "1 BDP" buffer can always hold at least one
-// packet.
-func BDPPackets(r Rate, rtt Duration, packetBytes int) int {
-	if packetBytes <= 0 {
-		panic("units: BDPPackets with non-positive packet size")
-	}
-	p := (BDPBytes(r, rtt) + packetBytes - 1) / packetBytes
-	if p < 1 {
-		p = 1
-	}
-	return p
-}

@@ -82,29 +82,10 @@ func TestBDP(t *testing.T) {
 	if got := BDPBytes(32*Mbps, 150*Millisecond); got != 600_000 {
 		t.Fatalf("BDPBytes = %d, want 600000", got)
 	}
-	if got := BDPPackets(32*Mbps, 150*Millisecond, 1500); got != 400 {
-		t.Fatalf("BDPPackets = %d, want 400", got)
+	// 10 Mbps * 100 ms = 125,000 bytes.
+	if got := BDPBytes(10*Mbps, 100*Millisecond); got != 125_000 {
+		t.Fatalf("BDPBytes = %d, want 125000", got)
 	}
-	// Tiny BDP still yields at least 1 packet.
-	if got := BDPPackets(1*Kbps, Millisecond, 1500); got != 1 {
-		t.Fatalf("BDPPackets tiny = %d, want 1", got)
-	}
-}
-
-func TestBDPPacketsRoundsUp(t *testing.T) {
-	// 10 Mbps * 100 ms = 125,000 bytes = 83.33 packets -> 84.
-	if got := BDPPackets(10*Mbps, 100*Millisecond, 1500); got != 84 {
-		t.Fatalf("BDPPackets = %d, want 84", got)
-	}
-}
-
-func TestBDPPacketsPanicsOnZeroPacket(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BDPPackets(Mbps, Second, 0)
 }
 
 func TestTransmissionTimeMonotonic(t *testing.T) {

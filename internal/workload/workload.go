@@ -87,24 +87,13 @@ func (e *Entry) fire(on bool) {
 // then "off" for an exponential duration with mean MeanOff, repeating.
 // The source begins "off" and turns on after an initial exponential
 // off-draw, which staggers sender start times. Each period is drawn,
-// and its end pushed, when it begins. A source is reset for another run
-// by assigning its fields.
+// and its end pushed, when it begins. Both means must be positive and
+// Rng set (scenario.Spec checks the means of the sources it makes); a
+// source is reset for another run by assigning its fields.
 type OnOff struct {
 	MeanOn  units.Duration // mean of the exponential on-period
 	MeanOff units.Duration // mean of the exponential off-period
 	Rng     *rng.Stream    // stream the period draws come from
-}
-
-// NewOnOff returns an exponential on/off source with the given means,
-// drawing from r.
-func NewOnOff(meanOn, meanOff units.Duration, r *rng.Stream) *OnOff {
-	if meanOn <= 0 || meanOff <= 0 {
-		panic("workload: OnOff means must be positive")
-	}
-	if r == nil {
-		panic("workload: OnOff needs an rng stream")
-	}
-	return &OnOff{MeanOn: meanOn, MeanOff: meanOff, Rng: r}
 }
 
 // Start implements Source: off, until the first off-period ends.

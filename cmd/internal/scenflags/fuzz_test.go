@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"learnability/internal/cc/newreno"
-	"learnability/internal/rng"
 	"learnability/internal/scenario"
-	"learnability/internal/units"
 )
 
 // fuzzMaxFlows and fuzzMaxHops cap the scenarios FuzzScenFlags builds,
@@ -23,8 +20,9 @@ const (
 // FuzzScenFlags feeds argument vectors — the fuzz input split at NUL
 // bytes — through the shared scenario flag set: Register, Parse,
 // Template. No vector may panic, and every vector Template accepts must
-// build (scenario.Build) once the fields a binary sweeps itself are
-// filled in, under a size cap.
+// build (scenario.Build) once complete fills in the fields a binary
+// sweeps itself, under a size cap. Template validates that completed
+// spec, so the size cap is applied to the topology before it does.
 func FuzzScenFlags(f *testing.F) {
 	for _, args := range [][]string{
 		{},
@@ -53,23 +51,15 @@ func FuzzScenFlags(f *testing.F) {
 		if fs.Parse(args) != nil {
 			return
 		}
+		if top, err := fl.topologyOf(); err == nil &&
+			(top.FlowCount(2) > fuzzMaxFlows || top.Hops > fuzzMaxHops || top.FatTreeK > 4) {
+			return
+		}
 		tmpl, err := fl.Template()
 		if err != nil {
 			return
 		}
-		top := tmpl.Topology
-		n := top.FlowCount(2)
-		if n > fuzzMaxFlows || top.Hops > fuzzMaxHops || top.FatTreeK > 4 {
-			return
-		}
-		spec := tmpl
-		spec.LinkSpeed = 10 * units.Mbps
-		spec.Duration = 50 * units.Millisecond
-		spec.Seed = rng.New(1)
-		for i := 0; i < n; i++ {
-			spec.Senders = append(spec.Senders, scenario.Sender{Alg: newreno.New(), Delta: fl.Delta()})
-		}
-		if _, _, err := scenario.Build(spec); err != nil {
+		if _, _, err := scenario.Build(complete(tmpl)); err != nil {
 			t.Fatalf("accepted arguments %q do not build: %v", args, err)
 		}
 	})

@@ -8,11 +8,15 @@
 package scenflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"learnability/internal/cc/newreno"
+	"learnability/internal/rng"
 	"learnability/internal/scenario"
 	"learnability/internal/topo"
 	"learnability/internal/units"
@@ -79,16 +83,14 @@ func Register(fs *flag.FlagSet) *Flags {
 func (f *Flags) Delta() float64 { return f.delta }
 
 // Template resolves the flags into the scenario they describe: a Spec
-// with the topology (validated), minimum RTT, workload means, gateway
-// queue, ECN and rate-modulation fields set, and everything a binary
-// sweeps or draws itself (link speed, senders, duration, seed) left
-// zero.
+// with the topology, minimum RTT, workload means, gateway queue, ECN
+// and rate-modulation fields set, and everything a binary sweeps or
+// draws itself (link speed, senders, duration, seed) left zero. The
+// flags only convert: a template is returned when scenario.Spec.Validate
+// accepts it completed (complete).
 func (f *Flags) Template() (scenario.Spec, error) {
 	t, err := f.topologyOf()
 	if err != nil {
-		return scenario.Spec{}, err
-	}
-	if err := t.Validate(); err != nil {
 		return scenario.Spec{}, err
 	}
 	buffering, err := scenario.ParseBuffering(f.queue)
@@ -102,22 +104,13 @@ func (f *Flags) Template() (scenario.Spec, error) {
 	if err != nil {
 		return scenario.Spec{}, err
 	}
-	if err := f.check(buffering, varRate); err != nil {
+	minRTT, errRTT := duration("-rtt", f.rttMs/1e3)
+	meanOn, errOn := duration("-on", f.onS)
+	meanOff, errOff := duration("-off", f.offS)
+	if err := errors.Join(errRTT, errOn, errOff); err != nil {
 		return scenario.Spec{}, err
 	}
-	minRTT, err := duration("-rtt", f.rttMs/1e3, topo.MaxDelay)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	meanOn, err := duration("-on", f.onS, maxMean)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	meanOff, err := duration("-off", f.offS, maxMean)
-	if err != nil {
-		return scenario.Spec{}, err
-	}
-	return scenario.Spec{
+	tmpl := scenario.Spec{
 		Topology:          t,
 		MinRTT:            minRTT,
 		Buffering:         buffering,
@@ -127,43 +120,35 @@ func (f *Flags) Template() (scenario.Spec, error) {
 		VarRate:           varRate,
 		MeanOn:            meanOn,
 		MeanOff:           meanOff,
-	}, nil
+	}
+	if err := complete(tmpl).Validate(); err != nil {
+		return scenario.Spec{}, err
+	}
+	return tmpl, nil
 }
 
-// maxMean is the longest workload mean the flags take: far inside the
-// range of a units.Duration.
-const maxMean = 365 * 24 * 3600 * units.Second
-
-// duration converts a flag's seconds, which must be a positive duration
-// no longer than max: a round trip longer than a graph's delays may be
-// (topo.MaxDelay), or one that rounds to nothing, builds no scenario.
-func duration(name string, s float64, max units.Duration) (units.Duration, error) {
-	if !(s > 0 && s <= max.Seconds()) {
-		return 0, fmt.Errorf("%s must be positive and at most %v", name, max)
+// complete fills in what a binary sweeps or draws itself as one run of
+// either might: a 10 Mbps link, 50 ms, a seed, and a NewReno sender on
+// each of the topology's flows (two on a dumbbell).
+func complete(tmpl scenario.Spec) scenario.Spec {
+	tmpl.LinkSpeed, tmpl.Duration, tmpl.Seed = 10*units.Mbps, 50*units.Millisecond, rng.New(1)
+	for range max(tmpl.Topology.FlowCount(2), 0) {
+		tmpl.Senders = append(tmpl.Senders, scenario.Sender{Alg: newreno.New()})
 	}
-	d := units.DurationFromSeconds(s)
-	if d <= 0 {
-		return 0, fmt.Errorf("%s rounds to no time at all", name)
-	}
-	return d, nil
+	return tmpl
 }
 
-// check rejects the other values a scenario cannot be built from, so
-// that a template Template accepts builds once the binary fills in
-// what it sweeps: ECN on a queue that never drops or marks, a negative
-// marking threshold or buffer, and rate modulation VarRate.Validate
-// refuses.
-func (f *Flags) check(buffering scenario.Buffering, vr scenario.VarRate) error {
-	if !(f.bufferBDP >= 0) {
-		return fmt.Errorf("-buffer-bdp must not be negative, not %v", f.bufferBDP)
+// maxDuration bounds the seconds a flag converts, far inside a
+// units.Duration's range.
+const maxDuration = 365 * 24 * 3600 * units.Second
+
+// duration converts a flag's seconds, refusing only what does not
+// convert: NaN, and magnitudes past maxDuration.
+func duration(name string, s float64) (units.Duration, error) {
+	if !(math.Abs(s) <= maxDuration.Seconds()) {
+		return 0, fmt.Errorf("%s of %v s does not convert to a duration (at most %v)", name, s, maxDuration)
 	}
-	if f.ecn && buffering == scenario.NoDrop {
-		return fmt.Errorf("-ecn needs a finite buffer (-buffer-bdp > 0)")
-	}
-	if f.ecnThreshold < 0 {
-		return fmt.Errorf("-ecn-threshold must not be negative, not %d", f.ecnThreshold)
-	}
-	return vr.Validate()
+	return units.DurationFromSeconds(s), nil
 }
 
 // topologyOf resolves -topology and the family's own flags; flags of
@@ -204,8 +189,10 @@ func (f *Flags) varRate() (scenario.VarRate, error) {
 	switch k {
 	case scenario.VarRateOnOff:
 		vr.LowFactor = f.vrLow
-		vr.MeanHigh = units.DurationFromSeconds(f.vrMeanHigh)
-		vr.MeanLow = units.DurationFromSeconds(f.vrMeanLow)
+		var errHigh, errLow error
+		vr.MeanHigh, errHigh = duration("-varrate-mean-high", f.vrMeanHigh)
+		vr.MeanLow, errLow = duration("-varrate-mean-low", f.vrMeanLow)
+		err = errors.Join(errHigh, errLow)
 	case scenario.VarRateMarkov:
 		for _, s := range strings.Split(f.vrFactors, ",") {
 			s = strings.TrimSpace(s)
@@ -218,7 +205,10 @@ func (f *Flags) varRate() (scenario.VarRate, error) {
 			}
 			vr.Factors = append(vr.Factors, x)
 		}
-		vr.MeanDwell = units.DurationFromSeconds(f.vrDwell)
+		vr.MeanDwell, err = duration("-varrate-dwell", f.vrDwell)
+	}
+	if err != nil {
+		return scenario.VarRate{}, err
 	}
 	return vr, nil
 }

@@ -137,14 +137,17 @@ func TestTemplateRejects(t *testing.T) {
 		{"bad varrate", []string{"-varrate", "sine"}, `unknown var-rate kind "sine"`},
 		{"bad varrate factor", []string{"-varrate", "markov", "-varrate-factors", "1,half"}, `bad -varrate-factors entry "half"`},
 		// Found by FuzzScenFlags: each of these once made a template
-		// that did not build.
-		{"zero rtt", []string{"-rtt", "0"}, "-rtt must be positive"},
-		{"rtt that rounds to nothing", []string{"-rtt", ".0000001"}, "-rtt rounds to no time"},
-		{"rtt beyond a graph's delays", []string{"-rtt", "200000000"}, "-rtt must be positive and at most"},
+		// that did not build. The scenario's rules refuse them now.
+		{"zero rtt", []string{"-rtt", "0"}, "non-positive MinRTT 0"},
+		{"rtt that rounds to nothing", []string{"-rtt", ".0000001"}, "non-positive MinRTT 0"},
+		{"rtt beyond a graph's delays", []string{"-rtt", "200000000"}, "propagation delay 100000000.000ms outside"},
 		{"zero markov dwell", []string{"-varrate", "markov", "-varrate-dwell", "0"}, "positive mean dwell"},
-		{"zero on time", []string{"-on", "0"}, "-on must be positive"},
-		{"ECN without a buffer", []string{"-ecn", "-buffer-bdp", "0"}, "-ecn needs a finite buffer"},
-		{"negative buffer", []string{"-buffer-bdp", "-1"}, "-buffer-bdp must not be negative"},
+		{"zero on time", []string{"-on", "0"}, "means are 0.000ms on"},
+		{"ECN without a buffer", []string{"-ecn", "-buffer-bdp", "0"}, "ECN needs a marking gateway queue"},
+		{"negative buffer", []string{"-buffer-bdp", "-1"}, "buffer of -1 bandwidth-delay products"},
+		// Past what a duration holds, a flag does not convert at all.
+		{"rtt past a year", []string{"-rtt", "1e300"}, "-rtt of 1e+297 s does not convert"},
+		{"NaN dwell", []string{"-varrate", "markov", "-varrate-dwell", "NaN"}, "-varrate-dwell of NaN s does not convert"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, err := parse(t, tc.args...)
@@ -152,5 +155,38 @@ func TestTemplateRejects(t *testing.T) {
 				t.Fatalf("Template error = %v, want one mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestTemplateDefersToScenario feeds the flag forms of rules a scenario
+// enforces. Each must be refused, and by the scenario's own rule book
+// (scenario.Spec.Validate, which ends in topo's graph check), never by
+// a second copy of the rule in the flags.
+func TestTemplateDefersToScenario(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ecn", "-buffer-bdp", "0"},
+		{"-ecn", "-ecn-threshold", "-1"},
+		{"-buffer-bdp", "-1"},
+		{"-buffer-bdp", "NaN"},
+		{"-buffer-bdp", "+Inf"},
+		{"-varrate", "onoff", "-varrate-low", "1.5"},
+		{"-varrate", "onoff", "-varrate-low", "NaN"},
+		{"-varrate", "onoff", "-varrate-mean-high", "0"},
+		{"-varrate", "markov", "-varrate-factors", "1,-0.5"},
+		{"-varrate", "markov", "-varrate-factors", "1,+Inf"},
+		{"-varrate", "markov", "-varrate-factors", "1"},
+		{"-rtt", "-40"},
+		{"-off", "0"},
+		{"-topology", "parkinglot", "-hops", "4", "-rtt", "0.000007"},
+		{"-topology", "fattree", "-rtt", "0.00001"},
+	} {
+		_, _, err := parse(t, args...)
+		if err == nil {
+			t.Errorf("%q: accepted", args)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "scenario: ") && !strings.HasPrefix(msg, "topo: ") {
+			t.Errorf("%q: refused by %q, not by the scenario's rules", args, msg)
+		}
 	}
 }

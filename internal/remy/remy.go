@@ -155,11 +155,11 @@ type draw struct {
 	seed       *rng.Stream
 }
 
-// sample draws a concrete scenario from the training distribution.
-// Topologies with a fixed flow count (the parking-lot family, explicit
-// graphs) override the drawn sender count; multi-link topologies draw
+// sample draws a concrete scenario from the normalized training
+// distribution, whose sender range a topology with a fixed flow count
+// has pinned to that count (normalize). The parking-lot family draws
 // every additional link's speed log-uniformly from the same range as
-// the first.
+// the first; a fat tree runs every link at the drawn speed.
 func (c *Config) sample(r *rng.Stream) draw {
 	d := draw{
 		linkSpeed: units.Rate(r.LogUniform(float64(c.LinkSpeedMin), float64(c.LinkSpeedMax))),
@@ -167,21 +167,13 @@ func (c *Config) sample(r *rng.Stream) draw {
 			r.Uniform(0, float64(c.MinRTTMax-c.MinRTTMin))),
 		nTrainee: r.IntRange(c.SendersMin, c.SendersMax),
 	}
-	switch c.Topology.Kind {
-	case scenario.KindParkingLot:
+	if c.Topology.Kind == scenario.KindParkingLot {
 		hops := c.Topology.Hops
 		d.linkSpeeds = make([]units.Rate, hops)
 		d.linkSpeeds[0] = d.linkSpeed
 		for i := 1; i < hops; i++ {
 			d.linkSpeeds[i] = units.Rate(r.LogUniform(float64(c.LinkSpeedMin), float64(c.LinkSpeedMax)))
 		}
-		d.nTrainee = c.Topology.FlowCount(0)
-	case scenario.KindGraph:
-		d.nTrainee = c.Topology.FlowCount(0)
-	case scenario.KindFatTree:
-		// The fabric runs every link at the drawn speed; the placement
-		// fixes the flow count.
-		d.nTrainee = c.Topology.FlowCount(0)
 	}
 	if c.AIMDProb > 0 && d.nTrainee > 1 && r.Float64() < c.AIMDProb {
 		d.nTrainee--
@@ -197,10 +189,14 @@ func (c *Config) sample(r *rng.Stream) draw {
 	return d
 }
 
-// Validate reports whether the configuration can train at all:
-// well-formed topology, drawable ranges, and sender counts consistent
-// with the topology's flow count. cmd/remytrain calls it before Train,
-// which treats a bad configuration as a programmer error.
+// Validate reports whether the configuration can train at all. It
+// checks the distribution's own rules (drawable ranges, AIMDProb, the
+// partner counts and their topology, sender counts a topology fixes)
+// and leaves the scenario's to scenario.Spec.Validate on the corner
+// draws: slowest link, shortest RTT, fewest senders; fastest, longest,
+// most. Each scenario rule is monotone in one of the three, so every
+// draw between corners that build builds. cmd/remytrain calls it
+// before Train, which treats a bad configuration as a programmer error.
 func (c *Config) Validate() error {
 	n := c.normalize()
 	if err := n.Topology.Validate(); err != nil {
@@ -219,40 +215,34 @@ func (c *Config) Validate() error {
 		}
 	}
 	if n.LinkSpeedMin <= 0 {
-		return fmt.Errorf("remy: non-positive minimum link speed %v", n.LinkSpeedMin)
+		return fmt.Errorf("remy: link speeds are drawn log-uniformly from a positive range, not from %v", n.LinkSpeedMin)
 	}
-	// Explicit graphs carry their own delays, but finite buffering is
-	// still sized by MinRTT, so only a no-drop graph config may omit it.
-	if n.MinRTTMin <= 0 && (n.Topology.Kind != scenario.KindGraph || n.Buffering != scenario.NoDrop) {
-		return fmt.Errorf("remy: non-positive minimum RTT %v", n.MinRTTMin)
-	}
-	if n.Topology.Kind == scenario.KindParkingLot && n.MinRTTMin/units.Duration(2*n.Topology.Hops) <= 0 {
-		return fmt.Errorf("remy: minimum RTT %v too small for %d hops", n.MinRTTMin, n.Topology.Hops)
-	}
-	// A fat-tree's farthest flows cross 6 links each way, so the
-	// per-hop delay is MinRTT/12; it must stay positive.
-	if n.Topology.Kind == scenario.KindFatTree && n.MinRTTMin/12 <= 0 {
-		return fmt.Errorf("remy: minimum RTT %v too small for a fat-tree's 12 per-path hops", n.MinRTTMin)
-	}
-	if n.Topology.Kind != scenario.KindDumbbell && n.Other != nil && n.OtherCountMax > 0 {
-		return fmt.Errorf("remy: partner senders require a dumbbell (topology %v has a fixed flow count)", n.Topology.Kind)
-	}
-	if n.AIMDProb < 0 || n.AIMDProb > 1 {
+	if !(n.AIMDProb >= 0 && n.AIMDProb <= 1) {
 		return fmt.Errorf("remy: AIMD probability %v outside [0,1]", n.AIMDProb)
 	}
-	if n.MeanOn <= 0 || n.MeanOff <= 0 {
-		return fmt.Errorf("remy: on/off workload means must be positive (on %v, off %v)", n.MeanOn, n.MeanOff)
+	fewest, most := n.SendersMin, n.SendersMax
+	if n.Other != nil {
+		if n.OtherCountMin < 0 || n.OtherCountMax < n.OtherCountMin {
+			return fmt.Errorf("remy: partner count range %d..%d (want 0 <= min <= max)", n.OtherCountMin, n.OtherCountMax)
+		}
+		if n.Topology.Kind != scenario.KindDumbbell && n.OtherCountMax > 0 {
+			return fmt.Errorf("remy: partner senders require a dumbbell (topology %v has a fixed flow count)", n.Topology.Kind)
+		}
+		fewest += n.OtherCountMin
+		most += n.OtherCountMax
 	}
-	switch n.Buffering {
-	case scenario.FiniteDropTail, scenario.NoDrop, scenario.SfqCoDel, scenario.CoDelAQM:
-	default:
-		return fmt.Errorf("remy: unknown buffering %d", n.Buffering)
+	// Validation reads only that a sender has a controller.
+	senders, alg, seed := make([]scenario.Sender, most), newreno.New(), rng.New(0)
+	for i := range senders {
+		senders[i].Alg = alg
 	}
-	if n.ECN && n.Buffering == scenario.NoDrop {
-		return fmt.Errorf("remy: ECN needs a marking gateway queue, not NoDrop buffering")
-	}
-	if err := n.VarRate.Validate(); err != nil {
-		return err
+	for _, d := range []draw{
+		{linkSpeed: n.LinkSpeedMin, minRTT: n.MinRTTMin, nTrainee: fewest, seed: seed},
+		{linkSpeed: n.LinkSpeedMax, minRTT: n.MinRTTMax, nTrainee: most, seed: seed},
+	} {
+		if err := n.spec(d, senders[:d.nTrainee]).Validate(); err != nil {
+			return fmt.Errorf("remy: the draw at %v, %v and %d senders does not run: %w", d.linkSpeed, d.minRTT, d.nTrainee, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package remy
 
 import (
+	"math"
 	"testing"
 
 	"learnability/internal/cc/remycc"
@@ -84,21 +85,29 @@ func TestConfigValidate(t *testing.T) {
 	// pass wherever the original did.
 	ft := pl
 	ft.Topology = scenario.FatTreeTopology(4, topo.Spray)
-	for _, c := range []Config{good, pl, ft} {
+	partner := tinyConfig()
+	partner.Other = remycc.NewTree()
+	partner.OtherCountMin, partner.OtherCountMax = 0, 3
+	for _, c := range []Config{good, pl, ft, partner} {
 		if n := c.normalize(); n.Validate() != nil {
 			t.Fatalf("normalized %v config rejected: %v", c.Topology.Kind, n.Validate())
 		}
 	}
 	for name, mutate := range map[string]func(*Config){
-		"zero hops":      func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindParkingLot} },
-		"nil graph":      func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindGraph} },
-		"bad kind":       func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.TopologyKind(99)} },
-		"zero speed":     func(c *Config) { c.LinkSpeedMin, c.LinkSpeedMax = 0, 0 },
-		"zero rtt":       func(c *Config) { c.MinRTTMin, c.MinRTTMax = 0, 0 },
-		"bad aimd":       func(c *Config) { c.AIMDProb = 1.5 },
-		"zero means":     func(c *Config) { c.MeanOn = 0 },
-		"bad buffering":  func(c *Config) { c.Buffering = scenario.Buffering(7) },
-		"partner-on-lot": func(c *Config) { c.Topology = scenario.ParkingLot; c.Other = remycc.NewTree(); c.OtherCountMax = 1 },
+		"zero hops":     func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindParkingLot} },
+		"nil graph":     func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.KindGraph} },
+		"bad kind":      func(c *Config) { c.Topology = scenario.Topology{Kind: scenario.TopologyKind(99)} },
+		"zero speed":    func(c *Config) { c.LinkSpeedMin, c.LinkSpeedMax = 0, 0 },
+		"zero rtt":      func(c *Config) { c.MinRTTMin, c.MinRTTMax = 0, 0 },
+		"bad aimd":      func(c *Config) { c.AIMDProb = 1.5 },
+		"zero means":    func(c *Config) { c.MeanOn = 0 },
+		"bad buffering": func(c *Config) { c.Buffering = scenario.Buffering(7) },
+		"partner-on-lot": func(c *Config) {
+			c.Topology = scenario.ParkingLot
+			c.SendersMin, c.SendersMax = 0, 0
+			c.Other = remycc.NewTree()
+			c.OtherCountMax = 1
+		},
 		"rtt-under-hops": func(c *Config) {
 			c.Topology = scenario.ParkingLotN(3, true)
 			c.SendersMin, c.SendersMax = 0, 0
@@ -113,6 +122,38 @@ func TestConfigValidate(t *testing.T) {
 			})
 			c.SendersMin, c.SendersMax = 0, 0
 			c.MinRTTMin, c.MinRTTMax = 0, 0 // finite buffering still needs MinRTT
+		},
+		// The worker crashers in testdata/fuzz/FuzzShardConfig: each
+		// passed Validate and then panicked in scenario.MustRun or
+		// rng.IntRange.
+		"negative ecn threshold": func(c *Config) { c.ECN = true; c.ECNThresholdBytes = -5 },
+		"partner counts inverted": func(c *Config) {
+			c.Other = remycc.NewTree()
+			c.OtherCountMin, c.OtherCountMax = 5, 2
+		},
+		"link too slow to serialize": func(c *Config) { c.LinkSpeedMin, c.LinkSpeedMax = 0.1, 0.1 },
+		"min rtt past a day":         func(c *Config) { c.MinRTTMin, c.MinRTTMax = 200000*units.Second, 200000*units.Second },
+		// Only one corner of the range fails: each must be checked.
+		"slowest link too slow":  func(c *Config) { c.LinkSpeedMin = 0.1 },
+		"longest rtt past a day": func(c *Config) { c.MinRTTMax = 200000 * units.Second },
+		"fastest link too fast":  func(c *Config) { c.LinkSpeedMax = 1e15 },
+		"negative partner counts": func(c *Config) {
+			c.Other = remycc.NewTree()
+			c.OtherCountMin, c.OtherCountMax = -3, -1
+		},
+		"negative partner minimum": func(c *Config) {
+			c.Other = remycc.NewTree()
+			c.OtherCountMin, c.OtherCountMax = -1, 2
+		},
+		"negative buffer": func(c *Config) { c.BufferBDP = -1 },
+		"nan aimd":        func(c *Config) { c.AIMDProb = math.NaN() },
+		"ecn on no-drop":  func(c *Config) { c.ECN = true; c.Buffering = scenario.NoDrop },
+		"zero off mean":   func(c *Config) { c.MeanOff = 0 },
+		"bad varrate":     func(c *Config) { c.VarRate = scenario.VarRate{Kind: scenario.VarRateMarkov, Factors: []float64{1}} },
+		"fat tree rtt": func(c *Config) {
+			c.Topology = scenario.FatTreeTopology(4, topo.ECMP)
+			c.SendersMin, c.SendersMax = 0, 0
+			c.MinRTTMin = 11
 		},
 	} {
 		c := tinyConfig()

@@ -14,6 +14,9 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -171,6 +174,77 @@ func TestTCPWorkerAnswersInvalidConfigWithError(t *testing.T) {
 			t.Fatalf("good job on the same connection = %+v", res)
 		}
 	}
+}
+
+// TestTCPWorkerAnswersCrasherConfigsWithError ships a worker every
+// config in testdata/fuzz/FuzzShardConfig: each passed the worker's
+// decode once and then panicked while its first draw ran, which took
+// the daemon down. Each must now be answered with an error result, and
+// the same session must then serve a good job.
+func TestTCPWorkerAnswersCrasherConfigsWithError(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzShardConfig", "*"))
+	if err != nil || len(paths) < 5 {
+		t.Fatalf("crasher seeds: %v, %v", paths, err)
+	}
+	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	tree, err := remycc.NewTree().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := tinyConfig()
+	good.Duration = 2 * units.Second
+	good = good.normalize()
+	goodJSON, err := json.Marshal(&good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(id uint64, cfg []byte) *shard.Job {
+		return &shard.Job{
+			ID: id, Version: shard.ProtocolVersion, Seed: 3, Replicas: good.Replicas, UsageFor: -1,
+			SlotLo: 0, SlotHi: good.Replicas, Trees: [][]byte{tree}, Cfg: cfg,
+		}
+	}
+	var id uint64
+	for _, path := range paths {
+		id++
+		res, err := shard.RoundTrip(conn, job(id, fuzzSeedBytes(t, path)), time.Minute)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if !strings.Contains(res.Err, "invalid shard config") {
+			t.Fatalf("%s answered %+v, want the config refused", filepath.Base(path), res)
+		}
+		id++
+		res, err = shard.RoundTrip(conn, job(id, goodJSON), time.Minute)
+		if err != nil || res.Err != "" || len(res.Scores) != good.Replicas {
+			t.Fatalf("good job after %s on the same session = %+v, %v", filepath.Base(path), res, err)
+		}
+	}
+}
+
+// fuzzSeedBytes reads the []byte value of a one-value fuzz corpus file.
+func fuzzSeedBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, val, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	quoted, ok := strings.CutPrefix(val, "[]byte(")
+	if header != "go test fuzz v1" || !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("%s is not a one-value []byte fuzz seed", path)
+	}
+	b, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(b)
 }
 
 // limitListener grants at most n Accepts, then closes for good —

@@ -334,14 +334,20 @@ const diskEntryMagic = "RSC1"
 // worker's scenario.MustRun would panic). Building stops short of
 // simulating, so the fuzzer does not time runs. Validate bounds no
 // size yet, and a k=24 fat tree or a few thousand senders take a minute
-// to build; that is a per-job cost, not a crash, so configs beyond
-// maxSize (replicas, hops, senders) or beyond a k=8 fat tree are
-// skipped.
+// to lay out, which Validate does for the distribution's corner draws;
+// that is a per-config cost, not a crash, so configs beyond maxSize
+// (replicas, hops, senders, partners) or beyond a k=8 fat tree are
+// skipped before the worker's decode sees them. The crashers in
+// testdata/fuzz passed the decode before Validate checked the corner
+// draws and the partner counts.
 func FuzzShardConfig(f *testing.F) {
 	const maxSize = 256
+	partner := tinyConfig()
+	partner.Other = remycc.NewTree()
+	partner.OtherCountMin, partner.OtherCountMax = 1, 2
 	for _, cfg := range []Config{
 		tinyConfig(), tinyECNVarRateConfig(), tinyParkingLotConfig(),
-		tinyGraphConfig(), tinyFatTreeConfig(topo.Adaptive),
+		tinyGraphConfig(), tinyFatTreeConfig(topo.Adaptive), partner,
 	} {
 		b, err := json.Marshal(cfg)
 		if err != nil {
@@ -350,14 +356,19 @@ func FuzzShardConfig(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		var raw Config
+		if json.Unmarshal(b, &raw) != nil {
+			return
+		}
+		if n := raw.normalize(); n.Replicas > maxSize || n.Topology.Hops > maxSize || n.Topology.FatTreeK > 8 ||
+			n.SendersMax > maxSize || n.OtherCountMax > maxSize {
+			return
+		}
 		cfg, _, err := decodeShardConfig(&shard.Job{Cfg: b})
-		if err != nil || cfg.Replicas > maxSize || cfg.Topology.Hops > maxSize || cfg.Topology.FatTreeK > 8 {
+		if err != nil {
 			return
 		}
 		d := cfg.generationDraws(1, 0)[0]
-		if d.nTrainee+d.nOther+d.nAIMD > maxSize {
-			return
-		}
 		var senders []scenario.Sender
 		for i := 0; i < d.nTrainee; i++ {
 			senders = append(senders, scenario.Sender{Alg: remycc.NewMasked(remycc.NewTree(), cfg.Mask), Delta: cfg.Delta})

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -177,5 +178,36 @@ func TestLinkBufferOverrideChangesBehavior(t *testing.T) {
 
 	if reflect.DeepEqual(wideRes, tightRes) {
 		t.Fatal("per-link buffer override did not change the simulation")
+	}
+}
+
+// TestBufferBDPSaturates pins BDP sizing at both ends of the float
+// range. A product past what an int holds is an unbounded buffer under
+// every queue: converting it with int() is implementation-defined in
+// Go, and on amd64 gave math.MinInt64, floored to two packets, where
+// arm64 saturated. Below that, sizing is the product itself.
+func TestBufferBDPSaturates(t *testing.T) {
+	for _, buf := range []Buffering{FiniteDropTail, CoDelAQM, SfqCoDel} {
+		for _, tc := range []struct {
+			bdps float64
+			want int
+		}{
+			{1e300, queue.Unbounded},
+			{float64(math.MaxInt64) / 62500, queue.Unbounded}, // 62 500 B is 5 Mbps × 100 ms
+			{5, 5 * 62500},
+		} {
+			spec := Spec{
+				Topology: Dumbbell, LinkSpeed: 5 * units.Mbps, MinRTT: 100 * units.Millisecond,
+				Buffering: buf, BufferBDP: tc.bdps, MeanOn: units.Second, MeanOff: units.Second,
+				Duration: units.Second, Seed: rng.New(1), Senders: []Sender{{Alg: cubic.New(), Delta: 1}},
+			}
+			_, queues, err := Build(spec)
+			if err != nil {
+				t.Fatalf("%v at %v BDP: %v", buf, tc.bdps, err)
+			}
+			if got := queues[0].(interface{ Capacity() int }).Capacity(); got != tc.want {
+				t.Errorf("%v at %v BDP: capacity %d bytes, want %d", buf, tc.bdps, got, tc.want)
+			}
+		}
 	}
 }

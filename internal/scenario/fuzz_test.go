@@ -42,9 +42,10 @@ func fuzzTooBig(t Topology) bool {
 
 // FuzzTopologyJSON decodes topology descriptions the way training
 // configs carry them and validates them. Whatever is accepted must
-// encode and decode back to itself and, under a size cap, lay out and
-// run a 50 ms scenario — on a pooled world, which lays out built-in
-// families in storage it keeps — without panicking.
+// encode and decode back to itself and, under a size cap, run a 50 ms
+// scenario without panicking — on a pooled world, which lays out
+// built-in families in storage it keeps — exactly when Spec.Validate
+// accepts that scenario.
 func FuzzTopologyJSON(f *testing.F) {
 	ft, err := topo.FatTree(4, 10*units.Mbps, topo.FatTreeDelays{Host: units.Millisecond, Pod: units.Millisecond, Core: units.Millisecond})
 	if err != nil {
@@ -116,11 +117,9 @@ func FuzzTopologyJSON(f *testing.F) {
 		for i := 0; i < n; i++ {
 			spec.Senders = append(spec.Senders, Sender{Alg: newreno.New(), Delta: 1})
 		}
-		if _, err := spec.Layout(); err != nil {
-			return
-		}
-		if _, err := Run(spec); err != nil {
-			t.Fatalf("a topology that lays out does not run: %v\n%s", err, b)
+		verr := spec.Validate()
+		if _, err := Run(spec); (err == nil) != (verr == nil) {
+			t.Fatalf("Validate says %v, Run %v\n%s", verr, err, b)
 		}
 	})
 }

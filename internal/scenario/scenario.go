@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -192,9 +193,9 @@ func (t Topology) longFlows() int {
 	return t.LongFlows
 }
 
-// Validate checks that the topology description itself is well formed
-// (sender-count agreement is checked at Build time, when the senders
-// are known).
+// Validate checks that the topology description itself is well formed.
+// Whether the senders agree with its flow count is a rule of the spec
+// that carries both (Spec.Validate).
 func (t Topology) Validate() error {
 	switch t.Kind {
 	case KindDumbbell:
@@ -317,13 +318,12 @@ type Spec struct {
 	// delays), except as the per-link buffer-sizing RTT below.
 	MinRTT units.Duration
 
-	// Buffering and BufferBDP configure each gateway queue. BufferBDP
-	// is in multiples of LinkSpeed*MinRTT (per link, using that link's
-	// rate).
+	// Buffering selects every gateway queue.
 	Buffering Buffering
-	// BufferBDP is the gateway buffer depth in bandwidth-delay
-	// products of the link it sits on. An explicit topo.Edge.Buffer
-	// (bytes) on a graph edge takes precedence over it.
+	// BufferBDP is the gateway buffer depth, finite and >= 0, in
+	// bandwidth-delay products of the link it sits on (its rate times
+	// MinRTT). An explicit topo.Edge.Buffer (bytes) on a graph edge
+	// takes precedence over it.
 	BufferBDP float64
 
 	// MeanOn and MeanOff are the exponential workload means.
@@ -386,9 +386,9 @@ func (s *Spec) linkRate(i int) units.Rate {
 
 // Layout compiles the spec's topology into the concrete link/path
 // graph the run will execute: built-in families are expanded with the
-// spec's rates and delays, explicit graphs are validated and returned
-// as-is. Per-flow propagation, minimum RTT, and fair share all derive
-// from this graph.
+// spec's rates and delays, explicit graphs are returned as-is. Per-flow
+// propagation, minimum RTT, and fair share all derive from this graph.
+// It refuses what Validate does short of topo's check of the graph.
 //
 // The returned graph is read-only. An explicit graph is the spec's
 // own, and a fat tree's Routes are shared with every other layout of
@@ -397,53 +397,114 @@ func (s *Spec) Layout() (*topo.Graph, error) {
 	if err := s.Topology.Validate(); err != nil {
 		return nil, err
 	}
+	if err := s.rules(); err != nil {
+		return nil, err
+	}
 	return s.layout(new(topo.Graph), new([]units.Rate))
 }
 
-// layout is Layout for a validated topology, written into g's storage
-// (and a parking lot's rates into *rates); an explicit graph is
-// returned as it is, leaving g alone.
-func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
+// Validate returns nil exactly when Build(s) succeeds, and Build's (and
+// Run's) error otherwise: the topology's rules, the spec's own, then
+// topo's check of the laid-out graph. It builds no network; only a fat
+// tree's shared route skeleton is made, as for Layout.
+func (s Spec) Validate() error {
+	lay, err := s.Layout()
+	if err != nil {
+		return err
+	}
+	return lay.Validate()
+}
+
+// rules checks a spec whose topology is valid: every rule of Build's
+// short of topo's check of the laid-out graph. Run, Build, Layout and
+// Validate all start here; it allocates nothing and walks no path.
+func (s *Spec) rules() error {
+	if s.Seed == nil {
+		return fmt.Errorf("scenario: spec needs a seed stream")
+	}
+	if s.Duration <= 0 {
+		return fmt.Errorf("scenario: spec needs a positive duration")
+	}
+	switch s.Buffering {
+	case FiniteDropTail, NoDrop, SfqCoDel, CoDelAQM:
+	default:
+		return fmt.Errorf("scenario: unknown buffering %d", s.Buffering)
+	}
+	if !(s.BufferBDP >= 0) || math.IsInf(s.BufferBDP, 1) {
+		return fmt.Errorf("scenario: buffer of %v bandwidth-delay products (want finite and >= 0)", s.BufferBDP)
+	}
+	if s.ECN && s.Buffering == NoDrop {
+		return fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
+	}
+	if s.ECNThresholdBytes < 0 {
+		return fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
+	}
+	if err := s.VarRate.Validate(); err != nil {
+		return err
+	}
 	if len(s.Senders) == 0 {
-		return nil, fmt.Errorf("scenario: spec has no senders")
+		return fmt.Errorf("scenario: spec has no senders")
 	}
 	if want := s.Topology.FlowCount(len(s.Senders)); len(s.Senders) != want {
-		return nil, fmt.Errorf("scenario: topology %v routes %d flows, spec has %d senders",
+		return fmt.Errorf("scenario: topology %v routes %d flows, spec has %d senders",
 			s.Topology.Kind, want, len(s.Senders))
 	}
 	switch s.Topology.Kind {
 	case KindDumbbell:
 		if s.MinRTT <= 0 {
-			return nil, fmt.Errorf("scenario: dumbbell with non-positive MinRTT %v", s.MinRTT)
+			return fmt.Errorf("scenario: dumbbell with non-positive MinRTT %v", s.MinRTT)
 		}
-		if s.linkRate(0) <= 0 {
-			return nil, fmt.Errorf("scenario: dumbbell with non-positive link speed %v", s.linkRate(0))
+	case KindParkingLot:
+		if s.MinRTT/units.Duration(2*s.Topology.Hops) <= 0 {
+			return fmt.Errorf("scenario: MinRTT %v too small for a parking lot of %d hops", s.MinRTT, s.Topology.Hops)
 		}
+	case KindGraph:
+		// A graph carries its delays, but BDP-sized buffers need MinRTT.
+		if s.Buffering != NoDrop && s.MinRTT <= 0 {
+			for i, e := range s.Topology.Graph.Edges {
+				if e.Buffer <= 0 {
+					return fmt.Errorf("scenario: finite buffering of graph edge %d is sized by MinRTT, which is %v", i, s.MinRTT)
+				}
+			}
+		}
+	case KindFatTree:
+		if s.MinRTT/12 <= 0 {
+			return fmt.Errorf("scenario: MinRTT %v too small for a fat-tree's 12 per-path hops", s.MinRTT)
+		}
+	}
+	for i, snd := range s.Senders {
+		if snd.Alg == nil {
+			return fmt.Errorf("scenario: sender %d has no congestion controller", i)
+		}
+		if snd.Workload == nil && (s.MeanOn <= 0 || s.MeanOff <= 0) {
+			return fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
+				i, s.MeanOn, s.MeanOff)
+		}
+	}
+	return nil
+}
+
+// layout is Layout for a spec whose topology and rules are valid,
+// written into g's storage (and a parking lot's rates into *rates); an
+// explicit graph is returned as it is, leaving g alone.
+func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
+	switch s.Topology.Kind {
+	case KindDumbbell:
 		g.SetDumbbell(s.linkRate(0), s.MinRTT, len(s.Senders))
 		return g, nil
 	case KindParkingLot:
 		hops := s.Topology.Hops
-		hop := s.MinRTT / units.Duration(2*hops)
-		if hop <= 0 {
-			return nil, fmt.Errorf("scenario: parking lot with MinRTT %v over %d hops", s.MinRTT, hops)
-		}
 		rs := slices.Grow((*rates)[:0], hops)[:hops]
 		*rates = rs
 		for i := range rs {
 			rs[i] = s.linkRate(i)
-			if rs[i] <= 0 {
-				return nil, fmt.Errorf("scenario: parking-lot link %d has non-positive speed %v", i, rs[i])
-			}
 		}
-		g.SetParkingLot(rs, hop, s.Topology.longFlows(), s.Topology.CrossTraffic)
+		g.SetParkingLot(rs, s.MinRTT/units.Duration(2*hops), s.Topology.longFlows(), s.Topology.CrossTraffic)
 		return g, nil
 	case KindGraph:
 		return s.Topology.Graph, nil
-	case KindFatTree:
-		return s.fatTreeLayout(g)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology kind %d", s.Topology.Kind)
 	}
+	return s.fatTreeLayout(g)
 }
 
 // fatTreeLayout expands the fat-tree family into g: the switch fabric
@@ -454,16 +515,7 @@ func (s *Spec) layout(g *topo.Graph, rates *[]units.Rate) (*topo.Graph, error) {
 // from the placement's skeleton, built once and shared; only the edges
 // are the spec's, written into g's own.
 func (s *Spec) fatTreeLayout(g *topo.Graph) (*topo.Graph, error) {
-	if s.MinRTT <= 0 {
-		return nil, fmt.Errorf("scenario: fat-tree with non-positive MinRTT %v", s.MinRTT)
-	}
 	hop := s.MinRTT / 12
-	if hop <= 0 {
-		return nil, fmt.Errorf("scenario: fat-tree hop delay underflows with MinRTT %v", s.MinRTT)
-	}
-	if s.LinkSpeed <= 0 {
-		return nil, fmt.Errorf("scenario: fat-tree with non-positive link speed %v", s.LinkSpeed)
-	}
 	sk, err := runPool.skeleton(s.Topology)
 	if err != nil {
 		return nil, err
@@ -530,8 +582,7 @@ type Result struct {
 }
 
 // Run executes the scenario and returns one Result per sender, in
-// order. It returns an error for an invalid spec (bad topology,
-// sender-count mismatch, missing seed, ...).
+// order, or the error Validate reports for the spec.
 //
 // Run has one path. It takes a world from the pool earlier runs left,
 // one of the layout's shape, gateway discipline and routing policy, and
@@ -616,10 +667,18 @@ type source struct {
 }
 
 // host readies w to run the spec's layout: its network rebuilt when it
-// has one, a new one otherwise.
+// has one, a new one otherwise. Where a link of w's network already
+// holds the gateway discipline this spec asks for, that queue is kept,
+// at the capacity this spec sizes it, for Link.Reinit to reset.
 func (s *Spec) host(w *world, lay *topo.Graph) error {
-	if err := s.queues(w, lay); err != nil {
-		return err
+	n := len(lay.Edges)
+	w.queues = slices.Grow(w.queues[:0], n)[:n]
+	for i, e := range lay.Edges {
+		var old queue.Discipline
+		if w.World != nil {
+			old = w.Net.Links[i].Queue()
+		}
+		w.queues[i] = s.mkQueue(e, old)
 	}
 	if w.World != nil {
 		if err := w.Rebuild(lay, w.queues, w.flows); err != nil {
@@ -781,19 +840,7 @@ func Build(spec Spec) (*netsim.Network, []queue.Discipline, error) {
 // graph and the per-flow algorithm/workload pairs. Run and Build both
 // start here.
 func (s *Spec) plan(w *world) (*topo.Graph, error) {
-	if s.Seed == nil {
-		return nil, fmt.Errorf("scenario: spec needs a seed stream")
-	}
-	if s.Duration <= 0 {
-		return nil, fmt.Errorf("scenario: spec needs a positive duration")
-	}
-	if s.ECN && s.Buffering == NoDrop {
-		return nil, fmt.Errorf("scenario: ECN needs a marking gateway queue, not NoDrop")
-	}
-	if s.ECNThresholdBytes < 0 {
-		return nil, fmt.Errorf("scenario: negative ECN threshold %d bytes", s.ECNThresholdBytes)
-	}
-	if err := s.VarRate.Validate(); err != nil {
+	if err := s.rules(); err != nil {
 		return nil, err
 	}
 	lay, err := s.layout(&w.lays[s.Topology.Kind], &w.rates)
@@ -806,10 +853,6 @@ func (s *Spec) plan(w *world) (*topo.Graph, error) {
 	for i, snd := range s.Senders {
 		wl := snd.Workload
 		if wl == nil {
-			if s.MeanOn <= 0 || s.MeanOff <= 0 {
-				return nil, fmt.Errorf("scenario: sender %d needs the default on/off workload, but means are %v on / %v off",
-					i, s.MeanOn, s.MeanOff)
-			}
 			if w.sources == nil {
 				w.sources = make([]source, n)
 			}
@@ -821,27 +864,6 @@ func (s *Spec) plan(w *world) (*topo.Graph, error) {
 		w.flows[i] = topo.FlowSpec{Alg: snd.Alg, Workload: wl}
 	}
 	return lay, nil
-}
-
-// queues sets w.queues to the gateway queue of every link of the
-// layout, in link order. Where a link of w's network already holds the
-// discipline this spec asks for, that queue is kept, at the capacity
-// this spec sizes it, for Link.Reinit to reset.
-func (s *Spec) queues(w *world, lay *topo.Graph) error {
-	n := len(lay.Edges)
-	w.queues = slices.Grow(w.queues[:0], n)[:n]
-	for i, e := range lay.Edges {
-		var old queue.Discipline
-		if w.World != nil {
-			old = w.Net.Links[i].Queue()
-		}
-		q, err := s.mkQueue(e, old)
-		if err != nil {
-			return err
-		}
-		w.queues[i] = q
-	}
-	return nil
 }
 
 // attach wires the spec's per-run signal and trace planes into a built
@@ -867,7 +889,7 @@ func (s *Spec) attach(nw *netsim.Network) {
 // old, resized in place, when it is the discipline this spec would
 // build, a new one otherwise. Capacity resolves per link: the
 // edge's explicit byte override, then the spec-wide BufferBDP.
-func (s *Spec) mkQueue(e topo.Edge, old queue.Discipline) (queue.Discipline, error) {
+func (s *Spec) mkQueue(e topo.Edge, old queue.Discipline) queue.Discipline {
 	// fifo returns the FIFO of this capacity and mark threshold;
 	// Unbounded is "never drops" and "never marks".
 	fifo := func(capBytes, markBytes int) queue.Discipline {
@@ -878,61 +900,50 @@ func (s *Spec) mkQueue(e topo.Edge, old queue.Discipline) (queue.Discipline, err
 		q.SetLimits(capBytes, markBytes)
 		return q
 	}
-	switch s.Buffering {
-	case NoDrop:
-		return fifo(queue.Unbounded, queue.Unbounded), nil
-	case FiniteDropTail, SfqCoDel, CoDelAQM:
-		// An explicit edge override is used verbatim — a tiny-buffer
-		// study may genuinely want a single-packet queue. The
-		// two-packet floor applies only to computed BDP sizes, where a
-		// small rate*RTT product would otherwise silently strangle the
-		// link.
-		capBytes := e.Buffer
-		if capBytes <= 0 {
-			// BDP-sized buffers are in multiples of rate*MinRTT even
-			// for explicit graphs (whose layout otherwise ignores the
-			// field); without it every buffer would silently floor at
-			// two packets.
-			if s.MinRTT <= 0 {
-				return nil, fmt.Errorf("scenario: finite buffering is sized by MinRTT, which is %v", s.MinRTT)
-			}
-			capBytes = int(float64(units.BDPBytes(e.Rate, s.MinRTT)) * s.BufferBDP)
-			if capBytes < 2*1500 {
-				capBytes = 2 * 1500
-			}
-		}
-		switch s.Buffering {
-		case SfqCoDel:
-			q, ok := old.(*queue.SFQCoDel)
-			if !ok {
-				q = queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
-			}
-			q.SetCapacity(capBytes)
-			q.SetECNMarking(s.ECN)
-			return q, nil
-		case CoDelAQM:
-			q, ok := old.(*queue.CoDel)
-			if !ok {
-				q = queue.NewCoDel(capBytes)
-			}
-			q.SetCapacity(capBytes)
-			q.SetECNMarking(s.ECN)
-			return q, nil
-		}
-		if s.ECN {
-			thresh := s.ECNThresholdBytes
-			if thresh <= 0 || thresh > capBytes {
-				thresh = capBytes / 2
-			}
-			if thresh <= 0 {
-				thresh = capBytes
-			}
-			return fifo(capBytes, thresh), nil
-		}
-		return fifo(capBytes, queue.Unbounded), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown buffering %d", s.Buffering)
+	if s.Buffering == NoDrop {
+		return fifo(queue.Unbounded, queue.Unbounded)
 	}
+	// An edge's override is used verbatim (a tiny-buffer study may want
+	// one packet). A BDP-sized buffer floors at two packets, lest a small
+	// rate*RTT strangle the link, and saturates at Unbounded rather than
+	// at what the platform makes of an out-of-range float conversion.
+	capBytes := e.Buffer
+	if capBytes <= 0 {
+		switch b := float64(units.BDPBytes(e.Rate, s.MinRTT)) * s.BufferBDP; {
+		case b >= float64(queue.Unbounded):
+			capBytes = queue.Unbounded
+		case b < 2*1500:
+			capBytes = 2 * 1500
+		default:
+			capBytes = int(b)
+		}
+	}
+	switch s.Buffering {
+	case SfqCoDel:
+		q, ok := old.(*queue.SFQCoDel)
+		if !ok {
+			q = queue.NewSFQCoDel(queue.SFQCoDelBins, capBytes)
+		}
+		q.SetCapacity(capBytes)
+		q.SetECNMarking(s.ECN)
+		return q
+	case CoDelAQM:
+		q, ok := old.(*queue.CoDel)
+		if !ok {
+			q = queue.NewCoDel(capBytes)
+		}
+		q.SetCapacity(capBytes)
+		q.SetECNMarking(s.ECN)
+		return q
+	}
+	if s.ECN {
+		thresh := s.ECNThresholdBytes
+		if thresh <= 0 || thresh > capBytes {
+			thresh = max(capBytes/2, 1)
+		}
+		return fifo(capBytes, thresh)
+	}
+	return fifo(capBytes, queue.Unbounded)
 }
 
 // Finish runs a built network for the spec's duration and collects

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"learnability/internal/cc/newreno"
 	"learnability/internal/queue"
 	"learnability/internal/rng"
+	"learnability/internal/topo"
 	"learnability/internal/units"
 	"learnability/internal/workload"
 )
@@ -194,20 +196,49 @@ func TestWorkloadOverride(t *testing.T) {
 	}
 }
 
+// TestSpecValidation feeds specs that break each of Build's rules. Each
+// must be refused, and Validate, Build and Run must refuse it with the
+// same error: there is one rule book for a runnable scenario.
 func TestSpecValidation(t *testing.T) {
+	slowGraph := dumbbellGraph(units.Mbps, 100*units.Millisecond, 2)
+	slowGraph.Edges[0].Rate = 0.1
 	for name, mutate := range map[string]func(*Spec){
 		"nil seed":         func(s *Spec) { s.Seed = nil },
 		"zero duration":    func(s *Spec) { s.Duration = 0 },
 		"sender mismatch":  func(s *Spec) { s.Topology = ParkingLot },
 		"no senders":       func(s *Spec) { s.Senders = nil },
+		"nil controller":   func(s *Spec) { s.Senders[1].Alg = nil },
 		"zero minRTT":      func(s *Spec) { s.MinRTT = 0 },
 		"zero link speed":  func(s *Spec) { s.LinkSpeed = 0 },
 		"bad buffering":    func(s *Spec) { s.Buffering = Buffering(99) },
+		"negative buffer":  func(s *Spec) { s.BufferBDP = -1 },
+		"NaN buffer":       func(s *Spec) { s.BufferBDP = math.NaN() },
+		"infinite buffer":  func(s *Spec) { s.BufferBDP = math.Inf(1) },
+		"ECN on NoDrop":    func(s *Spec) { s.ECN, s.Buffering = true, NoDrop },
+		"negative mark":    func(s *Spec) { s.ECN, s.ECNThresholdBytes = true, -5 },
+		"one-state markov": func(s *Spec) { s.VarRate = VarRate{Kind: VarRateMarkov, Factors: []float64{1}, MeanDwell: 1} },
+		"NaN low factor": func(s *Spec) {
+			s.VarRate = VarRate{Kind: VarRateOnOff, LowFactor: math.NaN(), MeanHigh: 1, MeanLow: 1}
+		},
 		"bad kind":         func(s *Spec) { s.Topology = Topology{Kind: TopologyKind(99)} },
 		"zero on mean":     func(s *Spec) { s.MeanOn = 0 },
 		"zero off mean":    func(s *Spec) { s.MeanOff = 0 },
 		"parking lot 0hop": func(s *Spec) { s.Topology = Topology{Kind: KindParkingLot} },
-		"nil graph":        func(s *Spec) { s.Topology = Topology{Kind: KindGraph} },
+		"parking lot rtt": func(s *Spec) {
+			s.Topology, s.Senders, s.MinRTT = ParkingLotN(4, false), s.Senders[:1], 7
+		},
+		"parking lot rate": func(s *Spec) {
+			s.Topology, s.Senders = ParkingLotN(2, false), s.Senders[:1]
+			s.LinkSpeed, s.LinkSpeeds = 0, []units.Rate{units.Mbps} // link 1 falls back to 0
+		},
+		"fat-tree rtt": func(s *Spec) {
+			s.Topology, s.MinRTT = FatTreeTopology(2, topo.ECMP), 11
+		},
+		"nil graph":         func(s *Spec) { s.Topology = Topology{Kind: KindGraph} },
+		"too slow to send":  func(s *Spec) { s.LinkSpeed = 0.1 },
+		"too fast to time":  func(s *Spec) { s.LinkSpeed = 1e15 },
+		"rtt past two days": func(s *Spec) { s.MinRTT = 200000 * units.Second },
+		"graph too slow":    func(s *Spec) { s.Topology = GraphTopology(slowGraph) },
 		"graph no minRTT": func(s *Spec) {
 			s.Topology = GraphTopology(dumbbellGraph(s.LinkSpeed, s.MinRTT, len(s.Senders)))
 			s.MinRTT = 0 // finite buffers are sized by MinRTT even for graphs
@@ -215,8 +246,15 @@ func TestSpecValidation(t *testing.T) {
 	} {
 		s := baseSpec()
 		mutate(&s)
-		if _, err := Run(s); err == nil {
-			t.Errorf("%s: expected error", name)
+		verr := s.Validate()
+		if verr == nil {
+			t.Errorf("%s: Validate accepted it", name)
+			continue
+		}
+		_, _, berr := Build(s)
+		_, rerr := Run(s)
+		if berr == nil || rerr == nil || berr.Error() != verr.Error() || rerr.Error() != verr.Error() {
+			t.Errorf("%s: Validate says %v, Build %v, Run %v", name, verr, berr, rerr)
 		}
 	}
 	// MustRun turns the same spec errors into panics.
@@ -230,6 +268,71 @@ func TestSpecValidation(t *testing.T) {
 		}()
 		MustRun(s)
 	}()
+}
+
+// TestValidateAcceptsWhatBuilds holds Validate to Build on specs that
+// build: every shape the benchmark evaluates (Figure 2's dumbbell at
+// seven speeds; a k=4 fat tree under three routings and a three-hop
+// parking lot with cross traffic, over three gateway queues), explicit
+// graphs, a NoDrop graph without a MinRTT, and the extremes the rules
+// admit. Validate must accept each, and Build and a short Run succeed.
+func TestValidateAcceptsWhatBuilds(t *testing.T) {
+	var specs []Spec
+	for _, mbps := range []float64{1, 3.2, 10, 32, 100, 320, 1000} {
+		s := baseSpec()
+		s.LinkSpeed, s.MinRTT = units.Rate(mbps*float64(units.Mbps)), 150*units.Millisecond
+		specs = append(specs, s)
+	}
+	for _, q := range []struct {
+		buf Buffering
+		ecn bool
+	}{{FiniteDropTail, false}, {SfqCoDel, false}, {CoDelAQM, true}} {
+		tops := []Topology{ParkingLotN(3, true)}
+		for _, r := range []topo.RoutingPolicy{topo.ECMP, topo.Spray, topo.Adaptive} {
+			tops = append(tops, FatTreeTopology(4, r))
+		}
+		for _, top := range tops {
+			s := baseSpec()
+			s.Topology, s.LinkSpeed, s.MinRTT, s.Buffering, s.ECN = top, 32*units.Mbps, 20*units.Millisecond, q.buf, q.ecn
+			s.Senders = nil
+			for range top.FlowCount(0) {
+				s.Senders = append(s.Senders, Sender{Alg: cubic.New(), Delta: 1})
+			}
+			specs = append(specs, s)
+		}
+	}
+	graph := baseSpec()
+	graph.Topology = GraphTopology(dumbbellGraph(graph.LinkSpeed, graph.MinRTT, 2))
+	noDropGraph := graph
+	noDropGraph.Buffering, noDropGraph.MinRTT = NoDrop, 0
+	fixedGraph := graph
+	g := dumbbellGraph(graph.LinkSpeed, graph.MinRTT, 2)
+	g.Edges[0].Buffer = 4500 // an explicit buffer needs no MinRTT
+	fixedGraph.Topology, fixedGraph.MinRTT = GraphTopology(g), 0
+	noBuffer := baseSpec()
+	noBuffer.BufferBDP = 0
+	hugeBuffer := baseSpec()
+	hugeBuffer.BufferBDP = 1e300
+	aDay := baseSpec()
+	aDay.MinRTT = 2 * topo.MaxDelay
+	specs = append(specs, graph, noDropGraph, fixedGraph, noBuffer, hugeBuffer, aDay)
+
+	for i, s := range specs {
+		s.Duration = 50 * units.Millisecond
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %d (%v): Validate: %v", i, s.Topology.Kind, err)
+			continue
+		}
+		if _, _, err := Build(s); err != nil {
+			t.Errorf("spec %d (%v): Validate accepted it, Build: %v", i, s.Topology.Kind, err)
+		}
+		for j := range s.Senders {
+			s.Senders[j].Alg = cubic.New()
+		}
+		if _, err := Run(s); err != nil {
+			t.Errorf("spec %d (%v): Validate accepted it, Run: %v", i, s.Topology.Kind, err)
+		}
+	}
 }
 
 // Property: for random dumbbell scenarios, physics holds — goodput

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"learnability/internal/netsim"
 	"learnability/internal/rng"
@@ -78,7 +79,7 @@ func (v VarRate) Validate() error {
 	case VarRateNone:
 		return nil
 	case VarRateOnOff:
-		if v.LowFactor <= 0 || v.LowFactor > 1 {
+		if !(v.LowFactor > 0 && v.LowFactor <= 1) {
 			return fmt.Errorf("scenario: on/off var-rate low factor %v outside (0, 1]", v.LowFactor)
 		}
 		if v.MeanHigh <= 0 || v.MeanLow <= 0 {
@@ -91,8 +92,8 @@ func (v VarRate) Validate() error {
 			return fmt.Errorf("scenario: Markov var-rate needs at least 2 states, got %d", len(v.Factors))
 		}
 		for i, f := range v.Factors {
-			if f <= 0 {
-				return fmt.Errorf("scenario: Markov var-rate state %d has non-positive factor %v", i, f)
+			if !(f > 0) || math.IsInf(f, 1) {
+				return fmt.Errorf("scenario: Markov var-rate state %d has factor %v (want finite and positive)", i, f)
 			}
 		}
 		if v.MeanDwell <= 0 {

@@ -104,9 +104,9 @@ func (f *Flags) Template() (scenario.Spec, error) {
 	if err != nil {
 		return scenario.Spec{}, err
 	}
-	minRTT, errRTT := duration("-rtt", f.rttMs/1e3)
-	meanOn, errOn := duration("-on", f.onS)
-	meanOff, errOff := duration("-off", f.offS)
+	minRTT, errRTT := Duration("-rtt", f.rttMs/1e3)
+	meanOn, errOn := Duration("-on", f.onS)
+	meanOff, errOff := Duration("-off", f.offS)
 	if err := errors.Join(errRTT, errOn, errOff); err != nil {
 		return scenario.Spec{}, err
 	}
@@ -142,9 +142,11 @@ func complete(tmpl scenario.Spec) scenario.Spec {
 // units.Duration's range.
 const maxDuration = 365 * 24 * 3600 * units.Second
 
-// duration converts a flag's seconds, refusing only what does not
-// convert: NaN, and magnitudes past maxDuration.
-func duration(name string, s float64) (units.Duration, error) {
+// Duration converts the seconds of the flag called name, refusing
+// only what does not convert: NaN, and magnitudes past a year
+// (±Inf among them), with an error that names the flag. The scenario
+// flags convert through it, and so do the binaries' own durations.
+func Duration(name string, s float64) (units.Duration, error) {
 	if !(math.Abs(s) <= maxDuration.Seconds()) {
 		return 0, fmt.Errorf("%s of %v s does not convert to a duration (at most %v)", name, s, maxDuration)
 	}
@@ -190,8 +192,8 @@ func (f *Flags) varRate() (scenario.VarRate, error) {
 	case scenario.VarRateOnOff:
 		vr.LowFactor = f.vrLow
 		var errHigh, errLow error
-		vr.MeanHigh, errHigh = duration("-varrate-mean-high", f.vrMeanHigh)
-		vr.MeanLow, errLow = duration("-varrate-mean-low", f.vrMeanLow)
+		vr.MeanHigh, errHigh = Duration("-varrate-mean-high", f.vrMeanHigh)
+		vr.MeanLow, errLow = Duration("-varrate-mean-low", f.vrMeanLow)
 		err = errors.Join(errHigh, errLow)
 	case scenario.VarRateMarkov:
 		for _, s := range strings.Split(f.vrFactors, ",") {
@@ -205,7 +207,7 @@ func (f *Flags) varRate() (scenario.VarRate, error) {
 			}
 			vr.Factors = append(vr.Factors, x)
 		}
-		vr.MeanDwell, err = duration("-varrate-dwell", f.vrDwell)
+		vr.MeanDwell, err = Duration("-varrate-dwell", f.vrDwell)
 	}
 	if err != nil {
 		return scenario.VarRate{}, err

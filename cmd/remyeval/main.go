@@ -88,7 +88,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "remyeval: -tree is required")
 		os.Exit(2)
 	}
-	tmpl, err := scen.Template()
+	tmpl, err := runTemplate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "remyeval:", err)
 		os.Exit(2)
@@ -158,7 +158,6 @@ func main() {
 			for rep := 0; rep < *replicas; rep++ {
 				spec := tmpl
 				spec.LinkSpeed = units.Rate(mbps) * units.Mbps
-				spec.Duration = units.DurationFromSeconds(*dur)
 				spec.Seed = root.SplitN("rep", rep)
 				for s := 0; s < nFlows; s++ {
 					alg := p.mk()
@@ -226,4 +225,15 @@ func main() {
 				mbps, p.name, stats.Mean(tpts), stats.Mean(delays), stats.Mean(objs))
 		}
 	}
+}
+
+// runTemplate is the spec every run starts from: the scenario flags'
+// template, lasting -duration.
+func runTemplate() (scenario.Spec, error) {
+	tmpl, err := scen.Template()
+	if err != nil {
+		return tmpl, err
+	}
+	tmpl.Duration, err = scenflags.Duration("-duration", *dur)
+	return tmpl, err
 }

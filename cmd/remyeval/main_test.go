@@ -3,9 +3,11 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	"learnability/cmd/internal/scenflags"
+	"learnability/internal/units"
 )
 
 // TestScenarioFlagsMatchSharedSet parses one scenario command line
@@ -42,5 +44,27 @@ func TestScenarioFlagsMatchSharedSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) || scen.Delta() != shared.Delta() {
 		t.Fatalf("remyeval's flag set resolved\n got %+v (delta %v)\nwant %+v (delta %v)", got, scen.Delta(), want, shared.Delta())
+	}
+}
+
+// TestDurationFlagRefusesWhatDoesNotConvert: -duration 1e300 used to
+// reach the scenario as a negative duration. It is refused, naming the
+// flag, and an in-range value lasts every run.
+func TestDurationFlagRefusesWhatDoesNotConvert(t *testing.T) {
+	old := flag.Lookup("duration").Value.String()
+	defer flag.Set("duration", old)
+	for _, v := range []string{"1e300", "-1e300", "NaN", "+Inf", "-Inf"} {
+		if err := flag.Set("duration", v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runTemplate(); err == nil || !strings.Contains(err.Error(), "-duration") {
+			t.Errorf("-duration %s: error %v, want one naming the flag", v, err)
+		}
+	}
+	if err := flag.Set("duration", "2.5"); err != nil {
+		t.Fatal(err)
+	}
+	if tmpl, err := runTemplate(); err != nil || tmpl.Duration != units.DurationFromSeconds(2.5) {
+		t.Fatalf("-duration 2.5 gives a template lasting %v, %v", tmpl.Duration, err)
 	}
 }

@@ -103,9 +103,10 @@ func main() {
 		}
 		*sendersMin, *sendersMax = 0, 0
 	}
-	rttHi := tmpl.MinRTT
-	if *rttMax != 0 {
-		rttHi = units.DurationFromSeconds(*rttMax / 1e3)
+	runDur, rttHi, err := durations(tmpl.MinRTT)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "remytrain:", err)
+		os.Exit(2)
 	}
 	cfg := remy.Config{
 		Topology:          tmpl.Topology,
@@ -125,7 +126,7 @@ func main() {
 		VarRate:           tmpl.VarRate,
 		Delta:             scen.Delta(),
 		Mask:              mask,
-		Duration:          units.DurationFromSeconds(*dur),
+		Duration:          runDur,
 		Replicas:          *replicas,
 	}
 
@@ -237,4 +238,17 @@ func knockoutMask(name string) (remycc.SignalMask, error) {
 		}
 	}
 	return mask, fmt.Errorf("unknown signal %q (want one of %s)", name, signalNames())
+}
+
+// durations converts -duration, and -rtt-max when it is set (minRTT,
+// the template's -rtt, otherwise).
+func durations(minRTT units.Duration) (run, rttHi units.Duration, err error) {
+	if run, err = scenflags.Duration("-duration", *dur); err != nil {
+		return 0, 0, err
+	}
+	rttHi = minRTT
+	if *rttMax != 0 {
+		rttHi, err = scenflags.Duration("-rtt-max", *rttMax/1e3)
+	}
+	return run, rttHi, err
 }

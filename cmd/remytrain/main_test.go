@@ -8,6 +8,7 @@ import (
 
 	"learnability/cmd/internal/scenflags"
 	"learnability/internal/cc/remycc"
+	"learnability/internal/units"
 )
 
 // TestScenarioFlagsMatchSharedSet parses one scenario command line
@@ -70,6 +71,53 @@ func TestKnockoutParsesSignalNames(t *testing.T) {
 	for _, name := range []string{"rtt", "ECN_FRAC", "signal(5)", " rec_ewma"} {
 		if _, err := knockoutMask(name); err == nil {
 			t.Fatalf("knockoutMask(%q) accepted an unknown signal", name)
+		}
+	}
+}
+
+// unconvertible are flag values that convert to no duration.
+var unconvertible = []string{"1e300", "-1e300", "NaN", "+Inf", "-Inf"}
+
+// setFlag sets a command-line flag for the rest of the test.
+func setFlag(t *testing.T, name, value string) {
+	t.Helper()
+	old := flag.Lookup(name).Value.String()
+	t.Cleanup(func() { flag.Set(name, old) })
+	if err := flag.Set(name, value); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurationFlagRefusesWhatDoesNotConvert: -duration 1e300 used to
+// train the 16 s default, the float having converted to a negative
+// duration. It is refused, naming the flag.
+func TestDurationFlagRefusesWhatDoesNotConvert(t *testing.T) {
+	for _, v := range unconvertible {
+		setFlag(t, "duration", v)
+		if _, _, err := durations(units.Millisecond); err == nil || !strings.Contains(err.Error(), "-duration") {
+			t.Errorf("-duration %s: error %v, want one naming the flag", v, err)
+		}
+	}
+	setFlag(t, "duration", "2.5")
+	if run, _, err := durations(units.Millisecond); err != nil || run != units.DurationFromSeconds(2.5) {
+		t.Fatalf("-duration 2.5 converts to %v, %v", run, err)
+	}
+}
+
+// TestRTTMaxFlagRefusesWhatDoesNotConvert is the same check for
+// -rtt-max, in milliseconds, which when unset takes the -rtt it is
+// given.
+func TestRTTMaxFlagRefusesWhatDoesNotConvert(t *testing.T) {
+	for _, v := range unconvertible {
+		setFlag(t, "rtt-max", v)
+		if _, _, err := durations(units.Millisecond); err == nil || !strings.Contains(err.Error(), "-rtt-max") {
+			t.Errorf("-rtt-max %s: error %v, want one naming the flag", v, err)
+		}
+	}
+	for v, want := range map[string]units.Duration{"2.5": units.DurationFromSeconds(2.5e-3), "0": units.Millisecond} {
+		setFlag(t, "rtt-max", v)
+		if _, rttHi, err := durations(units.Millisecond); err != nil || rttHi != want {
+			t.Fatalf("-rtt-max %s converts to %v, %v; want %v", v, rttHi, err, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Stable binary codec for whisker trees. The JSON form (whisker.go) is
@@ -39,26 +40,55 @@ const whiskerWireSize = (2*NumSignals + 3) * 8
 // Domain.Hi, WindowMult, WindowIncr, Intersend as little-endian IEEE
 // 754 bits. Equal trees always produce equal bytes.
 func (t *Tree) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, treeHeaderSize+len(t.Whiskers)*whiskerWireSize)
-	buf = binary.LittleEndian.AppendUint32(buf, treeMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, treeCodecVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Whiskers)))
-	f := func(b []byte, v float64) []byte {
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
+	return t.AppendBinary(make([]byte, 0, treeHeaderSize+len(t.Whiskers)*whiskerWireSize))
+}
+
+// AppendBinary implements encoding.BinaryAppender: it appends
+// MarshalBinary's encoding of t to b, so a caller that passes back its
+// buffer encodes without allocating once the buffer has grown.
+func (t *Tree) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, treeHeaderSize+len(t.Whiskers)*whiskerWireSize)
+	b = binary.LittleEndian.AppendUint32(b, treeMagic)
+	b = binary.LittleEndian.AppendUint32(b, treeCodecVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Whiskers)))
 	for i := range t.Whiskers {
 		w := &t.Whiskers[i]
 		for d := 0; d < NumSignals; d++ {
-			buf = f(buf, w.Domain.Lo[d])
+			b = appendF64(b, w.Domain.Lo[d])
 		}
 		for d := 0; d < NumSignals; d++ {
-			buf = f(buf, w.Domain.Hi[d])
+			b = appendF64(b, w.Domain.Hi[d])
 		}
-		buf = f(buf, w.Action.WindowMult)
-		buf = f(buf, w.Action.WindowIncr)
-		buf = f(buf, w.Action.Intersend)
+		b = appendAction(b, w.Action)
 	}
-	return buf, nil
+	return b, nil
+}
+
+// AppendWithAction appends to dst the encoding of the tree whose
+// MarshalBinary encoding is enc, with whisker i's action set to a:
+// byte for byte WithAction(i, a).MarshalBinary() of that tree, action
+// clamped alike, without building the tree. It panics when enc has no
+// whisker i, as WithAction does.
+func AppendWithAction(dst, enc []byte, i int, a Action) []byte {
+	at := treeHeaderSize + i*whiskerWireSize + 2*NumSignals*8
+	if i < 0 || at+3*8 > len(enc) {
+		panic(fmt.Sprintf("remycc: whisker %d outside a %d-byte tree encoding", i, len(enc)))
+	}
+	dst = append(dst, enc[:at]...)
+	dst = appendAction(dst, a.Clamp())
+	return append(dst, enc[at+3*8:]...)
+}
+
+// appendAction appends an action triplet's float64 bits.
+func appendAction(b []byte, a Action) []byte {
+	b = appendF64(b, a.WindowMult)
+	b = appendF64(b, a.WindowIncr)
+	return appendF64(b, a.Intersend)
+}
+
+// appendF64 appends v's IEEE 754 bits, little-endian.
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for the layout

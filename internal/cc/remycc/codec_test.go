@@ -129,3 +129,65 @@ func TestTreeBinaryRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendWithActionMatchesWithAction holds the encoding patch the
+// trainer builds hill-climb candidates with to the trees it stands for:
+// over random split trees, every whisker and each of the trainer's 14
+// neighbour moves — plus actions outside the bounds, which both sides
+// clamp — AppendWithAction's bytes equal WithAction's MarshalBinary,
+// and AppendBinary(nil) equals MarshalBinary.
+func TestAppendWithActionMatchesWithAction(t *testing.T) {
+	r := rng.New(41)
+	marshal := func(tree *Tree) []byte {
+		b, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var dst []byte
+	for trial := 0; trial < 30; trial++ {
+		tree := randomTree(t, r)
+		if trial%2 == 0 {
+			tree = randomSplitTree(r)
+		}
+		enc := marshal(tree)
+		if app, err := tree.AppendBinary(nil); err != nil || !bytes.Equal(app, enc) {
+			t.Fatalf("AppendBinary(nil) = %x, %v; MarshalBinary %x", app, err, enc)
+		}
+		if app, _ := tree.AppendBinary([]byte("prefix")); !bytes.Equal(app, append([]byte("prefix"), enc...)) {
+			t.Fatal("AppendBinary does not append to its argument")
+		}
+		for wi := range tree.Whiskers {
+			a := tree.Action(wi)
+			var cands []Action
+			for _, dm := range []float64{-0.2, -0.05, 0.05, 0.2} {
+				n := a
+				n.WindowMult += dm
+				cands = append(cands, n)
+			}
+			for _, db := range []float64{-4, -1, 1, 4} {
+				n := a
+				n.WindowIncr += db
+				cands = append(cands, n)
+			}
+			for _, ft := range []float64{0.25, 0.5, 0.8, 1.25, 2, 4} {
+				n := a
+				n.Intersend *= ft
+				cands = append(cands, n)
+			}
+			cands = append(cands,
+				Action{WindowMult: -1, WindowIncr: 100, Intersend: 0},
+				Action{WindowMult: 3, WindowIncr: -100, Intersend: 5},
+				Action{WindowMult: math.Inf(1), WindowIncr: math.Inf(-1), Intersend: 1e-9},
+			)
+			for _, c := range cands {
+				want := marshal(tree.WithAction(wi, c))
+				dst = AppendWithAction(dst[:0], enc, wi, c)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("trial %d, whisker %d, action %+v: AppendWithAction differs from WithAction's encoding", trial, wi, c)
+				}
+			}
+		}
+	}
+}

@@ -35,10 +35,15 @@ type slotWork struct {
 	reps []int
 	// trees[i] is batch tree treeLo+i and enc[i] its stable binary
 	// encoding, the tree's part of the slot key; enc is read only when
-	// a cache is consulted.
+	// a cache is consulted. A nil trees[i] is a hill-climb candidate
+	// not built yet: base with whisker wi's action set to acts[i],
+	// which evalSlots builds only when a slot of it must be simulated.
 	treeLo int
 	trees  []*remycc.Tree
 	enc    [][]byte
+	base   *remycc.Tree
+	wi     int
+	acts   []remycc.Action
 	lo, hi int
 	// usageFor is the batch tree whose per-replica whisker usage the
 	// caller wants, -1 for none.
@@ -64,16 +69,34 @@ func (w *slotWork) slot(s int) (ti, k int) {
 	return s / n, w.reps[s%n]
 }
 
+// treeLen is the whisker count of w.trees[i], built or not: a
+// candidate has its base's whiskers.
+func (w *slotWork) treeLen(i int) int {
+	if w.trees[i] == nil {
+		return w.base.Len()
+	}
+	return w.trees[i].Len()
+}
+
+// tree returns w.trees[i], building it first if it is a candidate not
+// built yet.
+func (w *slotWork) tree(i int) *remycc.Tree {
+	if w.trees[i] == nil {
+		w.trees[i] = w.base.WithAction(w.wi, w.acts[w.treeLo+i])
+	}
+	return w.trees[i]
+}
+
 // firedWords is the length of a fired set over n whiskers: one word
 // per 64.
 func firedWords(n int) int { return (n + 63) / 64 }
 
-// treeFiredWords is the per-slot fired-set length of a batch or job:
-// that of its largest tree.
-func treeFiredWords(trees []*remycc.Tree) int {
+// words is the per-slot fired-set length of a batch or job: that of
+// its largest tree.
+func (w *slotWork) words() int {
 	n := 0
-	for _, t := range trees {
-		n = max(n, t.Len())
+	for i := range w.trees {
+		n = max(n, w.treeLen(i))
 	}
 	return firedWords(n)
 }
@@ -94,10 +117,11 @@ func markFired(fired []uint64, count []int64) {
 // first and only the misses are simulated; fresh results are stored,
 // and Result.Cached reports that nothing was simulated. A slot's score
 // and fired set are pure functions of its key, so the cache changes
-// where bits come from, never the bits.
+// where bits come from, never the bits. A candidate tree is built only
+// when one of its slots misses.
 func evalSlots(w slotWork, cache *shardnet.Cache) *shard.Result {
 	n := w.hi - w.lo
-	words := treeFiredWords(w.trees)
+	words := w.words()
 	res := &shard.Result{Scores: make([]float64, n), Fired: make([]uint64, n*words)}
 	usages := make([]*remycc.UsageStats, n)
 	miss := make([]int, 0, n)
@@ -112,11 +136,10 @@ func evalSlots(w slotWork, cache *shardnet.Cache) *shard.Result {
 	for i := 0; i < n; i++ {
 		if cache != nil {
 			ti, k := w.slot(w.lo + i)
-			tree := w.trees[ti-w.treeLo]
 			keys[i] = slotKey(w.cfgHash, w.draws[k], w.enc[ti-w.treeLo])
 			if entry, ok := cache.Get(keys[i]); ok {
 				score, u, fired, err := decodeSlotEntry(entry)
-				if err != nil || !entryFits(tree, u, fired) {
+				if err != nil || !entryFits(w.treeLen(ti-w.treeLo), u, fired) {
 					if stale == nil {
 						stale = make([]bool, n)
 					}
@@ -140,6 +163,10 @@ func evalSlots(w slotWork, cache *shardnet.Cache) *shard.Result {
 		miss = append(miss, i)
 	}
 	res.Cached = cache != nil && len(miss) == 0
+	for _, i := range miss {
+		ti, _ := w.slot(w.lo + i)
+		w.tree(ti - w.treeLo)
+	}
 
 	parallelFor(len(miss), w.workers, func() func(int) {
 		// Each worker runs its slots on one scratch: its sender list

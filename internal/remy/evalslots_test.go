@@ -43,10 +43,17 @@ func TestEvaluateBatchMatchesSerialOracle(t *testing.T) {
 	base.Duration = 2 * units.Second
 	cfg := base.normalize()
 	const seed, gen = 5, 1
-	trees := []*remycc.Tree{
-		remycc.NewTree(),
-		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 1.05, WindowIncr: 2, Intersend: 0.001}),
-		remycc.NewTree().WithAction(0, remycc.Action{WindowMult: 0.9, WindowIncr: 1, Intersend: 0.002}),
+	// The batch is a hill-climb move on the initial tree's one whisker,
+	// its first candidate the initial tree itself.
+	initial := remycc.NewTree()
+	acts := []remycc.Action{
+		initial.Action(0),
+		{WindowMult: 1.05, WindowIncr: 2, Intersend: 0.001},
+		{WindowMult: 0.9, WindowIncr: 1, Intersend: 0.002},
+	}
+	var trees []*remycc.Tree
+	for _, a := range acts {
+		trees = append(trees, initial.WithAction(0, a))
 	}
 	for _, usageFor := range []int{-1, 1} {
 		wantMeans, wantUsage := oracleBatch(cfg, seed, trees, gen, usageFor)
@@ -60,7 +67,7 @@ func TestEvaluateBatchMatchesSerialOracle(t *testing.T) {
 					// The second pass is served from the cache the first
 					// filled (when there is one).
 					for pass := 0; pass < 2; pass++ {
-						means, usage := tr.evaluateBatch(&cfg, trees, gen, usageFor, nil)
+						means, usage := tr.evaluateBatch(&cfg, initial, 0, acts, gen, usageFor, nil)
 						if !reflect.DeepEqual(means, wantMeans) {
 							t.Fatalf("pass %d: means %v, oracle %v", pass, means, wantMeans)
 						}

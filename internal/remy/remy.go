@@ -16,6 +16,7 @@ package remy
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -195,7 +196,9 @@ func (c *Config) sample(r *rng.Stream) draw {
 // and leaves the scenario's to scenario.Spec.Validate on the corner
 // draws: slowest link, shortest RTT, fewest senders; fastest, longest,
 // most. Each scenario rule is monotone in one of the three, so every
-// draw between corners that build builds. cmd/remytrain calls it
+// draw between corners that build builds. A draw may run at most
+// maxSenders senders, trainees and partners together; that is checked
+// before a corner's sender list is laid out. cmd/remytrain calls it
 // before Train, which treats a bad configuration as a programmer error.
 func (c *Config) Validate() error {
 	n := c.normalize()
@@ -221,12 +224,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("remy: AIMD probability %v outside [0,1]", n.AIMDProb)
 	}
 	fewest, most := n.SendersMin, n.SendersMax
+	if most > maxSenders {
+		return fmt.Errorf("remy: a draw of up to %d senders (at most %d)", most, maxSenders)
+	}
 	if n.Other != nil {
 		if n.OtherCountMin < 0 || n.OtherCountMax < n.OtherCountMin {
 			return fmt.Errorf("remy: partner count range %d..%d (want 0 <= min <= max)", n.OtherCountMin, n.OtherCountMax)
 		}
 		if n.Topology.Kind != scenario.KindDumbbell && n.OtherCountMax > 0 {
 			return fmt.Errorf("remy: partner senders require a dumbbell (topology %v has a fixed flow count)", n.Topology.Kind)
+		}
+		// Compared as a difference: the sum can overflow.
+		if n.OtherCountMax > maxSenders-most {
+			return fmt.Errorf("remy: a draw of up to %d trainees and %d partners (at most %d senders)", most, n.OtherCountMax, maxSenders)
 		}
 		fewest += n.OtherCountMin
 		most += n.OtherCountMax
@@ -246,6 +256,11 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// maxSenders bounds the senders of one training draw. It sits far
+// above the tens of senders the paper's experiments draw, and keeps
+// the sender lists Validate and every run lay out within memory.
+const maxSenders = 1 << 16
 
 // generationDraws derives one generation's common scenario draws from
 // the training seed. It is the single source of the draw-derivation
@@ -443,6 +458,15 @@ type Trainer struct {
 	// hill-climb batch.
 	cur, batch replicaRuns
 	live       []int
+
+	// trees holds the last batch's trees, a candidate's nil unless
+	// something built it (see slotWork); enc holds their encodings,
+	// baseEnc the encoding of the tree the batch was made from and
+	// encBuf the candidates'. All four are reused from batch to batch.
+	trees   []*remycc.Tree
+	enc     [][]byte
+	baseEnc []byte
+	encBuf  []byte
 }
 
 // replicaRuns holds one or more trees' runs on a generation's replicas:
@@ -541,9 +565,13 @@ func (t *Trainer) workers() int {
 	return runtime.NumCPU()
 }
 
-// evaluateBatch scores several candidate trees on the generation's
-// common scenario draws (common random numbers: every candidate sees
-// the same draws). The tree x replica slot space is cut into slot
+// evaluateBatch scores a batch of trees on the generation's common
+// scenario draws (common random numbers: every candidate sees the same
+// draws): tree's hill-climb candidates, tree with whisker wi's action
+// set to acts[i], or with acts nil tree alone. A candidate is encoded
+// by patching tree's encoding, and built as a tree only where a slot
+// of it is simulated in process; t.trees holds what was built. The
+// tree x replica slot space is cut into slot
 // ranges — one in process, several with a shard pool — and every range
 // is scored by evalSlots, here or on a worker; the merge and reduction
 // below are shared, so every mode performs the identical sequence of
@@ -556,8 +584,17 @@ func (t *Trainer) workers() int {
 // mean adds the same per-slot floats in the same order. It returns the
 // mean objective per tree and, when usageFor is a valid index, the
 // merged whisker usage of that tree.
-func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor int, reps []int) ([]float64, *remycc.UsageStats) {
-	if usageFor < 0 || usageFor >= len(trees) {
+func (t *Trainer) evaluateBatch(cfg *Config, tree *remycc.Tree, wi int, acts []remycc.Action, gen, usageFor int, reps []int) ([]float64, *remycc.UsageStats) {
+	nTrees := len(acts)
+	if acts == nil {
+		nTrees = 1
+	}
+	t.trees = slices.Grow(t.trees[:0], nTrees)[:nTrees]
+	clear(t.trees)
+	if acts == nil {
+		t.trees[0] = tree
+	}
+	if usageFor < 0 || usageFor >= nTrees {
 		usageFor = -1
 	}
 	replicas := cfg.Replicas
@@ -565,19 +602,19 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 	if reps != nil {
 		nr = len(reps)
 	}
-	nSlots := len(trees) * nr
-	t.slotsEvaluated.Add(int64(len(trees) * replicas))
-	t.slotsSkipped.Add(int64(len(trees) * (replicas - nr)))
-	words := treeFiredWords(trees)
+	nSlots := nTrees * nr
+	t.slotsEvaluated.Add(int64(nTrees * replicas))
+	t.slotsSkipped.Add(int64(nTrees * (replicas - nr)))
+	words := firedWords(tree.Len())
 	runs := &t.batch
-	runs.resize(len(trees)*replicas, words)
+	runs.resize(nTrees*replicas, words)
 	if reps != nil {
 		if t.cur.words != words || len(t.cur.scores) != replicas {
 			panic(fmt.Sprintf("remy: skipping replicas of %d-word trees against a current tree of %d words", words, t.cur.words))
 		}
 		// A replica left out runs every candidate exactly as it ran
 		// the current tree.
-		for ti := range trees {
+		for ti := range nTrees {
 			copy(runs.scores[ti*replicas:], t.cur.scores)
 			copy(runs.fired[ti*replicas*words:], t.cur.fired)
 		}
@@ -592,19 +629,12 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 		cache := t.localCache()
 		var enc [][]byte // slot-key and wire form of the trees
 		if t.shards != nil || cache != nil {
-			enc = make([][]byte, len(trees))
-			for i, tree := range trees {
-				b, err := tree.MarshalBinary()
-				if err != nil {
-					panic(fmt.Sprintf("remy: encode candidate tree: %v", err))
-				}
-				enc[i] = b
-			}
+			enc = t.encodeBatch(tree, wi, acts)
 		}
 
 		batch := slotWork{
-			cfg: cfg, cfgHash: cfgHash, reps: reps, trees: trees, enc: enc, lo: 0, hi: nSlots,
-			usageFor: usageFor, workers: t.workers(),
+			cfg: cfg, cfgHash: cfgHash, reps: reps, trees: t.trees, enc: enc, base: tree, wi: wi, acts: acts,
+			lo: 0, hi: nSlots, usageFor: usageFor, workers: t.workers(),
 		}
 		per := nSlots // slots per evaluation unit: the whole batch, or one shard job
 		var results []*shard.Result
@@ -648,8 +678,8 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 		}
 	}
 
-	means := make([]float64, len(trees))
-	for ti := range trees {
+	means := make([]float64, nTrees)
+	for ti := range means {
 		total := 0.0
 		for k := 0; k < replicas; k++ {
 			total += runs.scores[ti*replicas+k]
@@ -658,7 +688,7 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 	}
 	var usage *remycc.UsageStats
 	if usageFor >= 0 {
-		usage = remycc.NewUsageStats(trees[usageFor].Len())
+		usage = remycc.NewUsageStats(tree.Len())
 		for k, u := range usageK {
 			if u == nil {
 				panic(fmt.Sprintf("remy: no usage returned for replica %d", k))
@@ -669,12 +699,36 @@ func (t *Trainer) evaluateBatch(cfg *Config, trees []*remycc.Tree, gen, usageFor
 	return means, usage
 }
 
+// encodeBatch renders a batch's trees in the stable binary codec into
+// the Trainer's reused storage: tree once, and each candidate as that
+// encoding with whisker wi's action patched in.
+func (t *Trainer) encodeBatch(tree *remycc.Tree, wi int, acts []remycc.Action) [][]byte {
+	var err error
+	if t.baseEnc, err = tree.AppendBinary(t.baseEnc[:0]); err != nil {
+		panic(fmt.Sprintf("remy: encode tree: %v", err))
+	}
+	t.enc = t.enc[:0]
+	if acts == nil {
+		t.enc = append(t.enc, t.baseEnc)
+		return t.enc
+	}
+	// Grown once up front: no candidate's bytes move as the next is
+	// appended.
+	t.encBuf = slices.Grow(t.encBuf[:0], len(acts)*len(t.baseEnc))
+	for _, a := range acts {
+		start := len(t.encBuf)
+		t.encBuf = remycc.AppendWithAction(t.encBuf, t.baseEnc, wi, a)
+		t.enc = append(t.enc, t.encBuf[start:len(t.encBuf):len(t.encBuf)])
+	}
+	return t.enc
+}
+
 // evaluate scores a tree on every one of the generation's common
 // scenario draws and returns the mean objective and merged whisker
 // usage. The tree becomes the current tree whose runs hill-climb
 // batches skip against.
 func (t *Trainer) evaluate(cfg *Config, tree *remycc.Tree, gen int) (float64, *remycc.UsageStats) {
-	means, usage := t.evaluateBatch(cfg, []*remycc.Tree{tree}, gen, 0, nil)
+	means, usage := t.evaluateBatch(cfg, tree, 0, nil, gen, 0, nil)
 	t.cur.takeTree(&t.batch, 0, cfg.Replicas)
 	return means[0], usage
 }
@@ -819,7 +873,9 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 }
 
 // optimizeWhisker hill-climbs one whisker's action; all candidate
-// neighbor evaluations (candidate x replica) run as one batch.
+// neighbor evaluations (candidate x replica) run as one batch. Only
+// the accepted candidate is sure to be built as a tree (see
+// evaluateBatch).
 //
 // A candidate differs from the current tree only in whisker wi's
 // action, and a run reads an action only when its whisker fires on an
@@ -829,14 +885,9 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 // runs only the other replicas (liveReps) and takes the rest from
 // t.cur, which an accepted candidate's runs then replace.
 func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi, resetW int, score float64, gen, maxMoves int) (*remycc.Tree, float64) {
-	trees := make([]*remycc.Tree, numNeighbors)
 	for move := 0; move < maxMoves; move++ {
 		cands := neighbors(tree.Action(wi))
-		trees = trees[:len(cands)]
-		for ci, a := range cands {
-			trees[ci] = tree.WithAction(wi, a)
-		}
-		scores, _ := t.evaluateBatch(cfg, trees, gen, -1, t.liveReps(cfg, wi, resetW))
+		scores, _ := t.evaluateBatch(cfg, tree, wi, cands, gen, -1, t.liveReps(cfg, wi, resetW))
 		best, bestScore := -1, score
 		for ci, s := range scores {
 			if s > bestScore+improvementEpsilon {
@@ -846,7 +897,11 @@ func (t *Trainer) optimizeWhisker(cfg *Config, tree *remycc.Tree, wi, resetW int
 		if best < 0 {
 			break
 		}
-		tree, score = trees[best], bestScore
+		next := t.trees[best]
+		if next == nil {
+			next = tree.WithAction(wi, cands[best])
+		}
+		tree, score = next, bestScore
 		t.cur.takeTree(&t.batch, best, cfg.Replicas)
 		t.logf("  whisker %d -> %+v (score %.4f)", wi, tree.Action(wi), score)
 	}

@@ -133,6 +133,17 @@ func TestConfigValidate(t *testing.T) {
 		},
 		"link too slow to serialize": func(c *Config) { c.LinkSpeedMin, c.LinkSpeedMax = 0.1, 0.1 },
 		"min rtt past a day":         func(c *Config) { c.MinRTTMin, c.MinRTTMax = 200000*units.Second, 200000*units.Second },
+		// These panicked laying out the corner's sender list.
+		"senders past the bound": func(c *Config) { c.SendersMax = 1 << 62 },
+		"partner count overflows int": func(c *Config) {
+			c.Other = remycc.NewTree()
+			c.OtherCountMin, c.OtherCountMax = 1, math.MaxInt
+		},
+		"senders and partners past the bound": func(c *Config) {
+			c.SendersMax = maxSenders
+			c.Other = remycc.NewTree()
+			c.OtherCountMax = 1
+		},
 		// Only one corner of the range fails: each must be checked.
 		"slowest link too slow":  func(c *Config) { c.LinkSpeedMin = 0.1 },
 		"longest rtt past a day": func(c *Config) { c.MinRTTMax = 200000 * units.Second },

@@ -1,8 +1,12 @@
-// Binary wire codec for protocol v5 (the frame layouts of v4).
+// Binary wire codec for protocol v6.
 //
 // A frame is a 4-byte big-endian length + payload. Jobs and results
 // cross the wire in the binary codec only; a payload opening with '{'
 // is a JSON control frame (shardnet's handshake and heartbeats).
+// A job's first tree crosses whole and every later one as a canonical
+// edit of the tree before it (treeEdit): a hill-climb batch's
+// neighbour trees differ in one whisker's action, so a job carries
+// about one tree's bytes however many trees it holds.
 // Floats cross as explicit little-endian IEEE-754 bits — the same
 // discipline as remycc's tree codec — so every float64 (including NaN
 // payloads and infinities) survives bit-exactly and the trainer's
@@ -13,6 +17,7 @@
 package shard
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -20,6 +25,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -27,11 +33,11 @@ import (
 )
 
 // Binary payload magics, little-endian. The leading 'R' guarantees the
-// first byte is never '{', so codec sniffing is unambiguous. v5 frames
-// are v4's, so the magics keep v4's digit; the handshake tells the
-// versions apart.
+// first byte is never '{', so codec sniffing is unambiguous. The digit
+// is the protocol version that last changed the frame's layout: v6
+// edit-codes a job's trees, and results keep v4's layout.
 const (
-	jobMagic    = uint32('R') | uint32('J')<<8 | uint32('B')<<16 | uint32('4')<<24
+	jobMagic    = uint32('R') | uint32('J')<<8 | uint32('B')<<16 | uint32('6')<<24
 	resultMagic = uint32('R') | uint32('R')<<8 | uint32('S')<<16 | uint32('4')<<24
 )
 
@@ -239,7 +245,21 @@ func EncodeJob(job *Job, binaryCodec bool) ([]byte, error) {
 	if !binaryCodec {
 		return marshalJSONFrame(job)
 	}
-	return appendJob(make([]byte, 0, jobSize(job, job.Cfg)), job, job.Cfg), nil
+	return appendJob(make([]byte, 0, encodedJobSize(job)), job, job.Cfg), nil
+}
+
+// encodedJobSize is the exact length of job's binary encoding with its
+// config inline.
+func encodedJobSize(job *Job) int {
+	n := jobHeadSize + 4 + len(job.Cfg) + 4 + 4 + 8*len(job.Reps)
+	for i, tree := range job.Trees {
+		n += 4 + len(tree)
+		if i > 0 {
+			pre, suf := treeEdit(job.Trees[i-1], tree)
+			n += treeEditHead - pre - suf
+		}
+	}
+	return n
 }
 
 // jobHeadSize is the most appendJobHead writes: the magic, ten 8-byte
@@ -247,11 +267,11 @@ func EncodeJob(job *Job, binaryCodec bool) ([]byte, error) {
 const jobHeadSize = 4 + 10*8 + 1 + sha256.Size
 
 // jobSize bounds the length of job's binary encoding with config blob
-// cfg (exact when CfgHash is set).
+// cfg: every tree counted whole, as if no two shared a byte.
 func jobSize(job *Job, cfg []byte) int {
 	n := jobHeadSize + 4 + len(cfg) + 4 + 4 + 8*len(job.Reps)
 	for _, t := range job.Trees {
-		n += 4 + len(t)
+		n += treeEditHead + 4 + len(t)
 	}
 	return n
 }
@@ -262,10 +282,81 @@ func appendJob(b []byte, job *Job, cfg []byte) []byte {
 	b = appendJobHead(b, job)
 	b = appendBlob(b, cfg)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(job.Trees)))
-	for _, tree := range job.Trees {
-		b = appendBlob(b, tree)
+	for i, tree := range job.Trees {
+		if i == 0 {
+			b = appendBlob(b, tree)
+			continue
+		}
+		pre, suf := treeEdit(job.Trees[i-1], tree)
+		b = appendTreeEditHead(b, pre, suf)
+		b = appendBlob(b, tree[pre:len(tree)-suf])
 	}
 	return appendReps(b, job.Reps)
+}
+
+// treeEditHead is the fixed part of an edit-coded tree: its common
+// prefix and suffix lengths, before the middle's blob.
+const treeEditHead = 4 + 4
+
+// appendTreeEditHead appends an edit's prefix and suffix lengths.
+func appendTreeEditHead(b []byte, pre, suf int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(pre))
+	return binary.LittleEndian.AppendUint32(b, uint32(suf))
+}
+
+// treeEdit returns the canonical edit that turns prev into cur: cur
+// keeps prev's first pre and last suf bytes and replaces what lies
+// between. pre is the longest common prefix of the two, and suf the
+// longest common suffix of what follows it in each, so pre+suf never
+// exceeds either length and equal trees edit to (len, 0).
+func treeEdit(prev, cur []byte) (pre, suf int) {
+	pre = commonPrefix(prev, cur)
+	return pre, commonSuffix(prev[pre:], cur[pre:])
+}
+
+// editBlock is the run commonPrefix and commonSuffix compare with
+// bytes.Equal, whose vector code passes equal bytes faster than a word
+// loop, before they look for the first difference word by word.
+const editBlock = 128
+
+// commonPrefix is the length of the longest common prefix of a and b.
+// Past the equal blocks it compares eight bytes at a time: the first
+// differing byte of a word is its XOR's lowest nonzero byte.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i+editBlock <= n && bytes.Equal(a[i:i+editBlock], b[i:i+editBlock]) {
+		i += editBlock
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// commonSuffix is commonPrefix from the ends: the last differing byte
+// of a word is its XOR's highest nonzero byte.
+func commonSuffix(a, b []byte) int {
+	n := min(len(a), len(b))
+	a, b = a[len(a)-n:], b[len(b)-n:]
+	i := 0 // bytes matched from the end
+	for i+editBlock <= n && bytes.Equal(a[n-i-editBlock:n-i], b[n-i-editBlock:n-i]) {
+		i += editBlock
+	}
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[n-i-8:]) ^ binary.LittleEndian.Uint64(b[n-i-8:]); x != 0 {
+			return i + bits.LeadingZeros64(x)/8
+		}
+	}
+	for i < n && a[n-1-i] == b[n-1-i] {
+		i++
+	}
+	return i
 }
 
 // appendReps appends the replica list that closes a binary job: a u32
@@ -309,8 +400,10 @@ type jobHasher struct {
 var jobHashers = sync.Pool{New: func() any { return &jobHasher{h: sha256.New()} }}
 
 // HashJob returns sha256(EncodeJob(job, true)) without building the
-// payload: the fixed fields pass through a small scratch buffer and
-// the config and trees stream into the hasher where they lie.
+// payload: the fixed fields and edit heads pass through a small
+// scratch buffer, and the config, the first tree and each later tree's
+// edited middle stream into the hasher where they lie — about one
+// tree's bytes for a hill-climb batch's job.
 func HashJob(job *Job) Hash {
 	jh := jobHashers.Get().(*jobHasher)
 	h := jh.h
@@ -319,8 +412,14 @@ func HashJob(job *Job) Hash {
 	h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(job.Cfg))))
 	h.Write(job.Cfg)
 	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Trees))))
-	for _, tree := range job.Trees {
-		h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(tree))))
+	for i, tree := range job.Trees {
+		b := jh.buf[:0]
+		if i > 0 {
+			pre, suf := treeEdit(job.Trees[i-1], tree)
+			b = appendTreeEditHead(b, pre, suf)
+			tree = tree[pre : len(tree)-suf]
+		}
+		h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(tree))))
 		h.Write(tree)
 	}
 	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Reps))))
@@ -334,17 +433,36 @@ func HashJob(job *Job) Hash {
 }
 
 // DecodeJob decodes a job payload in either codec, reporting which one
-// carried it so the worker can reply in kind.
+// carried it so the worker can reply in kind. A binary job's first
+// tree aliases the payload, and the trees rebuilt from edits share one
+// new buffer.
 func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
+	job, _, err = DecodeJobInto(payload, nil)
+	return job, IsJSONPayload(payload), err
+}
+
+// DecodeJobInto is DecodeJob for a reader that keeps a tree buffer: it
+// rebuilds a binary job's trees after the first into buf's storage and
+// returns buf grown as needed, which the caller passes back with the
+// next job. Once the buffer has grown to the largest job's trees it
+// allocates no tree storage; the job's trees are valid until the next
+// call, and its first tree, its config and the rest of its bytes until
+// the payload's storage is reused. It refuses an edit that is not the
+// canonical one (treeEdit), so every binary job it accepts re-encodes
+// to the payload it came from.
+func DecodeJobInto(payload, buf []byte) (*Job, []byte, error) {
 	if IsJSONPayload(payload) {
-		job = &Job{}
-		return job, true, unmarshalJSONFrame(payload, job)
+		job := &Job{}
+		if err := unmarshalJSONFrame(payload, job); err != nil {
+			return nil, buf, err
+		}
+		return job, buf, nil
 	}
 	c := &cursor{b: payload}
 	if m := c.u32("magic"); c.err == nil && m != jobMagic {
-		return nil, false, fmt.Errorf("shard: bad job magic %#x", m)
+		return nil, buf, fmt.Errorf("shard: bad job magic %#x", m)
 	}
-	job = &Job{}
+	job := &Job{}
 	job.ID = c.u64("id")
 	job.Version = int(c.i64("version"))
 	job.Seed = c.u64("seed")
@@ -367,11 +485,11 @@ func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
 		if c.err == nil && job.CfgHash.IsZero() {
 			// The encoder writes flag 0 for the zero hash, so this frame
 			// has no canonical form.
-			return nil, false, fmt.Errorf("shard: cfg_hash flag set on the zero hash")
+			return nil, buf, fmt.Errorf("shard: cfg_hash flag set on the zero hash")
 		}
 	default:
 		if c.err == nil {
-			return nil, false, fmt.Errorf("shard: bad cfg_hash flag %d", flag)
+			return nil, buf, fmt.Errorf("shard: bad cfg_hash flag %d", flag)
 		}
 	}
 	job.Cfg = c.blob("cfg")
@@ -383,9 +501,9 @@ func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
 		c.fail("tree count")
 	}
 	if c.err == nil && nTrees > 0 {
-		job.Trees = make([][]byte, nTrees)
-		for i := range job.Trees {
-			job.Trees[i] = c.blob("tree")
+		var err error
+		if job.Trees, buf, err = c.trees(nTrees, buf); err != nil {
+			return nil, buf, err
 		}
 	}
 	nReps := int(c.u32("replica count"))
@@ -399,9 +517,68 @@ func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
 		}
 	}
 	if err := c.done(); err != nil {
-		return nil, false, err
+		return nil, buf, err
 	}
-	return job, false, nil
+	return job, buf, nil
+}
+
+// trees reads a binary job's n trees: the first whole, aliasing the
+// payload, and each later one an edit of the tree before it, rebuilt
+// into buf. The rebuilt trees may total at most maxFrame bytes — what a
+// frame of whole trees could carry — so a short frame of edits cannot
+// make the reader build without bound. An edit that keeps more bytes
+// than the previous tree has, or is not the canonical one, is refused.
+func (c *cursor) trees(n int, buf []byte) ([][]byte, []byte, error) {
+	trees := make([][]byte, n)
+	first := c.blob("tree")
+	trees[0] = first
+	buf = buf[:0]
+	// Hill-climb neighbours share the first tree's length: size for
+	// that, bounded by the edits the remaining bytes could hold.
+	if c.err == nil {
+		edits := min(n-1, (len(c.b)-c.off)/(treeEditHead+4))
+		buf = slices.Grow(buf, min(edits*len(first), maxFrame))
+	}
+	total := len(first)
+	for i := 1; i < n && c.err == nil; i++ {
+		prev := trees[i-1]
+		pre, suf := int(c.u32("tree edit prefix")), int(c.u32("tree edit suffix"))
+		mid := c.blob("tree edit")
+		if c.err != nil {
+			break
+		}
+		if pre < 0 || suf < 0 || pre > len(prev) || suf > len(prev)-pre {
+			return nil, buf, fmt.Errorf("shard: tree %d keeps %d+%d bytes of a %d-byte tree", i, pre, suf, len(prev))
+		}
+		size := pre + len(mid) + suf
+		if total += size; total > maxFrame {
+			return nil, buf, fmt.Errorf("shard: job's trees exceed %d bytes", maxFrame)
+		}
+		start := len(buf)
+		buf = append(buf, prev[:pre]...)
+		buf = append(buf, mid...)
+		buf = append(buf, prev[len(prev)-suf:]...)
+		cur := buf[start:len(buf):len(buf)]
+		// cur matches prev on its first pre and last suf bytes by
+		// construction, so the edit is canonical exactly when neither
+		// run could go one byte further.
+		shorter := min(len(prev), size)
+		if pre < shorter && prev[pre] == cur[pre] ||
+			suf < shorter-pre && prev[len(prev)-suf-1] == cur[size-suf-1] {
+			return nil, buf, fmt.Errorf("shard: tree %d's edit (%d, %d) is not canonical", i, pre, suf)
+		}
+		trees[i] = cur
+	}
+	return trees, buf, nil
+}
+
+// skip steps over n bytes the caller has bounded by what remains.
+func (c *cursor) skip(n int, what string) {
+	if c.err != nil || n < 0 || c.off+n > len(c.b) {
+		c.fail(what)
+		return
+	}
+	c.off += n
 }
 
 // flagByte reads the single-byte flag used for optional fields.
@@ -433,26 +610,70 @@ const (
 // reference codec when binaryCodec is false).
 func EncodeResult(res *Result, binaryCodec bool) ([]byte, error) {
 	if !binaryCodec {
+		if res.stored != nil {
+			decoded, err := res.decodeStored()
+			if err != nil {
+				return nil, err
+			}
+			res = decoded
+		}
 		return marshalJSONFrame(res)
 	}
 	return appendResult(make([]byte, 0, resultSize(res)), res)
 }
 
+// StoredResult returns the result whose binary encoding is payload —
+// a result an evaluator stored and replays — with Cached set, without
+// decoding it. payload must pass CheckResult and must not change
+// afterwards. AppendResultFrame and EncodeResult write it through with
+// the result's ID and Cached flag stamped in; Result's other fields
+// stay empty, so only an encoder (or Pool, which decodes what a
+// fallback evaluator returns) may read it.
+func StoredResult(payload []byte) *Result {
+	return &Result{Cached: true, stored: payload}
+}
+
+// decodeStored decodes a stored result's bytes, keeping its ID and
+// Cached flag.
+func (res *Result) decodeStored() (*Result, error) {
+	out, err := DecodeResult(res.stored)
+	if err != nil {
+		return nil, err
+	}
+	out.ID, out.Cached = res.ID, res.Cached
+	return out, nil
+}
+
 // resultSize is the binary encoding's length without usage frames,
 // which are rare enough to grow into.
 func resultSize(res *Result) int {
+	if res.stored != nil {
+		return len(res.stored)
+	}
 	return 4 + 8 + 1 + 4 + len(res.Err) + 4 + 8*len(res.Scores) + 4 + 4 + 8*len(res.Fired)
 }
 
-// appendResult appends res's binary encoding to b.
+// resultFlags is the flag byte res encodes with.
+func resultFlags(res *Result) byte {
+	if res.Cached {
+		return resultFlagCached
+	}
+	return 0
+}
+
+// appendResult appends res's binary encoding to b: a stored result's
+// bytes with its ID and flags stamped over theirs.
 func appendResult(b []byte, res *Result) ([]byte, error) {
+	if res.stored != nil {
+		start := len(b)
+		b = append(b, res.stored...)
+		binary.LittleEndian.PutUint64(b[start+4:], res.ID)
+		b[start+4+8] = resultFlags(res)
+		return b, nil
+	}
 	b = binary.LittleEndian.AppendUint32(b, resultMagic)
 	b = binary.LittleEndian.AppendUint64(b, res.ID)
-	var flags byte
-	if res.Cached {
-		flags |= resultFlagCached
-	}
-	b = append(b, flags)
+	b = append(b, resultFlags(res))
 	b = appendBlob(b, []byte(res.Err))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(res.Scores)))
 	for _, s := range res.Scores {
@@ -490,8 +711,14 @@ func (res *Result) check() error {
 			return fmt.Errorf("shard: usage frame k=%d has %d sums for %d counts", uf.K, len(uf.Sum), len(uf.Count))
 		}
 	}
-	if n := len(res.Fired); n > 0 && (len(res.Scores) == 0 || n%len(res.Scores) != 0) {
-		return fmt.Errorf("shard: %d fired words for %d slots", n, len(res.Scores))
+	return checkFired(len(res.Fired), len(res.Scores))
+}
+
+// checkFired rejects nFired fired words that do not split evenly over
+// nScores slots.
+func checkFired(nFired, nScores int) error {
+	if nFired > 0 && (nScores == 0 || nFired%nScores != 0) {
+		return fmt.Errorf("shard: %d fired words for %d slots", nFired, nScores)
 	}
 	return nil
 }
@@ -508,39 +735,68 @@ func DecodeResult(payload []byte) (*Result, error) {
 		}
 		return res, nil
 	}
-	c := &cursor{b: payload}
-	if m := c.u32("magic"); c.err == nil && m != resultMagic {
-		return nil, fmt.Errorf("shard: bad result magic %#x", m)
-	}
 	res := &Result{}
-	res.ID = c.u64("id")
+	if err := walkResult(payload, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// CheckResult reports whether DecodeResult accepts payload as a binary
+// result, reading it in place: it allocates nothing unless it fails.
+func CheckResult(payload []byte) error {
+	if IsJSONPayload(payload) {
+		return fmt.Errorf("shard: a JSON result is not a binary one")
+	}
+	return walkResult(payload, nil)
+}
+
+// walkResult reads a binary result payload into res, or with res nil
+// only checks it: both walks accept and refuse the same payloads.
+func walkResult(payload []byte, res *Result) error {
+	c := cursor{b: payload}
+	if m := c.u32("magic"); c.err == nil && m != resultMagic {
+		return fmt.Errorf("shard: bad result magic %#x", m)
+	}
+	id := c.u64("id")
 	flags := c.flagByte("flags")
 	if flags&^resultFlagsKnown != 0 {
-		return nil, fmt.Errorf("shard: unknown result flags %#x", flags)
+		return fmt.Errorf("shard: unknown result flags %#x", flags)
 	}
-	res.Cached = flags&resultFlagCached != 0
-	res.Err = string(c.blob("err"))
+	errBlob := c.blob("err")
+	if res != nil {
+		res.ID = id
+		res.Cached = flags&resultFlagCached != 0
+		res.Err = string(errBlob)
+	}
 	nScores := int(c.u32("score count"))
 	if c.err == nil && nScores > (len(c.b)-c.off)/8 {
 		c.fail("score count")
 	}
-	if c.err == nil && nScores > 0 {
+	if c.err == nil && nScores > 0 && res != nil {
 		res.Scores = make([]float64, nScores)
 		for i := range res.Scores {
 			res.Scores[i] = math.Float64frombits(c.u64("score"))
 		}
+	} else {
+		c.skip(8*nScores, "scores")
 	}
 	nFrames := int(c.u32("usage count"))
 	if c.err == nil && nFrames > (len(c.b)-c.off)/usageFrameMinSize {
 		c.fail("usage count")
 	}
 	for i := 0; i < nFrames && c.err == nil; i++ {
-		uf := UsageFrame{K: int(c.i64("usage k"))}
+		k := int(c.i64("usage k"))
 		nw := int(c.u32("whisker count"))
 		if c.err == nil && nw > (len(c.b)-c.off)/whiskerSize {
 			c.fail("whisker count")
 			break
 		}
+		if res == nil {
+			c.skip(nw*whiskerSize, "usage")
+			continue
+		}
+		uf := UsageFrame{K: k}
 		if nw > 0 {
 			uf.Count = make([]int64, nw)
 			for j := range uf.Count {
@@ -559,19 +815,18 @@ func DecodeResult(payload []byte) (*Result, error) {
 	if c.err == nil && nFired > (len(c.b)-c.off)/8 {
 		c.fail("fired count")
 	}
-	if c.err == nil && nFired > 0 {
+	if c.err == nil && nFired > 0 && res != nil {
 		res.Fired = make([]uint64, nFired)
 		for i := range res.Fired {
 			res.Fired[i] = c.u64("fired")
 		}
+	} else {
+		c.skip(8*nFired, "fired")
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := res.check(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return checkFired(nFired, nScores)
 }
 
 // AppendJobFrame appends one length-prefixed binary job frame to b.

@@ -380,6 +380,13 @@ func FuzzDecodeJob(f *testing.F) {
 		if !IsJSONPayload(payload) && !bytes.Equal(wire, payload) {
 			t.Fatalf("binary job re-encodes differently:\n got %x\nwant %x", wire, payload)
 		}
+		if !IsJSONPayload(payload) {
+			// A worker session decodes into a buffer the last job left.
+			again, _, err := DecodeJobInto(payload, []byte("the last job's trees"))
+			if err != nil || !jobsEqual(again, job) {
+				t.Fatalf("decoding into a used buffer gives %+v, %v; want %+v", again, err, job)
+			}
+		}
 		back, _, err := DecodeJob(wire)
 		if err != nil || !jobsEqual(back, job) {
 			t.Fatalf("re-encoded job decodes to %+v, %v; want %+v", back, err, job)
@@ -413,6 +420,9 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		res, err := DecodeResult(payload)
+		if !IsJSONPayload(payload) && (CheckResult(payload) == nil) != (err == nil) {
+			t.Fatalf("CheckResult says %v where DecodeResult says %v", CheckResult(payload), err)
+		}
 		if err != nil {
 			return
 		}

@@ -349,6 +349,9 @@ func (p *Pool) serve(l *lane, job *Job) (*Result, error) {
 		l.m.jobs.Inc()
 		l.m.fallbacks.Inc()
 		res, err := p.Fallback(job)
+		if err == nil && res.stored != nil {
+			res, err = res.decodeStored()
+		}
 		if err != nil {
 			return &Result{ID: job.ID, Err: err.Error()}, nil
 		}

@@ -42,7 +42,9 @@ import (
 // one config per connection: a worker session holds the last config
 // that arrived inline on it, and a hash-only job for any other config
 // ends the session. Its frames are version 4's.
-const ProtocolVersion = 5
+// Version 6 edit-codes a job's trees: each tree after a job's first
+// crosses as the canonical edit of the tree before it (codec.go).
+const ProtocolVersion = 6
 
 // maxFrame bounds one wire frame. Jobs are dominated by candidate
 // trees (~100 bytes per whisker), so real frames are kilobytes; the cap
@@ -130,6 +132,11 @@ type Result struct {
 	// scores are unaffected; the coordinator tallies it for the
 	// hit-rate report.
 	Cached bool `json:"cached,omitempty"`
+
+	// stored, when set, is the result's binary encoding as an
+	// evaluator stored it (StoredResult): it stands for every field
+	// above but ID and Cached, which are stamped over its own.
+	stored []byte
 }
 
 // UsageFrame is one replica's whisker usage of the UsageFor tree.

@@ -176,6 +176,43 @@ func TestPoolCrashedProcessFallsBack(t *testing.T) {
 	}
 }
 
+// TestPoolDecodesStoredFallbackResults has the in-process fallback
+// answer with stored result bytes, as a caching evaluator's replay
+// does: the batch must get decoded results, scores and all.
+func TestPoolDecodesStoredFallbackResults(t *testing.T) {
+	tr := &scriptTransport{mkConn: func(dial int) Conn {
+		if dial == 1 {
+			return newScriptConn(0)
+		}
+		return nil
+	}}
+	pool := &Pool{Transports: []Transport{tr}, Fallback: func(job *Job) (*Result, error) {
+		res, err := echoEval(job)
+		if err != nil {
+			return nil, err
+		}
+		b, err := EncodeResult(res, true)
+		if err != nil {
+			return nil, err
+		}
+		return StoredResult(b), nil
+	}}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	jobs := testJobs(3, 2)
+	results, err := pool.Do(jobs)
+	if err != nil {
+		t.Fatalf("do: %v", err)
+	}
+	for i, res := range results {
+		if res.ID != jobs[i].ID || !res.Cached || len(res.Scores) != 2 || res.Scores[1] != float64(2*i+1) {
+			t.Fatalf("result %d = %+v", i, res)
+		}
+	}
+}
+
 // TestPoolStartRejectsBadCommand fails the second lane's dial at
 // Start: Start must return that lane's error and close the connection
 // the first lane got (the two dial concurrently).

@@ -168,10 +168,10 @@ func (s *Server) Serve(l net.Listener) error {
 // busy is set while a job evaluates; the heartbeat goroutine writes
 // only then. cfg is the last config that arrived inline on the
 // connection, checked against its hash cfgHash; the job loop alone
-// touches them. Frames are read into rbuf and results encoded into
-// wbuf, both reused for the session's life: a decoded job aliases rbuf,
-// so nothing may keep a job's bytes after its result is written, and
-// cfg is a copy.
+// touches them. Frames are read into rbuf, the trees a job's edits
+// rebuild into tbuf, and results encoded into wbuf, all reused for the
+// session's life: a decoded job aliases rbuf and tbuf, so nothing may
+// keep a job's bytes after its result is written, and cfg is a copy.
 type session struct {
 	nc   net.Conn
 	mu   sync.Mutex
@@ -181,6 +181,7 @@ type session struct {
 	cfgHash shard.Hash
 
 	rbuf []byte
+	tbuf []byte
 	wbuf []byte // guarded by mu
 }
 
@@ -270,7 +271,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 			return
 		}
 		sn.rbuf = payload
-		job, _, err := shard.DecodeJob(payload)
+		var job *shard.Job
+		job, sn.tbuf, err = shard.DecodeJobInto(payload, sn.tbuf)
 		if err != nil {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
 			return

@@ -2,7 +2,7 @@
 // transport for shard.Pool lanes (Dialer, the client half) and the
 // worker daemon's serving loop (Server, hosted by cmd/remyshardd).
 //
-// The wire format is the shard package's length-prefixed v5 frames —
+// The wire format is the shard package's length-prefixed v6 frames —
 // the binary job/result codec — verbatim; JSON carries only the
 // control frames below. On top of it, shardnet adds what a network
 // needs:

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -513,6 +514,104 @@ func TestSessionBufferReuseMatchesEvalShardJob(t *testing.T) {
 		job(5, cfgs[0], 4, []int{1}, 3),
 		job(6, cfgs[1], 4, nil, -1),
 	}
+	serveTwiceMatchesEvalShardJob(t, cache, conn, jobs)
+}
+
+// TestSessionTreeBufferReuseMatchesEvalShardJob is the same check for
+// the buffer a worker session rebuilds edit-coded trees into: jobs of
+// hill-climb neighbours of trees of one, two and three whiskers, and a
+// job mixing them, arrive largest first, so every later job's trees
+// are rebuilt over the bytes of an earlier job's. A tree byte kept past
+// its job would show as a wrong result or cache entry.
+func TestSessionTreeBufferReuseMatchesEvalShardJob(t *testing.T) {
+	cache := shardnet.NewCache(0)
+	cached := CachedShardEval(cache)
+	var mu sync.Mutex
+	starts := map[*byte]int{} // where each job's second tree began
+	eval := func(job *shard.Job) (*shard.Result, error) {
+		if len(job.Trees) > 1 && len(job.Trees[1]) > 0 {
+			mu.Lock()
+			starts[&job.Trees[1][0]]++
+			mu.Unlock()
+		}
+		return cached(job)
+	}
+	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: eval})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	cfg := tinyConfig()
+	cfg.Duration = units.Second
+	ncfg := cfg.normalize()
+	cfgJSON, err := json.Marshal(&ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three trees, each the last split once more at its first
+	// whisker's midpoint.
+	bases := []*remycc.Tree{remycc.NewTree()}
+	for len(bases) < 3 {
+		last := bases[len(bases)-1]
+		dom := last.Whiskers[0].Domain
+		var at remycc.Vector
+		for d := range at {
+			at[d] = (dom.Lo[d] + dom.Hi[d]) / 2
+		}
+		next, ok := last.Split(0, at, []remycc.Signal{remycc.RecEWMA})
+		if !ok {
+			t.Fatal("split failed")
+		}
+		bases = append(bases, next)
+	}
+	neighbours := func(base *remycc.Tree, wi, n int) [][]byte {
+		enc, err := base.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, a := range neighbors(base.Action(wi))[:n] {
+			out = append(out, remycc.AppendWithAction(nil, enc, wi, a))
+		}
+		return out
+	}
+	job := func(id uint64, trees [][]byte, reps []int, usageFor int) *shard.Job {
+		nr := ncfg.Replicas
+		if len(reps) > 0 {
+			nr = len(reps)
+		}
+		return &shard.Job{
+			ID: id, Version: shard.ProtocolVersion, Seed: 5, Gen: 2, Replicas: ncfg.Replicas, Reps: reps, UsageFor: usageFor,
+			SlotLo: 0, SlotHi: len(trees) * nr, Trees: trees, Cfg: cfgJSON, CfgHash: shard.HashBytes(cfgJSON),
+		}
+	}
+	mixed := [][]byte{neighbours(bases[1], 1, 1)[0], neighbours(bases[0], 0, 1)[0], neighbours(bases[2], 2, 1)[0]}
+	jobs := []*shard.Job{
+		job(1, neighbours(bases[2], 1, 4), nil, -1),
+		job(2, neighbours(bases[0], 0, 3), nil, 2),
+		job(3, mixed, []int{1}, -1),
+		job(4, neighbours(bases[1], 0, 4), []int{0}, 1),
+		job(5, neighbours(bases[2], 2, 2), nil, -1),
+	}
+	serveTwiceMatchesEvalShardJob(t, cache, conn, jobs)
+	reused := false
+	for _, n := range starts {
+		reused = reused || n > 1
+	}
+	if !reused {
+		t.Fatal("no two jobs' trees were rebuilt at the same place; the session did not reuse its tree buffer")
+	}
+}
+
+// serveTwiceMatchesEvalShardJob serves jobs over conn twice, the
+// second pass replayed from the worker's cache, and requires every
+// result, and every replay and slot entry cache holds afterwards, to
+// equal what EvalShardJob computes from the job.
+func serveTwiceMatchesEvalShardJob(t *testing.T, cache *shardnet.Cache, conn shard.Conn, jobs []*shard.Job) {
+	t.Helper()
+	var err error
 	want := make([]*shard.Result, len(jobs))
 	for i, j := range jobs {
 		own := *j

@@ -182,10 +182,11 @@ func TestResetWhiskerMovesRunEverywhere(t *testing.T) {
 		t.Fatalf("moves of the unfired reset whisker run only on replicas %v", live)
 	}
 	var cands []*remycc.Tree
-	for _, a := range neighbors(tree.Action(resetW)) {
+	acts := neighbors(tree.Action(resetW))
+	for _, a := range acts {
 		cands = append(cands, tree.WithAction(resetW, a))
 	}
-	got, _ := tr.evaluateBatch(&cfg, cands, 0, -1, tr.liveReps(&cfg, resetW, resetW))
+	got, _ := tr.evaluateBatch(&cfg, tree, resetW, acts, 0, -1, tr.liveReps(&cfg, resetW, resetW))
 	want, _ := oracleBatch(cfg, 4, cands, 0, -1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reset-whisker candidates scored %v, full evaluation %v", got, want)
@@ -218,7 +219,8 @@ func TestSkippedBatchMatchesFullEvaluation(t *testing.T) {
 			continue
 		}
 		var cands []*remycc.Tree
-		for _, a := range neighbors(tree.Action(w))[:4] {
+		acts := neighbors(tree.Action(w))[:4]
+		for _, a := range acts {
 			cands = append(cands, tree.WithAction(w, a))
 		}
 		want, _ := oracleBatch(cfg, 9, cands, 0, -1)
@@ -226,7 +228,7 @@ func TestSkippedBatchMatchesFullEvaluation(t *testing.T) {
 			tr := &Trainer{Cfg: base, Seed: 9, Workers: 2, DisableEvalCache: disable}
 			tr.evaluate(&cfg, tree, 0)
 			live := tr.liveReps(&cfg, w, resetW)
-			got, _ := tr.evaluateBatch(&cfg, cands, 0, -1, live)
+			got, _ := tr.evaluateBatch(&cfg, tree, w, acts, 0, -1, live)
 			if n := tr.SlotsSkipped(); n != int64(len(cands)*(cfg.Replicas-len(live))) {
 				t.Fatalf("batch on replicas %v of %d skipped %d slots", live, cfg.Replicas, n)
 			}

@@ -147,15 +147,15 @@ func decodeSlotEntry(b []byte) (score float64, u *remycc.UsageStats, fired []uin
 	return score, u, nil, nil
 }
 
-// entryFits reports whether a decoded entry is sized for tree: usage
-// for every whisker, or a fired set of the tree's length. An entry that
-// does not fit is a miss, unreachable short of an encoder bug, since
-// the slot key holds the tree's bytes.
-func entryFits(tree *remycc.Tree, u *remycc.UsageStats, fired []uint64) bool {
+// entryFits reports whether a decoded entry is sized for a tree of n
+// whiskers: usage for every whisker, or a fired set of the tree's
+// length. An entry that does not fit is a miss, unreachable short of
+// an encoder bug, since the slot key holds the tree's bytes.
+func entryFits(n int, u *remycc.UsageStats, fired []uint64) bool {
 	if u != nil {
-		return len(u.Count) == tree.Len()
+		return len(u.Count) == n
 	}
-	return len(fired) == firedWords(tree.Len())
+	return len(fired) == firedWords(n)
 }
 
 // cfgDecodeMemo memoizes config decoding by content hash: every job of
@@ -265,29 +265,29 @@ func jobKey(job *shard.Job) shardnet.Key {
 // CachedShardEval is the worker-side evaluator: EvalShardJob's decode
 // and slot evaluation behind a two-tier content-addressed cache. The
 // replay tier answers an exact repeat (same slot range, trees, config,
-// seed — a warm rerun of the same training) from the stored result
-// bytes without decoding the job at all. The slot tier (evalSlots)
-// looks each slot up independently, so a repeat sliced differently —
-// another lane count, a requeued job — still skips every
-// simulation it has seen; fresh results feed both tiers.
-// Result.Cached is set only when the whole job was served from cache,
-// which is what Server.Stats().CacheHits counts. A nil cache returns
-// the plain evaluator.
+// seed — a warm rerun of the same training) with the stored result
+// bytes, checked in place and written back as they are, without
+// decoding the job or the result. The slot tier (evalSlots) looks each
+// slot up independently, so a repeat sliced differently — another lane
+// count, a requeued job — still skips every simulation it has seen;
+// fresh results feed both tiers. Result.Cached is set only when the
+// whole job was served from cache, which is what
+// Server.Stats().CacheHits counts. A nil cache returns the plain
+// evaluator.
 func CachedShardEval(c *shardnet.Cache) shard.Eval {
 	if c == nil {
 		return EvalShardJob
 	}
 	return func(job *shard.Job) (*shard.Result, error) {
 		jk := jobKey(job)
-		if b, ok := c.Get(jk); ok {
-			if res, err := shard.DecodeResult(b); err == nil {
-				res.ID = job.ID
-				res.Cached = true
-				return res, nil
-			}
-			// An undecodable entry is as good as poisoned; fall
-			// through to the slot tier.
+		b, hit := c.Get(jk)
+		if hit && shard.CheckResult(b) == nil {
+			res := shard.StoredResult(b)
+			res.ID = job.ID
+			return res, nil
 		}
+		// An entry that does not check is as good as poisoned: fall
+		// through to the slot tier, and replace it below.
 		w, err := decodeShardJob(job)
 		if err != nil {
 			return nil, err
@@ -296,7 +296,11 @@ func CachedShardEval(c *shardnet.Cache) shard.Eval {
 		stored := *res
 		stored.Cached = false
 		if b, err := shard.EncodeResult(&stored, true); err == nil {
-			c.Put(jk, b)
+			if hit {
+				c.Replace(jk, b)
+			} else {
+				c.Put(jk, b)
+			}
 		}
 		return res, nil
 	}

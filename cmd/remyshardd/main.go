@@ -8,10 +8,13 @@
 //	remytrain -remotes w1:7117,w2:7117  # ... and its coordinator
 //
 // It listens on a TCP port and serves any number of coordinator
-// connections (many jobs per connection). To spread training over one
-// machine's processes, run a daemon on a loopback port and name it
-// once per lane: `remyshardd -listen 127.0.0.1:7118` with `remytrain
-// -remotes 127.0.0.1:7118,127.0.0.1:7118`.
+// connections (many jobs per connection). To train over one machine's
+// cores, run a daemon on a loopback port and name it once:
+// `remyshardd -listen 127.0.0.1:7118` with `remytrain -remotes
+// 127.0.0.1:7118`. Its -workers (default NumCPU) is how many
+// simulations each job runs at once; naming the daemon twice in
+// -remotes weights its share of every batch but does not add a
+// connection or concurrency.
 //
 // Jobs are self-contained and evaluation is a pure function of the
 // job, so a worker holds no training state: it can be restarted at any

@@ -8,9 +8,9 @@
 //	          -buffer-bdp 5 -generations 4 -o tao10x.json
 //
 // Training distributes over remyshardd daemons (-remotes
-// host:port,...; one lane per address, so a daemon on a loopback port
-// named twice gives two local lanes); output is byte-identical to the
-// in-process search either way (docs/EXPERIMENTS.md, "Multi-machine
+// host:port,...; one lane and one connection per distinct address,
+// each batch cut into one job per lane); output is byte-identical to
+// the in-process search either way (docs/EXPERIMENTS.md, "Multi-machine
 // training").
 package main
 
@@ -53,7 +53,7 @@ var (
 	seed       = flag.Uint64("seed", 1, "training seed")
 	workers    = flag.Int("workers", 0, "parallel simulations (0 = NumCPU)")
 	shardTmo   = flag.Duration("shard-timeout", 0, "drop a -remotes lane's connection and requeue its jobs after this much silence (e.g. 1m; worker heartbeats reset it, so it bounds silence, not job length); 0 waits forever — set it to survive hung (not just crashed) workers")
-	remotes    = flag.String("remotes", "", "comma-separated remyshardd worker addresses (host:port,...); each is one TCP shard lane, and an address may repeat. Empty trains in process. Output stays byte-identical to in-process training")
+	remotes    = flag.String("remotes", "", "comma-separated remyshardd worker addresses (host:port,...): one TCP shard lane, one connection and one job per batch for each distinct address. An address named k times takes k shares of every batch; a daemon runs its job at its own -workers. Empty trains in process. Output stays byte-identical to in-process training")
 	evalCache  = flag.Int("eval-cache", 0, "in-process slot-cache capacity in entries (0 = default, negative disables); repeated (config, draw, tree) evaluations are served from memory, byte-identical to simulating")
 	evalDir    = flag.String("eval-cache-dir", "", "spill the in-process slot cache to this directory and reload on the next run, so warm reruns skip simulation entirely")
 	journalF   = flag.String("telemetry", "", "write one JSONL generation record (wall time, score delta, slots, cache and fabric counters) per whisker-split round to this file; fold it with scripts/telemetry-summary")

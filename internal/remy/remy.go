@@ -379,8 +379,9 @@ type Trainer struct {
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 
-	// ShardWorkers is the internal parallelism each shard job asks for
-	// (Job.Workers); 0 means NumCPU. A remyshardd daemon overrides it
+	// ShardWorkers is the internal parallelism a shard job asks for
+	// per share of its lane (Job.Workers is the lane's share times
+	// this); 0 means NumCPU. A remyshardd daemon overrides Job.Workers
 	// with its own -workers, so it sizes only in-process fallback
 	// evaluations and workers that keep the job's figure (the
 	// benchmark's loopback servers).
@@ -391,11 +392,15 @@ type Trainer struct {
 	// and requeues its jobs. 0 means no limit.
 	ShardTimeout time.Duration
 	// Remotes, when non-empty, distributes every evaluation batch
-	// over one TCP worker lane per "host:port" address, each a
-	// cmd/remyshardd daemon (`remyshardd -listen 127.0.0.1:PORT` on
-	// this machine, or one per worker machine). Training output stays
-	// bit-identical to the in-process trainer; worker-side result
-	// caches change only where results come from, never their bytes.
+	// over one TCP worker lane per distinct "host:port" address, each
+	// a cmd/remyshardd daemon (`remyshardd -listen 127.0.0.1:PORT` on
+	// this machine, or one per worker machine). Every batch is one job
+	// per lane, so one connection and one round trip per worker. An
+	// address named k times has a share of k: its job covers k shares
+	// of the batch's slots and asks for k x ShardWorkers workers.
+	// Training output stays bit-identical to the in-process trainer;
+	// worker-side result caches change only where results come from,
+	// never their bytes.
 	Remotes []string
 
 	// DisableEvalCache turns off the in-process slot cache, so every
@@ -432,8 +437,10 @@ type Trainer struct {
 	cfgHash shard.Hash
 
 	// shards is the live shard pool while a sharded Train is running
-	// (see startShards); nil otherwise.
+	// (see startShards); nil otherwise. shares[i] is lane i's share of
+	// every batch: how many times Remotes names its address.
 	shards *shard.Pool
+	shares []int
 	// shardJobID numbers jobs so results can be matched to requests
 	// across the wire.
 	shardJobID uint64
@@ -636,12 +643,12 @@ func (t *Trainer) evaluateBatch(cfg *Config, tree *remycc.Tree, wi int, acts []r
 			cfg: cfg, cfgHash: cfgHash, reps: reps, trees: t.trees, enc: enc, base: tree, wi: wi, acts: acts,
 			lo: 0, hi: nSlots, usageFor: usageFor, workers: t.workers(),
 		}
-		per := nSlots // slots per evaluation unit: the whole batch, or one shard job
+		var jobs []*shard.Job // nil in process: one result for the whole batch
 		var results []*shard.Result
 		if t.shards != nil {
-			per = t.slotsPerJob(nSlots)
+			jobs = t.shardJobs(&batch, cfgJSON, gen)
 			var err error
-			if results, err = t.shards.Do(t.shardJobs(&batch, cfgJSON, gen, per)); err != nil {
+			if results, err = t.shards.Do(jobs); err != nil {
 				panic(fmt.Sprintf("remy: shard batch failed: %v", err))
 			}
 			t.shardResults += uint64(len(results))
@@ -658,7 +665,10 @@ func (t *Trainer) evaluateBatch(cfg *Config, tree *remycc.Tree, wi int, acts []r
 		}
 
 		for i, res := range results {
-			lo, hi := i*per, min((i+1)*per, nSlots)
+			lo, hi := 0, nSlots
+			if jobs != nil {
+				lo, hi = jobs[i].SlotLo, jobs[i].SlotHi
+			}
 			if len(res.Scores) != hi-lo || len(res.Fired) != (hi-lo)*words {
 				panic(fmt.Sprintf("remy: slots [%d,%d) returned %d scores and %d fired words", lo, hi, len(res.Scores), len(res.Fired)))
 			}

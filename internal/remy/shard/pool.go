@@ -95,10 +95,12 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // Pool fans shard jobs out over a fixed set of worker lanes and merges
 // results by batch position, so the caller sees deterministic output
 // regardless of which lane finished which job when. Each lane is one
-// worker reached through an entry of Transports (the TCP lanes
-// `remytrain -remotes` adds) and keeps one job in flight; the trainer
-// cuts a batch into one job per lane, and a lane that finishes early
-// takes whatever is left in the shared queue. A lane whose worker
+// worker reached through an entry of Transports (one per distinct
+// `remytrain -remotes` address) and keeps one job in flight; the
+// trainer cuts a batch into one job per lane, sized for that lane's
+// worker, and Do hands job i to lane i. Jobs past the lane count, and
+// jobs requeued after a fault, wait in a shared queue for the first
+// free lane. A lane whose worker
 // crashes, writes garbage, or exceeds Timeout is reconnected and its
 // in-flight job requeued for any lane; a lane whose redial fails is
 // dead and evaluates in-process from then on, and after MaxAttempts
@@ -142,7 +144,7 @@ type Pool struct {
 	mu      sync.Mutex
 	work    sync.Cond
 	settled sync.Cond
-	queue   []*Job    // jobs no lane holds, taken from head
+	queue   []*Job    // jobs no lane owns or holds, taken from head
 	head    int       // next job of queue to take
 	results []*Result // the batch's results, by batch position
 	left    int       // jobs without a result
@@ -158,6 +160,7 @@ type lane struct {
 	transport Transport
 	conn      Conn
 	redialed  bool
+	own       *Job // the job Do handed this lane, not yet taken; guarded by Pool.mu
 	m         laneMetrics
 }
 
@@ -182,10 +185,6 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 		fallbacks:  reg.Counter("shard_lane_fallbacks_total" + label),
 	}
 }
-
-// NumLanes reports the pool's lane count as resolved by Start;
-// callers use it to slice batches.
-func (p *Pool) NumLanes() int { return len(p.lanes) }
 
 // Start dials every lane's worker, all lanes at once, then starts each
 // lane's goroutine. A pool without Transports, or a dial failure,
@@ -253,9 +252,10 @@ func (p *Pool) Close() {
 // Do evaluates a batch of jobs and returns their results in batch
 // order. It blocks until every job has a result, or until a
 // deterministic evaluation error or a rejected connection fails the
-// batch and no lane still holds one of its jobs. Jobs are handed to
-// free lanes as they come; crashes and timeouts requeue the affected
-// job, so completion order never affects the merged output.
+// batch and no lane still holds one of its jobs. Job i goes to lane i
+// and any further job to the first free lane; crashes and timeouts
+// requeue the affected job for any lane, so completion order never
+// affects the merged output.
 func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -270,13 +270,20 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 		job.index = i
 		job.attempts = 0
 	}
-	p.queue, p.head = append(p.queue[:0], jobs...), 0
+	owned := min(len(jobs), len(p.lanes))
+	for i, l := range p.lanes[:owned] {
+		l.own = jobs[i]
+	}
+	p.queue, p.head = append(p.queue[:0], jobs[owned:]...), 0
 	p.results, p.left, p.err = results, len(jobs), nil
 	p.work.Broadcast()
 	for p.left > 0 && (p.err == nil || p.held > 0) {
 		p.settled.Wait()
 	}
 	err := p.err
+	for _, l := range p.lanes {
+		l.own = nil // a failed batch leaves jobs untaken
+	}
 	clear(p.queue)
 	p.queue, p.head, p.results, p.err = p.queue[:0], 0, nil, nil
 	if err != nil {
@@ -285,26 +292,32 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	return results, nil
 }
 
-// runLane drives one lane from Start to Close: take a job, send it,
-// receive its result, deliver it — one job in flight. On any
-// transport fault the job goes back to the end of the shared queue
-// and the connection is replaced; evaluation is a pure function of the
-// job, so a retry is bit-identical wherever it lands. A dead lane, or a
-// job out of attempts, is evaluated in-process.
+// runLane drives one lane from Start to Close: take its own job, or
+// else the shared queue's next, send it, receive its result, deliver
+// it — one job in flight. On any transport fault the job goes back to
+// the end of the shared queue and the connection is replaced;
+// evaluation is a pure function of the job, so a retry is
+// bit-identical wherever it lands. A dead lane, or a job out of
+// attempts, is evaluated in-process.
 func (p *Pool) runLane(l *lane) {
 	defer p.running.Done()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		for !p.closing && (p.head == len(p.queue) || p.err != nil) {
+		for !p.closing && (p.err != nil || l.own == nil && p.head == len(p.queue)) {
 			p.work.Wait()
 		}
 		if p.closing {
 			return
 		}
-		job := p.queue[p.head]
-		p.queue[p.head] = nil
-		p.head++
+		job := l.own
+		if job != nil {
+			l.own = nil
+		} else {
+			job = p.queue[p.head]
+			p.queue[p.head] = nil
+			p.head++
+		}
 		p.held++
 		p.mu.Unlock()
 		res, err := p.serve(l, job)

@@ -12,7 +12,8 @@ import (
 
 // Tests for a pool lane's job stream: one job in flight per lane, a
 // fault requeues that job, a redialed connection ships its config
-// again, and a batch of one job per lane lands one job on each lane. The scripted transport below lets a test dictate exactly when
+// again, and a batch of one job per lane lands job i on lane i. The
+// scripted transport below lets a test dictate exactly when
 // a connection dies and what it answers, which real workers cannot do
 // deterministically.
 
@@ -472,5 +473,127 @@ func TestPoolUnansweredHelloIsAFailedDial(t *testing.T) {
 		case redial && (err != nil || len(results) != 3 || fallbacks != 3 || tr.dialCount() != 2):
 			t.Fatalf("redialed connection: Do = %v, %d fallbacks, %d dials; want the batch in-process after one redial", err, fallbacks, tr.dialCount())
 		}
+	}
+}
+
+// sharedJobs is a batch cut for lanes of shares (2, 1): job 0 covers
+// two thirds of the slots and asks for two workers, job 1 the rest
+// with one.
+func sharedJobs() []*Job {
+	jobs := testJobs(2, 1)
+	jobs[0].SlotLo, jobs[0].SlotHi, jobs[0].Workers = 0, 4, 2
+	jobs[1].SlotLo, jobs[1].SlotHi, jobs[1].Workers = 4, 6, 1
+	return jobs
+}
+
+// encodedResults renders a batch's results in the binary codec, for a
+// byte-exact comparison.
+func encodedResults(t *testing.T, results []*Result) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(results))
+	for i, res := range results {
+		b, err := EncodeResult(res, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// TestPoolHandsEachLaneItsOwnJob runs batches cut for lanes of shares
+// (2, 1) with a slow larger lane, so the smaller one is always free
+// first: a pool that handed jobs to whichever lane woke first would
+// give it the larger job. On the fault-free path job i must go to
+// lane i, batch after batch.
+func TestPoolHandsEachLaneItsOwnJob(t *testing.T) {
+	const batches = 20
+	pool := &Pool{Fallback: func(job *Job) (*Result, error) {
+		t.Error("fallback used; every lane is healthy")
+		return echoEval(job)
+	}}
+	conns := []*scriptConn{newScriptConn(-1), newScriptConn(-1)}
+	conns[0].recvGate = func(int) error { time.Sleep(time.Millisecond); return nil }
+	for _, c := range conns {
+		pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn { return c }})
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for b := range batches {
+		jobs := sharedJobs()
+		results, err := pool.Do(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range conns {
+			if log := c.sendLog(); len(log) != b+1 || log[b].id != jobs[i].ID {
+				t.Fatalf("batch %d: lane %d sent %v, want job %d last", b, i, log, jobs[i].ID)
+			}
+		}
+		for i, res := range results {
+			if res.ID != jobs[i].ID || len(res.Scores) != jobs[i].SlotHi-jobs[i].SlotLo {
+				t.Fatalf("batch %d: result %d = %+v", b, i, res)
+			}
+		}
+	}
+}
+
+// TestPoolRequeuesLargerLanesJobToTheOther kills the larger lane's
+// connection of a (2, 1) batch with its job in flight and holds that
+// lane's redial until the other lane has sent two jobs: the requeued
+// job must go to the smaller lane, which is free, and the batch's
+// results must be byte-equal to a fault-free batch's.
+func TestPoolRequeuesLargerLanesJobToTheOther(t *testing.T) {
+	want := make([]*Result, 0, 2)
+	for _, job := range sharedJobs() {
+		res, _ := echoEval(job)
+		res.ID = job.ID
+		want = append(want, res)
+	}
+	took := make(chan struct{})
+	small := newScriptConn(-1)
+	small.onSend = func() {
+		if len(small.sends) == 2 {
+			close(took)
+		}
+	}
+	var crashed *scriptConn
+	large := &scriptTransport{mkConn: func(dial int) Conn {
+		if dial == 1 {
+			crashed = newScriptConn(0) // dies with its job in flight
+			return crashed
+		}
+		select {
+		case <-took:
+		case <-time.After(2 * time.Second):
+		}
+		return newScriptConn(-1)
+	}}
+	pool := &Pool{
+		Transports: []Transport{large, &scriptTransport{mkConn: func(int) Conn { return small }}},
+		Fallback: func(job *Job) (*Result, error) {
+			t.Error("fallback used; the requeue should have re-delivered the job")
+			return echoEval(job)
+		},
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	jobs := sharedJobs()
+	results, err := pool.Do(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, wantLog := fmt.Sprint(small.sendLog()), fmt.Sprint([]sendRecord{{id: jobs[1].ID}, {id: jobs[0].ID}}); got != wantLog {
+		t.Fatalf("smaller lane sent %s, want its own job, then the requeued one: %s", got, wantLog)
+	}
+	if got := crashed.sendLog(); len(got) != 1 || got[0].id != jobs[0].ID {
+		t.Fatalf("larger lane's first connection sent %v, want its own job", got)
+	}
+	if got, w := encodedResults(t, results), encodedResults(t, want); fmt.Sprint(got) != fmt.Sprint(w) {
+		t.Fatal("a requeued batch's results differ from a fault-free batch's")
 	}
 }

@@ -76,7 +76,9 @@ type Job struct {
 	SlotLo int `json:"slot_lo"`
 	// SlotHi is the exclusive upper slot bound.
 	SlotHi int `json:"slot_hi"`
-	// Workers bounds the worker's internal parallelism (0 = NumCPU).
+	// Workers bounds the worker's internal parallelism (0 = NumCPU);
+	// a coordinator asks for more on a lane its -remotes names more
+	// than once.
 	Workers int `json:"workers"`
 	// TreeLo is the batch-wide index of Trees[0]: jobs carry only the
 	// candidate trees their slot range touches, so tree ti lives at

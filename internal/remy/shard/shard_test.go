@@ -92,8 +92,8 @@ func TestPoolLocalLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	if pool.NumLanes() != 4 {
-		t.Fatalf("NumLanes = %d, want one per transport", pool.NumLanes())
+	if len(pool.lanes) != 4 {
+		t.Fatalf("%d lanes, want one per transport", len(pool.lanes))
 	}
 	jobs := testJobs(10, 3)
 	results, err := pool.Do(jobs)
@@ -233,8 +233,8 @@ func TestPoolStartRejectsBadCommand(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "lane 1") || !strings.Contains(msg, "dial 1 refused") {
 		t.Fatalf("Start error %q does not name the refusing lane and its error", msg)
 	}
-	if pool.NumLanes() != 0 {
-		t.Fatalf("failed Start left %d lanes", pool.NumLanes())
+	if len(pool.lanes) != 0 {
+		t.Fatalf("failed Start left %d lanes", len(pool.lanes))
 	}
 	if !good.isClosed() {
 		t.Fatal("failed Start leaked the first lane's connection")

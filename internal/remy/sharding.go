@@ -9,9 +9,9 @@ import (
 )
 
 // Sharded training, coordinator side. With a shard pool live,
-// evaluateBatch cuts every batch's (tree x replica) slot space into
-// contiguous ranges (slotsPerJob), ships each as a self-contained
-// shard.Job (shardJobs) and merges the results by position. A worker
+// evaluateBatch cuts every batch's (tree x replica) slot space into one
+// contiguous range per lane (shardJobs), ships each as a self-contained
+// shard.Job and merges the results by each job's slot range. A worker
 // decodes the job back into the slot range it describes and runs the
 // same evalSlots the in-process trainer runs (evalslots.go), so
 // sharded training is bit-identical to in-process training for the
@@ -19,13 +19,22 @@ import (
 // byte-for-byte on the trained tree).
 
 // startShards brings up the shard pool for one Train call and returns
-// its teardown: one lane per Remotes address. A dead remote panics:
+// its teardown: one lane per distinct Remotes address, whose share is
+// the number of times Remotes names it. A dead remote panics:
 // training has no error path, and silent degradation would hide a
 // broken deployment.
 func (t *Trainer) startShards() (stop func()) {
-	transports := make([]shard.Transport, len(t.Remotes))
-	for i, addr := range t.Remotes {
-		transports[i] = &shardnet.Dialer{Addr: addr, Metrics: t.Metrics}
+	var transports []shard.Transport
+	laneOf := make(map[string]int, len(t.Remotes))
+	t.shares = t.shares[:0]
+	for _, addr := range t.Remotes {
+		if i, ok := laneOf[addr]; ok {
+			t.shares[i]++
+			continue
+		}
+		laneOf[addr] = len(transports)
+		transports = append(transports, &shardnet.Dialer{Addr: addr, Metrics: t.Metrics})
+		t.shares = append(t.shares, 1)
 	}
 	pool := &shard.Pool{
 		Transports: transports,
@@ -47,7 +56,7 @@ func (t *Trainer) startShards() (stop func()) {
 	}
 }
 
-// shardWorkers resolves the per-shard parallelism shipped in each job:
+// shardWorkers resolves the per-share parallelism shipped in each job:
 // an explicit ShardWorkers, else NumCPU.
 func (t *Trainer) shardWorkers() int {
 	if t.ShardWorkers > 0 {
@@ -56,24 +65,21 @@ func (t *Trainer) shardWorkers() int {
 	return runtime.NumCPU()
 }
 
-// slotsPerJob is the size of the contiguous slot ranges a batch of
-// nSlots is cut into for the shard pool: one job per lane, so a batch
-// costs each worker one round trip, and each lane keeps that one job
-// in flight.
-func (t *Trainer) slotsPerJob(nSlots int) int {
-	jobs := min(t.shards.NumLanes(), nSlots)
-	return (nSlots + jobs - 1) / jobs
-}
-
-// shardJobs renders the batch as one job per range of per slots. Each
-// ships only the trees its range touches and the batch's replica list;
-// the worker addresses tree ti at Trees[ti-TreeLo] and re-derives the
-// draws from Seed and Gen.
-func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*shard.Job {
-	nr := batch.nReps()
-	jobs := make([]*shard.Job, 0, (batch.hi+per-1)/per)
-	for lo := 0; lo < batch.hi; lo += per {
-		hi := min(lo+per, batch.hi)
+// shardJobs cuts the batch into one contiguous job per lane, in lane
+// order, so that shard.Pool.Do hands job i to lane i: a batch costs
+// each worker one round trip. Lane i takes ceil(nSlots x share/total)
+// of the slots left and asks for share x shardWorkers() workers, so
+// equal shares cut equal ranges and a batch smaller than the lane
+// count leaves the last lanes idle. Each job ships only the trees its
+// range touches and the batch's replica list; the worker addresses
+// tree ti at Trees[ti-TreeLo] and re-derives the draws from Seed and
+// Gen.
+func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen int) []*shard.Job {
+	nr, nSlots, total := batch.nReps(), batch.hi, len(t.Remotes) // the shares sum to len(Remotes)
+	jobs := make([]*shard.Job, 0, len(t.shares))
+	for lo, lane := 0, 0; lo < nSlots; lane++ {
+		share := t.shares[lane]
+		hi := min(lo+(nSlots*share+total-1)/total, nSlots)
 		tiLo, tiHi := lo/nr, (hi-1)/nr
 		t.shardJobID++
 		jobs = append(jobs, &shard.Job{
@@ -86,7 +92,7 @@ func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*sh
 			UsageFor: batch.usageFor,
 			SlotLo:   lo,
 			SlotHi:   hi,
-			Workers:  t.shardWorkers(),
+			Workers:  share * t.shardWorkers(),
 			TreeLo:   tiLo,
 			Trees:    batch.enc[tiLo : tiHi+1],
 			// Every in-memory job keeps the config inline — the
@@ -96,6 +102,7 @@ func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen, per int) []*sh
 			Cfg:     cfgJSON,
 			CfgHash: batch.cfgHash,
 		})
+		lo = hi
 	}
 	return jobs
 }

@@ -17,7 +17,7 @@ const clientWriteTimeout = time.Minute
 
 // Dialer is the client half of the TCP transport and the one
 // shard.Transport a trainer uses: `remytrain -remotes host:port,...`
-// makes one pool lane per worker daemon. Dial only connects; the
+// makes one pool lane per distinct worker daemon address. Dial only connects; the
 // magic+version handshake rides the connection's first job (see
 // tcpConn), so a connection costs no round trip of its own.
 type Dialer struct {

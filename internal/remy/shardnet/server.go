@@ -56,8 +56,11 @@ type Server struct {
 	Heartbeat time.Duration
 	// Workers, when positive, overrides each job's internal
 	// parallelism: a coordinator sizes Job.Workers for its own
-	// machine, which means nothing on this one. cmd/remyshardd
-	// defaults it to NumCPU. Parallelism never affects results.
+	// machine (ShardWorkers times the number of times its -remotes
+	// names this worker), which means nothing on this one.
+	// cmd/remyshardd defaults it to NumCPU, so naming a daemon twice
+	// does not double its concurrency. Parallelism never affects
+	// results.
 	Workers int
 	// DieAfter, when positive, drops each connection after fully
 	// serving that many jobs — the next job is read and abandoned

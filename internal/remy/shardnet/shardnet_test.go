@@ -66,9 +66,6 @@ func TestPoolOverTCP(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	defer pool.Close()
-	if pool.NumLanes() != 2 {
-		t.Fatalf("NumLanes = %d, want 2 (remote-only pool)", pool.NumLanes())
-	}
 	jobs := testJobs(8, 3)
 	results, err := pool.Do(jobs)
 	if err != nil {

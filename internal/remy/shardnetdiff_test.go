@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,6 +79,110 @@ func TestShardedTrainBitEqualTCP(t *testing.T) {
 				t.Fatal("TCP-sharded training changed the trained tree")
 			}
 		})
+	}
+}
+
+// laneWorker is a loopback worker that counts its connections and
+// records the slot range and parallelism of every job it answers.
+type laneWorker struct {
+	addr string
+	reg  *telemetry.Registry
+	mu   sync.Mutex
+	jobs []shard.Job // SlotLo, SlotHi and Workers of each job answered
+}
+
+func startLaneWorker(t *testing.T) *laneWorker {
+	t.Helper()
+	w := &laneWorker{reg: telemetry.NewRegistry()}
+	w.addr, _ = startTCPWorker(t, &shardnet.Server{Metrics: w.reg, Eval: func(job *shard.Job) (*shard.Result, error) {
+		w.mu.Lock()
+		w.jobs = append(w.jobs, shard.Job{SlotLo: job.SlotLo, SlotHi: job.SlotHi, Workers: job.Workers})
+		w.mu.Unlock()
+		return EvalShardJob(job)
+	}})
+	return w
+}
+
+// connections is how many connections the worker has served.
+func (w *laneWorker) connections() int64 {
+	return w.reg.Counter("shardnet_server_connections_total").Value()
+}
+
+func (w *laneWorker) answered() []shard.Job {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.jobs)
+}
+
+// TestRepeatedRemoteIsOneLane names worker a twice: that is one lane
+// with a share of two, so a Train dials a once and every batch ships
+// one job that starts at slot 0 and asks for 2 x ShardWorkers
+// workers. With b named once beside it, b's job of every batch is the
+// batch's last third, at ShardWorkers. Either way the tree is
+// byte-equal to in-process training.
+func TestRepeatedRemoteIsOneLane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	const seed = 7
+	want := inProcessBytes(t, seed)
+	for _, withB := range []bool{false, true} {
+		a := startLaneWorker(t)
+		remotes := []string{a.addr, a.addr}
+		var b *laneWorker
+		if withB {
+			b = startLaneWorker(t)
+			remotes = append(remotes, b.addr)
+		}
+		tr := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: remotes, ShardWorkers: 1}
+		if got := trainBytes(t, tr); !bytes.Equal(got, want) {
+			t.Fatalf("remotes %v: training changed the trained tree", remotes)
+		}
+		aJobs := a.answered()
+		if n := a.connections(); n != 1 {
+			t.Fatalf("remotes %v: a served %d connections, want 1", remotes, n)
+		}
+		for _, job := range aJobs {
+			if job.SlotLo != 0 || job.Workers != 2 {
+				t.Fatalf("remotes %v: a answered slots [%d,%d) at %d workers, want one job per batch from slot 0 at 2", remotes, job.SlotLo, job.SlotHi, job.Workers)
+			}
+		}
+		if !withB {
+			continue
+		}
+		bJobs := b.answered()
+		if n := b.connections(); n != 1 || len(bJobs) == 0 {
+			t.Fatalf("remotes %v: b served %d connections and %d jobs, want 1 and some", remotes, n, len(bJobs))
+		}
+		for _, job := range bJobs {
+			if n := job.SlotHi; job.SlotLo != (2*n+2)/3 || job.Workers != 1 {
+				t.Fatalf("remotes %v: b answered slots [%d,%d) at %d workers, want the last third at 1", remotes, job.SlotLo, n, job.Workers)
+			}
+		}
+	}
+}
+
+// TestRepeatedRemoteKilledMidGeneration names a vanishing worker twice
+// beside a healthy one: the doubled lane's connections die after two
+// jobs and its machine is gone after two connections, so its jobs,
+// each two thirds of a batch, requeue onto the healthy lane or fall
+// back in-process. The tree must stay byte-equal.
+func TestRepeatedRemoteKilledMidGeneration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	const seed = 7
+	want := inProcessBytes(t, seed)
+	v := startVanishingWorker(t, 2, 2)
+	healthy, _ := startTCPWorker(t, nil)
+	tr := &Trainer{
+		Cfg:          tinyConfig(),
+		Seed:         seed,
+		Remotes:      []string{v, v, healthy},
+		ShardTimeout: time.Minute,
+	}
+	if got := trainBytes(t, tr); !bytes.Equal(got, want) {
+		t.Fatal("a repeated worker killed mid-generation changed the trained tree")
 	}
 }
 

@@ -53,9 +53,18 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", d.Milliseconds()) }
 
 // DurationFromSeconds converts a floating-point number of seconds into a
-// Duration, rounding to the nearest nanosecond.
+// Duration, rounding to the nearest nanosecond. Seconds outside the
+// Duration range, ±Inf included, saturate at its bounds, and NaN reads
+// as the upper bound, as +Inf does, the same on every platform: Go
+// leaves an out-of-range float-to-int conversion to the platform
+// (amd64 gives math.MinInt64). It stays small enough to inline, since
+// RemyCC paces every ACK through it.
 func DurationFromSeconds(s float64) Duration {
-	return Duration(math.Round(s * float64(Second)))
+	ns := math.Round(s * float64(Second))
+	if ns < math.MaxInt64 { // false for NaN; MaxInt64 rounds to 2⁶³, the first value past the range
+		return Duration(max(ns, math.MinInt64))
+	}
+	return math.MaxInt64
 }
 
 // Rate is a data rate in bits per second.

@@ -26,6 +26,25 @@ func TestDurationFromSeconds(t *testing.T) {
 		{0.001, Millisecond},
 		{0.150, 150 * Millisecond},
 		{0, 0},
+		// In range, to the nearest nanosecond, halves away from zero.
+		{1.5e-9, 2},
+		{-1.5e-9, -2},
+		{0.4e-9, 0},
+		{2.6e-9, 3},
+		{-2.6e-9, -3},
+		{9.2e9, 9_200_000_000 * Second},
+		// The largest float64 below 2⁶³ ns is in range; 2⁶³ is not.
+		{math.Nextafter(9223372036.854775807, 0), 9223372036854774784},
+		{9223372036.854775808, math.MaxInt64},
+		{-9223372036.854775808, math.MinInt64},
+		// Out of range saturates, and NaN reads as +Inf, on every
+		// platform.
+		{1e300, math.MaxInt64},
+		{-1e300, math.MinInt64},
+		{math.Inf(1), math.MaxInt64},
+		{math.Inf(-1), math.MinInt64},
+		{math.NaN(), math.MaxInt64},
+		{math.Copysign(0, -1), 0},
 	}
 	for _, c := range cases {
 		if got := DurationFromSeconds(c.s); got != c.want {

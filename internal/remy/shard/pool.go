@@ -16,10 +16,12 @@ import (
 // whenever a lane's connection fails (the reconnect-with-requeue
 // path), so a Transport must be safe to dial repeatedly.
 type Transport interface {
-	// Dial establishes one worker connection. It may leave the
-	// connection's handshake to its first Send and Recv (shardnet's
-	// Dialer only connects), so a worker that refuses the connection
-	// shows as a RejectedError from the first Recv.
+	// Dial establishes one worker connection, or hands back one an
+	// earlier Conn.Close kept (shardnet's Dialer takes its address's
+	// parked connection when the worker is still there). It may leave
+	// a new connection's handshake to its first Send and Recv, so a
+	// worker that refuses the connection shows as a RejectedError from
+	// the first Recv. A worker that is unreachable fails Dial.
 	Dial() (Conn, error)
 	// Name identifies the worker for diagnostics (its address).
 	Name() string
@@ -45,8 +47,11 @@ type Conn interface {
 	// proving liveness. An expired or failed Recv leaves the
 	// connection unusable — the pool discards it and redials.
 	Recv(timeout time.Duration) (*Result, error)
-	// Close tears the connection down, releasing its resources and
-	// failing any pending Recv.
+	// Close ends the caller's use of the connection and fails any
+	// pending Recv. It may park an idle, healthy connection for a later
+	// Dial to the same worker instead of tearing it down (shardnet's
+	// tcpConn does); a connection with a pending Recv, or on which a
+	// call failed, is torn down.
 	Close()
 }
 
@@ -231,9 +236,9 @@ func (p *Pool) Start() error {
 	return nil
 }
 
-// Close stops the lanes and shuts down every worker connection. It
-// must not race with Do. The pool can be restarted with Start
-// afterwards.
+// Close stops the lanes and closes every lane's connection, which the
+// transport may keep for a later pool (see Conn.Close). It must not
+// race with Do. The pool can be restarted with Start afterwards.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closing = true

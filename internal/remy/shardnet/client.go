@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"learnability/internal/remy/shard"
@@ -17,9 +19,11 @@ const clientWriteTimeout = time.Minute
 
 // Dialer is the client half of the TCP transport and the one
 // shard.Transport a trainer uses: `remytrain -remotes host:port,...`
-// makes one pool lane per distinct worker daemon address. Dial only connects; the
-// magic+version handshake rides the connection's first job (see
-// tcpConn), so a connection costs no round trip of its own.
+// makes one pool lane per distinct worker daemon address. Dial takes
+// the connection an earlier search parked for the same address, or
+// else connects; on a new connection the magic+version handshake rides
+// the first job (see tcpConn), so a connection costs no round trip of
+// its own, and a parked one costs neither a connect nor a handshake.
 type Dialer struct {
 	// Addr is the worker daemon's host:port.
 	Addr string
@@ -34,19 +38,27 @@ type Dialer struct {
 	Metrics *telemetry.Registry
 }
 
-// Dial connects to the worker daemon. The handshake is left to the
-// connection's first Send, which writes the hello in front of the job,
-// and its first Recv, which reads the welcome before the result.
+// Dial returns a connection to the worker daemon: the one a closed
+// connection parked for this address if its worker is still there,
+// else a new one. A parked connection keeps its handshake and the
+// config it shipped last, so a search with the same config sends its
+// first job by hash. A new connection's handshake is left to its first
+// Send, which writes the hello in front of the job, and its first
+// Recv, which reads the welcome before the result.
 func (d *Dialer) Dial() (shard.Conn, error) {
-	timeout := d.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	c := unpark(d.Addr)
+	if c == nil {
+		timeout := d.DialTimeout
+		if timeout <= 0 {
+			timeout = 5 * time.Second
+		}
+		nc, err := net.DialTimeout("tcp", d.Addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		c = newTCPConn(nc, d.Addr, timeout)
 	}
-	nc, err := net.DialTimeout("tcp", d.Addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	c := newTCPConn(nc, d.Addr, timeout)
+	c.hbGap, c.lastHB = nil, time.Time{}
 	if d.Metrics != nil {
 		c.hbGap = d.Metrics.Histogram(fmt.Sprintf("shardnet_heartbeat_gap_ns{worker=%q}", d.Addr))
 	}
@@ -60,7 +72,9 @@ func (d *Dialer) Name() string { return d.Addr }
 // worker a hello, and until its first Recv it awaits the welcome; a
 // refused handshake is kept and returned by every later call. Frames
 // are encoded into and read into buffers the connection owns, so a
-// steady-state round trip allocates only the decoded Result.
+// steady-state round trip allocates only the decoded Result. A
+// connection that Close finds idle is parked for the next Dial to its
+// address rather than torn down.
 type tcpConn struct {
 	nc   net.Conn
 	br   *bufio.Reader
@@ -85,6 +99,19 @@ type tcpConn struct {
 	// arrival (zero outside a heartbeat run, so gaps never span jobs).
 	hbGap  *telemetry.Histogram
 	lastHB time.Time
+
+	// want is the ID of the job whose result is owed, while owed is
+	// set. spoiled marks a connection that may not be parked: a call on
+	// it failed, it had a second job in flight, or a result came that
+	// was not the owed job's. idle, the one field Close reads, is set
+	// from the Recv of an owed job's own result on an unspoiled
+	// connection until the next Send or Recv.
+	want    uint64
+	owed    bool
+	spoiled bool
+	idle    atomic.Bool
+
+	parkedAt time.Time // when Close parked it
 }
 
 // newTCPConn wraps a fresh connection to the worker at addr whose
@@ -100,6 +127,14 @@ func newTCPConn(nc net.Conn, addr string, welcomeWait time.Duration) *tcpConn {
 // worker's session holds; any other config rides inline and becomes
 // the connection's config.
 func (c *tcpConn) Send(job *shard.Job) error {
+	c.idle.Store(false)
+	err := c.send(job)
+	c.spoiled = c.spoiled || err != nil || c.owed
+	c.owed, c.want = true, job.ID
+	return err
+}
+
+func (c *tcpConn) send(job *shard.Job) error {
 	if c.rejected != nil {
 		return c.rejected
 	}
@@ -135,6 +170,15 @@ func (c *tcpConn) Send(job *shard.Job) error {
 // distinguish alive from dead and would otherwise make every job on
 // the lane time out, reconnect, and silently fall back in-process.
 func (c *tcpConn) Recv(timeout time.Duration) (*shard.Result, error) {
+	c.idle.Store(false)
+	res, err := c.recv(timeout)
+	c.spoiled = c.spoiled || err != nil || !c.owed || res.ID != c.want
+	c.owed = false
+	c.idle.Store(!c.spoiled)
+	return res, err
+}
+
+func (c *tcpConn) recv(timeout time.Duration) (*shard.Result, error) {
 	if c.rejected != nil {
 		return nil, c.rejected
 	}
@@ -214,5 +258,82 @@ func (c *tcpConn) readWelcome() error {
 	return c.rejected
 }
 
-// Close tears the connection down, failing any pending Recv.
-func (c *tcpConn) Close() { c.nc.Close() }
+// Close parks an idle connection for the next Dial to its address and
+// tears any other down, failing a pending Recv.
+func (c *tcpConn) Close() {
+	if c.idle.Swap(false) && park(c) {
+		return
+	}
+	c.nc.Close()
+}
+
+// maxParked bounds the parked connections of all addresses together.
+const maxParked = 64
+
+// parked holds the connections Close kept for a later Dial, the way an
+// HTTP transport keeps idle connections: at most one per address. A
+// parked connection holds its worker's session, and an in-process
+// Server's sessions outlive its Serve, so none is kept longer than its
+// worker's advertised heartbeat interval, the one bound the worker
+// names itself and ample for back-to-back searches; each park and each
+// Dial sweeps out the expired ones.
+var parked = struct {
+	sync.Mutex
+	conns map[string]*tcpConn
+}{conns: make(map[string]*tcpConn)}
+
+// park keeps c for the next Dial to c.addr, in place of any connection
+// parked there before, and reports whether it did. A worker that
+// advertised no heartbeat interval gets nothing parked.
+func park(c *tcpConn) bool {
+	now := time.Now()
+	parked.Lock()
+	defer parked.Unlock()
+	sweepParked(now)
+	if c.hb <= 0 {
+		return false
+	}
+	if old := parked.conns[c.addr]; old != nil {
+		old.nc.Close()
+	} else if len(parked.conns) >= maxParked {
+		return false
+	}
+	c.parkedAt = now
+	parked.conns[c.addr] = c
+	return true
+}
+
+// unpark takes the connection parked for addr, if there is one and its
+// worker is still there; a dead one is closed.
+func unpark(addr string) *tcpConn {
+	parked.Lock()
+	sweepParked(time.Now())
+	c := parked.conns[addr]
+	delete(parked.conns, addr)
+	parked.Unlock()
+	if c != nil && !c.alive() {
+		c.nc.Close()
+		return nil
+	}
+	return c
+}
+
+// sweepParked closes the parked connections older than their worker's
+// heartbeat interval; parked's lock is held.
+func sweepParked(now time.Time) {
+	for addr, c := range parked.conns {
+		if now.Sub(c.parkedAt) > c.hb {
+			c.nc.Close()
+			delete(parked.conns, addr)
+		}
+	}
+}
+
+// alive reports whether an idle connection's worker is still there:
+// nothing is buffered and the socket has nothing to read, neither data
+// nor the end of the stream. It must not wait, and it must look at the
+// socket: a read at a deadline already past is answered from the
+// deadline alone, so a worker that hung up would still pass.
+func (c *tcpConn) alive() bool {
+	return c.br.Buffered() == 0 && socketIdle(c.nc)
+}

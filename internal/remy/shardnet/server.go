@@ -141,7 +141,10 @@ func (s *Server) heartbeat() time.Duration {
 }
 
 // Serve accepts connections on l and serves each in its own
-// goroutine until the listener is closed (which returns nil). Accept
+// goroutine until the listener is closed (which returns nil). Sessions
+// outlive Serve: each ends when its client hangs up, so a connection a
+// client parked keeps its session, and the Server's evaluator, alive
+// after Serve has returned, until the client closes it. Accept
 // errors other than closure — fd exhaustion under connection bursts,
 // transient network trouble — are retried with capped backoff rather
 // than returned: a worker daemon dying on EMFILE would silently

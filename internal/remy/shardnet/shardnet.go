@@ -16,6 +16,12 @@
 //     shard.RejectedError on the pool's first batch. A refusing worker
 //     drains the client's first write before closing, so no TCP reset
 //     overtakes the refusal;
+//   - connections that outlive a search: Close parks an idle, healthy
+//     connection (handshake done, every job answered by its own
+//     result, no call failed), and the next Dial to the same address
+//     takes it if its worker is still there, so a later search pays no
+//     connect, no handshake and no config re-ship. At most one per
+//     address is parked, for at most the worker's heartbeat interval;
 //   - one config per connection: a job's training config rides inline
 //     the first time it crosses a connection, and later jobs for the
 //     same config carry only its hash. The worker's session holds the

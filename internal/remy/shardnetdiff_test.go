@@ -162,6 +162,47 @@ func TestRepeatedRemoteIsOneLane(t *testing.T) {
 	}
 }
 
+// TestTrainsShareOneWorkerConnection runs searches one after another
+// against one worker: each Train's connection is parked when it
+// returns and taken by the next, so the worker serves one connection
+// for all of them, with no reconnect, and each tree is byte-equal to
+// in-process training. Three searches (seeds 0-2) share a config and
+// send every job by hash after the first; a fourth with another config
+// ships it inline on the reused connection, which the worker's session
+// adopts.
+func TestTrainsShareOneWorkerConnection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	other := tinyConfig()
+	other.Delta = 0.5
+	searches := []struct {
+		cfg  Config
+		seed uint64
+	}{{tinyConfig(), 0}, {tinyConfig(), 1}, {tinyConfig(), 2}, {other, 0}}
+	want := make([][]byte, len(searches))
+	for i, s := range searches {
+		want[i] = trainBytes(t, &Trainer{Cfg: s.cfg, Seed: s.seed, Workers: 4})
+	}
+	// A parked connection lasts one heartbeat interval: the default
+	// one, not startTCPWorker's fast one.
+	workerReg := telemetry.NewRegistry()
+	addr, _ := startTCPWorker(t, &shardnet.Server{Metrics: workerReg, Heartbeat: shardnet.DefaultHeartbeat})
+	for i, s := range searches {
+		reg := telemetry.NewRegistry()
+		tr := &Trainer{Cfg: s.cfg, Seed: s.seed, Remotes: []string{addr}, ShardWorkers: 1, Metrics: reg}
+		if got := trainBytes(t, tr); !bytes.Equal(got, want[i]) {
+			t.Fatalf("search %d: training over a reused connection changed the trained tree", i)
+		}
+		if n := reg.Counter(`shard_lane_reconnects_total{lane="0:` + addr + `"}`).Value(); n != 0 {
+			t.Fatalf("search %d: %d reconnects", i, n)
+		}
+		if n := workerReg.Counter("shardnet_server_connections_total").Value(); n != 1 {
+			t.Fatalf("search %d: the worker served %d connections, want 1", i, n)
+		}
+	}
+}
+
 // TestRepeatedRemoteKilledMidGeneration names a vanishing worker twice
 // beside a healthy one: the doubled lane's connections die after two
 // jobs and its machine is gone after two connections, so its jobs,

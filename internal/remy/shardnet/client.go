@@ -111,7 +111,9 @@ type tcpConn struct {
 	spoiled bool
 	idle    atomic.Bool
 
-	parkedAt time.Time // when Close parked it
+	// expire, while the connection is parked, closes it when its time
+	// is up; a connection parked again rearms the same timer.
+	expire *time.Timer
 }
 
 // newTCPConn wraps a fresh connection to the worker at addr whose
@@ -267,66 +269,70 @@ func (c *tcpConn) Close() {
 	c.nc.Close()
 }
 
-// maxParked bounds the parked connections of all addresses together.
-const maxParked = 64
-
 // parked holds the connections Close kept for a later Dial, the way an
-// HTTP transport keeps idle connections: at most one per address. A
-// parked connection holds its worker's session, and an in-process
-// Server's sessions outlive its Serve, so none is kept longer than its
-// worker's advertised heartbeat interval, the one bound the worker
-// names itself and ample for back-to-back searches; each park and each
-// Dial sweeps out the expired ones.
+// HTTP transport keeps idle connections: at most one per address, each
+// closed by its expire timer once its worker's advertised heartbeat
+// interval has passed, the one bound the worker names itself and ample
+// for back-to-back searches. Parking pays only where one process runs
+// several searches against a worker within that interval (the
+// benchmark's TCP workloads, a library caller training Tao after Tao);
+// remytrain runs one Train a process, so there a parked connection is
+// closed by its timer or the exit and no Dial ever takes it.
 var parked = struct {
 	sync.Mutex
 	conns map[string]*tcpConn
 }{conns: make(map[string]*tcpConn)}
 
 // park keeps c for the next Dial to c.addr, in place of any connection
-// parked there before, and reports whether it did. A worker that
-// advertised no heartbeat interval gets nothing parked.
+// parked there before, and reports whether it did. Nothing is parked
+// that Dial could not take: a connection whose worker advertised no
+// heartbeat interval, or any on a platform without the peek.
 func park(c *tcpConn) bool {
-	now := time.Now()
+	if c.hb <= 0 || !canPeek {
+		return false
+	}
 	parked.Lock()
 	defer parked.Unlock()
-	sweepParked(now)
-	if c.hb <= 0 {
-		return false
-	}
 	if old := parked.conns[c.addr]; old != nil {
+		old.expire.Stop()
 		old.nc.Close()
-	} else if len(parked.conns) >= maxParked {
-		return false
 	}
-	c.parkedAt = now
 	parked.conns[c.addr] = c
+	if c.expire != nil {
+		c.expire.Reset(c.hb)
+		return true
+	}
+	c.expire = time.AfterFunc(c.hb, func() {
+		parked.Lock()
+		mine := parked.conns[c.addr] == c
+		if mine {
+			delete(parked.conns, c.addr)
+		}
+		parked.Unlock()
+		if mine {
+			c.nc.Close()
+		}
+	})
 	return true
 }
 
-// unpark takes the connection parked for addr, if there is one and its
-// worker is still there; a dead one is closed.
+// unpark takes the connection parked for addr, if there is one, its
+// timer has not fired and its worker is still there; a dead one is
+// closed. One whose timer has fired stays for the timer to close.
 func unpark(addr string) *tcpConn {
 	parked.Lock()
-	sweepParked(time.Now())
 	c := parked.conns[addr]
-	delete(parked.conns, addr)
+	if c != nil && c.expire.Stop() {
+		delete(parked.conns, addr)
+	} else {
+		c = nil
+	}
 	parked.Unlock()
 	if c != nil && !c.alive() {
 		c.nc.Close()
 		return nil
 	}
 	return c
-}
-
-// sweepParked closes the parked connections older than their worker's
-// heartbeat interval; parked's lock is held.
-func sweepParked(now time.Time) {
-	for addr, c := range parked.conns {
-		if now.Sub(c.parkedAt) > c.hb {
-			c.nc.Close()
-			delete(parked.conns, addr)
-		}
-	}
 }
 
 // alive reports whether an idle connection's worker is still there:

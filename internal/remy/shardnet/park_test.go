@@ -66,13 +66,17 @@ func startCounted(t *testing.T, srv *Server) (string, *recordingListener, *telem
 		t.Fatal(err)
 	}
 	rl := &recordingListener{Listener: ln}
-	t.Cleanup(func() {
-		ln.Close()
-		rl.hangUp()
-	})
 	srv.Metrics = telemetry.NewRegistry()
 	conns := srv.Metrics.Counter("shardnet_server_connections_total")
-	go srv.Serve(rl)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(rl)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
 	return ln.Addr().String(), rl, conns
 }
 
@@ -318,8 +322,8 @@ func TestHungUpParkedConnectionIsNotReused(t *testing.T) {
 }
 
 // TestDeadRemoteFailsStartDespiteParkedConnection: a worker that is
-// gone (listener closed, sessions ended) fails Pool.Start, although a
-// connection to it was parked.
+// gone (its listener closed, which ends its sessions) fails Pool.Start,
+// although a connection to it was parked.
 func TestDeadRemoteFailsStartDespiteParkedConnection(t *testing.T) {
 	srv := &Server{Eval: echoEval}
 	addr, rl, _ := startCounted(t, srv)
@@ -332,7 +336,6 @@ func TestDeadRemoteFailsStartDespiteParkedConnection(t *testing.T) {
 		t.Fatal("the connection was not parked")
 	}
 	rl.Close()
-	rl.hangUp()
 	waitSessionsEnded(t, srv)
 	pool := &shard.Pool{Transports: []shard.Transport{&Dialer{Addr: addr, DialTimeout: time.Second}}, Fallback: echoEval}
 	if err := pool.Start(); err == nil {
@@ -380,13 +383,15 @@ func TestReusedConnectionReportsToItsNewDialer(t *testing.T) {
 }
 
 // TestExpiredParkedConnectionIsClosed: a connection parked for longer
-// than its worker's heartbeat interval is closed, not handed out, by
-// the next Dial to its address or the next park of another connection.
+// than its worker's heartbeat interval is closed by its timer, with no
+// later Dial or park to look at it, and the next Dial connects afresh.
+// The connection is parked twice, so the timer that fires is the
+// first park's, rearmed.
 func TestExpiredParkedConnectionIsClosed(t *testing.T) {
-	const hb = 20 * time.Millisecond
-	parkOne := func(t *testing.T) (string, *tcpConn, *telemetry.Counter) {
-		addr, _, conns := startCounted(t, &Server{Eval: echoEval, Heartbeat: hb})
-		c := dialTCP(t, &Dialer{Addr: addr})
+	const hb = 200 * time.Millisecond
+	addr, _, conns := startCounted(t, &Server{Eval: echoEval, Heartbeat: hb})
+	c := dialTCP(t, &Dialer{Addr: addr})
+	for i := range 2 {
 		if _, err := shard.RoundTrip(c, testJobs(1, 1)[0], time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -394,43 +399,77 @@ func TestExpiredParkedConnectionIsClosed(t *testing.T) {
 		if parkedAt(addr) != c {
 			t.Fatal("the connection was not parked")
 		}
-		time.Sleep(2 * hb)
-		return addr, c, conns
+		if i == 0 && dialTCP(t, &Dialer{Addr: addr}) != c {
+			t.Fatal("Dial did not take the parked connection")
+		}
 	}
-	requireClosed := func(t *testing.T, addr string, c *tcpConn) {
-		t.Helper()
-		if parkedAt(addr) == c {
+	for deadline := time.Now().Add(5 * time.Second); parkedAt(addr) == c; {
+		if time.Now().After(deadline) {
 			t.Fatal("the expired connection is still parked")
 		}
-		if _, err := c.nc.Write([]byte{0}); err == nil {
-			t.Fatal("the expired connection's socket is open")
-		}
+		time.Sleep(hb)
 	}
+	if _, err := c.nc.Write([]byte{0}); err == nil {
+		t.Fatal("the expired connection's socket is open")
+	}
+	fresh := dialTCP(t, &Dialer{Addr: addr})
+	defer fresh.Close()
+	if fresh == c {
+		t.Fatal("Dial handed out an expired connection")
+	}
+	if _, err := shard.RoundTrip(fresh, testJobs(1, 1)[0], time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := conns.Value(); n != 2 {
+		t.Fatalf("the worker saw %d connections, want 2", n)
+	}
+}
 
-	t.Run("dial", func(t *testing.T) {
-		addr, c, conns := parkOne(t)
-		fresh := dialTCP(t, &Dialer{Addr: addr})
-		defer fresh.Close()
-		if fresh == c {
-			t.Fatal("Dial handed out an expired connection")
-		}
-		requireClosed(t, addr, c)
-		if _, err := shard.RoundTrip(fresh, testJobs(1, 1)[0], time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if n := conns.Value(); n != 2 {
-			t.Fatalf("the worker saw %d connections, want 2", n)
-		}
-	})
-	t.Run("park", func(t *testing.T) {
-		addr, c, _ := parkOne(t)
-		other, _, _ := startCounted(t, &Server{Eval: echoEval})
-		o := dialTCP(t, &Dialer{Addr: other})
-		if _, err := shard.RoundTrip(o, testJobs(1, 1)[0], time.Second); err != nil {
-			t.Fatal(err)
-		}
-		o.Close()
-		requireClosed(t, addr, c)
-		dialTCP(t, &Dialer{Addr: other}).Close()
-	})
+// TestParkedConnectionDoesNotReachAStoppedWorker parks a connection,
+// stops its worker by closing the listener alone, and starts another
+// worker on the same address: the next Dial must reach the new worker,
+// not the stopped one's session.
+func TestParkedConnectionDoesNotReachAStoppedWorker(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		(&Server{Eval: echoEval}).Serve(ln)
+	}()
+	c := dialTCP(t, &Dialer{Addr: addr})
+	if _, err := shard.RoundTrip(c, testJobs(1, 1)[0], time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if parkedAt(addr) != c {
+		t.Fatal("the connection was not parked")
+	}
+	ln.Close()
+	<-served
+
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("the stopped worker's address is not free again: %v", err)
+	}
+	t.Cleanup(func() { ln2.Close() })
+	next := &Server{Eval: func(job *shard.Job) (*shard.Result, error) {
+		return &shard.Result{Scores: []float64{-1}}, nil
+	}, Metrics: telemetry.NewRegistry()}
+	go next.Serve(ln2)
+	again := dialTCP(t, &Dialer{Addr: addr})
+	defer again.Close()
+	if again == c {
+		t.Fatal("Dial handed out the stopped worker's connection")
+	}
+	res, err := shard.RoundTrip(again, testJobs(1, 1)[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := next.Metrics.Counter("shardnet_server_connections_total").Value(); n != 1 || res.Scores[0] != -1 {
+		t.Fatalf("the new worker saw %d connections and the job scored %v: the stopped worker answered", n, res.Scores)
+	}
 }

@@ -4,6 +4,8 @@ package shardnet
 
 import "net"
 
-// socketIdle cannot peek at a socket on this platform without waiting,
-// so no parked connection is reused: every Dial connects.
+// canPeek reports that socketIdle cannot read a socket without waiting
+// on this platform, so no connection is parked: every Dial connects.
+const canPeek = false
+
 func socketIdle(net.Conn) bool { return false }

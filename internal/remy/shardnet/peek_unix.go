@@ -7,6 +7,10 @@ import (
 	"syscall"
 )
 
+// canPeek reports that socketIdle can read a socket without waiting
+// here, so Close parks connections.
+const canPeek = true
+
 // socketIdle reports whether nc is an open socket with nothing to
 // read, without waiting: a non-blocking peek answers "would block" on
 // an idle connection, and 0 bytes on one whose peer hung up.

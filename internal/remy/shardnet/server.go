@@ -141,15 +141,24 @@ func (s *Server) heartbeat() time.Duration {
 }
 
 // Serve accepts connections on l and serves each in its own
-// goroutine until the listener is closed (which returns nil). Sessions
-// outlive Serve: each ends when its client hangs up, so a connection a
-// client parked keeps its session, and the Server's evaluator, alive
-// after Serve has returned, until the client closes it. Accept
-// errors other than closure — fd exhaustion under connection bursts,
-// transient network trouble — are retried with capped backoff rather
-// than returned: a worker daemon dying on EMFILE would silently
+// goroutine until the listener is closed, and then closes the
+// connections it accepted and returns nil: a stopped worker ends its
+// sessions, so a client's parked connection to it reads end-of-stream
+// and is not taken for a worker that later listens on the same address.
+// Accept errors other than closure — fd exhaustion under connection
+// bursts, transient network trouble — are retried with capped backoff
+// rather than returned: a worker daemon dying on EMFILE would silently
 // degrade every coordinator pointed at it to in-process fallback.
 func (s *Server) Serve(l net.Listener) error {
+	var mu sync.Mutex
+	open := make(map[net.Conn]struct{})
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for nc := range open {
+			nc.Close()
+		}
+	}()
 	backoff := 5 * time.Millisecond
 	for {
 		conn, err := l.Accept()
@@ -165,7 +174,15 @@ func (s *Server) Serve(l net.Listener) error {
 			continue
 		}
 		backoff = 5 * time.Millisecond
-		go s.ServeConn(conn)
+		mu.Lock()
+		open[conn] = struct{}{}
+		mu.Unlock()
+		go func() {
+			s.ServeConn(conn)
+			mu.Lock()
+			delete(open, conn)
+			mu.Unlock()
+		}()
 	}
 }
 

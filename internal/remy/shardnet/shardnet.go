@@ -21,7 +21,12 @@
 //     result, no call failed), and the next Dial to the same address
 //     takes it if its worker is still there, so a later search pays no
 //     connect, no handshake and no config re-ship. At most one per
-//     address is parked, for at most the worker's heartbeat interval;
+//     address is parked, and a timer closes it once the worker's
+//     heartbeat interval has passed; a Server whose Serve returns
+//     closes its sessions, so no parked connection outlives its worker.
+//     It pays only where one process runs several searches against a
+//     worker within that interval — library callers and the
+//     benchmark's TCP workloads; remytrain runs one search a process;
 //   - one config per connection: a job's training config rides inline
 //     the first time it crosses a connection, and later jobs for the
 //     same config carry only its hash. The worker's session holds the

@@ -28,15 +28,24 @@ func echoEval(job *shard.Job) (*shard.Result, error) {
 }
 
 // startServer serves srv on a fresh loopback listener and returns its
-// address; the listener is closed at test cleanup.
+// address. Test cleanup closes the listener and waits for Serve to
+// return, which ends its sessions, so a later test that gets the same
+// port cannot reach this server through a parked connection.
 func startServer(t *testing.T, srv *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.Serve(ln)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
 	return ln.Addr().String()
 }
 
@@ -644,17 +653,21 @@ func TestServerDieAfterReconnectAndRequeue(t *testing.T) {
 	}
 }
 
-// limitListener accepts at most n connections, then closes; redials
-// against it fail, which is how tests simulate a worker machine that
-// is gone for good.
+// limitListener accepts at most n connections, then stops listening;
+// redials against it fail, which is how tests simulate a worker machine
+// that is gone for good. Its next Accept waits for done, so Serve,
+// which ends its sessions when it returns, keeps the ones it accepted
+// until their own ends.
 type limitListener struct {
 	net.Listener
 	left atomic.Int64
+	done chan struct{}
 }
 
 func (l *limitListener) Accept() (net.Conn, error) {
 	if l.left.Add(-1) < 0 {
 		l.Listener.Close()
+		<-l.done
 		return nil, net.ErrClosed
 	}
 	return l.Listener.Accept()
@@ -669,11 +682,14 @@ func TestPoolFallsBackWhenWorkerGoneForGood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := &limitListener{Listener: ln}
+	lim := &limitListener{Listener: ln, done: make(chan struct{})}
 	lim.left.Store(1)
 	srv := &Server{Eval: echoEval, DieAfter: 1}
 	go srv.Serve(lim)
-	t.Cleanup(func() { ln.Close() })
+	t.Cleanup(func() {
+		ln.Close()
+		close(lim.done)
+	})
 
 	pool := &shard.Pool{
 		Transports: []shard.Transport{&Dialer{Addr: ln.Addr().String(), DialTimeout: time.Second}},

@@ -51,8 +51,15 @@ func startTCPWorker(t *testing.T, srv *shardnet.Server) (string, *shardnet.Serve
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go srv.Serve(ln)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served // Serve ends its sessions before it returns
+	})
 	return ln.Addr().String(), srv
 }
 
@@ -396,15 +403,19 @@ func fuzzSeedBytes(t *testing.T, path string) []byte {
 
 // limitListener grants at most n Accepts, then closes for good —
 // simulating a worker machine that disappears and never comes back,
-// so redials fail and the pool must requeue elsewhere.
+// so redials fail and the pool must requeue elsewhere. Its next Accept
+// waits for done, so Serve, which ends its sessions when it returns,
+// keeps the ones it accepted until their own ends.
 type limitListener struct {
 	net.Listener
 	left atomic.Int64
+	done chan struct{}
 }
 
 func (l *limitListener) Accept() (net.Conn, error) {
 	if l.left.Add(-1) < 0 {
 		l.Listener.Close()
+		<-l.done
 		return nil, net.ErrClosed
 	}
 	return l.Listener.Accept()
@@ -419,8 +430,11 @@ func startVanishingWorker(t *testing.T, conns, dieAfter int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	lim := &limitListener{Listener: ln}
+	lim := &limitListener{Listener: ln, done: make(chan struct{})}
+	t.Cleanup(func() {
+		ln.Close()
+		close(lim.done)
+	})
 	lim.left.Store(int64(conns))
 	go (&shardnet.Server{Eval: EvalShardJob, Heartbeat: 25 * time.Millisecond, DieAfter: dieAfter}).Serve(lim)
 	return ln.Addr().String()

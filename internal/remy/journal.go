@@ -107,9 +107,10 @@ type genSnapshot struct {
 }
 
 // counterSnapshot captures the current counter values (Train
-// goroutine; the atomics may be racing lane goroutines, which is fine
-// — deltas of monotone counters only ever under- or over-attribute a
-// slot to a neighboring generation by an in-flight margin of error).
+// goroutine, which also drives the pool's lane 0; the atomics may be
+// racing the goroutines of lanes 1…, which is fine — deltas of
+// monotone counters only ever under- or over-attribute a slot to a
+// neighboring generation by an in-flight margin of error).
 func (t *Trainer) counterSnapshot() genSnapshot {
 	var s genSnapshot
 	cs := t.LocalCacheStats()

@@ -29,9 +29,9 @@ type Transport interface {
 
 // Conn is one live worker connection. A pool lane keeps one job in
 // flight on it: Send, then Recv that job's result (see RoundTrip). A
-// Conn is used by a single lane goroutine at a time; implementations
-// need not be concurrency-safe beyond surviving Close during a pending
-// Recv.
+// Conn is used by one lane at a time, on lane 0 from the goroutine
+// calling Pool.Start and Pool.Do; implementations need not be
+// concurrency-safe beyond surviving Close during a pending Recv.
 type Conn interface {
 	// Send ships one job frame. A hash-bearing job's config rides
 	// inline unless it is the config this connection shipped last (see
@@ -113,9 +113,10 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // completes with the same bits. A worker that rejects its connection
 // (RejectedError) fails the batch instead.
 //
-// Each lane is one goroutine that lives from Start to Close; a batch
-// hands the lanes its jobs through the pool's queue and allocates only
-// its results.
+// Lane 0 is the caller's: Start dials it and Do drives it on the
+// calling goroutine; lanes 1… are goroutines that live from Start to
+// Close, so a one-worker pool starts none. A batch hands the lanes its
+// jobs through the pool's queue and allocates only its results.
 type Pool struct {
 	// Transports holds one lane per entry, each dialing its own worker
 	// (shardnet TCP dialers). At least one is required. Dial failures
@@ -144,11 +145,10 @@ type Pool struct {
 	lanes   []*lane // built by Start; nil entries never occur
 	running sync.WaitGroup
 
-	// The batch in progress, guarded by mu. Lanes wait on work for a
-	// queued job (or Close); Do waits on settled for the batch's end.
+	// The batch in progress, guarded by mu. Every change is broadcast
+	// on changed, for idle lanes (Do's lane 0 included) to wait on.
 	mu      sync.Mutex
-	work    sync.Cond
-	settled sync.Cond
+	changed sync.Cond
 	queue   []*Job    // jobs no lane owns or holds, taken from head
 	head    int       // next job of queue to take
 	results []*Result // the batch's results, by batch position
@@ -191,10 +191,11 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 	}
 }
 
-// Start dials every lane's worker, all lanes at once, then starts each
-// lane's goroutine. A pool without Transports, or a dial failure,
-// stops the pool and is returned (the lowest failing lane's error): a
-// dead remote should fail loudly at startup, not degrade silently.
+// Start dials every lane's worker, all lanes at once (lane 0 on the
+// calling goroutine), then starts the goroutines of lanes 1…. A pool
+// without Transports, or a dial failure, stops the pool and is
+// returned (the lowest failing lane's error): a dead remote should
+// fail loudly at startup, not degrade silently.
 func (p *Pool) Start() error {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
@@ -208,18 +209,21 @@ func (p *Pool) Start() error {
 	p.lanes = make([]*lane, len(p.Transports))
 	errs := make([]error, len(p.Transports))
 	var wg sync.WaitGroup
-	wg.Add(len(p.Transports))
 	for i, t := range p.Transports {
 		l := &lane{transport: t}
 		if p.Metrics != nil {
 			l.m = mkLaneMetrics(p.Metrics, i, t.Name())
 		}
 		p.lanes[i] = l
-		go func() {
-			defer wg.Done()
-			l.conn, errs[i] = t.Dial()
-		}()
+		if i > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.conn, errs[i] = t.Dial()
+			}()
+		}
 	}
+	p.lanes[0].conn, errs[0] = p.Transports[0].Dial()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -227,22 +231,23 @@ func (p *Pool) Start() error {
 			return fmt.Errorf("shard: connect lane %d (%s): %w", i, p.Transports[i].Name(), err)
 		}
 	}
-	p.work.L, p.settled.L = &p.mu, &p.mu
+	p.changed.L = &p.mu
 	p.closing = false
-	p.running.Add(len(p.lanes))
-	for _, l := range p.lanes {
+	p.running.Add(len(p.lanes) - 1)
+	for _, l := range p.lanes[1:] {
 		go p.runLane(l)
 	}
 	return nil
 }
 
-// Close stops the lanes and closes every lane's connection, which the
-// transport may keep for a later pool (see Conn.Close). It must not
-// race with Do. The pool can be restarted with Start afterwards.
+// Close stops the lane goroutines and closes every lane's connection,
+// which the transport may keep for a later pool (see Conn.Close). It
+// must not race with Do. The pool can be restarted with Start
+// afterwards.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closing = true
-	p.work.Broadcast()
+	p.changed.Broadcast()
 	p.mu.Unlock()
 	p.running.Wait()
 	for _, l := range p.lanes {
@@ -260,7 +265,8 @@ func (p *Pool) Close() {
 // batch and no lane still holds one of its jobs. Job i goes to lane i
 // and any further job to the first free lane; crashes and timeouts
 // requeue the affected job for any lane, so completion order never
-// affects the merged output.
+// affects the merged output. Do drives lane 0 itself until the batch
+// settles, waiting only while that lane has no job to take.
 func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -281,9 +287,11 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	}
 	p.queue, p.head = append(p.queue[:0], jobs[owned:]...), 0
 	p.results, p.left, p.err = results, len(jobs), nil
-	p.work.Broadcast()
+	p.changed.Broadcast()
 	for p.left > 0 && (p.err == nil || p.held > 0) {
-		p.settled.Wait()
+		if !p.step(p.lanes[0]) {
+			p.changed.Wait()
+		}
 	}
 	err := p.err
 	for _, l := range p.lanes {
@@ -297,58 +305,65 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	return results, nil
 }
 
-// runLane drives one lane from Start to Close: take its own job, or
-// else the shared queue's next, send it, receive its result, deliver
-// it — one job in flight. On any transport fault the job goes back to
-// the end of the shared queue and the connection is replaced;
-// evaluation is a pure function of the job, so a retry is
-// bit-identical wherever it lands. A dead lane, or a job out of
-// attempts, is evaluated in-process.
+// runLane drives lane l (one of lanes 1…) from Start to Close.
 func (p *Pool) runLane(l *lane) {
 	defer p.running.Done()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		for !p.closing && (p.err != nil || l.own == nil && p.head == len(p.queue)) {
-			p.work.Wait()
-		}
-		if p.closing {
-			return
-		}
-		job := l.own
-		if job != nil {
-			l.own = nil
-		} else {
-			job = p.queue[p.head]
-			p.queue[p.head] = nil
-			p.head++
-		}
-		p.held++
-		p.mu.Unlock()
-		res, err := p.serve(l, job)
-		p.mu.Lock()
-		p.held--
-		switch {
-		case err == nil && res.Err == "":
-			p.results[job.index] = res
-			p.left--
-		case err == nil:
-			p.fail(fmt.Errorf("shard: job %d failed: %s", job.ID, res.Err))
-		case errors.As(err, new(*RejectedError)), errors.Is(err, ErrNoHandshake) && !l.redialed:
-			p.fail(err)
-		default:
-			// A transport fault: the job goes back for any lane.
-			l.m.requeues.Inc()
-			p.queue = append(p.queue, job)
-			p.work.Signal()
-			p.mu.Unlock()
-			p.reconnect(l, err)
-			p.mu.Lock()
-		}
-		if p.left == 0 || p.err != nil && p.held == 0 {
-			p.settled.Signal()
+	for !p.closing {
+		if !p.step(l) {
+			p.changed.Wait()
 		}
 	}
+}
+
+// step runs one job on lane l, with p.mu held: take its own job, or
+// else the shared queue's next, send it, receive its result, deliver
+// it — one job in flight — and broadcast the change. It reports false,
+// having done nothing, when l has no job to take. On any transport
+// fault the job goes back to the end of the shared queue and the
+// connection is replaced; evaluation is a pure function of the job, so
+// a retry is bit-identical wherever it lands. A dead lane, or a job
+// out of attempts, is evaluated in-process.
+func (p *Pool) step(l *lane) bool {
+	job := l.own
+	switch {
+	case p.err != nil:
+		return false
+	case job != nil:
+		l.own = nil
+	case p.head < len(p.queue):
+		job = p.queue[p.head]
+		p.queue[p.head] = nil
+		p.head++
+	default:
+		return false
+	}
+	p.held++
+	p.mu.Unlock()
+	res, err := p.serve(l, job)
+	p.mu.Lock()
+	p.held--
+	switch {
+	case err == nil && res.Err == "":
+		p.results[job.index] = res
+		p.left--
+	case err == nil:
+		p.fail(fmt.Errorf("shard: job %d failed: %s", job.ID, res.Err))
+	case errors.As(err, new(*RejectedError)), errors.Is(err, ErrNoHandshake) && !l.redialed:
+		p.fail(err)
+	default:
+		// A transport fault: the job goes back for any lane, and one
+		// idle lane is woken to take it while this one redials.
+		l.m.requeues.Inc()
+		p.queue = append(p.queue, job)
+		p.changed.Signal()
+		p.mu.Unlock()
+		p.reconnect(l, err)
+		p.mu.Lock()
+	}
+	p.changed.Broadcast()
+	return true
 }
 
 // fail records the batch's first failure; p.mu is held.

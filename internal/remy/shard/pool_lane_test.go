@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,6 +391,94 @@ func TestPoolStartDialsLanesConcurrently(t *testing.T) {
 	pool.Close()
 }
 
+// goroutineID reads the calling goroutine's number from the
+// "goroutine N [running]:" header of its stack trace.
+func goroutineID() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// settledGoroutines counts goroutines once the count holds still for a
+// millisecond, so one an earlier test left on its way out is not
+// counted.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for range 100 {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestPoolLaneZeroRunsOnTheCaller records the goroutine of every Dial,
+// Send and Recv of a two-lane pool: lane 0's must all run on the
+// goroutine that called Start and Do, lane 1's on another. A one-lane
+// pool then starts no goroutine at all, from Start through twenty
+// batches to Close.
+func TestPoolLaneZeroRunsOnTheCaller(t *testing.T) {
+	caller := goroutineID()
+	var mu sync.Mutex
+	ran := [2]map[string]bool{{}, {}} // lane → goroutines of its calls
+	record := func(lane int) {
+		mu.Lock()
+		defer mu.Unlock()
+		ran[lane][goroutineID()] = true
+	}
+	pool := &Pool{Fallback: func(job *Job) (*Result, error) {
+		t.Error("fallback used; every lane is healthy")
+		return echoEval(job)
+	}}
+	for i := range ran {
+		pool.Transports = append(pool.Transports, &scriptTransport{mkConn: func(int) Conn {
+			record(i)
+			c := newScriptConn(-1)
+			c.onSend = func() { record(i) }
+			c.recvGate = func(int) error { record(i); return nil }
+			return c
+		}})
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		if _, err := pool.Do(testJobs(2, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Close()
+	if len(ran[0]) != 1 || !ran[0][caller] {
+		t.Fatalf("lane 0's calls ran on goroutines %v, want only the caller's (%s)", ran[0], caller)
+	}
+	if len(ran[1]) == 0 || ran[1][caller] {
+		t.Fatalf("lane 1's calls ran on goroutines %v, want none on the caller's (%s)", ran[1], caller)
+	}
+
+	before := settledGoroutines()
+	pool = &Pool{Transports: pool.Transports[:1], Fallback: echoEval}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("a one-lane pool's Start took the goroutine count from %d to %d", before, n)
+	}
+	for b := range 20 {
+		if _, err := pool.Do(testJobs(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("batch %d of a one-lane pool: %d goroutines, want %d", b, n, before)
+		}
+	}
+	pool.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("a one-lane pool's Close left %d goroutines, want %d", n, before)
+	}
+}
+
 // cannedConn answers each job with a result built before the batch, so
 // a round trip on it allocates nothing and a batch's allocations are
 // the pool's own.
@@ -404,9 +494,10 @@ func (c *cannedConn) Recv(time.Duration) (*Result, error) { return c.results[c.l
 func (c *cannedConn) Close() {}
 
 // TestPoolDoAllocatesOnlyItsResults pins a batch's cost to the pool:
-// its lanes live from Start to Close, so Do allocates the results
-// slice and nothing else — the same for one lane and one job as for
-// four lanes and sixteen jobs.
+// Do drives lane 0 itself and lanes 1… are goroutines that live from
+// Start to Close, so Do allocates the results slice and nothing else —
+// the same for one lane and one job as for four lanes and sixteen
+// jobs.
 func TestPoolDoAllocatesOnlyItsResults(t *testing.T) {
 	for _, shape := range []struct{ lanes, jobs int }{{1, 1}, {2, 2}, {2, 8}, {4, 16}} {
 		jobs := testJobs(shape.jobs, 1)

@@ -105,13 +105,12 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // trainer cuts a batch into one job per lane, sized for that lane's
 // worker, and Do hands job i to lane i. Jobs past the lane count, and
 // jobs requeued after a fault, wait in a shared queue for the first
-// free lane. A lane whose worker
-// crashes, writes garbage, or exceeds Timeout is reconnected and its
-// in-flight job requeued for any lane; a lane whose redial fails is
-// dead and evaluates in-process from then on, and after MaxAttempts
-// worker deliveries a job is evaluated in-process, so a batch always
-// completes with the same bits. A worker that rejects its connection
-// (RejectedError) fails the batch instead.
+// free lane. A lane whose worker crashes, writes garbage, or exceeds
+// Timeout is reconnected and its in-flight job requeued for any lane;
+// a lane whose redial fails is dead and evaluates in-process from then
+// on, and after MaxAttempts worker deliveries a job is evaluated
+// in-process, so a batch always completes with the same bits. A worker
+// that rejects its connection (RejectedError) fails the batch instead.
 //
 // Lane 0 is the caller's: Start dials it and Do drives it on the
 // calling goroutine; lanes 1… are goroutines that live from Start to
@@ -145,8 +144,8 @@ type Pool struct {
 	lanes   []*lane // built by Start; nil entries never occur
 	running sync.WaitGroup
 
-	// The batch in progress, guarded by mu. Every change is broadcast
-	// on changed, for idle lanes (Do's lane 0 included) to wait on.
+	// The batch in progress, guarded by mu. Idle lanes, Do's lane 0 too,
+	// wait on changed: broadcast as a batch starts or settles and on Close.
 	mu      sync.Mutex
 	changed sync.Cond
 	queue   []*Job    // jobs no lane owns or holds, taken from head
@@ -242,8 +241,7 @@ func (p *Pool) Start() error {
 
 // Close stops the lane goroutines and closes every lane's connection,
 // which the transport may keep for a later pool (see Conn.Close). It
-// must not race with Do. The pool can be restarted with Start
-// afterwards.
+// must not race with Do. The pool can be restarted with Start after.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closing = true
@@ -319,12 +317,11 @@ func (p *Pool) runLane(l *lane) {
 
 // step runs one job on lane l, with p.mu held: take its own job, or
 // else the shared queue's next, send it, receive its result, deliver
-// it — one job in flight — and broadcast the change. It reports false,
-// having done nothing, when l has no job to take. On any transport
-// fault the job goes back to the end of the shared queue and the
-// connection is replaced; evaluation is a pure function of the job, so
-// a retry is bit-identical wherever it lands. A dead lane, or a job
-// out of attempts, is evaluated in-process.
+// it — one job in flight. It reports false, having done nothing, when
+// l has no job to take. On any transport fault the job goes back to the
+// end of the shared queue and the connection is replaced; evaluation is
+// a pure function of the job, so a retry is bit-identical wherever it
+// lands. A dead lane, or a job out of attempts, is evaluated in-process.
 func (p *Pool) step(l *lane) bool {
 	job := l.own
 	switch {
@@ -362,7 +359,9 @@ func (p *Pool) step(l *lane) bool {
 		p.reconnect(l, err)
 		p.mu.Lock()
 	}
-	p.changed.Broadcast()
+	if p.left == 0 || p.err != nil && p.held == 0 {
+		p.changed.Broadcast() // the batch settled: wake Do
+	}
 	return true
 }
 

@@ -688,3 +688,58 @@ func TestPoolRequeuesLargerLanesJobToTheOther(t *testing.T) {
 		t.Fatal("a requeued batch's results differ from a fault-free batch's")
 	}
 }
+
+// TestPoolRequeueWakesTheCallersLane kills lane 1's connection with
+// its job in flight after lane 0, which Do's caller drives, has served
+// its own job and gone idle, and holds lane 1's redial until lane 0
+// has sent two jobs: the requeue must wake the caller, who waits on
+// the same Cond as the lane goroutines, to take the job.
+func TestPoolRequeueWakesTheCallersLane(t *testing.T) {
+	took := make(chan struct{})
+	caller := newScriptConn(-1)
+	caller.onSend = func() {
+		if len(caller.sends) == 2 {
+			close(took)
+		}
+	}
+	var crashed *scriptConn
+	other := &scriptTransport{mkConn: func(dial int) Conn {
+		if dial == 1 {
+			crashed = newScriptConn(0) // dies with its job in flight
+			crashed.recvGate = func(int) error {
+				for deadline := time.Now().Add(2 * time.Second); caller.sendCount() == 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(5 * time.Millisecond)
+				return nil
+			}
+			return crashed
+		}
+		select {
+		case <-took:
+		case <-time.After(2 * time.Second):
+		}
+		return newScriptConn(-1)
+	}}
+	pool := &Pool{
+		Transports: []Transport{&scriptTransport{mkConn: func(int) Conn { return caller }}, other},
+		Fallback: func(job *Job) (*Result, error) {
+			t.Error("fallback used; the requeue should have re-delivered the job")
+			return echoEval(job)
+		},
+	}
+	if err := pool.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	jobs := sharedJobs()
+	if _, err := pool.Do(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(caller.sendLog()), fmt.Sprint([]sendRecord{{id: jobs[0].ID}, {id: jobs[1].ID}}); got != want {
+		t.Fatalf("the caller's lane sent %s, want its own job, then the requeued one: %s", got, want)
+	}
+	if got := crashed.sendLog(); len(got) != 1 || got[0].id != jobs[1].ID {
+		t.Fatalf("lane 1's first connection sent %v, want its own job", got)
+	}
+}

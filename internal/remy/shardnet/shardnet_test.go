@@ -31,7 +31,7 @@ func echoEval(job *shard.Job) (*shard.Result, error) {
 // address. Test cleanup closes the listener and waits for Serve to
 // return, which ends its sessions, so a later test that gets the same
 // port cannot reach this server through a parked connection.
-func startServer(t *testing.T, srv *Server) string {
+func startServer(t testing.TB, srv *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,6 +84,35 @@ func TestPoolOverTCP(t *testing.T) {
 		if res.ID != jobs[i].ID || res.Scores[0] != float64(3*i) {
 			t.Fatalf("result %d = %+v (merge order or routing broken)", i, res)
 		}
+	}
+}
+
+// BenchmarkPoolDo times one pool batch over loopback TCP: one cheap
+// job per lane, each lane its own worker, so an operation is the
+// batch's round trips and the pool's hand-offs with no simulation in
+// them. lanes=1 is a one-address `remytrain -remotes` run; lanes=2 and
+// lanes=4 are runs with as many distinct addresses.
+func BenchmarkPoolDo(b *testing.B) {
+	for _, lanes := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			transports := make([]shard.Transport, lanes)
+			for i := range transports {
+				transports[i] = &Dialer{Addr: startServer(b, &Server{Eval: echoEval})}
+			}
+			pool := &shard.Pool{Transports: transports, Fallback: echoEval}
+			if err := pool.Start(); err != nil {
+				b.Fatalf("start: %v", err)
+			}
+			defer pool.Close()
+			jobs := testJobs(lanes, 3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := pool.Do(jobs); err != nil {
+					b.Fatalf("do: %v", err)
+				}
+			}
+		})
 	}
 }
 

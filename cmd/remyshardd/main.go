@@ -102,9 +102,10 @@ func run(args []string, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
-	var reg *telemetry.Registry
+	// The registry holds the server's one count of each event: -metrics
+	// serves it and the -v minute log reads it.
+	reg := telemetry.NewRegistry()
 	if *metricsF != "" {
-		reg = telemetry.NewRegistry()
 		// The slot cache keeps its own counters; polled Func metrics
 		// surface them on the same endpoint without double bookkeeping.
 		if cache != nil {
@@ -141,15 +142,15 @@ func run(args []string, stderr io.Writer) int {
 	prof.StopOnSignal(stopProf)
 	if *verbose {
 		srv.Log = func(f string, a ...any) { fmt.Fprintf(stderr, f+"\n", a...) }
+		jobs := reg.Counter("shardnet_server_jobs_total")
 		go func() {
 			for range time.Tick(time.Minute) {
-				st := srv.Stats()
 				if cache != nil {
 					cs := cache.Stats()
 					fmt.Fprintf(stderr, "remyshardd: %d jobs served, slot cache %d hits (%d from disk) / %d misses / %d entries\n",
-						st.Jobs, cs.Hits, cs.DiskHits, cs.Misses, cs.Entries)
+						jobs.Value(), cs.Hits, cs.DiskHits, cs.Misses, cs.Entries)
 				} else {
-					fmt.Fprintf(stderr, "remyshardd: %d jobs served (cache disabled)\n", st.Jobs)
+					fmt.Fprintf(stderr, "remyshardd: %d jobs served (cache disabled)\n", jobs.Value())
 				}
 			}
 		}()

@@ -168,9 +168,6 @@ func (r *RemyCC) Reinit(tree *Tree, mask SignalMask) {
 // simulated connection.
 func (r *RemyCC) RecordUsage(u *UsageStats) { r.usage = u }
 
-// Tree returns the protocol's whisker tree.
-func (r *RemyCC) Tree() *Tree { return r.tree }
-
 // LastVector returns the current memory point (the four congestion
 // signals), for tracing and inspection.
 func (r *RemyCC) LastVector() Vector { return r.memory.Vector() }

@@ -149,15 +149,6 @@ func (s *Sender) Reinit(alg cc.Algorithm, egress Deliverer) {
 	s.nextSendTime = 0
 }
 
-// Flow returns the sender's flow ID.
-func (s *Sender) Flow() int { return s.flow }
-
-// Algorithm returns the congestion-control algorithm (tests inspect it).
-func (s *Sender) Algorithm() cc.Algorithm { return s.alg }
-
-// On reports whether the sender currently has offered load.
-func (s *Sender) On() bool { return s.on }
-
 // Outstanding reports the number of packets between the cumulative ack
 // point and the highest sequence sent.
 func (s *Sender) Outstanding() int64 { return s.nextSeq - s.sndUna }

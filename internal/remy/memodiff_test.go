@@ -106,7 +106,7 @@ func TestShardedTrainDiskCacheDaemonRestart(t *testing.T) {
 		return c
 	}
 
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(diskCache())})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(diskCache())})
 	cold := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr}}
 	if got := trainBytes(t, cold); !bytes.Equal(got, want) {
 		t.Fatal("cold disk-cache training changed the trained tree")
@@ -115,7 +115,7 @@ func TestShardedTrainDiskCacheDaemonRestart(t *testing.T) {
 	// "Restart": a new server with an empty memory tier over the same
 	// directory, on a new port.
 	restarted := diskCache()
-	addr2, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(restarted)})
+	addr2 := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(restarted)})
 	warm := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr2}}
 	if got := trainBytes(t, warm); !bytes.Equal(got, want) {
 		t.Fatal("warm-restart training changed the trained tree")

@@ -13,7 +13,7 @@
 // byte-equality proofs keep holding. The JSON job/result encoding
 // behind Encode*(x, false) is the codec tests' oracle (codec_test.go
 // requires both encodings to decode to the same value); no transport
-// selects it.
+// selects it, and a worker's job reader, DecodeJobInto, refuses it.
 package shard
 
 import (
@@ -433,31 +433,33 @@ func HashJob(job *Job) Hash {
 }
 
 // DecodeJob decodes a job payload in either codec, reporting which one
-// carried it so the worker can reply in kind. A binary job's first
-// tree aliases the payload, and the trees rebuilt from edits share one
-// new buffer.
+// carried it. The JSON codec is the codec tests' oracle: a worker reads
+// jobs with DecodeJobInto, which refuses it. A binary job's first tree
+// aliases the payload, and the trees rebuilt from edits share one new
+// buffer.
 func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
+	if IsJSONPayload(payload) {
+		job = &Job{}
+		if err := unmarshalJSONFrame(payload, job); err != nil {
+			return nil, true, err
+		}
+		return job, true, nil
+	}
 	job, _, err = DecodeJobInto(payload, nil)
-	return job, IsJSONPayload(payload), err
+	return job, false, err
 }
 
-// DecodeJobInto is DecodeJob for a reader that keeps a tree buffer: it
-// rebuilds a binary job's trees after the first into buf's storage and
-// returns buf grown as needed, which the caller passes back with the
-// next job. Once the buffer has grown to the largest job's trees it
-// allocates no tree storage; the job's trees are valid until the next
-// call, and its first tree, its config and the rest of its bytes until
-// the payload's storage is reused. It refuses an edit that is not the
-// canonical one (treeEdit), so every binary job it accepts re-encodes
-// to the payload it came from.
+// DecodeJobInto decodes a binary job payload, the only job codec a
+// worker's socket reads (a JSON payload fails the magic check), for a
+// reader that keeps a tree buffer: it rebuilds the job's trees after
+// the first into buf's storage and returns buf grown as needed, which
+// the caller passes back with the next job. Once the buffer has grown
+// to the largest job's trees it allocates no tree storage; the job's
+// trees are valid until the next call, and its first tree, its config
+// and the rest of its bytes until the payload's storage is reused. It
+// refuses an edit that is not the canonical one (treeEdit), so every
+// job it accepts re-encodes to the payload it came from.
 func DecodeJobInto(payload, buf []byte) (*Job, []byte, error) {
-	if IsJSONPayload(payload) {
-		job := &Job{}
-		if err := unmarshalJSONFrame(payload, job); err != nil {
-			return nil, buf, err
-		}
-		return job, buf, nil
-	}
 	c := &cursor{b: payload}
 	if m := c.u32("magic"); c.err == nil && m != jobMagic {
 		return nil, buf, fmt.Errorf("shard: bad job magic %#x", m)

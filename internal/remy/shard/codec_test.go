@@ -351,12 +351,11 @@ func TestDecodeBoundsCountsByRemainingBytes(t *testing.T) {
 	}
 }
 
-// FuzzDecodeJob feeds arbitrary payloads to the job decoder — the
-// first thing a worker daemon runs on bytes from a socket. It must
-// never panic, and whatever it accepts must survive re-encoding: a
-// binary payload re-encodes to itself byte for byte, and any accepted
-// job (JSON ones included) decodes back from its binary encoding
-// unchanged.
+// FuzzDecodeJob feeds arbitrary payloads to DecodeJobInto, the job
+// reader a worker daemon runs on bytes from a socket, decoding into a
+// buffer a last job left. It must never panic and must refuse every
+// JSON payload; whatever binary payload it accepts, DecodeJob decodes
+// to the same job, and it re-encodes to the payload byte for byte.
 func FuzzDecodeJob(f *testing.F) {
 	r := rand.New(rand.NewSource(4))
 	for _, job := range append(testJobs(2, 3), randJob(r), randJob(r), randJob(r)) {
@@ -369,27 +368,29 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		job, _, err := DecodeJob(payload)
+		job, _, err := DecodeJobInto(payload, []byte("the last job's trees"))
+		if IsJSONPayload(payload) {
+			if err == nil {
+				t.Fatalf("the socket's job reader accepted a JSON payload: %+v", job)
+			}
+			return
+		}
+		want, _, werr := DecodeJob(payload)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeJobInto says %v where DecodeJob says %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !jobsEqual(job, want) {
+			t.Fatalf("DecodeJobInto gives %+v; DecodeJob %+v", job, want)
 		}
 		wire, err := EncodeJob(job, true)
 		if err != nil {
 			t.Fatalf("accepted job does not re-encode: %v", err)
 		}
-		if !IsJSONPayload(payload) && !bytes.Equal(wire, payload) {
+		if !bytes.Equal(wire, payload) {
 			t.Fatalf("binary job re-encodes differently:\n got %x\nwant %x", wire, payload)
-		}
-		if !IsJSONPayload(payload) {
-			// A worker session decodes into a buffer the last job left.
-			again, _, err := DecodeJobInto(payload, []byte("the last job's trees"))
-			if err != nil || !jobsEqual(again, job) {
-				t.Fatalf("decoding into a used buffer gives %+v, %v; want %+v", again, err, job)
-			}
-		}
-		back, _, err := DecodeJob(wire)
-		if err != nil || !jobsEqual(back, job) {
-			t.Fatalf("re-encoded job decodes to %+v, %v; want %+v", back, err, job)
 		}
 	})
 }

@@ -97,6 +97,10 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 	return res, nil
 }
 
+// maxAttempts is the number of worker deliveries per job before a
+// pool evaluates it in-process.
+const maxAttempts = 3
+
 // Pool fans shard jobs out over a fixed set of worker lanes and merges
 // results by batch position, so the caller sees deterministic output
 // regardless of which lane finished which job when. Each lane is one
@@ -108,9 +112,9 @@ func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
 // free lane. A lane whose worker crashes, writes garbage, or exceeds
 // Timeout is reconnected and its in-flight job requeued for any lane;
 // a lane whose redial fails is dead and evaluates in-process from then
-// on, and after MaxAttempts worker deliveries a job is evaluated
-// in-process, so a batch always completes with the same bits. A worker
-// that rejects its connection (RejectedError) fails the batch instead.
+// on, and after three worker deliveries a job is evaluated in-process,
+// so a batch always completes with the same bits. A worker that
+// rejects its connection (RejectedError) fails the batch instead.
 //
 // Lane 0 is the caller's: Start dials it and Do drives it on the
 // calling goroutine; lanes 1… are goroutines that live from Start to
@@ -130,9 +134,6 @@ type Pool struct {
 	// means no limit. An expired wait tears the connection down and
 	// requeues the lane's job.
 	Timeout time.Duration
-	// MaxAttempts is the number of worker deliveries per job before
-	// the pool falls back to in-process evaluation (default 3).
-	MaxAttempts int
 	// Metrics, when non-nil, receives per-lane fabric metrics under
 	// names labeled lane="<index>:<transport name>":
 	// shard_lane_jobs_total, shard_lane_job_ns (job latency),
@@ -196,9 +197,6 @@ func mkLaneMetrics(reg *telemetry.Registry, i int, name string) laneMetrics {
 // returned (the lowest failing lane's error): a dead remote should
 // fail loudly at startup, not degrade silently.
 func (p *Pool) Start() error {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
 	if p.Fallback == nil {
 		return fmt.Errorf("shard: pool needs a Fallback evaluator")
 	}
@@ -377,7 +375,7 @@ func (p *Pool) fail(err error) {
 // fault or a rejected connection is an error; an evaluation failure is
 // the result's Err.
 func (p *Pool) serve(l *lane, job *Job) (*Result, error) {
-	if l.conn == nil || job.attempts >= p.MaxAttempts {
+	if l.conn == nil || job.attempts >= maxAttempts {
 		l.m.jobs.Inc()
 		l.m.fallbacks.Inc()
 		res, err := p.Fallback(job)

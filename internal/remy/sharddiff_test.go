@@ -52,8 +52,8 @@ func inProcessBytes(t *testing.T, seed uint64) []byte {
 // TCP workers and requires each tree byte-equal to want.
 func requireRemotesBitEqual(t *testing.T, cfg Config, seed uint64, want []byte) {
 	t.Helper()
-	a, _ := startTCPWorker(t, nil)
-	b, _ := startTCPWorker(t, nil)
+	a := startTCPWorker(t, nil)
+	b := startTCPWorker(t, nil)
 	for _, remotes := range [][]string{{a}, {a, b}} {
 		if got := trainBytes(t, &Trainer{Cfg: cfg, Seed: seed, Remotes: remotes}); !bytes.Equal(got, want) {
 			t.Fatalf("training over %d TCP worker lanes changed the trained tree", len(remotes))
@@ -71,8 +71,8 @@ func TestShardedTrainRequeuesKilledWorker(t *testing.T) {
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
-	a, _ := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
-	b, _ := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
+	a := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
+	b := startTCPWorker(t, &shardnet.Server{DieAfter: 3})
 	tr := &Trainer{
 		Cfg:          tinyConfig(),
 		Seed:         seed,

@@ -17,6 +17,10 @@ import (
 // of hanging a Send forever.
 const clientWriteTimeout = time.Minute
 
+// dialTimeout bounds the TCP connect, and the wait for the worker's
+// welcome on a new connection's first Recv.
+const dialTimeout = 5 * time.Second
+
 // Dialer is the client half of the TCP transport and the one
 // shard.Transport a trainer uses: `remytrain -remotes host:port,...`
 // makes one pool lane per distinct worker daemon address. Dial takes
@@ -27,9 +31,6 @@ const clientWriteTimeout = time.Minute
 type Dialer struct {
 	// Addr is the worker daemon's host:port.
 	Addr string
-	// DialTimeout bounds the TCP connect, and the wait for the
-	// worker's welcome on the first Recv (default 5s).
-	DialTimeout time.Duration
 	// Metrics, when non-nil, records the worker's heartbeat cadence as
 	// observed by this client: the gap between consecutive heartbeat
 	// frames while a job is running, in a histogram labeled by worker
@@ -48,15 +49,11 @@ type Dialer struct {
 func (d *Dialer) Dial() (shard.Conn, error) {
 	c := unpark(d.Addr)
 	if c == nil {
-		timeout := d.DialTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
-		nc, err := net.DialTimeout("tcp", d.Addr, timeout)
+		nc, err := net.DialTimeout("tcp", d.Addr, dialTimeout)
 		if err != nil {
 			return nil, err
 		}
-		c = newTCPConn(nc, d.Addr, timeout)
+		c = newTCPConn(nc, d.Addr, dialTimeout)
 	}
 	c.hbGap, c.lastHB = nil, time.Time{}
 	if d.Metrics != nil {

@@ -62,8 +62,9 @@ func firstWrite(t testing.TB, job *shard.Job) []byte {
 // fuzzStreams returns byte streams a client could send a worker, built
 // from real frames: a hello, jobs with the config inline, by hash after
 // it crossed, by hash when it never did, and frames a client never
-// sends (a heartbeat, a result, a stale hello). A dialed connection's
-// first write, the hello with the first job behind it, opens one.
+// sends (a heartbeat, a result, a stale hello, a JSON job). A dialed
+// connection's first write, the hello with the first job behind it,
+// opens one.
 func fuzzStreams(t testing.TB) [][]byte {
 	cfg := []byte(`{"Delta":1}`)
 	other := []byte(`{"Delta":2}`)
@@ -78,6 +79,10 @@ func fuzzStreams(t testing.TB) [][]byte {
 	unshipped := frame(t, job(3, nil, shard.HashBytes(other)))
 	plain := frame(t, testJobs(1, 1)[0])
 	corrupt := frame(t, job(4, other, shard.HashBytes(cfg)))
+	var jsonJob bytes.Buffer
+	if err := shard.WriteFrame(&jsonJob, job(5, cfg, shard.HashBytes(cfg))); err != nil {
+		t.Fatal(err)
+	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	return [][]byte{
 		hi,
@@ -93,6 +98,7 @@ func fuzzStreams(t testing.TB) [][]byte {
 		frame(t, &hello{Magic: "not-shardnet", Version: shard.ProtocolVersion}),
 		cat(hi, plain[:len(plain)-3]),
 		cat(firstWrite(t, job(1, cfg, shard.HashBytes(cfg))), byHash),
+		cat(hi, jsonJob.Bytes(), plain),
 	}
 }
 

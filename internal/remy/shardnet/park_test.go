@@ -337,7 +337,7 @@ func TestDeadRemoteFailsStartDespiteParkedConnection(t *testing.T) {
 	}
 	rl.Close()
 	waitSessionsEnded(t, srv)
-	pool := &shard.Pool{Transports: []shard.Transport{&Dialer{Addr: addr, DialTimeout: time.Second}}, Fallback: echoEval}
+	pool := &shard.Pool{Transports: []shard.Transport{&Dialer{Addr: addr}}, Fallback: echoEval}
 	if err := pool.Start(); err == nil {
 		pool.Close()
 		t.Fatal("pool.Start accepted a dead worker with a parked connection")

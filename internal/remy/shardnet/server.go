@@ -48,7 +48,8 @@ type Server struct {
 	// in the daemon — the slot-level result cache lives inside the
 	// evaluator, not the server). Required. Evaluation errors travel
 	// back as Result.Err; fully cache-served jobs arrive with
-	// Result.Cached set and are tallied in Stats().CacheHits.
+	// Result.Cached set and are counted in Metrics as
+	// shardnet_server_cache_hits_total.
 	Eval shard.Eval
 	// Heartbeat is the liveness interval while a job evaluates
 	// (default DefaultHeartbeat). Clients count any frame as liveness,
@@ -71,12 +72,9 @@ type Server struct {
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, records the worker's fabric series:
 	// connection count, jobs served, cache hits, heartbeats sent, and a
-	// job evaluation-latency histogram —
-	// cmd/remyshardd serves them on `-metrics`. Set it before Serve.
+	// job evaluation-latency histogram — cmd/remyshardd serves them on
+	// `-metrics` and logs the job count under `-v`. Set it before Serve.
 	Metrics *telemetry.Registry
-
-	jobs      atomic.Uint64 // jobs answered (cache hits included)
-	cacheHits atomic.Uint64 // jobs answered entirely from the cache
 
 	mOnce sync.Once
 	m     serverMetrics
@@ -111,19 +109,6 @@ func (s *Server) metrics() *serverMetrics {
 		}
 	})
 	return &s.m
-}
-
-// ServerStats counts a server's lifetime traffic.
-type ServerStats struct {
-	// Jobs is the number of jobs answered, cache hits included.
-	Jobs uint64
-	// CacheHits is the number of jobs answered from the cache.
-	CacheHits uint64
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{Jobs: s.jobs.Load(), CacheHits: s.cacheHits.Load()}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -314,7 +299,6 @@ func (s *Server) ServeConn(nc net.Conn) {
 			return
 		}
 		served++
-		s.jobs.Add(1)
 		m.jobs.Inc()
 	}
 }
@@ -377,7 +361,6 @@ func (s *Server) evalJob(sn *session, job *shard.Job) (*shard.Result, error) {
 	}
 	res.ID = job.ID
 	if res.Cached {
-		s.cacheHits.Add(1)
 		m.cacheHits.Inc()
 	}
 	return res, nil

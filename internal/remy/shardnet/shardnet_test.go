@@ -425,24 +425,26 @@ func handshake(t *testing.T, addr string) net.Conn {
 	return nc
 }
 
-// TestServerAnswersJSONJobInBinary pins the one result wire on the
-// server side: the job decoder still accepts a JSON-encoded job (the
-// codec tests' oracle encoding), but the worker never echoes that
-// codec back — the answer is a binary frame.
-func TestServerAnswersJSONJobInBinary(t *testing.T) {
-	nc := handshake(t, startServer(t, &Server{Eval: echoEval}))
+// TestServerRefusesJSONJob writes a JSON-encoded job (the codec
+// tests' oracle encoding) on a handshaken session: a worker reads
+// binary jobs only, so the session ends without an answer and the job
+// never reaches the evaluator.
+func TestServerRefusesJSONJob(t *testing.T) {
+	var evals atomic.Int64
+	counting := func(job *shard.Job) (*shard.Result, error) {
+		evals.Add(1)
+		return echoEval(job)
+	}
+	nc := handshake(t, startServer(t, &Server{Eval: counting}))
 	if err := shard.WriteFrame(nc, testJobs(1, 2)[0]); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := shard.ReadPayload(nc)
-	if err != nil {
-		t.Fatal(err)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if payload, err := shard.ReadPayload(nc); err != io.EOF {
+		t.Fatalf("worker answered a JSON job with %q, %v; want end-of-stream", payload, err)
 	}
-	if shard.IsJSONPayload(payload) {
-		t.Fatalf("worker answered a JSON job in JSON: %s", payload)
-	}
-	if res, err := shard.DecodeResult(payload); err != nil || res.ID != 100 || len(res.Scores) != 2 {
-		t.Fatalf("binary answer = %+v, %v", res, err)
+	if evals.Load() != 0 {
+		t.Fatal("the server evaluated a JSON job")
 	}
 }
 
@@ -648,7 +650,8 @@ func TestServerDieAfterReconnectAndRequeue(t *testing.T) {
 	// Every connection dies after two jobs (the third is read and
 	// dropped mid-flight), so the pool must reconnect and requeue
 	// repeatedly; the batch still completes in order without the
-	// fallback.
+	// fallback. No job needs more than the pool's three deliveries:
+	// the one dropped twice is served by the fourth connection.
 	var evals atomic.Int64
 	counting := func(job *shard.Job) (*shard.Result, error) {
 		evals.Add(1)
@@ -659,9 +662,6 @@ func TestServerDieAfterReconnectAndRequeue(t *testing.T) {
 		Transports: []shard.Transport{&Dialer{Addr: addr}},
 		Fallback:   echoEval,
 		Timeout:    5 * time.Second,
-		// Generous: each delivery that dies mid-flight burns an
-		// attempt, and the batch needs several reconnect cycles.
-		MaxAttempts: 10,
 	}
 	if err := pool.Start(); err != nil {
 		t.Fatal(err)
@@ -721,7 +721,7 @@ func TestPoolFallsBackWhenWorkerGoneForGood(t *testing.T) {
 	})
 
 	pool := &shard.Pool{
-		Transports: []shard.Transport{&Dialer{Addr: ln.Addr().String(), DialTimeout: time.Second}},
+		Transports: []shard.Transport{&Dialer{Addr: ln.Addr().String()}},
 		Fallback:   echoEval,
 		Timeout:    5 * time.Second,
 	}
@@ -771,8 +771,8 @@ func cachingEval(c *Cache, evals *atomic.Int64) shard.Eval {
 
 func TestCacheServesRepeatVerbatim(t *testing.T) {
 	var evals atomic.Int64
-	srv := &Server{Eval: cachingEval(NewCache(0), &evals)}
-	addr := startServer(t, srv)
+	reg := telemetry.NewRegistry()
+	addr := startServer(t, &Server{Eval: cachingEval(NewCache(0), &evals), Metrics: reg})
 	conn, err := (&Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -813,12 +813,13 @@ func TestCacheServesRepeatVerbatim(t *testing.T) {
 		t.Fatalf("evaluator ran %d times, want 1", evals.Load())
 	}
 	// The server counts a job after it has written the reply, so the
-	// second one may not be in Stats yet when the reply arrives here.
-	for deadline := time.Now().Add(time.Second); srv.Stats().Jobs < 2 && time.Now().Before(deadline); {
+	// second one may not be counted yet when the reply arrives here.
+	jobs, hits := reg.Counter("shardnet_server_jobs_total"), reg.Counter("shardnet_server_cache_hits_total")
+	for deadline := time.Now().Add(time.Second); jobs.Value() < 2 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if st := srv.Stats(); st.CacheHits != 1 || st.Jobs != 2 {
-		t.Fatalf("server stats = %+v", st)
+	if jobs.Value() != 2 || hits.Value() != 1 {
+		t.Fatalf("server counted %d jobs and %d cache hits, want 2 and 1", jobs.Value(), hits.Value())
 	}
 }
 

@@ -34,9 +34,9 @@ import (
 )
 
 // startTCPWorker serves real shard jobs on a loopback listener and
-// returns its address and server (for stats). The heartbeat is fast so
+// returns its address. The heartbeat is fast so
 // tests with per-job timeouts exercise the liveness path.
-func startTCPWorker(t *testing.T, srv *shardnet.Server) (string, *shardnet.Server) {
+func startTCPWorker(t *testing.T, srv *shardnet.Server) string {
 	t.Helper()
 	if srv == nil {
 		srv = &shardnet.Server{}
@@ -60,7 +60,7 @@ func startTCPWorker(t *testing.T, srv *shardnet.Server) (string, *shardnet.Serve
 		ln.Close()
 		<-served // Serve ends its sessions before it returns
 	})
-	return ln.Addr().String(), srv
+	return ln.Addr().String()
 }
 
 // TestShardedTrainBitEqualTCP is the tentpole guarantee: training over
@@ -72,8 +72,8 @@ func TestShardedTrainBitEqualTCP(t *testing.T) {
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
-	a, _ := startTCPWorker(t, nil)
-	b, _ := startTCPWorker(t, nil)
+	a := startTCPWorker(t, nil)
+	b := startTCPWorker(t, nil)
 	for _, tc := range []struct {
 		name string
 		tr   *Trainer
@@ -101,7 +101,7 @@ type laneWorker struct {
 func startLaneWorker(t *testing.T) *laneWorker {
 	t.Helper()
 	w := &laneWorker{reg: telemetry.NewRegistry()}
-	w.addr, _ = startTCPWorker(t, &shardnet.Server{Metrics: w.reg, Eval: func(job *shard.Job) (*shard.Result, error) {
+	w.addr = startTCPWorker(t, &shardnet.Server{Metrics: w.reg, Eval: func(job *shard.Job) (*shard.Result, error) {
 		w.mu.Lock()
 		w.jobs = append(w.jobs, shard.Job{SlotLo: job.SlotLo, SlotHi: job.SlotHi, Workers: job.Workers})
 		w.mu.Unlock()
@@ -194,7 +194,7 @@ func TestTrainsShareOneWorkerConnection(t *testing.T) {
 	// A parked connection lasts one heartbeat interval: the default
 	// one, not startTCPWorker's fast one.
 	workerReg := telemetry.NewRegistry()
-	addr, _ := startTCPWorker(t, &shardnet.Server{Metrics: workerReg, Heartbeat: shardnet.DefaultHeartbeat})
+	addr := startTCPWorker(t, &shardnet.Server{Metrics: workerReg, Heartbeat: shardnet.DefaultHeartbeat})
 	for i, s := range searches {
 		reg := telemetry.NewRegistry()
 		tr := &Trainer{Cfg: s.cfg, Seed: s.seed, Remotes: []string{addr}, ShardWorkers: 1, Metrics: reg}
@@ -222,7 +222,7 @@ func TestRepeatedRemoteKilledMidGeneration(t *testing.T) {
 	const seed = 7
 	want := inProcessBytes(t, seed)
 	v := startVanishingWorker(t, 2, 2)
-	healthy, _ := startTCPWorker(t, nil)
+	healthy := startTCPWorker(t, nil)
 	tr := &Trainer{
 		Cfg:          tinyConfig(),
 		Seed:         seed,
@@ -241,7 +241,7 @@ func TestRepeatedRemoteKilledMidGeneration(t *testing.T) {
 // the lookup (which would take the daemon down), and the same
 // connection must then serve a good job.
 func TestTCPWorkerAnswersHoledTreeWithError(t *testing.T) {
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
 	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestTCPWorkerAnswersHoledTreeWithError(t *testing.T) {
 // same connection is served, and the bad config, sent again, is
 // rejected again.
 func TestTCPWorkerAnswersInvalidConfigWithError(t *testing.T) {
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
 	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestTCPWorkerAnswersCrasherConfigsWithError(t *testing.T) {
 	if err != nil || len(paths) < 5 {
 		t.Fatalf("crasher seeds: %v, %v", paths, err)
 	}
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
 	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestShardedTrainTCPWorkerKilledMidGeneration(t *testing.T) {
 	const seed = 7
 	want := inProcessBytes(t, seed)
 
-	healthy, _ := startTCPWorker(t, nil)
+	healthy := startTCPWorker(t, nil)
 	tr := &Trainer{
 		Cfg:          tinyConfig(),
 		Seed:         seed,
@@ -503,7 +503,7 @@ func (c *unshippedFirstConn) Send(job *shard.Job) error {
 // inline on the redialed connection and deliver the bits an inline,
 // in-process evaluation of the job gives.
 func TestUnshippedConfigIsReshippedOnRedial(t *testing.T) {
-	addr, _ := startTCPWorker(t, nil)
+	addr := startTCPWorker(t, nil)
 	cfg := tinyConfig()
 	cfg.Duration = 2 * units.Second
 	ncfg := cfg.normalize()
@@ -580,7 +580,8 @@ func TestShardedTrainTCPWarmCacheRerun(t *testing.T) {
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
-	addr, srv := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0))})
+	reg := telemetry.NewRegistry()
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(shardnet.NewCache(0)), Metrics: reg})
 
 	cold := &Trainer{Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr}}
 	if got := trainBytes(t, cold); !bytes.Equal(got, want) {
@@ -602,8 +603,8 @@ func TestShardedTrainTCPWarmCacheRerun(t *testing.T) {
 	if warmHits != warmTotal {
 		t.Logf("warm rerun: %d/%d results cached (cold run: %d/%d)", warmHits, warmTotal, coldHits, coldTotal)
 	}
-	if st := srv.Stats(); st.CacheHits == 0 {
-		t.Fatalf("worker served %d jobs but reported no cache hits", st.Jobs)
+	if reg.Counter("shardnet_server_cache_hits_total").Value() == 0 {
+		t.Fatalf("worker served %d jobs but counted no cache hits", reg.Counter("shardnet_server_jobs_total").Value())
 	}
 }
 
@@ -627,7 +628,7 @@ func TestSessionBufferReuseMatchesEvalShardJob(t *testing.T) {
 		}
 		return cached(job)
 	}
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: eval})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: eval})
 	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)
@@ -696,7 +697,7 @@ func TestSessionTreeBufferReuseMatchesEvalShardJob(t *testing.T) {
 		}
 		return cached(job)
 	}
-	addr, _ := startTCPWorker(t, &shardnet.Server{Eval: eval})
+	addr := startTCPWorker(t, &shardnet.Server{Eval: eval})
 	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
 	if err != nil {
 		t.Fatal(err)

@@ -271,9 +271,9 @@ func jobKey(job *shard.Job) shardnet.Key {
 // slot up independently, so a repeat sliced differently — another lane
 // count, a requeued job — still skips every simulation it has seen;
 // fresh results feed both tiers. Result.Cached is set only when the
-// whole job was served from cache, which is what
-// Server.Stats().CacheHits counts. A nil cache returns the plain
-// evaluator.
+// whole job was served from cache, which is what the worker's
+// shardnet_server_cache_hits_total counts. A nil cache returns the
+// plain evaluator.
 func CachedShardEval(c *shardnet.Cache) shard.Eval {
 	if c == nil {
 		return EvalShardJob

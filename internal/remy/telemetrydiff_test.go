@@ -64,8 +64,8 @@ func TestTelemetryInvisibleShardedLanes(t *testing.T) {
 	}
 	const seed = 7
 	want := inProcessBytes(t, seed)
-	a, _ := startTCPWorker(t, nil)
-	b, _ := startTCPWorker(t, nil)
+	a := startTCPWorker(t, nil)
+	b := startTCPWorker(t, nil)
 	var buf bytes.Buffer
 	tr := &Trainer{
 		Cfg: tinyConfig(), Seed: seed, Remotes: []string{a, b},
@@ -104,7 +104,7 @@ func TestTelemetryInvisibleTCP(t *testing.T) {
 	// The worker side is instrumented too: server metrics must not
 	// change what it computes.
 	reg := telemetry.NewRegistry()
-	addr, _ := startTCPWorker(t, &shardnet.Server{Metrics: reg})
+	addr := startTCPWorker(t, &shardnet.Server{Metrics: reg})
 	var buf bytes.Buffer
 	tr := &Trainer{
 		Cfg: tinyConfig(), Seed: seed, Remotes: []string{addr},

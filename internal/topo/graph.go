@@ -288,12 +288,6 @@ func (g *Graph) ReverseDelay(f int) units.Duration {
 	return g.PathProp(f)
 }
 
-// MinRTT is flow f's minimum possible round-trip time: forward
-// propagation plus the reverse-path delay.
-func (g *Graph) MinRTT(f int) units.Duration {
-	return g.PathProp(f) + g.ReverseDelay(f)
-}
-
 // FairShares is every flow's equal split of its path bottleneck, in
 // flow order: the minimum over the primary path's edges of the edge
 // rate divided by the number of flows that can traverse that edge (a

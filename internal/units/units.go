@@ -90,9 +90,6 @@ func (r Rate) TransmissionTime(bytes int) Duration {
 	return Duration(math.Round(float64(bytes) * 8 * float64(Second) / float64(r)))
 }
 
-// BytesPerSecond reports the rate in bytes per second.
-func (r Rate) BytesPerSecond() float64 { return float64(r) / 8 }
-
 // RateFromBytes computes the average rate that delivers the given number
 // of bytes over the given duration. It returns 0 if d is not positive.
 func RateFromBytes(bytes int64, d Duration) Rate {

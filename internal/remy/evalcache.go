@@ -3,9 +3,10 @@ package remy
 // In-process memoization for the evaluation plane: the trainer's slot
 // cache (the same content address the shard workers use, so the
 // redundancy inherent in hill-climbing — a move's neighbor set overlaps
-// the previous move's, and Train re-evaluates the current tree after
-// every optimization pass just to refresh whisker usage — is served
-// from memory instead of the simulator), and the two small derive-once
+// the previous move's — is served from memory instead of the
+// simulator; Train refreshes whisker usage only after a pass that moved
+// the tree and only where a later pass or the split reads it, see
+// Train), and the two small derive-once
 // memos evaluation leans on. Entries are byte-identical to fresh
 // evaluation by purity (the differential tests in memodiff_test.go hold
 // cached and uncached training byte-equal), so a cache changes where

@@ -174,8 +174,8 @@ func TestConcurrentTrainersOneCacheDir(t *testing.T) {
 // TestEvalCacheServesUsageRefresh pins the satellite guarantee that a
 // usage query against score-only entries re-evaluates (never nil or
 // stale usage), and that the re-evaluation upgrades the entries so the
-// *next* usage refresh of the same tree is served without a single
-// miss — the post-pass refresh in Train made free.
+// *next* usage query of the same tree is served without a single
+// miss.
 func TestEvalCacheServesUsageRefresh(t *testing.T) {
 	base := tinyConfig()
 	cfg := base.normalize()
@@ -242,9 +242,8 @@ func TestDrawMemoDerivesOnce(t *testing.T) {
 }
 
 // TestEvalCacheHitRateFloor asserts a floor on the cold-run hit rate
-// of a standard training: the hill-climb's neighbor overlap and the
-// post-pass usage refresh must make a measurable fraction of slots
-// free. A count, not a timing: the search is deterministic for a seed.
+// of a standard training: the hill-climb's neighbor overlap must make
+// a measurable fraction of slots free. A count, not a timing: the search is deterministic for a seed.
 func TestEvalCacheHitRateFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")

@@ -442,8 +442,11 @@ type Trainer struct {
 	shards *shard.Pool
 	shares []int
 	// shardJobID numbers jobs so results can be matched to requests
-	// across the wire.
+	// across the wire. jobStore holds one batch's jobs, one per lane,
+	// and jobs points at them; both are reused from batch to batch.
 	shardJobID uint64
+	jobStore   []shard.Job
+	jobs       []*shard.Job
 	// shardResults and shardCacheHits tally shard results merged and
 	// how many of them were served from worker-side caches (Train
 	// goroutine only; read via ShardCacheStats after Train).
@@ -825,19 +828,25 @@ func (t *Trainer) Train(b Budget) *remycc.Tree {
 		// Action optimization passes.
 		for pass := 0; pass < b.OptPasses; pass++ {
 			order := usageOrder(usage)
-			before := score
+			start := tree
 			for _, wi := range order {
 				tree, score = t.optimizeWhisker(cfg, tree, wi, resetW, score, gen, b.MovesPerWhisker)
 			}
-			// Refresh usage (and the reference score) for the next pass
-			// or the split decision. When the slot cache holds
-			// usage-bearing entries for the current tree — it does
-			// whenever no move was accepted since the last refresh —
-			// this re-evaluation is served entirely from memory instead
-			// of re-simulating every replica.
-			score, usage = t.evaluate(cfg, tree, gen)
-			if score <= before+improvementEpsilon {
+			// Every accepted move raises the score by more than
+			// improvementEpsilon, so a pass that moved nothing is the one
+			// that ends the passes, with tree, score and usage as they
+			// were. After a pass that moved the tree its usage is stale,
+			// and only the next pass's order and the split read it, so it
+			// is refreshed unless this was the last generation's last
+			// pass. The refresh cannot move the score: the accepted
+			// candidate's mean already adds the same per-replica floats
+			// in the same order, since on a replica the move could not
+			// change its run is the current tree's (optimizeWhisker).
+			if tree == start {
 				break
+			}
+			if gen < b.Generations || pass < b.OptPasses-1 {
+				_, usage = t.evaluate(cfg, tree, gen)
 			}
 		}
 

@@ -400,10 +400,15 @@ type jobHasher struct {
 var jobHashers = sync.Pool{New: func() any { return &jobHasher{h: sha256.New()} }}
 
 // HashJob returns sha256(EncodeJob(job, true)) without building the
-// payload: the fixed fields and edit heads pass through a small
-// scratch buffer, and the config, the first tree and each later tree's
-// edited middle stream into the hasher where they lie — about one
-// tree's bytes for a hill-climb batch's job.
+// payload. The fixed fields pass through a small scratch buffer and
+// the config streams into the hasher from the job's fields, so a caller
+// may change them first (remy's replay key zeroes ID and Workers and
+// drops the config for its hash). What follows the config — the trees
+// and the replica list — is hashed as it arrived when DecodeJobInto
+// decoded the job and its Trees and Reps are still the decoded ones
+// (the received bytes are the canonical encoding: the decoder refuses
+// any other); otherwise the first tree and each later tree's edited
+// middle stream into the hasher where they lie.
 func HashJob(job *Job) Hash {
 	jh := jobHashers.Get().(*jobHasher)
 	h := jh.h
@@ -411,20 +416,24 @@ func HashJob(job *Job) Hash {
 	b := appendJobHead(jh.buf[:0], job)
 	h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(job.Cfg))))
 	h.Write(job.Cfg)
-	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Trees))))
-	for i, tree := range job.Trees {
-		b := jh.buf[:0]
-		if i > 0 {
-			pre, suf := treeEdit(job.Trees[i-1], tree)
-			b = appendTreeEditHead(b, pre, suf)
-			tree = tree[pre : len(tree)-suf]
+	if job.asReceived() {
+		h.Write(job.rx.wire)
+	} else {
+		h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Trees))))
+		for i, tree := range job.Trees {
+			b := jh.buf[:0]
+			if i > 0 {
+				pre, suf := treeEdit(job.Trees[i-1], tree)
+				b = appendTreeEditHead(b, pre, suf)
+				tree = tree[pre : len(tree)-suf]
+			}
+			h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(tree))))
+			h.Write(tree)
 		}
-		h.Write(binary.LittleEndian.AppendUint32(b, uint32(len(tree))))
-		h.Write(tree)
-	}
-	h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Reps))))
-	for _, k := range job.Reps {
-		h.Write(appendI64(jh.buf[:0], int64(k)))
+		h.Write(binary.LittleEndian.AppendUint32(jh.buf[:0], uint32(len(job.Reps))))
+		for _, k := range job.Reps {
+			h.Write(appendI64(jh.buf[:0], int64(k)))
+		}
 	}
 	var sum Hash
 	copy(sum[:], h.Sum(jh.buf[:0]))
@@ -432,39 +441,68 @@ func HashJob(job *Job) Hash {
 	return sum
 }
 
-// DecodeJob decodes a job payload in either codec, reporting which one
-// carried it. The JSON codec is the codec tests' oracle: a worker reads
-// jobs with DecodeJobInto, which refuses it. A binary job's first tree
-// aliases the payload, and the trees rebuilt from edits share one new
-// buffer.
+// asReceived reports whether the bytes DecodeJobInto kept still encode
+// the job's trees and replica list: Trees holds the trees it decoded,
+// in place, and Reps the replicas the bytes end with.
+func (job *Job) asReceived() bool {
+	rx := &job.rx
+	if rx.wire == nil || len(job.Trees) != len(rx.trees) || len(rx.wire) != rx.repsAt+4+8*len(job.Reps) {
+		return false
+	}
+	for i, tree := range job.Trees {
+		if !sameBytes(tree, rx.trees[i]) {
+			return false
+		}
+	}
+	for i, k := range job.Reps {
+		if binary.LittleEndian.Uint64(rx.wire[rx.repsAt+4+8*i:]) != uint64(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBytes reports whether a and b are one view of the same bytes.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// DecodeJob decodes a job payload in either codec into a new Job,
+// reporting which codec carried it. The JSON codec is the codec tests'
+// oracle: a worker reads jobs with DecodeJobInto, which refuses it. A
+// binary job's first tree aliases the payload, and the trees rebuilt
+// from edits share one new buffer.
 func DecodeJob(payload []byte) (job *Job, jsonCodec bool, err error) {
+	job = &Job{}
 	if IsJSONPayload(payload) {
-		job = &Job{}
 		if err := unmarshalJSONFrame(payload, job); err != nil {
 			return nil, true, err
 		}
 		return job, true, nil
 	}
-	job, _, err = DecodeJobInto(payload, nil)
-	return job, false, err
+	if err := DecodeJobInto(payload, job); err != nil {
+		return nil, false, err
+	}
+	return job, false, nil
 }
 
-// DecodeJobInto decodes a binary job payload, the only job codec a
-// worker's socket reads (a JSON payload fails the magic check), for a
-// reader that keeps a tree buffer: it rebuilds the job's trees after
-// the first into buf's storage and returns buf grown as needed, which
-// the caller passes back with the next job. Once the buffer has grown
-// to the largest job's trees it allocates no tree storage; the job's
-// trees are valid until the next call, and its first tree, its config
-// and the rest of its bytes until the payload's storage is reused. It
-// refuses an edit that is not the canonical one (treeEdit), so every
-// job it accepts re-encodes to the payload it came from.
-func DecodeJobInto(payload, buf []byte) (*Job, []byte, error) {
+// DecodeJobInto decodes a binary job payload into job, the only job
+// codec a worker's socket reads (a JSON payload fails the magic check).
+// It overwrites every field and reuses the storage of job's Trees and
+// Reps and of the buffer job keeps for the trees it rebuilds from
+// edits, so a reader that decodes each job into the same Job allocates
+// nothing once that storage has grown to its largest job. The job's
+// rebuilt trees are valid until the next call; its first tree, its
+// config and the received bytes HashJob reads until the payload's
+// storage is reused. It refuses an edit that is not the canonical one
+// (treeEdit), so every job it accepts re-encodes to the payload it
+// came from. After an error the job's fields are unspecified.
+func DecodeJobInto(payload []byte, job *Job) error {
+	*job = Job{Trees: job.Trees[:0], Reps: job.Reps[:0], rx: received{trees: job.rx.trees[:0], tbuf: job.rx.tbuf}}
 	c := &cursor{b: payload}
 	if m := c.u32("magic"); c.err == nil && m != jobMagic {
-		return nil, buf, fmt.Errorf("shard: bad job magic %#x", m)
+		return fmt.Errorf("shard: bad job magic %#x", m)
 	}
-	job := &Job{}
 	job.ID = c.u64("id")
 	job.Version = int(c.i64("version"))
 	job.Seed = c.u64("seed")
@@ -487,14 +525,15 @@ func DecodeJobInto(payload, buf []byte) (*Job, []byte, error) {
 		if c.err == nil && job.CfgHash.IsZero() {
 			// The encoder writes flag 0 for the zero hash, so this frame
 			// has no canonical form.
-			return nil, buf, fmt.Errorf("shard: cfg_hash flag set on the zero hash")
+			return fmt.Errorf("shard: cfg_hash flag set on the zero hash")
 		}
 	default:
 		if c.err == nil {
-			return nil, buf, fmt.Errorf("shard: bad cfg_hash flag %d", flag)
+			return fmt.Errorf("shard: bad cfg_hash flag %d", flag)
 		}
 	}
 	job.Cfg = c.blob("cfg")
+	wire := c.off
 	// Each nested count is bounded by what the remaining bytes could
 	// hold at the element's minimum encoded size, so a corrupt count
 	// cannot allocate more than the frame it arrived in.
@@ -503,38 +542,44 @@ func DecodeJobInto(payload, buf []byte) (*Job, []byte, error) {
 		c.fail("tree count")
 	}
 	if c.err == nil && nTrees > 0 {
-		var err error
-		if job.Trees, buf, err = c.trees(nTrees, buf); err != nil {
-			return nil, buf, err
+		if err := c.trees(nTrees, job); err != nil {
+			return err
 		}
 	}
+	repsAt := c.off - wire
 	nReps := int(c.u32("replica count"))
 	if c.err == nil && nReps > (len(c.b)-c.off)/8 {
 		c.fail("replica count")
 	}
 	if c.err == nil && nReps > 0 {
-		job.Reps = make([]int, nReps)
+		job.Reps = slices.Grow(job.Reps, nReps)[:nReps]
 		for i := range job.Reps {
 			job.Reps[i] = int(c.i64("replica"))
 		}
 	}
 	if err := c.done(); err != nil {
-		return nil, buf, err
+		return err
 	}
-	return job, buf, nil
+	job.rx.wire, job.rx.repsAt = payload[wire:], repsAt
+	job.rx.trees = append(job.rx.trees, job.Trees...)
+	return nil
 }
 
-// trees reads a binary job's n trees: the first whole, aliasing the
-// payload, and each later one an edit of the tree before it, rebuilt
-// into buf. The rebuilt trees may total at most maxFrame bytes — what a
-// frame of whole trees could carry — so a short frame of edits cannot
-// make the reader build without bound. An edit that keeps more bytes
-// than the previous tree has, or is not the canonical one, is refused.
-func (c *cursor) trees(n int, buf []byte) ([][]byte, []byte, error) {
-	trees := make([][]byte, n)
+// trees reads a binary job's n trees into job.Trees: the first whole,
+// aliasing the payload, and each later one an edit of the tree before
+// it, rebuilt into job.rx.tbuf. The rebuilt trees may total at most
+// maxFrame bytes — what a frame of whole trees could carry — so a
+// short frame of edits cannot make the reader build without bound. An
+// edit that keeps more bytes than the previous tree has, or is not the
+// canonical one, is refused.
+func (c *cursor) trees(n int, job *Job) error {
+	trees := slices.Grow(job.Trees[:0], n)[:n]
+	clear(trees)
+	job.Trees = trees
 	first := c.blob("tree")
 	trees[0] = first
-	buf = buf[:0]
+	buf := job.rx.tbuf[:0]
+	defer func() { job.rx.tbuf = buf }()
 	// Hill-climb neighbours share the first tree's length: size for
 	// that, bounded by the edits the remaining bytes could hold.
 	if c.err == nil {
@@ -550,11 +595,11 @@ func (c *cursor) trees(n int, buf []byte) ([][]byte, []byte, error) {
 			break
 		}
 		if pre < 0 || suf < 0 || pre > len(prev) || suf > len(prev)-pre {
-			return nil, buf, fmt.Errorf("shard: tree %d keeps %d+%d bytes of a %d-byte tree", i, pre, suf, len(prev))
+			return fmt.Errorf("shard: tree %d keeps %d+%d bytes of a %d-byte tree", i, pre, suf, len(prev))
 		}
 		size := pre + len(mid) + suf
 		if total += size; total > maxFrame {
-			return nil, buf, fmt.Errorf("shard: job's trees exceed %d bytes", maxFrame)
+			return fmt.Errorf("shard: job's trees exceed %d bytes", maxFrame)
 		}
 		start := len(buf)
 		buf = append(buf, prev[:pre]...)
@@ -567,11 +612,11 @@ func (c *cursor) trees(n int, buf []byte) ([][]byte, []byte, error) {
 		shorter := min(len(prev), size)
 		if pre < shorter && prev[pre] == cur[pre] ||
 			suf < shorter-pre && prev[len(prev)-suf-1] == cur[size-suf-1] {
-			return nil, buf, fmt.Errorf("shard: tree %d's edit (%d, %d) is not canonical", i, pre, suf)
+			return fmt.Errorf("shard: tree %d's edit (%d, %d) is not canonical", i, pre, suf)
 		}
 		trees[i] = cur
 	}
-	return trees, buf, nil
+	return nil
 }
 
 // skip steps over n bytes the caller has bounded by what remains.
@@ -725,10 +770,11 @@ func checkFired(nFired, nScores int) error {
 	return nil
 }
 
-// DecodeResult decodes a result payload in either codec.
+// DecodeResult decodes a result payload in either codec into a new
+// Result.
 func DecodeResult(payload []byte) (*Result, error) {
+	res := &Result{}
 	if IsJSONPayload(payload) {
-		res := &Result{}
 		if err := unmarshalJSONFrame(payload, res); err != nil {
 			return nil, err
 		}
@@ -737,11 +783,25 @@ func DecodeResult(payload []byte) (*Result, error) {
 		}
 		return res, nil
 	}
-	res := &Result{}
-	if err := walkResult(payload, res); err != nil {
+	if err := DecodeResultInto(payload, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// DecodeResultInto decodes a binary result payload — the only result
+// codec a coordinator's socket reads — into res, overwriting every
+// field and reusing the storage of its Scores, Fired and usage frames,
+// so a reader that decodes each result into the same Result allocates
+// nothing once that storage has grown to its largest result (and a
+// result with an error, its Err). After an error res's fields are
+// unspecified.
+func DecodeResultInto(payload []byte, res *Result) error {
+	if IsJSONPayload(payload) {
+		return fmt.Errorf("shard: a JSON result is not a binary one")
+	}
+	res.stored = nil
+	return walkResult(payload, res)
 }
 
 // CheckResult reports whether DecodeResult accepts payload as a binary
@@ -753,8 +813,9 @@ func CheckResult(payload []byte) error {
 	return walkResult(payload, nil)
 }
 
-// walkResult reads a binary result payload into res, or with res nil
-// only checks it: both walks accept and refuse the same payloads.
+// walkResult reads a binary result payload into res, reusing its
+// storage, or with res nil only checks it: both walks accept and refuse
+// the same payloads.
 func walkResult(payload []byte, res *Result) error {
 	c := cursor{b: payload}
 	if m := c.u32("magic"); c.err == nil && m != resultMagic {
@@ -770,13 +831,14 @@ func walkResult(payload []byte, res *Result) error {
 		res.ID = id
 		res.Cached = flags&resultFlagCached != 0
 		res.Err = string(errBlob)
+		res.Scores, res.Usage, res.Fired = res.Scores[:0], res.Usage[:0], res.Fired[:0]
 	}
 	nScores := int(c.u32("score count"))
 	if c.err == nil && nScores > (len(c.b)-c.off)/8 {
 		c.fail("score count")
 	}
 	if c.err == nil && nScores > 0 && res != nil {
-		res.Scores = make([]float64, nScores)
+		res.Scores = slices.Grow(res.Scores, nScores)[:nScores]
 		for i := range res.Scores {
 			res.Scores[i] = math.Float64frombits(c.u64("score"))
 		}
@@ -798,27 +860,27 @@ func walkResult(payload []byte, res *Result) error {
 			c.skip(nw*whiskerSize, "usage")
 			continue
 		}
-		uf := UsageFrame{K: k}
-		if nw > 0 {
-			uf.Count = make([]int64, nw)
-			for j := range uf.Count {
-				uf.Count[j] = c.i64("usage counts")
-			}
-			uf.Sum = make([][remycc.NumSignals]float64, nw)
-			for j := range uf.Sum {
-				for d := 0; d < remycc.NumSignals; d++ {
-					uf.Sum[j][d] = math.Float64frombits(c.u64("usage sums"))
-				}
+		// The frame takes the storage of the one that stood here last.
+		res.Usage = slices.Grow(res.Usage, 1)[:len(res.Usage)+1]
+		uf := &res.Usage[len(res.Usage)-1]
+		uf.K = k
+		uf.Count = slices.Grow(uf.Count[:0], nw)[:nw]
+		for j := range uf.Count {
+			uf.Count[j] = c.i64("usage counts")
+		}
+		uf.Sum = slices.Grow(uf.Sum[:0], nw)[:nw]
+		for j := range uf.Sum {
+			for d := 0; d < remycc.NumSignals; d++ {
+				uf.Sum[j][d] = math.Float64frombits(c.u64("usage sums"))
 			}
 		}
-		res.Usage = append(res.Usage, uf)
 	}
 	nFired := int(c.u32("fired count"))
 	if c.err == nil && nFired > (len(c.b)-c.off)/8 {
 		c.fail("fired count")
 	}
 	if c.err == nil && nFired > 0 && res != nil {
-		res.Fired = make([]uint64, nFired)
+		res.Fired = slices.Grow(res.Fired, nFired)[:nFired]
 		for i := range res.Fired {
 			res.Fired[i] = c.u64("fired")
 		}

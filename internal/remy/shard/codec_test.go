@@ -353,9 +353,10 @@ func TestDecodeBoundsCountsByRemainingBytes(t *testing.T) {
 
 // FuzzDecodeJob feeds arbitrary payloads to DecodeJobInto, the job
 // reader a worker daemon runs on bytes from a socket, decoding into a
-// buffer a last job left. It must never panic and must refuse every
-// JSON payload; whatever binary payload it accepts, DecodeJob decodes
-// to the same job, and it re-encodes to the payload byte for byte.
+// Job a last job left. It must never panic and must refuse every JSON
+// payload; whatever binary payload it accepts, DecodeJob decodes to the
+// same job, it re-encodes to the payload byte for byte, and HashJob —
+// which hashes the bytes the decoder kept — is the payload's SHA-256.
 func FuzzDecodeJob(f *testing.F) {
 	r := rand.New(rand.NewSource(4))
 	for _, job := range append(testJobs(2, 3), randJob(r), randJob(r), randJob(r)) {
@@ -367,8 +368,20 @@ func FuzzDecodeJob(f *testing.F) {
 			f.Add(payload)
 		}
 	}
+	lastJob := randJob(r)
+	for len(lastJob.Trees) < 2 {
+		lastJob = randJob(r)
+	}
+	last, err := EncodeJob(lastJob, true)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		job, _, err := DecodeJobInto(payload, []byte("the last job's trees"))
+		job := &Job{}
+		if err := DecodeJobInto(last, job); err != nil {
+			t.Fatal(err)
+		}
+		err := DecodeJobInto(payload, job)
 		if IsJSONPayload(payload) {
 			if err == nil {
 				t.Fatalf("the socket's job reader accepted a JSON payload: %+v", job)
@@ -384,6 +397,9 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 		if !jobsEqual(job, want) {
 			t.Fatalf("DecodeJobInto gives %+v; DecodeJob %+v", job, want)
+		}
+		if got, want := HashJob(job), HashBytes(payload); got != want {
+			t.Fatalf("HashJob of the decoded job %s, sha256 of its payload %s", got, want)
 		}
 		wire, err := EncodeJob(job, true)
 		if err != nil {

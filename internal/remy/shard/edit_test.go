@@ -66,12 +66,12 @@ func editJobs(tb testing.TB) []struct {
 	}
 }
 
-// TestEditCodedJobsRoundTrip round-trips jobs of edit-coded trees, with
-// a fresh and with a reused tree buffer, and holds HashJob to the hash
-// of the encoding. A batch of neighbour trees must cross in about one
-// tree's bytes.
+// TestEditCodedJobsRoundTrip round-trips jobs of edit-coded trees, into
+// a fresh and into a reused Job, and holds HashJob to the hash of the
+// encoding, both of the job as built and of the job as decoded. A batch
+// of neighbour trees must cross in about one tree's bytes.
 func TestEditCodedJobsRoundTrip(t *testing.T) {
-	var buf []byte
+	reused := &Job{}
 	for _, tc := range editJobs(t) {
 		payload, err := EncodeJob(tc.job, true)
 		if err != nil {
@@ -84,13 +84,15 @@ func TestEditCodedJobsRoundTrip(t *testing.T) {
 		if err != nil || !jobsEqual(got, tc.job) {
 			t.Fatalf("%s: decodes to %+v, %v", tc.name, got, err)
 		}
-		// The buffer a worker session reuses from job to job.
-		got, buf, err = DecodeJobInto(payload, buf)
-		if err != nil || !jobsEqual(got, tc.job) {
-			t.Fatalf("%s: decodes into a reused buffer as %+v, %v", tc.name, got, err)
+		// The Job a worker session reuses from job to job.
+		if err := DecodeJobInto(payload, reused); err != nil || !jobsEqual(reused, tc.job) {
+			t.Fatalf("%s: decodes into a reused Job as %+v, %v", tc.name, reused, err)
 		}
-		if again, err := EncodeJob(got, true); err != nil || !bytes.Equal(again, payload) {
+		if again, err := EncodeJob(reused, true); err != nil || !bytes.Equal(again, payload) {
 			t.Fatalf("%s: the decoded job re-encodes differently", tc.name)
+		}
+		if got, want := HashJob(reused), Hash(sha256.Sum256(payload)); got != want {
+			t.Fatalf("%s: HashJob of the decoded job %s, sha256 of its payload %s", tc.name, got, want)
 		}
 		whole := 0
 		for _, tree := range tc.job.Trees {
@@ -101,6 +103,64 @@ func TestEditCodedJobsRoundTrip(t *testing.T) {
 			t.Fatalf("%d neighbour trees of %d bytes cross in a %d-byte job", len(tc.job.Trees), whole, len(payload))
 		}
 	}
+}
+
+// TestHashJobSeesChangedTrees changes a decoded job's trees and
+// replicas every way a caller could — a new Trees slice, one tree
+// replaced in place, a tree more or fewer, new Reps, one replica
+// changed in place — and requires HashJob to hash the job as it now is,
+// not the bytes that arrived.
+func TestHashJobSeesChangedTrees(t *testing.T) {
+	jobs := editJobs(t)
+	base, other := jobs[0].job, jobs[2].job
+	payload, err := EncodeJob(base, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(j *Job)
+	}{
+		{"new trees", func(j *Job) { j.Trees = other.Trees }},
+		{"copied trees", func(j *Job) {
+			j.Trees = append([][]byte(nil), j.Trees...)
+			j.Trees[1] = other.Trees[1]
+		}},
+		{"one tree in place", func(j *Job) { j.Trees[3] = other.Trees[0] }},
+		{"one tree more", func(j *Job) { j.Trees = append(j.Trees, other.Trees[0]) }},
+		{"one tree fewer", func(j *Job) { j.Trees = j.Trees[:len(j.Trees)-1] }},
+		{"no trees", func(j *Job) { j.Trees = nil }},
+		{"new reps", func(j *Job) { j.Reps = []int{0, 1, 2} }},
+		{"one rep fewer", func(j *Job) { j.Reps = j.Reps[1:] }},
+		{"no reps", func(j *Job) { j.Reps = nil }},
+		{"one rep in place", func(j *Job) { j.Reps[1] = 2 }},
+	} {
+		job := &Job{}
+		if err := DecodeJobInto(payload, job); err != nil {
+			t.Fatal(err)
+		}
+		tc.change(job)
+		built := &Job{}
+		*built = *job
+		built.rx = received{}
+		want := Hash(sha256.Sum256(mustEncode(t, built)))
+		if got := HashJob(job); got != want {
+			t.Fatalf("%s: HashJob %s, sha256 of the changed job's encoding %s", tc.name, got, want)
+		}
+		if got := HashJob(job); got == HashBytes(payload) {
+			t.Fatalf("%s: HashJob still hashes the received bytes", tc.name)
+		}
+	}
+}
+
+// mustEncode is EncodeJob in the binary codec for a job that encodes.
+func mustEncode(tb testing.TB, job *Job) []byte {
+	tb.Helper()
+	b, err := EncodeJob(job, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 // encodeEdit encodes a two-tree job whose second tree is the edit

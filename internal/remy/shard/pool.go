@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,15 +39,19 @@ type Conn interface {
 	// shardnet's tcpConn.Send). A failed Send leaves the connection
 	// unusable.
 	Send(job *Job) error
-	// Recv awaits the next result frame. The first Recv on a
-	// connection whose Dial only connected completes the handshake
-	// first: it reads the worker's welcome, and a refusal is a
-	// RejectedError. timeout, when positive, bounds the wait;
+	// Recv awaits the next result frame and decodes it into res,
+	// overwriting every field and reusing the storage of its slices
+	// (DecodeResultInto), so a caller that receives into the same
+	// Result each time allocates nothing in steady state. The first
+	// Recv on a connection whose Dial only connected completes the
+	// handshake first: it reads the worker's welcome, and a refusal is
+	// a RejectedError. timeout, when positive, bounds the wait;
 	// transports with heartbeats (shardnet) apply it to the silence
 	// between frames, so long jobs survive as long as the worker keeps
 	// proving liveness. An expired or failed Recv leaves the
-	// connection unusable — the pool discards it and redials.
-	Recv(timeout time.Duration) (*Result, error)
+	// connection unusable — the pool discards it and redials — and
+	// res's fields unspecified.
+	Recv(timeout time.Duration, res *Result) error
 	// Close ends the caller's use of the connection and fails any
 	// pending Recv. It may park an idle, healthy connection for a later
 	// Dial to the same worker instead of tearing it down (shardnet's
@@ -80,21 +85,31 @@ func (e *RejectedError) Error() string {
 // in-process, as after a failed redial.
 var ErrNoHandshake = errors.New("no handshake")
 
-// RoundTrip sends one job and awaits its result — one pool lane step,
-// also used by tests and one-shot tools. A result for another job
-// means the connection is broken and is an error.
+// RoundTrip sends one job and awaits its result in a new Result, for
+// tests and one-shot tools; a pool lane receives into a Result the pool
+// keeps. A result for another job means the connection is broken and
+// is an error.
 func RoundTrip(c Conn, job *Job, timeout time.Duration) (*Result, error) {
-	if err := c.Send(job); err != nil {
+	res := &Result{}
+	if err := roundTrip(c, job, timeout, res); err != nil {
 		return nil, err
-	}
-	res, err := c.Recv(timeout)
-	if err != nil {
-		return nil, err
-	}
-	if res.ID != job.ID {
-		return nil, fmt.Errorf("shard: worker answered job %d with a result for job %d", job.ID, res.ID)
 	}
 	return res, nil
+}
+
+// roundTrip is one pool lane step: send job, receive its result into
+// res.
+func roundTrip(c Conn, job *Job, timeout time.Duration, res *Result) error {
+	if err := c.Send(job); err != nil {
+		return err
+	}
+	if err := c.Recv(timeout, res); err != nil {
+		return err
+	}
+	if res.ID != job.ID {
+		return fmt.Errorf("shard: worker answered job %d with a result for job %d", job.ID, res.ID)
+	}
+	return nil
 }
 
 // maxAttempts is the number of worker deliveries per job before a
@@ -119,7 +134,9 @@ const maxAttempts = 3
 // Lane 0 is the caller's: Start dials it and Do drives it on the
 // calling goroutine; lanes 1… are goroutines that live from Start to
 // Close, so a one-worker pool starts none. A batch hands the lanes its
-// jobs through the pool's queue and allocates only its results.
+// jobs through the pool's queue, and a worker's result is received into
+// the Result the pool keeps for its batch position, so a steady batch
+// allocates nothing.
 type Pool struct {
 	// Transports holds one lane per entry, each dialing its own worker
 	// (shardnet TCP dialers). At least one is required. Dial failures
@@ -151,11 +168,17 @@ type Pool struct {
 	changed sync.Cond
 	queue   []*Job    // jobs no lane owns or holds, taken from head
 	head    int       // next job of queue to take
-	results []*Result // the batch's results, by batch position
+	results []*Result // the batch's results, by batch position; what Do returns
 	left    int       // jobs without a result
 	held    int       // jobs lanes are working on
 	err     error     // the batch's first failure
 	closing bool      // Close was called: lanes exit
+
+	// recv holds one Result per batch position, into which the lane
+	// serving that position's job receives the worker's answer; each is
+	// reused by the next batch. Only Do resizes it, before any lane
+	// takes a job.
+	recv []Result
 }
 
 // lane is one worker slot: its transport and its current connection
@@ -263,6 +286,11 @@ func (p *Pool) Close() {
 // requeue the affected job for any lane, so completion order never
 // affects the merged output. Do drives lane 0 itself until the batch
 // settles, waiting only while that lane has no job to take.
+//
+// The returned slice, and the Results a worker answered, are the
+// pool's: they stay valid until the next Do or Close, which reuse
+// them. A job evaluated in-process has whatever Result the Fallback
+// returned (decoded, if it was a stored one).
 func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -270,9 +298,13 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 	if len(p.lanes) == 0 {
 		return nil, fmt.Errorf("shard: Do on a pool that is not started")
 	}
-	results := make([]*Result, len(jobs))
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(p.recv) < len(jobs) {
+		p.recv = slices.Grow(p.recv, len(jobs)-len(p.recv))[:len(jobs)]
+	}
+	results := slices.Grow(p.results[:0], len(jobs))[:len(jobs)]
+	clear(results)
 	for i, job := range jobs {
 		job.index = i
 		job.attempts = 0
@@ -294,7 +326,7 @@ func (p *Pool) Do(jobs []*Job) ([]*Result, error) {
 		l.own = nil // a failed batch leaves jobs untaken
 	}
 	clear(p.queue)
-	p.queue, p.head, p.results, p.err = p.queue[:0], 0, nil, nil
+	p.queue, p.head, p.err = p.queue[:0], 0, nil
 	if err != nil {
 		return nil, err
 	}
@@ -393,8 +425,8 @@ func (p *Pool) serve(l *lane, job *Job) (*Result, error) {
 	if l.m.jobNanos != nil {
 		sent = time.Now()
 	}
-	res, err := RoundTrip(l.conn, job, p.Timeout)
-	if err != nil {
+	res := &p.recv[job.index]
+	if err := roundTrip(l.conn, job, p.Timeout, res); err != nil {
 		return nil, err
 	}
 	l.m.jobs.Inc()

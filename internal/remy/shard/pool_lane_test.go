@@ -106,19 +106,19 @@ func (c *scriptConn) Send(job *Job) error {
 	return nil
 }
 
-func (c *scriptConn) Recv(timeout time.Duration) (*Result, error) {
+func (c *scriptConn) Recv(timeout time.Duration, res *Result) error {
 	if c.recvGate != nil {
 		if err := c.recvGate(c.sendCount()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.serveBefore >= 0 && c.served >= c.serveBefore {
-		return nil, fmt.Errorf("script: connection died")
+		return fmt.Errorf("script: connection died")
 	}
 	if len(c.fifo) == 0 {
-		return nil, fmt.Errorf("script: Recv with nothing in flight")
+		return fmt.Errorf("script: Recv with nothing in flight")
 	}
 	job := c.fifo[0]
 	c.fifo = c.fifo[1:]
@@ -127,16 +127,18 @@ func (c *scriptConn) Recv(timeout time.Duration) (*Result, error) {
 		case len(job.Cfg) > 0:
 			c.held = job.CfgHash
 		case job.CfgHash != c.held:
-			return nil, fmt.Errorf("script: session closed on job %d for an unshipped config", job.ID)
+			return fmt.Errorf("script: session closed on job %d for an unshipped config", job.ID)
 		}
 	}
 	c.served++
 	if job.ID == c.failID {
-		return &Result{ID: job.ID, Err: "script: evaluation failed"}, nil
+		*res = Result{ID: job.ID, Err: "script: evaluation failed"}
+		return nil
 	}
-	res, _ := echoEval(job)
+	echo, _ := echoEval(job)
+	*res = *echo
 	res.ID = job.ID
-	return res, nil
+	return nil
 }
 
 func (c *scriptConn) Close() {
@@ -479,9 +481,9 @@ func TestPoolLaneZeroRunsOnTheCaller(t *testing.T) {
 	}
 }
 
-// cannedConn answers each job with a result built before the batch, so
-// a round trip on it allocates nothing and a batch's allocations are
-// the pool's own.
+// cannedConn answers each job with a copy of a result built before the
+// batch, decoded into the caller's Result the way a transport's Recv
+// does: into the storage its slices already have.
 type cannedConn struct {
 	results map[uint64]*Result // read-only, shared by every lane
 	last    uint64
@@ -489,16 +491,23 @@ type cannedConn struct {
 
 func (c *cannedConn) Send(job *Job) error { c.last = job.ID; return nil }
 
-func (c *cannedConn) Recv(time.Duration) (*Result, error) { return c.results[c.last], nil }
+func (c *cannedConn) Recv(_ time.Duration, res *Result) error {
+	want := c.results[c.last]
+	res.ID, res.Err, res.Cached = want.ID, want.Err, want.Cached
+	res.Scores = append(res.Scores[:0], want.Scores...)
+	res.Fired = append(res.Fired[:0], want.Fired...)
+	return nil
+}
 
 func (c *cannedConn) Close() {}
 
-// TestPoolDoAllocatesOnlyItsResults pins a batch's cost to the pool:
-// Do drives lane 0 itself and lanes 1… are goroutines that live from
-// Start to Close, so Do allocates the results slice and nothing else —
-// the same for one lane and one job as for four lanes and sixteen
-// jobs.
-func TestPoolDoAllocatesOnlyItsResults(t *testing.T) {
+// TestPoolDoAllocatesNothing pins a batch's cost to the pool: Do drives
+// lane 0 itself and lanes 1… are goroutines that live from Start to
+// Close, and each worker answer is received into the Result the pool
+// keeps for its batch position, so after the first batch Do allocates
+// nothing — the same for one lane and one job as for four lanes and
+// sixteen jobs.
+func TestPoolDoAllocatesNothing(t *testing.T) {
 	for _, shape := range []struct{ lanes, jobs int }{{1, 1}, {2, 2}, {2, 8}, {4, 16}} {
 		jobs := testJobs(shape.jobs, 1)
 		results := make(map[uint64]*Result, len(jobs))
@@ -519,13 +528,18 @@ func TestPoolDoAllocatesOnlyItsResults(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			got, err := pool.Do(jobs)
-			if err != nil || len(got) != len(jobs) || got[len(jobs)-1] != results[jobs[len(jobs)-1].ID] {
+			if err != nil || len(got) != len(jobs) {
 				t.Fatalf("batch = %v, %v", got, err)
+			}
+			for i, res := range got {
+				if want := results[jobs[i].ID]; !resultsEqual(res, want) {
+					t.Fatalf("job %d: result %+v, want %+v", i, res, want)
+				}
 			}
 		})
 		pool.Close()
-		if allocs != 1 {
-			t.Fatalf("%d lanes, %d jobs: %v allocations per batch, want 1 (the results)", shape.lanes, shape.jobs, allocs)
+		if allocs != 0 {
+			t.Fatalf("%d lanes, %d jobs: %v allocations per batch, want none", shape.lanes, shape.jobs, allocs)
 		}
 	}
 }

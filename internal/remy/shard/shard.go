@@ -106,6 +106,18 @@ type Job struct {
 	// attempts counts worker deliveries tried for this job
 	// (coordinator side only).
 	attempts int
+	// rx is what DecodeJobInto kept of the payload (worker side only).
+	rx received
+}
+
+// received is what DecodeJobInto keeps of a job's payload, so that
+// HashJob hashes the bytes that arrived instead of re-deriving each
+// tree's edit, and the storage it reuses for the next job.
+type received struct {
+	wire   []byte   // the payload from the tree count to the end; nil for a job not decoded
+	repsAt int      // the offset in wire of the replica count
+	trees  [][]byte // Trees as decoded, to tell whether the caller changed them
+	tbuf   []byte   // storage of the trees rebuilt from edits
 }
 
 // Result is a worker's answer to one Job.

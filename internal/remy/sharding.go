@@ -73,16 +73,22 @@ func (t *Trainer) shardWorkers() int {
 // count leaves the last lanes idle. Each job ships only the trees its
 // range touches and the batch's replica list; the worker addresses
 // tree ti at Trees[ti-TreeLo] and re-derives the draws from Seed and
-// Gen.
+// Gen. The jobs are built in storage the Trainer keeps, one Job per
+// lane, reused by the next batch.
 func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen int) []*shard.Job {
 	nr, nSlots, total := batch.nReps(), batch.hi, len(t.Remotes) // the shares sum to len(Remotes)
-	jobs := make([]*shard.Job, 0, len(t.shares))
+	if len(t.jobStore) < len(t.shares) {
+		t.jobStore = make([]shard.Job, len(t.shares))
+	}
+	jobs := t.jobs[:0]
 	for lo, lane := 0, 0; lo < nSlots; lane++ {
 		share := t.shares[lane]
 		hi := min(lo+(nSlots*share+total-1)/total, nSlots)
 		tiLo, tiHi := lo/nr, (hi-1)/nr
 		t.shardJobID++
-		jobs = append(jobs, &shard.Job{
+		job := &t.jobStore[lane]
+		jobs = append(jobs, job)
+		*job = shard.Job{
 			ID:       t.shardJobID,
 			Version:  shard.ProtocolVersion,
 			Seed:     t.Seed,
@@ -101,8 +107,9 @@ func (t *Trainer) shardJobs(batch *slotWork, cfgJSON []byte, gen int) []*shard.J
 			// has shipped this config (see shardnet's tcpConn.Send).
 			Cfg:     cfgJSON,
 			CfgHash: batch.cfgHash,
-		})
+		}
 		lo = hi
 	}
+	t.jobs = jobs
 	return jobs
 }

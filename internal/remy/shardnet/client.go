@@ -68,8 +68,9 @@ func (d *Dialer) Name() string { return d.Addr }
 // tcpConn is one worker connection. Until its first Send it owes the
 // worker a hello, and until its first Recv it awaits the welcome; a
 // refused handshake is kept and returned by every later call. Frames
-// are encoded into and read into buffers the connection owns, so a
-// steady-state round trip allocates only the decoded Result. A
+// are encoded into and read into buffers the connection owns, and a
+// result is decoded into the caller's Result, so a steady-state round
+// trip allocates nothing. A
 // connection that Close finds idle is parked for the next Dial to its
 // address rather than torn down.
 type tcpConn struct {
@@ -160,30 +161,31 @@ func (c *tcpConn) send(job *shard.Job) error {
 }
 
 // Recv awaits the next result frame, reading the welcome first on the
-// connection's first call. timeout, when positive, bounds the
-// *silence* between frames: the worker's heartbeats reset it, so a
-// long-running job survives any timeout longer than the heartbeat
-// interval while a dead or hung worker still trips it. A timeout below
-// twice the worker's advertised heartbeat interval is raised to that
-// floor — a silence bound shorter than the heartbeat period cannot
-// distinguish alive from dead and would otherwise make every job on
-// the lane time out, reconnect, and silently fall back in-process.
-func (c *tcpConn) Recv(timeout time.Duration) (*shard.Result, error) {
+// connection's first call, and decodes it into res. timeout, when
+// positive, bounds the *silence* between frames: the worker's
+// heartbeats reset it, so a long-running job survives any timeout
+// longer than the heartbeat interval while a dead or hung worker still
+// trips it. A timeout below twice the worker's advertised heartbeat
+// interval is raised to that floor — a silence bound shorter than the
+// heartbeat period cannot distinguish alive from dead and would
+// otherwise make every job on the lane time out, reconnect, and
+// silently fall back in-process.
+func (c *tcpConn) Recv(timeout time.Duration, res *shard.Result) error {
 	c.idle.Store(false)
-	res, err := c.recv(timeout)
+	err := c.recv(timeout, res)
 	c.spoiled = c.spoiled || err != nil || !c.owed || res.ID != c.want
 	c.owed = false
 	c.idle.Store(!c.spoiled)
-	return res, err
+	return err
 }
 
-func (c *tcpConn) recv(timeout time.Duration) (*shard.Result, error) {
+func (c *tcpConn) recv(timeout time.Duration, res *shard.Result) error {
 	if c.rejected != nil {
-		return nil, c.rejected
+		return c.rejected
 	}
 	if c.welcomeWait > 0 {
 		if err := c.readWelcome(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if timeout > 0 && timeout < 2*c.hb {
@@ -197,7 +199,7 @@ func (c *tcpConn) recv(timeout time.Duration) (*shard.Result, error) {
 		}
 		payload, err := shard.ReadPayloadInto(c.br, c.rbuf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.rbuf = payload
 		if shard.IsJSONPayload(payload) {
@@ -207,10 +209,10 @@ func (c *tcpConn) recv(timeout time.Duration) (*shard.Result, error) {
 			// is skipped the same way.
 			var rep reply
 			if err := shard.DecodeJSON(payload, &rep); err != nil {
-				return nil, err
+				return err
 			}
 			if rep.Kind != kindHeartbeat {
-				return nil, fmt.Errorf("shardnet: unexpected frame kind %q", rep.Kind)
+				return fmt.Errorf("shardnet: unexpected frame kind %q", rep.Kind)
 			}
 			if c.hbGap != nil {
 				now := time.Now()
@@ -222,7 +224,7 @@ func (c *tcpConn) recv(timeout time.Duration) (*shard.Result, error) {
 			continue
 		}
 		c.lastHB = time.Time{}
-		return shard.DecodeResult(payload)
+		return shard.DecodeResultInto(payload, res)
 	}
 }
 

@@ -185,15 +185,18 @@ func FuzzTCPConnRecv(f *testing.F) {
 			worker.Close()
 		}()
 		// Every successful Recv consumes at least one whole frame of at
-		// least five bytes.
+		// least five bytes. Results are received into one reused Result,
+		// as a pool lane receives them, and each must read as a fresh
+		// decode of its frame does.
+		var res shard.Result
 		for calls := 0; ; calls++ {
 			if calls > len(in)/5 {
 				t.Fatalf("%d results from %d bytes", calls, len(in))
 			}
-			res, err := c.Recv(5 * time.Second)
+			err := c.Recv(5*time.Second, &res)
 			var rej *shard.RejectedError
 			if errors.As(err, &rej) {
-				if _, again := c.Recv(time.Second); again != err {
+				if again := c.Recv(time.Second, &res); again != err {
 					t.Fatalf("Recv after a refused handshake = %v, want %v", again, err)
 				}
 				return
@@ -201,8 +204,14 @@ func FuzzTCPConnRecv(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if res == nil {
-				t.Fatal("Recv returned neither a result nor an error")
+			fresh, err := shard.DecodeResult(c.rbuf)
+			if err != nil {
+				t.Fatalf("Recv accepted a result DecodeResult refuses: %v", err)
+			}
+			a, _ := shard.EncodeResult(&res, true)
+			b, _ := shard.EncodeResult(fresh, true)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("result received into a reused Result %+v, decoded afresh %+v", res, fresh)
 			}
 		}
 	})

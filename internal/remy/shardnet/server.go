@@ -49,7 +49,9 @@ type Server struct {
 	// evaluator, not the server). Required. Evaluation errors travel
 	// back as Result.Err; fully cache-served jobs arrive with
 	// Result.Cached set and are counted in Metrics as
-	// shardnet_server_cache_hits_total.
+	// shardnet_server_cache_hits_total. The job it is handed, and every
+	// byte the job references, is the session's and is reused for the
+	// session's next job, so Eval must not keep either past its return.
 	Eval shard.Eval
 	// Heartbeat is the liveness interval while a job evaluates
 	// (default DefaultHeartbeat). Clients count any frame as liveness,
@@ -176,10 +178,11 @@ func (s *Server) Serve(l net.Listener) error {
 // busy is set while a job evaluates; the heartbeat goroutine writes
 // only then. cfg is the last config that arrived inline on the
 // connection, checked against its hash cfgHash; the job loop alone
-// touches them. Frames are read into rbuf, the trees a job's edits
-// rebuild into tbuf, and results encoded into wbuf, all reused for the
-// session's life: a decoded job aliases rbuf and tbuf, so nothing may
-// keep a job's bytes after its result is written, and cfg is a copy.
+// touches them. Frames are read into rbuf, each job decoded into job
+// (whose storage holds the trees its edits rebuild), and results
+// encoded into wbuf, all reused for the session's life: a decoded job
+// aliases rbuf and its own storage, so nothing may keep a job or its
+// bytes after its result is written, and cfg is a copy.
 type session struct {
 	nc   net.Conn
 	mu   sync.Mutex
@@ -189,7 +192,7 @@ type session struct {
 	cfgHash shard.Hash
 
 	rbuf []byte
-	tbuf []byte
+	job  shard.Job
 	wbuf []byte // guarded by mu
 }
 
@@ -279,9 +282,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 			return
 		}
 		sn.rbuf = payload
-		var job *shard.Job
-		job, sn.tbuf, err = shard.DecodeJobInto(payload, sn.tbuf)
-		if err != nil {
+		job := &sn.job
+		if err := shard.DecodeJobInto(payload, job); err != nil {
 			s.logf("shardnet: %s: disconnected: %v", nc.RemoteAddr(), err)
 			return
 		}

@@ -678,6 +678,73 @@ func TestSessionBufferReuseMatchesEvalShardJob(t *testing.T) {
 	serveTwiceMatchesEvalShardJob(t, cache, conn, jobs)
 }
 
+// TestWorkerReplayAllocatesOnlyTheResultHeader serves a run of jobs
+// once, filling the worker's replay tier, and then times round trips of
+// the same jobs over the same connection, each received into one reused
+// Result. The worker decodes every job into its session's Job, keys it
+// by the bytes it received and writes the stored result back as it is,
+// and the client allocates nothing, so a replayed job may allocate at
+// most the Result header the replay hands the session.
+func TestWorkerReplayAllocatesOnlyTheResultHeader(t *testing.T) {
+	cache := shardnet.NewCache(0)
+	// No heartbeat falls in a replay, so none is encoded or decoded.
+	addr := startTCPWorker(t, &shardnet.Server{Eval: CachedShardEval(cache), Heartbeat: time.Hour})
+	conn, err := (&shardnet.Dialer{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	cfg := tinyConfig()
+	ncfg := cfg.normalize()
+	cfgJSON, err := json.Marshal(&ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := remycc.NewTree().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trees [][]byte
+	for _, a := range neighbors(remycc.NewTree().Action(0)) {
+		trees = append(trees, remycc.AppendWithAction(nil, base, 0, a))
+	}
+	var jobs []*shard.Job
+	for i, reps := range [][]int{nil, {1}, {0}} {
+		nr := ncfg.Replicas
+		if len(reps) > 0 {
+			nr = len(reps)
+		}
+		jobs = append(jobs, &shard.Job{
+			ID: uint64(i + 1), Version: shard.ProtocolVersion, Seed: 3, Gen: 1, Replicas: ncfg.Replicas, Reps: reps,
+			UsageFor: -1, SlotLo: 0, SlotHi: len(trees) * nr, Trees: trees, Cfg: cfgJSON, CfgHash: shard.HashBytes(cfgJSON),
+		})
+	}
+	var res shard.Result
+	round := func() {
+		for _, job := range jobs {
+			if err := conn.Send(job); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Recv(time.Minute, &res); err != nil || res.ID != job.ID || res.Err != "" {
+				t.Fatalf("job %d: %+v, %v", job.ID, res, err)
+			}
+		}
+	}
+	round() // evaluates, and fills the replay tier
+	round()
+	if !res.Cached {
+		t.Fatal("the second round was not served from the replay tier")
+	}
+	if raceEnabled {
+		t.Skip("the replay key's hasher comes from a sync.Pool, which drops items at random under the race detector")
+	}
+	allocs := testing.AllocsPerRun(20, round) / float64(len(jobs))
+	t.Logf("%v allocations per replayed job", allocs)
+	if allocs > 1 {
+		t.Fatalf("a replayed job allocates %v times, want at most 1 (the Result header)", allocs)
+	}
+}
+
 // TestSessionTreeBufferReuseMatchesEvalShardJob is the same check for
 // the buffer a worker session rebuilds edit-coded trees into: jobs of
 // hill-climb neighbours of trees of one, two and three whiskers, and a

@@ -245,12 +245,14 @@ func EvalShardJob(job *shard.Job) (*shard.Result, error) {
 	return evalSlots(w, nil), nil
 }
 
-// jobKey is the whole-job replay address: the job re-encoded in the
-// binary codec with ID and Workers zeroed (the two fields that vary
+// jobKey is the whole-job replay address: the SHA-256 of the job's
+// binary encoding with ID and Workers zeroed (the two fields that vary
 // between identical evaluations and provably cannot affect scores) and
 // the config normalized to its hash, so an inline-config job and its
-// hash-only repeat share an address. shard.HashJob streams the
-// encoding into the hasher, so no copy of the job is built.
+// hash-only repeat share an address. shard.HashJob writes those head
+// fields from the struct and hashes a decoded job's trees and replica
+// list as the bytes it received — the canonical encoding, so the key is
+// the one a built job streams to — and no copy of the job is built.
 func jobKey(job *shard.Job) shardnet.Key {
 	j := *job
 	j.ID = 0

@@ -149,8 +149,12 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 // TestJobKeyMatchesEncodedJob holds the streamed replay key to its
 // definition, sha256 of the binary job with ID and Workers zeroed and
 // the config reduced to its hash, over random jobs, so replay entries
-// already on disk keep their addresses. It also checks that computing
-// the key allocates nothing.
+// already on disk keep their addresses. A worker keys the job it
+// decoded by the bytes it received, so each job is also encoded with
+// its config inline and, when it has a hash, hash-only, decoded the way
+// a worker session does (into one reused Job), and keyed again: the key
+// must not change. It also checks that computing the key allocates
+// nothing.
 func TestJobKeyMatchesEncodedJob(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	blob := func(max int) []byte {
@@ -158,6 +162,7 @@ func TestJobKeyMatchesEncodedJob(t *testing.T) {
 		r.Read(b)
 		return b
 	}
+	decoded := &shard.Job{}
 	for i := 0; i < 500; i++ {
 		job := &shard.Job{
 			ID: r.Uint64(), Version: r.Intn(5), Seed: r.Uint64(), Gen: r.Intn(100) - 1,
@@ -191,11 +196,32 @@ func TestJobKeyMatchesEncodedJob(t *testing.T) {
 		if got := shard.HashJob(job); got != shard.HashBytes(mustEncodeJob(t, job)) {
 			t.Fatalf("job %d: HashJob differs from the hash of EncodeJob", i)
 		}
+		for _, inline := range []bool{true, false} {
+			if !inline && job.CfgHash.IsZero() {
+				continue // a hash-only job needs a hash
+			}
+			frame, err := shard.AppendJobFrame(nil, job, inline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := shard.DecodeJobInto(frame[4:], decoded); err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+			if got, want := jobKey(decoded), jobKey(job); got != want {
+				t.Fatalf("job %d (config inline %v): jobKey of the decoded job %x, of the job %x", i, inline, got, want)
+			}
+		}
 	}
 
 	job := &shard.Job{Version: shard.ProtocolVersion, Cfg: []byte(`{"Delta":1}`), Trees: [][]byte{blob(3000), blob(3000)}}
 	if allocs := testing.AllocsPerRun(100, func() { jobKey(job) }); allocs >= 1 {
 		t.Fatalf("jobKey allocates %.2f times per call, want none", allocs)
+	}
+	if err := shard.DecodeJobInto(mustEncodeJob(t, job), decoded); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { jobKey(decoded) }); allocs >= 1 {
+		t.Fatalf("jobKey of a decoded job allocates %.2f times per call, want none", allocs)
 	}
 }
 
